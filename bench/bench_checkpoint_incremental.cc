@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "crawler/incremental_crawler.h"
 #include "crawler/snapshot.h"
 #include "simweb/simulated_web.h"
@@ -44,13 +45,6 @@ namespace {
 
 using namespace webevo;
 using Clock = std::chrono::steady_clock;
-
-double EnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  const double v = std::atof(raw);
-  return v > 0.0 ? v : fallback;
-}
 
 double Ms(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -96,12 +90,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double scale = EnvDouble("WEBEVO_SCALE", 1.0);
-  const double warmup = EnvDouble("WEBEVO_WARMUP_DAYS", 8.0);
+  const double scale = bench::ScaleFromEnv();
+  const double warmup = bench::EnvOr("WEBEVO_WARMUP_DAYS", 8.0);
   const int intervals =
-      static_cast<int>(EnvDouble("WEBEVO_INTERVALS", 8.0));
-  const double gap = EnvDouble("WEBEVO_GAP_DAYS", 0.25);
-  const double bound = EnvDouble("WEBEVO_REQUIRE_INC_RATIO", 0.2);
+      static_cast<int>(bench::EnvOr("WEBEVO_INTERVALS", 8.0));
+  const double gap = bench::EnvOr("WEBEVO_GAP_DAYS", 0.25);
+  const double bound = bench::EnvOr("WEBEVO_REQUIRE_INC_RATIO", 0.2);
 
   simweb::WebConfig web_config = simweb::WebConfig().Scaled(0.15 * scale);
   web_config.seed = 19990217;

@@ -10,6 +10,7 @@
 // var (default 1.0 = the bench's own default workload, which is already
 // a scaled-down-but-faithful version of the paper's 720k-page study).
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -27,6 +28,24 @@ inline double ScaleFromEnv() {
   if (raw == nullptr) return 1.0;
   double scale = std::atof(raw);
   return scale > 0.0 ? scale : 1.0;
+}
+
+/// A non-negative number from the environment variable `name`:
+/// `fallback` when unset, the value as written otherwise — 0 included.
+/// Anything that does not parse completely as a finite number >= 0 is
+/// a usage error: the bench exits with code 2 rather than silently run
+/// a workload other than the one asked for.
+inline double EnvOr(const char* name, double fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  char* end = nullptr;
+  const double value = std::strtod(raw, &end);
+  if (end == raw || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    std::fprintf(stderr, "%s=\"%s\": expected a finite number >= 0\n",
+                 name, raw);
+    std::exit(2);
+  }
+  return value;
 }
 
 /// The study population used by the measurement benches: the paper's

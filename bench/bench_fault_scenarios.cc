@@ -48,13 +48,6 @@ namespace {
 
 using namespace webevo;
 
-double EnvOr(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  double value = std::atof(raw);
-  return value > 0.0 ? value : fallback;
-}
-
 simweb::WebConfig ScenarioWeb(const std::string& scenario, double scale) {
   simweb::WebConfig wc = simweb::WebConfig().Scaled(0.06 * scale);
   wc.seed = 19990217;
@@ -192,9 +185,9 @@ int main(int argc, char** argv) {
   }
 
   const double scale = bench::ScaleFromEnv();
-  const double days = EnvOr("WEBEVO_DAYS", 14.0);
+  const double days = bench::EnvOr("WEBEVO_DAYS", 14.0);
   const double freshness_ratio =
-      EnvOr("WEBEVO_REQUIRE_FRESHNESS_RATIO", 0.5);
+      bench::EnvOr("WEBEVO_REQUIRE_FRESHNESS_RATIO", 0.5);
   std::printf("scale %.2f, %.0f virtual days, freshness gate %.2fx "
               "baseline\n\n",
               scale, days, freshness_ratio);

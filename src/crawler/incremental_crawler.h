@@ -64,16 +64,14 @@ struct IncrementalCrawlerConfig {
   /// threads.
   int crawl_parallelism = 1;
 
-  /// Staged batch pipeline (default on): overlap neighbouring batches
-  /// with batch B's fetch stage — batch B+1's slot plan is extracted
-  /// speculatively from the pre-apply frontier inside B's fetch
-  /// workers (reconciled at B's apply barrier via restore-on-touch
-  /// lanes), and a freshness sample due at B's start runs its oracle
-  /// walks fused into the same workers instead of a separate parallel
-  /// pass. Results are bit-identical either way, at every shard count
-  /// — the speculative plan reconciles to exactly what the sequential
-  /// loop would have planned; `false` keeps the strictly sequential
-  /// plan → fetch → apply → measure loop.
+  /// Staged batch pipeline (default on): a freshness sample due at
+  /// batch B's start defers its oracle walks into B's fetch workers
+  /// (each shard measures its own sites *before* its fetches, so every
+  /// page's observation order is the sequential one) and settles into
+  /// the tracker before B's apply — the measure overlaps the fetch
+  /// wall-clock instead of extending it. Results are bit-identical
+  /// either way, at every shard count; `false` keeps the strictly
+  /// sequential plan → fetch → apply → measure loop.
   bool pipeline = true;
 
   /// Auto-checkpointing: when > 0, RunUntil writes a crash-consistent

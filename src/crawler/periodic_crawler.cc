@@ -281,26 +281,19 @@ Status PeriodicCrawler::RunUntil(double until) {
           settle_measure();
           FinishCycle();  // frontier exhausted before the window closed
         } else {
-          ShardedCrawlEngine::StageHooks hooks;
-          bool use_hooks = false;
+          ShardedCrawlEngine::StageHook before_fetch;
           if (staged_measure.prepared()) {
             // Fuse the deferred measure into the fetch stage: each
             // shard walks its own sites' oracles before its fetches
             // (same shard -> same worker, so per-page observation
             // times stay non-decreasing), and shards with nothing to
             // fetch still get a visit for their measure walk.
-            hooks.before_fetch = [&staged_measure](std::size_t s) {
+            before_fetch = [&staged_measure](std::size_t s) {
               staged_measure.RunShard(s);
             };
-            hooks.shards.resize(static_cast<std::size_t>(shards));
-            for (std::size_t s = 0; s < hooks.shards.size(); ++s) {
-              hooks.shards[s] = s;
-            }
-            use_hooks = true;
           }
           std::vector<StatusOr<simweb::FetchResult>> outcomes =
-              engine_.ExecuteBatch(plan, nullptr,
-                                   use_hooks ? &hooks : nullptr);
+              engine_.ExecuteBatch(plan, nullptr, before_fetch);
           // Settle batch B-1's sample before the apply stage touches
           // the collection the walk's entry pointers reference.
           settle_measure();

@@ -59,9 +59,8 @@ struct PeriodicCrawlerConfig {
   /// so every page's observation order is the sequential one) and
   /// settles into the tracker right after the fetch stage — the
   /// measure overlaps the fetch wall-clock instead of extending it.
-  /// The periodic planner is a deque pop, so unlike the incremental
-  /// crawler there is no speculative plan stage. `false` runs the
-  /// strictly sequential loop. Results are bit-identical either way.
+  /// `false` runs the strictly sequential loop. Results are
+  /// bit-identical either way.
   bool pipeline = true;
 
   /// Auto-checkpointing, as on the incremental crawler: when > 0,

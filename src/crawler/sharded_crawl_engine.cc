@@ -34,7 +34,7 @@ bool ShardedCrawlEngine::PublishView(
 
 std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
     const std::vector<PlannedFetch>& batch,
-    std::vector<double>* retry_at, const StageHooks* hooks) {
+    std::vector<double>* retry_at, const StageHook& before_fetch) {
   std::vector<StatusOr<simweb::FetchResult>> out;
   out.reserve(batch.size());
   if (retry_at != nullptr) retry_at->assign(batch.size(), 0.0);
@@ -68,19 +68,16 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
 
   web_->BeginConcurrentBatch(floor);
   std::vector<RunningStat> shard_latency(shards);
-  std::vector<double> measure_overlap(shards, -1.0);
-  std::vector<double> plan_overlap(shards, -1.0);
-  auto run_shard = [this, &batch, &staged, retry_at, hooks,
-                    &measure_overlap,
-                    &plan_overlap](std::size_t shard,
-                                   const std::vector<std::size_t>& indices,
-                                   RunningStat& latency) {
-    if (hooks != nullptr && hooks->before_fetch) {
+  std::vector<double> measure_overlap(shards, 0.0);
+  auto run_shard = [&](std::size_t shard,
+                       const std::vector<std::size_t>& indices,
+                       RunningStat& latency) {
+    if (before_fetch) {
       // Fused stage: batch B-1's deferred measure walks this shard's
       // sites *before* any of the shard's batch-B fetches, preserving
       // each page's observation order.
       auto hook_begin = std::chrono::steady_clock::now();
-      hooks->before_fetch(shard);
+      before_fetch(shard);
       measure_overlap[shard] = SecondsSince(hook_begin);
     }
     for (std::size_t i : indices) {
@@ -95,30 +92,15 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
       }
       latency.Add(SecondsSince(begin));
     }
-    if (hooks != nullptr && hooks->after_fetch) {
-      // Fused stage: batch B+1's speculative frontier extraction, once
-      // this shard is done fetching (the frontier is otherwise at rest
-      // during the fetch stage).
-      auto hook_begin = std::chrono::steady_clock::now();
-      hooks->after_fetch(shard);
-      plan_overlap[shard] = SecondsSince(hook_begin);
-    }
   };
-  // Shards with planned fetches, plus hook-only shards the pipeline
-  // stages must visit (a shard with nothing to fetch can still owe a
-  // measure walk or hold due frontier entries).
-  std::vector<uint8_t> visit(shards, 0);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    if (!by_shard[shard].empty()) visit[shard] = 1;
-  }
-  if (hooks != nullptr) {
-    for (std::size_t shard : hooks->shards) {
-      if (shard < shards) visit[shard] = 1;
-    }
-  }
+  // Shards with planned fetches — or every shard when the stage hook
+  // is set (a shard with nothing to fetch can still owe a measure
+  // walk).
   std::vector<std::size_t> busy_shards;
   for (std::size_t shard = 0; shard < shards; ++shard) {
-    if (visit[shard]) busy_shards.push_back(shard);
+    if (before_fetch || !by_shard[shard].empty()) {
+      busy_shards.push_back(shard);
+    }
   }
   if (busy_shards.size() <= 1) {
     // Single active shard (always true at parallelism 1): skip the
@@ -153,15 +135,10 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
     stats_.fetch_latency_seconds.Merge(latency);
   }
   stats_.fetch_seconds.Add(SecondsSince(batch_begin));
-  if (hooks != nullptr) {
+  if (before_fetch) {
     ++stats_.pipelined_batches;
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      if (measure_overlap[shard] >= 0.0) {
-        stats_.measure_overlap_seconds.Add(measure_overlap[shard]);
-      }
-      if (plan_overlap[shard] >= 0.0) {
-        stats_.plan_overlap_seconds.Add(plan_overlap[shard]);
-      }
+    for (double seconds : measure_overlap) {
+      stats_.measure_overlap_seconds.Add(seconds);
     }
   }
 

@@ -74,26 +74,16 @@ class ShardedCrawlEngine {
                      int retained_views =
                          serving::ViewRegistry::kDefaultRetention);
 
-  /// Pipeline stage hooks fused into a batch's shard workers — how the
-  /// staged (pipelined) crawl loop overlaps neighbouring batches with
-  /// batch B's fetch stage on the same pool dispatch:
-  ///
-  ///   - `before_fetch(s)` runs in shard s's worker *before* any of its
-  ///     fetches — the lane for batch B-1's deferred freshness measure
-  ///     (a site's oracle walk at the sample time must precede that
-  ///     same site's batch-B fetches, and both live in shard s).
-  ///   - `after_fetch(s)` runs *after* the shard's fetches — the lane
-  ///     for batch B+1's speculative frontier extraction (the frontier
-  ///     is untouched by anything else during the fetch stage).
-  ///
-  /// `shards` lists every shard the hooks must visit; shards with no
-  /// planned fetches still get a (hook-only) task. Hooks must follow
-  /// the shard-ownership discipline: hook s touches only shard-s state.
-  struct StageHooks {
-    std::function<void(std::size_t)> before_fetch;
-    std::function<void(std::size_t)> after_fetch;
-    std::vector<std::size_t> shards;
-  };
+  /// Pipeline stage hook fused into a batch's shard workers — how the
+  /// staged crawl loop overlaps batch B-1's deferred freshness measure
+  /// with batch B's fetch stage on the same pool dispatch. The hook
+  /// runs once per shard, in shard s's worker, *before* any of its
+  /// fetches: a site's oracle walk at the sample time must precede that
+  /// same site's batch-B fetches, and both live in shard s. Every shard
+  /// is visited, including shards with no planned fetches. The hook
+  /// must follow the shard-ownership discipline: hook s touches only
+  /// shard-s state.
+  using StageHook = std::function<void(std::size_t)>;
 
   /// Executes every planned fetch, in parallel across shards, and
   /// returns the outcomes in plan order: outcome i corresponds to
@@ -113,13 +103,13 @@ class ShardedCrawlEngine {
   /// batch); for other outcomes it is merely the site's next polite
   /// time after the fetch.
   ///
-  /// `hooks` (optional) fuses pipeline stages into the shard workers;
-  /// see StageHooks. Hook wall-clock is recorded in the overlap ledger
-  /// (measure_overlap_seconds / plan_overlap_seconds).
+  /// `before_fetch` (optional) fuses a pipeline stage into the shard
+  /// workers; see StageHook. Hook wall-clock is recorded in the overlap
+  /// ledger (measure_overlap_seconds).
   std::vector<StatusOr<simweb::FetchResult>> ExecuteBatch(
       const std::vector<PlannedFetch>& batch,
       std::vector<double>* retry_at = nullptr,
-      const StageHooks* hooks = nullptr);
+      const StageHook& before_fetch = {});
 
   CrawlModulePool& pool() { return pool_; }
   const CrawlModulePool& pool() const { return pool_; }
@@ -205,19 +195,16 @@ class ShardedCrawlEngine {
     /// function of the publish cadence).
     uint64_t views_published = 0;
     RunningStat publish_seconds;
-    /// Pipeline overlap ledger. The *_overlap_seconds stats record
-    /// wall-clock spent inside fused stage hooks — work batch B's pool
-    /// dispatch absorbed on behalf of the measure(B-1) and plan(B+1)
-    /// stages (one sample per visited shard per hooked batch, merged
-    /// in shard index order). speculative_plans counts plans served
-    /// from a speculation; spec_lanes_reused / spec_lanes_invalidated
-    /// count shard lanes consumed intact vs flushed by the apply
-    /// barrier. Lane counts depend on the shard layout (always
-    /// "1 lane" at N = 1), so like lease revocations they are excluded
-    /// from determinism fingerprints.
+    /// Pipeline overlap ledger. measure_overlap_seconds records
+    /// wall-clock spent inside the fused stage hook — work batch B's
+    /// pool dispatch absorbed on behalf of the measure(B-1) stage (one
+    /// sample per shard per hooked batch, merged in shard index
+    /// order); pipelined_batches counts the hooked batches.
     RunningStat measure_overlap_seconds;
-    RunningStat plan_overlap_seconds;
     uint64_t pipelined_batches = 0;
+    /// Never written: the crawl loop no longer speculates plans. Only
+    /// the perf/ harness still reads these four, and they stay zero.
+    RunningStat plan_overlap_seconds;
     uint64_t speculative_plans = 0;
     RunningStat spec_lanes_reused;
     RunningStat spec_lanes_invalidated;
@@ -244,29 +231,12 @@ class ShardedCrawlEngine {
     stats_.lease_revocations.Add(revocations);
     stats_.settle_evictions.Add(evictions);
   }
-  /// One reconciled (speculation-served) plan.
-  void RecordSpeculativePlan(double lanes_reused,
-                             double lanes_invalidated) {
-    ++stats_.speculative_plans;
-    stats_.spec_lanes_reused.Add(lanes_reused);
-    stats_.spec_lanes_invalidated.Add(lanes_invalidated);
-  }
-
-  /// Pipeline stage tracker: the owning crawler arms this while any
-  /// cross-batch stage is in flight (a speculative frontier extraction
-  /// or a deferred measure not yet settled) and disarms it once the
-  /// pipeline is drained back to a plain batch boundary.
-  void SetPipelineArmed(bool armed) { pipeline_armed_ = armed; }
-  bool pipeline_armed() const { return pipeline_armed_; }
-
   /// Quiesce-at-barrier hook for checkpointing: true whenever no batch
-  /// is executing *and* the pipeline is drained — the crawler sits at
-  /// a batch boundary, every shard-owned structure is at rest, and no
-  /// speculative stage holds state outside the checkpointable
-  /// structures. SaveCrawler refuses to snapshot a non-quiescent
-  /// engine — a checkpoint taken mid-batch or mid-pipeline would tear
+  /// is executing — the crawler sits at a batch boundary and every
+  /// shard-owned structure is at rest. SaveCrawler refuses to snapshot
+  /// a non-quiescent engine — a checkpoint taken mid-batch would tear
   /// the state it bundles.
-  bool quiescent() const { return !in_batch_ && !pipeline_armed_; }
+  bool quiescent() const { return !in_batch_; }
 
  private:
   simweb::SimulatedWeb* web_;  // not owned
@@ -275,7 +245,6 @@ class ShardedCrawlEngine {
   serving::ViewRegistry views_;
   Stats stats_;
   bool in_batch_ = false;
-  bool pipeline_armed_ = false;
 };
 
 }  // namespace webevo::crawler

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 
 namespace webevo::crawler {
 namespace {
@@ -100,13 +99,10 @@ ShardedFrontier::ShardedFrontier(int num_shards)
   head_.resize(shards_.size());
   head_live_.assign(shards_.size(), 0);
   head_dirty_.assign(shards_.size(), 1);
-  spec_lane_.resize(shards_.size());
-  spec_valid_.assign(shards_.size(), 0);
-  spec_flushed_.assign(shards_.size(), 0);
 }
 
 void ShardedFrontier::Schedule(const simweb::Url& url, double when) {
-  SpecAwareSchedule(ShardOf(url.site), url, when, next_seq_++);
+  ScheduleLane(ShardOf(url.site), url, when, next_seq_++);
 }
 
 void ShardedFrontier::ScheduleFront(const simweb::Url& url) {
@@ -114,9 +110,6 @@ void ShardedFrontier::ScheduleFront(const simweb::Url& url) {
   // global to the frontier so front-inserts stay FIFO across shards.
   front_when_ += 1e-6;
   const std::size_t s = ShardOf(url.site);
-  // A front key sorts before every lane entry, so the lane can never
-  // survive a front insert.
-  FlushSpecLane(s);
   shards_[s].ScheduleAt(url, CollUrls::kFrontBase + front_when_,
                         next_seq_++);
   head_dirty_[s] = 1;
@@ -124,18 +117,6 @@ void ShardedFrontier::ScheduleFront(const simweb::Url& url) {
 
 Status ShardedFrontier::Remove(const simweb::Url& url) {
   const std::size_t s = ShardOf(url.site);
-  if (speculating_ && spec_valid_[s]) {
-    // A lane member is the url's live entry: erase it in place and top
-    // the lane back up rather than invalidating the whole lane.
-    std::vector<CollUrls::Entry>& lane = spec_lane_[s];
-    for (auto it = lane.begin(); it != lane.end(); ++it) {
-      if (it->url == url) {
-        lane.erase(it);
-        TopUpSpecLane(s);
-        return Status::Ok();
-      }
-    }
-  }
   Status st = shards_[s].Remove(url);
   if (st.ok()) head_dirty_[s] = 1;
   return st;
@@ -144,95 +125,9 @@ Status ShardedFrontier::Remove(const simweb::Url& url) {
 Status ShardedFrontier::RemoveIfSeq(const simweb::Url& url,
                                     uint64_t seq) {
   const std::size_t s = ShardOf(url.site);
-  if (speculating_ && spec_valid_[s]) {
-    // A lane member is the url's live entry (never also in the heap):
-    // apply the seq guard to it directly, erase on a match, and top
-    // the lane back up — no need to invalidate the whole lane.
-    std::vector<CollUrls::Entry>& lane = spec_lane_[s];
-    for (auto it = lane.begin(); it != lane.end(); ++it) {
-      if (it->url != url) continue;
-      if (it->seq != seq) {
-        return Status::NotFound("url not queued at that seq");
-      }
-      lane.erase(it);
-      TopUpSpecLane(s);
-      return Status::Ok();
-    }
-  }
   Status st = shards_[s].RemoveIfSeq(url, seq);
   if (st.ok()) head_dirty_[s] = 1;
   return st;
-}
-
-void ShardedFrontier::SpecAwareSchedule(std::size_t s,
-                                        const simweb::Url& url,
-                                        double when, uint64_t seq) {
-  if (!speculating_ || !spec_valid_[s]) {
-    shards_[s].ScheduleAt(url, when, seq);
-    head_dirty_[s] = 1;
-    return;
-  }
-  std::vector<CollUrls::Entry>& lane = spec_lane_[s];
-  bool was_in_lane = false;
-  for (auto it = lane.begin(); it != lane.end(); ++it) {
-    if (it->url == url) {
-      if (when < spec_horizon_) {
-        // Sub-horizon supersede of a lane member: the rare case (a
-        // batch url is never in the next batch's lane) where absorb
-        // bookkeeping gets subtle — rescheduling *within* the lane
-        // interacts with capacity evictions in ways that can strand
-        // entries. Flush: always correct, and cheap at this rate. The
-        // erase-first keeps the flushed heap free of the superseded
-        // key, matching the sequential move.
-        lane.erase(it);
-        FlushSpecLane(s);
-        shards_[s].ScheduleAt(url, when, seq);
-        head_dirty_[s] = 1;
-        return;
-      }
-      lane.erase(it);  // superseded; the new key is placed below
-      was_in_lane = true;
-      break;
-    }
-  }
-  if (when < spec_horizon_) {
-    // Sequential ScheduleAt *moves* an existing entry, so a stale heap
-    // entry of this url (necessarily after the lane) must go before
-    // the url joins the lane.
-    if (shards_[s].Remove(url).ok()) head_dirty_[s] = 1;
-    const CollUrls::Entry e{when, seq, url};
-    lane.insert(std::upper_bound(lane.begin(), lane.end(), e, Earlier),
-                e);
-    if (lane.size() > spec_max_slots_) {
-      // Past the batch's slot capacity the extraction loop would have
-      // stopped: the overflow entry belongs to the heap.
-      const CollUrls::Entry& evict = lane.back();
-      shards_[s].ScheduleAt(evict.url, evict.when, evict.seq);
-      head_dirty_[s] = 1;
-      lane.pop_back();
-    }
-  } else {
-    shards_[s].ScheduleAt(url, when, seq);
-    head_dirty_[s] = 1;
-  }
-  TopUpSpecLane(s);
-}
-
-void ShardedFrontier::TopUpSpecLane(std::size_t s) {
-  if (!speculating_ || !spec_valid_[s]) return;
-  std::vector<CollUrls::Entry>& lane = spec_lane_[s];
-  while (lane.size() < spec_max_slots_) {
-    auto head = shards_[s].PeekEntry();
-    if (!head.has_value() || head->when >= spec_horizon_) break;
-    // The heap minimum sorts at or after every lane entry (absorb keeps
-    // the lane the prefix of the shard's due order), so this insert is
-    // an append in the common case; upper_bound keeps the lane sorted
-    // even on (when, seq) ties at the boundary.
-    const CollUrls::Entry e = *shards_[s].PopEntry();
-    lane.insert(std::upper_bound(lane.begin(), lane.end(), e, Earlier),
-                e);
-    head_dirty_[s] = 1;
-  }
 }
 
 std::size_t ShardedFrontier::RepairAndWinner() {
@@ -254,7 +149,6 @@ std::size_t ShardedFrontier::RepairAndWinner() {
 }
 
 std::optional<ScheduledUrl> ShardedFrontier::Pop() {
-  DrainSpeculation();
   const std::size_t w = RepairAndWinner();
   if (w == shards_.size()) return std::nullopt;
   auto popped = shards_[w].PopEntry();
@@ -263,7 +157,6 @@ std::optional<ScheduledUrl> ShardedFrontier::Pop() {
 }
 
 std::optional<ScheduledUrl> ShardedFrontier::Peek() {
-  DrainSpeculation();
   const std::size_t w = RepairAndWinner();
   if (w == shards_.size()) return std::nullopt;
   return ScheduledUrl{head_[w].url, head_[w].when};
@@ -272,52 +165,7 @@ std::optional<ScheduledUrl> ShardedFrontier::Peek() {
 std::size_t ShardedFrontier::size() const {
   std::size_t total = 0;
   for (const CollUrls& shard : shards_) total += shard.size();
-  if (speculating_) {
-    // Speculatively extracted entries are still logically queued.
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (spec_valid_[s]) total += spec_lane_[s].size();
-    }
-  }
   return total;
-}
-
-void ShardedFrontier::BeginSpeculation(double start, double horizon,
-                                       double step) {
-  DrainSpeculation();
-  if (!(step > 0.0) || start >= horizon) return;
-  speculating_ = true;
-  spec_start_ = start;
-  spec_horizon_ = horizon;
-  spec_step_ = step;
-  // Same slot-capacity bound as PlanSlots stage 1.
-  const double cap = (horizon - start) / step + 2.0;
-  spec_max_slots_ = cap < 1e18 ? static_cast<std::size_t>(cap)
-                               : std::numeric_limits<std::size_t>::max();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    spec_lane_[s].clear();
-    spec_valid_[s] = 0;
-    spec_flushed_[s] = 0;
-  }
-}
-
-void ShardedFrontier::SpeculateShard(std::size_t s) {
-  if (!speculating_) return;
-  std::vector<CollUrls::Entry>& out = spec_lane_[s];
-  while (out.size() < spec_max_slots_) {
-    auto head = shards_[s].PeekEntry();
-    if (!head.has_value() || head->when >= spec_horizon_) break;
-    out.push_back(*shards_[s].PopEntry());
-  }
-  if (!out.empty()) head_dirty_[s] = 1;
-  // Mark the lane authoritative even when empty: an untouched shard
-  // with nothing due needs no re-extraction at reconcile.
-  spec_valid_[s] = 1;
-}
-
-void ShardedFrontier::DrainSpeculation() {
-  if (!speculating_) return;
-  for (std::size_t s = 0; s < shards_.size(); ++s) FlushSpecLane(s);
-  speculating_ = false;
 }
 
 ShardedFrontier::SlotPlan ShardedFrontier::PlanSlots(double start,
@@ -326,18 +174,7 @@ ShardedFrontier::SlotPlan ShardedFrontier::PlanSlots(double start,
                                                      ThreadPool* threads) {
   SlotPlan plan;
   plan.end_time = start;
-
-  // A speculation armed for exactly this (start, horizon, step) hands
-  // its intact lanes straight to the merge; anything else is stale and
-  // must flush back before planning from scratch.
-  const bool reuse_spec = speculating_ && spec_start_ == start &&
-                          spec_horizon_ == horizon && spec_step_ == step;
-  if (speculating_ && !reuse_spec) DrainSpeculation();
-
-  if (!(step > 0.0) || start >= horizon) {
-    DrainSpeculation();
-    return plan;
-  }
+  if (!(step > 0.0) || start >= horizon) return plan;
 
   // Each consumed candidate advances the slot clock by `step`, so a
   // batch can never hold more than this many fetches — the per-shard
@@ -350,11 +187,7 @@ ShardedFrontier::SlotPlan ShardedFrontier::PlanSlots(double start,
   // Stage 1: per-shard candidate extraction, shard-parallel. Each task
   // touches only its own heap, its own output vector, and its own head
   // dirty byte; the pops come out sorted by (when, seq) because each
-  // shard heap is one CollUrls. Under a matching speculation, a shard
-  // whose lane survived the apply barrier intact reuses it verbatim —
-  // the heap is already in the post-extraction state and the lane is
-  // exactly what this loop would pop — while flushed lanes (the apply
-  // barrier touched the shard) re-extract here.
+  // shard heap is one CollUrls.
   const std::size_t num_shards = shards_.size();
   std::vector<std::vector<CollUrls::Entry>> extracted(num_shards);
   auto extract = [this, horizon, max_slots, &extracted](std::size_t s) {
@@ -368,27 +201,12 @@ ShardedFrontier::SlotPlan ShardedFrontier::PlanSlots(double start,
   };
   std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (reuse_spec && spec_valid_[s]) {
-      extracted[s] = std::move(spec_lane_[s]);
-      spec_lane_[s].clear();
-      spec_valid_[s] = 0;
-      ++plan.spec_lanes_reused;
-      continue;
-    }
     if (!shards_[s].empty()) busy.push_back(s);
   }
   if (threads != nullptr) {
     threads->RunForIndices(busy, extract);
   } else {
     for (std::size_t s : busy) extract(s);
-  }
-  if (reuse_spec) {
-    plan.speculative = true;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (spec_flushed_[s]) ++plan.spec_lanes_invalidated;
-      spec_flushed_[s] = 0;
-    }
-    speculating_ = false;
   }
 
   // Stage 2: deterministic tournament merge driving the slot clock —

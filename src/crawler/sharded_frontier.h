@@ -66,7 +66,8 @@ class ShardedFrontier {
   /// shard count (unused lane slots leave harmless gaps).
   void ScheduleLane(std::size_t s, const simweb::Url& url, double when,
                     uint64_t seq) {
-    SpecAwareSchedule(s, url, when, seq);
+    shards_[s].ScheduleAt(url, when, seq);
+    head_dirty_[s] = 1;
   }
 
   /// Lease-revocation removal: drops `url` only if its live entry
@@ -83,27 +84,8 @@ class ShardedFrontier {
   /// entries moved.
   std::size_t RescheduleSiteNotBefore(uint32_t site, double floor) {
     const std::size_t s = ShardOf(site);
-    // A lane member of the site would be walked by the sequential
-    // quarantine, so the lane must dissolve back into the heap first.
-    if (speculating_ && spec_valid_[s]) {
-      for (const CollUrls::Entry& e : spec_lane_[s]) {
-        if (e.url.site == site) {
-          FlushSpecLane(s);
-          break;
-        }
-      }
-    }
-    const std::size_t moved =
-        shards_[s].RescheduleSiteNotBefore(site, floor);
-    if (moved > 0) {
-      head_dirty_[s] = 1;
-      // Moved heap entries land exactly at `floor`, which can sort
-      // *inside* the surviving lane's range — the lane would no longer
-      // be the prefix of the shard's due order. Flushing on any
-      // sub-horizon re-floor keeps reconciliation trivially exact;
-      // quarantines are rare enough that the lost reuse is noise.
-      if (floor < spec_horizon_) FlushSpecLane(s);
-    }
+    const std::size_t moved = shards_[s].RescheduleSiteNotBefore(site, floor);
+    if (moved > 0) head_dirty_[s] = 1;
     return moved;
   }
 
@@ -121,43 +103,20 @@ class ShardedFrontier {
   std::optional<ScheduledUrl> Peek();
 
   bool Contains(const simweb::Url& url) const {
-    const std::size_t s = ShardOf(url.site);
-    if (shards_[s].Contains(url)) return true;
-    if (speculating_ && spec_valid_[s]) {
-      for (const CollUrls::Entry& e : spec_lane_[s]) {
-        if (e.url == url) return true;
-      }
-    }
-    return false;
+    return shards_[ShardOf(url.site)].Contains(url);
   }
 
   /// The live global (when, seq) entry of `url`; nullopt if absent.
-  /// Lane-aware: a speculatively extracted entry is still logically in
-  /// the frontier, so an intact lane is consulted after the heap.
   std::optional<CollUrls::Entry> LookupEntry(const simweb::Url& url) const {
-    const std::size_t s = ShardOf(url.site);
-    auto live = shards_[s].LookupEntry(url);
-    if (live.has_value()) return live;
-    if (speculating_ && spec_valid_[s]) {
-      for (const CollUrls::Entry& e : spec_lane_[s]) {
-        if (e.url == url) return e;
-      }
-    }
-    return std::nullopt;
+    return shards_[ShardOf(url.site)].LookupEntry(url);
   }
 
   /// Inserts every live URL of `site` into `out` (see
-  /// CollUrls::AppendSiteUrls). Lane-aware, like LookupEntry.
+  /// CollUrls::AppendSiteUrls).
   void AppendSiteUrls(uint32_t site,
                       std::set<simweb::Url, simweb::UrlIdentityLess>* out)
       const {
-    const std::size_t s = ShardOf(site);
-    shards_[s].AppendSiteUrls(site, out);
-    if (speculating_ && spec_valid_[s]) {
-      for (const CollUrls::Entry& e : spec_lane_[s]) {
-        if (e.url.site == site) out->insert(e.url);
-      }
-    }
+    shards_[ShardOf(site)].AppendSiteUrls(site, out);
   }
 
   /// The global front-of-queue key offset, paired with next_seq() in
@@ -193,15 +152,6 @@ class ShardedFrontier {
     /// stopped early (never happens at a constant rate — idle periods
     /// also advance to the horizon).
     double end_time = 0.0;
-    /// Pipeline ledger for this plan: how many shard lanes were
-    /// consumed from a still-intact speculative extraction vs
-    /// re-extracted because the apply barrier touched the shard.
-    /// Lane-level counts depend on the shard layout (like lease
-    /// revocations), so they are excluded from determinism
-    /// fingerprints.
-    uint32_t spec_lanes_reused = 0;
-    uint32_t spec_lanes_invalidated = 0;
-    bool speculative = false;
   };
 
   /// Plans one engine batch: starting the slot clock at `start`, pops
@@ -220,54 +170,8 @@ class ShardedFrontier {
   ///      their shard heaps with their original (when, seq) keys.
   ///
   /// `threads` may be null (serial extraction); results are identical.
-  ///
-  /// When a speculation armed by BeginSpeculation matches (start,
-  /// horizon, step) exactly, stage 1 consumes the intact per-shard
-  /// lanes instead of re-popping the heaps; flushed lanes re-extract.
-  /// A non-matching call drains the speculation first and plans from
-  /// scratch — either way the produced plan is bit-identical to the
-  /// unspeculated one.
   SlotPlan PlanSlots(double start, double horizon, double step,
                      ThreadPool* threads);
-
-  /// --- Speculative (pipelined) planning ------------------------------
-  ///
-  /// BeginSpeculation arms a double-buffered plan for the *next* batch:
-  /// while the current batch is still in fetch, each engine shard
-  /// worker calls SpeculateShard(s) — only shard s's owner, touching
-  /// only shard-s state — to pop its own due-before-`horizon`
-  /// candidates into a per-shard spec lane. The lanes are a cache,
-  /// never an alternate truth: a later mutation of shard s either
-  /// *absorbs* into the lane — keeping it exactly what fresh
-  /// extraction would produce — or flushes it back into the heap with
-  /// the original (when, seq) keys, restoring the exact pre-extraction
-  /// state before the mutation lands. Inserts absorb
-  /// (SpecAwareSchedule): a beyond-horizon reschedule sorts after
-  /// every lane entry and lands straight in the heap; a sub-horizon
-  /// key of a new url joins the lane at its sorted position; a
-  /// removal erases the lane entry and tops the lane back up.
-  /// Front-of-queue inserts, sub-horizon reschedules of a lane member,
-  /// and quarantine walks that move anything below the horizon flush —
-  /// front keys precede everything, and the latter two reorder within
-  /// the lane's range. Reads
-  /// (Contains/LookupEntry/AppendSiteUrls/size) consult intact lanes.
-  /// Pop/Peek and any non-matching PlanSlots drain every lane. The
-  /// result: the frontier observable at the apply barrier is exactly
-  /// the one the sequential loop would have, and the reconciled plan
-  /// is exactly what the sequential loop would have planned.
-  void BeginSpeculation(double start, double horizon, double step);
-
-  /// Extracts shard `s`'s candidates into its spec lane. Must only be
-  /// called between BeginSpeculation and the next serial frontier op,
-  /// by the worker that owns shard s.
-  void SpeculateShard(std::size_t s);
-
-  /// Flushes every intact lane back into the shard heaps and disarms
-  /// the speculation. No-op when not speculating. Required before
-  /// checkpointing (SaveFrontier copies heaps, not lanes).
-  void DrainSpeculation();
-
-  bool speculating() const { return speculating_; }
 
   /// Snapshot/restore of the frontier's scheduled times (entries with
   /// their global (when, seq) keys plus the global counters), in
@@ -283,48 +187,6 @@ class ShardedFrontier {
   /// returns the winning shard index, or shards_.size() when every
   /// shard is empty.
   std::size_t RepairAndWinner();
-
-  /// Restores lane `s` into its shard heap (original keys) and marks
-  /// it invalidated. Safe from shard s's apply worker: it touches only
-  /// shard-s state (heap, lane, per-shard bytes). No-op when the lane
-  /// is not intact.
-  void FlushSpecLane(std::size_t s) {
-    if (!speculating_ || !spec_valid_[s]) return;
-    for (const CollUrls::Entry& e : spec_lane_[s]) {
-      shards_[s].ScheduleAt(e.url, e.when, e.seq);
-    }
-    if (!spec_lane_[s].empty()) head_dirty_[s] = 1;
-    spec_lane_[s].clear();
-    spec_valid_[s] = 0;
-    spec_flushed_[s] = 1;
-  }
-
-  /// Routes an insert around an intact lane without invalidating it.
-  /// A sub-horizon key of a url *not* in the lane joins the lane at
-  /// its sorted position (a stale heap entry of the url is dropped —
-  /// sequential ScheduleAt *moves* — and the overflow entry past the
-  /// slot capacity is evicted back to the heap); an at-or-beyond-
-  /// horizon key inserts into the heap, since it sorts after every
-  /// lane entry; a beyond-horizon supersede of a lane member erases
-  /// the lane entry and inserts the new key into the heap. The one
-  /// absorb we refuse — a sub-horizon reschedule of a url already in
-  /// the lane — flushes instead: re-keying *within* the lane interacts
-  /// with capacity evictions in ways that can strand entries, and a
-  /// batch url is never in the next batch's lane, so the case is rare.
-  /// An erase that left the lane short tops it back up from the heap,
-  /// so the lane stays exactly what fresh extraction against the
-  /// flushed heap would produce. Plain heap insert when no lane is
-  /// intact. Safe from shard s's apply worker: all touched state is
-  /// shard-local, and the spec_* bounds are written only by the serial
-  /// BeginSpeculation.
-  void SpecAwareSchedule(std::size_t s, const simweb::Url& url,
-                         double when, uint64_t seq);
-
-  /// Refills lane `s` from its heap up to the slot capacity after an
-  /// erase left it short. Sub-horizon heap entries exist only when the
-  /// lane is at capacity and sort at or after the lane's last entry,
-  /// so pops land at the tail (sorted insert guards the tie case).
-  void TopUpSpecLane(std::size_t s);
 
   std::vector<CollUrls> shards_;
   // Global counters shared by all shards: the FIFO tie-break sequence
@@ -349,21 +211,6 @@ class ShardedFrontier {
   std::vector<CollUrls::Entry> head_;
   std::vector<uint8_t> head_live_;
   std::vector<uint8_t> head_dirty_;
-
-  // Speculation (double-buffered plan) state. spec_lane_[s] holds
-  // shard s's extracted candidates, sorted (when, seq); spec_valid_[s]
-  // says the lane is intact (heap untouched since extraction);
-  // spec_flushed_[s] records that a lane was invalidated, summed into
-  // the SlotPlan ledger at reconcile. All three are per-shard slots so
-  // concurrent shard workers never share a word of spec state.
-  bool speculating_ = false;
-  double spec_start_ = 0.0;
-  double spec_horizon_ = 0.0;
-  double spec_step_ = 0.0;
-  std::size_t spec_max_slots_ = 0;
-  std::vector<std::vector<CollUrls::Entry>> spec_lane_;
-  std::vector<uint8_t> spec_valid_;
-  std::vector<uint8_t> spec_flushed_;
 };
 
 }  // namespace webevo::crawler

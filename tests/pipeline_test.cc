@@ -1,5 +1,6 @@
-// Pipelined batch engine tests: the staged crawl loop (plan B+1 /
-// fetch+apply B / measure B-1) must be an invisible optimisation.
+// Pipelined batch engine tests: the staged crawl loop (fetch+apply B
+// with measure B-1 fused into B's fetch) must be an invisible
+// optimisation.
 // Pipelined and non-pipelined runs — at every shard count, under fault
 // scenarios, through in-batch retry rounds, and across a mid-pipeline
 // auto-checkpoint resume — produce byte-identical checkpoints and
@@ -122,9 +123,8 @@ TEST(PipelineTest, PeriodicPipelinedMatchesSequential) {
 // ------------------------------------------------- faults and retries
 
 // Fault scenarios drive the apply barrier's hard cases — failure
-// backoffs, quarantine walks (RescheduleSiteNotBefore against live
-// lanes) and lease revocations — and the identity must survive all of
-// them.
+// backoffs, quarantine walks (RescheduleSiteNotBefore) and lease
+// revocations — and the identity must survive all of them.
 TEST(PipelineTest, FaultScenariosStayByteIdenticalPipelined) {
   for (const char* scenario : {"transient10", "outage-storm",
                                "flash-crowd"}) {
@@ -149,8 +149,7 @@ TEST(PipelineTest, FaultScenariosStayByteIdenticalPipelined) {
 }
 
 // In-batch politeness retry rounds run extra engine sub-batches after
-// the speculation hooks have fired; their reschedules land on live
-// lanes and must absorb or flush without breaking the identity.
+// the fused measure has run; they must not break the identity.
 TEST(PipelineTest, InBatchRetryRoundsStayIdenticalPipelined) {
   simweb::WebConfig wc = SmallWeb(888);
   wc.uniform_lifespan_days = 1e7;  // no deaths: retries dominate
@@ -184,31 +183,7 @@ TEST(PipelineTest, InBatchRetryRoundsStayIdenticalPipelined) {
   }
 }
 
-// --------------------------------------------------- reconciliation
-
-// The speculation must actually engage (lanes reused) AND the apply
-// barrier must actually invalidate some of it (lanes flushed by
-// admissions, revocations or front inserts) — otherwise these tests
-// would pass vacuously with the pipeline never taking the fast path,
-// or never exercising reconciliation.
-TEST(PipelineTest, ReconciliationBothReusesAndInvalidatesLanes) {
-  simweb::WebConfig wc = SmallWeb(999);
-  simweb::SimulatedWeb web(wc);
-  IncrementalCrawler crawler(&web, IncConfig(4, true));
-  ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
-  ASSERT_TRUE(crawler.RunUntil(10.0).ok());
-  const ShardedCrawlEngine::Stats& stats = crawler.engine().stats();
-  // Speculative plans happened...
-  ASSERT_GT(stats.spec_lanes_reused.count(), 0);
-  // ...some lanes survived the apply barrier intact...
-  EXPECT_GT(stats.spec_lanes_reused.mean() *
-                static_cast<double>(stats.spec_lanes_reused.count()),
-            0.0);
-  // ...and some were invalidated by apply-time mutations.
-  EXPECT_GT(stats.spec_lanes_invalidated.mean() *
-                static_cast<double>(stats.spec_lanes_invalidated.count()),
-            0.0);
-}
+// ------------------------------------------------------ overlap ledger
 
 // Pipelining must not change what the engine fetches: an engaged
 // pipeline with zero overlap-ledger samples would mean the staged loop
@@ -222,16 +197,14 @@ TEST(PipelineTest, OverlapLedgerRecordsStagedWork) {
   ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
   ASSERT_TRUE(crawler.RunUntil(10.0).ok());
   const ShardedCrawlEngine::Stats& stats = crawler.engine().stats();
-  EXPECT_GT(stats.plan_overlap_seconds.count(), 0);
   EXPECT_GT(stats.measure_overlap_seconds.count(), 0);
 }
 
 // ------------------------------------- mid-pipeline checkpoint resume
 
-// An auto-checkpoint fires at a batch boundary while the pipeline is
-// armed; the save must drain the speculation (lanes are a cache, never
-// state), and a crawler resumed from those bytes — even at another
-// shard count — rejoins the uninterrupted trajectory exactly.
+// An auto-checkpoint fires at a batch boundary of a pipelined run, and
+// a crawler resumed from those bytes — even at another shard count —
+// rejoins the uninterrupted trajectory exactly.
 TEST(PipelineTest, MidPipelineAutoCheckpointResumeRejoins) {
   const simweb::WebConfig wc = SmallWeb(1313);
   const std::string path =
@@ -259,7 +232,7 @@ TEST(PipelineTest, MidPipelineAutoCheckpointResumeRejoins) {
     ASSERT_TRUE(saver.Bootstrap(0.0).ok());
     ASSERT_TRUE(saver.RunUntil(6.0).ok());
     saved_at = saver.now();
-    ASSERT_GT(saver.engine().stats().spec_lanes_reused.count(), 0);
+    ASSERT_GT(saver.engine().stats().measure_overlap_seconds.count(), 0);
   }
 
   for (int load_shards : {1, 8}) {

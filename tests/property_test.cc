@@ -113,16 +113,20 @@ TEST(CollUrlsModelTest, RandomOpsMatchReference) {
 // because sequence numbers and the front offset are global and the
 // tournament-tree merge over shard heads uses the same (when, seq)
 // order as the single heap. N = 64 exceeds the 13-site universe, so
-// empty shards and a deep tree are exercised too.
+// empty shards and a deep tree are exercised too. The op mix includes
+// the calls the lease settle and the failure path make: seq-guarded
+// removal (live and stale seqs), the quarantine re-floor, and the
+// entry / per-site lookups behind incremental checkpoints.
 TEST(ShardedFrontierModelTest, RandomOpsMatchPlainCollUrls) {
   for (int shards : {1, 3, 4, 8, 64}) {
     Rng rng(4242);  // same op stream for every shard count
     crawler::CollUrls plain;
     crawler::ShardedFrontier sharded(shards);
+    int seq_hits = 0, seq_misses = 0, refloored = 0;
     for (int op = 0; op < 20000; ++op) {
       simweb::Url url{static_cast<uint32_t>(rng.NextBounded(13)),
                       static_cast<uint32_t>(rng.NextBounded(9)), 0};
-      switch (rng.NextBounded(6)) {
+      switch (rng.NextBounded(10)) {
         case 0:
         case 1: {  // schedule / reschedule
           double when = std::floor(rng.NextDouble() * 40.0);
@@ -161,6 +165,51 @@ TEST(ShardedFrontierModelTest, RandomOpsMatchPlainCollUrls) {
           }
           break;
         }
+        case 6: {  // seq-guarded removal, live or stale seq
+          auto live = plain.LookupEntry(url);
+          const bool stale = !live.has_value() || rng.NextBounded(2) == 0;
+          // Stale: any seq but the live one, as a superseded admission
+          // token would carry.
+          uint64_t seq = rng.NextBounded(1000);
+          if (live.has_value()) seq = stale ? live->seq ^ 1 : live->seq;
+          Status a = plain.RemoveIfSeq(url, seq);
+          Status b = sharded.RemoveIfSeq(url, seq);
+          EXPECT_EQ(a.ok(), !stale);
+          EXPECT_EQ(a.ok(), b.ok()) << "shards=" << shards;
+          if (stale) {
+            ++seq_misses;
+          } else {
+            ++seq_hits;
+          }
+          break;
+        }
+        case 7: {  // quarantine re-floor of the url's site
+          const double floor = std::floor(rng.NextDouble() * 40.0);
+          const std::size_t a = plain.RescheduleSiteNotBefore(url.site, floor);
+          const std::size_t b =
+              sharded.RescheduleSiteNotBefore(url.site, floor);
+          EXPECT_EQ(a, b) << "shards=" << shards;
+          refloored += static_cast<int>(a);
+          break;
+        }
+        case 8: {  // live (when, seq) entry
+          auto a = plain.LookupEntry(url);
+          auto b = sharded.LookupEntry(url);
+          ASSERT_EQ(a.has_value(), b.has_value()) << "shards=" << shards;
+          if (a.has_value()) {
+            EXPECT_EQ(a->url, b->url);
+            EXPECT_EQ(a->when, b->when);
+            EXPECT_EQ(a->seq, b->seq);
+          }
+          break;
+        }
+        case 9: {  // every live url of the site
+          std::set<simweb::Url, simweb::UrlIdentityLess> a, b;
+          plain.AppendSiteUrls(url.site, &a);
+          sharded.AppendSiteUrls(url.site, &b);
+          EXPECT_EQ(a, b) << "shards=" << shards;
+          break;
+        }
       }
       ASSERT_EQ(plain.size(), sharded.size());
       ASSERT_EQ(plain.Contains(url), sharded.Contains(url));
@@ -174,6 +223,10 @@ TEST(ShardedFrontierModelTest, RandomOpsMatchPlainCollUrls) {
       EXPECT_EQ(a->url, b->url);
       EXPECT_EQ(a->when, b->when);
     }
+    // Both seq-guard outcomes and the re-floor actually happened.
+    EXPECT_GT(seq_hits, 0);
+    EXPECT_GT(seq_misses, 0);
+    EXPECT_GT(refloored, 0);
   }
 }
 

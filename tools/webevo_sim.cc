@@ -61,9 +61,8 @@ common flags:
   --parallelism=<n> engine shards / worker threads (default 1;
                     results are bit-identical at any value)
   --pipeline=on|off staged batch pipeline: overlap batch B's fetches
-                    with batch B+1's speculative plan extraction and
-                    batch B-1's deferred freshness measure (default
-                    on; results are bit-identical either way)
+                    with batch B-1's deferred freshness measure
+                    (default on; results are bit-identical either way)
 
 study flags:
   --window=<n>      page window per site      (default 300)
