@@ -54,6 +54,7 @@ void BM_SimWebFetch(benchmark::State& state) {
   simweb::WebConfig config;
   config.seed = 3;
   config.sites_per_domain = {8, 5, 3, 3};
+  config.page_body_bytes = static_cast<uint32_t>(state.range(0));
   simweb::SimulatedWeb web(config);
   Rng rng(4);
   double t = 0.0;
@@ -67,7 +68,9 @@ void BM_SimWebFetch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SimWebFetch);
+// 0 bytes times the fetch path alone; 16 KiB is the body size of the
+// steady crawl workload, where digesting the body binds.
+BENCHMARK(BM_SimWebFetch)->Arg(0)->Arg(16384);
 
 void BM_UpdateModuleOnCrawled(benchmark::State& state) {
   crawler::UpdateModuleConfig config;

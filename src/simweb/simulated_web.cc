@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "util/hash.h"
 
@@ -37,13 +41,30 @@ std::string TrapBody(uint32_t site) {
          "</body></html>";
 }
 
+// The text of a real page body's header around its three numbers, and
+// the trailer after its filler.
+constexpr std::string_view kBodyTitle = "<html><head><title>page ";
+constexpr std::string_view kBodyRevision = "</title></head><body>revision ";
+constexpr std::string_view kBodyToken = " token ";
+constexpr std::string_view kBodyEnd = "</body></html>";
+// Decimal digits of the largest uint64_t. Each number's to_chars is
+// bounded to this many bytes, so the header buffer below provably
+// holds the longest header.
+constexpr std::size_t kMaxU64Digits =
+    std::numeric_limits<uint64_t>::digits10 + 1;
+constexpr std::size_t kBodyTextBytes =
+    kBodyTitle.size() + kBodyRevision.size() + kBodyToken.size();
+constexpr std::size_t kBodyHeaderMax = kBodyTextBytes + 3 * kMaxU64Digits;
+
 }  // namespace
 
 SimulatedWeb::SimulatedWeb(const WebConfig& config)
     : config_(config), rng_(config.seed) {
-  Status st = config_.Validate();
-  assert(st.ok());
-  (void)st;
+  if (Status st = config_.Validate(); !st.ok()) {
+    const std::string why = st.ToString();
+    std::fprintf(stderr, "SimulatedWeb: invalid WebConfig: %s\n", why.c_str());
+    std::abort();
+  }
 
   // Lay out sites domain by domain, then shuffle so site index (which
   // Zipf popularity keys on) is not correlated with domain order.
@@ -628,11 +649,16 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
   for (const auto& [index, target] : remote) {
     result.links[index] = ResolveOccupantUrl(target.first, target.second, t);
   }
-  // Body synthesis + checksum are pure; do them outside the lock.
-  result.checksum = trap_body
-                        ? ChecksumOf(TrapBody(url.site))
-                        : ChecksumOf(PageBody(checksum_page,
-                                              checksum_version));
+  // The digest is pure; compute it outside the lock. The body streams
+  // straight into it and is never built as a string.
+  if (trap_body) {
+    result.checksum = ChecksumOf(TrapBody(url.site));
+  } else {
+    ChecksumBuilder digest;
+    const auto append = [&digest](std::string_view p) { digest.Append(p); };
+    EmitPageBody(checksum_page, checksum_version, append);
+    result.checksum = digest.Finish();
+  }
   return result;
 }
 
@@ -641,30 +667,44 @@ Url SimulatedWeb::RootUrl(uint32_t site) const {
   return Url{site, 0, 0};
 }
 
-std::string SimulatedWeb::PageBody(PageId page, uint64_t version) const {
+template <typename Sink>
+void SimulatedWeb::EmitPageBody(PageId page, uint64_t version,
+                                Sink&& sink) const {
   // Deterministic pseudo-content: distinct per (page, version) so the
   // checksum changes exactly when the page changes.
-  std::string body = "<html><head><title>page ";
-  body += std::to_string(page);
-  body += "</title></head><body>revision ";
-  body += std::to_string(version);
-  body += " token ";
-  body += std::to_string(HashCombine(page, version));
-  if (config_.page_body_bytes > 0) {
-    // Deterministic filler stream so per-fetch work scales with the
-    // configured body size.
-    const std::size_t target = body.size() + config_.page_body_bytes;
-    body.reserve(target + sizeof(uint64_t) + 14);
-    uint64_t x = HashCombine(HashCombine(page, version), 0x626f6479ull);
-    while (body.size() < target) {
-      x = HashCombine(x, body.size());
-      char chunk[sizeof(uint64_t)];
-      std::memcpy(chunk, &x, sizeof(chunk));
-      body.append(chunk, sizeof(chunk));
-    }
-    body.resize(target);
+  const uint64_t token = HashCombine(page, version);
+  char header[kBodyHeaderMax];
+  char* end = header;
+  const auto put = [&end](std::string_view text, uint64_t number) {
+    end = std::copy(text.begin(), text.end(), end);
+    end = std::to_chars(end, end + kMaxU64Digits, number).ptr;
+  };
+  put(kBodyTitle, page);
+  put(kBodyRevision, version);
+  put(kBodyToken, token);
+  sink(std::string_view(header, static_cast<std::size_t>(end - header)));
+
+  // Deterministic filler stream so per-fetch work scales with the
+  // configured body size; each word is keyed on its byte offset in the
+  // body.
+  std::size_t offset = static_cast<std::size_t>(end - header);
+  const std::size_t filler_end = offset + config_.page_body_bytes;
+  uint64_t x = HashCombine(token, 0x626f6479ull);
+  while (offset < filler_end) {
+    x = HashCombine(x, offset);
+    char word[sizeof(uint64_t)];
+    std::memcpy(word, &x, sizeof(word));
+    const std::size_t n = std::min(sizeof(word), filler_end - offset);
+    sink(std::string_view(word, n));
+    offset += n;
   }
-  body += "</body></html>";
+  sink(kBodyEnd);
+}
+
+std::string SimulatedWeb::PageBody(PageId page, uint64_t version) const {
+  std::string body;
+  const auto append = [&body](std::string_view piece) { body += piece; };
+  EmitPageBody(page, version, append);
   return body;
 }
 

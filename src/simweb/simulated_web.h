@@ -85,8 +85,8 @@ class SimulatedWeb {
   /// Builds the initial web at time 0. Pages present at the start are
   /// given stationary ages (uniform within their lifespan), so the
   /// population starts in steady state rather than all-new. CHECK-fails
-  /// (assert) on invalid config; call config.Validate() first to handle
-  /// errors gracefully.
+  /// (prints the Status and aborts, in every build) on invalid config;
+  /// call config.Validate() first to handle errors gracefully.
   explicit SimulatedWeb(const WebConfig& config);
 
   // Not copyable (large, and it owns mutexes).
@@ -134,10 +134,11 @@ class SimulatedWeb {
   /// monitored site roots).
   Url RootUrl(uint32_t site) const;
 
-  /// Synthetic page body for a given page and version; the checksum in
-  /// FetchResult is the digest of exactly this string. Pure function of
+  /// Synthetic page body for a given page and version. Pure function of
   /// (page, version, config), so bodies are reproducible across runs
-  /// and shard counts.
+  /// and shard counts. The checksum in FetchResult is the digest of
+  /// exactly these bytes, but Fetch streams them into the digest
+  /// without building this string.
   std::string PageBody(PageId page, uint64_t version) const;
 
   uint32_t num_sites() const { return static_cast<uint32_t>(sites_.size()); }
@@ -332,6 +333,13 @@ class SimulatedWeb {
 
   /// Fresh deterministic RNG stream for one page identity.
   Rng PageStream(PageId id) const;
+
+  /// The one definition of a page body: passes the bytes of
+  /// PageBody(page, version) to `sink(std::string_view)` in order, as
+  /// the header, then each 8-byte filler word (the last one cut at
+  /// page_body_bytes), then the trailer.
+  template <typename Sink>
+  void EmitPageBody(PageId page, uint64_t version, Sink&& sink) const;
 
   /// Appends a new page to (site, slot)'s history, born at `birth`.
   /// `stationary` backdates the birth by a uniform fraction of the

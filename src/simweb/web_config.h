@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -71,10 +72,11 @@ struct WebConfig {
   /// simulation horizon to disable page birth/death.
   double uniform_lifespan_days = 0.0;
 
-  /// Extra deterministic filler appended to every synthetic page body,
-  /// in bytes. 0 keeps bodies minimal (fast unit tests); scaling
-  /// benches set a few KiB so the per-fetch body-generation + checksum
-  /// work resembles fetching and digesting a real page.
+  /// Extra deterministic filler in every synthetic page body, in
+  /// bytes. 0 keeps bodies minimal (fast unit tests); scaling benches
+  /// set a few KiB so the per-fetch digest work resembles digesting a
+  /// real page. Fetch streams each body into its checksum in one pass,
+  /// so the cost is that digest, not building or storing the body.
   uint32_t page_body_bytes = 0;
 
   // ------------------------------------------------------ fault model
@@ -189,12 +191,19 @@ struct WebConfig {
   }
 
   /// Returns a copy with sites_per_domain scaled by `factor` (minimum
-  /// one site per domain), for quick tests and scaled-down benches.
+  /// one site per domain), for quick tests and scaled-down benches. A
+  /// count past INT_MAX (or a NaN factor) saturates at INT_MAX, which
+  /// Validate() rejects, instead of overflowing the int conversion.
   WebConfig Scaled(double factor) const {
+    constexpr int kMaxCount = std::numeric_limits<int>::max();
     WebConfig c = *this;
     for (auto& n : c.sites_per_domain) {
-      n = n > 0 ? static_cast<int>(n * factor) : 0;
-      if (n < 1) n = 1;
+      const double scaled = n > 0 ? n * factor : 0.0;
+      if (!(scaled < kMaxCount)) {
+        n = kMaxCount;
+      } else {
+        n = scaled < 1.0 ? 1 : static_cast<int>(scaled);
+      }
     }
     return c;
   }

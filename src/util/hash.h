@@ -6,6 +6,10 @@
 
 namespace webevo {
 
+/// FNV-1a 64-bit parameters.
+inline constexpr uint64_t kFnv64OffsetBasis = 0xcbf29ce484222325ULL;
+inline constexpr uint64_t kFnv64Prime = 0x100000001b3ULL;
+
 /// 64-bit FNV-1a hash of a byte string.
 uint64_t Fnv1a64(std::string_view data);
 
@@ -19,7 +23,10 @@ uint64_t HashCombine(uint64_t seed, uint64_t value);
 /// 128-bit content checksum, the crawler's stand-in for the page digest
 /// the paper's UpdateModule records "from the last crawl" to detect
 /// changes. Two independently seeded FNV-1a streams make accidental
-/// collisions on realistic collection sizes negligible.
+/// collisions on realistic collection sizes negligible: `lo` is plain
+/// FNV-1a 64 (equal to Fnv1a64), `hi` the same with the offset basis's
+/// 32-bit halves swapped. ChecksumBuilder digests a body streamed in
+/// pieces; ChecksumOf digests one that is already in memory.
 struct Checksum128 {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -27,7 +34,31 @@ struct Checksum128 {
   bool operator==(const Checksum128&) const = default;
 };
 
-/// Computes the checksum of a page body.
+/// Streaming checksum: appending a byte string in any split, empty
+/// pieces included, finishes to ChecksumOf of the whole string. Append
+/// advances both FNV-1a streams in one loop, so their multiply chains
+/// overlap instead of running one after the other.
+class ChecksumBuilder {
+ public:
+  void Append(std::string_view data) {
+    uint64_t lo = lo_;
+    uint64_t hi = hi_;
+    for (unsigned char c : data) {
+      lo = (lo ^ c) * kFnv64Prime;
+      hi = (hi ^ c) * kFnv64Prime;
+    }
+    lo_ = lo;
+    hi_ = hi;
+  }
+
+  Checksum128 Finish() const { return {lo_, hi_}; }
+
+ private:
+  uint64_t lo_ = kFnv64OffsetBasis;
+  uint64_t hi_ = 0x84222325cbf29ce4ULL;
+};
+
+/// Computes the checksum of a page body held in memory.
 Checksum128 ChecksumOf(std::string_view data);
 
 /// Hash functor for checksum-keyed containers (the crawler's content-

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "util/flags.h"
 
@@ -140,6 +143,43 @@ TEST(FlagParserTest, TrailingGarbageDoubleFallsBack) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("a", 9.0), 9.0);
   EXPECT_DOUBLE_EQ(flags.GetDouble("b", 9.0), 9.0);
   EXPECT_DOUBLE_EQ(flags.GetDouble("c", 9.0), 9.0);
+}
+
+// ------------------------------------------------------- CLI tools
+
+struct CliRun {
+  int exit_code = -1;  // -1 when the tool did not exit normally
+  std::string output;  // stdout and stderr
+};
+
+CliRun RunCli(const std::string& tool, const std::string& args) {
+  CliRun run;
+  const std::string command = "\"" + tool + "\" " + args + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return run;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) run.output += buf;
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  return run;
+}
+
+// The Status text both tools print, with exit code 2, for a web past
+// the PageId site cap.
+constexpr char kSiteCapError[] = "site count exceeds PageId site cap";
+
+TEST(CliFlagsTest, ScaleBeyondSiteCapExitsTwo) {
+  // --scale=1e8 overflows int in WebConfig::Scaled and --scale=1e6 asks
+  // for 270M sites; both tools must refuse the web with the Status
+  // text rather than crawl a different one.
+  for (const char* args : {"crawl --scale=1e8", "crawl --scale=1e6"}) {
+    const CliRun run = RunCli(WEBEVO_SIM_BIN, args);
+    EXPECT_EQ(run.exit_code, 2) << args << "\n" << run.output;
+    EXPECT_NE(run.output.find(kSiteCapError), std::string::npos) << args;
+  }
+  const CliRun query = RunCli(WEBEVO_QUERY_BIN, "pages --from=x --scale=1e6");
+  EXPECT_EQ(query.exit_code, 2) << query.output;
+  EXPECT_NE(query.output.find(kSiteCapError), std::string::npos);
 }
 
 }  // namespace

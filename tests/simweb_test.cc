@@ -1,5 +1,6 @@
 #include <cmath>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "simweb/simulated_web.h"
 #include "simweb/url.h"
 #include "simweb/web_config.h"
+#include "util/hash.h"
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -73,6 +75,21 @@ TEST(WebConfigTest, RejectsBadValues) {
 TEST(WebConfigTest, ScaledKeepsAtLeastOneSite) {
   WebConfig c = WebConfig().Scaled(0.001);
   for (int n : c.sites_per_domain) EXPECT_GE(n, 1);
+}
+
+TEST(WebConfigTest, ScaledPastIntRangeFailsValidate) {
+  // Products past INT_MAX saturate instead of wrapping to a tiny web.
+  for (double factor : {1e8, 1e300}) {
+    SCOPED_TRACE(factor);
+    EXPECT_FALSE(WebConfig().Scaled(factor).Validate().ok());
+  }
+  EXPECT_FALSE(WebConfig().Scaled(1e6).Validate().ok());  // > site cap
+}
+
+TEST(WebConfigDeathTest, ConstructorRejectsInvalidConfigInEveryBuild) {
+  WebConfig c = SmallConfig();
+  c.sites_per_domain = {0, 0, 0, 0};
+  EXPECT_DEATH(SimulatedWeb web(c), "no sites configured");
 }
 
 // -------------------------------------------------------- DomainProfile
@@ -216,11 +233,72 @@ TEST(SimulatedWebTest, ChecksumChangesExactlyWithVersion) {
 }
 
 TEST(SimulatedWebTest, ChecksumMatchesBody) {
-  SimulatedWeb web(SmallConfig());
-  auto result = web.Fetch(web.RootUrl(1), 0.0);
+  // Fetch streams the body into its digest without building it; the
+  // digest must still be ChecksumOf(PageBody()) at every filler size,
+  // including sizes that cut the last 8-byte filler word.
+  for (uint32_t bytes : {0u, 1u, 7u, 8u, 9u, 4096u, 16384u, 16387u}) {
+    SCOPED_TRACE(bytes);
+    WebConfig c = SmallConfig();
+    c.page_body_bytes = bytes;
+    SimulatedWeb web(c);
+    auto result = web.Fetch(web.RootUrl(1), 0.0);
+    ASSERT_TRUE(result.ok());
+    const std::string body = web.PageBody(result->page, result->version);
+    EXPECT_EQ(result->checksum, ChecksumOf(body));
+    std::string header = "<html><head><title>page ";
+    header += std::to_string(result->page);
+    header += "</title></head><body>revision ";
+    header += std::to_string(result->version);
+    header += " token ";
+    header += std::to_string(HashCombine(result->page, result->version));
+    const std::string trailer = "</body></html>";
+    ASSERT_EQ(body.size(), header.size() + bytes + trailer.size());
+    EXPECT_EQ(body.substr(0, header.size()), header);
+    EXPECT_EQ(body.substr(body.size() - trailer.size()), trailer);
+  }
+}
+
+TEST(SimulatedWebTest, PageBodyGoldenChecksums) {
+  // Pinned bytes: checkpoints, published views and perf fingerprints
+  // all hash these checksums, so the body must never drift.
+  struct Golden {
+    uint32_t bytes;
+    std::size_t size;
+    uint64_t lo;
+    uint64_t hi;
+  };
+  constexpr Golden kGolden[] = {
+      {0, 108, 0x1731b62d40e8d6f5ULL, 0xfcd84ce604912d58ULL},
+      {16384, 16492, 0xecee21b10b29f94bULL, 0xade22ae04cbb280aULL},
+      {16387, 16495, 0xa66b9a97fd5b2f64ULL, 0xec71208df624d54fULL},
+  };
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(g.bytes);
+    WebConfig c = SmallConfig();
+    c.page_body_bytes = g.bytes;
+    SimulatedWeb web(c);
+    const std::string body = web.PageBody(MakePageId(1, 2, 0), 3);
+    EXPECT_EQ(body.size(), g.size);
+    const Checksum128 sum = ChecksumOf(body);
+    EXPECT_EQ(sum.lo, g.lo);
+    EXPECT_EQ(sum.hi, g.hi);
+  }
+}
+
+TEST(SimulatedWebTest, MirrorChecksumIsLeaderBodyDigest) {
+  WebConfig c = SmallConfig();
+  c.page_body_bytes = 16387;
+  c.adv_mirror_group_size = 3;  // sites {0,1,2} form one group
+  c.adv_mirror_groups = 1;
+  SimulatedWeb web(c);
+  ASSERT_TRUE(web.IsMirroredSite(1));
+  const uint32_t leader = web.MirrorLeaderOf(1);
+  ASSERT_NE(leader, 1u);
+  auto result = web.Fetch(web.RootUrl(1), 1.0);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->checksum,
-            ChecksumOf(web.PageBody(result->page, result->version)));
+  // A mirror serves its leader's version-0 bytes for the same slot.
+  const std::string leader_body = web.PageBody(MakePageId(leader, 0, 0), 0);
+  EXPECT_EQ(result->checksum, ChecksumOf(leader_body));
 }
 
 TEST(SimulatedWebTest, LinksStayWithinValidSlots) {

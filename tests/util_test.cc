@@ -1,5 +1,6 @@
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,6 +270,41 @@ TEST(HashTest, DifferentInputsDiffer) {
 
 TEST(HashTest, SeededVariantsIndependent) {
   EXPECT_NE(Fnv1a64Seeded("data", 1), Fnv1a64Seeded("data", 2));
+}
+
+TEST(HashTest, ChecksumOfEmptyIsBothOffsetBases) {
+  const Checksum128 sum = ChecksumOf("");
+  EXPECT_EQ(sum.lo, 0xcbf29ce484222325ULL);
+  EXPECT_EQ(sum.hi, 0x84222325cbf29ce4ULL);
+}
+
+TEST(HashTest, ChecksumLowHalfIsFnv1a64) {
+  // Published FNV-1a 64 test vectors.
+  EXPECT_EQ(ChecksumOf("a").lo, 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(ChecksumOf("foobar").lo, 0x85944171f73967e8ULL);
+  for (std::string_view s : {"", "a", "foobar", "page content v1"}) {
+    EXPECT_EQ(ChecksumOf(s).lo, Fnv1a64(s)) << s;
+  }
+}
+
+TEST(HashTest, ChecksumBuilderMatchesChecksumOfForAnySplit) {
+  const std::string_view text =
+      "<html><head><title>page 7</title></head><body>x</body></html>";
+  const Checksum128 whole = ChecksumOf(text);
+  for (std::size_t i = 0; i <= text.size(); ++i) {
+    for (std::size_t j = i; j <= text.size(); ++j) {
+      ChecksumBuilder builder;
+      builder.Append(text.substr(0, i));
+      builder.Append(text.substr(i, j - i));  // empty when i == j
+      builder.Append({});
+      builder.Append(text.substr(j));
+      ASSERT_EQ(builder.Finish(), whole) << i << "," << j;
+    }
+  }
+  ChecksumBuilder bytewise;
+  for (char c : text) bytewise.Append(std::string_view(&c, 1));
+  EXPECT_EQ(bytewise.Finish(), whole);
+  EXPECT_EQ(ChecksumBuilder().Finish(), ChecksumOf(""));
 }
 
 TEST(HashTest, ChecksumEqualityAndInequality) {

@@ -393,6 +393,12 @@ int Run(const FlagParser& flags) {
     std::printf("%s\n", adv_st.ToString().c_str());
     return 2;
   }
+  // --scale can ask for more sites than a PageId can address.
+  Status web_st = web_config.Validate();
+  if (!web_st.ok()) {
+    std::printf("%s\n", web_st.ToString().c_str());
+    return 2;
+  }
   simweb::SimulatedWeb web(web_config);
   const auto capacity =
       static_cast<std::size_t>(flags.GetInt("capacity", 2000));

@@ -140,6 +140,12 @@ simweb::WebConfig WebFromFlags(const FlagParser& flags) {
     std::printf("%s\n", st.ToString().c_str());
     std::exit(2);
   }
+  // --scale can ask for more sites than a PageId can address.
+  st = config.Validate();
+  if (!st.ok()) {
+    std::printf("%s\n", st.ToString().c_str());
+    std::exit(2);
+  }
   return config;
 }
 
