@@ -1,20 +1,29 @@
 // Micro-benchmarks (google-benchmark) for the hot data structures and
 // kernels: CollUrls scheduling, page fetch + lazy Poisson advance,
-// checksum, PageRank iteration, estimator updates, and the optimizer.
+// checksum, PageRank iteration, estimator updates, the optimizer, and
+// the record writers behind serving and checkpoints (view fingerprint,
+// web delta, delta-segment encode, paged-store codec).
 // These back the paper's throughput argument: the UpdateModule's fast
 // path must sustain tens of pages per second independent of collection
 // size (Section 5.3's "40 pages/second" discussion).
 
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "crawler/coll_urls.h"
+#include "crawler/store_codecs.h"
 #include "crawler/update_module.h"
 #include "estimator/bayesian_estimator.h"
 #include "estimator/ratio_estimator.h"
 #include "freshness/revisit_optimizer.h"
 #include "graph/link_graph.h"
 #include "graph/pagerank.h"
+#include "serving/batch_view.h"
 #include "simweb/simulated_web.h"
+#include "storage/delta_log.h"
 #include "util/hash.h"
 #include "util/random.h"
 
@@ -147,6 +156,106 @@ void BM_OptimizerSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizerSolve)->Arg(16)->Arg(256);
+
+void BM_BatchViewFingerprint(benchmark::State& state) {
+  const auto n = static_cast<uint32_t>(state.range(0));
+  serving::BatchView view;
+  view.crawler = "incremental";
+  Rng rng(10);
+  for (uint32_t i = 0; i < n; ++i) {
+    serving::PageRow row;
+    row.url = simweb::Url{i / 100, i % 100, 0};
+    row.version = rng.NextBounded(50);
+    row.crawled_at = rng.NextDouble() * 128.0;
+    row.importance = rng.NextDouble();
+    row.est_rate = rng.NextDouble() * 0.2;
+    row.out_links = static_cast<uint32_t>(rng.NextBounded(20));
+    view.pages.push_back(row);
+    view.estimates.push_back(
+        serving::EstimateRow{row.url, row.est_rate, 1.0 / row.est_rate});
+  }
+  for (uint32_t s = 0; s < n / 100; ++s) {
+    view.sites.push_back(
+        serving::SiteRow{s, 100, rng.NextDouble(), rng.NextDouble(), 128.0});
+  }
+  for (int i = 0; i < 512; ++i) {
+    view.freshness.push_back(serving::SeriesRow{i * 0.25, rng.NextDouble()});
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(view.Fingerprint());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_BatchViewFingerprint)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+void BM_SaveWebDelta(benchmark::State& state) {
+  // The serve-checkpoint workload's web, evolved 30 days, every site
+  // dirty: the largest web delta a checkpoint can write.
+  simweb::WebConfig config;
+  config.seed = 11;
+  config.max_site_size = 250;
+  simweb::SimulatedWeb web(config);
+  web.EnableDirtyTracking();
+  benchmark::DoNotOptimize(web.OracleSiteLinks(30.0));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream out;
+    benchmark::DoNotOptimize(simweb::SaveWebDelta(web, out).ok());
+    benchmark::ClobberMemory();
+    bytes = out.str().size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_SaveWebDelta)->Unit(benchmark::kMillisecond);
+
+void BM_EncodeDeltaSegment(benchmark::State& state) {
+  // About 14 MB, most of it in the web delta, as in a serve-checkpoint
+  // segment.
+  storage::DeltaSegment segment;
+  segment.kind = "incremental";
+  segment.batch = 1234;
+  Rng rng(12);
+  const std::pair<const char*, std::size_t> sections[] = {
+      {"meta", 600}, {"dcoll", 3'000'000}, {"dupdate", 3'000'000},
+      {"dweb", 8'000'000}};
+  for (const auto& [name, size] : sections) {
+    std::string bytes(size, ' ');
+    for (char& c : bytes) c = static_cast<char>('0' + rng.NextBounded(10));
+    segment.sections.push_back(storage::DeltaSection{name, std::move(bytes)});
+  }
+  std::size_t encoded = 0;
+  for (auto _ : state) {
+    const std::string bytes = storage::EncodeDeltaSegment(segment);
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
+    encoded = bytes.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(encoded));
+}
+BENCHMARK(BM_EncodeDeltaSegment)->Unit(benchmark::kMillisecond);
+
+void BM_PagedCodec(benchmark::State& state) {
+  // One paged-store round trip: encode at Flush, decode on materialise.
+  Rng rng(13);
+  crawler::CollectionEntry e;
+  e.url = simweb::Url{17, 42, 1};
+  e.page = rng.Next();
+  e.version = rng.NextBounded(100);
+  e.checksum = Checksum128{rng.Next(), rng.Next()};
+  e.crawled_at = rng.NextDouble() * 128.0;
+  e.importance = rng.NextDouble();
+  for (int i = 0; i < 20; ++i) {
+    const auto site = static_cast<uint32_t>(rng.NextBounded(270));
+    const auto slot = static_cast<uint32_t>(rng.NextBounded(250));
+    e.links.push_back(simweb::Url{site, slot, 0});
+  }
+  for (auto _ : state) {
+    const std::string bytes = crawler::CollectionEntryCodec::Encode(e);
+    benchmark::DoNotOptimize(crawler::CollectionEntryCodec::Decode(bytes));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PagedCodec);
 
 }  // namespace
 

@@ -18,6 +18,7 @@
 #include "simweb/simulated_web.h"
 #include "storage/delta_log.h"
 #include "util/hash.h"
+#include "util/record_line.h"
 #include "util/text_snapshot.h"
 
 namespace webevo::crawler {
@@ -39,17 +40,69 @@ constexpr std::size_t kMaxEstimatorState = 1 << 20;
 
 constexpr simweb::UrlIdentityLess IdentityLess;
 
-std::string EntryLine(const CollectionEntry& e) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "E " << e.url.site << ' ' << e.url.slot << ' '
-     << e.url.incarnation << ' ' << e.page << ' ' << e.version << ' '
-     << e.checksum.lo << ' ' << e.checksum.hi << ' ' << e.crawled_at
-     << ' ' << e.importance << ' ' << e.links.size();
+// The record formatters the full and delta sections share. Each
+// formats one record into `line` and returns it.
+
+const RecordLine& EntryLine(const CollectionEntry& e, RecordLine& line) {
+  line.Start("E", e.url.site, e.url.slot, e.url.incarnation, e.page,
+             e.version, e.checksum.lo, e.checksum.hi, e.crawled_at,
+             e.importance, e.links.size());
   for (const simweb::Url& link : e.links) {
-    os << ' ' << link.site << ' ' << link.slot << ' ' << link.incarnation;
+    line.Add(link.site, link.slot, link.incarnation);
   }
-  return os.str();
+  return line;
+}
+
+const RecordLine& UrlInfoLine(const simweb::Url& url,
+                              const AllUrls::UrlInfo& info, RecordLine& line) {
+  return line.Start("U", url.site, url.slot, url.incarnation,
+                    info.first_seen, info.in_links, info.dead);
+}
+
+const RecordLine& FrontierLine(const CollUrls::Entry& e, RecordLine& line) {
+  return line.Start("F", e.url.site, e.url.slot, e.url.incarnation, e.when,
+                    e.seq);
+}
+
+// A tombstone or URL-list record: `<tag> <site> <slot> <incarnation>`.
+const RecordLine& UrlLine(std::string_view tag, const simweb::Url& url,
+                          RecordLine& line) {
+  return line.Start(tag, url.site, url.slot, url.incarnation);
+}
+
+// Appends a flattened estimator state after its length (0 when the
+// page has no estimator of its own).
+void AddEstimatorState(const estimator::ChangeEstimator* est,
+                       RecordLine& line) {
+  const std::vector<double> state =
+      est == nullptr ? std::vector<double>() : est->SaveState();
+  line.Add(state.size());
+  for (double v : state) line.Add(v);
+}
+
+// `PageState` is UpdateModule's private per-page record, deduced so
+// that this shared formatter needs no friendship.
+template <typename PageState>
+const RecordLine& PageStateLine(const simweb::Url& url, const PageState& state,
+                                RecordLine& line) {
+  line.Start("P", url.site, url.slot, url.incarnation, state.last_visit,
+             state.visited, state.importance, state.probing_abandonment);
+  AddEstimatorState(state.estimator.get(), line);
+  return line;
+}
+
+const RecordLine& SiteEstimatorLine(uint32_t site,
+                                    const estimator::ChangeEstimator& est,
+                                    RecordLine& line) {
+  line.Start("S", site);
+  AddEstimatorState(&est, line);
+  return line;
+}
+
+const RecordLine& RngLine(uint32_t site, const Rng& rng, RecordLine& line) {
+  line.Start("R", site);
+  for (uint64_t lane : rng.State()) line.Add(lane);
+  return line;
 }
 
 StatusOr<CollectionEntry> ParseEntry(const std::string& line) {
@@ -88,11 +141,10 @@ Status WriteCollectionSnapshot(
               return IdentityLess(a->url, b->url);
             });
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kCollectionMagic << ' ' << kFormatVersion << ' ' << capacity
-         << ' ' << entries.size();
-  writer.Line(header.str());
-  for (const CollectionEntry* e : entries) writer.Line(EntryLine(*e));
+  RecordLine line;
+  writer.Line(
+      line.Start(kCollectionMagic, kFormatVersion, capacity, entries.size()));
+  for (const CollectionEntry* e : entries) writer.Line(EntryLine(*e, line));
   writer.Finish();
   if (!out.good()) return Status::Internal("snapshot write failed");
   return Status::Ok();
@@ -186,10 +238,8 @@ StatusOr<ShardedCollection> LoadShardedCollection(std::istream& in,
 
 Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kAllUrlsMagic << ' ' << kFormatVersion << ' '
-         << all_urls.size();
-  writer.Line(header.str());
+  RecordLine line;
+  writer.Line(line.Start(kAllUrlsMagic, kFormatVersion, all_urls.size()));
   // Canonical record order regardless of internal shard layout.
   std::vector<std::pair<simweb::Url, const AllUrls::UrlInfo*>> records;
   records.reserve(all_urls.size());
@@ -202,12 +252,7 @@ Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
               return IdentityLess(a.first, b.first);
             });
   for (const auto& [url, info] : records) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "U " << url.site << ' ' << url.slot << ' ' << url.incarnation
-       << ' ' << info->first_seen << ' ' << info->in_links << ' '
-       << (info->dead ? 1 : 0);
-    writer.Line(os.str());
+    writer.Line(UrlInfoLine(url, *info, line));
   }
   writer.Finish();
   if (!out.good()) return Status::Internal("snapshot write failed");
@@ -285,55 +330,26 @@ Status SaveUpdateModule(const UpdateModule& module, std::ostream& out) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kUpdateModuleMagic << ' ' << kUpdateFormatVersion << ' '
-         << estimator::EstimatorKindName(module.config_.estimator_kind)
-         << ' ' << module.tracked_pages() << ' ' << site_records.size()
-         << ' ' << rng_records.size();
-  writer.Line(header.str());
-
-  {
-    std::ostringstream os;
-    os.precision(17);
-    os << "G " << module.multiplier_ << ' ' << module.total_rate_ << ' '
-       << module.mean_importance_ << ' ' << module.rebalance_count_
-       << ' ' << module.frozen_page_count_;
-    writer.Line(os.str());
-  }
-
+  RecordLine line;
+  writer.Line(
+      line.Start(kUpdateModuleMagic, kUpdateFormatVersion,
+                 estimator::EstimatorKindName(module.config_.estimator_kind),
+                 module.tracked_pages(), site_records.size(),
+                 rng_records.size()));
+  writer.Line(line.Start("G", module.multiplier_, module.total_rate_,
+                         module.mean_importance_, module.rebalance_count_,
+                         module.frozen_page_count_));
   // Page records sorted by identity, so equal modules produce equal
   // bytes regardless of shard count and hash-map iteration order.
   for (const auto& [url, state] : module.SortedPages()) {
-    std::ostringstream os;
-    os.precision(17);
-    std::vector<double> est_state;
-    if (state->estimator != nullptr) {
-      est_state = state->estimator->SaveState();
-    }
-    os << "P " << url.site << ' ' << url.slot << ' ' << url.incarnation
-       << ' ' << state->last_visit << ' ' << (state->visited ? 1 : 0)
-       << ' ' << state->importance << ' '
-       << (state->probing_abandonment ? 1 : 0) << ' ' << est_state.size();
-    for (double v : est_state) os << ' ' << v;
-    writer.Line(os.str());
+    writer.Line(PageStateLine(url, *state, line));
   }
-
   for (const auto& [site, est] : site_records) {
-    std::ostringstream os;
-    os.precision(17);
-    std::vector<double> est_state = est->SaveState();
-    os << "S " << site << ' ' << est_state.size();
-    for (double v : est_state) os << ' ' << v;
-    writer.Line(os.str());
+    writer.Line(SiteEstimatorLine(site, *est, line));
   }
-
   for (const auto& [site, rng] : rng_records) {
-    std::ostringstream os;
-    os << "R " << site;
-    for (uint64_t lane : rng->State()) os << ' ' << lane;
-    writer.Line(os.str());
+    writer.Line(RngLine(site, *rng, line));
   }
-
   writer.Finish();
   if (!out.good()) return Status::Internal("snapshot write failed");
   return Status::Ok();
@@ -496,18 +512,11 @@ Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out) {
             });
 
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header.precision(17);
-  header << kFrontierMagic << ' ' << kFormatVersion << ' '
-         << entries.size() << ' ' << frontier.next_seq_ << ' '
-         << frontier.front_when_;
-  writer.Line(header.str());
+  RecordLine line;
+  writer.Line(line.Start(kFrontierMagic, kFormatVersion, entries.size(),
+                         frontier.next_seq_, frontier.front_when_));
   for (const CollUrls::Entry& e : entries) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "F " << e.url.site << ' ' << e.url.slot << ' '
-       << e.url.incarnation << ' ' << e.when << ' ' << e.seq;
-    writer.Line(os.str());
+    writer.Line(FrontierLine(e, line));
   }
   writer.Finish();
   if (!out.good()) return Status::Internal("snapshot write failed");
@@ -646,15 +655,11 @@ Status WriteContainer(const std::string& kind,
                       const std::vector<Section>& sections,
                       std::ostream& out) {
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kCrawlerMagic << ' ' << kCrawlerFormatVersion << ' ' << kind
-         << ' ' << sections.size();
-  writer.Line(header.str());
+  RecordLine line;
+  writer.Line(
+      line.Start(kCrawlerMagic, kCrawlerFormatVersion, kind, sections.size()));
   for (const Section& s : sections) {
-    std::ostringstream line;
-    line << "S " << s.name << ' ' << s.bytes.size() << ' '
-         << Fnv1a64(s.bytes);
-    writer.Line(line.str());
+    writer.Line(line.Start("S", s.name, s.bytes.size(), Fnv1a64(s.bytes)));
   }
   writer.Finish();
   for (const Section& s : sections) {
@@ -774,14 +779,10 @@ Status MissingSection(const std::string& name) {
 void WritePolite(const std::vector<std::pair<uint32_t, double>>& records,
                  std::ostream& out) {
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kPoliteMagic << ' ' << kFormatVersion << ' ' << records.size();
-  writer.Line(header.str());
+  RecordLine line;
+  writer.Line(line.Start(kPoliteMagic, kFormatVersion, records.size()));
   for (const auto& [site, last_access] : records) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "A " << site << ' ' << last_access;
-    writer.Line(os.str());
+    writer.Line(line.Start("A", site, last_access));
   }
   writer.Finish();
 }
@@ -828,15 +829,10 @@ StatusOr<std::vector<std::pair<uint32_t, double>>> ReadPolite(
 void WriteTracker(const freshness::FreshnessTracker& tracker,
                   std::ostream& out) {
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kTrackerMagic << ' ' << kFormatVersion << ' '
-         << tracker.size();
-  writer.Line(header.str());
+  RecordLine line;
+  writer.Line(line.Start(kTrackerMagic, kFormatVersion, tracker.size()));
   for (std::size_t i = 0; i < tracker.size(); ++i) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "V " << tracker.times()[i] << ' ' << tracker.values()[i];
-    writer.Line(os.str());
+    writer.Line(line.Start("V", tracker.times()[i], tracker.values()[i]));
   }
   writer.Finish();
 }
@@ -890,14 +886,9 @@ StatusOr<TrackerSeries> ReadTracker(std::istream& in) {
 void WriteUrlList(const std::vector<simweb::Url>& urls,
                   std::ostream& out) {
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kUrlsMagic << ' ' << kFormatVersion << ' ' << urls.size();
-  writer.Line(header.str());
-  for (const simweb::Url& url : urls) {
-    std::ostringstream os;
-    os << "Q " << url.site << ' ' << url.slot << ' ' << url.incarnation;
-    writer.Line(os.str());
-  }
+  RecordLine line;
+  writer.Line(line.Start(kUrlsMagic, kFormatVersion, urls.size()));
+  for (const simweb::Url& url : urls) writer.Line(UrlLine("Q", url, line));
   writer.Finish();
 }
 
@@ -938,13 +929,10 @@ StatusOr<std::vector<simweb::Url>> ReadUrlList(std::istream& in) {
   return urls;
 }
 
-std::string RunningStatLine(const RunningStat& stat) {
-  RunningStat::State state = stat.SaveState();
-  std::ostringstream os;
-  os.precision(17);
-  os << "L " << state.count << ' ' << state.mean << ' ' << state.m2
-     << ' ' << state.min << ' ' << state.max;
-  return os.str();
+const RecordLine& RunningStatLine(const RunningStat& stat, RecordLine& line) {
+  const RunningStat::State state = stat.SaveState();
+  return line.Start("L", state.count, state.mean, state.m2, state.min,
+                    state.max);
 }
 
 StatusOr<RunningStat::State> ParseRunningStatLine(
@@ -988,23 +976,17 @@ struct FailureSnapshot {
 
 void WriteFailure(const FailureSnapshot& snap, std::ostream& out) {
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kFailureMagic << ' ' << kFormatVersion << ' '
-         << snap.sites.size() << ' ' << snap.urls.size();
-  writer.Line(header.str());
+  RecordLine line;
+  writer.Line(line.Start(kFailureMagic, kFormatVersion, snap.sites.size(),
+                         snap.urls.size()));
   for (const SiteFailureRecord& r : snap.sites) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "S " << r.site << ' ' << r.consecutive << ' '
-       << r.quarantined_until << ' ' << r.rng_init;
-    for (uint64_t lane : r.lane) os << ' ' << lane;
-    writer.Line(os.str());
+    line.Start("S", r.site, r.consecutive, r.quarantined_until, r.rng_init);
+    for (uint64_t lane : r.lane) line.Add(lane);
+    writer.Line(line);
   }
   for (const UrlFailureRecord& r : snap.urls) {
-    std::ostringstream os;
-    os << "U " << r.url.site << ' ' << r.url.slot << ' '
-       << r.url.incarnation << ' ' << r.count;
-    writer.Line(os.str());
+    writer.Line(
+        line.Start("U", r.url.site, r.url.slot, r.url.incarnation, r.count));
   }
   writer.Finish();
 }
@@ -1093,24 +1075,17 @@ struct DefenseSnapshot {
 
 void WriteDefense(const DefenseSnapshot& snap, std::ostream& out) {
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kDefenseMagic << ' ' << kFormatVersion << ' '
-         << snap.sites.size() << ' ' << snap.fingerprints.size();
-  writer.Line(header.str());
+  RecordLine line;
+  writer.Line(line.Start(kDefenseMagic, kFormatVersion, snap.sites.size(),
+                         snap.fingerprints.size()));
   for (const DefenseSiteRecord& r : snap.sites) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "D " << r.site << ' ' << r.window_fetches << ' '
-       << r.window_fresh << ' ' << r.throttle_level << ' '
-       << r.quarantined << ' ' << r.quarantined_until << ' '
-       << r.suppressed_total;
-    writer.Line(os.str());
+    writer.Line(line.Start("D", r.site, r.window_fetches, r.window_fresh,
+                           r.throttle_level, r.quarantined, r.quarantined_until,
+                           r.suppressed_total));
   }
   for (const DefenseFingerprintRecord& r : snap.fingerprints) {
-    std::ostringstream os;
-    os << "F " << r.checksum.hi << ' ' << r.checksum.lo << ' '
-       << r.url.site << ' ' << r.url.slot << ' ' << r.url.incarnation;
-    writer.Line(os.str());
+    writer.Line(line.Start("F", r.checksum.hi, r.checksum.lo, r.url.site,
+                           r.url.slot, r.url.incarnation));
   }
   writer.Finish();
 }
@@ -1184,23 +1159,14 @@ void WriteTraffic(const CrawlModulePool::Traffic& traffic,
     if (count != 0) ++ndays;
   }
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kTrafficMagic << ' ' << kFormatVersion << ' ' << ndays;
-  writer.Line(header.str());
-  {
-    std::ostringstream os;
-    os.precision(17);
-    os << "G " << traffic.fetch_count << ' ' << traffic.failure_count
-       << ' ' << traffic.politeness_rejections << ' '
-       << (traffic.any_fetch ? 1 : 0) << ' ' << traffic.first_fetch_time
-       << ' ' << traffic.last_fetch_time;
-    writer.Line(os.str());
-  }
+  RecordLine line;
+  writer.Line(line.Start(kTrafficMagic, kFormatVersion, ndays));
+  writer.Line(line.Start("G", traffic.fetch_count, traffic.failure_count,
+                         traffic.politeness_rejections, traffic.any_fetch,
+                         traffic.first_fetch_time, traffic.last_fetch_time));
   for (std::size_t day = 0; day < traffic.fetches_per_day.size(); ++day) {
     if (traffic.fetches_per_day[day] == 0) continue;
-    std::ostringstream os;
-    os << "D " << day << ' ' << traffic.fetches_per_day[day];
-    writer.Line(os.str());
+    writer.Line(line.Start("D", day, traffic.fetches_per_day[day]));
   }
   writer.Finish();
 }
@@ -1284,44 +1250,27 @@ struct CheckpointIo {
   static std::string IncMeta(const IncrementalCrawler& crawler) {
     std::ostringstream os;
     TrailerWriter writer(os);
-    {
-      std::ostringstream header;
-      header << kIncMetaMagic << ' ' << kIncMetaVersion;
-      writer.Line(header.str());
-    }
-    {
-      std::ostringstream t;
-      t.precision(17);
-      t << "T " << crawler.now_ << ' ' << crawler.next_refine_ << ' '
-        << crawler.next_rebalance_ << ' ' << crawler.next_sample_ << ' '
-        << crawler.steady_since_;
-      writer.Line(t.str());
-    }
-    {
-      std::ostringstream b;
-      b << "B " << crawler.batches_completed_ << ' '
-        << (crawler.reached_capacity_once_ ? 1 : 0);
-      writer.Line(b.str());
-    }
-    {
-      const IncrementalCrawler::Stats& s = crawler.stats_;
-      std::ostringstream c;
-      c << "C " << s.crawls << ' ' << s.in_place_updates << ' '
-        << s.pages_added << ' ' << s.pages_evicted << ' '
-        << s.replacements_executed << ' ' << s.dead_pages_removed << ' '
-        << s.changes_detected << ' ' << s.politeness_retries << ' '
-        << s.in_batch_retries << ' ' << s.lease_budget_granted << ' '
-        << s.lease_admissions << ' ' << s.fetch_failures << ' '
-        << s.transient_errors << ' ' << s.timeout_errors << ' '
-        << s.failure_retries << ' ' << s.sites_quarantined << ' '
-        << s.urls_retired << ' ' << s.wasted_fetches << ' '
-        << s.trap_sites_throttled << ' ' << s.duplicate_urls_suppressed
-        << ' ' << s.pages_migrated << ' '
-        << crawler.ranking_module_.refinement_count();
-      writer.Line(c.str());
-    }
-    writer.Line(RunningStatLine(crawler.stats_.new_page_latency_days));
-    writer.Line(RunningStatLine(crawler.stats_.backoff_days));
+    RecordLine line;
+    writer.Line(line.Start(kIncMetaMagic, kIncMetaVersion));
+    writer.Line(line.Start("T", crawler.now_, crawler.next_refine_,
+                           crawler.next_rebalance_, crawler.next_sample_,
+                           crawler.steady_since_));
+    writer.Line(line.Start("B", crawler.batches_completed_,
+                           crawler.reached_capacity_once_));
+    const IncrementalCrawler::Stats& s = crawler.stats_;
+    writer.Line(
+        line.Start("C", s.crawls, s.in_place_updates, s.pages_added,
+                   s.pages_evicted, s.replacements_executed,
+                   s.dead_pages_removed, s.changes_detected,
+                   s.politeness_retries, s.in_batch_retries,
+                   s.lease_budget_granted, s.lease_admissions, s.fetch_failures,
+                   s.transient_errors, s.timeout_errors, s.failure_retries,
+                   s.sites_quarantined, s.urls_retired, s.wasted_fetches,
+                   s.trap_sites_throttled, s.duplicate_urls_suppressed,
+                   s.pages_migrated,
+                   crawler.ranking_module_.refinement_count()));
+    writer.Line(RunningStatLine(s.new_page_latency_days, line));
+    writer.Line(RunningStatLine(s.backoff_days, line));
     writer.Finish();
     return os.str();
   }
@@ -1582,27 +1531,28 @@ struct CheckpointIo {
   static std::string CollDelta(const IncrementalCrawler& crawler) {
     storage::RecordStore<CollectionEntry>::DirtySet dirty;
     crawler.collection_.AppendDirty(&dirty);
-    std::vector<std::string> upserts;
+    // Found records stay put while the others are looked up: both
+    // stores keep them in node-stable maps.
+    std::vector<const CollectionEntry*> upserts;
     std::vector<simweb::Url> tombstones;
     for (const simweb::Url& url : dirty) {
       const CollectionEntry* entry = crawler.collection_.Find(url);
       if (entry != nullptr) {
-        upserts.push_back(EntryLine(*entry));
+        upserts.push_back(entry);
       } else {
         tombstones.push_back(url);
       }
     }
     std::ostringstream os;
     TrailerWriter writer(os);
-    std::ostringstream header;
-    header << kCollDeltaMagic << ' ' << kFormatVersion << ' '
-           << upserts.size() << ' ' << tombstones.size();
-    writer.Line(header.str());
-    for (const std::string& line : upserts) writer.Line(line);
+    RecordLine line;
+    writer.Line(line.Start(kCollDeltaMagic, kFormatVersion, upserts.size(),
+                           tombstones.size()));
+    for (const CollectionEntry* e : upserts) {
+      writer.Line(EntryLine(*e, line));
+    }
     for (const simweb::Url& url : tombstones) {
-      std::ostringstream t;
-      t << "D " << url.site << ' ' << url.slot << ' ' << url.incarnation;
-      writer.Line(t.str());
+      writer.Line(UrlLine("D", url, line));
     }
     writer.Finish();
     return os.str();
@@ -1672,26 +1622,20 @@ struct CheckpointIo {
   static std::string AllUrlsDelta(const IncrementalCrawler& crawler) {
     AllUrls::DirtySet dirty;
     crawler.all_urls_.AppendDirty(&dirty);
-    std::ostringstream os;
-    TrailerWriter writer(os);
     // AllUrls records are never erased (dead URLs keep their record as
     // a logical tombstone), so the delta is upserts only.
-    std::vector<std::string> upserts;
+    std::vector<std::pair<simweb::Url, const AllUrls::UrlInfo*>> upserts;
     for (const simweb::Url& url : dirty) {
       const AllUrls::UrlInfo* info = crawler.all_urls_.Find(url);
-      if (info == nullptr) continue;
-      std::ostringstream rec;
-      rec.precision(17);
-      rec << "U " << url.site << ' ' << url.slot << ' '
-          << url.incarnation << ' ' << info->first_seen << ' '
-          << info->in_links << ' ' << (info->dead ? 1 : 0);
-      upserts.push_back(rec.str());
+      if (info != nullptr) upserts.emplace_back(url, info);
     }
-    std::ostringstream header;
-    header << kAllUrlsDeltaMagic << ' ' << kFormatVersion << ' '
-           << upserts.size();
-    writer.Line(header.str());
-    for (const std::string& line : upserts) writer.Line(line);
+    std::ostringstream os;
+    TrailerWriter writer(os);
+    RecordLine line;
+    writer.Line(line.Start(kAllUrlsDeltaMagic, kFormatVersion, upserts.size()));
+    for (const auto& [url, info] : upserts) {
+      writer.Line(UrlInfoLine(url, *info, line));
+    }
     writer.Finish();
     return os.str();
   }
@@ -1744,39 +1688,32 @@ struct CheckpointIo {
   }
 
   static std::string FrontierDelta(const IncrementalCrawler& crawler) {
-    std::ostringstream os;
-    TrailerWriter writer(os);
     // The frontier marking ledger: for each URL whose queue position
     // may have moved since the last checkpoint, either its exact live
     // (when, seq) key or a tombstone. Unlike the full frontier section
     // (ordered by seq), delta records follow the ledger's canonical
     // URL-identity order.
-    std::vector<std::string> upserts;
+    std::vector<CollUrls::Entry> upserts;
     std::vector<simweb::Url> tombstones;
     for (const simweb::Url& url : crawler.frontier_dirty_) {
       auto entry = crawler.coll_urls_.LookupEntry(url);
       if (entry.has_value()) {
-        std::ostringstream rec;
-        rec.precision(17);
-        rec << "F " << url.site << ' ' << url.slot << ' '
-            << url.incarnation << ' ' << entry->when << ' ' << entry->seq;
-        upserts.push_back(rec.str());
+        upserts.push_back(*entry);
       } else {
         tombstones.push_back(url);
       }
     }
-    std::ostringstream header;
-    header.precision(17);
-    header << kFrontierDeltaMagic << ' ' << kFormatVersion << ' '
-           << upserts.size() << ' ' << tombstones.size() << ' '
-           << crawler.coll_urls_.next_seq() << ' '
-           << crawler.coll_urls_.front_when();
-    writer.Line(header.str());
-    for (const std::string& line : upserts) writer.Line(line);
+    std::ostringstream os;
+    TrailerWriter writer(os);
+    RecordLine line;
+    writer.Line(line.Start(kFrontierDeltaMagic, kFormatVersion, upserts.size(),
+                           tombstones.size(), crawler.coll_urls_.next_seq(),
+                           crawler.coll_urls_.front_when()));
+    for (const CollUrls::Entry& e : upserts) {
+      writer.Line(FrontierLine(e, line));
+    }
     for (const simweb::Url& url : tombstones) {
-      std::ostringstream t;
-      t << "D " << url.site << ' ' << url.slot << ' ' << url.incarnation;
-      writer.Line(t.str());
+      writer.Line(UrlLine("D", url, line));
     }
     writer.Finish();
     return os.str();
@@ -2148,37 +2085,19 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
   {
     std::ostringstream os;
     TrailerWriter writer(os);
-    {
-      std::ostringstream header;
-      header << kPerMetaMagic << ' ' << kPerMetaVersion;
-      writer.Line(header.str());
-    }
-    {
-      std::ostringstream t;
-      t.precision(17);
-      t << "T " << crawler.now_ << ' ' << crawler.cycle_start_ << ' '
-        << crawler.next_sample_;
-      writer.Line(t.str());
-    }
-    {
-      std::ostringstream b;
-      b << "B " << crawler.batches_completed_ << ' '
-        << (crawler.cycle_active_ ? 1 : 0) << ' '
-        << crawler.cycles_completed_ << ' ' << crawler.stored_this_cycle_
-        << ' ' << crawler.store_.swap_count() << ' '
-        << (crawler.config_.shadowing ? 1 : 0);
-      writer.Line(b.str());
-    }
-    {
-      const PeriodicCrawler::Stats& s = crawler.stats_;
-      std::ostringstream c;
-      c << "C " << s.crawls << ' ' << s.pages_stored << ' '
-        << s.dead_fetches << ' ' << s.politeness_rejections << ' '
-        << s.swaps << ' ' << s.fetch_failures << ' '
-        << s.transient_errors << ' ' << s.timeout_errors << ' '
-        << s.failure_retries << ' ' << s.failures_dropped;
-      writer.Line(c.str());
-    }
+    RecordLine line;
+    writer.Line(line.Start(kPerMetaMagic, kPerMetaVersion));
+    writer.Line(line.Start("T", crawler.now_, crawler.cycle_start_,
+                           crawler.next_sample_));
+    writer.Line(
+        line.Start("B", crawler.batches_completed_, crawler.cycle_active_,
+                   crawler.cycles_completed_, crawler.stored_this_cycle_,
+                   crawler.store_.swap_count(), crawler.config_.shadowing));
+    const PeriodicCrawler::Stats& s = crawler.stats_;
+    writer.Line(line.Start("C", s.crawls, s.pages_stored, s.dead_fetches,
+                           s.politeness_rejections, s.swaps, s.fetch_failures,
+                           s.transient_errors, s.timeout_errors,
+                           s.failure_retries, s.failures_dropped));
     writer.Finish();
     sections.push_back(Section{"meta", os.str()});
   }
@@ -2489,80 +2408,54 @@ Status SaveUpdateModuleDelta(const UpdateModule& module,
   // Partition the dirty pages: still tracked -> full P record, gone
   // (Forget) -> X tombstone. The std::sets are already in canonical
   // order.
-  std::vector<std::string> page_lines;
+  std::vector<std::pair<simweb::Url, const UpdateModule::PageState*>> pages;
   std::vector<simweb::Url> tombstones;
   for (const simweb::Url& url : dirty_pages) {
     const auto& shard = module.page_shards_[module.ShardOf(url.site)];
     auto it = shard.find(url);
     if (it == shard.end()) {
       tombstones.push_back(url);
-      continue;
+    } else {
+      pages.emplace_back(url, &it->second);
     }
-    const UpdateModule::PageState& state = it->second;
-    std::ostringstream os;
-    os.precision(17);
-    std::vector<double> est_state;
-    if (state.estimator != nullptr) {
-      est_state = state.estimator->SaveState();
-    }
-    os << "P " << url.site << ' ' << url.slot << ' ' << url.incarnation
-       << ' ' << state.last_visit << ' ' << (state.visited ? 1 : 0)
-       << ' ' << state.importance << ' '
-       << (state.probing_abandonment ? 1 : 0) << ' ' << est_state.size();
-    for (double v : est_state) os << ' ' << v;
-    page_lines.push_back(os.str());
   }
   // Site aggregates and probe RNG streams are never erased, so their
   // deltas are upserts only (a dirty key that vanished — impossible
   // today — would simply be skipped).
-  std::vector<std::string> site_lines;
+  std::vector<std::pair<uint32_t, const estimator::ChangeEstimator*>> sites;
   for (uint32_t site : dirty_sites) {
     const auto& shard = module.site_shards_[module.ShardOf(site)];
     auto it = shard.find(site);
-    if (it == shard.end()) continue;
-    std::ostringstream os;
-    os.precision(17);
-    std::vector<double> est_state = it->second->SaveState();
-    os << "S " << site << ' ' << est_state.size();
-    for (double v : est_state) os << ' ' << v;
-    site_lines.push_back(os.str());
+    if (it != shard.end()) sites.emplace_back(site, it->second.get());
   }
-  std::vector<std::string> rng_lines;
+  std::vector<std::pair<uint32_t, const Rng*>> rngs;
   for (uint32_t site : dirty_rngs) {
     const auto& shard = module.rng_shards_[module.ShardOf(site)];
     auto it = shard.find(site);
-    if (it == shard.end()) continue;
-    std::ostringstream os;
-    os << "R " << site;
-    for (uint64_t lane : it->second.State()) os << ' ' << lane;
-    rng_lines.push_back(os.str());
+    if (it != shard.end()) rngs.emplace_back(site, &it->second);
   }
 
   TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kUpdateDeltaMagic << ' ' << kFormatVersion << ' '
-         << estimator::EstimatorKindName(module.config_.estimator_kind)
-         << ' ' << page_lines.size() << ' ' << tombstones.size() << ' '
-         << site_lines.size() << ' ' << rng_lines.size();
-  writer.Line(header.str());
-  {
-    // The scheduling globals are cheap scalars; the delta carries them
-    // absolutely (they change on every rebalance).
-    std::ostringstream os;
-    os.precision(17);
-    os << "G " << module.multiplier_ << ' ' << module.total_rate_ << ' '
-       << module.mean_importance_ << ' ' << module.rebalance_count_
-       << ' ' << module.frozen_page_count_;
-    writer.Line(os.str());
+  RecordLine line;
+  writer.Line(
+      line.Start(kUpdateDeltaMagic, kFormatVersion,
+                 estimator::EstimatorKindName(module.config_.estimator_kind),
+                 pages.size(), tombstones.size(), sites.size(), rngs.size()));
+  // The scheduling globals are cheap scalars; the delta carries them
+  // absolutely (they change on every rebalance).
+  writer.Line(line.Start("G", module.multiplier_, module.total_rate_,
+                         module.mean_importance_, module.rebalance_count_,
+                         module.frozen_page_count_));
+  for (const auto& [url, state] : pages) {
+    writer.Line(PageStateLine(url, *state, line));
   }
-  for (const std::string& line : page_lines) writer.Line(line);
   for (const simweb::Url& url : tombstones) {
-    std::ostringstream os;
-    os << "X " << url.site << ' ' << url.slot << ' ' << url.incarnation;
-    writer.Line(os.str());
+    writer.Line(UrlLine("X", url, line));
   }
-  for (const std::string& line : site_lines) writer.Line(line);
-  for (const std::string& line : rng_lines) writer.Line(line);
+  for (const auto& [site, est] : sites) {
+    writer.Line(SiteEstimatorLine(site, *est, line));
+  }
+  for (const auto& [site, rng] : rngs) writer.Line(RngLine(site, *rng, line));
   writer.Finish();
   if (!out.good()) return Status::Internal("snapshot write failed");
   return Status::Ok();

@@ -2,70 +2,106 @@
 #define WEBEVO_CRAWLER_STORE_CODECS_H_
 
 #include <cassert>
-#include <iomanip>
-#include <sstream>
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "crawler/all_urls.h"
 #include "crawler/collection.h"
+#include "util/record_line.h"
 
 namespace webevo::crawler {
 
 /// Record codecs for the paged RecordStore backend: each record type
-/// round-trips through a compact text form (precision 17 doubles, the
-/// same convention as the checkpoint formats, so the paged store's
-/// record bytes carry exactly the state the checkpoint would).
+/// round-trips through a compact text form written by the one record
+/// formatter (util/record_line.h), doubles as "%.17g" like every
+/// checkpoint format, so the paged store's record bytes carry exactly
+/// the state the checkpoint would. Decoding reads only bytes this
+/// codec wrote, so it parses them with std::from_chars instead of the
+/// checkpoint readers' istreams.
 ///
 /// These encodings are a private storage detail — the checkpoint wire
 /// formats in snapshot.cc remain the sole durable contract.
 
+namespace codec_internal {
+
+/// Walks the space-separated fields of an encoded record.
+class FieldReader {
+ public:
+  explicit FieldReader(std::string_view bytes)
+      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+
+  template <typename T>
+  T Next() {
+    if (p_ != end_ && *p_ == ' ') ++p_;
+    T v{};
+    const std::from_chars_result r = std::from_chars(p_, end_, v);
+    ok_ = ok_ && r.ec == std::errc();
+    p_ = r.ptr;
+    return v;
+  }
+
+  /// Every field parsed and nothing left over.
+  bool ok() const { return ok_ && p_ == end_; }
+
+ private:
+  const char* p_;
+  const char* end_;
+  bool ok_ = true;
+};
+
+}  // namespace codec_internal
+
 struct CollectionEntryCodec {
   static std::string Encode(const CollectionEntry& e) {
-    std::ostringstream os;
-    os << std::setprecision(17);
-    os << e.url.site << ' ' << e.url.slot << ' ' << e.url.incarnation
-       << ' ' << e.page << ' ' << e.version << ' ' << e.checksum.lo
-       << ' ' << e.checksum.hi << ' ' << e.crawled_at << ' '
-       << e.importance << ' ' << e.links.size();
+    RecordLine line;
+    line.Start(e.url.site, e.url.slot, e.url.incarnation, e.page, e.version,
+               e.checksum.lo, e.checksum.hi, e.crawled_at, e.importance,
+               e.links.size());
     for (const simweb::Url& link : e.links) {
-      os << ' ' << link.site << ' ' << link.slot << ' '
-         << link.incarnation;
+      line.Add(link.site, link.slot, link.incarnation);
     }
-    return os.str();
+    return std::string(line.view());
   }
 
   static CollectionEntry Decode(const std::string& bytes) {
-    std::istringstream is(bytes);
+    codec_internal::FieldReader in(bytes);
     CollectionEntry e;
-    std::size_t nlinks = 0;
-    is >> e.url.site >> e.url.slot >> e.url.incarnation >> e.page >>
-        e.version >> e.checksum.lo >> e.checksum.hi >> e.crawled_at >>
-        e.importance >> nlinks;
-    e.links.resize(nlinks);
-    for (std::size_t i = 0; i < nlinks; ++i) {
-      is >> e.links[i].site >> e.links[i].slot >> e.links[i].incarnation;
+    e.url.site = in.Next<uint32_t>();
+    e.url.slot = in.Next<uint32_t>();
+    e.url.incarnation = in.Next<uint32_t>();
+    e.page = in.Next<simweb::PageId>();
+    e.version = in.Next<uint64_t>();
+    e.checksum.lo = in.Next<uint64_t>();
+    e.checksum.hi = in.Next<uint64_t>();
+    e.crawled_at = in.Next<double>();
+    e.importance = in.Next<double>();
+    e.links.resize(in.Next<std::size_t>());
+    for (simweb::Url& link : e.links) {
+      link.site = in.Next<uint32_t>();
+      link.slot = in.Next<uint32_t>();
+      link.incarnation = in.Next<uint32_t>();
     }
-    assert(!is.fail() && "corrupt paged CollectionEntry record");
+    assert(in.ok() && "corrupt paged CollectionEntry record");
     return e;
   }
 };
 
 struct UrlInfoCodec {
   static std::string Encode(const AllUrls::UrlInfo& info) {
-    std::ostringstream os;
-    os << std::setprecision(17);
-    os << info.first_seen << ' ' << info.in_links << ' '
-       << (info.dead ? 1 : 0);
-    return os.str();
+    RecordLine line;
+    line.Start(info.first_seen, info.in_links, info.dead);
+    return std::string(line.view());
   }
 
   static AllUrls::UrlInfo Decode(const std::string& bytes) {
-    std::istringstream is(bytes);
+    codec_internal::FieldReader in(bytes);
     AllUrls::UrlInfo info;
-    int dead = 0;
-    is >> info.first_seen >> info.in_links >> dead;
-    info.dead = dead != 0;
-    assert(!is.fail() && "corrupt paged UrlInfo record");
+    info.first_seen = in.Next<double>();
+    info.in_links = in.Next<uint64_t>();
+    info.dead = in.Next<int>() != 0;
+    assert(in.ok() && "corrupt paged UrlInfo record");
     return info;
   }
 };

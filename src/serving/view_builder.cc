@@ -1,13 +1,13 @@
 #include "serving/view_builder.h"
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "crawler/incremental_crawler.h"
 #include "crawler/periodic_crawler.h"
 #include "freshness/freshness_tracker.h"
+#include "util/record_line.h"
 
 namespace webevo::serving {
 
@@ -16,10 +16,8 @@ namespace {
 std::string FmtCount(uint64_t v) { return std::to_string(v); }
 
 std::string FmtReal(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+  RecordLine line;
+  return std::string(line.Start(v).view());
 }
 
 /// Streams the canonical page walk into the pages / sites / estimates

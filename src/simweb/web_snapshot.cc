@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "simweb/simulated_web.h"
+#include "util/record_line.h"
 #include "util/text_snapshot.h"
 
 namespace webevo::simweb {
@@ -60,12 +61,48 @@ constexpr std::size_t kMaxLinksPerPage = 1 << 16;
 
 // Infinity never parses back through operator>>, so the death time of
 // an immortal root is written as a token.
-std::string DeathToken(double death) {
-  if (std::isinf(death)) return "inf";
-  std::ostringstream os;
-  os.precision(17);
-  os << death;
-  return os.str();
+void AddDeath(double death, RecordLine& line) {
+  if (std::isinf(death)) {
+    line.Add("inf");
+  } else {
+    line.Add(death);
+  }
+}
+
+// The record formatters SaveWeb and SaveWebDelta share. `FaultState`
+// and `SiteState` are SimulatedWeb's private per-site records, deduced
+// so that the formatters need no friendship.
+
+template <typename FaultState>
+const RecordLine& FaultLine(uint32_t site, const FaultState& f,
+                            RecordLine& line) {
+  line.Start("X", site);
+  for (uint64_t lane : f.draw.State()) line.Add(lane);
+  for (uint64_t lane : f.outage.State()) line.Add(lane);
+  line.Add(f.outage_start, f.outage_end);
+  AddDeath(f.death_day, line);
+  line.Add(f.flash_bucket, f.flash_count);
+  return line;
+}
+
+// Writes the `I` record of every incarnation of every slot of `site`.
+template <typename SiteState>
+void WriteSitePages(uint32_t s, const SiteState& site, TrailerWriter& writer,
+                    RecordLine& line) {
+  for (uint32_t j = 0; j < site.slots.size(); ++j) {
+    const auto& history = site.slots[j].history;
+    for (uint32_t inc = 0; inc < history.size(); ++inc) {
+      const auto& page = history[inc];
+      line.Start("I", s, j, inc, page.version, page.change_rate,
+                 page.birth_time);
+      AddDeath(page.death_time, line);
+      line.Add(page.state_time, page.last_change_time);
+      for (uint64_t lane : page.rng.State()) line.Add(lane);
+      line.Add(page.cross_links.size());
+      for (const auto& [ts, tslot] : page.cross_links) line.Add(ts, tslot);
+      writer.Line(line);
+    }
+  }
 }
 
 StatusOr<double> ParseDeath(std::istream& is) {
@@ -116,59 +153,23 @@ Status SaveWeb(const SimulatedWeb& web, std::ostream& out) {
   }
 
   TrailerWriter writer(out);
-  {
-    std::ostringstream header;
-    header.precision(17);
-    header << kWebMagic << ' ' << kWebFormatVersion << ' '
-           << web.num_sites() << ' ' << nrecords << ' '
-           << fetch_sites.size() << ' ' << web.now() << ' '
-           << web.fetch_count() << ' ' << web.not_found_count() << ' '
-           << fault_sites.size() << ' ' << adv_sites.size();
-    writer.Line(header.str());
-  }
+  RecordLine line;
+  writer.Line(
+      line.Start(kWebMagic, kWebFormatVersion, web.num_sites(), nrecords,
+                 fetch_sites.size(), web.now(), web.fetch_count(),
+                 web.not_found_count(), fault_sites.size(), adv_sites.size()));
   for (const auto& [site, count] : fetch_sites) {
-    std::ostringstream os;
-    os << "A " << site << ' ' << count;
-    writer.Line(os.str());
+    writer.Line(line.Start("A", site, count));
   }
   for (uint32_t s : fault_sites) {
-    const SimulatedWeb::SiteFaultState& f = web.site_faults_[s];
-    std::ostringstream os;
-    os.precision(17);
-    os << "X " << s;
-    for (uint64_t lane : f.draw.State()) os << ' ' << lane;
-    for (uint64_t lane : f.outage.State()) os << ' ' << lane;
-    os << ' ' << f.outage_start << ' ' << f.outage_end << ' '
-       << DeathToken(f.death_day) << ' ' << f.flash_bucket << ' '
-       << f.flash_count;
-    writer.Line(os.str());
+    writer.Line(FaultLine(s, web.site_faults_[s], line));
   }
   for (uint32_t s : adv_sites) {
     const SimulatedWeb::SiteAdvState& a = web.site_adv_[s];
-    std::ostringstream os;
-    os << "Y " << s << ' ' << a.trap_minted << ' ' << a.twin_emitted;
-    writer.Line(os.str());
+    writer.Line(line.Start("Y", s, a.trap_minted, a.twin_emitted));
   }
   for (uint32_t s = 0; s < web.num_sites(); ++s) {
-    const SimulatedWeb::SiteState& site = web.sites_[s];
-    for (uint32_t j = 0; j < site.slots.size(); ++j) {
-      const auto& history = site.slots[j].history;
-      for (uint32_t inc = 0; inc < history.size(); ++inc) {
-        const SimulatedWeb::PageRecord& page = history[inc];
-        std::ostringstream os;
-        os.precision(17);
-        os << "I " << s << ' ' << j << ' ' << inc << ' ' << page.version
-           << ' ' << page.change_rate << ' ' << page.birth_time << ' '
-           << DeathToken(page.death_time) << ' ' << page.state_time
-           << ' ' << page.last_change_time;
-        for (uint64_t lane : page.rng.State()) os << ' ' << lane;
-        os << ' ' << page.cross_links.size();
-        for (const auto& [ts, tslot] : page.cross_links) {
-          os << ' ' << ts << ' ' << tslot;
-        }
-        writer.Line(os.str());
-      }
-    }
+    WriteSitePages(s, web.sites_[s], writer, line);
   }
   writer.Finish();
   if (!out.good()) return Status::Internal("web snapshot write failed");
@@ -469,66 +470,24 @@ Status SaveWebDelta(const SimulatedWeb& web, std::ostream& out) {
   }
 
   TrailerWriter writer(out);
-  {
-    std::ostringstream header;
-    header.precision(17);
-    header << kWebDeltaMagic << ' ' << kWebDeltaFormatVersion << ' '
-           << web.num_sites() << ' ' << dirty.size() << ' ' << nrecords
-           << ' ' << fetch_sites.size() << ' ' << fault_sites.size()
-           << ' ' << web.now() << ' ' << web.fetch_count() << ' '
-           << web.not_found_count() << ' '
-           << web.OracleTotalPagesCreated() << ' ' << adv_sites.size();
-    writer.Line(header.str());
-  }
-  for (uint32_t s : dirty) {
-    std::ostringstream os;
-    os << "D " << s;
-    writer.Line(os.str());
-  }
+  RecordLine line;
+  writer.Line(
+      line.Start(kWebDeltaMagic, kWebDeltaFormatVersion, web.num_sites(),
+                 dirty.size(), nrecords, fetch_sites.size(), fault_sites.size(),
+                 web.now(), web.fetch_count(), web.not_found_count(),
+                 web.OracleTotalPagesCreated(), adv_sites.size()));
+  for (uint32_t s : dirty) writer.Line(line.Start("D", s));
   for (const auto& [site, count] : fetch_sites) {
-    std::ostringstream os;
-    os << "A " << site << ' ' << count;
-    writer.Line(os.str());
+    writer.Line(line.Start("A", site, count));
   }
   for (uint32_t s : fault_sites) {
-    const SimulatedWeb::SiteFaultState& f = web.site_faults_[s];
-    std::ostringstream os;
-    os.precision(17);
-    os << "X " << s;
-    for (uint64_t lane : f.draw.State()) os << ' ' << lane;
-    for (uint64_t lane : f.outage.State()) os << ' ' << lane;
-    os << ' ' << f.outage_start << ' ' << f.outage_end << ' '
-       << DeathToken(f.death_day) << ' ' << f.flash_bucket << ' '
-       << f.flash_count;
-    writer.Line(os.str());
+    writer.Line(FaultLine(s, web.site_faults_[s], line));
   }
   for (uint32_t s : adv_sites) {
     const SimulatedWeb::SiteAdvState& a = web.site_adv_[s];
-    std::ostringstream os;
-    os << "Y " << s << ' ' << a.trap_minted << ' ' << a.twin_emitted;
-    writer.Line(os.str());
+    writer.Line(line.Start("Y", s, a.trap_minted, a.twin_emitted));
   }
-  for (uint32_t s : dirty) {
-    const SimulatedWeb::SiteState& site = web.sites_[s];
-    for (uint32_t j = 0; j < site.slots.size(); ++j) {
-      const auto& history = site.slots[j].history;
-      for (uint32_t inc = 0; inc < history.size(); ++inc) {
-        const SimulatedWeb::PageRecord& page = history[inc];
-        std::ostringstream os;
-        os.precision(17);
-        os << "I " << s << ' ' << j << ' ' << inc << ' ' << page.version
-           << ' ' << page.change_rate << ' ' << page.birth_time << ' '
-           << DeathToken(page.death_time) << ' ' << page.state_time
-           << ' ' << page.last_change_time;
-        for (uint64_t lane : page.rng.State()) os << ' ' << lane;
-        os << ' ' << page.cross_links.size();
-        for (const auto& [ts, tslot] : page.cross_links) {
-          os << ' ' << ts << ' ' << tslot;
-        }
-        writer.Line(os.str());
-      }
-    }
-  }
+  for (uint32_t s : dirty) WriteSitePages(s, web.sites_[s], writer, line);
   writer.Finish();
   if (!out.good()) return Status::Internal("web delta write failed");
   return Status::Ok();

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/hash.h"
+#include "util/record_line.h"
 
 namespace webevo::storage {
 
@@ -55,21 +56,43 @@ const DeltaSection* DeltaSegment::FindSection(
 }
 
 std::string EncodeDeltaSegment(const DeltaSegment& segment) {
-  std::ostringstream header;
-  header << kDeltaMagic << ' ' << kDeltaFormatVersion << ' '
-         << segment.kind << ' ' << segment.batch << ' '
-         << segment.sections.size() << ' ';
-  std::string payload;
-  std::ostringstream table;
+  std::size_t payload_bytes = 0;
   for (const DeltaSection& s : segment.sections) {
-    table << "S " << s.name << ' ' << s.bytes.size() << ' '
-          << Fnv1a64(s.bytes) << '\n';
-    payload += s.bytes;
+    payload_bytes += s.bytes.size();
   }
-  header << payload.size() << '\n' << table.str();
-  std::string head = header.str();
-  head += "H " + std::to_string(Fnv1a64(head)) + '\n';
-  return head + payload + "Z " + std::to_string(Fnv1a64(payload)) + '\n';
+  std::string head;
+  RecordLine line;
+  auto head_line = [&head](const RecordLine& record) {
+    head.append(record.view());
+    head += '\n';
+  };
+  head_line(line.Start(kDeltaMagic, kDeltaFormatVersion, segment.kind,
+                       segment.batch, segment.sections.size(), payload_bytes));
+  // One pass over the payload advances both FNV-1a streams, the
+  // section's own (restarted per section) and the whole payload's, so
+  // their multiply chains overlap instead of running one after the
+  // other.
+  uint64_t payload_hash = kFnv64OffsetBasis;
+  for (const DeltaSection& s : segment.sections) {
+    uint64_t section_hash = kFnv64OffsetBasis;
+    uint64_t running = payload_hash;
+    for (unsigned char c : s.bytes) {
+      section_hash = (section_hash ^ c) * kFnv64Prime;
+      running = (running ^ c) * kFnv64Prime;
+    }
+    payload_hash = running;
+    head_line(line.Start("S", s.name, s.bytes.size(), section_hash));
+  }
+  head_line(line.Start("H", Fnv1a64(head)));
+  line.Start("Z", payload_hash);
+
+  std::string bytes;
+  bytes.reserve(head.size() + payload_bytes + line.view().size() + 1);
+  bytes.append(head);
+  for (const DeltaSection& s : segment.sections) bytes.append(s.bytes);
+  bytes.append(line.view());
+  bytes += '\n';
+  return bytes;
 }
 
 Status AppendDeltaSegment(const std::string& path,

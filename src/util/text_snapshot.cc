@@ -17,7 +17,7 @@
 
 namespace webevo {
 
-void TrailerWriter::Line(const std::string& line) {
+void TrailerWriter::Line(std::string_view line) {
   hash_ = Fnv1a64Seeded(line, hash_);
   hash_ = Fnv1a64Seeded("\n", hash_);
   out_ << line << '\n';

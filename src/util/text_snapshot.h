@@ -1,11 +1,13 @@
 #ifndef WEBEVO_UTIL_TEXT_SNAPSHOT_H_
 #define WEBEVO_UTIL_TEXT_SNAPSHOT_H_
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 
+#include "util/record_line.h"
 #include "util/status.h"
 
 namespace webevo {
@@ -16,6 +18,12 @@ namespace webevo {
 /// hash and terminated by a `webevo-checksum <hash>` trailer, so
 /// truncated or corrupted streams are rejected rather than silently
 /// loaded.
+///
+/// Writers and readers are deliberately asymmetric. Every record line
+/// is formatted by the one RecordLine formatter (util/record_line.h),
+/// which writes doubles as printf "%.17g"; the readers are unchanged
+/// istream parsers, so what they accept does not depend on how the
+/// bytes were written.
 
 /// The trailer line's leading token.
 inline constexpr const char* kSnapshotTrailerMagic = "webevo-checksum";
@@ -25,7 +33,8 @@ class TrailerWriter {
  public:
   explicit TrailerWriter(std::ostream& out) : out_(out) {}
 
-  void Line(const std::string& line);
+  void Line(std::string_view line);
+  void Line(const RecordLine& line) { Line(line.view()); }
 
   void Finish();
 

@@ -14,6 +14,8 @@
 #include "crawler/periodic_crawler.h"
 #include "crawler/snapshot.h"
 #include "simweb/simulated_web.h"
+#include "simweb/web_config.h"
+#include "util/hash.h"
 
 namespace webevo::crawler {
 namespace {
@@ -341,6 +343,33 @@ TEST(CheckpointTest, RetryRoundsAreRecordedAndDeterministic) {
   EXPECT_EQ(sharded.stats().in_batch_retries,
             crawler.stats().in_batch_retries);
   EXPECT_EQ(sharded.stats().crawls, crawler.stats().crawls);
+}
+
+// Pinned bytes of the periodic crawler's checkpoint (its own meta, the
+// shadow collection, the BFS and seen lists, the requeue ledger and the
+// traffic section) and of its published views, taken mid-cycle over a
+// faulty web; they must match at N = 1 and N = 4.
+TEST(CheckpointTest, PeriodicGoldenImageAndViewBytes) {
+  constexpr uint64_t kImage = 0xe5dd1ffb06632492ULL;
+  constexpr uint64_t kViewChain = 0x7b6a5999cfba1369ULL;
+  simweb::WebConfig wc = SmallWeb();
+  ASSERT_TRUE(simweb::ApplyFaultScenario("transient10", &wc).ok());
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    PeriodicCrawlerConfig config = PerConfig(shards);
+    config.shadowing = true;
+    config.publish_view_every_batches = 1;
+    simweb::SimulatedWeb web(wc);
+    PeriodicCrawler crawler(&web, config);
+    ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+    ASSERT_TRUE(crawler.RunUntil(9.0).ok());
+    CrawlerCheckpointOptions options;
+    options.module_traffic = true;
+    std::ostringstream out;
+    ASSERT_TRUE(SaveCrawler(crawler, out, options).ok());
+    EXPECT_EQ(Fnv1a64(out.str()), kImage);
+    EXPECT_EQ(crawler.views().fingerprint_chain(), kViewChain);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // image plus sealed delta segments must be byte-identical to restoring
 // a full checkpoint taken at the same batch, at every shard count; the
 // delta log must tolerate a torn tail; a restarted process must rebase
-// on its first checkpoint; and the optional traffic section must make
-// a resumed run's accounting cover the whole crawl.
+// on its first checkpoint; the optional traffic section must make a
+// resumed run's accounting cover the whole crawl; and the full image,
+// delta log and view bytes are pinned.
 
 #include <cstdio>
 #include <fstream>
@@ -16,7 +17,9 @@
 #include "crawler/incremental_crawler.h"
 #include "crawler/snapshot.h"
 #include "simweb/simulated_web.h"
+#include "simweb/web_config.h"
 #include "storage/delta_log.h"
+#include "util/hash.h"
 
 namespace webevo::crawler {
 namespace {
@@ -52,6 +55,12 @@ std::string CheckpointBytes(const IncrementalCrawler& crawler,
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 std::size_t FileBytes(const std::string& path) {
@@ -295,6 +304,68 @@ TEST(IncrementalCheckpointTest, TrafficAccountingSurvivesResume) {
             straight_traffic.fetches_per_day);
   EXPECT_DOUBLE_EQ(resumed_traffic.PeakDailyRate(),
                    straight_traffic.PeakDailyRate());
+}
+
+// Pinned bytes: every record of a checkpoint, delta segment and
+// published view must keep the exact text it has always had (doubles as
+// %.17g), whichever writer formats it. One small paged-store crawl over
+// a faulty web with spider traps and domain migrations, the defense on
+// and the traffic section included writes every record tag of the full
+// image and of the delta sections; with site-level change statistics
+// the update module writes site records instead of page estimators.
+// Each crawl's full image, its delta log after three incremental
+// checkpoints (a base and two segments) and its view fingerprint chain
+// are pinned, and must match at N = 1 and N = 4.
+TEST(IncrementalCheckpointTest, GoldenImageDeltaLogAndViewBytes) {
+  struct Golden {
+    bool site_level_stats;
+    uint64_t image;
+    uint64_t deltas;
+    uint64_t view_chain;
+  };
+  constexpr Golden kGolden[] = {
+      {false, 0x45548d7c26d7810bULL, 0xed81371ce853c042ULL,
+       0x94b15280a9e8ca0dULL},
+      {true, 0xfa96d5fadfecf955ULL, 0x72ef14c627cf93d9ULL,
+       0x6a946c1108f46969ULL},
+  };
+  simweb::WebConfig wc = SmallWeb();
+  ASSERT_TRUE(simweb::ApplyFaultScenario("transient10", &wc).ok());
+  ASSERT_TRUE(simweb::ApplyAdversarialScenario("spider-trap", &wc).ok());
+  wc.adv_migration_prob = 0.5;
+  wc.adv_migration_mean_day = 4.0;
+  wc.adv_migration_links_per_fetch = 6;
+  ASSERT_TRUE(wc.Validate().ok());
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(g.site_level_stats ? "site-level stats" : "page-level stats");
+    for (int shards : {1, 4}) {
+      SCOPED_TRACE(shards);
+      IncrementalCrawlerConfig config = IncConfig(shards);
+      config.update.site_level_stats = g.site_level_stats;
+      config.defense_enabled = true;
+      config.publish_view_every_batches = 1;
+      config.store.backend = storage::StoreOptions::Backend::kPaged;
+      config.store.dir = ::testing::TempDir();
+      simweb::SimulatedWeb web(wc);
+      IncrementalCrawler crawler(&web, config);
+      ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+      const std::string path =
+          TempPath("inc_golden_" + std::to_string(shards) + ".ckpt");
+      CrawlerCheckpointOptions options;
+      options.module_traffic = true;
+      for (double day : {4.0, 6.0, 8.0}) {
+        ASSERT_TRUE(crawler.RunUntil(day).ok());
+        Status ckpt = CheckpointIncremental(&crawler, path, options);
+        ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+      }
+      const std::string image =
+          CheckpointBytes(crawler, /*module_traffic=*/true);
+      const std::string deltas = ReadFile(path + ".deltas");
+      EXPECT_EQ(Fnv1a64(image), g.image);
+      EXPECT_EQ(Fnv1a64(deltas), g.deltas);
+      EXPECT_EQ(crawler.views().fingerprint_chain(), g.view_chain);
+    }
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "serving/view_registry.h"
 #include "simweb/simulated_web.h"
 #include "simweb/web_config.h"
+#include "util/hash.h"
 
 namespace webevo::serving {
 namespace {
@@ -206,6 +207,9 @@ TEST(BatchViewDeterminismTest, IncrementalViewsByteIdenticalAcrossShards) {
     ViewRef view = crawl.views().AcquireRef();
     ASSERT_TRUE(view);
     bytes[i] = ViewBytes(*view);
+    // Fingerprint hashes the lines as it formats them; it must equal
+    // the FNV-1a of the bytes Serialize writes.
+    EXPECT_EQ(view->Fingerprint(), Fnv1a64(bytes[i]));
     chains[i] = crawl.views().fingerprint_chain();
     EXPECT_EQ(crawl.views().published(),
               crawl.engine().stats().views_published);
@@ -229,6 +233,9 @@ TEST(BatchViewDeterminismTest, PeriodicViewsByteIdenticalAcrossShards) {
     ViewRef view = crawl.views().AcquireRef();
     ASSERT_TRUE(view);
     bytes[i] = ViewBytes(*view);
+    // Fingerprint hashes the lines as it formats them; it must equal
+    // the FNV-1a of the bytes Serialize writes.
+    EXPECT_EQ(view->Fingerprint(), Fnv1a64(bytes[i]));
     chains[i] = crawl.views().fingerprint_chain();
   }
   EXPECT_EQ(bytes[0], bytes[1]);

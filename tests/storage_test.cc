@@ -4,8 +4,11 @@
 // must produce bit-identical canonical walks and checkpoint bytes at
 // every shard count.
 
+#include <cfloat>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "crawler/incremental_crawler.h"
 #include "crawler/sharded_collection.h"
 #include "crawler/snapshot.h"
+#include "crawler/store_codecs.h"
 #include "simweb/simulated_web.h"
 #include "storage/delta_log.h"
 #include "storage/page_file.h"
@@ -374,6 +378,48 @@ TEST(StoragePropertyTest, CrawlerCheckpointsMatchAcrossBackends) {
         EXPECT_EQ(out.str(), want)
             << "divergence at N=" << shards << " paged=" << paged;
       }
+    }
+  }
+}
+
+// The paged codecs decode exactly what they encode: link lists of any
+// length, every integer at full width, and doubles at the edges of the
+// range (compared bit for bit, so -0.0 and subnormals count).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(StoreCodecTest, PagedCodecsRoundTrip) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(7);
+  for (std::size_t nlinks : {std::size_t{0}, std::size_t{200}}) {
+    for (double v : {0.0, -0.0, 5e-324, DBL_MIN, DBL_MAX, -DBL_MAX, 1.0 / 3,
+                     -1e-7, kInf}) {
+      CollectionEntry e = MakeEntry(rng, MakeUrl(rng.NextBounded(1000), 3));
+      e.url.incarnation = std::numeric_limits<uint32_t>::max();
+      e.page = std::numeric_limits<uint64_t>::max();
+      e.crawled_at = v;
+      e.importance = -v;
+      e.links.clear();
+      for (std::size_t i = 0; i < nlinks; ++i) {
+        e.links.push_back(MakeUrl(rng.Next() >> 32, rng.Next() >> 32));
+      }
+      const CollectionEntry d = CollectionEntryCodec::Decode(
+          CollectionEntryCodec::Encode(e));
+      EXPECT_TRUE(d.url == e.url);
+      EXPECT_EQ(d.page, e.page);
+      EXPECT_EQ(d.version, e.version);
+      EXPECT_TRUE(d.checksum == e.checksum);
+      EXPECT_TRUE(SameBits(d.crawled_at, e.crawled_at)) << v;
+      EXPECT_TRUE(SameBits(d.importance, e.importance)) << v;
+      EXPECT_TRUE(d.links == e.links);
+
+      const AllUrls::UrlInfo info{v, rng.Next(), nlinks > 0};
+      const AllUrls::UrlInfo back = UrlInfoCodec::Decode(
+          UrlInfoCodec::Encode(info));
+      EXPECT_TRUE(SameBits(back.first_seen, info.first_seen)) << v;
+      EXPECT_EQ(back.in_links, info.in_links);
+      EXPECT_EQ(back.dead, info.dead);
     }
   }
 }

@@ -1,4 +1,9 @@
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -8,6 +13,7 @@
 #include "util/hash.h"
 #include "util/histogram.h"
 #include "util/random.h"
+#include "util/record_line.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -587,6 +593,102 @@ TEST(AsciiChart2Test, OverlaysTwoSeries) {
   EXPECT_NE(chart.find('*'), std::string::npos);
   EXPECT_NE(chart.find('o'), std::string::npos);
 }
+
+// ------------------------------------------------------------ RecordLine
+
+// The formatter must write exactly what an ostream with precision(17)
+// writes: every checkpoint, delta segment and view is pinned to those
+// bytes, and the readers parse them with operator>>.
+std::string StreamText(double v) {
+  std::ostringstream os;
+  os.precision(17);
+  os << v;
+  return os.str();
+}
+
+std::string LineText(double v) {
+  RecordLine line;
+  return std::string(line.Start(v).view());
+}
+
+TEST(RecordLineTest, EdgeDoublesMatchPrecision17Stream) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (double v : {0.0, -0.0, 5e-324, -5e-324, DBL_MIN, -DBL_MIN, DBL_MAX,
+                   -DBL_MAX, 0.1, 1.0 / 3.0, 1e16, 1e17, -1e-7, 1e-5, 1e-4,
+                   kInf, -kInf, kNan, -kNan}) {
+    EXPECT_EQ(LineText(v), StreamText(v)) << v;
+  }
+}
+
+TEST(RecordLineTest, RandomDoublesMatchPrecision17Stream) {
+  Rng rng(20261017);
+  int mismatches = 0;
+  for (int i = 0; i < 100000; ++i) {
+    // Every bit pattern: all exponents, subnormals, infinities, NaNs.
+    const uint64_t bits = rng.Next();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    // And the magnitudes the crawler writes: simulated days, rates.
+    const double day = rng.NextDouble() * 1000.0;
+    for (double x : {v, day}) {
+      if (LineText(x) != StreamText(x)) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << LineText(x) << " != " << StreamText(x);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+template <typename T>
+void ExpectIntegerParity() {
+  for (T v : {std::numeric_limits<T>::min(), T{0},
+              std::numeric_limits<T>::max()}) {
+    std::ostringstream os;
+    os << v;
+    RecordLine line;
+    EXPECT_EQ(line.Start(v).view(), os.str());
+  }
+}
+
+TEST(RecordLineTest, IntegersAndBoolMatchStream) {
+  ExpectIntegerParity<int16_t>();
+  ExpectIntegerParity<uint16_t>();
+  ExpectIntegerParity<int32_t>();
+  ExpectIntegerParity<uint32_t>();
+  ExpectIntegerParity<int64_t>();
+  ExpectIntegerParity<uint64_t>();
+  ExpectIntegerParity<long long>();
+  ExpectIntegerParity<unsigned long long>();
+  ExpectIntegerParity<std::size_t>();
+  for (bool b : {false, true}) {
+    std::ostringstream os;
+    os << b;
+    RecordLine line;
+    EXPECT_EQ(line.Start(b).view(), os.str());
+  }
+}
+
+TEST(RecordLineTest, FieldsAreSpaceSeparatedAndLinesReuseTheBuffer) {
+  RecordLine line;
+  const std::string name = "section";
+  EXPECT_EQ(line.Start("E", 7, 2.5, name, true).Add(-3).view(),
+            "E 7 2.5 section 1 -3");
+  EXPECT_EQ(line.Start(42).view(), "42");
+  EXPECT_EQ(line.Start("webevo-x", std::string_view("kind")).view(),
+            "webevo-x kind");
+}
+
+// 1-byte integers would stream as characters; floats and other types
+// are not record fields at all.
+static_assert(RecordField<int16_t> && RecordField<uint64_t> &&
+              RecordField<bool> && RecordField<double> &&
+              RecordField<const char*> && RecordField<std::string>);
+static_assert(!RecordField<char> && !RecordField<int8_t> &&
+              !RecordField<uint8_t> && !RecordField<float> &&
+              !RecordField<long double>);
 
 }  // namespace
 }  // namespace webevo
