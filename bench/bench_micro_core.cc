@@ -1,19 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the hot data structures and
 // kernels: CollUrls scheduling, page fetch + lazy Poisson advance,
-// checksum, PageRank iteration, estimator updates, the optimizer, and
-// the record writers behind serving and checkpoints (view fingerprint,
-// web delta, delta-segment encode, paged-store codec).
+// checksum, PageRank iteration, estimator updates, the optimizer and
+// the housekeeping built on it (per-page pricing, the daily rebalance,
+// the weekly refinement), and the record writers behind serving and
+// checkpoints (view fingerprint, web delta, delta-segment encode,
+// paged-store codec).
 // These back the paper's throughput argument: the UpdateModule's fast
 // path must sustain tens of pages per second independent of collection
 // size (Section 5.3's "40 pages/second" discussion).
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "crawler/all_urls.h"
 #include "crawler/coll_urls.h"
+#include "crawler/collection.h"
+#include "crawler/ranking_module.h"
 #include "crawler/store_codecs.h"
 #include "crawler/update_module.h"
 #include "estimator/bayesian_estimator.h"
@@ -156,6 +162,92 @@ void BM_OptimizerSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizerSolve)->Arg(16)->Arg(256);
+
+void BM_FrequencyAtMultiplier(benchmark::State& state) {
+  // The per-fetch pricing call: rates spread over the Bayesian
+  // estimator's classes (1/365 to 16 changes/day), priced at the
+  // multiplier solved for that mix.
+  std::vector<freshness::RateGroup> groups;
+  for (int k = -68; k <= 32; ++k) {
+    groups.push_back({std::exp2(k / 8.0), 100.0});
+  }
+  const double mu =
+      freshness::RevisitOptimizer::Optimize(groups, 1000.0)->multiplier;
+  Rng rng(14);
+  std::vector<double> rates(1024);
+  for (double& rate : rates) {
+    rate = std::exp2(rng.Uniform(std::log2(1.0 / 365.0), 4.0));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double rate = rates[i++ & 1023];
+    benchmark::DoNotOptimize(
+        freshness::RevisitOptimizer::FrequencyAtMultiplier(rate, mu));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FrequencyAtMultiplier);
+
+void BM_UpdateModuleRebalance(benchmark::State& state) {
+  // The daily solve over 20k pages whose short visit histories differ
+  // in length, spacing and outcome, so that their Bayesian rates fall
+  // into 50 of Rebalance's log-grid buckets.
+  crawler::UpdateModuleConfig config;
+  config.policy = crawler::RevisitPolicy::kOptimal;
+  config.crawl_budget_pages_per_day = 10000.0;
+  crawler::UpdateModule module(config);
+  Rng rng(15);
+  for (uint32_t i = 0; i < 20000; ++i) {
+    const simweb::Url url{i / 100, i % 100, 0};
+    const double p_change = rng.NextDouble();
+    const auto visits = static_cast<int>(rng.UniformInt(2, 3));
+    const double interval = rng.Uniform(0.5, 1.5);
+    module.OnCrawled(url, 0.0, false, true);
+    for (int v = 1; v <= visits; ++v) {
+      module.OnCrawled(url, v * interval, rng.Bernoulli(p_change), false);
+    }
+  }
+  for (auto _ : state) {
+    module.Rebalance();
+    benchmark::DoNotOptimize(module.multiplier());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 20000);
+}
+BENCHMARK(BM_UpdateModuleRebalance)->Unit(benchmark::kMillisecond);
+
+void BM_RankingRefine(benchmark::State& state) {
+  // Weekly refinement with PageRank over a full collection of 20k
+  // pages and the ~165k uncollected URLs their links reach.
+  constexpr uint32_t kMembers = 20000, kCandidateSpace = 1000000;
+  crawler::Collection collection(kMembers);
+  crawler::AllUrls all;
+  Rng rng(16);
+  for (uint32_t i = 0; i < kMembers; ++i) {
+    crawler::CollectionEntry e;
+    e.url = simweb::Url{i / 100, i % 100, 0};
+    for (int l = 0; l < 2; ++l) {
+      const auto j = static_cast<uint32_t>(rng.NextBounded(kMembers));
+      e.links.push_back(simweb::Url{j / 100, j % 100, 0});
+    }
+    for (int l = 0; l < 9; ++l) {
+      // Candidates share the members' sites in slots past 100.
+      const auto j = static_cast<uint32_t>(rng.NextBounded(kCandidateSpace));
+      e.links.push_back(simweb::Url{j % 200, 100 + j / 200, 0});
+    }
+    for (const simweb::Url& to : e.links) all.NoteInLink(to, 0.0);
+    all.Add(e.url, 0.0);
+    (void)collection.Upsert(std::move(e));
+  }
+  crawler::RankingModule ranking({});
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    crawler::RefinementResult result = ranking.Refine(all, collection);
+    nodes = result.graph_nodes;
+    benchmark::DoNotOptimize(result.replacements.data());
+  }
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_RankingRefine)->Unit(benchmark::kMillisecond);
 
 void BM_BatchViewFingerprint(benchmark::State& state) {
   const auto n = static_cast<uint32_t>(state.range(0));

@@ -7,9 +7,10 @@
 //   bench_sharded_scaling [--phase-breakdown] [--json <path>] [shards...]
 //                                           (default shards: 1 2 4 8)
 // --phase-breakdown additionally prints per-phase wall-clock totals
-// (plan / fetch / apply / measure) per shard count — the Amdahl ledger
-// showing the previously serial plan and measure phases shrinking as
-// shards grow.
+// (plan / fetch / apply / measure, plus the serial rebalance and
+// refinement housekeeping) per shard count — the Amdahl ledger showing
+// the previously serial plan and measure phases shrinking as shards
+// grow.
 // --json <path> writes the whole table (throughput, phase breakdown,
 // pipeline overlap ledger, capacity-lease ledger, determinism verdict)
 // as machine-readable JSON, so CI can archive the perf trajectory per
@@ -66,6 +67,8 @@ struct RunResult {
   double apply_seconds = 0.0;
   double apply_barrier_seconds = 0.0;
   double measure_seconds = 0.0;
+  double rebalance_seconds = 0.0;
+  double refine_seconds = 0.0;
   // Determinism fingerprint: every field must match across shard counts
   // bit for bit.
   crawler::CollectionQuality quality;
@@ -142,6 +145,8 @@ RunResult RunOnce(int shards, double scale, double days,
   r.apply_seconds = es.apply_seconds.sum();
   r.apply_barrier_seconds = es.apply_barrier_seconds.sum();
   r.measure_seconds = es.measure_seconds.sum();
+  r.rebalance_seconds = es.rebalance_seconds.sum();
+  r.refine_seconds = es.refine_seconds.sum();
   r.quality = crawl.MeasureNow();
   r.pages_added = crawl.stats().pages_added;
   r.dead_pages_removed = crawl.stats().dead_pages_removed;
@@ -275,12 +280,15 @@ int main(int argc, char** argv) {
   // since the sharded Collection/UpdateModule lease-protocol apply.
   // The "barrier s" column is the apply phase's remaining serial
   // fraction — the lease/eviction/seq settlement — and should stay a
-  // small share of apply at every shard count.
+  // small share of apply at every shard count. "rebalance s" and
+  // "refine s" are the crawl loop's serial housekeeping (the daily
+  // revisit solve and the weekly re-ranking), which no shard shares.
   auto print_phase_table = [&results] {
     std::printf("\nper-phase wall-clock totals (seconds over the run)\n");
     TablePrinter phases({"shards", "batches", "plan s", "fetch s",
                          "apply s", "barrier s", "measure s",
-                         "overlap s", "retry rounds", "adm/rev/evict",
+                         "rebalance s", "refine s", "overlap s",
+                         "retry rounds", "adm/rev/evict",
                          "serial ms/batch"});
     for (const RunResult& r : results) {
       double per_batch_ms =
@@ -304,6 +312,8 @@ int main(int argc, char** argv) {
                      TablePrinter::Fmt(r.apply_seconds),
                      TablePrinter::Fmt(r.apply_barrier_seconds),
                      TablePrinter::Fmt(r.measure_seconds),
+                     TablePrinter::Fmt(r.rebalance_seconds),
+                     TablePrinter::Fmt(r.refine_seconds),
                      TablePrinter::Fmt(r.measure_overlap_seconds),
                      TablePrinter::Fmt(
                          static_cast<int64_t>(r.retry_rounds)),
@@ -347,7 +357,9 @@ int main(int argc, char** argv) {
          << ", \"fetch_s\": " << r.fetch_seconds << ", \"apply_s\": "
          << r.apply_seconds << ", \"apply_barrier_s\": "
          << r.apply_barrier_seconds << ", \"measure_s\": "
-         << r.measure_seconds << "},\n     \"barrier_share\": "
+         << r.measure_seconds << ", \"rebalance_s\": "
+         << r.rebalance_seconds << ", \"refine_s\": " << r.refine_seconds
+         << "},\n     \"barrier_share\": "
          << barrier_share << ", \"retry_rounds\": " << r.retry_rounds
          << ",\n     \"lease\": {\"admit_budget\": " << r.lease_budget
          << ", \"admissions\": " << r.lease_admissions

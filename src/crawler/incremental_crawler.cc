@@ -888,13 +888,17 @@ Status IncrementalCrawler::RunUntil(double until) {
       }
     }
     if (now_ >= next_refine_) {
+      auto refine_begin = std::chrono::steady_clock::now();
       RunRefinement();
+      engine_.RecordRefineSeconds(SecondsSince(refine_begin));
       while (next_refine_ <= now_) {
         next_refine_ += config_.refine_interval_days;
       }
     }
     if (now_ >= next_rebalance_) {
+      auto rebalance_begin = std::chrono::steady_clock::now();
       update_module_.Rebalance();
+      engine_.RecordRebalanceSeconds(SecondsSince(rebalance_begin));
       while (next_rebalance_ <= now_) {
         next_rebalance_ += config_.rebalance_interval_days;
       }

@@ -1,6 +1,7 @@
 #include "crawler/ranking_module.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "graph/hits.h"
@@ -15,9 +16,9 @@ constexpr simweb::UrlIdentityLess IdentityLess;
 // Shared by the Collection and ShardedCollection overloads; only
 // ForEach / Contains / FindMutable / size / capacity are needed. All
 // iteration-order-sensitive steps (graph node numbering, edge insertion,
-// score ties) run over canonically sorted URL lists, so the refinement
-// outcome is a pure function of the stored state — identical for a
-// sharded collection at every shard count.
+// score ties) run in canonical URL order, so the refinement outcome is
+// a pure function of the stored state — identical for a sharded
+// collection at every shard count.
 template <typename CollectionT>
 RefinementResult RefineImpl(const RankingModuleConfig& config,
                             const AllUrls& all_urls,
@@ -26,6 +27,8 @@ RefinementResult RefineImpl(const RankingModuleConfig& config,
 
   // Node universe: collection pages first, then live uncollected
   // candidates known to AllUrls — each group in canonical URL order.
+  // Node ids follow that order: members hold [0, m), candidates
+  // [m, m + c).
   std::vector<const CollectionEntry*> members;
   collection.ForEach(
       [&](const CollectionEntry& entry) { members.push_back(&entry); });
@@ -33,38 +36,29 @@ RefinementResult RefineImpl(const RankingModuleConfig& config,
             [](const CollectionEntry* a, const CollectionEntry* b) {
               return IdentityLess(a->url, b->url);
             });
-  std::vector<simweb::Url> member_urls;
-  member_urls.reserve(members.size());
-  for (const CollectionEntry* entry : members) {
-    member_urls.push_back(entry->url);
-  }
-
-  std::vector<simweb::Url> candidates;
+  std::vector<simweb::Url> urls;
+  urls.reserve(members.size());
+  for (const CollectionEntry* entry : members) urls.push_back(entry->url);
   all_urls.ForEach([&](const simweb::Url& url,
                        const AllUrls::UrlInfo& info) {
     if (info.dead || collection.Contains(url)) return;
-    candidates.push_back(url);
+    urls.push_back(url);
   });
-  std::sort(candidates.begin(), candidates.end(), IdentityLess);
+  const auto m = static_cast<graph::NodeId>(members.size());
+  std::sort(urls.begin() + m, urls.end(), IdentityLess);
 
   std::unordered_map<simweb::Url, graph::NodeId, simweb::UrlHash> index;
-  std::vector<simweb::Url> urls;
-  auto intern = [&](const simweb::Url& url) {
-    auto [it, inserted] =
-        index.try_emplace(url, static_cast<graph::NodeId>(urls.size()));
-    if (inserted) urls.push_back(url);
-    return it->second;
-  };
-  for (const simweb::Url& url : member_urls) intern(url);
-  for (const simweb::Url& url : candidates) intern(url);
+  index.reserve(urls.size());
+  for (graph::NodeId id = 0; id < urls.size(); ++id) {
+    index.emplace(urls[id], id);
+  }
 
   // Edges from the link structure captured in the Collection (entries
   // are not mutated between the walk above and here). Links to URLs
   // outside the universe (e.g. dead ones) are dropped.
   graph::LinkGraph graph(static_cast<graph::NodeId>(urls.size()));
-  for (const CollectionEntry* entry : members) {
-    graph::NodeId from = index.at(entry->url);
-    for (const simweb::Url& to : entry->links) {
+  for (graph::NodeId from = 0; from < m; ++from) {
+    for (const simweb::Url& to : members[from]->links) {
       auto it = index.find(to);
       if (it != index.end()) {
         Status st = graph.AddEdge(from, it->second);
@@ -105,38 +99,43 @@ RefinementResult RefineImpl(const RankingModuleConfig& config,
   }
 
   // Write importance back into collection entries.
-  for (const simweb::Url& url : member_urls) {
-    CollectionEntry* entry = collection.FindMutable(url);
-    if (entry != nullptr) entry->importance = score[index.at(url)];
+  for (graph::NodeId id = 0; id < m; ++id) {
+    CollectionEntry* entry = collection.FindMutable(urls[id]);
+    if (entry != nullptr) entry->importance = score[id];
   }
 
-  // Pair best candidates with worst members under hysteresis.
+  // Pair best candidates with worst members under hysteresis. The id
+  // lists start in canonical URL order, so ties resolve the same way
+  // at every shard count.
+  std::vector<graph::NodeId> candidates(urls.size() - m);
+  std::iota(candidates.begin(), candidates.end(), m);
   std::sort(candidates.begin(), candidates.end(),
-            [&](const simweb::Url& a, const simweb::Url& b) {
-              return score[index.at(a)] > score[index.at(b)];
+            [&](graph::NodeId a, graph::NodeId b) {
+              return score[a] > score[b];
             });
   // Free space first: while below capacity, admit the best candidates
   // outright (no victim needed).
   std::size_t free_slots = collection.capacity() - collection.size();
   std::size_t admitted = std::min(free_slots, candidates.size());
-  result.admissions.assign(candidates.begin(),
-                           candidates.begin() +
-                               static_cast<long>(admitted));
-  candidates.erase(candidates.begin(),
-                   candidates.begin() + static_cast<long>(admitted));
-  std::sort(member_urls.begin(), member_urls.end(),
-            [&](const simweb::Url& a, const simweb::Url& b) {
-              return score[index.at(a)] < score[index.at(b)];
+  for (std::size_t i = 0; i < admitted; ++i) {
+    result.admissions.push_back(urls[candidates[i]]);
+  }
+  std::vector<graph::NodeId> victims(m);
+  std::iota(victims.begin(), victims.end(), 0);
+  std::sort(victims.begin(), victims.end(),
+            [&](graph::NodeId a, graph::NodeId b) {
+              return score[a] < score[b];
             });
-  std::size_t pairs =
-      std::min({candidates.size(), member_urls.size(),
-                config.max_replacements});
+  std::size_t pairs = std::min({candidates.size() - admitted,
+                                victims.size(), config.max_replacements});
   for (std::size_t i = 0; i < pairs; ++i) {
-    double cand_score = score[index.at(candidates[i])];
-    double victim_score = score[index.at(member_urls[i])];
-    if (cand_score <= victim_score * config.replacement_hysteresis) break;
+    const graph::NodeId crawl = candidates[admitted + i];
+    const graph::NodeId discard = victims[i];
+    if (score[crawl] <= score[discard] * config.replacement_hysteresis) {
+      break;
+    }
     result.replacements.push_back(Replacement{
-        member_urls[i], candidates[i], victim_score, cand_score});
+        urls[discard], urls[crawl], score[discard], score[crawl]});
   }
   return result;
 }

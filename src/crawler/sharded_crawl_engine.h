@@ -164,6 +164,12 @@ class ShardedCrawlEngine {
     RunningStat fetch_seconds;
     RunningStat apply_seconds;
     RunningStat measure_seconds;
+    /// Wall-clock seconds of the crawl loop's serial housekeeping,
+    /// reported by the owning crawler: one sample per
+    /// UpdateModule::Rebalance call and one per refinement pass
+    /// (RankingModule::Refine plus executing its decisions).
+    RunningStat rebalance_seconds;
+    RunningStat refine_seconds;
     /// The apply phase split open: per-shard wall-clock of the parallel
     /// pass (one sample per busy shard per batch, merged in shard index
     /// order) and the serial barrier reduction (one sample per batch).
@@ -214,6 +220,8 @@ class ShardedCrawlEngine {
   void RecordPlanSeconds(double s) { stats_.plan_seconds.Add(s); }
   void RecordApplySeconds(double s) { stats_.apply_seconds.Add(s); }
   void RecordMeasureSeconds(double s) { stats_.measure_seconds.Add(s); }
+  void RecordRebalanceSeconds(double s) { stats_.rebalance_seconds.Add(s); }
+  void RecordRefineSeconds(double s) { stats_.refine_seconds.Add(s); }
   void RecordApplyShardSeconds(double s) {
     stats_.apply_shard_seconds.Add(s);
   }

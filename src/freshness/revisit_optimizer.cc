@@ -8,25 +8,41 @@ namespace webevo::freshness {
 namespace {
 
 // Marginal-value kernel g(x) = 1 - e^{-x} - x e^{-x}, increasing from
-// g(0) = 0 to g(inf) = 1. dF/df = g(lambda / f) / lambda.
-double G(double x) { return 1.0 - std::exp(-x) - x * std::exp(-x); }
+// g(0) = 0 to g(inf) = 1. dF/df = g(lambda / f) / lambda. e^{-x} is
+// taken once: the compiler cannot merge two calls, because exp may set
+// errno.
+double G(double x) {
+  const double e = std::exp(-x);
+  return 1.0 - e - x * e;
+}
 
-// Inverse of G on (0, 1) by bisection. g is strictly increasing, so
-// this is well defined; 200 halvings of [1e-12, 745] reach full double
-// precision (745 keeps e^{-x} above the denormal range).
-double InverseG(double y) {
-  double lo = 1e-12, hi = 745.0;
-  if (y <= G(lo)) return lo;
-  if (y >= G(hi)) return hi;
+// Bisects [lo, hi] for the boundary of a monotone predicate: each step
+// moves lo up to the midpoint when `below(mid)` holds, else hi down to
+// it, and the midpoint of the final interval is returned. A step whose
+// midpoint equals the end it would move leaves the interval unchanged,
+// and since the interval is the loop's whole state, so would every
+// later step. Stopping there returns exactly the bits the full 200
+// steps would, after 60-75 steps instead of 200: the interval stops
+// shrinking once its ends are adjacent doubles.
+template <typename Below>
+double Bisect(double lo, double hi, Below below) {
   for (int i = 0; i < 200; ++i) {
-    double mid = 0.5 * (lo + hi);
-    if (G(mid) < y) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    const double mid = 0.5 * (lo + hi);
+    double& end = below(mid) ? lo : hi;
+    if (end == mid) break;
+    end = mid;
   }
   return 0.5 * (lo + hi);
+}
+
+// Inverse of G on (0, 1) by bisection. g is strictly increasing, so
+// this is well defined; [1e-12, 745] narrows to adjacent doubles within
+// the step cap (745 keeps e^{-x} above the denormal range).
+double InverseG(double y) {
+  const double lo = 1e-12, hi = 745.0;
+  if (y <= G(lo)) return lo;
+  if (y >= G(hi)) return hi;
+  return Bisect(lo, hi, [y](double x) { return G(x) < y; });
 }
 
 Status ValidateInput(const std::vector<RateGroup>& groups, double budget) {
@@ -111,15 +127,9 @@ StatusOr<Allocation> RevisitOptimizer::Optimize(
     lo /= 2.0;
     if (lo < 1e-300) break;
   }
-  for (int i = 0; i < 200; ++i) {
-    double mid = 0.5 * (lo + hi);
-    if (TotalVisits(groups, mid) > budget) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  double mu = 0.5 * (lo + hi);
+  const double mu = Bisect(lo, hi, [&](double m) {
+    return TotalVisits(groups, m) > budget;
+  });
   for (size_t i = 0; i < groups.size(); ++i) {
     alloc.frequency[i] = FrequencyAt(groups[i].rate, mu);
   }

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "crawler/ranking_module.h"
 #include "crawler/update_module.h"
 #include "simweb/simulated_web.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace webevo::crawler {
@@ -247,6 +251,84 @@ TEST(AdmissionTest, FullCollectionAdmitsNothingOutright) {
   RankingModule ranking({});
   RefinementResult result = ranking.Refine(all, collection);
   EXPECT_TRUE(result.admissions.empty());
+}
+
+// ------------------------------------------------- refinement tie order
+
+// Runs one refinement over a collection below its capacity whose
+// candidates tie in large groups, so that admissions and replacements
+// both fire. Ties are where the sort order shows.
+RefinementResult TiedRefinement(ImportanceMetric metric) {
+  constexpr uint32_t kSites = 6;
+  Collection collection(60);  // 48 members, 12 free slots
+  AllUrls all;
+  for (uint32_t site = 0; site < kSites; ++site) {
+    for (uint32_t slot = 0; slot < 8; ++slot) {
+      CollectionEntry e;
+      e.url = Url{site, slot, 0};
+      // A chain within each site gives the members tied scores too.
+      if (slot + 1 < 8) e.links.push_back(Url{site, slot + 1, 0});
+      // Candidate blocks, each spread over every site so that
+      // canonical order interleaves them: (0, 0) links to block 100
+      // and (3, 0) to block 300, one in-link per candidate; slots 1
+      // and 2 of every site link to block 200, twelve in-links per
+      // candidate, enough to clear the replacement hysteresis.
+      auto link_block = [&](uint32_t base, uint32_t width) {
+        for (uint32_t s = 0; s < kSites; ++s) {
+          for (uint32_t k = 0; k < width; ++k) {
+            e.links.push_back(Url{s, base + k, 0});
+          }
+        }
+      };
+      if (site == 0 && slot == 0) link_block(100, 8);
+      if (slot == 1 || slot == 2) link_block(200, 4);
+      if (site == 3 && slot == 0) link_block(300, 6);
+      for (const Url& to : e.links) all.NoteInLink(to, 0.0);
+      all.Add(e.url, 0.0);
+      EXPECT_TRUE(collection.Upsert(std::move(e)).ok());
+    }
+  }
+  // A dead candidate is never ranked.
+  all.NoteInLink(Url{4, 100, 0}, 0.0);
+  EXPECT_TRUE(all.MarkDead(Url{4, 100, 0}).ok());
+
+  RankingModuleConfig config;
+  config.metric = metric;
+  RankingModule ranking(config);
+  return ranking.Refine(all, collection);
+}
+
+// Every decision in order: admissions, then replacements with their
+// scores.
+std::string RefinementTrace(const RefinementResult& result) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const Url& url : result.admissions) {
+    out << "+" << url.ToString() << "\n";
+  }
+  for (const Replacement& r : result.replacements) {
+    out << r.discard.ToString() << " " << r.discard_score << " -> "
+        << r.crawl.ToString() << " " << r.crawl_score << "\n";
+  }
+  return out.str();
+}
+
+// Pinned decisions: the crawl's schedule, its checkpoints and the perf
+// fingerprints all follow them, so the tie order must never drift.
+TEST(RefinementTieOrderTest, InLinksDecisionsArePinned) {
+  const RefinementResult result = TiedRefinement(ImportanceMetric::kInLinks);
+  EXPECT_EQ(result.admissions.size(), 12u);
+  EXPECT_EQ(result.replacements.size(), 12u);
+  const std::string trace = RefinementTrace(result);
+  EXPECT_EQ(Fnv1a64(trace), 0x4c4fe3daf5ecd505ULL) << trace;
+}
+
+TEST(RefinementTieOrderTest, PageRankDecisionsArePinned) {
+  const RefinementResult result = TiedRefinement(ImportanceMetric::kPageRank);
+  EXPECT_EQ(result.admissions.size(), 12u);
+  EXPECT_EQ(result.replacements.size(), 12u);
+  const std::string trace = RefinementTrace(result);
+  EXPECT_EQ(Fnv1a64(trace), 0xe2cd40d9c974840bULL) << trace;
 }
 
 // ------------------------------------------------- periodic in-place dead

@@ -1,10 +1,16 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "freshness/analytic.h"
 #include "freshness/freshness_tracker.h"
 #include "freshness/revisit_optimizer.h"
+#include "util/random.h"
 
 namespace webevo::freshness {
 namespace {
@@ -369,6 +375,159 @@ TEST(OptimizerTest, EvaluateFreshnessValidates) {
   auto f = RevisitOptimizer::EvaluateFreshness(groups, {1.0});
   ASSERT_TRUE(f.ok());
   EXPECT_GT(*f, 0.9);
+}
+
+// ------------------------------------------ solver bit identity (oracle)
+
+// The plain solver: G takes e^{-x} twice and both bisections run all
+// 200 halvings. RevisitOptimizer stops its bisections at their fixed
+// point and must return exactly these bits, which every schedule,
+// checkpoint and fingerprint depends on; Newton's method, a closed
+// form or a tolerance stop would not.
+namespace oracle {
+
+double G(double x) { return 1.0 - std::exp(-x) - x * std::exp(-x); }
+
+double InverseG(double y) {
+  double lo = 1e-12, hi = 745.0;
+  if (y <= G(lo)) return lo;
+  if (y >= G(hi)) return hi;
+  for (int i = 0; i < 200; ++i) {
+    double mid = 0.5 * (lo + hi);
+    if (G(mid) < y) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+double FrequencyAt(double lambda, double mu) {
+  if (lambda <= 0.0) return 0.0;
+  double y = mu * lambda;
+  if (y >= 1.0) return 0.0;
+  return lambda / InverseG(y);
+}
+
+double TotalVisits(const std::vector<RateGroup>& groups, double mu) {
+  double total = 0.0;
+  for (const auto& g : groups) total += g.weight * FrequencyAt(g.rate, mu);
+  return total;
+}
+
+// Optimize for valid input (the validation is unchanged).
+Allocation Optimize(const std::vector<RateGroup>& groups, double budget) {
+  bool any_positive = false;
+  for (const auto& g : groups) any_positive |= g.rate > 0.0;
+  Allocation alloc;
+  alloc.frequency.assign(groups.size(), 0.0);
+  if (!any_positive) {
+    alloc.freshness = 1.0;
+    return alloc;
+  }
+  double hi = 0.0;
+  for (const auto& g : groups) {
+    if (g.rate > 0.0) hi = std::max(hi, 1.0 / g.rate);
+  }
+  double lo = hi;
+  while (TotalVisits(groups, lo) < budget) {
+    lo /= 2.0;
+    if (lo < 1e-300) break;
+  }
+  for (int i = 0; i < 200; ++i) {
+    double mid = 0.5 * (lo + hi);
+    if (TotalVisits(groups, mid) > budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  double mu = 0.5 * (lo + hi);
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    alloc.frequency[i] = FrequencyAt(groups[i].rate, mu);
+  }
+  alloc.multiplier = mu;
+  alloc.freshness =
+      *RevisitOptimizer::EvaluateFreshness(groups, alloc.frequency);
+  return alloc;
+}
+
+}  // namespace oracle
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(OptimizerOracleTest, FrequencyAtMultiplierIsBitIdentical) {
+  // mu * rate log-uniform in (1e-30, 1): the whole range InverseG sees.
+  Rng rng(20000517);
+  int mismatches = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double rate = std::exp2(rng.Uniform(-16.0, 8.0));
+    const double mu = std::exp(rng.Uniform(std::log(1e-30), 0.0)) / rate;
+    const double got = RevisitOptimizer::FrequencyAtMultiplier(rate, mu);
+    const double want = oracle::FrequencyAt(rate, mu);
+    if (Bits(got) != Bits(want) && ++mismatches <= 5) {
+      ADD_FAILURE() << "rate " << rate << " mu " << mu << ": got " << got
+                    << ", oracle " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(OptimizerOracleTest, FrequencyAtMultiplierEdgeCasesAreBitIdentical) {
+  const double g_lo = oracle::G(1e-12);
+  const double below_one = std::nextafter(1.0, 0.0);
+  const std::pair<double, double> cases[] = {
+      {1.0, 0.0},                             // y = 0 <= G(1e-12)
+      {1.0, g_lo},                            // y = G(1e-12)
+      {1.0, std::nextafter(g_lo, 1.0)},       // just above it
+      {3.0, 1e-300},                          // y far below it
+      {1.0, oracle::G(745.0)},                // y = G(745)
+      {1.0, below_one},                       // y = nextafter(1, 0)
+      {1.0, std::nextafter(below_one, 0.0)},  // one ulp lower
+      {0.125, below_one / 0.125},             // y rounds near 1
+      {0.0, 0.5},                             // rate 0
+      {0.0, 0.0},                             // rate 0, mu 0
+      {2.0, 0.5},                             // mu * rate = 1
+      {4.0, 1.0},                             // mu * rate > 1
+      {1e-9, 1e-3},                           // slow page, tiny y
+      {1e6, 1e-7},                            // fast page, y = 0.1
+  };
+  for (const auto& [rate, mu] : cases) {
+    EXPECT_EQ(Bits(RevisitOptimizer::FrequencyAtMultiplier(rate, mu)),
+              Bits(oracle::FrequencyAt(rate, mu)))
+        << "rate " << rate << " mu " << mu;
+  }
+}
+
+TEST(OptimizerOracleTest, OptimizeIsBitIdentical) {
+  // Rebalance's inputs: rates on its 2^(k/8) bucket grid, some rate-0
+  // groups, weights that count pages.
+  Rng rng(19990217);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    std::vector<RateGroup> groups(
+        static_cast<std::size_t>(rng.UniformInt(1, 60)));
+    for (RateGroup& g : groups) {
+      const double k = static_cast<double>(rng.UniformInt(-96, 40));
+      g.rate = rng.Bernoulli(0.1) ? 0.0 : std::exp2(k / 8.0);
+      g.weight = static_cast<double>(rng.UniformInt(1, 2000));
+    }
+    const double budget = std::exp2(rng.Uniform(-3.0, 14.0));
+    auto got = RevisitOptimizer::Optimize(groups, budget);
+    ASSERT_TRUE(got.ok());
+    const Allocation want = oracle::Optimize(groups, budget);
+    EXPECT_EQ(Bits(got->multiplier), Bits(want.multiplier));
+    EXPECT_EQ(Bits(got->freshness), Bits(want.freshness));
+    ASSERT_EQ(got->frequency.size(), want.frequency.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      EXPECT_EQ(Bits(got->frequency[i]), Bits(want.frequency[i])) << i;
+    }
+  }
 }
 
 // ------------------------------------------------------------- the tracker

@@ -357,6 +357,30 @@ TEST(ShardedEngineTest, PhaseTimingsCoverTheWholeBatchCycle) {
   EXPECT_GE(stats.measure_seconds.min(), 0.0);
 }
 
+TEST(ShardedEngineTest, HousekeepingTimingsCountEveryCall) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    simweb::SimulatedWeb web(SmallWeb(72));
+    IncrementalCrawlerConfig config;
+    config.collection_capacity = 100;
+    config.crawl_rate_pages_per_day = 50.0;
+    config.crawl_parallelism = shards;
+    IncrementalCrawler crawler(&web, config);
+    ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+    ASSERT_TRUE(crawler.RunUntil(15.0).ok());
+    const ShardedCrawlEngine::Stats& stats = crawler.engine().stats();
+    // One sample per Rebalance() and one per refinement pass.
+    EXPECT_GT(stats.rebalance_seconds.count(), 0);
+    EXPECT_GT(stats.refine_seconds.count(), 0);
+    EXPECT_EQ(stats.rebalance_seconds.count(),
+              crawler.update_module().rebalance_count());
+    EXPECT_EQ(stats.refine_seconds.count(),
+              crawler.ranking_module().refinement_count());
+    EXPECT_GE(stats.rebalance_seconds.min(), 0.0);
+    EXPECT_GE(stats.refine_seconds.min(), 0.0);
+  }
+}
+
 TEST(ShardedEngineTest, IncrementalCrawlIsIdenticalAcrossShardCounts) {
   IncrementalFingerprint serial = RunIncremental(1, 41);
   ASSERT_GT(serial.stats.crawls, 500u);
