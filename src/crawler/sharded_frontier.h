@@ -16,7 +16,6 @@ namespace webevo::crawler {
 
 class ShardedFrontier;
 Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out);
-StatusOr<ShardedFrontier> LoadFrontier(std::istream& in, int num_shards);
 
 /// A CollUrls frontier split into N shard-local heaps (mithril-style
 /// per-shard UrlFrontier), one per CrawlModule shard, with sites
@@ -173,14 +172,13 @@ class ShardedFrontier {
   SlotPlan PlanSlots(double start, double horizon, double step,
                      ThreadPool* threads);
 
-  /// Snapshot/restore of the frontier's scheduled times (entries with
-  /// their global (when, seq) keys plus the global counters), in
-  /// crawler/snapshot.cc — what makes a restarted crawler pop in
-  /// exactly the order the checkpointed one would have.
+  /// Snapshot of the frontier's scheduled times (entries with their
+  /// global (when, seq) keys plus the global counters), in
+  /// crawler/snapshot.cc; the restore replays them through ScheduleLane
+  /// and RestoreCounters, so a restarted crawler pops in exactly the
+  /// order the checkpointed one would have.
   friend Status SaveFrontier(const ShardedFrontier& frontier,
                              std::ostream& out);
-  friend StatusOr<ShardedFrontier> LoadFrontier(std::istream& in,
-                                                int num_shards);
 
  private:
   /// Refreshes dirty shard heads and replays their tournament paths;

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
-#include <limits>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -105,29 +107,172 @@ const RecordLine& RngLine(uint32_t site, const Rng& rng, RecordLine& line) {
   return line;
 }
 
-StatusOr<CollectionEntry> ParseEntry(const std::string& line) {
-  std::istringstream is(line);
-  std::string tag;
-  CollectionEntry e;
+// The record parsers the full and delta readers share, one per record
+// type, each the inverse of the formatter above it.
+
+// E: a collection entry. Its link list is read as far as its fields
+// go, so a forged link count fails at the end of the line instead of
+// sizing an allocation.
+bool ReadEntry(RecordReader& in, CollectionEntry* e) {
   std::size_t nlinks = 0;
-  is >> tag >> e.url.site >> e.url.slot >> e.url.incarnation >> e.page >>
-      e.version >> e.checksum.lo >> e.checksum.hi >> e.crawled_at >>
-      e.importance >> nlinks;
-  if (is.fail() || tag != "E") {
-    return Status::InvalidArgument("malformed entry record");
+  if (!in.Begin("E", e->url.site, e->url.slot, e->url.incarnation, e->page,
+                e->version, e->checksum.lo, e->checksum.hi, e->crawled_at,
+                e->importance, nlinks)) {
+    return false;
   }
-  e.links.reserve(nlinks);
+  ReserveClaimed(e->links, nlinks);
   for (std::size_t i = 0; i < nlinks; ++i) {
     simweb::Url link;
-    is >> link.site >> link.slot >> link.incarnation;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed link list");
-    }
-    e.links.push_back(link);
+    if (!in.Fields(link.site, link.slot, link.incarnation)) return false;
+    e->links.push_back(link);
   }
-  Status end = ExpectLineEnd(is, "entry");
-  if (!end.ok()) return end;
-  return e;
+  return in.End();
+}
+
+// U: an AllUrls record.
+bool ReadUrlInfo(RecordReader& in, simweb::Url* url,
+                 AllUrls::UrlInfo* info) {
+  int dead = 0;
+  if (!in.Record("U", url->site, url->slot, url->incarnation,
+                 info->first_seen, info->in_links, dead)) {
+    return false;
+  }
+  info->dead = dead != 0;
+  return true;
+}
+
+// D, X and Q: a bare URL (a tombstone or a URL-list entry).
+bool ReadUrl(RecordReader& in, std::string_view tag, simweb::Url* url) {
+  return in.Record(tag, url->site, url->slot, url->incarnation);
+}
+
+// Closes a P or S record: the state AddEstimatorState wrote, its length
+// range-checked before it sizes the vector.
+bool ReadEstimatorState(RecordReader& in, std::vector<double>* state) {
+  std::size_t n = 0;
+  if (!in.Fields(n)) return false;
+  if (n > kMaxEstimatorState) return in.Fail("implausible estimator state");
+  state->assign(n, 0.0);
+  for (double& v : *state) {
+    if (!in.Fields(v)) return false;
+  }
+  return in.End();
+}
+
+// An estimator rebuilt from its saved state; null, with the error kept
+// in `in`, when the state is invalid.
+std::unique_ptr<estimator::ChangeEstimator> RestoreEstimator(
+    RecordReader& in, estimator::EstimatorKind kind,
+    const std::vector<double>& state) {
+  auto est = estimator::MakeEstimator(kind);
+  Status st = est->RestoreState(state);
+  if (!st.ok()) {
+    in.Fail(st.message());
+    return nullptr;
+  }
+  return est;
+}
+
+// The parsed records of a collection stream, staged until the stream
+// verifies: a dcoll delta, or a full section as the change onto an
+// empty collection.
+struct CollectionChange {
+  std::vector<CollectionEntry> upserts;
+  std::vector<simweb::Url> tombstones;
+};
+
+bool ReadCollectionChange(RecordReader& in, std::size_t nupserts,
+                          std::size_t ntombstones, CollectionChange* change) {
+  ReserveClaimed(change->upserts, nupserts);
+  for (std::size_t i = 0; i < nupserts; ++i) {
+    CollectionEntry e;
+    if (!ReadEntry(in, &e)) return false;
+    change->upserts.push_back(std::move(e));
+  }
+  ReserveClaimed(change->tombstones, ntombstones);
+  for (std::size_t i = 0; i < ntombstones; ++i) {
+    simweb::Url url;
+    if (!ReadUrl(in, "D", &url)) return false;
+    change->tombstones.push_back(url);
+  }
+  return true;
+}
+
+// The one apply path of collection records. Tombstones go first so
+// upserts never transiently breach capacity: a segment's end state
+// satisfies size <= capacity, and erase-then-insert approaches it
+// monotonically from below. Records that still overflow the capacity
+// are a malformed stream, not an exhausted resource.
+template <typename Store>
+Status ApplyCollectionChange(CollectionChange change, Store* collection) {
+  for (const simweb::Url& url : change.tombstones) {
+    (void)collection->Remove(url);  // absent is fine
+  }
+  for (CollectionEntry& e : change.upserts) {
+    Status st = collection->Upsert(std::move(e));
+    if (!st.ok()) {
+      return Status::InvalidArgument("collection records exceed its "
+                                     "capacity: " + st.message());
+    }
+  }
+  return Status::Ok();
+}
+
+// The parsed records of a frontier stream (a dfrontier delta, or a
+// full section onto an empty frontier) and its global counters.
+struct FrontierChange {
+  std::vector<CollUrls::Entry> upserts;
+  std::vector<simweb::Url> tombstones;
+  uint64_t next_seq = 0;
+  double front_when = 0.0;
+};
+
+bool ReadFrontierChange(RecordReader& in, std::size_t nupserts,
+                        std::size_t ntombstones, FrontierChange* change) {
+  ReserveClaimed(change->upserts, nupserts);
+  for (std::size_t i = 0; i < nupserts; ++i) {
+    // F: a queued URL with its exact (when, seq) key.
+    CollUrls::Entry e;
+    if (!in.Record("F", e.url.site, e.url.slot, e.url.incarnation, e.when,
+                   e.seq)) {
+      return false;
+    }
+    change->upserts.push_back(e);
+  }
+  ReserveClaimed(change->tombstones, ntombstones);
+  for (std::size_t i = 0; i < ntombstones; ++i) {
+    simweb::Url url;
+    if (!ReadUrl(in, "D", &url)) return false;
+    change->tombstones.push_back(url);
+  }
+  return true;
+}
+
+// The one apply path of frontier records. ScheduleLane replaces any
+// live entry of the URL and keeps its exact key, and replay is serial,
+// so a full load and a replayed delta reach the same pop order.
+void ApplyFrontierChange(const FrontierChange& change,
+                         ShardedFrontier* frontier) {
+  for (const simweb::Url& url : change.tombstones) {
+    (void)frontier->Remove(url);  // absent is fine
+  }
+  for (const CollUrls::Entry& e : change.upserts) {
+    frontier->ScheduleLane(frontier->ShardOf(e.url.site), e.url, e.when,
+                           e.seq);
+  }
+  frontier->RestoreCounters(change.next_seq, change.front_when);
+}
+
+// The estimator kind an update stream's header names must be the
+// module's.
+Status CheckEstimatorKind(const std::string& kind,
+                          const UpdateModuleConfig& config) {
+  if (kind == estimator::EstimatorKindName(config.estimator_kind)) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "snapshot estimator kind '" + kind +
+      "' does not match the module's configuration");
 }
 
 // Canonical writer shared by the Collection and ShardedCollection
@@ -150,49 +295,123 @@ Status WriteCollectionSnapshot(
   return Status::Ok();
 }
 
-/// The parsed payload of a collection snapshot, verified against the
-/// integrity trailer before anything is handed back.
-struct CollectionPayload {
-  std::size_t capacity = 0;
-  std::vector<CollectionEntry> entries;
-};
-
-StatusOr<CollectionPayload> ReadCollectionSnapshot(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
-  std::size_t count = 0;
-  CollectionPayload payload;
-  hs >> magic >> version >> payload.capacity >> count;
-  if (hs.fail() || magic != kCollectionMagic) {
-    return Status::InvalidArgument("not a collection snapshot");
+// Reads a full collection stream and applies it onto the collection
+// `make(capacity)` builds.
+template <typename Make>
+auto ReadCollection(std::istream& is, Make make)
+    -> StatusOr<decltype(make(std::size_t{0}))> {
+  RecordReader in(is, "collection snapshot");
+  std::size_t capacity = 0, count = 0;
+  CollectionChange change;
+  if (in.Header(kCollectionMagic, kFormatVersion, capacity, count)) {
+    ReadCollectionChange(in, count, 0, &change);
   }
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  Status header_end = ExpectLineEnd(hs, "collection header");
-  if (!header_end.ok()) return header_end;
-  payload.entries.reserve(std::min<std::size_t>(count, 1 << 20));
-  for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot entry count mismatch");
-    }
-    auto entry = ParseEntry(*line);
-    if (!entry.ok()) return entry.status();
-    payload.entries.push_back(std::move(entry).value());
-  }
-  // Consume and verify the trailer before handing anything back, and
-  // reject anything that follows it.
-  Status end = FinishFramedStream(reader, in, "collection snapshot");
-  if (!end.ok()) return end;
-  return payload;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
+  auto collection = make(capacity);
+  st = ApplyCollectionChange(std::move(change), &collection);
+  if (!st.ok()) return st;
+  return collection;
 }
 
 }  // namespace
+
+/// One parsed update-module stream, staged until the stream verifies
+/// and then applied: a dupdate delta, or a full section as the change
+/// from an empty module. Befriended by UpdateModule.
+struct UpdateModuleChange {
+  double multiplier = 0.0, total_rate = 0.0, mean_importance = 0.0;
+  int64_t rebalance_count = 0;
+  std::size_t frozen_page_count = 0;
+  std::vector<std::pair<simweb::Url, UpdateModule::PageState>> pages;
+  std::vector<simweb::Url> tombstones;
+  std::vector<
+      std::pair<uint32_t, std::unique_ptr<estimator::ChangeEstimator>>>
+      sites;
+  std::vector<std::pair<uint32_t, Rng>> rngs;
+
+  /// Reads the records after the stream's header: G, then the counted
+  /// P, X, S and R records.
+  bool Read(RecordReader& in, estimator::EstimatorKind kind,
+            std::size_t npages, std::size_t ntombstones, std::size_t nsites,
+            std::size_t nrngs) {
+    if (!in.Record("G", multiplier, total_rate, mean_importance,
+                   rebalance_count, frozen_page_count)) {
+      return false;
+    }
+    ReserveClaimed(pages, npages);
+    for (std::size_t i = 0; i < npages; ++i) {
+      simweb::Url url;
+      UpdateModule::PageState state;
+      int visited = 0, probing = 0;
+      std::vector<double> est;
+      if (!in.Begin("P", url.site, url.slot, url.incarnation,
+                    state.last_visit, visited, state.importance, probing) ||
+          !ReadEstimatorState(in, &est)) {
+        return false;
+      }
+      state.visited = visited != 0;
+      state.probing_abandonment = probing != 0;
+      if (!est.empty()) {
+        state.estimator = RestoreEstimator(in, kind, est);
+        if (state.estimator == nullptr) return false;
+      }
+      pages.emplace_back(url, std::move(state));
+    }
+    ReserveClaimed(tombstones, ntombstones);
+    for (std::size_t i = 0; i < ntombstones; ++i) {
+      simweb::Url url;
+      if (!ReadUrl(in, "X", &url)) return false;
+      tombstones.push_back(url);
+    }
+    ReserveClaimed(sites, nsites);
+    for (std::size_t i = 0; i < nsites; ++i) {
+      uint32_t site = 0;
+      std::vector<double> est;
+      if (!in.Begin("S", site) || !ReadEstimatorState(in, &est)) {
+        return false;
+      }
+      auto restored = RestoreEstimator(in, kind, est);
+      if (restored == nullptr) return false;
+      sites.emplace_back(site, std::move(restored));
+    }
+    ReserveClaimed(rngs, nrngs);
+    for (std::size_t i = 0; i < nrngs; ++i) {
+      uint32_t site = 0;
+      std::array<uint64_t, 4> lanes{};
+      if (!in.Record("R", site, lanes[0], lanes[1], lanes[2], lanes[3])) {
+        return false;
+      }
+      Rng rng(0);
+      rng.SetState(lanes);
+      rngs.emplace_back(site, rng);
+    }
+    return true;
+  }
+
+  /// The one apply path of update-module records: globals absolute,
+  /// tombstones erased, records upserted.
+  void ApplyTo(UpdateModule* module) && {
+    module->multiplier_ = multiplier;
+    module->total_rate_ = total_rate;
+    module->mean_importance_ = mean_importance;
+    module->rebalance_count_ = rebalance_count;
+    module->frozen_page_count_ = frozen_page_count;
+    for (const simweb::Url& url : tombstones) {
+      module->page_shards_[module->ShardOf(url.site)].erase(url);
+    }
+    for (auto& [url, state] : pages) {
+      module->page_shards_[module->ShardOf(url.site)][url] =
+          std::move(state);
+    }
+    for (auto& [site, est] : sites) {
+      module->site_shards_[module->ShardOf(site)][site] = std::move(est);
+    }
+    for (const auto& [site, rng] : rngs) {
+      module->rng_shards_[module->ShardOf(site)].insert_or_assign(site, rng);
+    }
+  }
+};
 
 Status SaveCollection(const Collection& collection, std::ostream& out) {
   std::vector<const CollectionEntry*> entries;
@@ -214,26 +433,16 @@ Status SaveCollection(const ShardedCollection& collection,
 }
 
 StatusOr<Collection> LoadCollection(std::istream& in) {
-  auto payload = ReadCollectionSnapshot(in);
-  if (!payload.ok()) return payload.status();
-  Collection collection(payload->capacity);
-  for (CollectionEntry& e : payload->entries) {
-    Status stored = collection.Upsert(std::move(e));
-    if (!stored.ok()) return stored;
-  }
-  return collection;
+  return ReadCollection(in, [](std::size_t capacity) {
+    return Collection(capacity);
+  });
 }
 
 StatusOr<ShardedCollection> LoadShardedCollection(std::istream& in,
                                                   int num_shards) {
-  auto payload = ReadCollectionSnapshot(in);
-  if (!payload.ok()) return payload.status();
-  ShardedCollection collection(payload->capacity, num_shards);
-  for (CollectionEntry& e : payload->entries) {
-    Status stored = collection.Upsert(std::move(e));
-    if (!stored.ok()) return stored;
-  }
-  return collection;
+  return ReadCollection(in, [num_shards](std::size_t capacity) {
+    return ShardedCollection(capacity, num_shards);
+  });
 }
 
 Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
@@ -259,51 +468,21 @@ Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
   return Status::Ok();
 }
 
-StatusOr<AllUrls> LoadAllUrls(std::istream& in, int num_shards) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<AllUrls> LoadAllUrls(std::istream& is, int num_shards) {
+  RecordReader in(is, "allurls snapshot");
   std::size_t count = 0;
-  hs >> magic >> version >> count;
-  if (hs.fail() || magic != kAllUrlsMagic) {
-    return Status::InvalidArgument("not an AllUrls snapshot");
-  }
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  Status header_end = ExpectLineEnd(hs, "allurls header");
-  if (!header_end.ok()) return header_end;
+  if (!in.Header(kAllUrlsMagic, kFormatVersion, count)) return in.status();
   AllUrls all(num_shards);
+  // Records restore verbatim, as a delta's do, straight into the fresh
+  // object: AllUrls is the largest section, so it is not staged twice.
   for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot entry count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     simweb::Url url;
-    double first_seen = 0.0;
-    uint64_t in_links = 0;
-    int dead = 0;
-    is >> tag >> url.site >> url.slot >> url.incarnation >> first_seen >>
-        in_links >> dead;
-    if (is.fail() || tag != "U") {
-      return Status::InvalidArgument("malformed url record");
-    }
-    Status record_end = ExpectLineEnd(is, "url");
-    if (!record_end.ok()) return record_end;
-    all.Add(url, first_seen);
-    for (uint64_t k = 0; k < in_links; ++k) all.NoteInLink(url, first_seen);
-    if (dead != 0) {
-      Status st = all.MarkDead(url);
-      if (!st.ok()) return st;
-    }
+    AllUrls::UrlInfo info;
+    if (!ReadUrlInfo(in, &url, &info)) return in.status();
+    all.Restore(url, info);
   }
-  Status end = FinishFramedStream(reader, in, "allurls snapshot");
-  if (!end.ok()) return end;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
   return all;
 }
 
@@ -355,141 +534,24 @@ Status SaveUpdateModule(const UpdateModule& module, std::ostream& out) {
   return Status::Ok();
 }
 
-Status LoadUpdateModule(std::istream& in, UpdateModule* module) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic, kind;
-  int version = 0;
+Status LoadUpdateModule(std::istream& is, UpdateModule* module) {
+  RecordReader in(is, "update snapshot");
+  std::string kind;
   std::size_t npages = 0, nsites = 0, nrngs = 0;
-  hs >> magic >> version >> kind >> npages >> nsites >> nrngs;
-  if (hs.fail() || magic != kUpdateModuleMagic) {
-    return Status::InvalidArgument("not an UpdateModule snapshot");
+  if (!in.Header(kUpdateModuleMagic, kUpdateFormatVersion, kind, npages,
+                 nsites, nrngs)) {
+    return in.status();
   }
-  if (version != kUpdateFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  Status header_end = ExpectLineEnd(hs, "update header");
-  if (!header_end.ok()) return header_end;
-  if (kind !=
-      estimator::EstimatorKindName(module->config_.estimator_kind)) {
-    return Status::InvalidArgument(
-        "snapshot estimator kind '" + kind +
-        "' does not match the module's configuration");
-  }
-
-  // Restore into a staging module and swap in only after the trailer
-  // verifies, so a corrupt snapshot never leaves `module` half-loaded.
-  UpdateModule staged(module->config_);
-
-  auto g_line = reader.Next();
-  if (!g_line.ok()) return Status::InvalidArgument("missing G record");
-  {
-    std::istringstream is(*g_line);
-    std::string tag;
-    double multiplier = 0.0, total_rate = 0.0, mean_importance = 0.0;
-    int64_t rebalance_count = 0;
-    std::size_t frozen_pages = 0;
-    is >> tag >> multiplier >> total_rate >> mean_importance >>
-        rebalance_count >> frozen_pages;
-    if (is.fail() || tag != "G") {
-      return Status::InvalidArgument("malformed G record");
-    }
-    Status record_end = ExpectLineEnd(is, "G");
-    if (!record_end.ok()) return record_end;
-    staged.multiplier_ = multiplier;
-    staged.total_rate_ = total_rate;
-    staged.mean_importance_ = mean_importance;
-    staged.rebalance_count_ = rebalance_count;
-    staged.frozen_page_count_ = frozen_pages;
-  }
-
-  for (std::size_t i = 0; i < npages; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot page count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    double last_visit = 0.0, importance = 0.0;
-    int visited = 0, probing = 0;
-    std::size_t nstate = 0;
-    is >> tag >> url.site >> url.slot >> url.incarnation >> last_visit >>
-        visited >> importance >> probing >> nstate;
-    if (is.fail() || tag != "P" || nstate > kMaxEstimatorState) {
-      return Status::InvalidArgument("malformed page record");
-    }
-    std::vector<double> est_state(nstate);
-    for (double& v : est_state) is >> v;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed page estimator state");
-    }
-    Status record_end = ExpectLineEnd(is, "page");
-    if (!record_end.ok()) return record_end;
-    UpdateModule::PageState state;
-    state.last_visit = last_visit;
-    state.visited = visited != 0;
-    state.importance = importance;
-    state.probing_abandonment = probing != 0;
-    if (!est_state.empty()) {
-      state.estimator =
-          estimator::MakeEstimator(staged.config_.estimator_kind);
-      Status st = state.estimator->RestoreState(est_state);
-      if (!st.ok()) return st;
-    }
-    staged.page_shards_[staged.ShardOf(url.site)][url] = std::move(state);
-  }
-  for (std::size_t i = 0; i < nsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot site count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    std::size_t nstate = 0;
-    is >> tag >> site >> nstate;
-    if (is.fail() || tag != "S" || nstate > kMaxEstimatorState) {
-      return Status::InvalidArgument("malformed site record");
-    }
-    std::vector<double> est_state(nstate);
-    for (double& v : est_state) is >> v;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed site estimator state");
-    }
-    Status record_end = ExpectLineEnd(is, "site");
-    if (!record_end.ok()) return record_end;
-    auto estimator =
-        estimator::MakeEstimator(staged.config_.estimator_kind);
-    Status st = estimator->RestoreState(est_state);
-    if (!st.ok()) return st;
-    staged.site_shards_[staged.ShardOf(site)][site] =
-        std::move(estimator);
-  }
-  for (std::size_t i = 0; i < nrngs; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot rng count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    std::array<uint64_t, 4> lanes{};
-    is >> tag >> site >> lanes[0] >> lanes[1] >> lanes[2] >> lanes[3];
-    if (is.fail() || tag != "R") {
-      return Status::InvalidArgument("malformed rng record");
-    }
-    Status record_end = ExpectLineEnd(is, "rng");
-    if (!record_end.ok()) return record_end;
-    Rng rng(0);
-    rng.SetState(lanes);
-    staged.rng_shards_[staged.ShardOf(site)].insert_or_assign(site, rng);
-  }
-
-  Status end = FinishFramedStream(reader, in, "update snapshot");
-  if (!end.ok()) return end;
+  Status st = CheckEstimatorKind(kind, module->config());
+  if (!st.ok()) return st;
+  UpdateModuleChange change;
+  change.Read(in, module->config().estimator_kind, npages, 0, nsites, nrngs);
+  st = in.Finish();
+  if (!st.ok()) return st;
+  // Apply onto a fresh module and swap it in, so a corrupt snapshot
+  // never leaves `module` half-loaded.
+  UpdateModule staged(module->config());
+  std::move(change).ApplyTo(&staged);
   *module = std::move(staged);
   return Status::Ok();
 }
@@ -523,49 +585,18 @@ Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out) {
   return Status::Ok();
 }
 
-StatusOr<ShardedFrontier> LoadFrontier(std::istream& in, int num_shards) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<ShardedFrontier> LoadFrontier(std::istream& is, int num_shards) {
+  RecordReader in(is, "frontier snapshot");
   std::size_t count = 0;
-  uint64_t next_seq = 0;
-  double front_when = 0.0;
-  hs >> magic >> version >> count >> next_seq >> front_when;
-  if (hs.fail() || magic != kFrontierMagic) {
-    return Status::InvalidArgument("not a frontier snapshot");
+  FrontierChange change;
+  if (in.Header(kFrontierMagic, kFormatVersion, count, change.next_seq,
+                change.front_when)) {
+    ReadFrontierChange(in, count, 0, &change);
   }
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  Status header_end = ExpectLineEnd(hs, "frontier header");
-  if (!header_end.ok()) return header_end;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
   ShardedFrontier frontier(num_shards);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot entry count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    double when = 0.0;
-    uint64_t seq = 0;
-    is >> tag >> url.site >> url.slot >> url.incarnation >> when >> seq;
-    if (is.fail() || tag != "F") {
-      return Status::InvalidArgument("malformed frontier record");
-    }
-    Status record_end = ExpectLineEnd(is, "frontier");
-    if (!record_end.ok()) return record_end;
-    frontier.shards_[frontier.ShardOf(url.site)].ScheduleAt(url, when,
-                                                            seq);
-  }
-  frontier.next_seq_ = next_seq;
-  frontier.front_when_ = front_when;
-  Status end = FinishFramedStream(reader, in, "frontier snapshot");
-  if (!end.ok()) return end;
+  ApplyFrontierChange(change, &frontier);
   return frontier;
 }
 
@@ -603,16 +634,11 @@ StatusOr<Collection> LoadCollectionFromFile(const std::string& path) {
 namespace {
 
 constexpr const char* kCrawlerMagic = "webevo-crawler";
-constexpr int kCrawlerFormatVersion = 1;
 constexpr const char* kIncMetaMagic = "webevo-incmeta";
-// Incremental meta version 2: the C record grew the capacity-lease
-// ledger (budget granted to shard leases, settled admissions) — the
-// deterministic half of the lease protocol's accounting.
-// Version 3: the C record grew the failure ledger (classified fetch
-// failures, retries, quarantines, retirements) and a second L record
-// carries the backoff-days RunningStat.
-// Version 4: the C record grew the defense ledger (wasted fetches,
-// throttled trap sites, suppressed duplicate URLs, migrated pages).
+// Each meta version grew the C record: version 2 the capacity-lease
+// ledger, version 3 the failure ledger (plus the backoff-days L record),
+// version 4 the defense ledger. A reader accepts only the version its
+// writer writes; no checkpoint outlives the code that wrote it.
 constexpr int kIncMetaVersion = 4;
 constexpr const char* kPerMetaMagic = "webevo-permeta";
 // Periodic meta version 2: the C record grew the failure ledger
@@ -620,17 +646,14 @@ constexpr const char* kPerMetaMagic = "webevo-permeta";
 constexpr int kPerMetaVersion = 2;
 // The failure-pipeline section shared by both crawlers: per-site
 // circuit-breaker state (incremental only) and per-URL consecutive
-// failure / re-queue counts. Optional on load — checkpoints written
-// before the failure pipeline existed simply restart it from scratch.
+// failure / re-queue counts.
 constexpr const char* kFailureMagic = "webevo-failure";
 constexpr const char* kPoliteMagic = "webevo-polite";
 constexpr const char* kTrackerMagic = "webevo-tracker";
 constexpr const char* kUrlsMagic = "webevo-urls";
 // The adversarial-defense section (incremental crawler only): per-site
 // diminishing-returns state machines and the content-fingerprint
-// registry's canonical owners. Optional on load — checkpoints written
-// before the defense layer existed restart it (and the registry) from
-// scratch.
+// registry's canonical owners.
 constexpr const char* kDefenseMagic = "webevo-defense";
 // The optional pool-level traffic aggregate (absolute-day fetch
 // histogram + global counters); see CrawlModulePool::Traffic.
@@ -646,10 +669,8 @@ constexpr std::size_t kMaxSections = 16;
 constexpr const char* kIncrementalKind = "incremental";
 constexpr const char* kPeriodicKind = "periodic";
 
-struct Section {
-  std::string name;
-  std::string bytes;
-};
+// The writers' name for a container section.
+using Section = CheckpointSection;
 
 Status WriteContainer(const std::string& kind,
                       const std::vector<Section>& sections,
@@ -670,110 +691,31 @@ Status WriteContainer(const std::string& kind,
   return Status::Ok();
 }
 
-/// Reads and fully verifies a container: the header trailer first, then
-/// each section against its table length and checksum — so truncation
-/// and corruption surface *before* any section is parsed — and finally
-/// end-of-stream (a checkpoint with trailing garbage was not written by
-/// us and must not be trusted).
-StatusOr<std::vector<Section>> ReadContainer(
-    std::istream& in, const std::string& expected_kind) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic, kind;
-  int version = 0;
-  std::size_t nsections = 0;
-  hs >> magic >> version >> kind >> nsections;
-  if (hs.fail() || magic != kCrawlerMagic) {
-    return Status::InvalidArgument("not a crawler checkpoint");
+// The container must be of `kind` and carry every `required` section.
+Status CheckContainer(const CheckpointContainer& container, const char* kind,
+                      std::initializer_list<const char*> required) {
+  if (container.kind != kind) {
+    return Status::InvalidArgument("checkpoint kind '" + container.kind +
+                                   "' does not match this crawler ('" +
+                                   kind + "')");
   }
-  if (version != kCrawlerFormatVersion) {
-    return Status::InvalidArgument("unsupported checkpoint version");
-  }
-  Status header_end = ExpectLineEnd(hs, "checkpoint header");
-  if (!header_end.ok()) return header_end;
-  if (kind != expected_kind) {
-    return Status::InvalidArgument(
-        "checkpoint kind '" + kind + "' does not match this crawler ('" +
-        expected_kind + "')");
-  }
-  if (nsections > kMaxSections) {
-    return Status::InvalidArgument("implausible checkpoint section count");
-  }
-  struct TableEntry {
-    std::string name;
-    std::size_t length = 0;
-    uint64_t hash = 0;
-  };
-  std::vector<TableEntry> table;
-  table.reserve(nsections);
-  for (std::size_t i = 0; i < nsections; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("checkpoint section table truncated");
+  for (const char* name : required) {
+    if (container.Find(name) == nullptr) {
+      return Status::InvalidArgument("checkpoint missing section '" +
+                                     std::string(name) + "'");
     }
-    std::istringstream is(*line);
-    std::string tag;
-    TableEntry entry;
-    is >> tag >> entry.name >> entry.length >> entry.hash;
-    if (is.fail() || tag != "S") {
-      return Status::InvalidArgument("malformed checkpoint section record");
-    }
-    Status record_end = ExpectLineEnd(is, "section");
-    if (!record_end.ok()) return record_end;
-    table.push_back(std::move(entry));
   }
-  auto end = reader.Next();
-  if (end.ok() || !reader.done()) {
-    return end.ok() ? Status::InvalidArgument(
-                          "trailing data in checkpoint header")
-                    : end.status();
-  }
-  std::vector<Section> sections;
-  sections.reserve(table.size());
-  for (TableEntry& entry : table) {
-    // Read in bounded chunks rather than trusting the table-claimed
-    // length for one allocation: a crafted length can be recomputed
-    // into a "valid" table, and the honest failure mode for a length
-    // beyond the actual file is a truncation error, not bad_alloc.
-    std::string bytes;
-    bytes.reserve(std::min<std::size_t>(entry.length, 1 << 20));
-    std::size_t remaining = entry.length;
-    char buf[1 << 16];
-    while (remaining > 0) {
-      const std::size_t want = std::min(remaining, sizeof(buf));
-      in.read(buf, static_cast<std::streamsize>(want));
-      const auto got = static_cast<std::size_t>(in.gcount());
-      bytes.append(buf, got);
-      if (got < want) {
-        return Status::InvalidArgument(
-            "checkpoint truncated in section '" + entry.name + "'");
-      }
-      remaining -= got;
-    }
-    if (Fnv1a64(bytes) != entry.hash) {
-      return Status::InvalidArgument("checkpoint section '" + entry.name +
-                                     "' corrupted");
-    }
-    sections.push_back(Section{std::move(entry.name), std::move(bytes)});
-  }
-  Status stream_end = ExpectStreamEnd(in, "checkpoint");
-  if (!stream_end.ok()) return stream_end;
-  return sections;
+  return Status::Ok();
 }
 
-const std::string* FindSection(const std::vector<Section>& sections,
-                               const std::string& name) {
-  for (const Section& s : sections) {
-    if (s.name == name) return &s.bytes;
-  }
-  return nullptr;
-}
-
-Status MissingSection(const std::string& name) {
-  return Status::InvalidArgument("checkpoint missing section '" + name +
-                                 "'");
+// Parses one section's bytes with `read` into `*out`.
+template <typename Read, typename T>
+Status ParseSection(const std::string& bytes, Read read, T* out) {
+  std::istringstream in(bytes);
+  auto parsed = read(in);
+  if (!parsed.ok()) return parsed.status();
+  *out = std::move(parsed).value();
+  return Status::Ok();
 }
 
 void WritePolite(const std::vector<std::pair<uint32_t, double>>& records,
@@ -787,42 +729,27 @@ void WritePolite(const std::vector<std::pair<uint32_t, double>>& records,
   writer.Finish();
 }
 
+// The restore sizes a per-site table by the largest site, so every
+// site must be one of the web's `num_sites`.
 StatusOr<std::vector<std::pair<uint32_t, double>>> ReadPolite(
-    std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+    std::istream& is, uint32_t num_sites) {
+  RecordReader in(is, "politeness snapshot");
   std::size_t count = 0;
-  hs >> magic >> version >> count;
-  if (hs.fail() || magic != kPoliteMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a politeness snapshot");
-  }
-  Status header_end = ExpectLineEnd(hs, "polite header");
-  if (!header_end.ok()) return header_end;
+  if (!in.Header(kPoliteMagic, kFormatVersion, count)) return in.status();
   std::vector<std::pair<uint32_t, double>> records;
-  records.reserve(std::min<std::size_t>(count, 1 << 20));
+  ReserveClaimed(records, count);
   for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("politeness record count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     uint32_t site = 0;
     double last_access = 0.0;
-    is >> tag >> site >> last_access;
-    if (is.fail() || tag != "A") {
-      return Status::InvalidArgument("malformed politeness record");
+    if (!in.Record("A", site, last_access)) return in.status();
+    if (site >= num_sites) {
+      return Status::InvalidArgument(
+          "politeness record of a site outside the web");
     }
-    Status record_end = ExpectLineEnd(is, "politeness");
-    if (!record_end.ok()) return record_end;
     records.emplace_back(site, last_access);
   }
-  Status end = FinishFramedStream(reader, in, "politeness snapshot");
-  if (!end.ok()) return end;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
   return records;
 }
 
@@ -842,43 +769,30 @@ struct TrackerSeries {
   std::vector<double> values;
 };
 
-StatusOr<TrackerSeries> ReadTracker(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<TrackerSeries> ReadTracker(std::istream& is) {
+  RecordReader in(is, "tracker snapshot");
   std::size_t count = 0;
-  hs >> magic >> version >> count;
-  if (hs.fail() || magic != kTrackerMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a tracker snapshot");
-  }
-  Status header_end = ExpectLineEnd(hs, "tracker header");
-  if (!header_end.ok()) return header_end;
+  if (!in.Header(kTrackerMagic, kFormatVersion, count)) return in.status();
   TrackerSeries series;
-  series.times.reserve(std::min<std::size_t>(count, 1 << 20));
-  series.values.reserve(std::min<std::size_t>(count, 1 << 20));
+  ReserveClaimed(series.times, count);
+  ReserveClaimed(series.values, count);
   for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("tracker sample count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     double time = 0.0, value = 0.0;
-    is >> tag >> time >> value;
-    if (is.fail() || tag != "V") {
-      return Status::InvalidArgument("malformed tracker record");
-    }
-    Status record_end = ExpectLineEnd(is, "tracker");
-    if (!record_end.ok()) return record_end;
+    if (!in.Record("V", time, value)) return in.status();
     series.times.push_back(time);
     series.values.push_back(value);
   }
-  Status end = FinishFramedStream(reader, in, "tracker snapshot");
-  if (!end.ok()) return end;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
   return series;
+}
+
+void RestoreTracker(const TrackerSeries& series,
+                    freshness::FreshnessTracker* tracker) {
+  tracker->Clear();
+  for (std::size_t i = 0; i < series.times.size(); ++i) {
+    tracker->AddSample(series.times[i], series.values[i]);
+  }
 }
 
 // A plain URL list (the BFS queue in queue order, the seen-set and the
@@ -892,40 +806,19 @@ void WriteUrlList(const std::vector<simweb::Url>& urls,
   writer.Finish();
 }
 
-StatusOr<std::vector<simweb::Url>> ReadUrlList(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<std::vector<simweb::Url>> ReadUrlList(std::istream& is) {
+  RecordReader in(is, "url-list snapshot");
   std::size_t count = 0;
-  hs >> magic >> version >> count;
-  if (hs.fail() || magic != kUrlsMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a url-list snapshot");
-  }
-  Status header_end = ExpectLineEnd(hs, "url-list header");
-  if (!header_end.ok()) return header_end;
+  if (!in.Header(kUrlsMagic, kFormatVersion, count)) return in.status();
   std::vector<simweb::Url> urls;
-  urls.reserve(std::min<std::size_t>(count, 1 << 20));
+  ReserveClaimed(urls, count);
   for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("url-list record count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     simweb::Url url;
-    is >> tag >> url.site >> url.slot >> url.incarnation;
-    if (is.fail() || tag != "Q") {
-      return Status::InvalidArgument("malformed url-list record");
-    }
-    Status record_end = ExpectLineEnd(is, "url-list");
-    if (!record_end.ok()) return record_end;
+    if (!ReadUrl(in, "Q", &url)) return in.status();
     urls.push_back(url);
   }
-  Status end = FinishFramedStream(reader, in, "url-list snapshot");
-  if (!end.ok()) return end;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
   return urls;
 }
 
@@ -935,19 +828,14 @@ const RecordLine& RunningStatLine(const RunningStat& stat, RecordLine& line) {
                     state.max);
 }
 
-StatusOr<RunningStat::State> ParseRunningStatLine(
-    const std::string& line) {
-  std::istringstream is(line);
-  std::string tag;
+bool ReadRunningStat(RecordReader& in, RunningStat* stat) {
   RunningStat::State state;
-  is >> tag >> state.count >> state.mean >> state.m2 >> state.min >>
-      state.max;
-  if (is.fail() || tag != "L") {
-    return Status::InvalidArgument("malformed running-stat record");
+  if (!in.Record("L", state.count, state.mean, state.m2, state.min,
+                 state.max)) {
+    return false;
   }
-  Status record_end = ExpectLineEnd(is, "running-stat");
-  if (!record_end.ok()) return record_end;
-  return state;
+  stat->RestoreState(state);
+  return true;
 }
 
 // The failure-pipeline state both crawlers checkpoint: the per-site
@@ -991,60 +879,33 @@ void WriteFailure(const FailureSnapshot& snap, std::ostream& out) {
   writer.Finish();
 }
 
-StatusOr<FailureSnapshot> ReadFailure(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<FailureSnapshot> ReadFailure(std::istream& is) {
+  RecordReader in(is, "failure snapshot");
   std::size_t nsites = 0, nurls = 0;
-  hs >> magic >> version >> nsites >> nurls;
-  if (hs.fail() || magic != kFailureMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a failure-state snapshot");
+  if (!in.Header(kFailureMagic, kFormatVersion, nsites, nurls)) {
+    return in.status();
   }
-  Status header_end = ExpectLineEnd(hs, "failure header");
-  if (!header_end.ok()) return header_end;
   FailureSnapshot snap;
-  snap.sites.reserve(std::min<std::size_t>(nsites, 1 << 20));
-  snap.urls.reserve(std::min<std::size_t>(nurls, 1 << 20));
+  ReserveClaimed(snap.sites, nsites);
   for (std::size_t i = 0; i < nsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("failure site count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     SiteFailureRecord r;
-    is >> tag >> r.site >> r.consecutive >> r.quarantined_until >>
-        r.rng_init;
-    for (uint64_t& lane : r.lane) is >> lane;
-    if (is.fail() || tag != "S") {
-      return Status::InvalidArgument("malformed failure site record");
+    if (!in.Record("S", r.site, r.consecutive, r.quarantined_until,
+                   r.rng_init, r.lane[0], r.lane[1], r.lane[2], r.lane[3])) {
+      return in.status();
     }
-    Status record_end = ExpectLineEnd(is, "failure site");
-    if (!record_end.ok()) return record_end;
     snap.sites.push_back(r);
   }
+  ReserveClaimed(snap.urls, nurls);
   for (std::size_t i = 0; i < nurls; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("failure url count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     UrlFailureRecord r;
-    is >> tag >> r.url.site >> r.url.slot >> r.url.incarnation >>
-        r.count;
-    if (is.fail() || tag != "U") {
-      return Status::InvalidArgument("malformed failure url record");
+    if (!in.Record("U", r.url.site, r.url.slot, r.url.incarnation,
+                   r.count)) {
+      return in.status();
     }
-    Status record_end = ExpectLineEnd(is, "failure url");
-    if (!record_end.ok()) return record_end;
     snap.urls.push_back(r);
   }
-  Status end = FinishFramedStream(reader, in, "failure snapshot");
-  if (!end.ok()) return end;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
   return snap;
 }
 
@@ -1090,61 +951,34 @@ void WriteDefense(const DefenseSnapshot& snap, std::ostream& out) {
   writer.Finish();
 }
 
-StatusOr<DefenseSnapshot> ReadDefense(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<DefenseSnapshot> ReadDefense(std::istream& is) {
+  RecordReader in(is, "defense snapshot");
   std::size_t nsites = 0, nfps = 0;
-  hs >> magic >> version >> nsites >> nfps;
-  if (hs.fail() || magic != kDefenseMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a defense-state snapshot");
+  if (!in.Header(kDefenseMagic, kFormatVersion, nsites, nfps)) {
+    return in.status();
   }
-  Status header_end = ExpectLineEnd(hs, "defense header");
-  if (!header_end.ok()) return header_end;
   DefenseSnapshot snap;
-  snap.sites.reserve(std::min<std::size_t>(nsites, 1 << 20));
-  snap.fingerprints.reserve(std::min<std::size_t>(nfps, 1 << 20));
+  ReserveClaimed(snap.sites, nsites);
   for (std::size_t i = 0; i < nsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("defense site count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     DefenseSiteRecord r;
-    is >> tag >> r.site >> r.window_fetches >> r.window_fresh >>
-        r.throttle_level >> r.quarantined >> r.quarantined_until >>
-        r.suppressed_total;
-    if (is.fail() || tag != "D") {
-      return Status::InvalidArgument("malformed defense site record");
+    if (!in.Record("D", r.site, r.window_fetches, r.window_fresh,
+                   r.throttle_level, r.quarantined, r.quarantined_until,
+                   r.suppressed_total)) {
+      return in.status();
     }
-    Status record_end = ExpectLineEnd(is, "defense site");
-    if (!record_end.ok()) return record_end;
     snap.sites.push_back(r);
   }
+  ReserveClaimed(snap.fingerprints, nfps);
   for (std::size_t i = 0; i < nfps; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("defense fingerprint count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     DefenseFingerprintRecord r;
-    is >> tag >> r.checksum.hi >> r.checksum.lo >> r.url.site >>
-        r.url.slot >> r.url.incarnation;
-    if (is.fail() || tag != "F") {
-      return Status::InvalidArgument(
-          "malformed defense fingerprint record");
+    if (!in.Record("F", r.checksum.hi, r.checksum.lo, r.url.site,
+                   r.url.slot, r.url.incarnation)) {
+      return in.status();
     }
-    Status record_end = ExpectLineEnd(is, "defense fingerprint");
-    if (!record_end.ok()) return record_end;
     snap.fingerprints.push_back(r);
   }
-  Status end = FinishFramedStream(reader, in, "defense snapshot");
-  if (!end.ok()) return end;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
   return snap;
 }
 
@@ -1171,65 +1005,102 @@ void WriteTraffic(const CrawlModulePool::Traffic& traffic,
   writer.Finish();
 }
 
-StatusOr<CrawlModulePool::Traffic> ReadTraffic(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<CrawlModulePool::Traffic> ReadTraffic(std::istream& is) {
+  RecordReader in(is, "traffic snapshot");
   std::size_t ndays = 0;
-  hs >> magic >> version >> ndays;
-  if (hs.fail() || magic != kTrafficMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a traffic snapshot");
-  }
-  Status header_end = ExpectLineEnd(hs, "traffic header");
-  if (!header_end.ok()) return header_end;
   CrawlModulePool::Traffic traffic;
-  auto g_line = reader.Next();
-  if (!g_line.ok()) return Status::InvalidArgument("missing traffic G record");
-  {
-    std::istringstream is(*g_line);
-    std::string tag;
-    int any = 0;
-    is >> tag >> traffic.fetch_count >> traffic.failure_count >>
-        traffic.politeness_rejections >> any >> traffic.first_fetch_time >>
-        traffic.last_fetch_time;
-    if (is.fail() || tag != "G") {
-      return Status::InvalidArgument("malformed traffic G record");
-    }
-    Status record_end = ExpectLineEnd(is, "traffic G");
-    if (!record_end.ok()) return record_end;
-    traffic.any_fetch = any != 0;
+  int any = 0;
+  if (!in.Header(kTrafficMagic, kFormatVersion, ndays) ||
+      !in.Record("G", traffic.fetch_count, traffic.failure_count,
+                 traffic.politeness_rejections, any, traffic.first_fetch_time,
+                 traffic.last_fetch_time)) {
+    return in.status();
   }
+  traffic.any_fetch = any != 0;
   // Range guard before sizing the histogram off parsed day indices.
   constexpr std::size_t kMaxTrafficDays = 1 << 24;
   for (std::size_t i = 0; i < ndays; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("traffic day count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     std::size_t day = 0;
     uint64_t count = 0;
-    is >> tag >> day >> count;
-    if (is.fail() || tag != "D" || day >= kMaxTrafficDays) {
-      return Status::InvalidArgument("malformed traffic day record");
+    if (!in.Record("D", day, count)) return in.status();
+    if (day >= kMaxTrafficDays) {
+      return Status::InvalidArgument("implausible traffic day");
     }
-    Status record_end = ExpectLineEnd(is, "traffic day");
-    if (!record_end.ok()) return record_end;
     if (day >= traffic.fetches_per_day.size()) {
       traffic.fetches_per_day.resize(day + 1, 0);
     }
     traffic.fetches_per_day[day] = count;
   }
-  Status end = FinishFramedStream(reader, in, "traffic snapshot");
-  if (!end.ok()) return end;
+  Status st = in.Finish();
+  if (!st.ok()) return st;
   return traffic;
 }
 
 }  // namespace
+
+const std::string* CheckpointContainer::Find(std::string_view name) const {
+  for (const CheckpointSection& s : sections) {
+    if (s.name == name) return &s.bytes;
+  }
+  return nullptr;
+}
+
+StatusOr<CheckpointContainer> ReadCheckpointContainer(std::istream& is) {
+  RecordReader in(is, "checkpoint");
+  CheckpointContainer container;
+  std::size_t nsections = 0;
+  if (!in.Header(kCrawlerMagic, kCrawlerFormatVersion, container.kind,
+                 nsections)) {
+    return in.status();
+  }
+  if (nsections > kMaxSections) {
+    return Status::InvalidArgument("implausible checkpoint section count");
+  }
+  struct TableEntry {
+    std::string name;
+    std::size_t length = 0;
+    uint64_t hash = 0;
+  };
+  std::vector<TableEntry> table(nsections);
+  for (TableEntry& entry : table) {
+    if (!in.Record("S", entry.name, entry.length, entry.hash)) {
+      return in.status();
+    }
+  }
+  Status st = in.Trailer();
+  if (!st.ok()) return st;
+  container.sections.reserve(table.size());
+  for (TableEntry& entry : table) {
+    // Read in bounded chunks rather than trusting the table-claimed
+    // length for one allocation: a crafted length can be recomputed
+    // into a "valid" table, and the honest failure mode for a length
+    // beyond the actual file is a truncation error, not bad_alloc.
+    std::string bytes;
+    ReserveClaimed(bytes, entry.length);
+    std::size_t remaining = entry.length;
+    char buf[1 << 16];
+    while (remaining > 0) {
+      const std::size_t want = std::min(remaining, sizeof(buf));
+      is.read(buf, static_cast<std::streamsize>(want));
+      const auto got = static_cast<std::size_t>(is.gcount());
+      bytes.append(buf, got);
+      if (got < want) {
+        return Status::InvalidArgument(
+            "checkpoint truncated in section '" + entry.name + "'");
+      }
+      remaining -= got;
+    }
+    if (Fnv1a64(bytes) != entry.hash) {
+      return Status::InvalidArgument("checkpoint section '" + entry.name +
+                                     "' corrupted");
+    }
+    container.sections.push_back(
+        CheckpointSection{std::move(entry.name), std::move(bytes)});
+  }
+  st = ExpectStreamEnd(is, "checkpoint");
+  if (!st.ok()) return st;
+  return container;
+}
 
 /// Shared plumbing of the full and incremental whole-crawler
 /// checkpoints — the private-state section builders, their parsers,
@@ -1276,99 +1147,26 @@ struct CheckpointIo {
   }
 
   static StatusOr<IncMetaState> ParseIncMeta(const std::string& bytes) {
+    std::istringstream is(bytes);
+    RecordReader in(is, "checkpoint meta");
     IncMetaState meta;
-    int meta_version = 0;
-    std::istringstream ms(bytes);
-    TrailerReader reader(ms);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    {
-      std::istringstream hs(*header);
-      std::string magic;
-      hs >> magic >> meta_version;
-      if (hs.fail() || magic != kIncMetaMagic) {
-        return Status::InvalidArgument("malformed checkpoint meta header");
-      }
-      // Older metas stay loadable: a version-1 C record lacks the
-      // lease ledger, versions 1-2 lack the failure ledger, versions
-      // 1-3 lack the defense ledger — those counters simply restart
-      // at zero.
-      if (meta_version < 1 || meta_version > kIncMetaVersion) {
-        return Status::InvalidArgument(
-            "unsupported checkpoint meta version");
-      }
-      Status end = ExpectLineEnd(hs, "meta header");
-      if (!end.ok()) return end;
-    }
-    auto t_line = reader.Next();
-    if (!t_line.ok()) return t_line.status();
-    {
-      std::istringstream is(*t_line);
-      std::string tag;
-      is >> tag >> meta.now >> meta.next_refine >> meta.next_rebalance >>
-          meta.next_sample >> meta.steady_since;
-      if (is.fail() || tag != "T") {
-        return Status::InvalidArgument("malformed checkpoint T record");
-      }
-      Status end = ExpectLineEnd(is, "T");
-      if (!end.ok()) return end;
-    }
-    auto b_line = reader.Next();
-    if (!b_line.ok()) return b_line.status();
-    {
-      std::istringstream is(*b_line);
-      std::string tag;
-      is >> tag >> meta.batches_completed >> meta.reached_capacity;
-      if (is.fail() || tag != "B") {
-        return Status::InvalidArgument("malformed checkpoint B record");
-      }
-      Status end = ExpectLineEnd(is, "B");
-      if (!end.ok()) return end;
-    }
-    auto c_line = reader.Next();
-    if (!c_line.ok()) return c_line.status();
-    {
-      std::istringstream is(*c_line);
-      std::string tag;
-      IncrementalCrawler::Stats& stats = meta.stats;
-      is >> tag >> stats.crawls >> stats.in_place_updates >>
-          stats.pages_added >> stats.pages_evicted >>
-          stats.replacements_executed >> stats.dead_pages_removed >>
-          stats.changes_detected >> stats.politeness_retries >>
-          stats.in_batch_retries;
-      if (meta_version >= 2) {
-        is >> stats.lease_budget_granted >> stats.lease_admissions;
-      }
-      if (meta_version >= 3) {
-        is >> stats.fetch_failures >> stats.transient_errors >>
-            stats.timeout_errors >> stats.failure_retries >>
-            stats.sites_quarantined >> stats.urls_retired;
-      }
-      if (meta_version >= 4) {
-        is >> stats.wasted_fetches >> stats.trap_sites_throttled >>
-            stats.duplicate_urls_suppressed >> stats.pages_migrated;
-      }
-      is >> meta.refinements;
-      if (is.fail() || tag != "C") {
-        return Status::InvalidArgument("malformed checkpoint C record");
-      }
-      Status end = ExpectLineEnd(is, "C");
-      if (!end.ok()) return end;
-    }
-    auto l_line = reader.Next();
-    if (!l_line.ok()) return l_line.status();
-    auto latency = ParseRunningStatLine(*l_line);
-    if (!latency.ok()) return latency.status();
-    meta.stats.new_page_latency_days.RestoreState(*latency);
-    if (meta_version >= 3) {
-      auto backoff_line = reader.Next();
-      if (!backoff_line.ok()) return backoff_line.status();
-      auto backoff = ParseRunningStatLine(*backoff_line);
-      if (!backoff.ok()) return backoff.status();
-      meta.stats.backoff_days.RestoreState(*backoff);
-    }
-    Status end = FinishFramedStream(reader, ms, "checkpoint meta");
-    if (!end.ok()) return end;
+    IncrementalCrawler::Stats& s = meta.stats;
+    in.Header(kIncMetaMagic, kIncMetaVersion);
+    in.Record("T", meta.now, meta.next_refine, meta.next_rebalance,
+              meta.next_sample, meta.steady_since);
+    in.Record("B", meta.batches_completed, meta.reached_capacity);
+    in.Record("C", s.crawls, s.in_place_updates, s.pages_added,
+              s.pages_evicted, s.replacements_executed, s.dead_pages_removed,
+              s.changes_detected, s.politeness_retries, s.in_batch_retries,
+              s.lease_budget_granted, s.lease_admissions, s.fetch_failures,
+              s.transient_errors, s.timeout_errors, s.failure_retries,
+              s.sites_quarantined, s.urls_retired, s.wasted_fetches,
+              s.trap_sites_throttled, s.duplicate_urls_suppressed,
+              s.pages_migrated, meta.refinements);
+    ReadRunningStat(in, &s.new_page_latency_days);
+    ReadRunningStat(in, &s.backoff_days);
+    Status st = in.Finish();
+    if (!st.ok()) return st;
     return meta;
   }
 
@@ -1560,63 +1358,16 @@ struct CheckpointIo {
 
   static Status ApplyCollDelta(const std::string& bytes,
                                IncrementalCrawler* crawler) {
-    std::istringstream in(bytes);
-    TrailerReader reader(in);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    std::istringstream hs(*header);
-    std::string magic;
-    int version = 0;
+    std::istringstream is(bytes);
+    RecordReader in(is, "collection delta");
     std::size_t nupserts = 0, ntombstones = 0;
-    hs >> magic >> version >> nupserts >> ntombstones;
-    if (hs.fail() || magic != kCollDeltaMagic ||
-        version != kFormatVersion) {
-      return Status::InvalidArgument("not a collection delta");
+    CollectionChange change;
+    if (in.Header(kCollDeltaMagic, kFormatVersion, nupserts, ntombstones)) {
+      ReadCollectionChange(in, nupserts, ntombstones, &change);
     }
-    Status header_end = ExpectLineEnd(hs, "dcoll header");
-    if (!header_end.ok()) return header_end;
-    std::vector<CollectionEntry> upserts;
-    upserts.reserve(std::min<std::size_t>(nupserts, 1 << 20));
-    for (std::size_t i = 0; i < nupserts; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument("dcoll upsert count mismatch");
-      }
-      auto entry = ParseEntry(*line);
-      if (!entry.ok()) return entry.status();
-      upserts.push_back(std::move(entry).value());
-    }
-    std::vector<simweb::Url> tombstones;
-    tombstones.reserve(std::min<std::size_t>(ntombstones, 1 << 20));
-    for (std::size_t i = 0; i < ntombstones; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument("dcoll tombstone count mismatch");
-      }
-      std::istringstream is(*line);
-      std::string tag;
-      simweb::Url url;
-      is >> tag >> url.site >> url.slot >> url.incarnation;
-      if (is.fail() || tag != "D") {
-        return Status::InvalidArgument("malformed dcoll tombstone");
-      }
-      Status record_end = ExpectLineEnd(is, "dcoll tombstone");
-      if (!record_end.ok()) return record_end;
-      tombstones.push_back(url);
-    }
-    Status end = FinishFramedStream(reader, in, "collection delta");
-    if (!end.ok()) return end;
-    // Tombstones first so upserts never transiently breach capacity: a
-    // segment's end state satisfies size <= capacity, and erase-then-
-    // insert approaches it monotonically from below.
-    for (const simweb::Url& url : tombstones) {
-      (void)crawler->collection_.Remove(url);  // absent is fine
-    }
-    for (CollectionEntry& entry : upserts) {
-      Status st = crawler->collection_.Upsert(std::move(entry));
-      if (!st.ok()) return st;
-    }
-    return Status::Ok();
+    Status st = in.Finish();
+    if (!st.ok()) return st;
+    return ApplyCollectionChange(std::move(change), &crawler->collection_);
   }
 
   static std::string AllUrlsDelta(const IncrementalCrawler& crawler) {
@@ -1642,45 +1393,22 @@ struct CheckpointIo {
 
   static Status ApplyAllUrlsDelta(const std::string& bytes,
                                   IncrementalCrawler* crawler) {
-    std::istringstream in(bytes);
-    TrailerReader reader(in);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    std::istringstream hs(*header);
-    std::string magic;
-    int version = 0;
+    std::istringstream is(bytes);
+    RecordReader in(is, "allurls delta");
     std::size_t count = 0;
-    hs >> magic >> version >> count;
-    if (hs.fail() || magic != kAllUrlsDeltaMagic ||
-        version != kFormatVersion) {
-      return Status::InvalidArgument("not an AllUrls delta");
+    if (!in.Header(kAllUrlsDeltaMagic, kFormatVersion, count)) {
+      return in.status();
     }
-    Status header_end = ExpectLineEnd(hs, "dallurls header");
-    if (!header_end.ok()) return header_end;
     std::vector<std::pair<simweb::Url, AllUrls::UrlInfo>> upserts;
-    upserts.reserve(std::min<std::size_t>(count, 1 << 20));
+    ReserveClaimed(upserts, count);
     for (std::size_t i = 0; i < count; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument("dallurls record count mismatch");
-      }
-      std::istringstream is(*line);
-      std::string tag;
       simweb::Url url;
       AllUrls::UrlInfo info;
-      int dead = 0;
-      is >> tag >> url.site >> url.slot >> url.incarnation >>
-          info.first_seen >> info.in_links >> dead;
-      if (is.fail() || tag != "U") {
-        return Status::InvalidArgument("malformed dallurls record");
-      }
-      Status record_end = ExpectLineEnd(is, "dallurls record");
-      if (!record_end.ok()) return record_end;
-      info.dead = dead != 0;
+      if (!ReadUrlInfo(in, &url, &info)) return in.status();
       upserts.emplace_back(url, info);
     }
-    Status end = FinishFramedStream(reader, in, "allurls delta");
-    if (!end.ok()) return end;
+    Status st = in.Finish();
+    if (!st.ok()) return st;
     for (const auto& [url, info] : upserts) {
       crawler->all_urls_.Restore(url, info);
     }
@@ -1721,80 +1449,65 @@ struct CheckpointIo {
 
   static Status ApplyFrontierDelta(const std::string& bytes,
                                    IncrementalCrawler* crawler) {
-    std::istringstream in(bytes);
-    TrailerReader reader(in);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    std::istringstream hs(*header);
-    std::string magic;
-    int version = 0;
+    std::istringstream is(bytes);
+    RecordReader in(is, "frontier delta");
     std::size_t nupserts = 0, ntombstones = 0;
-    uint64_t next_seq = 0;
-    double front_when = 0.0;
-    hs >> magic >> version >> nupserts >> ntombstones >> next_seq >>
-        front_when;
-    if (hs.fail() || magic != kFrontierDeltaMagic ||
-        version != kFormatVersion) {
-      return Status::InvalidArgument("not a frontier delta");
+    FrontierChange change;
+    if (in.Header(kFrontierDeltaMagic, kFormatVersion, nupserts, ntombstones,
+                  change.next_seq, change.front_when)) {
+      ReadFrontierChange(in, nupserts, ntombstones, &change);
     }
-    Status header_end = ExpectLineEnd(hs, "dfrontier header");
-    if (!header_end.ok()) return header_end;
-    struct Upsert {
-      simweb::Url url;
-      double when = 0.0;
-      uint64_t seq = 0;
-    };
-    std::vector<Upsert> upserts;
-    upserts.reserve(std::min<std::size_t>(nupserts, 1 << 20));
-    for (std::size_t i = 0; i < nupserts; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument("dfrontier upsert count mismatch");
-      }
-      std::istringstream is(*line);
-      std::string tag;
-      Upsert u;
-      is >> tag >> u.url.site >> u.url.slot >> u.url.incarnation >>
-          u.when >> u.seq;
-      if (is.fail() || tag != "F") {
-        return Status::InvalidArgument("malformed dfrontier record");
-      }
-      Status record_end = ExpectLineEnd(is, "dfrontier record");
-      if (!record_end.ok()) return record_end;
-      upserts.push_back(u);
-    }
-    std::vector<simweb::Url> tombstones;
-    tombstones.reserve(std::min<std::size_t>(ntombstones, 1 << 20));
-    for (std::size_t i = 0; i < ntombstones; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument(
-            "dfrontier tombstone count mismatch");
-      }
-      std::istringstream is(*line);
-      std::string tag;
-      simweb::Url url;
-      is >> tag >> url.site >> url.slot >> url.incarnation;
-      if (is.fail() || tag != "D") {
-        return Status::InvalidArgument("malformed dfrontier tombstone");
-      }
-      Status record_end = ExpectLineEnd(is, "dfrontier tombstone");
-      if (!record_end.ok()) return record_end;
-      tombstones.push_back(url);
-    }
-    Status end = FinishFramedStream(reader, in, "frontier delta");
-    if (!end.ok()) return end;
-    for (const simweb::Url& url : tombstones) {
-      (void)crawler->coll_urls_.Remove(url);  // absent is fine
-    }
-    for (const Upsert& u : upserts) {
-      // ScheduleLane replaces any live entry of the URL, and replay is
-      // serial, so this reproduces LoadFrontier's end state exactly.
-      crawler->coll_urls_.ScheduleLane(
-          crawler->coll_urls_.ShardOf(u.url.site), u.url, u.when, u.seq);
-    }
-    crawler->coll_urls_.RestoreCounters(next_seq, front_when);
+    Status st = in.Finish();
+    if (!st.ok()) return st;
+    ApplyFrontierChange(change, &crawler->coll_urls_);
     return Status::Ok();
+  }
+
+  /// The small sections a full checkpoint and every delta segment
+  /// carry whole, all parsed before any is applied.
+  struct WholeSections {
+    std::vector<std::pair<uint32_t, double>> polite;
+    TrackerSeries tracker;
+    std::vector<simweb::Url> pending;
+    FailureSnapshot failure;
+    DefenseSnapshot defense;
+    std::optional<CrawlModulePool::Traffic> traffic;
+  };
+
+  /// `section(name)` returns the named section's bytes, or null; the
+  /// caller has checked that every section but "traffic" is present.
+  template <typename Find>
+  static Status ReadWholeSections(Find section, uint32_t num_sites,
+                                  WholeSections* w) {
+    Status st = Status::Ok();
+    auto parse = [&](const char* name, auto read, auto* out) {
+      if (st.ok()) st = ParseSection(*section(name), read, out);
+    };
+    parse("polite",
+          [num_sites](std::istream& in) { return ReadPolite(in, num_sites); },
+          &w->polite);
+    parse("tracker", ReadTracker, &w->tracker);
+    parse("pending", ReadUrlList, &w->pending);
+    parse("failure", ReadFailure, &w->failure);
+    parse("defense", ReadDefense, &w->defense);
+    if (section("traffic") != nullptr) {
+      parse("traffic", ReadTraffic, &w->traffic.emplace());
+    }
+    return st;
+  }
+
+  /// Must run after the AllUrls commit, which installs a registry-free
+  /// URL table (see ApplyDefense).
+  static void ApplyWholeSections(const WholeSections& w,
+                                 IncrementalCrawler* crawler) {
+    crawler->engine_.pool().RestorePoliteness(w.polite);
+    RestoreTracker(w.tracker, &crawler->tracker_);
+    ApplyPending(w.pending, crawler);
+    ApplyFailure(w.failure, crawler);
+    ApplyDefense(w.defense, crawler);
+    if (w.traffic.has_value()) {
+      crawler->engine_.pool().RestoreTraffic(*w.traffic);
+    }
   }
 
   /// Replays one sealed delta segment onto `crawler`. The segment's
@@ -1809,7 +1522,7 @@ struct CheckpointIo {
     };
     for (const char* name : {"meta", "dcoll", "dallurls", "dupdate",
                              "dfrontier", "polite", "tracker", "pending",
-                             "failure"}) {
+                             "failure", "defense"}) {
       if (section(name) == nullptr) {
         return Status::InvalidArgument(
             "delta segment missing section '" + std::string(name) + "'");
@@ -1828,48 +1541,10 @@ struct CheckpointIo {
     }
     st = ApplyFrontierDelta(*section("dfrontier"), crawler);
     if (!st.ok()) return st;
-    {
-      std::istringstream in(*section("polite"));
-      auto polite = ReadPolite(in);
-      if (!polite.ok()) return polite.status();
-      crawler->engine_.pool().RestorePoliteness(*polite);
-    }
-    {
-      std::istringstream in(*section("tracker"));
-      auto tracker = ReadTracker(in);
-      if (!tracker.ok()) return tracker.status();
-      crawler->tracker_.Clear();
-      for (std::size_t i = 0; i < tracker->times.size(); ++i) {
-        crawler->tracker_.AddSample(tracker->times[i],
-                                    tracker->values[i]);
-      }
-    }
-    {
-      std::istringstream in(*section("pending"));
-      auto pending = ReadUrlList(in);
-      if (!pending.ok()) return pending.status();
-      ApplyPending(*pending, crawler);
-    }
-    {
-      std::istringstream in(*section("failure"));
-      auto failure = ReadFailure(in);
-      if (!failure.ok()) return failure.status();
-      ApplyFailure(*failure, crawler);
-    }
-    // Optional like "traffic": delta logs sealed before the defense
-    // layer replay without it (the layer restarts from scratch).
-    if (const std::string* defense_bytes = section("defense")) {
-      std::istringstream in(*defense_bytes);
-      auto defense = ReadDefense(in);
-      if (!defense.ok()) return defense.status();
-      ApplyDefense(*defense, crawler);
-    }
-    if (const std::string* traffic_bytes = section("traffic")) {
-      std::istringstream in(*traffic_bytes);
-      auto traffic = ReadTraffic(in);
-      if (!traffic.ok()) return traffic.status();
-      crawler->engine_.pool().RestoreTraffic(*traffic);
-    }
+    WholeSections whole;
+    st = ReadWholeSections(section, crawler->web_->num_sites(), &whole);
+    if (!st.ok()) return st;
+    ApplyWholeSections(whole, crawler);
     if (const std::string* web_bytes = section("dweb")) {
       std::istringstream in(*web_bytes);
       st = simweb::ApplyWebDelta(in, crawler->web_);
@@ -1952,23 +1627,22 @@ Status SaveCrawler(const IncrementalCrawler& crawler, std::ostream& out,
 }
 
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
-  auto sections = ReadContainer(in, kIncrementalKind);
-  if (!sections.ok()) return sections.status();
-  for (const char* name :
-       {"meta", "collection", "allurls", "update", "frontier", "polite",
-        "tracker", "pending"}) {
-    if (FindSection(*sections, name) == nullptr) {
-      return MissingSection(name);
-    }
-  }
+  auto container = ReadCheckpointContainer(in);
+  if (!container.ok()) return container.status();
+  Status st = CheckContainer(
+      *container, kIncrementalKind,
+      {"meta", "collection", "allurls", "update", "frontier", "polite",
+       "tracker", "pending", "failure", "defense"});
+  if (!st.ok()) return st;
+  auto section = [&](const char* name) { return container->Find(name); };
 
   // --- Parse every section into staging state; nothing in `crawler`
   // (or its web) is touched until the whole checkpoint has verified.
-  auto meta = CheckpointIo::ParseIncMeta(*FindSection(*sections, "meta"));
+  auto meta = CheckpointIo::ParseIncMeta(*section("meta"));
   if (!meta.ok()) return meta.status();
 
   const int shards = crawler->engine_.num_shards();
-  std::istringstream coll_in(*FindSection(*sections, "collection"));
+  std::istringstream coll_in(*section("collection"));
   auto collection = LoadShardedCollection(coll_in, shards);
   if (!collection.ok()) return collection.status();
   if (collection->capacity() != crawler->config_.collection_capacity) {
@@ -1976,63 +1650,26 @@ Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
         "checkpoint collection capacity does not match the configured "
         "capacity");
   }
-  std::istringstream urls_in(*FindSection(*sections, "allurls"));
+  std::istringstream urls_in(*section("allurls"));
   auto all_urls = LoadAllUrls(urls_in, shards);
   if (!all_urls.ok()) return all_urls.status();
   UpdateModule update(crawler->update_module_.config());
-  {
-    std::istringstream update_in(*FindSection(*sections, "update"));
-    Status st = LoadUpdateModule(update_in, &update);
-    if (!st.ok()) return st;
-  }
-  std::istringstream frontier_in(*FindSection(*sections, "frontier"));
+  std::istringstream update_in(*section("update"));
+  st = LoadUpdateModule(update_in, &update);
+  if (!st.ok()) return st;
+  std::istringstream frontier_in(*section("frontier"));
   auto frontier = LoadFrontier(frontier_in, shards);
   if (!frontier.ok()) return frontier.status();
-  std::istringstream polite_in(*FindSection(*sections, "polite"));
-  auto polite = ReadPolite(polite_in);
-  if (!polite.ok()) return polite.status();
-  std::istringstream tracker_in(*FindSection(*sections, "tracker"));
-  auto tracker = ReadTracker(tracker_in);
-  if (!tracker.ok()) return tracker.status();
-  std::istringstream pending_in(*FindSection(*sections, "pending"));
-  auto pending = ReadUrlList(pending_in);
-  if (!pending.ok()) return pending.status();
-  // Failure state is optional-on-load: pre-failure-pipeline
-  // checkpoints simply restart backoff/quarantine tracking from
-  // scratch.
-  FailureSnapshot failure;
-  if (const std::string* f = FindSection(*sections, "failure")) {
-    std::istringstream failure_in(*f);
-    auto snap = ReadFailure(failure_in);
-    if (!snap.ok()) return snap.status();
-    failure = std::move(snap).value();
-  }
-  // Defense state is optional-on-load for the same reason: pre-defense
-  // checkpoints restart the throttle machines and the fingerprint
-  // registry from scratch.
-  DefenseSnapshot defense;
-  if (const std::string* d = FindSection(*sections, "defense")) {
-    std::istringstream defense_in(*d);
-    auto snap = ReadDefense(defense_in);
-    if (!snap.ok()) return snap.status();
-    defense = std::move(snap).value();
-  }
-  // Traffic is optional-on-load too: checkpoints written without
-  // module_traffic (and every pre-traffic checkpoint) restore with the
-  // historical semantics — accounting restarts from zero.
-  std::optional<CrawlModulePool::Traffic> traffic;
-  if (const std::string* t = FindSection(*sections, "traffic")) {
-    std::istringstream traffic_in(*t);
-    auto parsed = ReadTraffic(traffic_in);
-    if (!parsed.ok()) return parsed.status();
-    traffic = std::move(parsed).value();
-  }
+  CheckpointIo::WholeSections whole;
+  st = CheckpointIo::ReadWholeSections(section, crawler->web_->num_sites(),
+                                       &whole);
+  if (!st.ok()) return st;
 
   // The web restore stages and validates internally, so a bad web
   // section fails here with the crawler still untouched.
-  if (const std::string* web = FindSection(*sections, "web")) {
+  if (const std::string* web = section("web")) {
     std::istringstream web_in(*web);
-    Status st = simweb::RestoreWeb(web_in, crawler->web_);
+    st = simweb::RestoreWeb(web_in, crawler->web_);
     if (!st.ok()) return st;
   }
 
@@ -2044,17 +1681,7 @@ Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
   crawler->all_urls_.ReplaceEntriesFrom(*all_urls);
   crawler->update_module_ = std::move(update);
   crawler->coll_urls_ = std::move(frontier).value();
-  crawler->engine_.pool().RestorePoliteness(*polite);
-  crawler->tracker_.Clear();
-  for (std::size_t i = 0; i < tracker->times.size(); ++i) {
-    crawler->tracker_.AddSample(tracker->times[i], tracker->values[i]);
-  }
-  CheckpointIo::ApplyPending(*pending, crawler);
-  CheckpointIo::ApplyFailure(failure, crawler);
-  CheckpointIo::ApplyDefense(defense, crawler);
-  if (traffic.has_value()) {
-    crawler->engine_.pool().RestoreTraffic(*traffic);
-  }
+  CheckpointIo::ApplyWholeSections(whole, crawler);
   CheckpointIo::ApplyIncMeta(*meta, crawler);
   if (crawler->delta_tracking_) {
     // The move-assignments above wiped the staging objects' (absent)
@@ -2175,94 +1802,39 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
 }
 
 Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
-  auto sections = ReadContainer(in, kPeriodicKind);
-  if (!sections.ok()) return sections.status();
-  for (const char* name : {"meta", "collection-current", "bfs", "seen",
-                           "polite", "tracker"}) {
-    if (FindSection(*sections, name) == nullptr) {
-      return MissingSection(name);
-    }
-  }
+  auto container = ReadCheckpointContainer(in);
+  if (!container.ok()) return container.status();
+  Status st = CheckContainer(*container, kPeriodicKind,
+                             {"meta", "collection-current", "bfs", "seen",
+                              "polite", "tracker", "failure"});
+  if (!st.ok()) return st;
+  auto section = [&](const char* name) { return container->Find(name); };
 
   double now = 0.0, cycle_start = 0.0, next_sample = 0.0;
   uint64_t batches_completed = 0, stored_this_cycle = 0;
   int cycle_active = 0, shadowing = 0;
   int64_t cycles_completed = 0, swap_count = 0;
-  int meta_version = 0;
   PeriodicCrawler::Stats stats;
   {
-    std::istringstream ms(*FindSection(*sections, "meta"));
-    TrailerReader reader(ms);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    {
-      std::istringstream hs(*header);
-      std::string magic;
-      hs >> magic >> meta_version;
-      // Version-1 metas (pre-failure-ledger) stay loadable: their C
-      // record lacks the failure counters, which restart at zero.
-      if (hs.fail() || magic != kPerMetaMagic || meta_version < 1 ||
-          meta_version > kPerMetaVersion) {
-        return Status::InvalidArgument("malformed checkpoint meta header");
-      }
-      Status end = ExpectLineEnd(hs, "meta header");
-      if (!end.ok()) return end;
-    }
-    auto t_line = reader.Next();
-    if (!t_line.ok()) return t_line.status();
-    {
-      std::istringstream is(*t_line);
-      std::string tag;
-      is >> tag >> now >> cycle_start >> next_sample;
-      if (is.fail() || tag != "T") {
-        return Status::InvalidArgument("malformed checkpoint T record");
-      }
-      Status end = ExpectLineEnd(is, "T");
-      if (!end.ok()) return end;
-    }
-    auto b_line = reader.Next();
-    if (!b_line.ok()) return b_line.status();
-    {
-      std::istringstream is(*b_line);
-      std::string tag;
-      is >> tag >> batches_completed >> cycle_active >>
-          cycles_completed >> stored_this_cycle >> swap_count >>
-          shadowing;
-      if (is.fail() || tag != "B") {
-        return Status::InvalidArgument("malformed checkpoint B record");
-      }
-      Status end = ExpectLineEnd(is, "B");
-      if (!end.ok()) return end;
-    }
-    auto c_line = reader.Next();
-    if (!c_line.ok()) return c_line.status();
-    {
-      std::istringstream is(*c_line);
-      std::string tag;
-      is >> tag >> stats.crawls >> stats.pages_stored >>
-          stats.dead_fetches >> stats.politeness_rejections >>
-          stats.swaps;
-      if (meta_version >= 2) {
-        is >> stats.fetch_failures >> stats.transient_errors >>
-            stats.timeout_errors >> stats.failure_retries >>
-            stats.failures_dropped;
-      }
-      if (is.fail() || tag != "C") {
-        return Status::InvalidArgument("malformed checkpoint C record");
-      }
-      Status end = ExpectLineEnd(is, "C");
-      if (!end.ok()) return end;
-    }
-    Status end = FinishFramedStream(reader, ms, "checkpoint meta");
-    if (!end.ok()) return end;
+    std::istringstream is(*section("meta"));
+    RecordReader meta(is, "checkpoint meta");
+    meta.Header(kPerMetaMagic, kPerMetaVersion);
+    meta.Record("T", now, cycle_start, next_sample);
+    meta.Record("B", batches_completed, cycle_active, cycles_completed,
+                stored_this_cycle, swap_count, shadowing);
+    meta.Record("C", stats.crawls, stats.pages_stored, stats.dead_fetches,
+                stats.politeness_rejections, stats.swaps, stats.fetch_failures,
+                stats.transient_errors, stats.timeout_errors,
+                stats.failure_retries, stats.failures_dropped);
+    st = meta.Finish();
+    if (!st.ok()) return st;
   }
   if ((shadowing != 0) != crawler->config_.shadowing) {
     return Status::InvalidArgument(
         "checkpoint shadowing mode does not match the configuration");
   }
 
-  std::istringstream current_in(
-      *FindSection(*sections, "collection-current"));
+  std::istringstream current_in(*section("collection-current"));
   auto current = LoadCollection(current_in);
   if (!current.ok()) return current.status();
   if (current->capacity() != crawler->config_.collection_capacity) {
@@ -2272,44 +1844,33 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
   }
   StatusOr<Collection> shadow = Collection(0);
   if (crawler->config_.shadowing) {
-    const std::string* bytes = FindSection(*sections, "collection-shadow");
-    if (bytes == nullptr) return MissingSection("collection-shadow");
-    std::istringstream shadow_in(*bytes);
+    st = CheckContainer(*container, kPeriodicKind, {"collection-shadow"});
+    if (!st.ok()) return st;
+    std::istringstream shadow_in(*section("collection-shadow"));
     shadow = LoadCollection(shadow_in);
     if (!shadow.ok()) return shadow.status();
   }
-  std::istringstream bfs_in(*FindSection(*sections, "bfs"));
-  auto bfs = ReadUrlList(bfs_in);
-  if (!bfs.ok()) return bfs.status();
-  std::istringstream seen_in(*FindSection(*sections, "seen"));
-  auto seen = ReadUrlList(seen_in);
-  if (!seen.ok()) return seen.status();
-  std::istringstream polite_in(*FindSection(*sections, "polite"));
-  auto polite = ReadPolite(polite_in);
-  if (!polite.ok()) return polite.status();
-  std::istringstream tracker_in(*FindSection(*sections, "tracker"));
-  auto tracker = ReadTracker(tracker_in);
-  if (!tracker.ok()) return tracker.status();
-  // Optional, as on the incremental crawler: older checkpoints simply
-  // restart the cycle's requeue ledger from scratch.
+  std::vector<simweb::Url> bfs, seen;
+  std::vector<std::pair<uint32_t, double>> polite;
+  TrackerSeries tracker;
   FailureSnapshot failure;
-  if (const std::string* f = FindSection(*sections, "failure")) {
-    std::istringstream failure_in(*f);
-    auto snap = ReadFailure(failure_in);
-    if (!snap.ok()) return snap.status();
-    failure = std::move(snap).value();
-  }
-  // Optional traffic aggregate, as on the incremental crawler.
   std::optional<CrawlModulePool::Traffic> traffic;
-  if (const std::string* t = FindSection(*sections, "traffic")) {
-    std::istringstream traffic_in(*t);
-    auto parsed = ReadTraffic(traffic_in);
-    if (!parsed.ok()) return parsed.status();
-    traffic = std::move(parsed).value();
+  const uint32_t num_sites = crawler->web_->num_sites();
+  auto read_polite = [num_sites](std::istream& is) {
+    return ReadPolite(is, num_sites);
+  };
+  st = ParseSection(*section("bfs"), ReadUrlList, &bfs);
+  if (st.ok()) st = ParseSection(*section("seen"), ReadUrlList, &seen);
+  if (st.ok()) st = ParseSection(*section("polite"), read_polite, &polite);
+  if (st.ok()) st = ParseSection(*section("tracker"), ReadTracker, &tracker);
+  if (st.ok()) st = ParseSection(*section("failure"), ReadFailure, &failure);
+  if (st.ok() && section("traffic") != nullptr) {
+    st = ParseSection(*section("traffic"), ReadTraffic, &traffic.emplace());
   }
-  if (const std::string* web = FindSection(*sections, "web")) {
+  if (!st.ok()) return st;
+  if (const std::string* web = section("web")) {
     std::istringstream web_in(*web);
-    Status st = simweb::RestoreWeb(web_in, crawler->web_);
+    st = simweb::RestoreWeb(web_in, crawler->web_);
     if (!st.ok()) return st;
   }
 
@@ -2323,20 +1884,17 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
   } else {
     crawler->inplace_.ReplaceEntriesFrom(*current);
   }
-  crawler->frontier_.assign(bfs->begin(), bfs->end());
+  crawler->frontier_.assign(bfs.begin(), bfs.end());
   for (auto& shard : crawler->seen_shards_) shard.clear();
-  for (const simweb::Url& url : *seen) {
+  for (const simweb::Url& url : seen) {
     crawler->seen_shards_[url.site % crawler->seen_shards_.size()]
         .insert(url);
   }
-  crawler->engine_.pool().RestorePoliteness(*polite);
+  crawler->engine_.pool().RestorePoliteness(polite);
   if (traffic.has_value()) {
     crawler->engine_.pool().RestoreTraffic(*traffic);
   }
-  crawler->tracker_.Clear();
-  for (std::size_t i = 0; i < tracker->times.size(); ++i) {
-    crawler->tracker_.AddSample(tracker->times[i], tracker->values[i]);
-  }
+  RestoreTracker(tracker, &crawler->tracker_);
   crawler->stats_ = stats;
   crawler->requeue_counts_.clear();
   for (const UrlFailureRecord& r : failure.urls) {
@@ -2461,177 +2019,25 @@ Status SaveUpdateModuleDelta(const UpdateModule& module,
   return Status::Ok();
 }
 
-Status ApplyUpdateModuleDelta(std::istream& in, UpdateModule* module) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic, kind;
-  int version = 0;
+Status ApplyUpdateModuleDelta(std::istream& is, UpdateModule* module) {
+  RecordReader in(is, "update delta");
+  std::string kind;
   std::size_t npages = 0, ntombstones = 0, nsites = 0, nrngs = 0;
-  hs >> magic >> version >> kind >> npages >> ntombstones >> nsites >>
-      nrngs;
-  if (hs.fail() || magic != kUpdateDeltaMagic ||
-      version != kFormatVersion) {
-    return Status::InvalidArgument("not an UpdateModule delta");
+  if (!in.Header(kUpdateDeltaMagic, kFormatVersion, kind, npages,
+                 ntombstones, nsites, nrngs)) {
+    return in.status();
   }
-  Status header_end = ExpectLineEnd(hs, "dupdate header");
-  if (!header_end.ok()) return header_end;
-  if (kind !=
-      estimator::EstimatorKindName(module->config_.estimator_kind)) {
-    return Status::InvalidArgument(
-        "delta estimator kind '" + kind +
-        "' does not match the module's configuration");
-  }
-
+  Status st = CheckEstimatorKind(kind, module->config());
+  if (!st.ok()) return st;
   // Stage everything — including estimator reconstruction, which can
   // fail — before the first mutation, so a malformed delta leaves the
   // module untouched.
-  double multiplier = 0.0, total_rate = 0.0, mean_importance = 0.0;
-  int64_t rebalance_count = 0;
-  std::size_t frozen_pages = 0;
-  {
-    auto g_line = reader.Next();
-    if (!g_line.ok()) return Status::InvalidArgument("missing G record");
-    std::istringstream is(*g_line);
-    std::string tag;
-    is >> tag >> multiplier >> total_rate >> mean_importance >>
-        rebalance_count >> frozen_pages;
-    if (is.fail() || tag != "G") {
-      return Status::InvalidArgument("malformed G record");
-    }
-    Status record_end = ExpectLineEnd(is, "G");
-    if (!record_end.ok()) return record_end;
-  }
-  std::vector<std::pair<simweb::Url, UpdateModule::PageState>> pages;
-  pages.reserve(std::min<std::size_t>(npages, 1 << 20));
-  for (std::size_t i = 0; i < npages; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("dupdate page count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    double last_visit = 0.0, importance = 0.0;
-    int visited = 0, probing = 0;
-    std::size_t nstate = 0;
-    is >> tag >> url.site >> url.slot >> url.incarnation >> last_visit >>
-        visited >> importance >> probing >> nstate;
-    if (is.fail() || tag != "P" || nstate > kMaxEstimatorState) {
-      return Status::InvalidArgument("malformed page record");
-    }
-    std::vector<double> est_state(nstate);
-    for (double& v : est_state) is >> v;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed page estimator state");
-    }
-    Status record_end = ExpectLineEnd(is, "page");
-    if (!record_end.ok()) return record_end;
-    UpdateModule::PageState state;
-    state.last_visit = last_visit;
-    state.visited = visited != 0;
-    state.importance = importance;
-    state.probing_abandonment = probing != 0;
-    if (!est_state.empty()) {
-      state.estimator =
-          estimator::MakeEstimator(module->config_.estimator_kind);
-      Status st = state.estimator->RestoreState(est_state);
-      if (!st.ok()) return st;
-    }
-    pages.emplace_back(url, std::move(state));
-  }
-  std::vector<simweb::Url> tombstones;
-  tombstones.reserve(std::min<std::size_t>(ntombstones, 1 << 20));
-  for (std::size_t i = 0; i < ntombstones; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("dupdate tombstone count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    is >> tag >> url.site >> url.slot >> url.incarnation;
-    if (is.fail() || tag != "X") {
-      return Status::InvalidArgument("malformed dupdate tombstone");
-    }
-    Status record_end = ExpectLineEnd(is, "dupdate tombstone");
-    if (!record_end.ok()) return record_end;
-    tombstones.push_back(url);
-  }
-  std::vector<
-      std::pair<uint32_t, std::unique_ptr<estimator::ChangeEstimator>>>
-      site_estimators;
-  site_estimators.reserve(std::min<std::size_t>(nsites, 1 << 20));
-  for (std::size_t i = 0; i < nsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("dupdate site count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    std::size_t nstate = 0;
-    is >> tag >> site >> nstate;
-    if (is.fail() || tag != "S" || nstate > kMaxEstimatorState) {
-      return Status::InvalidArgument("malformed site record");
-    }
-    std::vector<double> est_state(nstate);
-    for (double& v : est_state) is >> v;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed site estimator state");
-    }
-    Status record_end = ExpectLineEnd(is, "site");
-    if (!record_end.ok()) return record_end;
-    auto est = estimator::MakeEstimator(module->config_.estimator_kind);
-    Status st = est->RestoreState(est_state);
-    if (!st.ok()) return st;
-    site_estimators.emplace_back(site, std::move(est));
-  }
-  std::vector<std::pair<uint32_t, Rng>> rngs;
-  rngs.reserve(std::min<std::size_t>(nrngs, 1 << 20));
-  for (std::size_t i = 0; i < nrngs; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("dupdate rng count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    std::array<uint64_t, 4> lanes{};
-    is >> tag >> site >> lanes[0] >> lanes[1] >> lanes[2] >> lanes[3];
-    if (is.fail() || tag != "R") {
-      return Status::InvalidArgument("malformed rng record");
-    }
-    Status record_end = ExpectLineEnd(is, "rng");
-    if (!record_end.ok()) return record_end;
-    Rng rng(0);
-    rng.SetState(lanes);
-    rngs.emplace_back(site, rng);
-  }
-  Status end = FinishFramedStream(reader, in, "update delta");
-  if (!end.ok()) return end;
-
-  // --- Commit.
-  module->multiplier_ = multiplier;
-  module->total_rate_ = total_rate;
-  module->mean_importance_ = mean_importance;
-  module->rebalance_count_ = rebalance_count;
-  module->frozen_page_count_ = frozen_pages;
-  for (const simweb::Url& url : tombstones) {
-    module->page_shards_[module->ShardOf(url.site)].erase(url);
-  }
-  for (auto& [url, state] : pages) {
-    module->page_shards_[module->ShardOf(url.site)][url] =
-        std::move(state);
-  }
-  for (auto& [site, est] : site_estimators) {
-    module->site_shards_[module->ShardOf(site)][site] = std::move(est);
-  }
-  for (const auto& [site, rng] : rngs) {
-    module->rng_shards_[module->ShardOf(site)].insert_or_assign(site,
-                                                                rng);
-  }
+  UpdateModuleChange change;
+  change.Read(in, module->config().estimator_kind, npages, ntombstones,
+              nsites, nrngs);
+  st = in.Finish();
+  if (!st.ok()) return st;
+  std::move(change).ApplyTo(module);
   return Status::Ok();
 }
 

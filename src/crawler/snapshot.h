@@ -4,6 +4,8 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "crawler/all_urls.h"
 #include "crawler/collection.h"
@@ -55,6 +57,12 @@ class PeriodicCrawler;
 /// queued URL with its exact (when, seq) key, ordered by seq — so a
 /// restored frontier pops in exactly the order the checkpointed one
 /// would have, revisit timing included.
+///
+/// Every stream is read through RecordReader (util/text_snapshot.h).
+/// Each record type has one parser, shared by the full and the delta
+/// reader of its store, and any format error — a malformed, missing or
+/// surplus record, a bad trailer, records that overflow the declared
+/// capacity — is InvalidArgument.
 
 /// Writes `collection` to `out`.
 Status SaveCollection(const Collection& collection, std::ostream& out);
@@ -125,16 +133,20 @@ StatusOr<Collection> LoadCollectionFromFile(const std::string& path);
 /// last section's bytes.
 ///
 /// Incremental sections: meta (clock, timers, batch counter, counters
-/// including the deterministic capacity-lease ledger — meta format
-/// v2), collection, allurls, update, frontier, polite (per-site
+/// including the capacity-lease, failure and defense ledgers — meta
+/// format v4), collection, allurls, update, frontier, polite (per-site
 /// last-access), tracker (freshness series), pending (the in-flight
 /// lease state: URLs admitted toward collection slots but not yet
 /// crawled, merged canonically across the owner shards and re-split
-/// on load), and — with include_web — web (the simulated web's
-/// evolution state; see simweb/simulated_web.h). Periodic sections:
-/// meta, collection-current
-/// [, collection-shadow], bfs (BFS frontier in queue order), seen
-/// (cycle seen-set), polite, tracker [, web].
+/// on load), failure (circuit breakers and per-URL failure counts),
+/// defense (the throttle machines and the fingerprint registry), and
+/// optionally traffic (below) and — with include_web — web (the
+/// simulated web's evolution state; see simweb/simulated_web.h).
+/// Periodic sections: meta, collection-current [, collection-shadow],
+/// bfs (BFS frontier in queue order), seen (cycle seen-set), polite,
+/// tracker, failure (the cycle's re-queue counts) [, traffic] [, web].
+/// Every other section is required on load, and each is read only at
+/// the version its writer writes.
 ///
 /// Every section is canonical — equal logical state produces equal
 /// bytes at every shard count — so a checkpoint saved at N = 8 loads
@@ -180,6 +192,32 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler);
 Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler);
 
+/// The container format version in the header line.
+inline constexpr int kCrawlerFormatVersion = 1;
+
+/// One container section: its table name and its bytes.
+struct CheckpointSection {
+  std::string name;
+  std::string bytes;
+};
+
+/// A verified container: its kind and its sections in table order.
+struct CheckpointContainer {
+  std::string kind;
+  std::vector<CheckpointSection> sections;
+
+  /// The named section's bytes, or null when absent.
+  const std::string* Find(std::string_view name) const;
+};
+
+/// Reads and verifies a container without parsing any section: the
+/// header and its trailer, then each section against its table length
+/// and checksum, then end-of-stream (trailing bytes mean the file was
+/// not written by SaveCrawler). InvalidArgument on any format or
+/// integrity error. LoadCrawler reads through it and then checks the
+/// kind; the webevo_checkpoint inspector prints what it returns.
+StatusOr<CheckpointContainer> ReadCheckpointContainer(std::istream& in);
+
 /// Crash-consistent file wrappers: the container is staged to a temp
 /// file, fsync'd, and atomically renamed over `path` — a crash leaves
 /// either the previous checkpoint or the new one, never a torn file.
@@ -206,8 +244,8 @@ Status LoadCrawlerFromFile(const std::string& path,
 /// call appends one sealed segment whose cost is proportional to what
 /// actually changed since the previous checkpoint. A segment carries
 /// the cheap whole-state sections verbatim (meta, polite, pending,
-/// failure, tracker and — with options.module_traffic — traffic) and
-/// *delta* sections for the big state:
+/// failure, defense, tracker and — with options.module_traffic —
+/// traffic) and *delta* sections for the big state:
 ///   dcoll      E upserts + `D site slot inc` tombstones for the
 ///              collection's dirty keys (store-level dirty tracking)
 ///   dallurls   U upserts for AllUrls' dirty keys (never erased)

@@ -197,15 +197,15 @@ class UpdateModule {
   /// its change-rate knowledge instead of relearning it from scratch.
   friend Status SaveUpdateModule(const UpdateModule& module,
                                  std::ostream& out);
-  friend Status LoadUpdateModule(std::istream& in, UpdateModule* module);
 
   /// Incremental-checkpoint delta of the learned state: the records of
   /// the dirty pages / site aggregates / probe streams only, plus the
   /// (cheap) scheduling globals — also in crawler/snapshot.cc.
   friend Status SaveUpdateModuleDelta(const UpdateModule& module,
                                       std::ostream& out);
-  friend Status ApplyUpdateModuleDelta(std::istream& in,
-                                       UpdateModule* module);
+
+  /// The one reader and apply path of both streams (snapshot.cc).
+  friend struct UpdateModuleChange;
 
   /// Dirty-key tracking for incremental checkpoints. Marks are
   /// per-shard (the apply pass's workers each touch only their own

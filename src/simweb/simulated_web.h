@@ -241,6 +241,8 @@ class SimulatedWeb {
   friend Status RestoreWeb(std::istream& in, SimulatedWeb* web);
   friend Status SaveWebDelta(const SimulatedWeb& web, std::ostream& out);
   friend Status ApplyWebDelta(std::istream& in, SimulatedWeb* web);
+  /// The one reader and apply path of both (web_snapshot.cc).
+  friend struct WebSiteRecords;
 
   /// Per-site dirty flags for incremental checkpoints: every mutating
   /// entry point (Fetch, link resolution, the state-advancing oracles)

@@ -24,21 +24,24 @@
 //
 // Version 2 added the per-site fault-injection lanes (`X` records and
 // the <nfaults> header field); version 3 added the per-site adversarial
-// counters (`Y` records and <nadv>). Version 1/2 snapshots are still
-// accepted and restore with no fault/adversarial state. Every field of
-// every PageRecord
-// round-trips exactly (doubles at precision 17, RNG lanes raw), so a
-// restored web serves bit-identical fetches — including the lazy
-// Poisson increments that depend on the *observation history*, not
-// just on absolute time.
+// counters (`Y` records and <nadv>). Only version 3 is read. Every field
+// of every PageRecord round-trips exactly (doubles at precision 17, RNG
+// lanes raw), so a restored web serves bit-identical fetches —
+// including the lazy Poisson increments that depend on the
+// *observation history*, not just on absolute time.
+//
+// A full snapshot and a delta share one reader and one apply path: the
+// full snapshot lists every site, a delta only the dirty ones.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simweb/simulated_web.h"
@@ -55,9 +58,6 @@ constexpr int kWebFormatVersion = 3;
 // <nadv> header field and Y records.
 constexpr const char* kWebDeltaMagic = "webevo-webdelta";
 constexpr int kWebDeltaFormatVersion = 2;
-// Range guard for per-record link counts parsed before the trailer has
-// been verified.
-constexpr std::size_t kMaxLinksPerPage = 1 << 16;
 
 // Infinity never parses back through operator>>, so the death time of
 // an immortal root is written as a token.
@@ -105,23 +105,178 @@ void WriteSitePages(uint32_t s, const SiteState& site, TrailerWriter& writer,
   }
 }
 
-StatusOr<double> ParseDeath(std::istream& is) {
+// Reads a death time as AddDeath wrote it: the token "inf", or a
+// number (operator>> alone never parses infinity back).
+struct Death {
+  double& value;
+};
+
+std::istream& operator>>(std::istream& is, Death death) {
   std::string token;
-  is >> token;
-  if (is.fail()) {
-    return Status::InvalidArgument("malformed web record (death)");
+  if (!(is >> token)) return is;
+  if (token == "inf") {
+    death.value = std::numeric_limits<double>::infinity();
+    return is;
   }
-  if (token == "inf") return std::numeric_limits<double>::infinity();
-  std::istringstream ts(token);
-  double value = 0.0;
-  ts >> value;
-  if (ts.fail()) {
-    return Status::InvalidArgument("malformed web record (death)");
-  }
-  return value;
+  std::istringstream number(token);
+  number >> death.value;
+  if (number.fail()) is.setstate(std::ios::failbit);
+  return is;
 }
 
 }  // namespace
+
+/// The site records SaveWeb and SaveWebDelta share (A, X, Y and I), read
+/// for a list of sites: every site for a full snapshot, the dirty ones
+/// for a delta. They are staged until the stream verifies, then applied
+/// by the one apply path of both. Befriended by SimulatedWeb.
+struct WebSiteRecords {
+  /// The global counters, absolute in both streams.
+  struct Counters {
+    double now = 0.0;
+    uint64_t fetch_count = 0, not_found = 0, pages_created = 0;
+  };
+
+  std::vector<uint32_t> sites;  // ascending
+  std::vector<std::pair<uint32_t, uint64_t>> fetches;
+  std::vector<std::pair<uint32_t, SimulatedWeb::SiteFaultState>> faults;
+  std::vector<std::pair<uint32_t, SimulatedWeb::SiteAdvState>> adv;
+  /// Incarnation histories by [index into sites][slot].
+  std::vector<std::vector<std::vector<SimulatedWeb::PageRecord>>> histories;
+
+  bool Listed(uint32_t site) const {
+    return std::binary_search(sites.begin(), sites.end(), site);
+  }
+
+  /// Reads the counted A, X, Y and I records of the listed sites.
+  bool Read(RecordReader& in, const SimulatedWeb& web, std::size_t nfetches,
+            std::size_t nfaults, std::size_t nadv, uint64_t nrecords) {
+    ReserveClaimed(fetches, nfetches);
+    for (std::size_t i = 0; i < nfetches; ++i) {
+      uint32_t site = 0;
+      uint64_t count = 0;
+      if (!in.Record("A", site, count)) return false;
+      if (!Listed(site)) return in.Fail("fetch record of an unlisted site");
+      fetches.emplace_back(site, count);
+    }
+    ReserveClaimed(faults, nfaults);
+    for (std::size_t i = 0; i < nfaults; ++i) {
+      uint32_t site = 0;
+      SimulatedWeb::SiteFaultState f;
+      f.init = true;
+      std::array<uint64_t, 4> draw{}, outage{};
+      if (!in.Record("X", site, draw[0], draw[1], draw[2], draw[3],
+                     outage[0], outage[1], outage[2], outage[3],
+                     f.outage_start, f.outage_end, Death{f.death_day},
+                     f.flash_bucket, f.flash_count)) {
+        return false;
+      }
+      if (!Listed(site)) return in.Fail("fault record of an unlisted site");
+      if (web.site_faults_.empty()) {
+        return in.Fail(
+            "fault state, but this web's configuration has fault "
+            "injection disabled");
+      }
+      f.draw.SetState(draw);
+      f.outage.SetState(outage);
+      faults.emplace_back(site, f);
+    }
+    ReserveClaimed(adv, nadv);
+    for (std::size_t i = 0; i < nadv; ++i) {
+      uint32_t site = 0;
+      SimulatedWeb::SiteAdvState a;
+      if (!in.Record("Y", site, a.trap_minted, a.twin_emitted)) return false;
+      if (!Listed(site)) {
+        return in.Fail("adversarial record of an unlisted site");
+      }
+      if (web.site_adv_.empty()) {
+        return in.Fail(
+            "adversarial state, but this web's configuration has the "
+            "adversarial lane disabled");
+      }
+      adv.emplace_back(site, a);
+    }
+    histories.resize(sites.size());
+    for (std::size_t d = 0; d < sites.size(); ++d) {
+      histories[d].resize(web.sites_[sites[d]].slots.size());
+    }
+    // Records arrive in canonical order: (site, slot) never decreases,
+    // and each slot's incarnations count up from 0.
+    std::pair<std::size_t, uint32_t> last{0, 0};
+    for (uint64_t i = 0; i < nrecords; ++i) {
+      Url url;
+      SimulatedWeb::PageRecord page;
+      std::array<uint64_t, 4> lanes{};
+      std::size_t nlinks = 0;
+      if (!in.Begin("I", url.site, url.slot, url.incarnation, page.version,
+                    page.change_rate, page.birth_time, Death{page.death_time},
+                    page.state_time, page.last_change_time, lanes[0],
+                    lanes[1], lanes[2], lanes[3], nlinks)) {
+        return false;
+      }
+      // Read as far as the fields go: a forged count fails at the end
+      // of the line instead of sizing an allocation.
+      ReserveClaimed(page.cross_links, nlinks);
+      for (std::size_t k = 0; k < nlinks; ++k) {
+        uint32_t target_site = 0, target_slot = 0;
+        if (!in.Fields(target_site, target_slot)) return false;
+        page.cross_links.emplace_back(target_site, target_slot);
+      }
+      if (!in.End()) return false;
+      const auto it = std::lower_bound(sites.begin(), sites.end(), url.site);
+      if (it == sites.end() || *it != url.site ||
+          url.slot >= web.sites_[url.site].slots.size()) {
+        return in.Fail("page record outside this web's slot layout");
+      }
+      const std::pair<std::size_t, uint32_t> key{it - sites.begin(),
+                                                 url.slot};
+      auto& history = histories[key.first][key.second];
+      if (key < last || url.incarnation != history.size()) {
+        return in.Fail("page records out of canonical order");
+      }
+      last = key;
+      page.rng.SetState(lanes);
+      page.url = url;
+      history.push_back(std::move(page));
+    }
+    // Every slot keeps at least its incarnation-0 page.
+    for (const auto& slots : histories) {
+      for (const auto& history : slots) {
+        if (history.empty()) return in.Fail("a slot's page history is missing");
+      }
+    }
+    return true;
+  }
+
+  /// Replaces the listed sites' state and sets the global counters.
+  void ApplyTo(const Counters& counters, SimulatedWeb* web) && {
+    for (std::size_t d = 0; d < sites.size(); ++d) {
+      const uint32_t s = sites[d];
+      auto& slots = web->sites_[s].slots;
+      for (uint32_t j = 0; j < slots.size(); ++j) {
+        slots[j].history = std::move(histories[d][j]);
+      }
+      web->site_fetches_[s].store(0, std::memory_order_relaxed);
+      if (!web->site_faults_.empty()) {
+        web->site_faults_[s] = SimulatedWeb::SiteFaultState{};
+      }
+      if (!web->site_adv_.empty()) {
+        web->site_adv_[s] = SimulatedWeb::SiteAdvState{};
+      }
+    }
+    web->now_.store(counters.now, std::memory_order_relaxed);
+    web->fetch_count_.store(counters.fetch_count, std::memory_order_relaxed);
+    web->not_found_count_.store(counters.not_found,
+                                std::memory_order_relaxed);
+    web->pages_created_.store(counters.pages_created,
+                              std::memory_order_relaxed);
+    for (const auto& [site, count] : fetches) {
+      web->site_fetches_[site].store(count, std::memory_order_relaxed);
+    }
+    for (const auto& [site, f] : faults) web->site_faults_[site] = f;
+    for (const auto& [site, a] : adv) web->site_adv_[site] = a;
+  }
+};
 
 Status SaveWeb(const SimulatedWeb& web, std::ostream& out) {
   // The writer walks (site, slot, incarnation) ascending — the
@@ -176,250 +331,34 @@ Status SaveWeb(const SimulatedWeb& web, std::ostream& out) {
   return Status::Ok();
 }
 
-Status RestoreWeb(std::istream& in, SimulatedWeb* web) {
+Status RestoreWeb(std::istream& is, SimulatedWeb* web) {
   if (web->concurrent_batch_) {
     return Status::FailedPrecondition(
         "cannot restore a web inside a concurrent batch");
   }
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+  RecordReader in(is, "web snapshot");
   uint32_t num_sites = 0;
-  uint64_t nrecords = 0, fetch_count = 0, not_found = 0;
-  std::size_t nfetchsites = 0, nfaults = 0, nadv = 0;
-  double now = 0.0;
-  hs >> magic >> version >> num_sites >> nrecords >> nfetchsites >>
-      now >> fetch_count >> not_found;
-  if (hs.fail() || magic != kWebMagic) {
-    return Status::InvalidArgument("not a web snapshot");
+  uint64_t nrecords = 0;
+  std::size_t nfetches = 0, nfaults = 0, nadv = 0;
+  WebSiteRecords::Counters counters;
+  if (!in.Header(kWebMagic, kWebFormatVersion, num_sites, nrecords, nfetches,
+                 counters.now, counters.fetch_count, counters.not_found,
+                 nfaults, nadv)) {
+    return in.status();
   }
-  // Version 1 predates fault injection (no <nfaults> / X records),
-  // version 2 predates the adversarial lane (no <nadv> / Y records);
-  // both restore with those lanes empty.
-  if (version < 1 || version > kWebFormatVersion) {
-    return Status::InvalidArgument("unsupported web snapshot version");
-  }
-  if (version >= 2) {
-    hs >> nfaults;
-    if (hs.fail()) {
-      return Status::InvalidArgument("malformed web header");
-    }
-  }
-  if (version >= 3) {
-    hs >> nadv;
-    if (hs.fail()) {
-      return Status::InvalidArgument("malformed web header");
-    }
-  }
-  Status line_end = ExpectLineEnd(hs, "web header");
-  if (!line_end.ok()) return line_end;
   if (num_sites != web->num_sites()) {
     return Status::InvalidArgument(
         "web snapshot site count does not match this web's "
         "configuration");
   }
-
-  // Stage everything, swap in only after the trailer verifies. Counts
-  // are parsed before the trailer covers them, so they bound loops but
-  // never size an allocation directly.
-  std::vector<std::pair<uint32_t, uint64_t>> fetch_sites;
-  fetch_sites.reserve(std::min<std::size_t>(nfetchsites, 1 << 20));
-  for (std::size_t i = 0; i < nfetchsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("web snapshot fetch-site count "
-                                     "mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    uint64_t count = 0;
-    is >> tag >> site >> count;
-    if (is.fail() || tag != "A" || site >= num_sites) {
-      return Status::InvalidArgument("malformed web fetch record");
-    }
-    Status end = ExpectLineEnd(is, "web fetch");
-    if (!end.ok()) return end;
-    fetch_sites.emplace_back(site, count);
-  }
-
-  std::vector<std::pair<uint32_t, SimulatedWeb::SiteFaultState>>
-      staged_faults;
-  staged_faults.reserve(std::min<std::size_t>(nfaults, 1 << 20));
-  for (std::size_t i = 0; i < nfaults; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("web snapshot fault count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    SimulatedWeb::SiteFaultState f;
-    f.init = true;
-    std::array<uint64_t, 4> draw{}, outage{};
-    is >> tag >> site >> draw[0] >> draw[1] >> draw[2] >> draw[3] >>
-        outage[0] >> outage[1] >> outage[2] >> outage[3] >>
-        f.outage_start >> f.outage_end;
-    if (is.fail() || tag != "X" || site >= num_sites) {
-      return Status::InvalidArgument("malformed web fault record");
-    }
-    auto death = ParseDeath(is);
-    if (!death.ok()) return death.status();
-    f.death_day = *death;
-    is >> f.flash_bucket >> f.flash_count;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed web fault record");
-    }
-    Status end = ExpectLineEnd(is, "web fault");
-    if (!end.ok()) return end;
-    f.draw.SetState(draw);
-    f.outage.SetState(outage);
-    if (web->site_faults_.empty()) {
-      return Status::InvalidArgument(
-          "web snapshot carries fault state but this web's "
-          "configuration has fault injection disabled");
-    }
-    staged_faults.emplace_back(site, f);
-  }
-
-  std::vector<std::pair<uint32_t, SimulatedWeb::SiteAdvState>> staged_adv;
-  staged_adv.reserve(std::min<std::size_t>(nadv, 1 << 20));
-  for (std::size_t i = 0; i < nadv; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument(
-          "web snapshot adversarial count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    SimulatedWeb::SiteAdvState a;
-    is >> tag >> site >> a.trap_minted >> a.twin_emitted;
-    if (is.fail() || tag != "Y" || site >= num_sites) {
-      return Status::InvalidArgument(
-          "malformed web adversarial record");
-    }
-    Status end = ExpectLineEnd(is, "web adversarial");
-    if (!end.ok()) return end;
-    if (web->site_adv_.empty()) {
-      return Status::InvalidArgument(
-          "web snapshot carries adversarial state but this web's "
-          "configuration has the adversarial lane disabled");
-    }
-    staged_adv.emplace_back(site, a);
-  }
-
-  struct StagedPage {
-    Url url;
-    SimulatedWeb::PageRecord record;
-  };
-  std::vector<StagedPage> staged;
-  staged.reserve(static_cast<std::size_t>(
-      std::min<uint64_t>(nrecords, 1 << 20)));
-  for (uint64_t i = 0; i < nrecords; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("web snapshot record count "
-                                     "mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    StagedPage page;
-    is >> tag >> page.url.site >> page.url.slot >> page.url.incarnation >>
-        page.record.version >> page.record.change_rate >>
-        page.record.birth_time;
-    if (is.fail() || tag != "I") {
-      return Status::InvalidArgument("malformed web page record");
-    }
-    auto death = ParseDeath(is);
-    if (!death.ok()) return death.status();
-    page.record.death_time = *death;
-    std::array<uint64_t, 4> lanes{};
-    std::size_t nlinks = 0;
-    is >> page.record.state_time >> page.record.last_change_time >>
-        lanes[0] >> lanes[1] >> lanes[2] >> lanes[3] >> nlinks;
-    if (is.fail() || nlinks > kMaxLinksPerPage) {
-      return Status::InvalidArgument("malformed web page record");
-    }
-    page.record.rng.SetState(lanes);
-    page.record.cross_links.reserve(nlinks);
-    for (std::size_t k = 0; k < nlinks; ++k) {
-      uint32_t ts = 0, tslot = 0;
-      is >> ts >> tslot;
-      if (is.fail()) {
-        return Status::InvalidArgument("malformed web link list");
-      }
-      page.record.cross_links.emplace_back(ts, tslot);
-    }
-    Status end = ExpectLineEnd(is, "web page");
-    if (!end.ok()) return end;
-    if (page.url.site >= num_sites ||
-        page.url.slot >= web->sites_[page.url.site].slots.size()) {
-      return Status::InvalidArgument(
-          "web snapshot slot layout does not match this web's "
-          "configuration");
-    }
-    page.record.url = page.url;
-    staged.push_back(std::move(page));
-  }
-  Status stream_end = FinishFramedStream(reader, in, "web snapshot");
-  if (!stream_end.ok()) return stream_end;
-
-  // Records arrive in canonical order: each slot's incarnations must be
-  // contiguous and start at 0, and every slot needs at least its
-  // incarnation-0 page (slots are never empty after construction).
-  // Everything is staged and validated before the web is touched, so a
-  // bad snapshot never leaves it half-restored.
-  std::vector<std::vector<std::vector<SimulatedWeb::PageRecord>>>
-      histories(num_sites);
-  uint64_t index = 0;
-  for (uint32_t s = 0; s < num_sites; ++s) {
-    const auto& slots = web->sites_[s].slots;
-    histories[s].resize(slots.size());
-    for (uint32_t j = 0; j < slots.size(); ++j) {
-      std::vector<SimulatedWeb::PageRecord>& history = histories[s][j];
-      while (index < staged.size() && staged[index].url.site == s &&
-             staged[index].url.slot == j) {
-        if (staged[index].url.incarnation != history.size()) {
-          return Status::InvalidArgument(
-              "web snapshot incarnations out of order");
-        }
-        history.push_back(std::move(staged[index].record));
-        ++index;
-      }
-      if (history.empty()) {
-        return Status::InvalidArgument(
-            "web snapshot missing a slot's page history");
-      }
-    }
-  }
-  if (index != staged.size()) {
-    return Status::InvalidArgument("web snapshot records out of order");
-  }
-  for (uint32_t s = 0; s < num_sites; ++s) {
-    auto& slots = web->sites_[s].slots;
-    for (uint32_t j = 0; j < slots.size(); ++j) {
-      slots[j].history = std::move(histories[s][j]);
-    }
-  }
-
-  web->now_.store(now, std::memory_order_relaxed);
-  web->fetch_count_.store(fetch_count, std::memory_order_relaxed);
-  web->not_found_count_.store(not_found, std::memory_order_relaxed);
-  web->pages_created_.store(nrecords, std::memory_order_relaxed);
-  for (uint32_t s = 0; s < num_sites; ++s) {
-    web->site_fetches_[s].store(0, std::memory_order_relaxed);
-  }
-  for (const auto& [site, count] : fetch_sites) {
-    web->site_fetches_[site].store(count, std::memory_order_relaxed);
-  }
-  for (auto& f : web->site_faults_) f = SimulatedWeb::SiteFaultState{};
-  for (auto& [site, f] : staged_faults) web->site_faults_[site] = f;
-  for (auto& a : web->site_adv_) a = SimulatedWeb::SiteAdvState{};
-  for (auto& [site, a] : staged_adv) web->site_adv_[site] = a;
+  counters.pages_created = nrecords;
+  WebSiteRecords records;
+  records.sites.resize(num_sites);
+  std::iota(records.sites.begin(), records.sites.end(), 0u);
+  records.Read(in, *web, nfetches, nfaults, nadv, nrecords);
+  Status st = in.Finish();
+  if (!st.ok()) return st;
+  std::move(records).ApplyTo(counters, web);
   return Status::Ok();
 }
 
@@ -493,261 +432,41 @@ Status SaveWebDelta(const SimulatedWeb& web, std::ostream& out) {
   return Status::Ok();
 }
 
-Status ApplyWebDelta(std::istream& in, SimulatedWeb* web) {
+Status ApplyWebDelta(std::istream& is, SimulatedWeb* web) {
   if (web->concurrent_batch_) {
     return Status::FailedPrecondition(
         "cannot restore a web inside a concurrent batch");
   }
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+  RecordReader in(is, "web delta");
   uint32_t num_sites = 0;
   uint64_t ndirty = 0, nrecords = 0;
-  std::size_t nfetchsites = 0, nfaults = 0, nadv = 0;
-  uint64_t fetch_count = 0, not_found = 0, pages_created = 0;
-  double now = 0.0;
-  hs >> magic >> version >> num_sites >> ndirty >> nrecords >>
-      nfetchsites >> nfaults >> now >> fetch_count >> not_found >>
-      pages_created;
-  if (hs.fail() || magic != kWebDeltaMagic) {
-    return Status::InvalidArgument("not a web delta");
+  std::size_t nfetches = 0, nfaults = 0, nadv = 0;
+  WebSiteRecords::Counters counters;
+  if (!in.Header(kWebDeltaMagic, kWebDeltaFormatVersion, num_sites, ndirty,
+                 nrecords, nfetches, nfaults, counters.now,
+                 counters.fetch_count, counters.not_found,
+                 counters.pages_created, nadv)) {
+    return in.status();
   }
-  // Version 1 predates the adversarial lane: no <nadv> / Y records.
-  if (version < 1 || version > kWebDeltaFormatVersion) {
-    return Status::InvalidArgument("unsupported web delta version");
-  }
-  if (version >= 2) {
-    hs >> nadv;
-    if (hs.fail()) {
-      return Status::InvalidArgument("malformed web delta header");
-    }
-  }
-  Status line_end = ExpectLineEnd(hs, "web delta header");
-  if (!line_end.ok()) return line_end;
   if (num_sites != web->num_sites()) {
     return Status::InvalidArgument(
         "web delta site count does not match this web's configuration");
   }
-
-  std::vector<uint32_t> dirty;
-  dirty.reserve(std::min<std::size_t>(ndirty, 1 << 20));
+  WebSiteRecords records;
+  ReserveClaimed(records.sites, ndirty);
   for (uint64_t i = 0; i < ndirty; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("web delta dirty count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
     uint32_t site = 0;
-    is >> tag >> site;
-    if (is.fail() || tag != "D" || site >= num_sites ||
-        (!dirty.empty() && site <= dirty.back())) {
-      return Status::InvalidArgument("malformed web delta site record");
+    if (!in.Record("D", site)) return in.status();
+    if (site >= num_sites ||
+        (!records.sites.empty() && site <= records.sites.back())) {
+      return Status::InvalidArgument("web delta dirty sites out of order");
     }
-    Status end = ExpectLineEnd(is, "web delta site");
-    if (!end.ok()) return end;
-    dirty.push_back(site);
+    records.sites.push_back(site);
   }
-  std::set<uint32_t> dirty_set(dirty.begin(), dirty.end());
-
-  std::vector<std::pair<uint32_t, uint64_t>> fetch_sites;
-  fetch_sites.reserve(std::min<std::size_t>(nfetchsites, 1 << 20));
-  for (std::size_t i = 0; i < nfetchsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("web delta fetch count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    uint64_t count = 0;
-    is >> tag >> site >> count;
-    if (is.fail() || tag != "A" || dirty_set.count(site) == 0) {
-      return Status::InvalidArgument("malformed web delta fetch record");
-    }
-    Status end = ExpectLineEnd(is, "web delta fetch");
-    if (!end.ok()) return end;
-    fetch_sites.emplace_back(site, count);
-  }
-
-  std::vector<std::pair<uint32_t, SimulatedWeb::SiteFaultState>>
-      staged_faults;
-  staged_faults.reserve(std::min<std::size_t>(nfaults, 1 << 20));
-  for (std::size_t i = 0; i < nfaults; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("web delta fault count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    SimulatedWeb::SiteFaultState f;
-    f.init = true;
-    std::array<uint64_t, 4> draw{}, outage{};
-    is >> tag >> site >> draw[0] >> draw[1] >> draw[2] >> draw[3] >>
-        outage[0] >> outage[1] >> outage[2] >> outage[3] >>
-        f.outage_start >> f.outage_end;
-    if (is.fail() || tag != "X" || dirty_set.count(site) == 0) {
-      return Status::InvalidArgument("malformed web delta fault record");
-    }
-    auto death = ParseDeath(is);
-    if (!death.ok()) return death.status();
-    f.death_day = *death;
-    is >> f.flash_bucket >> f.flash_count;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed web delta fault record");
-    }
-    Status end = ExpectLineEnd(is, "web delta fault");
-    if (!end.ok()) return end;
-    f.draw.SetState(draw);
-    f.outage.SetState(outage);
-    if (web->site_faults_.empty()) {
-      return Status::InvalidArgument(
-          "web delta carries fault state but this web's configuration "
-          "has fault injection disabled");
-    }
-    staged_faults.emplace_back(site, f);
-  }
-
-  std::vector<std::pair<uint32_t, SimulatedWeb::SiteAdvState>> staged_adv;
-  staged_adv.reserve(std::min<std::size_t>(nadv, 1 << 20));
-  for (std::size_t i = 0; i < nadv; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument(
-          "web delta adversarial count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    SimulatedWeb::SiteAdvState a;
-    is >> tag >> site >> a.trap_minted >> a.twin_emitted;
-    if (is.fail() || tag != "Y" || dirty_set.count(site) == 0) {
-      return Status::InvalidArgument(
-          "malformed web delta adversarial record");
-    }
-    Status end = ExpectLineEnd(is, "web delta adversarial");
-    if (!end.ok()) return end;
-    if (web->site_adv_.empty()) {
-      return Status::InvalidArgument(
-          "web delta carries adversarial state but this web's "
-          "configuration has the adversarial lane disabled");
-    }
-    staged_adv.emplace_back(site, a);
-  }
-
-  struct StagedPage {
-    Url url;
-    SimulatedWeb::PageRecord record;
-  };
-  std::vector<StagedPage> staged;
-  staged.reserve(static_cast<std::size_t>(
-      std::min<uint64_t>(nrecords, 1 << 20)));
-  for (uint64_t i = 0; i < nrecords; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("web delta record count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    StagedPage page;
-    is >> tag >> page.url.site >> page.url.slot >>
-        page.url.incarnation >> page.record.version >>
-        page.record.change_rate >> page.record.birth_time;
-    if (is.fail() || tag != "I") {
-      return Status::InvalidArgument("malformed web delta page record");
-    }
-    auto death = ParseDeath(is);
-    if (!death.ok()) return death.status();
-    page.record.death_time = *death;
-    std::array<uint64_t, 4> lanes{};
-    std::size_t nlinks = 0;
-    is >> page.record.state_time >> page.record.last_change_time >>
-        lanes[0] >> lanes[1] >> lanes[2] >> lanes[3] >> nlinks;
-    if (is.fail() || nlinks > kMaxLinksPerPage) {
-      return Status::InvalidArgument("malformed web delta page record");
-    }
-    page.record.rng.SetState(lanes);
-    page.record.cross_links.reserve(nlinks);
-    for (std::size_t k = 0; k < nlinks; ++k) {
-      uint32_t ts = 0, tslot = 0;
-      is >> ts >> tslot;
-      if (is.fail()) {
-        return Status::InvalidArgument("malformed web delta link list");
-      }
-      page.record.cross_links.emplace_back(ts, tslot);
-    }
-    Status end = ExpectLineEnd(is, "web delta page");
-    if (!end.ok()) return end;
-    if (dirty_set.count(page.url.site) == 0 ||
-        page.url.slot >= web->sites_[page.url.site].slots.size()) {
-      return Status::InvalidArgument(
-          "web delta slot layout does not match this web's "
-          "configuration");
-    }
-    page.record.url = page.url;
-    staged.push_back(std::move(page));
-  }
-  Status stream_end = FinishFramedStream(reader, in, "web delta");
-  if (!stream_end.ok()) return stream_end;
-
-  // Same canonical-contiguity validation as the full restore, over the
-  // dirty sites only; everything staged before the web is touched.
-  std::vector<std::vector<std::vector<SimulatedWeb::PageRecord>>>
-      histories(dirty.size());
-  uint64_t index = 0;
-  for (std::size_t d = 0; d < dirty.size(); ++d) {
-    const uint32_t s = dirty[d];
-    const auto& slots = web->sites_[s].slots;
-    histories[d].resize(slots.size());
-    for (uint32_t j = 0; j < slots.size(); ++j) {
-      std::vector<SimulatedWeb::PageRecord>& history = histories[d][j];
-      while (index < staged.size() && staged[index].url.site == s &&
-             staged[index].url.slot == j) {
-        if (staged[index].url.incarnation != history.size()) {
-          return Status::InvalidArgument(
-              "web delta incarnations out of order");
-        }
-        history.push_back(std::move(staged[index].record));
-        ++index;
-      }
-      if (history.empty()) {
-        return Status::InvalidArgument(
-            "web delta missing a dirty slot's page history");
-      }
-    }
-  }
-  if (index != staged.size()) {
-    return Status::InvalidArgument("web delta records out of order");
-  }
-  for (std::size_t d = 0; d < dirty.size(); ++d) {
-    auto& slots = web->sites_[dirty[d]].slots;
-    for (uint32_t j = 0; j < slots.size(); ++j) {
-      slots[j].history = std::move(histories[d][j]);
-    }
-  }
-
-  web->now_.store(now, std::memory_order_relaxed);
-  web->fetch_count_.store(fetch_count, std::memory_order_relaxed);
-  web->not_found_count_.store(not_found, std::memory_order_relaxed);
-  web->pages_created_.store(pages_created, std::memory_order_relaxed);
-  for (const uint32_t s : dirty) {
-    web->site_fetches_[s].store(0, std::memory_order_relaxed);
-    if (!web->site_faults_.empty()) {
-      web->site_faults_[s] = SimulatedWeb::SiteFaultState{};
-    }
-    if (!web->site_adv_.empty()) {
-      web->site_adv_[s] = SimulatedWeb::SiteAdvState{};
-    }
-  }
-  for (const auto& [site, count] : fetch_sites) {
-    web->site_fetches_[site].store(count, std::memory_order_relaxed);
-  }
-  for (auto& [site, f] : staged_faults) web->site_faults_[site] = f;
-  for (auto& [site, a] : staged_adv) web->site_adv_[site] = a;
+  records.Read(in, *web, nfetches, nfaults, nadv, nrecords);
+  Status st = in.Finish();
+  if (!st.ok()) return st;
+  std::move(records).ApplyTo(counters, web);
   return Status::Ok();
 }
 

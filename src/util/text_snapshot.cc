@@ -48,25 +48,60 @@ StatusOr<std::string> TrailerReader::Next() {
   return line;
 }
 
-Status ExpectLineEnd(std::istream& is, const char* what) {
-  char c = 0;
-  while (is.get(c)) {
-    if (c != ' ' && c != '\t' && c != '\r') {
-      return Status::InvalidArgument(std::string("trailing data in ") +
-                                     what + " record");
-    }
+bool RecordReader::NextLine(std::string_view record) {
+  if (!ok()) return false;
+  StatusOr<std::string> line = lines_.Next();
+  if (!line.ok()) {
+    // Past the trailer, a record the header promised is missing.
+    status_ = lines_.done()
+                  ? Status::InvalidArgument(std::string(what_) + ": missing " +
+                                            std::string(record) + " record")
+                  : line.status();
+    return false;
   }
-  return Status::Ok();
+  line_.clear();
+  line_.str(std::move(line).value());
+  return true;
 }
 
-Status FinishFramedStream(TrailerReader& reader, std::istream& in,
-                          const char* what) {
-  auto end = reader.Next();
-  if (end.ok()) {
-    return Status::InvalidArgument("trailing data in snapshot");
+bool RecordReader::Malformed() {
+  return Fail("malformed " + tag_ + " record");
+}
+
+bool RecordReader::End() {
+  if (!ok()) return false;
+  char c = 0;
+  while (line_.get(c)) {
+    if (c != ' ' && c != '\t' && c != '\r') {
+      return Fail("trailing data in " + tag_ + " record");
+    }
   }
-  if (!reader.done()) return end.status();
-  return ExpectStreamEnd(in, what);
+  return true;
+}
+
+bool RecordReader::Fail(std::string_view why) {
+  if (ok()) {
+    status_ = Status::InvalidArgument(std::string(what_) + ": " +
+                                      std::string(why));
+  }
+  return false;
+}
+
+Status RecordReader::Trailer() {
+  if (!ok()) return status_;
+  StatusOr<std::string> end = lines_.Next();
+  if (end.ok()) {
+    Fail("trailing data");
+  } else if (!lines_.done()) {
+    status_ = end.status();
+  }
+  return status_;
+}
+
+Status RecordReader::Finish() {
+  Status st = Trailer();
+  if (!st.ok()) return st;
+  return ExpectStreamEnd(in_, what_);
 }
 
 Status ExpectStreamEnd(std::istream& in, const char* what) {

@@ -136,10 +136,25 @@ TEST(ViewRegistryTest, ConcurrentReadersUnderLiveWriter) {
   constexpr uint64_t kPublishes = 3000;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
+  // The writer starts once every reader has acquired a view, so the
+  // publishes always race live readers. A reader whose assertion fails
+  // before its first read still arrives, on its way out, so the writer
+  // never waits for a reader that stopped.
+  std::atomic<int> arrived{0};
+  struct Arrival {
+    std::atomic<int>& count;
+    bool done = false;
+    void Once() {
+      if (!done) count.fetch_add(1);
+      done = true;
+    }
+    ~Arrival() { Once(); }
+  };
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&registry, &stop, &reads] {
+    readers.emplace_back([&registry, &stop, &reads, &arrived] {
+      Arrival arrival{arrived};
       uint64_t last_seen = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         ViewRef view = registry.AcquireRef();
@@ -149,9 +164,11 @@ TEST(ViewRegistryTest, ConcurrentReadersUnderLiveWriter) {
         ASSERT_GE(view->batch, last_seen);
         last_seen = view->batch;
         reads.fetch_add(1, std::memory_order_relaxed);
+        arrival.Once();
       }
     });
   }
+  while (arrived.load() < kReaders) std::this_thread::yield();
   for (uint64_t i = 2; i <= kPublishes; ++i) {
     registry.Publish(SyntheticView(i));
   }

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <set>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 
@@ -492,6 +493,31 @@ TEST(SimulatedWebTest, MeanChangeIntervalNearFourMonths) {
   // mean sits above the paper's crude 4-month birth-mix estimate.
   EXPECT_GT(interval_days.mean(), 90.0);
   EXPECT_LT(interval_days.mean(), 270.0);
+}
+
+// A page may carry as many cross links as the config asks for:
+// Validate() accepts 70,000, so the snapshot must restore them, byte
+// for byte.
+TEST(WebSnapshotTest, SeventyThousandCrossLinksRoundTrip) {
+  WebConfig config;
+  config.sites_per_domain = {2, 0, 0, 0};
+  config.min_site_size = 2;
+  config.max_site_size = 2;
+  config.cross_links_per_page = 70000;
+  ASSERT_TRUE(config.Validate().ok());
+  SimulatedWeb web(config);
+  for (uint32_t site = 0; site < web.num_sites(); ++site) {
+    (void)web.Fetch(web.RootUrl(site), 1.0);
+  }
+  std::ostringstream saved;
+  ASSERT_TRUE(SaveWeb(web, saved).ok());
+  SimulatedWeb restored(config);
+  std::istringstream in(saved.str());
+  Status st = RestoreWeb(in, &restored);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  std::ostringstream resaved;
+  ASSERT_TRUE(SaveWeb(restored, resaved).ok());
+  EXPECT_EQ(resaved.str(), saved.str());
 }
 
 }  // namespace

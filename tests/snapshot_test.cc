@@ -401,6 +401,39 @@ TEST(SnapshotTest, RejectsShortRecordLines) {
   EXPECT_FALSE(LoadAllUrls(short_count).ok());
 }
 
+TEST(SnapshotTest, ForgedLinkCountIsAFormatError) {
+  // An E record claiming 2^62 links: the link list is read as far as
+  // its fields go, so the claim fails at the end of the line instead of
+  // sizing an allocation — under a valid trailer and under a wrong one.
+  const std::string header = "webevo-collection 1 4 1";
+  const std::string entry =
+      "E 0 0 0 7 1 2 3 0.5 0.25 4611686018427387904 1 2 3";
+  std::istringstream framed(FramedSnapshot({header, entry}));
+  Status st = LoadCollection(framed).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  std::istringstream unframed(header + "\n" + entry +
+                              "\nwebevo-checksum 0\n");
+  st = LoadCollection(unframed).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+TEST(SnapshotTest, InLinkCountRestoresVerbatim) {
+  // A record's in-link count is restored as a value, not replayed as
+  // that many notes, so 2^62 loads at once and round-trips.
+  const std::string bytes = FramedSnapshot(
+      {"webevo-allurls 1 1", "U 1 2 3 4.5 4611686018427387904 1"});
+  std::istringstream in(bytes);
+  auto loaded = LoadAllUrls(in, 4);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const AllUrls::UrlInfo* info = loaded->Find(Url{1, 2, 3});
+  ASSERT_NE(info, nullptr);
+  EXPECT_EQ(info->in_links, uint64_t{1} << 62);
+  EXPECT_TRUE(info->dead);
+  std::ostringstream out;
+  ASSERT_TRUE(SaveAllUrls(*loaded, out).ok());
+  EXPECT_EQ(out.str(), bytes);
+}
+
 TEST(SnapshotTest, DoublePrecisionPreserved) {
   Collection c(2);
   CollectionEntry e;

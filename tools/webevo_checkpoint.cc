@@ -12,7 +12,6 @@
 //   webevo_checkpoint inspect run.ckpt --sections
 //   webevo_checkpoint inspect run.ckpt --deltas=elsewhere.deltas
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -20,11 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "crawler/snapshot.h"
 #include "storage/delta_log.h"
 #include "util/flags.h"
 #include "util/hash.h"
 #include "util/status.h"
-#include "util/text_snapshot.h"
 
 namespace {
 
@@ -101,83 +100,26 @@ void PrintSectionTable(const std::vector<SectionRow>& rows,
   }
 }
 
-// Parses and verifies the container exactly as snapshot.cc's reader
-// does — header trailer first, then each section against its declared
-// length and checksum, then end-of-stream — but keeps the sections as
-// opaque bytes instead of restoring a crawler from them.
+// Verifies the container with the library's own reader, which keeps
+// the sections as opaque bytes instead of restoring a crawler from
+// them, and prints its section table.
 Status InspectContainer(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open " + path);
-
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic, kind;
-  int version = 0;
-  std::size_t nsections = 0;
-  hs >> magic >> version >> kind >> nsections;
-  if (hs.fail() || magic != "webevo-crawler") {
-    return Status::InvalidArgument("not a webevo-crawler container: " +
-                                   path);
-  }
-  Status end = ExpectLineEnd(hs, "container header");
-  if (!end.ok()) return end;
-
+  auto container = crawler::ReadCheckpointContainer(in);
+  if (!container.ok()) return container.status();
   std::vector<SectionRow> rows;
-  for (std::size_t i = 0; i < nsections; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) return line.status();
-    std::istringstream ls(*line);
-    std::string tag;
+  for (const crawler::CheckpointSection& s : container->sections) {
     SectionRow row;
-    ls >> tag >> row.name >> row.bytes >> row.fnv;
-    if (ls.fail() || tag != "S") {
-      return Status::InvalidArgument("malformed section-table line");
-    }
-    end = ExpectLineEnd(ls, "section-table line");
-    if (!end.ok()) return end;
+    row.name = s.name;
+    row.bytes = s.bytes.size();
+    row.fnv = Fnv1a64(s.bytes);
+    ParseSectionHeader(s.bytes, &row);
     rows.push_back(std::move(row));
   }
-  // End of the header block: Next() past the table must consume and
-  // verify the trailer (NotFound), leaving the section bytes in `in`.
-  auto past = reader.Next();
-  if (past.ok() || !reader.done()) {
-    return past.ok()
-               ? Status::InvalidArgument("trailing data in header")
-               : past.status();
-  }
-
-  for (SectionRow& row : rows) {
-    // Chunked reads, as in the container loader: a crafted
-    // table-claimed length must surface as a truncation error, not a
-    // giant allocation.
-    std::string bytes;
-    bytes.reserve(std::min<std::size_t>(row.bytes, 1 << 20));
-    std::size_t remaining = row.bytes;
-    char buf[1 << 16];
-    while (remaining > 0) {
-      const std::size_t want = std::min(remaining, sizeof(buf));
-      in.read(buf, static_cast<std::streamsize>(want));
-      const auto got = static_cast<std::size_t>(in.gcount());
-      bytes.append(buf, got);
-      if (got < want) {
-        return Status::InvalidArgument("section " + row.name +
-                                       " truncated");
-      }
-      remaining -= got;
-    }
-    if (Fnv1a64(bytes) != row.fnv) {
-      return Status::InvalidArgument("section " + row.name +
-                                     " checksum mismatch");
-    }
-    ParseSectionHeader(bytes, &row);
-  }
-  Status stream_end = ExpectStreamEnd(in, "checkpoint container");
-  if (!stream_end.ok()) return stream_end;
-
   std::printf("%s: kind=%s format=v%d sections=%zu  [verified]\n",
-              path.c_str(), kind.c_str(), version, nsections);
+              path.c_str(), container->kind.c_str(),
+              crawler::kCrawlerFormatVersion, rows.size());
   PrintSectionTable(rows, "  ");
   return Status::Ok();
 }
