@@ -22,14 +22,6 @@
 
 namespace webevo::bench {
 
-/// Workload multiplier from the WEBEVO_SCALE environment variable.
-inline double ScaleFromEnv() {
-  const char* raw = std::getenv("WEBEVO_SCALE");
-  if (raw == nullptr) return 1.0;
-  double scale = std::atof(raw);
-  return scale > 0.0 ? scale : 1.0;
-}
-
 /// A non-negative number from the environment variable `name`:
 /// `fallback` when unset, the value as written otherwise — 0 included.
 /// Anything that does not parse completely as a finite number >= 0 is
@@ -46,6 +38,19 @@ inline double EnvOr(const char* name, double fallback) {
     std::exit(2);
   }
   return value;
+}
+
+/// Workload multiplier from the WEBEVO_SCALE environment variable,
+/// read through EnvOr (default 1.0). A scale of 0 leaves no web to
+/// crawl, so it exits with code 2 as well.
+inline double ScaleFromEnv() {
+  const double scale = EnvOr("WEBEVO_SCALE", 1.0);
+  if (scale <= 0.0) {
+    std::fprintf(stderr, "WEBEVO_SCALE=\"%s\": expected a number > 0\n",
+                 std::getenv("WEBEVO_SCALE"));
+    std::exit(2);
+  }
+  return scale;
 }
 
 /// The study population used by the measurement benches: the paper's

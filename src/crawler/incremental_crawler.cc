@@ -11,6 +11,28 @@
 #include "util/hash.h"
 
 namespace webevo::crawler {
+namespace {
+
+// The failure backoff's jitter (IncrementalCrawlerConfig documents the
+// pipeline), and the seed of the per-site backoff-jitter RNG lanes.
+constexpr double kFaultBackoffJitter = 0.5;
+constexpr uint64_t kFaultBackoffSeed = 0x6a09e667f3bcc908ull;
+
+// The defense layer's thresholds; IncrementalCrawlerConfig's
+// defense_enabled documents the state machine they drive.
+constexpr double kDefenseMinYield = 0.125;
+constexpr double kDefenseThrottleBaseDays = 1.0;
+constexpr uint32_t kDefenseQuarantineLevel = 3;
+constexpr double kDefenseQuarantineDays = 15.0;
+// Sticky link-spam bar: once this many of a site's URLs have been
+// suppressed as duplicate content, its links stop being admitted for
+// good — fetch yield cannot re-open admission the way it re-opens
+// pacing, because a trap alternates healthy-looking real-page windows
+// with link floods. The site's retained pages keep being recrawled
+// normally.
+constexpr uint32_t kDefenseLinkSpamThreshold = 12;
+
+}  // namespace
 
 IncrementalCrawler::IncrementalCrawler(
     simweb::SimulatedWeb* web, const IncrementalCrawlerConfig& config)
@@ -20,8 +42,7 @@ IncrementalCrawler::IncrementalCrawler(
                   config.store),
       all_urls_(config.crawl_parallelism, config.store, "allurls"),
       coll_urls_(config.crawl_parallelism),
-      engine_(web, config.crawl, config.crawl_parallelism,
-              config.retained_views),
+      engine_(web, config.crawl, config.crawl_parallelism),
       update_module_([&] {
         UpdateModuleConfig u = config.update;
         u.crawl_budget_pages_per_day = config.crawl_rate_pages_per_day;
@@ -189,7 +210,7 @@ void IncrementalCrawler::ApplyBatch(
               site_failure_shards_[s][url.site];
           if (!site_state.rng_init) {
             site_state.backoff =
-                Rng(HashCombine(config_.fault_backoff_seed, url.site));
+                Rng(HashCombine(kFaultBackoffSeed, url.site));
             site_state.rng_init = true;
           }
           ++site_state.consecutive;
@@ -216,7 +237,7 @@ void IncrementalCrawler::ApplyBatch(
             const double delay =
                 config_.fault_backoff_base_days *
                 static_cast<double>(uint64_t{1} << exponent) *
-                (1.0 + config_.fault_backoff_jitter *
+                (1.0 + kFaultBackoffJitter *
                            site_state.backoff.NextDouble());
             effect.kind = ApplyEffect::Kind::kFailed;
             effect.backoff_delay = delay;
@@ -448,7 +469,7 @@ void IncrementalCrawler::ApplyBatch(
             (defense_it->second.quarantined ||
              defense_it->second.throttle_level > 0 ||
              defense_it->second.suppressed_total >=
-                 config_.defense_link_spam_threshold)) {
+                 kDefenseLinkSpamThreshold)) {
           continue;
         }
       }
@@ -648,8 +669,7 @@ void IncrementalCrawler::ApplyBatch(
             // ledger (the site just lost admission for good) and also
             // forfeits the flood already in the queue. suppressed_total
             // only ever grows, so the crossing fires exactly once.
-            if (sd.suppressed_total ==
-                config_.defense_link_spam_threshold) {
+            if (sd.suppressed_total == kDefenseLinkSpamThreshold) {
               ++stats_.trap_sites_throttled;
               purge_unretained(e.url.site);
             }
@@ -676,7 +696,7 @@ void IncrementalCrawler::ApplyBatch(
                            static_cast<double>(d.window_fetches);
       d.window_fetches = 0;
       d.window_fresh = 0;
-      if (yield >= config_.defense_min_yield) {
+      if (yield >= kDefenseMinYield) {
         // Healthy windows decay the level one step rather than
         // resetting it: a trap that alternates flooding with draining
         // its backlog ratchets up to quarantine instead of oscillating
@@ -688,12 +708,11 @@ void IncrementalCrawler::ApplyBatch(
       if (d.throttle_level == 1) ++stats_.trap_sites_throttled;
       const uint32_t exponent = std::min(d.throttle_level, 16u) - 1;
       double floor = batch_time +
-                     config_.defense_throttle_base_days *
+                     kDefenseThrottleBaseDays *
                          static_cast<double>(uint64_t{1} << exponent);
-      if (!d.quarantined &&
-          d.throttle_level >= config_.defense_quarantine_level) {
+      if (!d.quarantined && d.throttle_level >= kDefenseQuarantineLevel) {
         d.quarantined = true;
-        d.quarantined_until = batch_time + config_.defense_quarantine_days;
+        d.quarantined_until = batch_time + kDefenseQuarantineDays;
         purge_unretained(site);
       }
       if (d.quarantined && d.quarantined_until > floor) {
@@ -1040,7 +1059,6 @@ Status IncrementalCrawler::RunUntil(double until) {
         // settled before this batch's apply, so nothing is in flight
         // and the bytes equal the non-pipelined run's.
         CrawlerCheckpointOptions options;
-        options.include_web = config_.checkpoint_include_web;
         options.module_traffic = config_.checkpoint_module_traffic;
         Status saved =
             config_.checkpoint_incremental

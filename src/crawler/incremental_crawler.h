@@ -80,11 +80,6 @@ struct IncrementalCrawlerConfig {
   /// engine is quiesced). 0 disables.
   uint64_t checkpoint_every_batches = 0;
   std::string checkpoint_path;
-  /// Whether auto-checkpoints bundle the simulated web's evolution
-  /// state — required for bit-identical resume in a *fresh* process
-  /// (see snapshot.h); skip it only when the resuming crawler shares
-  /// this process's live web object.
-  bool checkpoint_include_web = true;
 
   /// Incremental checkpointing (docs/STORAGE.md): the first
   /// auto-checkpoint writes a full base image to `checkpoint_path` and
@@ -106,11 +101,9 @@ struct IncrementalCrawlerConfig {
   /// Serving layer: when > 0, RunUntil publishes an immutable MVCC
   /// BatchView into the engine's ViewRegistry every this many
   /// completed engine batches (at the batch boundary, engine
-  /// quiesced). 0 disables publishing. `retained_views` is the
-  /// registry's retention K — how many published views stay
-  /// acquirable by concurrent readers.
+  /// quiesced). 0 disables publishing. The registry keeps the newest
+  /// ViewRegistry::kDefaultRetention views acquirable by readers.
   uint64_t publish_view_every_batches = 0;
-  int retained_views = serving::ViewRegistry::kDefaultRetention;
 
   /// Failure pipeline for classified fetch failures (Unavailable
   /// transient errors, DeadlineExceeded timeouts from the
@@ -126,12 +119,9 @@ struct IncrementalCrawlerConfig {
   /// dead-page path (purged + tombstoned). Failed fetches never feed
   /// the change estimators or the freshness tracker.
   double fault_backoff_base_days = 0.25;
-  double fault_backoff_jitter = 0.5;
   uint32_t fault_quarantine_threshold = 8;
   double fault_quarantine_days = 2.0;
   uint32_t fault_url_retire_failures = 6;
-  /// Seed of the per-site backoff-jitter RNG lanes.
-  uint64_t fault_backoff_seed = 0x6a09e667f3bcc908ull;
 
   /// Adversarial-web defense layer (docs/ARCHITECTURE.md). The
   /// content-fingerprint registry in AllUrls fills (and the
@@ -141,13 +131,13 @@ struct IncrementalCrawlerConfig {
   ///    `defense_yield_window` successful fetches the non-duplicate
   ///    yield (fetches serving content the fetched URL itself owns —
   ///    changed or not — over the window) is evaluated; a site below
-  ///    `defense_min_yield` (almost everything it served was another
+  ///    kDefenseMinYield (almost everything it served was another
   ///    URL's content) has its frontier entries floored at now +
-  ///    defense_throttle_base_days * 2^(level-1) and its links
-  ///    barred from admission while any throttle level stands; a site
-  ///    reaching `defense_quarantine_level` consecutive collapsed
-  ///    windows is trap-quarantined (sticky) with a floor of now +
-  ///    defense_quarantine_days. Honest sites never trip the
+  ///    kDefenseThrottleBaseDays * 2^(level-1) and its links barred
+  ///    from admission while any throttle level stands; a site
+  ///    reaching kDefenseQuarantineLevel consecutive collapsed windows
+  ///    is trap-quarantined (sticky) with a floor of now +
+  ///    kDefenseQuarantineDays. Honest sites never trip the
   ///    throttle, however static — spacing unchanged revisits is the
   ///    revisit scheduler's job, not the defense's;
   ///  - mirror dedup: a successful fetch whose fingerprint is owned by
@@ -162,17 +152,6 @@ struct IncrementalCrawlerConfig {
   /// build without the defense layer.
   bool defense_enabled = false;
   uint32_t defense_yield_window = 24;
-  double defense_min_yield = 0.125;
-  double defense_throttle_base_days = 1.0;
-  uint32_t defense_quarantine_level = 3;
-  double defense_quarantine_days = 15.0;
-  /// Sticky link-spam bar: once `defense_link_spam_threshold` of a
-  /// site's URLs have been suppressed as duplicate content, its links
-  /// stop being admitted for good — fetch yield cannot re-open
-  /// admission the way it re-opens pacing, because a trap alternates
-  /// healthy-looking real-page windows with link floods. The site's
-  /// retained pages keep being recrawled normally. Must be >= 1.
-  uint32_t defense_link_spam_threshold = 12;
 
   UpdateModuleConfig update;
   RankingModuleConfig ranking;
@@ -478,7 +457,7 @@ class IncrementalCrawler {
     /// never quarantined (simulation time is non-negative).
     double quarantined_until = 0.0;
     /// The site's backoff-jitter lane, lazily seeded from
-    /// (fault_backoff_seed, site); draws depend only on the site's own
+    /// (kFaultBackoffSeed, site); draws depend only on the site's own
     /// failure sequence, never on cross-site interleaving.
     Rng backoff{0};
     bool rng_init = false;
@@ -499,7 +478,7 @@ class IncrementalCrawler {
     bool quarantined = false;
     double quarantined_until = 0.0;
     /// Lifetime count of the site's URLs suppressed as duplicate
-    /// content; at defense_link_spam_threshold the admission bar
+    /// content; at kDefenseLinkSpamThreshold the admission bar
     /// becomes permanent (link spam).
     uint64_t suppressed_total = 0;
   };

@@ -10,6 +10,18 @@
 #include "serving/view_builder.h"
 
 namespace webevo::crawler {
+namespace {
+
+// Failure handling: a transient error or timeout re-queues the URL at
+// the back of the cycle's BFS frontier (a failed slot is refunded,
+// like a dead fetch), at most this many times per URL per cycle; past
+// the limit the URL is dropped *for this cycle only* — the next cycle
+// starts from scratch anyway, which is the periodic crawler's natural
+// quarantine. Unlike a dead fetch, a failure never purges an in-place
+// entry: the page may be perfectly alive behind the outage.
+constexpr uint32_t kFaultRequeueLimit = 3;
+
+}  // namespace
 
 PeriodicCrawler::PeriodicCrawler(simweb::SimulatedWeb* web,
                                  const PeriodicCrawlerConfig& config)
@@ -17,8 +29,7 @@ PeriodicCrawler::PeriodicCrawler(simweb::SimulatedWeb* web,
       config_(config),
       store_(config.collection_capacity, config.store),
       inplace_(config.collection_capacity, config.store, "periodic-inplace"),
-      engine_(web, config.crawl, config.crawl_parallelism,
-              config.retained_views) {
+      engine_(web, config.crawl, config.crawl_parallelism) {
   seen_shards_.resize(static_cast<std::size_t>(engine_.num_shards()));
 }
 
@@ -158,7 +169,7 @@ void PeriodicCrawler::ApplyOutcome(
       }
       engine_.RecordFetchFailures(1);
       uint32_t& requeues = requeue_counts_[url];
-      if (requeues < config_.fault_requeue_limit) {
+      if (requeues < kFaultRequeueLimit) {
         ++requeues;
         ++stats_.failure_retries;
         frontier_.push_back(url);
@@ -416,7 +427,6 @@ Status PeriodicCrawler::RunUntil(double until) {
                   0) {
             // Auto-checkpoint at the batch boundary (engine quiesced).
             CrawlerCheckpointOptions options;
-            options.include_web = config_.checkpoint_include_web;
             options.module_traffic = config_.checkpoint_module_traffic;
             Status saved = SaveCrawlerToFile(
                 *this, config_.checkpoint_path, options);

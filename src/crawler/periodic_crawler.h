@@ -68,7 +68,6 @@ struct PeriodicCrawlerConfig {
   /// every this many completed engine batches. 0 disables.
   uint64_t checkpoint_every_batches = 0;
   std::string checkpoint_path;
-  bool checkpoint_include_web = true;
   /// Whether checkpoints carry the pool's traffic aggregate (the
   /// "traffic" section), as on the incremental crawler. Note the
   /// periodic crawler has no *incremental* checkpoint mode: every
@@ -83,19 +82,8 @@ struct PeriodicCrawlerConfig {
 
   /// Serving layer, as on the incremental crawler: when > 0, RunUntil
   /// publishes an immutable MVCC BatchView every this many completed
-  /// engine batches; `retained_views` is the registry's retention K.
+  /// engine batches.
   uint64_t publish_view_every_batches = 0;
-  int retained_views = serving::ViewRegistry::kDefaultRetention;
-
-  /// Failure handling: a transient error or timeout re-queues the URL
-  /// at the back of the cycle's BFS frontier (a failed slot is
-  /// refunded, like a dead fetch), at most this many times per URL per
-  /// cycle; past the limit the URL is dropped *for this cycle only* —
-  /// the next cycle starts from scratch anyway, which is the periodic
-  /// crawler's natural quarantine. Unlike a dead fetch, a failure
-  /// never purges an in-place entry: the page may be perfectly alive
-  /// behind the outage.
-  uint32_t fault_requeue_limit = 3;
 
   CrawlModuleConfig crawl;
 };

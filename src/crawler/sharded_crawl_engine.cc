@@ -16,11 +16,10 @@ double SecondsSince(std::chrono::steady_clock::time_point begin) {
 
 ShardedCrawlEngine::ShardedCrawlEngine(simweb::SimulatedWeb* web,
                                        const CrawlModuleConfig& config,
-                                       int num_shards, int retained_views)
+                                       int num_shards)
     : web_(web),
       pool_(web, config, num_shards),
-      threads_(pool_.parallelism()),
-      views_(retained_views) {}
+      threads_(pool_.parallelism()) {}
 
 bool ShardedCrawlEngine::PublishView(
     std::unique_ptr<const serving::BatchView> view) {

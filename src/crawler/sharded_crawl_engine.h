@@ -67,12 +67,9 @@ double SecondsSince(std::chrono::steady_clock::time_point begin);
 class ShardedCrawlEngine {
  public:
   /// Creates `num_shards` crawl modules (>= 1; clamped) and as many
-  /// worker threads. `retained_views` is the view registry's MVCC
-  /// retention K (how many published BatchViews stay acquirable).
+  /// worker threads. The view registry keeps its default retention.
   ShardedCrawlEngine(simweb::SimulatedWeb* web,
-                     const CrawlModuleConfig& config, int num_shards,
-                     int retained_views =
-                         serving::ViewRegistry::kDefaultRetention);
+                     const CrawlModuleConfig& config, int num_shards);
 
   /// Pipeline stage hook fused into a batch's shard workers — how the
   /// staged crawl loop overlaps batch B-1's deferred freshness measure

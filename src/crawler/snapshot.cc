@@ -718,6 +718,14 @@ Status ParseSection(const std::string& bytes, Read read, T* out) {
   return Status::Ok();
 }
 
+// ParseSection's twin: the bytes `write` makes of `value`.
+template <typename Write, typename T>
+std::string SectionBytes(Write write, const T& value) {
+  std::ostringstream out;
+  write(value, out);
+  return out.str();
+}
+
 void WritePolite(const std::vector<std::pair<uint32_t, double>>& records,
                  std::ostream& out) {
   TrailerWriter writer(out);
@@ -1195,9 +1203,7 @@ struct CheckpointIo {
       pending.insert(pending.end(), shard.begin(), shard.end());
     }
     std::sort(pending.begin(), pending.end(), IdentityLess);
-    std::ostringstream os;
-    WriteUrlList(pending, os);
-    return os.str();
+    return SectionBytes(WriteUrlList, pending);
   }
 
   static void ApplyPending(const std::vector<simweb::Url>& pending,
@@ -1235,9 +1241,7 @@ struct CheckpointIo {
               [](const UrlFailureRecord& a, const UrlFailureRecord& b) {
                 return IdentityLess(a.url, b.url);
               });
-    std::ostringstream os;
-    WriteFailure(snap, os);
-    return os.str();
+    return SectionBytes(WriteFailure, snap);
   }
 
   static void ApplyFailure(const FailureSnapshot& failure,
@@ -1291,9 +1295,7 @@ struct CheckpointIo {
          crawler.all_urls_.SortedFingerprints()) {
       snap.fingerprints.push_back(DefenseFingerprintRecord{checksum, url});
     }
-    std::ostringstream os;
-    WriteDefense(snap, os);
-    return os.str();
+    return SectionBytes(WriteDefense, snap);
   }
 
   static void ApplyDefense(const DefenseSnapshot& defense,
@@ -1474,26 +1476,83 @@ struct CheckpointIo {
     std::optional<CrawlModulePool::Traffic> traffic;
   };
 
-  /// `section(name)` returns the named section's bytes, or null; the
-  /// caller has checked that every section but "traffic" is present.
+  static std::string Polite(const IncrementalCrawler& crawler) {
+    return SectionBytes(WritePolite, crawler.engine_.pool().ExportPoliteness());
+  }
+
+  static std::string Tracker(const IncrementalCrawler& crawler) {
+    return SectionBytes(WriteTracker, crawler.tracker_);
+  }
+
+  static std::string Traffic(const IncrementalCrawler& crawler) {
+    return SectionBytes(WriteTraffic,
+                        crawler.engine_.pool().AggregateTraffic());
+  }
+
+  static Status ParsePolite(const std::string& bytes, uint32_t num_sites,
+                            WholeSections* w) {
+    auto read = [num_sites](std::istream& in) {
+      return ReadPolite(in, num_sites);
+    };
+    return ParseSection(bytes, read, &w->polite);
+  }
+
+  template <auto Read, auto Field>
+  static Status Parse(const std::string& bytes, uint32_t, WholeSections* w) {
+    return ParseSection(bytes, Read, &(w->*Field));
+  }
+
+  /// One whole section: its name, whether every checkpoint carries it,
+  /// its writer, and its parser into the staging WholeSections.
+  struct WholeCodec {
+    const char* name;
+    bool required;
+    std::string (*write)(const IncrementalCrawler& crawler);
+    Status (*read)(const std::string& bytes, uint32_t num_sites,
+                   WholeSections* w);
+  };
+
+  /// The whole sections in write order. Only "traffic" is optional:
+  /// CrawlerCheckpointOptions::module_traffic writes it.
+  static constexpr WholeCodec kWholeCodecs[] = {
+      {"polite", true, Polite, ParsePolite},
+      {"tracker", true, Tracker, Parse<ReadTracker, &WholeSections::tracker>},
+      {"pending", true, Pending, Parse<ReadUrlList, &WholeSections::pending>},
+      {"failure", true, Failure, Parse<ReadFailure, &WholeSections::failure>},
+      {"defense", true, Defense, Parse<ReadDefense, &WholeSections::defense>},
+      {"traffic", false, Traffic, Parse<ReadTraffic, &WholeSections::traffic>},
+  };
+
+  /// Appends the whole sections to a full checkpoint's or a delta
+  /// segment's section list.
+  template <typename Section>
+  static void WriteWholeSections(const IncrementalCrawler& crawler,
+                                 const CrawlerCheckpointOptions& options,
+                                 std::vector<Section>* sections) {
+    for (const WholeCodec& codec : kWholeCodecs) {
+      if (codec.required || options.module_traffic) {
+        sections->push_back(Section{codec.name, codec.write(crawler)});
+      }
+    }
+  }
+
+  /// Parses every whole section `section(name)` (its bytes, or null)
+  /// finds into `w`; InvalidArgument naming the first required section
+  /// missing from `what`.
   template <typename Find>
   static Status ReadWholeSections(Find section, uint32_t num_sites,
-                                  WholeSections* w) {
-    Status st = Status::Ok();
-    auto parse = [&](const char* name, auto read, auto* out) {
-      if (st.ok()) st = ParseSection(*section(name), read, out);
-    };
-    parse("polite",
-          [num_sites](std::istream& in) { return ReadPolite(in, num_sites); },
-          &w->polite);
-    parse("tracker", ReadTracker, &w->tracker);
-    parse("pending", ReadUrlList, &w->pending);
-    parse("failure", ReadFailure, &w->failure);
-    parse("defense", ReadDefense, &w->defense);
-    if (section("traffic") != nullptr) {
-      parse("traffic", ReadTraffic, &w->traffic.emplace());
+                                  const std::string& what, WholeSections* w) {
+    for (const WholeCodec& codec : kWholeCodecs) {
+      const std::string* bytes = section(codec.name);
+      if (bytes == nullptr && codec.required) {
+        return Status::InvalidArgument(what + " missing section '" +
+                                       codec.name + "'");
+      }
+      if (bytes == nullptr) continue;
+      Status st = codec.read(*bytes, num_sites, w);
+      if (!st.ok()) return st;
     }
-    return st;
+    return Status::Ok();
   }
 
   /// Must run after the AllUrls commit, which installs a registry-free
@@ -1520,17 +1579,20 @@ struct CheckpointIo {
       const storage::DeltaSection* s = segment.FindSection(name);
       return s == nullptr ? nullptr : &s->bytes;
     };
-    for (const char* name : {"meta", "dcoll", "dallurls", "dupdate",
-                             "dfrontier", "polite", "tracker", "pending",
-                             "failure", "defense"}) {
+    for (const char* name :
+         {"meta", "dcoll", "dallurls", "dupdate", "dfrontier"}) {
       if (section(name) == nullptr) {
         return Status::InvalidArgument(
             "delta segment missing section '" + std::string(name) + "'");
       }
     }
+    WholeSections whole;
+    Status st = ReadWholeSections(section, crawler->web_->num_sites(),
+                                  "delta segment", &whole);
+    if (!st.ok()) return st;
     auto meta = ParseIncMeta(*section("meta"));
     if (!meta.ok()) return meta.status();
-    Status st = ApplyCollDelta(*section("dcoll"), crawler);
+    st = ApplyCollDelta(*section("dcoll"), crawler);
     if (!st.ok()) return st;
     st = ApplyAllUrlsDelta(*section("dallurls"), crawler);
     if (!st.ok()) return st;
@@ -1540,9 +1602,6 @@ struct CheckpointIo {
       if (!st.ok()) return st;
     }
     st = ApplyFrontierDelta(*section("dfrontier"), crawler);
-    if (!st.ok()) return st;
-    WholeSections whole;
-    st = ReadWholeSections(section, crawler->web_->num_sites(), &whole);
     if (!st.ok()) return st;
     ApplyWholeSections(whole, crawler);
     if (const std::string* web_bytes = section("dweb")) {
@@ -1599,24 +1658,7 @@ Status SaveCrawler(const IncrementalCrawler& crawler, std::ostream& out,
     if (!st.ok()) return st;
     sections.push_back(Section{"frontier", os.str()});
   }
-  {
-    std::ostringstream os;
-    WritePolite(crawler.engine_.pool().ExportPoliteness(), os);
-    sections.push_back(Section{"polite", os.str()});
-  }
-  {
-    std::ostringstream os;
-    WriteTracker(crawler.tracker_, os);
-    sections.push_back(Section{"tracker", os.str()});
-  }
-  sections.push_back(Section{"pending", CheckpointIo::Pending(crawler)});
-  sections.push_back(Section{"failure", CheckpointIo::Failure(crawler)});
-  sections.push_back(Section{"defense", CheckpointIo::Defense(crawler)});
-  if (options.module_traffic) {
-    std::ostringstream os;
-    WriteTraffic(crawler.engine_.pool().AggregateTraffic(), os);
-    sections.push_back(Section{"traffic", os.str()});
-  }
+  CheckpointIo::WriteWholeSections(crawler, options, &sections);
   if (options.include_web) {
     std::ostringstream os;
     Status st = simweb::SaveWeb(*crawler.web_, os);
@@ -1629,15 +1671,18 @@ Status SaveCrawler(const IncrementalCrawler& crawler, std::ostream& out,
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
   auto container = ReadCheckpointContainer(in);
   if (!container.ok()) return container.status();
-  Status st = CheckContainer(
-      *container, kIncrementalKind,
-      {"meta", "collection", "allurls", "update", "frontier", "polite",
-       "tracker", "pending", "failure", "defense"});
+  Status st =
+      CheckContainer(*container, kIncrementalKind,
+                     {"meta", "collection", "allurls", "update", "frontier"});
   if (!st.ok()) return st;
   auto section = [&](const char* name) { return container->Find(name); };
 
   // --- Parse every section into staging state; nothing in `crawler`
   // (or its web) is touched until the whole checkpoint has verified.
+  CheckpointIo::WholeSections whole;
+  st = CheckpointIo::ReadWholeSections(section, crawler->web_->num_sites(),
+                                       "checkpoint", &whole);
+  if (!st.ok()) return st;
   auto meta = CheckpointIo::ParseIncMeta(*section("meta"));
   if (!meta.ok()) return meta.status();
 
@@ -1660,10 +1705,6 @@ Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
   std::istringstream frontier_in(*section("frontier"));
   auto frontier = LoadFrontier(frontier_in, shards);
   if (!frontier.ok()) return frontier.status();
-  CheckpointIo::WholeSections whole;
-  st = CheckpointIo::ReadWholeSections(section, crawler->web_->num_sites(),
-                                       &whole);
-  if (!st.ok()) return st;
 
   // The web restore stages and validates internally, so a bad web
   // section fails here with the crawler still untouched.
@@ -1744,11 +1785,9 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
     sections.push_back(Section{"collection-shadow", os.str()});
   }
   {
-    std::vector<simweb::Url> bfs(crawler.frontier_.begin(),
-                                 crawler.frontier_.end());
-    std::ostringstream os;
-    WriteUrlList(bfs, os);
-    sections.push_back(Section{"bfs", os.str()});
+    const std::vector<simweb::Url> bfs(crawler.frontier_.begin(),
+                                       crawler.frontier_.end());
+    sections.push_back(Section{"bfs", SectionBytes(WriteUrlList, bfs)});
   }
   {
     std::vector<simweb::Url> seen;
@@ -1756,20 +1795,13 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
       seen.insert(seen.end(), shard.begin(), shard.end());
     }
     std::sort(seen.begin(), seen.end(), IdentityLess);
-    std::ostringstream os;
-    WriteUrlList(seen, os);
-    sections.push_back(Section{"seen", os.str()});
+    sections.push_back(Section{"seen", SectionBytes(WriteUrlList, seen)});
   }
-  {
-    std::ostringstream os;
-    WritePolite(crawler.engine_.pool().ExportPoliteness(), os);
-    sections.push_back(Section{"polite", os.str()});
-  }
-  {
-    std::ostringstream os;
-    WriteTracker(crawler.tracker_, os);
-    sections.push_back(Section{"tracker", os.str()});
-  }
+  sections.push_back(Section{
+      "polite",
+      SectionBytes(WritePolite, crawler.engine_.pool().ExportPoliteness())});
+  sections.push_back(
+      Section{"tracker", SectionBytes(WriteTracker, crawler.tracker_)});
   {
     // The cycle's bounded-requeue ledger; sites are unused here (the
     // periodic crawler has no backoff lanes) but the section format is
@@ -1783,14 +1815,12 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
               [](const UrlFailureRecord& a, const UrlFailureRecord& b) {
                 return IdentityLess(a.url, b.url);
               });
-    std::ostringstream os;
-    WriteFailure(snap, os);
-    sections.push_back(Section{"failure", os.str()});
+    sections.push_back(Section{"failure", SectionBytes(WriteFailure, snap)});
   }
   if (options.module_traffic) {
-    std::ostringstream os;
-    WriteTraffic(crawler.engine_.pool().AggregateTraffic(), os);
-    sections.push_back(Section{"traffic", os.str()});
+    sections.push_back(Section{
+        "traffic",
+        SectionBytes(WriteTraffic, crawler.engine_.pool().AggregateTraffic())});
   }
   if (options.include_web) {
     std::ostringstream os;
@@ -2085,30 +2115,10 @@ Status CheckpointIncremental(IncrementalCrawler* crawler,
   }
   segment.sections.push_back(storage::DeltaSection{
       "dfrontier", CheckpointIo::FrontierDelta(*crawler)});
-  {
-    std::ostringstream os;
-    WritePolite(crawler->engine_.pool().ExportPoliteness(), os);
-    segment.sections.push_back(storage::DeltaSection{"polite", os.str()});
-  }
-  {
-    std::ostringstream os;
-    WriteTracker(crawler->tracker_, os);
-    segment.sections.push_back(storage::DeltaSection{"tracker", os.str()});
-  }
-  segment.sections.push_back(
-      storage::DeltaSection{"pending", CheckpointIo::Pending(*crawler)});
-  segment.sections.push_back(
-      storage::DeltaSection{"failure", CheckpointIo::Failure(*crawler)});
-  // The defense section rides every segment whole (like "failure"):
-  // the throttle machines are tiny and the fingerprint registry grows
-  // with *distinct content*, a small multiple of the collection.
-  segment.sections.push_back(
-      storage::DeltaSection{"defense", CheckpointIo::Defense(*crawler)});
-  if (options.module_traffic) {
-    std::ostringstream os;
-    WriteTraffic(crawler->engine_.pool().AggregateTraffic(), os);
-    segment.sections.push_back(storage::DeltaSection{"traffic", os.str()});
-  }
+  // The whole sections ride every segment: they are small, and the
+  // defense section's fingerprint registry grows with *distinct
+  // content*, a small multiple of the collection.
+  CheckpointIo::WriteWholeSections(*crawler, options, &segment.sections);
   if (options.include_web) {
     std::ostringstream os;
     Status st = simweb::SaveWebDelta(*crawler->web_, os);

@@ -37,6 +37,18 @@ const char* RevisitPolicyName(RevisitPolicy policy) {
   return "?";
 }
 
+StatusOr<RevisitPolicy> ParseRevisitPolicy(const std::string& name) {
+  std::string valid;
+  for (RevisitPolicy policy : {RevisitPolicy::kUniform,
+                               RevisitPolicy::kProportional,
+                               RevisitPolicy::kOptimal}) {
+    if (name == RevisitPolicyName(policy)) return policy;
+    valid += std::string(valid.empty() ? "" : ", ") + RevisitPolicyName(policy);
+  }
+  return Status::InvalidArgument("unknown revisit policy '" + name +
+                                 "' (valid: " + valid + ")");
+}
+
 UpdateModule::UpdateModule(const UpdateModuleConfig& config)
     : config_(config) {
   const auto shards =

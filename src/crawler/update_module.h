@@ -5,6 +5,7 @@
 #include <iosfwd>
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,6 +31,9 @@ enum class RevisitPolicy {
 };
 
 const char* RevisitPolicyName(RevisitPolicy policy);
+/// The inverse of RevisitPolicyName; InvalidArgument listing the valid
+/// names for any other string.
+StatusOr<RevisitPolicy> ParseRevisitPolicy(const std::string& name);
 
 /// Configuration of the UpdateModule.
 struct UpdateModuleConfig {

@@ -40,4 +40,17 @@ const char* EstimatorKindName(EstimatorKind kind) {
   return "?";
 }
 
+StatusOr<EstimatorKind> ParseEstimatorKind(const std::string& name) {
+  std::string valid;
+  for (EstimatorKind kind :
+       {EstimatorKind::kNaive, EstimatorKind::kPoissonCi,
+        EstimatorKind::kBayesian, EstimatorKind::kRatio,
+        EstimatorKind::kLastModified}) {
+    if (name == EstimatorKindName(kind)) return kind;
+    valid += std::string(valid.empty() ? "" : ", ") + EstimatorKindName(kind);
+  }
+  return Status::InvalidArgument("unknown estimator '" + name +
+                                 "' (valid: " + valid + ")");
+}
+
 }  // namespace webevo::estimator

@@ -85,6 +85,9 @@ inline bool ValidStoredCount(double v) {
 std::unique_ptr<ChangeEstimator> MakeEstimator(EstimatorKind kind);
 
 const char* EstimatorKindName(EstimatorKind kind);
+/// The inverse of EstimatorKindName; InvalidArgument listing the valid
+/// names for any other string.
+StatusOr<EstimatorKind> ParseEstimatorKind(const std::string& name);
 
 }  // namespace webevo::estimator
 

@@ -296,10 +296,9 @@ struct WebConfig {
   }
 };
 
-/// Applies one of the named fault scenarios used by
-/// bench_fault_scenarios and `webevo_sim --faults=...`. The scenario
-/// names are the bench's scenario matrix; "none"/"baseline" clears
-/// every fault knob.
+/// Applies one of the named fault scenarios: the fault axis of
+/// bench_scenarios' matrix and `--faults=...` on the tools.
+/// "none"/"baseline" clears every fault knob.
 inline Status ApplyFaultScenario(const std::string& scenario,
                                  WebConfig* config) {
   WebConfig clean = *config;
@@ -342,9 +341,9 @@ inline Status ApplyFaultScenario(const std::string& scenario,
       "flash-crowd)");
 }
 
-/// Applies one of the named adversarial scenarios used by
-/// bench_adversarial_scenarios and `webevo_sim --adversarial=...`.
-/// "none"/"baseline" clears every adversarial knob.
+/// Applies one of the named adversarial scenarios: the adversarial
+/// axis of bench_scenarios' matrix and `--adversarial=...` on the
+/// tools. "none"/"baseline" clears every adversarial knob.
 inline Status ApplyAdversarialScenario(const std::string& scenario,
                                        WebConfig* config) {
   config->adv_trap_site_prob = 0.0;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "crawler/update_module.h"
+#include "estimator/change_estimator.h"
 #include "util/flags.h"
 
 namespace webevo {
@@ -145,6 +147,31 @@ TEST(FlagParserTest, TrailingGarbageDoubleFallsBack) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("c", 9.0), 9.0);
 }
 
+TEST(EnumNameTest, EveryValueRoundTripsThroughItsName) {
+  for (crawler::RevisitPolicy policy :
+       {crawler::RevisitPolicy::kUniform, crawler::RevisitPolicy::kProportional,
+        crawler::RevisitPolicy::kOptimal}) {
+    auto parsed =
+        crawler::ParseRevisitPolicy(crawler::RevisitPolicyName(policy));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(*parsed, policy);
+  }
+  for (estimator::EstimatorKind kind :
+       {estimator::EstimatorKind::kNaive, estimator::EstimatorKind::kPoissonCi,
+        estimator::EstimatorKind::kBayesian, estimator::EstimatorKind::kRatio,
+        estimator::EstimatorKind::kLastModified}) {
+    auto parsed =
+        estimator::ParseEstimatorKind(estimator::EstimatorKindName(kind));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(*parsed, kind);
+  }
+  // Names match exactly: no case folding, no prefixes.
+  EXPECT_FALSE(crawler::ParseRevisitPolicy("Optimal").ok());
+  EXPECT_FALSE(crawler::ParseRevisitPolicy("").ok());
+  EXPECT_FALSE(estimator::ParseEstimatorKind("eb").ok());
+  EXPECT_FALSE(estimator::ParseEstimatorKind("EBB").ok());
+}
+
 // ------------------------------------------------------- CLI tools
 
 struct CliRun {
@@ -180,6 +207,29 @@ TEST(CliFlagsTest, ScaleBeyondSiteCapExitsTwo) {
   const CliRun query = RunCli(WEBEVO_QUERY_BIN, "pages --from=x --scale=1e6");
   EXPECT_EQ(query.exit_code, 2) << query.output;
   EXPECT_NE(query.output.find(kSiteCapError), std::string::npos);
+}
+
+TEST(CliFlagsTest, UnknownEnumValuesExitTwoListingTheValidNames) {
+  // A misspelt crawler, policy or estimator must not fall back to a
+  // default and run a different crawl: both tools refuse it before
+  // crawling or loading anything.
+  struct Case {
+    const char* flag;
+    const char* valid;
+  };
+  for (const Case& c :
+       {Case{"--crawler=periodc", "incremental|periodic"},
+        Case{"--policy=optimul", "uniform, proportional, optimal"},
+        Case{"--estimator=EBB", "naive, EP, EB, ratio, EL"}}) {
+    const CliRun sim = RunCli(
+        WEBEVO_SIM_BIN, std::string("crawl --days=1 --scale=0.02 ") + c.flag);
+    EXPECT_EQ(sim.exit_code, 2) << c.flag << "\n" << sim.output;
+    EXPECT_NE(sim.output.find(c.valid), std::string::npos) << sim.output;
+    const CliRun query =
+        RunCli(WEBEVO_QUERY_BIN, std::string("summary --from=x ") + c.flag);
+    EXPECT_EQ(query.exit_code, 2) << c.flag << "\n" << query.output;
+    EXPECT_NE(query.output.find(c.valid), std::string::npos) << query.output;
+  }
 }
 
 }  // namespace

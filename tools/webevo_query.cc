@@ -30,6 +30,7 @@
 #include "serving/batch_view.h"
 #include "serving/view_registry.h"
 #include "simweb/simulated_web.h"
+#include "tools/cli_flags.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -371,35 +372,10 @@ int Run(const FlagParser& flags) {
   // Reconstruct the crawler exactly as `webevo_sim crawl --resume`
   // would, with view publishing enabled so LoadCrawler republishes the
   // restored state into the registry.
-  simweb::WebConfig web_config =
-      simweb::WebConfig().Scaled(flags.GetDouble("scale", 0.15));
-  web_config.seed =
-      static_cast<uint64_t>(flags.GetInt("seed", 19990217));
-  web_config.max_site_size = 250;
-  // A checkpoint written under a fault scenario carries per-site fault
-  // lanes; restoring them into a faultless web is rejected, so the
-  // scenario is a shape flag like --capacity.
-  Status fault_st = simweb::ApplyFaultScenario(
-      flags.GetString("faults", "none"), &web_config);
-  if (!fault_st.ok()) {
-    std::printf("%s\n", fault_st.ToString().c_str());
-    return 2;
-  }
-  // Same story for the adversarial lane: a checkpoint written against
-  // a spider-trap web must be read against one.
-  Status adv_st = simweb::ApplyAdversarialScenario(
-      flags.GetString("adversarial", "none"), &web_config);
-  if (!adv_st.ok()) {
-    std::printf("%s\n", adv_st.ToString().c_str());
-    return 2;
-  }
-  // --scale can ask for more sites than a PageId can address.
-  Status web_st = web_config.Validate();
-  if (!web_st.ok()) {
-    std::printf("%s\n", web_st.ToString().c_str());
-    return 2;
-  }
-  simweb::SimulatedWeb web(web_config);
+  const std::string kind = tools::CrawlerFromFlags(flags);
+  crawler::UpdateModuleConfig update;
+  tools::UpdateFromFlags(flags, &update);
+  simweb::SimulatedWeb web(tools::WebFromFlags(flags));
   const auto capacity =
       static_cast<std::size_t>(flags.GetInt("capacity", 2000));
   const double cycle = flags.GetDouble("cycle", 30.0);
@@ -410,7 +386,7 @@ int Run(const FlagParser& flags) {
   std::unique_ptr<crawler::IncrementalCrawler> incremental;
   serving::ViewRef view;
   Status st;
-  if (flags.GetString("crawler", "incremental") == "periodic") {
+  if (kind == "periodic") {
     crawler::PeriodicCrawlerConfig config;
     config.collection_capacity = capacity;
     config.cycle_days = cycle;
@@ -426,19 +402,7 @@ int Run(const FlagParser& flags) {
     config.collection_capacity = capacity;
     config.crawl_rate_pages_per_day =
         static_cast<double>(capacity) / cycle;
-    std::string policy = flags.GetString("policy", "optimal");
-    config.update.policy = policy == "uniform"
-                               ? crawler::RevisitPolicy::kUniform
-                           : policy == "proportional"
-                               ? crawler::RevisitPolicy::kProportional
-                               : crawler::RevisitPolicy::kOptimal;
-    std::string est = flags.GetString("estimator", "EB");
-    config.update.estimator_kind =
-        est == "EP"      ? estimator::EstimatorKind::kPoissonCi
-        : est == "ratio" ? estimator::EstimatorKind::kRatio
-        : est == "naive" ? estimator::EstimatorKind::kNaive
-        : est == "EL"    ? estimator::EstimatorKind::kLastModified
-                         : estimator::EstimatorKind::kBayesian;
+    config.update = update;
     config.publish_view_every_batches = 1;
     incremental =
         std::make_unique<crawler::IncrementalCrawler>(&web, config);

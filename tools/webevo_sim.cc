@@ -29,6 +29,7 @@
 #include "experiment/csv_export.h"
 #include "experiment/monitoring_experiment.h"
 #include "simweb/simulated_web.h"
+#include "tools/cli_flags.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -107,11 +108,7 @@ storage flags (crawl mode):
 )";
 
 bool PipelineFromFlags(const FlagParser& flags) {
-  const std::string v = flags.GetString("pipeline", "on");
-  if (v == "on") return true;
-  if (v == "off") return false;
-  std::printf("unknown --pipeline value '%s' (on|off)\n", v.c_str());
-  std::exit(2);
+  return tools::OneOfFromFlags(flags, "pipeline", "on", {"on", "off"}) == "on";
 }
 
 int ParallelismFromFlags(const FlagParser& flags) {
@@ -123,38 +120,8 @@ int ParallelismFromFlags(const FlagParser& flags) {
   return n;
 }
 
-simweb::WebConfig WebFromFlags(const FlagParser& flags) {
-  simweb::WebConfig config =
-      simweb::WebConfig().Scaled(flags.GetDouble("scale", 0.15));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 19990217));
-  config.max_site_size = 250;
-  const std::string scenario = flags.GetString("faults", "none");
-  Status st = simweb::ApplyFaultScenario(scenario, &config);
-  if (!st.ok()) {
-    std::printf("%s\n", st.ToString().c_str());
-    std::exit(2);
-  }
-  const std::string adversarial = flags.GetString("adversarial", "none");
-  st = simweb::ApplyAdversarialScenario(adversarial, &config);
-  if (!st.ok()) {
-    std::printf("%s\n", st.ToString().c_str());
-    std::exit(2);
-  }
-  // --scale can ask for more sites than a PageId can address.
-  st = config.Validate();
-  if (!st.ok()) {
-    std::printf("%s\n", st.ToString().c_str());
-    std::exit(2);
-  }
-  return config;
-}
-
 bool DefenseFromFlags(const FlagParser& flags) {
-  const std::string v = flags.GetString("defense", "off");
-  if (v == "on") return true;
-  if (v == "off") return false;
-  std::printf("unknown --defense value '%s' (on|off)\n", v.c_str());
-  std::exit(2);
+  return tools::OneOfFromFlags(flags, "defense", "off", {"on", "off"}) == "on";
 }
 
 void MaybeWriteCsv(const FlagParser& flags,
@@ -172,7 +139,7 @@ void MaybeWriteCsv(const FlagParser& flags,
 }
 
 int RunStudy(const FlagParser& flags) {
-  simweb::SimulatedWeb web(WebFromFlags(flags));
+  simweb::SimulatedWeb web(tools::WebFromFlags(flags));
   experiment::MonitoringConfig config;
   config.num_days = static_cast<int>(flags.GetInt("days", 120));
   config.window_size =
@@ -209,12 +176,12 @@ int RunStudy(const FlagParser& flags) {
 }
 
 int RunCrawl(const FlagParser& flags) {
-  simweb::SimulatedWeb web(WebFromFlags(flags));
+  const std::string kind = tools::CrawlerFromFlags(flags);
+  simweb::SimulatedWeb web(tools::WebFromFlags(flags));
   const double days = flags.GetDouble("days", 120);
   const auto capacity =
       static_cast<std::size_t>(flags.GetInt("capacity", 2000));
   const double cycle = flags.GetDouble("cycle", 30.0);
-  std::string kind = flags.GetString("crawler", "incremental");
   const std::string checkpoint = flags.GetString("checkpoint", "");
   const std::string resume = flags.GetString("resume", "");
   const auto checkpoint_every =
@@ -243,14 +210,10 @@ int RunCrawl(const FlagParser& flags) {
     return 2;
   }
   storage::StoreOptions store_options;
-  const std::string store_kind = flags.GetString("store", "map");
-  if (store_kind == "paged") {
+  if (tools::OneOfFromFlags(flags, "store", "map", {"map", "paged"}) ==
+      "paged") {
     store_options.backend = storage::StoreOptions::Backend::kPaged;
     store_options.dir = flags.GetString("store-dir", ".");
-  } else if (store_kind != "map") {
-    std::printf("unknown --store backend '%s' (map|paged)\n",
-                store_kind.c_str());
-    return 2;
   }
   crawler::CrawlerCheckpointOptions save_options;
   save_options.module_traffic = checkpoint_traffic;
@@ -270,19 +233,7 @@ int RunCrawl(const FlagParser& flags) {
         c.crawl_parallelism = ParallelismFromFlags(flags);
         c.pipeline = PipelineFromFlags(flags);
         c.defense_enabled = defense;
-        std::string policy = flags.GetString("policy", "optimal");
-        c.update.policy = policy == "uniform"
-                              ? crawler::RevisitPolicy::kUniform
-                          : policy == "proportional"
-                              ? crawler::RevisitPolicy::kProportional
-                              : crawler::RevisitPolicy::kOptimal;
-        std::string est = flags.GetString("estimator", "EB");
-        c.update.estimator_kind =
-            est == "EP"      ? estimator::EstimatorKind::kPoissonCi
-            : est == "ratio" ? estimator::EstimatorKind::kRatio
-            : est == "naive" ? estimator::EstimatorKind::kNaive
-            : est == "EL"    ? estimator::EstimatorKind::kLastModified
-                             : estimator::EstimatorKind::kBayesian;
+        tools::UpdateFromFlags(flags, &c.update);
         return c;
       }());
   crawler::PeriodicCrawler periodic(&web, [&] {
@@ -393,7 +344,7 @@ int RunCompare(const FlagParser& flags) {
       static_cast<std::size_t>(flags.GetInt("capacity", 2000));
   const double cycle = flags.GetDouble("cycle", 30.0);
 
-  simweb::SimulatedWeb web_a(WebFromFlags(flags));
+  simweb::SimulatedWeb web_a(tools::WebFromFlags(flags));
   crawler::IncrementalCrawlerConfig inc_config;
   inc_config.collection_capacity = capacity;
   inc_config.crawl_rate_pages_per_day =
@@ -405,7 +356,7 @@ int RunCompare(const FlagParser& flags) {
   inc_config.defense_enabled = DefenseFromFlags(flags);
   crawler::IncrementalCrawler inc(&web_a, inc_config);
 
-  simweb::SimulatedWeb web_b(WebFromFlags(flags));
+  simweb::SimulatedWeb web_b(tools::WebFromFlags(flags));
   crawler::PeriodicCrawlerConfig per_config;
   per_config.collection_capacity = capacity;
   per_config.cycle_days = cycle;
