@@ -4,7 +4,8 @@
 // the housekeeping built on it (per-page pricing, the daily rebalance,
 // the weekly refinement), and the record writers behind serving and
 // checkpoints (view fingerprint, web delta, delta-segment encode,
-// paged-store codec).
+// paged-store codec), and the paged store's barrier Flush and canonical
+// walk.
 // These back the paper's throughput argument: the UpdateModule's fast
 // path must sustain tens of pages per second independent of collection
 // size (Section 5.3's "40 pages/second" discussion).
@@ -12,6 +13,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "serving/batch_view.h"
 #include "simweb/simulated_web.h"
 #include "storage/delta_log.h"
+#include "storage/paged_record_store.h"
 #include "util/hash.h"
 #include "util/random.h"
 
@@ -341,13 +345,114 @@ void BM_PagedCodec(benchmark::State& state) {
     const auto slot = static_cast<uint32_t>(rng.NextBounded(250));
     e.links.push_back(simweb::Url{site, slot, 0});
   }
+  std::string bytes;
+  crawler::CollectionEntry decoded;
   for (auto _ : state) {
-    const std::string bytes = crawler::CollectionEntryCodec::Encode(e);
-    benchmark::DoNotOptimize(crawler::CollectionEntryCodec::Decode(bytes));
+    crawler::CollectionEntryCodec::Encode(e, &bytes);
+    benchmark::DoNotOptimize(
+        crawler::CollectionEntryCodec::Decode(bytes, &decoded));
+    benchmark::DoNotOptimize(decoded.links.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PagedCodec);
+
+using PagedCollection =
+    storage::PagedRecordStore<crawler::CollectionEntry,
+                              crawler::CollectionEntryCodec>;
+
+constexpr uint32_t kPagedRecords = 20000;
+
+/// A paged collection store at the default StoreOptions holding 20k
+/// serve-checkpoint-like entries (0-20 links each). It is built once
+/// and shared by the paged-store benches, each of which leaves it
+/// flushed.
+PagedCollection& SharedPagedCollection() {
+  static const std::unique_ptr<PagedCollection> store = [] {
+    storage::StoreOptions options;
+    options.backend = storage::StoreOptions::Backend::kPaged;
+    options.dir = std::filesystem::temp_directory_path().string();
+    auto made = std::make_unique<PagedCollection>(options, "bench-paged");
+    Rng rng(14);
+    for (uint32_t i = 0; i < kPagedRecords; ++i) {
+      crawler::CollectionEntry e;
+      e.url = simweb::Url{i / 100, i % 100, 0};
+      e.page = rng.Next();
+      e.checksum = Checksum128{rng.Next(), rng.Next()};
+      e.crawled_at = rng.NextDouble() * 10.0;
+      e.importance = rng.NextDouble();
+      e.links.resize(rng.NextBounded(21));
+      for (simweb::Url& link : e.links) {
+        link = simweb::Url{static_cast<uint32_t>(rng.NextBounded(270)),
+                           static_cast<uint32_t>(rng.NextBounded(250)), 0};
+      }
+      made->Put(e.url, std::move(e));
+    }
+    made->Flush();
+    return made;
+  }();
+  return *store;
+}
+
+void BM_PagedStoreFlush(benchmark::State& state) {
+  // One barrier: Flush after a batch dirtied `percent`% of the records,
+  // spread over the whole key range. Each batch recrawls other records
+  // and moves each one's link count up or down by one, in turn, so
+  // cells change size as in a crawl without growing. The dirtying is
+  // not timed.
+  const auto percent = static_cast<uint32_t>(state.range(0));
+  const uint32_t stride = 100 / percent;
+  PagedCollection& store = SharedPagedCollection();
+  const std::size_t compactions0 = store.stats().page_compactions;
+  static uint32_t batch = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ++batch;
+    for (uint32_t i = batch % stride; i < kPagedRecords; i += stride) {
+      crawler::CollectionEntry* e =
+          store.FindMutable(simweb::Url{i / 100, i % 100, 0});
+      e->crawled_at += 1.0;
+      if (e->links.size() % 2 == 0) {
+        e->links.push_back(simweb::Url{batch, i, 0});
+      } else {
+        e->links.pop_back();
+      }
+    }
+    state.ResumeTiming();
+    store.Flush();
+  }
+  state.counters["compactions_per_flush"] = benchmark::Counter(
+      static_cast<double>(store.stats().page_compactions - compactions0) /
+      static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          (kPagedRecords / stride));
+}
+BENCHMARK(BM_PagedStoreFlush)
+    ->Arg(1)
+    ->Arg(20)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PagedStoreWalk(benchmark::State& state) {
+  // A canonical walk of a flushed store, as a view build makes: every
+  // record not in the overlay is read from its page and decoded. The
+  // Flush that trims the overlay back afterwards is not timed.
+  PagedCollection& store = SharedPagedCollection();
+  double sum = 0.0;
+  for (auto _ : state) {
+    store.ForEachCanonical(
+        [&sum](const simweb::Url&, const crawler::CollectionEntry& e) {
+          sum += e.importance;
+        });
+    benchmark::DoNotOptimize(sum);
+    state.PauseTiming();
+    store.Flush();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kPagedRecords);
+}
+BENCHMARK(BM_PagedStoreWalk)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -5,21 +5,20 @@
 
 #include <atomic>
 #include <cassert>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace webevo::storage {
 
 namespace {
 
 constexpr uint16_t kTombstone = 0xFFFF;
-constexpr std::size_t kSlotDirEntry = 4;  // u16 off + u16 len
-constexpr std::size_t kPageHeader = 2;    // u16 nslots
+constexpr std::size_t kSlotBytes = 4;  // charged per slot: u16 off + u16 len
 
-void WriteU16(char* p, uint16_t v) {
-  p[0] = static_cast<char>(v & 0xFF);
-  p[1] = static_cast<char>((v >> 8) & 0xFF);
-}
+std::string ErrnoText() { return std::strerror(errno); }
 
 }  // namespace
 
@@ -33,8 +32,7 @@ std::string PageFile::UniquePath(const std::string& dir,
 }
 
 std::size_t PageFile::MaxRecordBytes(std::size_t page_bytes) {
-  if (page_bytes <= kPageHeader + kSlotDirEntry) return 0;
-  return page_bytes - kPageHeader - kSlotDirEntry;
+  return page_bytes > kSlotBytes ? page_bytes - kSlotBytes : 0;
 }
 
 PageFile::PageFile(std::string path, std::size_t page_bytes,
@@ -42,9 +40,13 @@ PageFile::PageFile(std::string path, std::size_t page_bytes,
     : path_(std::move(path)),
       page_bytes_(page_bytes),
       cache_cap_(cache_pages == 0 ? 1 : cache_pages) {
-  assert(page_bytes_ >= 64 && page_bytes_ <= 0xFFFF);
+  // 0xFFFF is the tombstone offset, so no cell may start there.
+  if (page_bytes_ < 64 || page_bytes_ >= kTombstone) {
+    Fail("page size " + std::to_string(page_bytes_) +
+         " is outside [64, 65534]");
+  }
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  assert(fd_ >= 0 && "PageFile: cannot create backing file");
+  if (fd_ < 0) Fail("cannot create the page file: " + ErrnoText());
 }
 
 PageFile::~PageFile() {
@@ -52,9 +54,13 @@ PageFile::~PageFile() {
   std::remove(path_.c_str());
 }
 
+void PageFile::Fail(const std::string& what) const {
+  std::fprintf(stderr, "PageFile %s: %s\n", path_.c_str(), what.c_str());
+  std::abort();
+}
+
 std::size_t PageFile::Gap(const PageMeta& meta) const {
-  const std::size_t dir_end =
-      kPageHeader + kSlotDirEntry * meta.slots.size();
+  const std::size_t dir_end = kSlotBytes * meta.slots.size();
   return meta.cell_floor > dir_end ? meta.cell_floor - dir_end : 0;
 }
 
@@ -62,14 +68,13 @@ std::size_t PageFile::FreeBytes(const PageMeta& meta) const {
   // Bytes a new record of length L can use: the page's dead cell bytes
   // plus the gap, minus the directory entry a fresh slot needs (a
   // tombstoned slot is reused for free).
-  const std::size_t dir_end =
-      kPageHeader + kSlotDirEntry * meta.slots.size();
+  const std::size_t dir_end = kSlotBytes * meta.slots.size();
   const std::size_t cell_area = page_bytes_ - dir_end;
   const std::size_t used = meta.live_bytes;
   std::size_t free = cell_area > used ? cell_area - used : 0;
   const bool has_tombstone = meta.live_slots < meta.slots.size();
   if (!has_tombstone) {
-    free = free > kSlotDirEntry ? free - kSlotDirEntry : 0;
+    free = free > kSlotBytes ? free - kSlotBytes : 0;
   }
   return free;
 }
@@ -77,16 +82,12 @@ std::size_t PageFile::FreeBytes(const PageMeta& meta) const {
 void PageFile::WriteBack(uint64_t page, const std::vector<char>& buf) {
   const off_t off = static_cast<off_t>(page) *
                     static_cast<off_t>(page_bytes_);
-  ssize_t n = ::pwrite(fd_, buf.data(), page_bytes_, off);
-  (void)n;
-  assert(n == static_cast<ssize_t>(page_bytes_));
-}
-
-void PageFile::TouchLru(uint64_t page) {
-  auto it = cache_.find(page);
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(page);
-  it->second.lru_it = lru_.begin();
+  const ssize_t n = ::pwrite(fd_, buf.data(), page_bytes_, off);
+  if (n != static_cast<ssize_t>(page_bytes_)) {
+    Fail("write-back of page " + std::to_string(page) + " failed: " +
+         (n < 0 ? ErrnoText() : "short write"));
+  }
+  pages_[page].on_disk = true;
 }
 
 void PageFile::EvictIfNeeded(uint64_t except_page) {
@@ -114,16 +115,23 @@ void PageFile::EvictIfNeeded(uint64_t except_page) {
 std::vector<char>& PageFile::PageBuffer(uint64_t page) {
   auto it = cache_.find(page);
   if (it != cache_.end()) {
-    TouchLru(page);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return it->second.buf;
   }
   CacheEntry entry;
   entry.buf.assign(page_bytes_, 0);
-  const off_t off = static_cast<off_t>(page) *
-                    static_cast<off_t>(page_bytes_);
-  ssize_t n = ::pread(fd_, entry.buf.data(), page_bytes_, off);
-  (void)n;  // short read = page never written back yet; zeros are fine
-  ++page_reads_;
+  if (pages_[page].on_disk) {
+    // A page that was never written back has no bytes in the file yet;
+    // one that was must come back whole.
+    const off_t off = static_cast<off_t>(page) *
+                      static_cast<off_t>(page_bytes_);
+    const ssize_t n = ::pread(fd_, entry.buf.data(), page_bytes_, off);
+    if (n != static_cast<ssize_t>(page_bytes_)) {
+      Fail("read of page " + std::to_string(page) + " failed: " +
+           (n < 0 ? ErrnoText() : "short read"));
+    }
+    ++page_reads_;
+  }
   lru_.push_front(page);
   entry.lru_it = lru_.begin();
   auto [nit, ok] = cache_.emplace(page, std::move(entry));
@@ -132,30 +140,21 @@ std::vector<char>& PageFile::PageBuffer(uint64_t page) {
   return nit->second.buf;
 }
 
-void PageFile::CompactPage(uint64_t page, PageMeta& meta,
-                           std::vector<char>& buf) {
-  (void)page;
-  std::vector<char> fresh(page_bytes_, 0);
+void PageFile::CompactPage(PageMeta& meta, std::vector<char>& buf) {
+  compact_buf_.resize(page_bytes_);
   uint16_t cell_end = static_cast<uint16_t>(page_bytes_);
-  for (std::size_t i = 0; i < meta.slots.size(); ++i) {
-    Slot& s = meta.slots[i];
+  for (Slot& s : meta.slots) {
     if (s.off == kTombstone) continue;
     cell_end = static_cast<uint16_t>(cell_end - s.len);
-    std::memcpy(fresh.data() + cell_end, buf.data() + s.off, s.len);
+    std::memcpy(compact_buf_.data() + cell_end, buf.data() + s.off, s.len);
     s.off = cell_end;
   }
   meta.cell_floor = cell_end;
-  buf.swap(fresh);
-  WriteU16(buf.data(), static_cast<uint16_t>(meta.slots.size()));
-  for (std::size_t i = 0; i < meta.slots.size(); ++i) {
-    WriteU16(buf.data() + kPageHeader + kSlotDirEntry * i,
-             meta.slots[i].off);
-    WriteU16(buf.data() + kPageHeader + kSlotDirEntry * i + 2,
-             meta.slots[i].len);
-  }
+  buf.swap(compact_buf_);
+  ++page_compactions_;
 }
 
-PageFile::Loc PageFile::Insert(const std::string& bytes) {
+PageFile::Loc PageFile::Insert(std::string_view bytes) {
   assert(bytes.size() <= MaxRecordBytes(page_bytes_) &&
          "record exceeds page capacity");
   const std::size_t len = bytes.size();
@@ -189,7 +188,7 @@ PageFile::Loc PageFile::Insert(const std::string& bytes) {
     meta.slots.emplace_back();
   }
 
-  if (Gap(meta) < len) CompactPage(page, meta, buf);
+  if (Gap(meta) < len) CompactPage(meta, buf);
   assert(Gap(meta) >= len && "free-space accounting out of sync");
 
   const uint16_t off = static_cast<uint16_t>(meta.cell_floor - len);
@@ -199,23 +198,18 @@ PageFile::Loc PageFile::Insert(const std::string& bytes) {
   meta.slots[slot].len = static_cast<uint16_t>(len);
   meta.live_bytes += static_cast<uint32_t>(len);
   ++meta.live_slots;
-
-  WriteU16(buf.data(), static_cast<uint16_t>(meta.slots.size()));
-  WriteU16(buf.data() + kPageHeader + kSlotDirEntry * slot, off);
-  WriteU16(buf.data() + kPageHeader + kSlotDirEntry * slot + 2,
-           static_cast<uint16_t>(len));
   cache_.find(page)->second.dirty = true;
   return Loc{page, slot};
 }
 
-std::string PageFile::Read(const Loc& loc) {
+std::string_view PageFile::Read(const Loc& loc) {
   assert(loc.page < pages_.size());
   const PageMeta& meta = pages_[loc.page];
   assert(loc.slot < meta.slots.size());
   const Slot& s = meta.slots[loc.slot];
   assert(s.off != kTombstone && "Read of erased record");
-  std::vector<char>& buf = PageBuffer(loc.page);
-  return std::string(buf.data() + s.off, s.len);
+  const std::vector<char>& buf = PageBuffer(loc.page);
+  return std::string_view(buf.data() + s.off, s.len);
 }
 
 void PageFile::Erase(const Loc& loc) {
@@ -226,25 +220,18 @@ void PageFile::Erase(const Loc& loc) {
   assert(s.off != kTombstone && "Erase of erased record");
   meta.live_bytes -= s.len;
   --meta.live_slots;
-  // Keep cell_floor honest when the lowest cell dies; a full recompute
-  // happens naturally at the next compaction.
+  // cell_floor stays put even when the lowest cell dies: Gap() may
+  // undercount until the page's next compaction recomputes it, and
+  // FreeBytes() already counts the dead bytes.
   s.off = kTombstone;
   s.len = 0;
-  std::vector<char>& buf = PageBuffer(loc.page);
-  WriteU16(buf.data() + kPageHeader + kSlotDirEntry * loc.slot,
-           kTombstone);
-  WriteU16(buf.data() + kPageHeader + kSlotDirEntry * loc.slot + 2, 0);
-  cache_.find(loc.page)->second.dirty = true;
 }
 
 void PageFile::Clear() {
   pages_.clear();
   cache_.clear();
   lru_.clear();
-  if (fd_ >= 0) {
-    int rc = ::ftruncate(fd_, 0);
-    (void)rc;
-  }
+  if (::ftruncate(fd_, 0) != 0) Fail("truncate failed: " + ErrnoText());
 }
 
 PageFile::Stats PageFile::stats() const {
@@ -253,6 +240,7 @@ PageFile::Stats PageFile::stats() const {
   s.cached_pages = cache_.size();
   s.page_evictions = page_evictions_;
   s.page_reads = page_reads_;
+  s.page_compactions = page_compactions_;
   for (const PageMeta& m : pages_) {
     s.live_records += m.live_slots;
     s.live_bytes += m.live_bytes;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -12,21 +13,26 @@ namespace webevo::storage {
 /// A scratch file of fixed-size slotted pages with an LRU write-back
 /// page cache.
 ///
-/// Page layout (within a page_bytes buffer):
+/// A page's bytes hold only its records' cells, packed from the page's
+/// end downward. Each page's slot directory (offset and length per
+/// slot) lives in memory: the file is never reopened, so nothing would
+/// read an on-page copy. A slot is still charged kSlotBytes of its
+/// page, as an on-page directory entry would be, which bounds a page's
+/// slot count by its size. Erasing a record tombstones its slot without
+/// touching the page; the slot index is reused by a later insert, and
+/// the page is compacted in place when its contiguous gap is too small
+/// for a fit that its total free bytes allow.
 ///
-///     [u16 nslots][u16 off, u16 len] * nslots ... gap ... [cells]
-///
-/// Cells are packed from the page's end downward; the slot directory
-/// grows from the front. Erasing a record tombstones its directory
-/// entry (off = 0xFFFF); the slot index is reused by a later insert,
-/// and the page is compacted in place when the gap is too small for a
-/// fit that the page's total free bytes allow.
-///
-/// The file is *scratch* storage: the slot directories and free-space
+/// The file is *scratch* storage: the directories and free-space
 /// accounting live in memory for the file's lifetime, records are
 /// durable only through checkpoints, and the file is removed by the
 /// destructor. There is deliberately no reopen path — recovery is the
 /// checkpoint layer's job (docs/STORAGE.md).
+///
+/// I/O failures are not recoverable here: a file that cannot be
+/// created, or a page read or write-back that fails or comes up short,
+/// stops the process with a message naming the file (Fail), in every
+/// build type. Carrying on would silently lose records.
 ///
 /// Not thread-safe; callers serialise access (each crawler shard owns
 /// its stores, and cross-shard use happens only in serial phases).
@@ -41,14 +47,15 @@ class PageFile {
   struct Stats {
     std::size_t pages = 0;
     std::size_t cached_pages = 0;
-    std::size_t page_evictions = 0;
-    std::size_t page_reads = 0;
+    std::size_t page_evictions = 0;    ///< dirty pages written back
+    std::size_t page_reads = 0;        ///< pages read back from the file
+    std::size_t page_compactions = 0;  ///< in-place page compactions
     std::size_t live_records = 0;
     std::size_t live_bytes = 0;
   };
 
   /// Creates (truncates) the backing file. `cache_pages` is clamped to
-  /// at least 1.
+  /// at least 1; `page_bytes` must lie in [64, 65534].
   PageFile(std::string path, std::size_t page_bytes,
            std::size_t cache_pages);
   ~PageFile();
@@ -62,16 +69,22 @@ class PageFile {
   /// Stores `bytes` in the first page that fits (first-fit over page
   /// numbers, allocating a new page at the end when none fits). The
   /// record must satisfy bytes.size() <= MaxRecordBytes(page_bytes).
-  Loc Insert(const std::string& bytes);
+  Loc Insert(std::string_view bytes);
 
-  /// Reads the record at `loc` (which must be live).
-  std::string Read(const Loc& loc);
+  /// The record at `loc` (which must be live). The view points into
+  /// the page cache and is valid until the next call on this file.
+  std::string_view Read(const Loc& loc);
 
-  /// Tombstones the record at `loc` (which must be live).
+  /// Tombstones the record at `loc` (which must be live). Touches only
+  /// the in-memory directory: the dead cell is reclaimed when its page
+  /// is next compacted.
   void Erase(const Loc& loc);
 
   /// Drops every page and truncates the file.
   void Clear();
+
+  /// Prints "PageFile <path>: <what>" to stderr and aborts.
+  [[noreturn]] void Fail(const std::string& what) const;
 
   const std::string& path() const { return path_; }
   std::size_t page_bytes() const { return page_bytes_; }
@@ -92,19 +105,19 @@ class PageFile {
     uint16_t cell_floor = 0;   // lowest cell offset (cells end at page_bytes)
     uint32_t live_bytes = 0;   // sum of live cell lengths
     uint16_t live_slots = 0;
+    bool on_disk = false;      // written back at least once
   };
 
   // Free bytes available to a *new* record on the page (accounts for
   // the directory entry a fresh slot would need).
   std::size_t FreeBytes(const PageMeta& meta) const;
-  // Contiguous gap between the directory and the lowest cell.
+  // Contiguous gap between the charged directory and the lowest cell.
   std::size_t Gap(const PageMeta& meta) const;
 
   std::vector<char>& PageBuffer(uint64_t page);  // faults in + pins via LRU
-  void TouchLru(uint64_t page);
   void EvictIfNeeded(uint64_t except_page);
   void WriteBack(uint64_t page, const std::vector<char>& buf);
-  void CompactPage(uint64_t page, PageMeta& meta, std::vector<char>& buf);
+  void CompactPage(PageMeta& meta, std::vector<char>& buf);
 
   std::string path_;
   std::size_t page_bytes_;
@@ -119,8 +132,10 @@ class PageFile {
   };
   std::unordered_map<uint64_t, CacheEntry> cache_;
   std::list<uint64_t> lru_;  // front = most recent
+  std::vector<char> compact_buf_;  // CompactPage's scratch page
   std::size_t page_evictions_ = 0;
   std::size_t page_reads_ = 0;
+  std::size_t page_compactions_ = 0;
 };
 
 }  // namespace webevo::storage

@@ -43,12 +43,13 @@ struct StoreOptions {
 
 /// Observability counters for a store (all zero on the memory backend).
 struct StoreStats {
-  std::size_t pages = 0;           ///< allocated pages
-  std::size_t cached_pages = 0;    ///< pages resident in the LRU cache
-  std::size_t overlay_records = 0; ///< decoded records materialised
-  std::size_t dirty_records = 0;   ///< records awaiting compaction
-  std::size_t page_evictions = 0;  ///< cache evictions (write-backs)
-  std::size_t page_reads = 0;      ///< pages faulted in from disk
+  std::size_t pages = 0;             ///< allocated pages
+  std::size_t cached_pages = 0;      ///< pages resident in the LRU cache
+  std::size_t overlay_records = 0;   ///< decoded records materialised
+  std::size_t dirty_records = 0;     ///< records awaiting Flush
+  std::size_t page_evictions = 0;    ///< cache evictions (write-backs)
+  std::size_t page_reads = 0;        ///< pages faulted in from disk
+  std::size_t page_compactions = 0;  ///< in-place page compactions
 };
 
 /// A keyed record store — the storage abstraction between the crawler's
@@ -95,8 +96,9 @@ class RecordStore {
   virtual std::size_t size() const = 0;
   virtual void Clear() = 0;
 
-  /// Barrier hook: compacts mutated records into their pages and trims
-  /// the decoded-record overlay (paged backend; no-op on memory).
+  /// Barrier hook: writes the records mutated since the last Flush back
+  /// to their pages and trims the decoded-record overlay (paged backend;
+  /// no-op on memory).
   /// Invalidates outstanding record pointers.
   virtual void Flush() {}
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "crawler/update_module.h"
@@ -230,6 +231,25 @@ TEST(CliFlagsTest, UnknownEnumValuesExitTwoListingTheValidNames) {
     EXPECT_EQ(query.exit_code, 2) << c.flag << "\n" << query.output;
     EXPECT_NE(query.output.find(c.valid), std::string::npos) << query.output;
   }
+}
+
+TEST(CliFlagsTest, UnusableStoreDirExitsTwo) {
+  // A paged store whose scratch directory is missing, or is a file,
+  // cannot write its pages back; the tool must refuse it before
+  // crawling rather than crawl on with pages it cannot keep.
+  const std::string missing = ::testing::TempDir() + "/no-such-store-dir";
+  const std::string file = ::testing::TempDir() + "/store-dir-is-a-file";
+  std::ofstream(file) << "x";
+  for (const std::string& dir : {missing, file}) {
+    const CliRun run = RunCli(
+        WEBEVO_SIM_BIN,
+        "crawl --days=1 --scale=0.02 --store=paged --store-dir=" + dir);
+    EXPECT_EQ(run.exit_code, 2) << dir << "\n" << run.output;
+    EXPECT_NE(run.output.find("is not an existing, writable directory"),
+              std::string::npos)
+        << run.output;
+  }
+  std::remove(file.c_str());
 }
 
 }  // namespace

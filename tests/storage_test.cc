@@ -4,7 +4,11 @@
 // must produce bit-identical canonical walks and checkpoint bytes at
 // every shard count.
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cfloat>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,6 +27,7 @@
 #include "simweb/simulated_web.h"
 #include "storage/delta_log.h"
 #include "storage/page_file.h"
+#include "storage/paged_record_store.h"
 #include "util/random.h"
 
 namespace webevo::storage {
@@ -92,6 +97,44 @@ TEST(PageFileTest, ClearDropsEverything) {
   // The file is usable again after Clear.
   PageFile::Loc loc = file.Insert("hello");
   EXPECT_EQ(file.Read(loc), "hello");
+}
+
+// A page file that cannot be created, written back or read back stops
+// the process with a message naming the file, in every build type:
+// carrying on would bring evicted pages back as zeros.
+TEST(PageFileDeathTest, UncreatableFileStopsNamingIt) {
+  const std::string path = TempPath("no-such-dir/pf.pages");
+  EXPECT_DEATH(PageFile(path, 256, 4),
+               "PageFile .*no-such-dir/pf.pages: cannot create");
+}
+
+// Caps this process's files at two pages, then fills a page file past
+// them: writing back the third page fails with EFBIG (SIGXFSZ ignored).
+void WriteThirdPageOverFileSizeLimit(const std::string& path) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  rlimit limit;
+  limit.rlim_cur = limit.rlim_max = 2048;
+  ::setrlimit(RLIMIT_FSIZE, &limit);
+  PageFile file(path, 1024, 1);
+  for (int i = 0; i < 8; ++i) file.Insert(std::string(1000, 'x'));
+}
+
+TEST(PageFileDeathTest, FailedWriteBackStopsNamingIt) {
+  EXPECT_DEATH(WriteThirdPageOverFileSizeLimit(TempPath("pf_fsize")),
+               "PageFile .*pf_fsize: write-back of page 2 failed");
+}
+
+TEST(PageFileDeathTest, ShortPageReadStopsNamingIt) {
+  PageFile file(TempPath("pf_short"), 256, 1);
+  std::vector<PageFile::Loc> locs;
+  for (char c : {'a', 'b', 'c'}) {
+    locs.push_back(file.Insert(std::string(200, c)));
+  }
+  // Page 0 was written back when page 1 came in. Its bytes vanishing
+  // from the file must not read back as zeros.
+  ASSERT_EQ(::truncate(file.path().c_str(), 0), 0);
+  EXPECT_DEATH(file.Read(locs[0]),
+               "PageFile .*pf_short: read of page 0 failed: short read");
 }
 
 DeltaSegment MakeSegment(uint64_t batch) {
@@ -382,11 +425,110 @@ TEST(StoragePropertyTest, CrawlerCheckpointsMatchAcrossBackends) {
   }
 }
 
+// The barrier's contract, read off the page counters of one paged
+// collection store with PagedOptions' tiny pages and cache.
+using PagedCollectionStore =
+    storage::PagedRecordStore<CollectionEntry, CollectionEntryCodec>;
+
+void FillStore(PagedCollectionStore& store, int n, Rng& rng) {
+  for (int i = 0; i < n; ++i) {
+    const simweb::Url url = MakeUrl(i / 50, i % 50);
+    store.Put(url, MakeEntry(rng, url));
+  }
+  store.Flush();
+}
+
+TEST(PagedStoreFlushTest, FlushWithNothingDirtyTouchesNoPage) {
+  PagedCollectionStore store(PagedOptions(), "flush-clean");
+  Rng rng(3);
+  FillStore(store, 300, rng);
+  ASSERT_GT(store.stats().pages, PagedOptions().cache_pages);
+  // Clean reads fault pages in and fill the overlay, but dirty nothing.
+  for (int i = 0; i < 300; i += 7) {
+    ASSERT_NE(store.Find(MakeUrl(i / 50, i % 50)), nullptr);
+  }
+  store.ForEachCanonical([](const simweb::Url&, const CollectionEntry&) {});
+  const storage::StoreStats before = store.stats();
+  EXPECT_EQ(before.dirty_records, 0u);
+  for (int i = 0; i < 3; ++i) store.Flush();
+  const storage::StoreStats after = store.stats();
+  EXPECT_EQ(after.page_reads, before.page_reads);
+  EXPECT_EQ(after.page_evictions, before.page_evictions);
+  EXPECT_EQ(after.page_compactions, before.page_compactions);
+  EXPECT_LE(after.overlay_records, PagedOptions().overlay_entries);
+}
+
+TEST(PagedStoreFlushTest, FlushCompactsEachPageAtMostOnce) {
+  PagedCollectionStore store(PagedOptions(), "flush-once");
+  Rng rng(4);
+  FillStore(store, 300, rng);
+  for (int k : {1, 17, 120, 300}) {
+    // Grow k records by one link: each one's old cell dies and the
+    // record no longer fits it, so placement has to compact.
+    for (int j = 0; j < k; ++j) {
+      const int i = (j * 300) / k;
+      CollectionEntry* e = store.FindMutable(MakeUrl(i / 50, i % 50));
+      ASSERT_NE(e, nullptr);
+      e->links.push_back(MakeUrl(k, j));
+    }
+    const std::size_t before = store.stats().page_compactions;
+    store.Flush();
+    const storage::StoreStats after = store.stats();
+    EXPECT_EQ(after.dirty_records, 0u);
+    EXPECT_LE(after.page_compactions - before, after.pages) << "k=" << k;
+    if (k >= 120) {
+      EXPECT_GT(after.page_compactions, before) << "k=" << k;
+    }
+  }
+}
+
+TEST(PagedStoreFlushTest, OversizeRecordStaysPinnedAcrossFlushes) {
+  PagedCollectionStore store(PagedOptions(), "flush-oversize");
+  Rng rng(5);
+  FillStore(store, 200, rng);
+  const simweb::Url big_url = MakeUrl(1000, 1);
+  CollectionEntry big = MakeEntry(rng, big_url);
+  big.links.assign(200, MakeUrl(7, 9));  // far beyond a 1 KiB page
+  for (uint32_t i = 0; i < big.links.size(); ++i) big.links[i].slot = i;
+  const CollectionEntry want = big;
+  store.Put(big_url, std::move(big));
+  for (int round = 0; round < 3; ++round) {
+    store.Flush();
+    // Walk the rest so the clean overlay churns past its cap.
+    store.ForEachCanonical([](const simweb::Url&, const CollectionEntry&) {});
+    store.Flush();
+    EXPECT_EQ(store.stats().dirty_records, 1u) << "round " << round;
+    const CollectionEntry* got = store.Find(big_url);
+    ASSERT_NE(got, nullptr);
+    EXPECT_TRUE(got->links == want.links);
+    EXPECT_EQ(got->checksum, want.checksum);
+  }
+  // Shrunk to fit, it is paged at the next Flush and reads back from
+  // its page once the overlay has let it go.
+  store.FindMutable(big_url)->links.resize(3);
+  store.Flush();
+  EXPECT_EQ(store.stats().dirty_records, 0u);
+  store.ForEachCanonical([](const simweb::Url&, const CollectionEntry&) {});
+  store.Flush();
+  const CollectionEntry* got = store.Find(big_url);
+  ASSERT_NE(got, nullptr);
+  ASSERT_EQ(got->links.size(), 3u);
+  EXPECT_TRUE(got->links[2] == want.links[2]);
+  EXPECT_EQ(got->importance, want.importance);
+}
+
 // The paged codecs decode exactly what they encode: link lists of any
 // length, every integer at full width, and doubles at the edges of the
-// range (compared bit for bit, so -0.0 and subnormals count).
+// range and NaNs of any sign and payload (compared bit for bit, so
+// -0.0 and subnormals count).
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+double FromBits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
 }
 
 TEST(StoreCodecTest, PagedCodecsRoundTrip) {
@@ -394,7 +536,10 @@ TEST(StoreCodecTest, PagedCodecsRoundTrip) {
   Rng rng(7);
   for (std::size_t nlinks : {std::size_t{0}, std::size_t{200}}) {
     for (double v : {0.0, -0.0, 5e-324, DBL_MIN, DBL_MAX, -DBL_MAX, 1.0 / 3,
-                     -1e-7, kInf}) {
+                     -1e-7, kInf, std::numeric_limits<double>::quiet_NaN(),
+                     FromBits(0xFFF8000000000000),    // negative quiet NaN
+                     FromBits(0x7FF0000000000001),    // signalling NaN
+                     FromBits(0x7FF8DEADBEEF0042)}) {  // NaN with a payload
       CollectionEntry e = MakeEntry(rng, MakeUrl(rng.NextBounded(1000), 3));
       e.url.incarnation = std::numeric_limits<uint32_t>::max();
       e.page = std::numeric_limits<uint64_t>::max();
@@ -404,8 +549,10 @@ TEST(StoreCodecTest, PagedCodecsRoundTrip) {
       for (std::size_t i = 0; i < nlinks; ++i) {
         e.links.push_back(MakeUrl(rng.Next() >> 32, rng.Next() >> 32));
       }
-      const CollectionEntry d = CollectionEntryCodec::Decode(
-          CollectionEntryCodec::Encode(e));
+      std::string bytes;
+      CollectionEntryCodec::Encode(e, &bytes);
+      CollectionEntry d;
+      ASSERT_TRUE(CollectionEntryCodec::Decode(bytes, &d));
       EXPECT_TRUE(d.url == e.url);
       EXPECT_EQ(d.page, e.page);
       EXPECT_EQ(d.version, e.version);
@@ -415,13 +562,39 @@ TEST(StoreCodecTest, PagedCodecsRoundTrip) {
       EXPECT_TRUE(d.links == e.links);
 
       const AllUrls::UrlInfo info{v, rng.Next(), nlinks > 0};
-      const AllUrls::UrlInfo back = UrlInfoCodec::Decode(
-          UrlInfoCodec::Encode(info));
+      UrlInfoCodec::Encode(info, &bytes);
+      AllUrls::UrlInfo back;
+      ASSERT_TRUE(UrlInfoCodec::Decode(bytes, &back));
       EXPECT_TRUE(SameBits(back.first_seen, info.first_seen)) << v;
       EXPECT_EQ(back.in_links, info.in_links);
       EXPECT_EQ(back.dead, info.dead);
     }
   }
+}
+
+// A record whose length disagrees with what its fields declare (a
+// collection entry's link count, or a UrlInfo's fixed size) is refused,
+// never decoded from bytes past its end.
+TEST(StoreCodecTest, PagedCodecsRejectLengthMismatch) {
+  Rng rng(8);
+  CollectionEntry e = MakeEntry(rng, MakeUrl(5, 6));
+  e.links = {MakeUrl(1, 2), MakeUrl(3, 4)};
+  std::string bytes;
+  CollectionEntryCodec::Encode(e, &bytes);
+  CollectionEntry d;
+  ASSERT_TRUE(CollectionEntryCodec::Decode(bytes, &d));
+  for (std::size_t cut : {std::size_t{1}, std::size_t{12}, bytes.size()}) {
+    EXPECT_FALSE(CollectionEntryCodec::Decode(
+        std::string_view(bytes).substr(0, bytes.size() - cut), &d))
+        << cut;
+  }
+  EXPECT_FALSE(CollectionEntryCodec::Decode(bytes + std::string(12, '\0'), &d));
+
+  UrlInfoCodec::Encode(AllUrls::UrlInfo{1.5, 7, true}, &bytes);
+  AllUrls::UrlInfo info;
+  ASSERT_TRUE(UrlInfoCodec::Decode(bytes, &info));
+  EXPECT_FALSE(UrlInfoCodec::Decode(bytes + "x", &info));
+  EXPECT_FALSE(UrlInfoCodec::Decode(bytes.substr(1), &info));
 }
 
 }  // namespace

@@ -16,8 +16,11 @@
 //
 // All runs are deterministic for a given --seed.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -104,7 +107,8 @@ storage flags (crawl mode):
                             to slotted page files — behaviour and
                             checkpoints are bit-identical either way)
   --store-dir=<dir>         scratch directory for --store=paged page
-                            files                     (default ".")
+                            files; must be an existing, writable
+                            directory                 (default ".")
 )";
 
 bool PipelineFromFlags(const FlagParser& flags) {
@@ -214,6 +218,15 @@ int RunCrawl(const FlagParser& flags) {
       "paged") {
     store_options.backend = storage::StoreOptions::Backend::kPaged;
     store_options.dir = flags.GetString("store-dir", ".");
+    // A page file that cannot be created stops the run mid-crawl; say
+    // so before crawling instead.
+    std::error_code ec;
+    if (!std::filesystem::is_directory(store_options.dir, ec) ||
+        ::access(store_options.dir.c_str(), W_OK | X_OK) != 0) {
+      std::printf("--store-dir=%s is not an existing, writable directory\n",
+                  store_options.dir.c_str());
+      return 2;
+    }
   }
   crawler::CrawlerCheckpointOptions save_options;
   save_options.module_traffic = checkpoint_traffic;
