@@ -44,8 +44,8 @@ Outcome RunIncremental(std::size_t capacity) {
   out.ok = crawler.Bootstrap(0.0).ok() && crawler.RunUntil(kHorizon).ok();
   if (!out.ok) return out;
   out.freshness = crawler.tracker().TimeAverage(2 * kCycle, kHorizon);
-  out.peak_rate = crawler.crawl_module().PeakDailyRate();
-  out.avg_rate = crawler.crawl_module().AverageDailyRate();
+  out.peak_rate = crawler.crawl_pool().AggregateTraffic().PeakDailyRate();
+  out.avg_rate = crawler.crawl_pool().AggregateTraffic().AverageDailyRate();
   out.crawls = crawler.stats().crawls;
   if (crawler.stats().new_page_latency_days.count() > 0) {
     out.new_page_latency = crawler.stats().new_page_latency_days.mean();
@@ -65,8 +65,8 @@ Outcome RunPeriodic(std::size_t capacity) {
   out.ok = crawler.Bootstrap(0.0).ok() && crawler.RunUntil(kHorizon).ok();
   if (!out.ok) return out;
   out.freshness = crawler.tracker().TimeAverage(2 * kCycle, kHorizon);
-  out.peak_rate = crawler.crawl_module().PeakDailyRate();
-  out.avg_rate = crawler.crawl_module().AverageDailyRate();
+  out.peak_rate = crawler.crawl_pool().AggregateTraffic().PeakDailyRate();
+  out.avg_rate = crawler.crawl_pool().AggregateTraffic().AverageDailyRate();
   out.crawls = crawler.stats().crawls;
   // A periodic crawler indexes a page created right after a crawl only
   // in the *next* cycle: expected latency ~ half a cycle plus the wait

@@ -49,6 +49,7 @@
 #include "crawler/snapshot.h"
 #include "simweb/simulated_web.h"
 #include "simweb/web_config.h"
+#include "util/ledger.h"
 #include "util/table.h"
 
 namespace {
@@ -178,22 +179,17 @@ struct CellResult {
   bool ok = true;
 };
 
+// The mode's ledger is the crawler's view summary: every row of the
+// Stats table, under the name and value a BatchView shows.
 void WriteMode(std::ostream& js, const char* key, const Mode& m) {
-  const auto& s = m.stats;
   auto flag = [](bool b) { return b ? "true" : "false"; };
-  js << "     \"" << key << "\": {\"crawls\": " << s.crawls
-     << ", \"fetch_failures\": " << s.fetch_failures
-     << ", \"transient_errors\": " << s.transient_errors
-     << ", \"timeout_errors\": " << s.timeout_errors
-     << ",\n       \"failure_retries\": " << s.failure_retries
-     << ", \"sites_quarantined\": " << s.sites_quarantined
-     << ", \"urls_retired\": " << s.urls_retired
-     << ", \"backoff_days\": " << s.backoff_days.sum()
-     << ",\n       \"wasted_fetches\": " << s.wasted_fetches
-     << ", \"trap_sites_throttled\": " << s.trap_sites_throttled
-     << ", \"duplicate_urls_suppressed\": " << s.duplicate_urls_suppressed
-     << ", \"pages_migrated\": " << s.pages_migrated
-     << ",\n       \"wasted_share\": " << m.WastedShare()
+  js << "     \"" << key << "\": {";
+  const char* sep = "";
+  for (const auto& [name, value] : ledger::Summary(m.stats)) {
+    js << sep << "\"" << name << "\": " << value;
+    sep = ", ";
+  }
+  js << ",\n       \"wasted_share\": " << m.WastedShare()
      << ", \"freshness\": " << m.freshness
      << ", \"shard_identical\": " << flag(m.shard_identical)
      << ", \"resume_identical\": " << flag(m.resume_identical)

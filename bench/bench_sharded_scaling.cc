@@ -50,6 +50,7 @@
 #include "crawler/incremental_crawler.h"
 #include "simweb/simulated_web.h"
 #include "simweb/web_config.h"
+#include "util/ledger.h"
 #include "util/table.h"
 
 namespace {
@@ -59,47 +60,24 @@ using namespace webevo;
 struct RunResult {
   int shards = 0;
   double wall_seconds = 0.0;
-  uint64_t crawls = 0;
-  uint64_t batches = 0;
-  // Per-phase wall-clock totals over the whole run.
-  double plan_seconds = 0.0;
-  double fetch_seconds = 0.0;
-  double apply_seconds = 0.0;
-  double apply_barrier_seconds = 0.0;
-  double measure_seconds = 0.0;
-  double rebalance_seconds = 0.0;
-  double refine_seconds = 0.0;
-  // Determinism fingerprint: every field must match across shard counts
-  // bit for bit.
+  // The run's two ledgers (util/ledger.h). Their deterministic rows,
+  // the collection quality and the web's counts must match across
+  // shard counts bit for bit; the engine's layout-dependent and
+  // wall-clock rows are reported, never compared.
+  crawler::IncrementalCrawler::Stats stats;
+  crawler::ShardedCrawlEngine::Stats engine;
   crawler::CollectionQuality quality;
-  uint64_t pages_added = 0;
-  uint64_t dead_pages_removed = 0;
-  uint64_t changes_detected = 0;
-  uint64_t politeness_retries = 0;
-  uint64_t in_batch_retries = 0;
-  /// Total in-batch politeness retry rounds (deterministic ledger
-  /// entry; the per-batch mean shows hot-site skew).
-  uint64_t retry_rounds = 0;
-  /// Capacity-lease ledger. Budget, settled admissions and settle
-  /// evictions are pure functions of the simulation (fingerprinted);
-  /// revocations measure how often the optimistic shard leases
-  /// overdrew — shard-layout dependent by design, reported but never
-  /// fingerprinted (always 0 at N = 1).
-  uint64_t lease_budget = 0;
-  uint64_t lease_admissions = 0;
-  uint64_t lease_revocations = 0;
-  uint64_t settle_evictions = 0;
   uint64_t web_fetches = 0;
   uint64_t pages_created = 0;
-  /// Pipeline overlap ledger (pipelined runs only): wall-clock the
-  /// fused measure stage spent inside fetch workers instead of on the
-  /// serial path, and how many batches carried it.
-  double measure_overlap_seconds = 0.0;
-  uint64_t pipelined_batches = 0;
   /// The paired non-pipelined run at the same shard count.
   double pipeline_off_wall_seconds = 0.0;
   bool pipeline_off_identical = true;
 };
+
+// A per-batch series' total, for the counts the tables print.
+uint64_t Total(const RunningStat& series) {
+  return static_cast<uint64_t>(series.sum() + 0.5);
+}
 
 RunResult RunOnce(int shards, double scale, double days,
                   uint32_t body_bytes, bool pipeline) {
@@ -137,53 +115,22 @@ RunResult RunOnce(int shards, double scale, double days,
   RunResult r;
   r.shards = shards;
   r.wall_seconds = std::chrono::duration<double>(end - start).count();
-  r.crawls = crawl.stats().crawls;
-  const crawler::ShardedCrawlEngine::Stats& es = crawl.engine().stats();
-  r.batches = es.batches;
-  r.plan_seconds = es.plan_seconds.sum();
-  r.fetch_seconds = es.fetch_seconds.sum();
-  r.apply_seconds = es.apply_seconds.sum();
-  r.apply_barrier_seconds = es.apply_barrier_seconds.sum();
-  r.measure_seconds = es.measure_seconds.sum();
-  r.rebalance_seconds = es.rebalance_seconds.sum();
-  r.refine_seconds = es.refine_seconds.sum();
   r.quality = crawl.MeasureNow();
-  r.pages_added = crawl.stats().pages_added;
-  r.dead_pages_removed = crawl.stats().dead_pages_removed;
-  r.changes_detected = crawl.stats().changes_detected;
-  r.politeness_retries = crawl.stats().politeness_retries;
-  r.in_batch_retries = crawl.stats().in_batch_retries;
-  r.retry_rounds = static_cast<uint64_t>(es.retry_rounds.sum() + 0.5);
-  r.lease_budget =
-      static_cast<uint64_t>(es.lease_admit_budget.sum() + 0.5);
-  r.lease_admissions =
-      static_cast<uint64_t>(es.lease_admissions.sum() + 0.5);
-  r.lease_revocations =
-      static_cast<uint64_t>(es.lease_revocations.sum() + 0.5);
-  r.settle_evictions =
-      static_cast<uint64_t>(es.settle_evictions.sum() + 0.5);
+  r.stats = crawl.stats();
+  r.engine = crawl.engine().stats();
   r.web_fetches = web.fetch_count();
   r.pages_created = web.OracleTotalPagesCreated();
-  r.measure_overlap_seconds = es.measure_overlap_seconds.sum();
-  r.pipelined_batches = es.pipelined_batches;
   return r;
 }
 
 bool SameSimulation(const RunResult& a, const RunResult& b) {
-  return a.crawls == b.crawls && a.quality.freshness == b.quality.freshness &&
+  return ledger::Diff(a.stats, b.stats).empty() &&
+         ledger::Diff(a.engine, b.engine).empty() &&
+         a.quality.freshness == b.quality.freshness &&
          a.quality.mean_stale_age_days == b.quality.mean_stale_age_days &&
          a.quality.size == b.quality.size &&
          a.quality.fresh == b.quality.fresh &&
          a.quality.dead == b.quality.dead &&
-         a.pages_added == b.pages_added &&
-         a.dead_pages_removed == b.dead_pages_removed &&
-         a.changes_detected == b.changes_detected &&
-         a.politeness_retries == b.politeness_retries &&
-         a.in_batch_retries == b.in_batch_retries &&
-         a.retry_rounds == b.retry_rounds &&
-         a.lease_budget == b.lease_budget &&
-         a.lease_admissions == b.lease_admissions &&
-         a.settle_evictions == b.settle_evictions &&
          a.web_fetches == b.web_fetches &&
          a.pages_created == b.pages_created;
 }
@@ -247,11 +194,12 @@ int main(int argc, char** argv) {
   for (const RunResult& r : results) {
     bool identical = SameSimulation(base, r) && r.pipeline_off_identical;
     all_identical = all_identical && identical;
-    double pages_per_sec =
-        r.wall_seconds > 0.0 ? static_cast<double>(r.crawls) / r.wall_seconds
-                             : 0.0;
+    double pages_per_sec = r.wall_seconds > 0.0
+                               ? static_cast<double>(r.stats.crawls) /
+                                     r.wall_seconds
+                               : 0.0;
     double base_rate = base.wall_seconds > 0.0
-                           ? static_cast<double>(base.crawls) /
+                           ? static_cast<double>(base.stats.crawls) /
                                  base.wall_seconds
                            : 0.0;
     double speedup = base_rate > 0.0 ? pages_per_sec / base_rate : 1.0;
@@ -261,7 +209,7 @@ int main(int argc, char** argv) {
                            ? r.pipeline_off_wall_seconds / r.wall_seconds
                            : 1.0;
     table.AddRow({std::to_string(r.shards),
-                  TablePrinter::Fmt(static_cast<int64_t>(r.crawls)),
+                  TablePrinter::Fmt(static_cast<int64_t>(r.stats.crawls)),
                   TablePrinter::Fmt(r.wall_seconds),
                   TablePrinter::Fmt(pages_per_sec, 0),
                   TablePrinter::Fmt(speedup, 2),
@@ -291,32 +239,33 @@ int main(int argc, char** argv) {
                          "retry rounds", "adm/rev/evict",
                          "serial ms/batch"});
     for (const RunResult& r : results) {
+      const crawler::ShardedCrawlEngine::Stats& e = r.engine;
       double per_batch_ms =
-          r.batches > 0
+          e.batches > 0
               ? 1e3 *
-                    (r.plan_seconds + r.measure_seconds +
-                     r.apply_barrier_seconds) /
-                    static_cast<double>(r.batches)
+                    (e.plan_seconds.sum() + e.measure_seconds.sum() +
+                     e.apply_barrier_seconds.sum()) /
+                    static_cast<double>(e.batches)
               : 0.0;
       // The lease ledger: settled admissions and evictions are part
       // of the determinism fingerprint; revocations (optimistic lease
       // overdraft clawed back at settle) are shard-layout dependent
       // by design.
-      std::string lease = std::to_string(r.lease_admissions) + "/" +
-                          std::to_string(r.lease_revocations) + "/" +
-                          std::to_string(r.settle_evictions);
+      std::string lease = std::to_string(Total(e.lease_admissions)) + "/" +
+                          std::to_string(Total(e.lease_revocations)) + "/" +
+                          std::to_string(Total(e.settle_evictions));
       phases.AddRow({std::to_string(r.shards),
-                     TablePrinter::Fmt(static_cast<int64_t>(r.batches)),
-                     TablePrinter::Fmt(r.plan_seconds),
-                     TablePrinter::Fmt(r.fetch_seconds),
-                     TablePrinter::Fmt(r.apply_seconds),
-                     TablePrinter::Fmt(r.apply_barrier_seconds),
-                     TablePrinter::Fmt(r.measure_seconds),
-                     TablePrinter::Fmt(r.rebalance_seconds),
-                     TablePrinter::Fmt(r.refine_seconds),
-                     TablePrinter::Fmt(r.measure_overlap_seconds),
+                     TablePrinter::Fmt(static_cast<int64_t>(e.batches)),
+                     TablePrinter::Fmt(e.plan_seconds.sum()),
+                     TablePrinter::Fmt(e.fetch_seconds.sum()),
+                     TablePrinter::Fmt(e.apply_seconds.sum()),
+                     TablePrinter::Fmt(e.apply_barrier_seconds.sum()),
+                     TablePrinter::Fmt(e.measure_seconds.sum()),
+                     TablePrinter::Fmt(e.rebalance_seconds.sum()),
+                     TablePrinter::Fmt(e.refine_seconds.sum()),
+                     TablePrinter::Fmt(e.measure_overlap_seconds.sum()),
                      TablePrinter::Fmt(
-                         static_cast<int64_t>(r.retry_rounds)),
+                         static_cast<int64_t>(Total(e.retry_rounds))),
                      lease, TablePrinter::Fmt(per_batch_ms, 3)});
     }
     std::printf("%s\n", phases.ToString().c_str());
@@ -339,37 +288,40 @@ int main(int argc, char** argv) {
        << "  \"runs\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const RunResult& r = results[i];
+      const crawler::ShardedCrawlEngine::Stats& e = r.engine;
       const double pages_per_sec =
           r.wall_seconds > 0.0
-              ? static_cast<double>(r.crawls) / r.wall_seconds
+              ? static_cast<double>(r.stats.crawls) / r.wall_seconds
               : 0.0;
       const double barrier_share =
-          r.apply_seconds > 0.0
-              ? r.apply_barrier_seconds / r.apply_seconds
+          e.apply_seconds.sum() > 0.0
+              ? e.apply_barrier_seconds.sum() / e.apply_seconds.sum()
               : 0.0;
       js << "    {\"shards\": " << r.shards << ", \"crawled_pages\": "
-         << r.crawls << ", \"wall_seconds\": " << r.wall_seconds
+         << r.stats.crawls << ", \"wall_seconds\": " << r.wall_seconds
          << ", \"pages_per_second\": " << pages_per_sec
          << ", \"identical_sim\": "
          << (SameSimulation(base, r) ? "true" : "false")
-         << ", \"batches\": " << r.batches
-         << ",\n     \"phases\": {\"plan_s\": " << r.plan_seconds
-         << ", \"fetch_s\": " << r.fetch_seconds << ", \"apply_s\": "
-         << r.apply_seconds << ", \"apply_barrier_s\": "
-         << r.apply_barrier_seconds << ", \"measure_s\": "
-         << r.measure_seconds << ", \"rebalance_s\": "
-         << r.rebalance_seconds << ", \"refine_s\": " << r.refine_seconds
-         << "},\n     \"barrier_share\": "
-         << barrier_share << ", \"retry_rounds\": " << r.retry_rounds
-         << ",\n     \"lease\": {\"admit_budget\": " << r.lease_budget
-         << ", \"admissions\": " << r.lease_admissions
-         << ", \"revocations\": " << r.lease_revocations
-         << ", \"settle_evictions\": " << r.settle_evictions << "}"
+         << ", \"batches\": " << e.batches
+         << ",\n     \"phases\": {\"plan_s\": " << e.plan_seconds.sum()
+         << ", \"fetch_s\": " << e.fetch_seconds.sum() << ", \"apply_s\": "
+         << e.apply_seconds.sum() << ", \"apply_barrier_s\": "
+         << e.apply_barrier_seconds.sum() << ", \"measure_s\": "
+         << e.measure_seconds.sum() << ", \"rebalance_s\": "
+         << e.rebalance_seconds.sum()
+         << ", \"refine_s\": " << e.refine_seconds.sum()
+         << "},\n     \"barrier_share\": " << barrier_share
+         << ", \"retry_rounds\": " << Total(e.retry_rounds)
+         << ",\n     \"lease\": {\"admit_budget\": "
+         << Total(e.lease_admit_budget)
+         << ", \"admissions\": " << Total(e.lease_admissions)
+         << ", \"revocations\": " << Total(e.lease_revocations)
+         << ", \"settle_evictions\": " << Total(e.settle_evictions) << "}"
          << ",\n     \"pipeline\": {\"off_wall_seconds\": "
          << r.pipeline_off_wall_seconds << ", \"off_identical\": "
          << (r.pipeline_off_identical ? "true" : "false")
-         << ", \"measure_overlap_s\": " << r.measure_overlap_seconds
-         << ", \"pipelined_batches\": " << r.pipelined_batches
+         << ", \"measure_overlap_s\": " << e.measure_overlap_seconds.sum()
+         << ", \"pipelined_batches\": " << e.pipelined_batches
          << "}}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     js << "  ],\n"
@@ -423,16 +375,18 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (gated != nullptr && gated->apply_seconds > 0.0) {
-      const double share =
-          gated->apply_barrier_seconds / gated->apply_seconds;
+    const double apply_s =
+        gated != nullptr ? gated->engine.apply_seconds.sum() : 0.0;
+    const double barrier_s =
+        gated != nullptr ? gated->engine.apply_barrier_seconds.sum() : 0.0;
+    if (apply_s > 0.0) {
+      const double share = barrier_s / apply_s;
       if (share >= limit) {
         if (!phase_breakdown) print_phase_table();
         std::fprintf(stderr,
                      "FAIL: apply-barrier share %.3f (%.4fs / %.4fs) at "
                      "N=%d >= limit %.3f\n(phase breakdown above)\n",
-                     share, gated->apply_barrier_seconds,
-                     gated->apply_seconds, gated->shards, limit);
+                     share, barrier_s, apply_s, gated->shards, limit);
         return 1;
       }
       std::printf("barrier share at N=%d: %.3f (limit %.3f)\n",

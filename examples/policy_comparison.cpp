@@ -50,8 +50,8 @@ Row RunPeriodic(const std::string& name, double window, bool shadowing) {
   Row row{name};
   row.freshness = crawler.tracker().TimeAverage(2 * kCycleDays,
                                                 kHorizonDays);
-  row.peak = crawler.crawl_module().PeakDailyRate();
-  row.average = crawler.crawl_module().AverageDailyRate();
+  row.peak = crawler.crawl_pool().AggregateTraffic().PeakDailyRate();
+  row.average = crawler.crawl_pool().AggregateTraffic().AverageDailyRate();
   return row;
 }
 
@@ -71,8 +71,8 @@ Row RunIncremental(const std::string& name,
   Row row{name};
   row.freshness = crawler.tracker().TimeAverage(2 * kCycleDays,
                                                 kHorizonDays);
-  row.peak = crawler.crawl_module().PeakDailyRate();
-  row.average = crawler.crawl_module().AverageDailyRate();
+  row.peak = crawler.crawl_pool().AggregateTraffic().PeakDailyRate();
+  row.average = crawler.crawl_pool().AggregateTraffic().AverageDailyRate();
   std::printf("  [%s] new-page latency: %.1f days avg over %lld pages\n",
               name.c_str(),
               crawler.stats().new_page_latency_days.count() > 0

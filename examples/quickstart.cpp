@@ -9,6 +9,7 @@
 
 #include "crawler/incremental_crawler.h"
 #include "simweb/simulated_web.h"
+#include "util/ledger.h"
 #include "util/table.h"
 
 int main() {
@@ -42,7 +43,6 @@ int main() {
 
   // 3. Results: oracle-measured freshness plus the crawler's own view.
   crawler::CollectionQuality quality = crawler.MeasureNow();
-  const auto& stats = crawler.stats();
   TablePrinter table({"metric", "value"});
   table.AddRow({"collection size", TablePrinter::Fmt(
                                        static_cast<int64_t>(quality.size))});
@@ -50,24 +50,14 @@ int main() {
   table.AddRow({"freshness (30d avg)",
                 TablePrinter::Fmt(crawler.tracker().TimeAverage(30.0,
                                                                 60.0))});
-  table.AddRow({"total crawls",
-                TablePrinter::Fmt(static_cast<int64_t>(stats.crawls))});
-  table.AddRow({"changes detected",
-                TablePrinter::Fmt(
-                    static_cast<int64_t>(stats.changes_detected))});
-  table.AddRow({"dead pages removed",
-                TablePrinter::Fmt(
-                    static_cast<int64_t>(stats.dead_pages_removed))});
-  table.AddRow({"refinement replacements",
-                TablePrinter::Fmt(
-                    static_cast<int64_t>(stats.replacements_executed))});
+  // Every counter of the crawler's ledger, as a published view shows it.
+  for (const auto& [name, value] : ledger::Summary(crawler.stats())) {
+    table.AddRow({name, value});
+  }
   table.AddRow(
-      {"new-page latency (days, avg)",
-       TablePrinter::Fmt(stats.new_page_latency_days.count() > 0
-                             ? stats.new_page_latency_days.mean()
-                             : 0.0)});
-  table.AddRow({"peak crawl rate (pages/day)",
-                TablePrinter::Fmt(crawler.crawl_module().PeakDailyRate())});
+      {"peak crawl rate (pages/day)",
+       TablePrinter::Fmt(
+           crawler.crawl_pool().AggregateTraffic().PeakDailyRate())});
   std::printf("\n%s", table.ToString().c_str());
 
   // 4. The freshness trajectory (Figure 7(b)-style steady curve).

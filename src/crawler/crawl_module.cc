@@ -11,7 +11,7 @@ StatusOr<simweb::FetchResult> CrawlModule::Crawl(const simweb::Url& url,
   if (config_.enforce_politeness && config_.per_site_delay_days > 0.0 &&
       url.site < last_access_.size() &&
       t < last_access_[url.site] + config_.per_site_delay_days) {
-    ++politeness_rejections_;
+    ++traffic_.politeness_rejections;
     return Status::FailedPrecondition("politeness delay not elapsed");
   }
   if (url.site >= last_access_.size()) {
@@ -20,22 +20,10 @@ StatusOr<simweb::FetchResult> CrawlModule::Crawl(const simweb::Url& url,
   }
   last_access_[url.site] = t;
 
-  // Accounting (counts failures too: a 404 still costs a request).
-  ++fetch_count_;
-  if (!any_fetch_) {
-    first_fetch_time_ = t;
-    any_fetch_ = true;
-  }
-  last_fetch_time_ = std::max(last_fetch_time_, t);
-  // Absolute-day bucket: floor(t), so histograms from different
-  // modules (and from a checkpoint baseline) sum exactly.
-  auto day = static_cast<std::size_t>(std::max(0.0, std::floor(t)));
-  if (day >= fetches_per_day_.size()) fetches_per_day_.resize(day + 1, 0);
-  ++fetches_per_day_[day];
-
+  traffic_.RecordFetch(t);
   double latency_days = 0.0;
   auto result = web_->Fetch(url, t, &latency_days);
-  if (!result.ok()) ++failure_count_;
+  if (!result.ok()) ++traffic_.failure_count;
   if (latency_days > 0.0) {
     // A slow response or a timeout ties up the connection: the polite
     // window for this site starts when the stall ends, not when the
@@ -70,26 +58,49 @@ double CrawlModule::NextAllowedTime(uint32_t site) const {
   return last_access_[site] + config_.per_site_delay_days;
 }
 
-double CrawlModule::PeakDailyRate() const {
+void CrawlModule::Traffic::RecordFetch(double t) {
+  ++fetch_count;
+  if (!any_fetch) {
+    first_fetch_time = t;
+    any_fetch = true;
+  }
+  last_fetch_time = std::max(last_fetch_time, t);
+  // Absolute-day bucket: floor(t), so histograms from different
+  // modules (and from a checkpoint baseline) sum exactly.
+  auto day = static_cast<std::size_t>(std::max(0.0, std::floor(t)));
+  if (day >= fetches_per_day.size()) fetches_per_day.resize(day + 1, 0);
+  ++fetches_per_day[day];
+}
+
+void CrawlModule::Traffic::Merge(const Traffic& other) {
+  fetch_count += other.fetch_count;
+  failure_count += other.failure_count;
+  politeness_rejections += other.politeness_rejections;
+  if (other.fetches_per_day.size() > fetches_per_day.size()) {
+    fetches_per_day.resize(other.fetches_per_day.size(), 0);
+  }
+  for (std::size_t d = 0; d < other.fetches_per_day.size(); ++d) {
+    fetches_per_day[d] += other.fetches_per_day[d];
+  }
+  if (!other.any_fetch) return;
+  first_fetch_time =
+      any_fetch ? std::min(first_fetch_time, other.first_fetch_time)
+                : other.first_fetch_time;
+  last_fetch_time = any_fetch ? std::max(last_fetch_time, other.last_fetch_time)
+                              : other.last_fetch_time;
+  any_fetch = true;
+}
+
+double CrawlModule::Traffic::PeakDailyRate() const {
   uint64_t peak = 0;
-  for (uint64_t day : fetches_per_day_) peak = std::max(peak, day);
+  for (uint64_t day : fetches_per_day) peak = std::max(peak, day);
   return static_cast<double>(peak);
 }
 
-double CrawlModule::AverageDailyRate() const {
-  if (!any_fetch_) return 0.0;
-  double span = std::max(1.0, last_fetch_time_ - first_fetch_time_);
-  return static_cast<double>(fetch_count_) / span;
-}
-
-void CrawlModule::ResetTraffic() {
-  fetch_count_ = 0;
-  failure_count_ = 0;
-  politeness_rejections_ = 0;
-  fetches_per_day_.clear();
-  first_fetch_time_ = 0.0;
-  last_fetch_time_ = 0.0;
-  any_fetch_ = false;
+double CrawlModule::Traffic::AverageDailyRate() const {
+  if (!any_fetch) return 0.0;
+  double span = std::max(1.0, last_fetch_time - first_fetch_time);
+  return static_cast<double>(fetch_count) / span;
 }
 
 }  // namespace webevo::crawler

@@ -63,44 +63,38 @@ class CrawlModule {
   /// Restores one site's last access time.
   void RestorePoliteness(uint32_t site, double last_access);
 
-  uint64_t fetch_count() const { return fetch_count_; }
-  uint64_t failure_count() const { return failure_count_; }
-  uint64_t politeness_rejections() const { return politeness_rejections_; }
+  /// The traffic ledger. Day buckets are *absolute* simulation days
+  /// (bucket d counts fetches with floor(t) == d), so merging the
+  /// modules' ledgers is a pure function of the fetch stream,
+  /// independent of the site-to-module split.
+  struct Traffic {
+    uint64_t fetch_count = 0;  ///< failures too: a 404 costs a request
+    uint64_t failure_count = 0;
+    uint64_t politeness_rejections = 0;
+    std::vector<uint64_t> fetches_per_day;
+    double first_fetch_time = 0.0;
+    double last_fetch_time = 0.0;
+    bool any_fetch = false;
 
-  /// Peak fetches within any single day so far, and the all-time
-  /// average rate — the load numbers Figure 10 contrasts.
-  double PeakDailyRate() const;
-  double AverageDailyRate() const;
+    void RecordFetch(double t);
+    /// Counters and day buckets sum; the time bounds take their union.
+    void Merge(const Traffic& other);
+    /// Peak fetches within any single day, and the all-time average
+    /// rate — the load numbers Figure 10 contrasts.
+    double PeakDailyRate() const;
+    double AverageDailyRate() const;
+  };
+  const Traffic& traffic() const { return traffic_; }
 
-  /// The raw traffic ledger, for the pool's canonical aggregate (see
-  /// CrawlModulePool::AggregateTraffic). Buckets are *absolute*
-  /// simulation days — bucket d counts fetches with floor(t) == d — so
-  /// summing histograms across modules is a pure function of the fetch
-  /// stream, independent of the site-to-module split.
-  const std::vector<uint64_t>& fetches_per_day() const {
-    return fetches_per_day_;
-  }
-  double first_fetch_time() const { return first_fetch_time_; }
-  double last_fetch_time() const { return last_fetch_time_; }
-  bool any_fetch() const { return any_fetch_; }
-
-  /// Zeroes the traffic ledger (counters and histogram; politeness
-  /// state is untouched). Used when a checkpoint restore replaces the
-  /// pool's accounting with the carried-over aggregate baseline.
-  void ResetTraffic();
+  /// Zeroes the traffic ledger (politeness state is untouched), for a
+  /// checkpoint restore that installs a carried-over baseline.
+  void ResetTraffic() { traffic_ = Traffic{}; }
 
  private:
   simweb::SimulatedWeb* web_;  // not owned
   CrawlModuleConfig config_;
   std::vector<double> last_access_;  // per site; grows on demand
-  uint64_t fetch_count_ = 0;
-  uint64_t failure_count_ = 0;
-  uint64_t politeness_rejections_ = 0;
-  // Histogram of fetch counts per absolute simulation day.
-  std::vector<uint64_t> fetches_per_day_;
-  double first_fetch_time_ = 0.0;
-  double last_fetch_time_ = 0.0;
-  bool any_fetch_ = false;
+  Traffic traffic_;
 };
 
 }  // namespace webevo::crawler

@@ -40,68 +40,9 @@ void CrawlModulePool::RestorePoliteness(
   }
 }
 
-uint64_t CrawlModulePool::fetch_count() const {
-  uint64_t total = baseline_.fetch_count;
-  for (const auto& m : modules_) total += m->fetch_count();
-  return total;
-}
-
-uint64_t CrawlModulePool::failure_count() const {
-  uint64_t total = baseline_.failure_count;
-  for (const auto& m : modules_) total += m->failure_count();
-  return total;
-}
-
-uint64_t CrawlModulePool::politeness_rejections() const {
-  uint64_t total = baseline_.politeness_rejections;
-  for (const auto& m : modules_) total += m->politeness_rejections();
-  return total;
-}
-
-double CrawlModulePool::CombinedPeakDailyRate() const {
-  double total = baseline_.PeakDailyRate();
-  for (const auto& m : modules_) total += m->PeakDailyRate();
-  return total;
-}
-
-double CrawlModulePool::Traffic::PeakDailyRate() const {
-  uint64_t peak = 0;
-  for (uint64_t day : fetches_per_day) peak = std::max(peak, day);
-  return static_cast<double>(peak);
-}
-
-double CrawlModulePool::Traffic::AverageDailyRate() const {
-  if (!any_fetch) return 0.0;
-  double span = std::max(1.0, last_fetch_time - first_fetch_time);
-  return static_cast<double>(fetch_count) / span;
-}
-
 CrawlModulePool::Traffic CrawlModulePool::AggregateTraffic() const {
   Traffic total = baseline_;
-  for (const auto& m : modules_) {
-    total.fetch_count += m->fetch_count();
-    total.failure_count += m->failure_count();
-    total.politeness_rejections += m->politeness_rejections();
-    const std::vector<uint64_t>& days = m->fetches_per_day();
-    if (days.size() > total.fetches_per_day.size()) {
-      total.fetches_per_day.resize(days.size(), 0);
-    }
-    for (std::size_t d = 0; d < days.size(); ++d) {
-      total.fetches_per_day[d] += days[d];
-    }
-    if (m->any_fetch()) {
-      if (!total.any_fetch) {
-        total.first_fetch_time = m->first_fetch_time();
-        total.last_fetch_time = m->last_fetch_time();
-        total.any_fetch = true;
-      } else {
-        total.first_fetch_time =
-            std::min(total.first_fetch_time, m->first_fetch_time());
-        total.last_fetch_time =
-            std::max(total.last_fetch_time, m->last_fetch_time());
-      }
-    }
-  }
+  for (const auto& m : modules_) total.Merge(m->traffic());
   return total;
 }
 

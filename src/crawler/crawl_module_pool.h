@@ -63,39 +63,11 @@ class CrawlModulePool {
     return *modules_[shard];
   }
 
-  /// Aggregate accounting across all modules (plus any restored
-  /// baseline).
-  uint64_t fetch_count() const;
-  uint64_t failure_count() const;
-  uint64_t politeness_rejections() const;
-  /// Sum of the per-module peaks: the pool's worst-case combined daily
-  /// load (an upper bound on the true combined peak).
-  double CombinedPeakDailyRate() const;
-
-  /// The pool's canonical traffic aggregate: global counters plus the
-  /// absolute-day fetch histogram, summed across modules. Because each
-  /// fetch lands in bucket floor(t) regardless of which module served
-  /// it, the aggregate is a pure function of the fetch stream —
-  /// identical at every parallelism — which is what lets checkpoints
-  /// carry it (the "traffic" section) without breaking the N=1 / N=8
-  /// byte-identity invariant.
-  struct Traffic {
-    uint64_t fetch_count = 0;
-    uint64_t failure_count = 0;
-    uint64_t politeness_rejections = 0;
-    /// Fetches per absolute simulation day (bucket d = floor(t) == d).
-    std::vector<uint64_t> fetches_per_day;
-    double first_fetch_time = 0.0;
-    double last_fetch_time = 0.0;
-    bool any_fetch = false;
-
-    /// The Figure 10 load numbers, off the aggregate histogram.
-    double PeakDailyRate() const;
-    double AverageDailyRate() const;
-  };
-
-  /// Live modules + restored baseline, merged (histograms sum, time
-  /// bounds union).
+  /// The pool's canonical traffic aggregate: every module's ledger
+  /// and any restored baseline, merged. It is identical at every
+  /// parallelism, which is what lets checkpoints carry it (the
+  /// "traffic" section) without breaking the N=1 / N=8 byte identity.
+  using Traffic = CrawlModule::Traffic;
   Traffic AggregateTraffic() const;
 
   /// Checkpoint restore: zeroes every module's live ledger and installs

@@ -175,7 +175,7 @@ void IncrementalCrawler::ApplyBatch(
     for (std::size_t i : by_shard[s]) {
       const simweb::Url& url = plan[i].url;
       const double at = plan[i].at;
-      ++out.crawls;
+      ++out.stats.crawls;
       ApplyEffect effect;
       effect.slot = i;
       effect.url = url;
@@ -189,7 +189,7 @@ void IncrementalCrawler::ApplyBatch(
           // earliest polite time at the attempt itself; the admission
           // pass decides whether that window reopens inside this
           // batch.
-          ++out.politeness_retries;
+          ++out.stats.politeness_retries;
           effect.kind = ApplyEffect::Kind::kRetry;
           effect.when = retry_at[i];
         } else if (code == StatusCode::kUnavailable ||
@@ -197,11 +197,11 @@ void IncrementalCrawler::ApplyBatch(
           // Classified failure (transient error or timeout): never
           // change evidence — an unreachable page is not an unchanged
           // page — so the estimators and last_visit stay untouched.
-          ++out.fetch_failures;
+          ++out.stats.fetch_failures;
           if (code == StatusCode::kUnavailable) {
-            ++out.transient_errors;
+            ++out.stats.transient_errors;
           } else {
-            ++out.timeout_errors;
+            ++out.stats.timeout_errors;
           }
           update_module_.OnFetchFailed(url, at);
           auto& url_fails = url_failure_shards_[s];
@@ -225,13 +225,13 @@ void IncrementalCrawler::ApplyBatch(
             }
             Status mark = all_urls_.MarkDead(url);
             (void)mark;
-            ++out.urls_retired;
+            ++out.stats.urls_retired;
             effect.kind = ApplyEffect::Kind::kDead;
           } else {
             // Bounded exponential backoff with jitter from the site's
             // own lane; the quarantine floor (set when the breaker
             // trips, here or on an earlier failure) dominates.
-            ++out.failure_retries;
+            ++out.stats.failure_retries;
             const uint32_t exponent =
                 std::min(site_state.consecutive, 16u) - 1;
             const double delay =
@@ -250,7 +250,7 @@ void IncrementalCrawler::ApplyBatch(
               site_state.consecutive = 0;
               effect.quarantine = true;
               effect.quarantine_until = site_state.quarantined_until;
-              ++out.sites_quarantined;
+              ++out.stats.sites_quarantined;
             }
             if (effect.when < site_state.quarantined_until) {
               effect.when = site_state.quarantined_until;
@@ -270,7 +270,7 @@ void IncrementalCrawler::ApplyBatch(
           url_failure_shards_[s].erase(url);
           if (collection_.shard(s).Remove(url).ok()) {
             update_module_.Forget(url);
-            ++out.dead_pages_removed;
+            ++out.stats.dead_pages_removed;
             effect.purged = true;
           }
           Status mark = all_urls_.MarkDead(url);
@@ -297,12 +297,12 @@ void IncrementalCrawler::ApplyBatch(
       const bool first_visit = existing == nullptr;
       if (existing != nullptr) {
         changed = !(existing->checksum == result->checksum);
-        if (changed) ++out.changes_detected;
+        if (changed) ++out.stats.changes_detected;
         existing->version = result->version;
         existing->checksum = result->checksum;
         existing->crawled_at = at;
         existing->links = result->links;
-        ++out.in_place_updates;
+        ++out.stats.in_place_updates;
         effect.kind = ApplyEffect::Kind::kReschedule;
       } else {
         // New page: the insert draws on the shard's capacity lease in
@@ -838,22 +838,9 @@ void IncrementalCrawler::ApplyBatch(
 
   // Counter deltas merge in shard index order; shard wall-clocks are
   // merged the same way (values are wall-clock, the structure is not).
-  uint64_t batch_failures = 0;
   for (const ShardApplyResult& delta : deltas) {
-    stats_.crawls += delta.crawls;
-    stats_.in_place_updates += delta.in_place_updates;
-    stats_.changes_detected += delta.changes_detected;
-    stats_.politeness_retries += delta.politeness_retries;
-    stats_.dead_pages_removed += delta.dead_pages_removed;
-    stats_.fetch_failures += delta.fetch_failures;
-    stats_.transient_errors += delta.transient_errors;
-    stats_.timeout_errors += delta.timeout_errors;
-    stats_.failure_retries += delta.failure_retries;
-    stats_.sites_quarantined += delta.sites_quarantined;
-    stats_.urls_retired += delta.urls_retired;
-    batch_failures += delta.fetch_failures;
+    ledger::AddCounters(stats_, delta.stats);
   }
-  if (batch_failures > 0) engine_.RecordFetchFailures(batch_failures);
   for (std::size_t s : busy) {
     engine_.RecordApplyShardSeconds(deltas[s].seconds);
   }

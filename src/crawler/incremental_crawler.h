@@ -21,6 +21,7 @@
 #include "freshness/freshness_tracker.h"
 #include "simweb/simulated_web.h"
 #include "storage/record_store.h"
+#include "util/ledger.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -228,9 +229,7 @@ class IncrementalCrawler {
   const ShardedCollection& collection() const { return collection_; }
   const AllUrls& all_urls() const { return all_urls_; }
   const ShardedFrontier& coll_urls() const { return coll_urls_; }
-  /// Module 0 — the only module at crawl_parallelism == 1; per-shard
-  /// accounting for wider pools lives on crawl_pool().
-  const CrawlModule& crawl_module() const { return engine_.pool().module(0); }
+  /// The crawl modules; AggregateTraffic() is the crawl's load.
   const CrawlModulePool& crawl_pool() const { return engine_.pool(); }
   const ShardedCrawlEngine& engine() const { return engine_; }
   const UpdateModule& update_module() const { return update_module_; }
@@ -256,40 +255,34 @@ class IncrementalCrawler {
     uint64_t in_batch_retries = 0;
     /// Capacity-lease ledger: the admission budget granted to the
     /// shard leases (sum of each batch's frozen R) and the greedy-fill
-    /// admissions that stood after settlement. Both are pure functions
-    /// of the simulation — identical at every shard count — and are
-    /// checkpointed. (Lease *revocations* are shard-layout dependent
-    /// and live on the engine's wall-clock-free ledger instead.)
+    /// admissions that stood after settlement. (Lease *revocations*
+    /// are shard-layout dependent and live on the engine's ledger.)
     uint64_t lease_budget_granted = 0;
     uint64_t lease_admissions = 0;
-    /// Failure ledger (all pure functions of the simulation, identical
-    /// at every shard count, checkpointed): classified fetch failures
-    /// by kind, how they were disposed of, and the backoff the
-    /// pipeline imposed. `fetch_failures` = transient + timeout;
-    /// `failure_retries` counts failures rescheduled with backoff
-    /// (the rest were retirements); `urls_retired` is deliberately
-    /// separate from `dead_pages_removed` — a retired URL may well be
-    /// alive, the crawler just gave up on it.
+    /// Failure ledger: classified fetch failures by kind, how they
+    /// were disposed of, and the backoff the pipeline imposed.
+    /// `fetch_failures` = transient + timeout; `failure_retries` counts
+    /// failures rescheduled with backoff (the rest were retirements);
+    /// `urls_retired` is deliberately separate from
+    /// `dead_pages_removed` — a retired URL may well be alive, the
+    /// crawler just gave up on it.
     uint64_t fetch_failures = 0;
     uint64_t transient_errors = 0;
     uint64_t timeout_errors = 0;
     uint64_t failure_retries = 0;
     uint64_t sites_quarantined = 0;
     uint64_t urls_retired = 0;
-    /// Backoff delays imposed on failure reschedules, in days — fed
-    /// serially in slot order at the settle (RunningStat accumulation
-    /// order is observable through the checkpoint).
+    /// Backoff delays imposed on failure reschedules, in days.
     RunningStat backoff_days;
-    /// Defense ledger (pure functions of the simulation, identical at
-    /// every shard count, checkpointed). `wasted_fetches` counts every
-    /// successful fetch whose content fingerprint was already owned by
-    /// a different URL — it accrues with the defense layer on OR off,
-    /// which is what the graceful-degradation bench compares. The
-    /// other three count defensive *actions* and stay 0 with the
-    /// defense off: throttle events (a site's yield collapse tripping
-    /// the pacing throttle 0->1, or its crossing the link-spam bar),
-    /// duplicate-content URLs suppressed by mirror dedup, and
-    /// collection entries re-homed by migration-following.
+    /// Defense ledger. `wasted_fetches` counts every successful fetch
+    /// whose content fingerprint was already owned by a different URL
+    /// — it accrues with the defense layer on OR off, which is what
+    /// the graceful-degradation bench compares. The other three count
+    /// defensive *actions* and stay 0 with the defense off: throttle
+    /// events (a site's yield collapse tripping the pacing throttle
+    /// 0->1, or its crossing the link-spam bar), duplicate-content
+    /// URLs suppressed by mirror dedup, and collection entries
+    /// re-homed by migration-following.
     uint64_t wasted_fetches = 0;
     uint64_t trap_sites_throttled = 0;
     uint64_t duplicate_urls_suppressed = 0;
@@ -302,6 +295,45 @@ class IncrementalCrawler {
     /// churn — neither is the paper's "index a new page right after it
     /// is found" timeliness.
     RunningStat new_page_latency_days;
+
+    /// The ledger table (util/ledger.h), in the order of the
+    /// checkpoint's C and L records and of a view's summary. Every row
+    /// is deterministic and checkpointed, so a new field takes a row
+    /// here and a kIncMetaVersion bump. Both series are fed serially in
+    /// slot order at the settle, never merged from shard copies.
+    template <typename Fn>
+    static constexpr void Visit(Fn&& fn) {
+      using S = Stats;
+      using ledger::Row;
+      using enum ledger::Class;
+      using enum ledger::Shown;
+      fn(Row{"crawls"}, &S::crawls);
+      fn(Row{"in_place_updates"}, &S::in_place_updates);
+      fn(Row{"pages_added"}, &S::pages_added);
+      fn(Row{"pages_evicted"}, &S::pages_evicted);
+      fn(Row{"replacements_executed"}, &S::replacements_executed);
+      fn(Row{"dead_pages_removed"}, &S::dead_pages_removed);
+      fn(Row{"changes_detected"}, &S::changes_detected);
+      fn(Row{"politeness_retries"}, &S::politeness_retries);
+      fn(Row{"in_batch_retries"}, &S::in_batch_retries);
+      fn(Row{"lease_budget_granted"}, &S::lease_budget_granted);
+      fn(Row{"lease_admissions"}, &S::lease_admissions);
+      fn(Row{"new_page_latency_days", kDeterministic,
+             "new_page_latency_mean_days", kMean},
+         &S::new_page_latency_days);
+      fn(Row{"fetch_failures"}, &S::fetch_failures);
+      fn(Row{"transient_errors"}, &S::transient_errors);
+      fn(Row{"timeout_errors"}, &S::timeout_errors);
+      fn(Row{"failure_retries"}, &S::failure_retries);
+      fn(Row{"sites_quarantined"}, &S::sites_quarantined);
+      fn(Row{"urls_retired"}, &S::urls_retired);
+      fn(Row{"backoff_days", kDeterministic, "backoff_days_total", kSum},
+         &S::backoff_days);
+      fn(Row{"wasted_fetches"}, &S::wasted_fetches);
+      fn(Row{"trap_sites_throttled"}, &S::trap_sites_throttled);
+      fn(Row{"duplicate_urls_suppressed"}, &S::duplicate_urls_suppressed);
+      fn(Row{"pages_migrated"}, &S::pages_migrated);
+    }
   };
   const Stats& stats() const { return stats_; }
 
@@ -384,19 +416,10 @@ class IncrementalCrawler {
   };
 
   /// Everything one shard's outcome pass produces: counter deltas plus
-  /// the effect queue, both in the shard's slot order.
+  /// the effect queue, both in the shard's slot order. The pass writes
+  /// counters only; the series are fed serially at the settle.
   struct ShardApplyResult {
-    uint64_t crawls = 0;
-    uint64_t in_place_updates = 0;
-    uint64_t changes_detected = 0;
-    uint64_t politeness_retries = 0;
-    uint64_t dead_pages_removed = 0;
-    uint64_t fetch_failures = 0;
-    uint64_t transient_errors = 0;
-    uint64_t timeout_errors = 0;
-    uint64_t failure_retries = 0;
-    uint64_t sites_quarantined = 0;
-    uint64_t urls_retired = 0;
+    Stats stats;
     std::vector<ApplyEffect> effects;
     double seconds = 0.0;  ///< wall-clock of this shard's pass
   };
@@ -554,6 +577,9 @@ class IncrementalCrawler {
   bool base_written_ = false;
   std::set<simweb::Url, simweb::UrlIdentityLess> frontier_dirty_;
 };
+
+static_assert(ledger::CoversEveryField<IncrementalCrawler::Stats>(),
+              "every IncrementalCrawler::Stats field needs one ledger row");
 
 }  // namespace webevo::crawler
 

@@ -167,7 +167,6 @@ void PeriodicCrawler::ApplyOutcome(
       } else {
         ++stats_.timeout_errors;
       }
-      engine_.RecordFetchFailures(1);
       uint32_t& requeues = requeue_counts_[url];
       if (requeues < kFaultRequeueLimit) {
         ++requeues;
@@ -450,6 +449,18 @@ Status PeriodicCrawler::RunUntil(double until) {
 
 void PeriodicCrawler::PublishViewNow() {
   engine_.PublishView(serving::BuildBatchView(*this));
+}
+
+ledger::SummaryRows PeriodicCrawler::SummaryRows() const {
+  ledger::SummaryRows rows;
+  ledger::ForEachRow(stats_, [&](const ledger::Row& row, const uint64_t& n) {
+    ledger::AppendShown(row, n, &rows);
+    if (&n == &stats_.swaps) {
+      ledger::AppendShown({"cycles_completed"},
+                          static_cast<uint64_t>(cycles_completed_), &rows);
+    }
+  });
+  return rows;
 }
 
 CollectionQuality PeriodicCrawler::MeasureNow() {

@@ -15,6 +15,7 @@
 #include "crawler/sharded_crawl_engine.h"
 #include "freshness/freshness_tracker.h"
 #include "simweb/simulated_web.h"
+#include "util/ledger.h"
 #include "util/status.h"
 
 namespace webevo::crawler {
@@ -138,9 +139,7 @@ class PeriodicCrawler {
   /// shadowing; the single collection otherwise).
   const Collection& current_collection() const;
 
-  /// Module 0 — the only module at crawl_parallelism == 1; per-shard
-  /// accounting for wider pools lives on crawl_pool().
-  const CrawlModule& crawl_module() const { return engine_.pool().module(0); }
+  /// The crawl modules; AggregateTraffic() is the crawl's load.
   const CrawlModulePool& crawl_pool() const { return engine_.pool(); }
   const ShardedCrawlEngine& engine() const { return engine_; }
   const freshness::FreshnessTracker& tracker() const { return tracker_; }
@@ -165,8 +164,33 @@ class PeriodicCrawler {
     uint64_t timeout_errors = 0;
     uint64_t failure_retries = 0;
     uint64_t failures_dropped = 0;
+
+    /// The ledger table (util/ledger.h), in the order of the
+    /// checkpoint's C record. Every row is deterministic and
+    /// checkpointed, so a new field takes a row here and a
+    /// kPerMetaVersion bump.
+    template <typename Fn>
+    static constexpr void Visit(Fn&& fn) {
+      using S = Stats;
+      using ledger::Row;
+      fn(Row{"crawls"}, &S::crawls);
+      fn(Row{"pages_stored"}, &S::pages_stored);
+      fn(Row{"dead_fetches"}, &S::dead_fetches);
+      fn(Row{"politeness_rejections"}, &S::politeness_rejections);
+      fn(Row{"swaps"}, &S::swaps);
+      fn(Row{"fetch_failures"}, &S::fetch_failures);
+      fn(Row{"transient_errors"}, &S::transient_errors);
+      fn(Row{"timeout_errors"}, &S::timeout_errors);
+      fn(Row{"failure_retries"}, &S::failure_retries);
+      fn(Row{"failures_dropped"}, &S::failures_dropped);
+    }
   };
   const Stats& stats() const { return stats_; }
+
+  /// A view's summary rows (serving/view_builder.cc): the ledger's, in
+  /// table order, with cycles_completed — the crawler's own count, not
+  /// a Stats field — right after swaps.
+  ledger::SummaryRows SummaryRows() const;
 
   /// Completed engine batches — the auto-checkpoint cadence counter,
   /// persisted by SaveCrawler.
@@ -242,6 +266,9 @@ class PeriodicCrawler {
   std::unordered_map<simweb::Url, uint32_t, simweb::UrlHash>
       requeue_counts_;
 };
+
+static_assert(ledger::CoversEveryField<PeriodicCrawler::Stats>(),
+              "every PeriodicCrawler::Stats field needs one ledger row");
 
 }  // namespace webevo::crawler
 

@@ -11,6 +11,7 @@
 #include "crawler/crawl_module_pool.h"
 #include "serving/view_registry.h"
 #include "simweb/simulated_web.h"
+#include "util/ledger.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -134,75 +135,51 @@ class ShardedCrawlEngine {
   struct Stats {
     uint64_t batches = 0;
     uint64_t fetches = 0;
-    /// Classified fetch failures (transient errors + timeouts) the
-    /// owning crawler's apply pass reported — a pure function of the
-    /// simulation, identical at every shard count, so it belongs to
-    /// the deterministic side of the ledger.
-    uint64_t fetch_failures = 0;
     /// Fetches handled per batch, and by each batch's busiest shard —
     /// together they measure how well site-hashing balances the load
     /// (busiest == batch size means one shard did all the work).
     RunningStat batch_fetches;
     RunningStat busiest_shard_fetches;
-    /// Wall-clock seconds per fetch, accumulated by each shard locally
-    /// and merged at the batch barrier in shard index order. The
-    /// *values* are wall-clock (not reproducible); the merge structure
-    /// is, so shard count never reorders the accumulation.
+    /// Seconds per fetch, accumulated by each shard and merged at the
+    /// batch barrier in shard index order.
     RunningStat fetch_latency_seconds;
-    /// Wall-clock seconds per plan / fetch / apply / measure phase —
-    /// the Amdahl ledger behind bench_sharded_scaling's per-phase
-    /// breakdown. Fetch is recorded by ExecuteBatch; the other phases
-    /// are reported by the owning crawler via RecordPlanSeconds and
-    /// friends. Plan, fetch and apply each carry one sample per
-    /// *non-empty* batch (matching `batches`), measure one per
-    /// freshness sample. Values are wall-clock and not reproducible;
-    /// the sample structure is.
+    /// Seconds per plan / fetch / apply / measure phase — the Amdahl
+    /// ledger behind bench_sharded_scaling's per-phase breakdown. Fetch
+    /// is recorded by ExecuteBatch, the others by the owning crawler
+    /// (RecordPlanSeconds and friends). Plan, fetch and apply carry one
+    /// sample per *non-empty* batch (matching `batches`), measure one
+    /// per freshness sample.
     RunningStat plan_seconds;
     RunningStat fetch_seconds;
     RunningStat apply_seconds;
     RunningStat measure_seconds;
-    /// Wall-clock seconds of the crawl loop's serial housekeeping,
-    /// reported by the owning crawler: one sample per
+    /// The crawl loop's serial housekeeping: one sample per
     /// UpdateModule::Rebalance call and one per refinement pass
     /// (RankingModule::Refine plus executing its decisions).
     RunningStat rebalance_seconds;
     RunningStat refine_seconds;
-    /// The apply phase split open: per-shard wall-clock of the parallel
-    /// pass (one sample per busy shard per batch, merged in shard index
-    /// order) and the serial barrier reduction (one sample per batch).
-    /// barrier / apply is the apply phase's remaining serial fraction.
+    /// The apply phase split open: the parallel pass per busy shard,
+    /// and the serial barrier once per batch. barrier / apply is the
+    /// apply phase's remaining serial fraction.
     RunningStat apply_shard_seconds;
     RunningStat apply_barrier_seconds;
-    /// In-batch politeness retry rounds per planned batch (one sample
-    /// per primary batch, 0 when nothing was rejected) — the ledger
-    /// entry that shows when hot-site skew is costing extra rounds.
-    /// Unlike the wall-clock stats this one is deterministic.
+    /// In-batch politeness retry rounds per primary batch (0 when
+    /// nothing was rejected): shows when hot-site skew costs rounds.
     RunningStat retry_rounds;
-    /// The capacity-lease ledger, one sample per applied batch.
-    /// Budget (the frozen remaining capacity every shard's lease
-    /// carries), settled admissions, and settle evictions are pure
-    /// functions of the simulation — identical at every shard count,
-    /// part of the bench fingerprint. Revocations count how often the
-    /// optimistic leases *overdrew* and the settle had to claw back;
-    /// that is a property of how the batch happened to split across
-    /// shards (always 0 at N = 1), so like busiest_shard_fetches it is
-    /// deliberately excluded from determinism fingerprints and
-    /// checkpoints.
+    /// The capacity-lease ledger, one sample per applied batch: the
+    /// frozen budget every shard's lease carries, settled admissions,
+    /// revocations (optimistic leases that overdrew and were clawed
+    /// back at the settle; always 0 at N = 1) and settle evictions.
     RunningStat lease_admit_budget;
     RunningStat lease_admissions;
     RunningStat lease_revocations;
     RunningStat settle_evictions;
-    /// Serving-layer ledger: views published through PublishView and
-    /// the wall-clock cost of building + publishing each (the values
-    /// are wall-clock and not reproducible; the count is a pure
-    /// function of the publish cadence).
+    /// Views published through PublishView, and the cost of each.
     uint64_t views_published = 0;
     RunningStat publish_seconds;
-    /// Pipeline overlap ledger. measure_overlap_seconds records
-    /// wall-clock spent inside the fused stage hook — work batch B's
-    /// pool dispatch absorbed on behalf of the measure(B-1) stage (one
-    /// sample per shard per hooked batch, merged in shard index
-    /// order); pipelined_batches counts the hooked batches.
+    /// Pipeline overlap ledger: time inside the fused stage hook — work
+    /// batch B's dispatch absorbed for the measure(B-1) stage, one
+    /// sample per shard per hooked batch — and the hooked batches.
     RunningStat measure_overlap_seconds;
     uint64_t pipelined_batches = 0;
     /// Never written: the crawl loop no longer speculates plans. Only
@@ -211,6 +188,42 @@ class ShardedCrawlEngine {
     uint64_t speculative_plans = 0;
     RunningStat spec_lanes_reused;
     RunningStat spec_lanes_invalidated;
+
+    /// The ledger table (util/ledger.h). None of it is checkpointed:
+    /// the engine ledger restarts at zero on restore.
+    template <typename Fn>
+    static constexpr void Visit(Fn&& fn) {
+      using S = Stats;
+      using ledger::Row;
+      using enum ledger::Class;
+      fn(Row{"batches"}, &S::batches);
+      fn(Row{"fetches"}, &S::fetches);
+      fn(Row{"batch_fetches"}, &S::batch_fetches);
+      fn(Row{"busiest_shard_fetches", kLayout}, &S::busiest_shard_fetches);
+      fn(Row{"fetch_latency_seconds", kWallClock}, &S::fetch_latency_seconds);
+      fn(Row{"plan_seconds", kWallClock}, &S::plan_seconds);
+      fn(Row{"fetch_seconds", kWallClock}, &S::fetch_seconds);
+      fn(Row{"apply_seconds", kWallClock}, &S::apply_seconds);
+      fn(Row{"measure_seconds", kWallClock}, &S::measure_seconds);
+      fn(Row{"rebalance_seconds", kWallClock}, &S::rebalance_seconds);
+      fn(Row{"refine_seconds", kWallClock}, &S::refine_seconds);
+      fn(Row{"apply_shard_seconds", kWallClock}, &S::apply_shard_seconds);
+      fn(Row{"apply_barrier_seconds", kWallClock}, &S::apply_barrier_seconds);
+      fn(Row{"retry_rounds"}, &S::retry_rounds);
+      fn(Row{"lease_admit_budget"}, &S::lease_admit_budget);
+      fn(Row{"lease_admissions"}, &S::lease_admissions);
+      fn(Row{"lease_revocations", kLayout}, &S::lease_revocations);
+      fn(Row{"settle_evictions"}, &S::settle_evictions);
+      fn(Row{"views_published"}, &S::views_published);
+      fn(Row{"publish_seconds", kWallClock}, &S::publish_seconds);
+      fn(Row{"measure_overlap_seconds", kWallClock},
+         &S::measure_overlap_seconds);
+      fn(Row{"pipelined_batches", kLayout}, &S::pipelined_batches);
+      fn(Row{"plan_overlap_seconds", kLayout}, &S::plan_overlap_seconds);
+      fn(Row{"speculative_plans", kLayout}, &S::speculative_plans);
+      fn(Row{"spec_lanes_reused", kLayout}, &S::spec_lanes_reused);
+      fn(Row{"spec_lanes_invalidated", kLayout}, &S::spec_lanes_invalidated);
+    }
   };
   const Stats& stats() const { return stats_; }
 
@@ -226,8 +239,6 @@ class ShardedCrawlEngine {
     stats_.apply_barrier_seconds.Add(s);
   }
   void RecordRetryRounds(double rounds) { stats_.retry_rounds.Add(rounds); }
-  /// Classified fetch failures applied this batch (crawler-reported).
-  void RecordFetchFailures(uint64_t n) { stats_.fetch_failures += n; }
   /// One capacity-lease settle per applied batch.
   void RecordLeaseSettle(double budget, double admissions,
                          double revocations, double evictions) {
@@ -251,6 +262,9 @@ class ShardedCrawlEngine {
   Stats stats_;
   bool in_batch_ = false;
 };
+
+static_assert(ledger::CoversEveryField<ShardedCrawlEngine::Stats>(),
+              "every ShardedCrawlEngine::Stats field needs one ledger row");
 
 }  // namespace webevo::crawler
 

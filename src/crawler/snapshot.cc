@@ -20,6 +20,7 @@
 #include "simweb/simulated_web.h"
 #include "storage/delta_log.h"
 #include "util/hash.h"
+#include "util/ledger.h"
 #include "util/record_line.h"
 #include "util/text_snapshot.h"
 
@@ -830,20 +831,43 @@ StatusOr<std::vector<simweb::Url>> ReadUrlList(std::istream& is) {
   return urls;
 }
 
-const RecordLine& RunningStatLine(const RunningStat& stat, RecordLine& line) {
-  const RunningStat::State state = stat.SaveState();
-  return line.Start("L", state.count, state.mean, state.m2, state.min,
-                    state.max);
+// A crawler's ledger in its meta section, generated from the Stats
+// table (util/ledger.h): one `C` record of the counters in table order
+// plus any `extra` counters kept outside Stats, then one `L` record of
+// accumulator state per series, in table order. A failed parse leaves
+// `stats` partly set; the caller discards it with the error.
+template <typename S, typename... Extra>
+void WriteLedger(const S& stats, TrailerWriter& writer, RecordLine& line,
+                 const Extra&... extra) {
+  line.Start("C");
+  ledger::ForEachRow(stats, [&](const ledger::Row&, const auto& field) {
+    if constexpr (ledger::kIsCounter<decltype(field)>) line.Add(field);
+  });
+  writer.Line(line.Add(extra...));
+  ledger::ForEachRow(stats, [&](const ledger::Row&, const auto& field) {
+    if constexpr (!ledger::kIsCounter<decltype(field)>) {
+      const RunningStat::State state = field.SaveState();
+      writer.Line(line.Start("L", state.count, state.mean, state.m2,
+                             state.min, state.max));
+    }
+  });
 }
 
-bool ReadRunningStat(RecordReader& in, RunningStat* stat) {
-  RunningStat::State state;
-  if (!in.Record("L", state.count, state.mean, state.m2, state.min,
-                 state.max)) {
-    return false;
-  }
-  stat->RestoreState(state);
-  return true;
+template <typename S, typename... Extra>
+void ReadLedger(RecordReader& in, S* stats, Extra&... extra) {
+  in.Begin("C");
+  ledger::ForEachRow(*stats, [&](const ledger::Row&, auto& field) {
+    if constexpr (ledger::kIsCounter<decltype(field)>) in.Fields(field);
+  });
+  if constexpr (sizeof...(Extra) > 0) in.Fields(extra...);
+  in.End();
+  ledger::ForEachRow(*stats, [&](const ledger::Row&, auto& field) {
+    if constexpr (!ledger::kIsCounter<decltype(field)>) {
+      RunningStat::State state;
+      in.Record("L", state.count, state.mean, state.m2, state.min, state.max);
+      field.RestoreState(state);
+    }
+  });
 }
 
 // The failure-pipeline state both crawlers checkpoint: the per-site
@@ -1136,20 +1160,8 @@ struct CheckpointIo {
                            crawler.steady_since_));
     writer.Line(line.Start("B", crawler.batches_completed_,
                            crawler.reached_capacity_once_));
-    const IncrementalCrawler::Stats& s = crawler.stats_;
-    writer.Line(
-        line.Start("C", s.crawls, s.in_place_updates, s.pages_added,
-                   s.pages_evicted, s.replacements_executed,
-                   s.dead_pages_removed, s.changes_detected,
-                   s.politeness_retries, s.in_batch_retries,
-                   s.lease_budget_granted, s.lease_admissions, s.fetch_failures,
-                   s.transient_errors, s.timeout_errors, s.failure_retries,
-                   s.sites_quarantined, s.urls_retired, s.wasted_fetches,
-                   s.trap_sites_throttled, s.duplicate_urls_suppressed,
-                   s.pages_migrated,
-                   crawler.ranking_module_.refinement_count()));
-    writer.Line(RunningStatLine(s.new_page_latency_days, line));
-    writer.Line(RunningStatLine(s.backoff_days, line));
+    WriteLedger(crawler.stats_, writer, line,
+                crawler.ranking_module_.refinement_count());
     writer.Finish();
     return os.str();
   }
@@ -1158,21 +1170,11 @@ struct CheckpointIo {
     std::istringstream is(bytes);
     RecordReader in(is, "checkpoint meta");
     IncMetaState meta;
-    IncrementalCrawler::Stats& s = meta.stats;
     in.Header(kIncMetaMagic, kIncMetaVersion);
     in.Record("T", meta.now, meta.next_refine, meta.next_rebalance,
               meta.next_sample, meta.steady_since);
     in.Record("B", meta.batches_completed, meta.reached_capacity);
-    in.Record("C", s.crawls, s.in_place_updates, s.pages_added,
-              s.pages_evicted, s.replacements_executed, s.dead_pages_removed,
-              s.changes_detected, s.politeness_retries, s.in_batch_retries,
-              s.lease_budget_granted, s.lease_admissions, s.fetch_failures,
-              s.transient_errors, s.timeout_errors, s.failure_retries,
-              s.sites_quarantined, s.urls_retired, s.wasted_fetches,
-              s.trap_sites_throttled, s.duplicate_urls_suppressed,
-              s.pages_migrated, meta.refinements);
-    ReadRunningStat(in, &s.new_page_latency_days);
-    ReadRunningStat(in, &s.backoff_days);
+    ReadLedger(in, &meta.stats, meta.refinements);
     Status st = in.Finish();
     if (!st.ok()) return st;
     return meta;
@@ -1761,11 +1763,7 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
         line.Start("B", crawler.batches_completed_, crawler.cycle_active_,
                    crawler.cycles_completed_, crawler.stored_this_cycle_,
                    crawler.store_.swap_count(), crawler.config_.shadowing));
-    const PeriodicCrawler::Stats& s = crawler.stats_;
-    writer.Line(line.Start("C", s.crawls, s.pages_stored, s.dead_fetches,
-                           s.politeness_rejections, s.swaps, s.fetch_failures,
-                           s.transient_errors, s.timeout_errors,
-                           s.failure_retries, s.failures_dropped));
+    WriteLedger(crawler.stats_, writer, line);
     writer.Finish();
     sections.push_back(Section{"meta", os.str()});
   }
@@ -1852,10 +1850,7 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
     meta.Record("T", now, cycle_start, next_sample);
     meta.Record("B", batches_completed, cycle_active, cycles_completed,
                 stored_this_cycle, swap_count, shadowing);
-    meta.Record("C", stats.crawls, stats.pages_stored, stats.dead_fetches,
-                stats.politeness_rejections, stats.swaps, stats.fetch_failures,
-                stats.transient_errors, stats.timeout_errors,
-                stats.failure_retries, stats.failures_dropped);
+    ReadLedger(meta, &stats);
     st = meta.Finish();
     if (!st.ok()) return st;
   }

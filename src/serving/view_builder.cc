@@ -7,13 +7,12 @@
 #include "crawler/incremental_crawler.h"
 #include "crawler/periodic_crawler.h"
 #include "freshness/freshness_tracker.h"
+#include "util/ledger.h"
 #include "util/record_line.h"
 
 namespace webevo::serving {
 
 namespace {
-
-std::string FmtCount(uint64_t v) { return std::to_string(v); }
 
 std::string FmtReal(double v) {
   RecordLine line;
@@ -105,55 +104,7 @@ std::unique_ptr<const BatchView> BuildBatchView(
       view.get());
   FillFreshness(crawler.tracker(), view.get());
 
-  const crawler::IncrementalCrawler::Stats& s = crawler.stats();
-  view->summary.emplace_back("crawls", FmtCount(s.crawls));
-  view->summary.emplace_back("in_place_updates",
-                             FmtCount(s.in_place_updates));
-  view->summary.emplace_back("pages_added", FmtCount(s.pages_added));
-  view->summary.emplace_back("pages_evicted", FmtCount(s.pages_evicted));
-  view->summary.emplace_back("replacements_executed",
-                             FmtCount(s.replacements_executed));
-  view->summary.emplace_back("dead_pages_removed",
-                             FmtCount(s.dead_pages_removed));
-  view->summary.emplace_back("changes_detected",
-                             FmtCount(s.changes_detected));
-  view->summary.emplace_back("politeness_retries",
-                             FmtCount(s.politeness_retries));
-  view->summary.emplace_back("in_batch_retries",
-                             FmtCount(s.in_batch_retries));
-  view->summary.emplace_back("lease_budget_granted",
-                             FmtCount(s.lease_budget_granted));
-  view->summary.emplace_back("lease_admissions",
-                             FmtCount(s.lease_admissions));
-  view->summary.emplace_back(
-      "new_page_latency_mean_days",
-      FmtReal(s.new_page_latency_days.count() > 0
-                  ? s.new_page_latency_days.mean()
-                  : 0.0));
-  view->summary.emplace_back("fetch_failures",
-                             FmtCount(s.fetch_failures));
-  view->summary.emplace_back("transient_errors",
-                             FmtCount(s.transient_errors));
-  view->summary.emplace_back("timeout_errors",
-                             FmtCount(s.timeout_errors));
-  view->summary.emplace_back("failure_retries",
-                             FmtCount(s.failure_retries));
-  view->summary.emplace_back("sites_quarantined",
-                             FmtCount(s.sites_quarantined));
-  view->summary.emplace_back("urls_retired", FmtCount(s.urls_retired));
-  view->summary.emplace_back(
-      "backoff_days_total",
-      FmtReal(s.backoff_days.count() > 0 ? s.backoff_days.sum() : 0.0));
-  // Defense ledger (docs/QUERY_API.md): wasted_fetches accrues with
-  // the defense layer on or off; the action counters stay 0 when off.
-  view->summary.emplace_back("wasted_fetches",
-                             FmtCount(s.wasted_fetches));
-  view->summary.emplace_back("trap_sites_throttled",
-                             FmtCount(s.trap_sites_throttled));
-  view->summary.emplace_back("duplicate_urls_suppressed",
-                             FmtCount(s.duplicate_urls_suppressed));
-  view->summary.emplace_back("pages_migrated",
-                             FmtCount(s.pages_migrated));
+  view->summary = ledger::Summary(crawler.stats());
   AppendFreshnessSummary(crawler.tracker(), view.get());
   return view;
 }
@@ -184,26 +135,7 @@ std::unique_ptr<const BatchView> BuildBatchView(
       entries, [](const simweb::Url&) { return 0.0; }, view.get());
   FillFreshness(crawler.tracker(), view.get());
 
-  const crawler::PeriodicCrawler::Stats& s = crawler.stats();
-  view->summary.emplace_back("crawls", FmtCount(s.crawls));
-  view->summary.emplace_back("pages_stored", FmtCount(s.pages_stored));
-  view->summary.emplace_back("dead_fetches", FmtCount(s.dead_fetches));
-  view->summary.emplace_back("politeness_rejections",
-                             FmtCount(s.politeness_rejections));
-  view->summary.emplace_back("swaps", FmtCount(s.swaps));
-  view->summary.emplace_back(
-      "cycles_completed",
-      FmtCount(static_cast<uint64_t>(crawler.cycles_completed())));
-  view->summary.emplace_back("fetch_failures",
-                             FmtCount(s.fetch_failures));
-  view->summary.emplace_back("transient_errors",
-                             FmtCount(s.transient_errors));
-  view->summary.emplace_back("timeout_errors",
-                             FmtCount(s.timeout_errors));
-  view->summary.emplace_back("failure_retries",
-                             FmtCount(s.failure_retries));
-  view->summary.emplace_back("failures_dropped",
-                             FmtCount(s.failures_dropped));
+  view->summary = crawler.SummaryRows();
   AppendFreshnessSummary(crawler.tracker(), view.get());
   return view;
 }

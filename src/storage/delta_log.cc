@@ -258,13 +258,13 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path) {
     segment.kind = kind;
     segment.batch = batch;
     std::size_t off = 0;
-    std::size_t total = 0;
-    for (const TableEntry& entry : table) total += entry.len;
-    if (total != payload_bytes) {
-      return Status::InvalidArgument(
-          "delta log: section table disagrees with payload size");
-    }
     for (const TableEntry& entry : table) {
+      // Bounded by the payload bytes still unread, never by a sum of
+      // the claimed lengths, which can wrap around.
+      if (entry.len > payload_bytes - off) {
+        return Status::InvalidArgument("delta log: section '" + entry.name +
+                                       "' overruns the payload in " + path);
+      }
       DeltaSection section;
       section.name = entry.name;
       section.bytes = payload.substr(off, entry.len);
@@ -275,6 +275,10 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path) {
       }
       off += entry.len;
       segment.sections.push_back(std::move(section));
+    }
+    if (off != payload_bytes) {
+      return Status::InvalidArgument(
+          "delta log: section table disagrees with payload size in " + path);
     }
     contents.segments.push_back(std::move(segment));
   }

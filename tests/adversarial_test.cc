@@ -9,6 +9,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "crawler/update_module.h"
 #include "simweb/simulated_web.h"
 #include "simweb/web_config.h"
+#include "util/ledger.h"
 
 namespace webevo::crawler {
 namespace {
@@ -301,8 +303,11 @@ TEST(DefensePipelineTest, ShardCountInvariantUnderEveryScenario) {
 
       EXPECT_EQ(CheckpointBytes(serial), CheckpointBytes(sharded))
           << scenario << " defense=" << defense;
-      EXPECT_EQ(serial.stats().wasted_fetches,
-                sharded.stats().wasted_fetches)
+      // The engine ledger is not checkpointed; its deterministic rows
+      // must match too.
+      EXPECT_EQ(
+          ledger::Diff(serial.engine().stats(), sharded.engine().stats()),
+          std::vector<std::string>{})
           << scenario << " defense=" << defense;
     }
   }

@@ -369,10 +369,10 @@ TEST(CrawlModulePoolTest, ShardsSitesAcrossModules) {
   }
   uint64_t per_module_total = 0;
   for (uint32_t s = 0; s < 3; ++s) {
-    per_module_total += pool.module_for_site(s).fetch_count();
+    per_module_total += pool.module_for_site(s).traffic().fetch_count;
   }
-  EXPECT_EQ(per_module_total, pool.fetch_count());
-  EXPECT_EQ(pool.fetch_count(), web.num_sites());
+  EXPECT_EQ(per_module_total, pool.AggregateTraffic().fetch_count);
+  EXPECT_EQ(pool.AggregateTraffic().fetch_count, web.num_sites());
 }
 
 TEST(CrawlModulePoolTest, PolitenessIsolatedPerShardOwner) {
@@ -389,7 +389,7 @@ TEST(CrawlModulePoolTest, PolitenessIsolatedPerShardOwner) {
   // Different sites are unaffected, whichever module owns them.
   EXPECT_TRUE(pool.Crawl(web.RootUrl(1), 0.1).ok());
   EXPECT_TRUE(pool.Crawl(web.RootUrl(2), 0.1).ok());
-  EXPECT_EQ(pool.politeness_rejections(), 1u);
+  EXPECT_EQ(pool.AggregateTraffic().politeness_rejections, 1u);
 }
 
 TEST(CrawlModulePoolTest, ParallelismClampedToOne) {
@@ -407,10 +407,10 @@ TEST(CrawlModulePoolTest, AggregateLoadAccounting) {
       ASSERT_TRUE(pool.Crawl(web.RootUrl(s), day + 0.01 * s).ok());
     }
   }
-  EXPECT_EQ(pool.fetch_count(), 3u * web.num_sites());
-  EXPECT_EQ(pool.failure_count(), 0u);
-  EXPECT_GE(pool.CombinedPeakDailyRate(),
-            static_cast<double>(web.num_sites()));
+  const CrawlModulePool::Traffic traffic = pool.AggregateTraffic();
+  EXPECT_EQ(traffic.fetch_count, 3u * web.num_sites());
+  EXPECT_EQ(traffic.failure_count, 0u);
+  EXPECT_GE(traffic.PeakDailyRate(), static_cast<double>(web.num_sites()));
 }
 
 // ------------------------------------------------------ multiplier expose

@@ -224,8 +224,8 @@ TEST(CrawlModuleTest, CrawlSuccessAndFailureCounted) {
   CrawlModule module(&web, {});
   EXPECT_TRUE(module.Crawl(web.RootUrl(0), 0.0).ok());
   EXPECT_FALSE(module.Crawl(Url{0, 0, 9}, 0.1).ok());
-  EXPECT_EQ(module.fetch_count(), 2u);
-  EXPECT_EQ(module.failure_count(), 1u);
+  EXPECT_EQ(module.traffic().fetch_count, 2u);
+  EXPECT_EQ(module.traffic().failure_count, 1u);
 }
 
 TEST(CrawlModuleTest, PolitenessEnforcement) {
@@ -238,7 +238,7 @@ TEST(CrawlModuleTest, PolitenessEnforcement) {
   auto too_soon = module.Crawl(web.RootUrl(0), 0.1);
   EXPECT_FALSE(too_soon.ok());
   EXPECT_EQ(too_soon.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(module.politeness_rejections(), 1u);
+  EXPECT_EQ(module.traffic().politeness_rejections, 1u);
   EXPECT_GE(module.NextAllowedTime(0), 0.5);
   EXPECT_TRUE(module.Crawl(web.RootUrl(0), 0.6).ok());
   // A different site is unaffected.
@@ -254,9 +254,10 @@ TEST(CrawlModuleTest, PeakAndAverageRates) {
   }
   ASSERT_TRUE(module.Crawl(web.RootUrl(0), 5.0).ok());
   ASSERT_TRUE(module.Crawl(web.RootUrl(0), 5.1).ok());
-  EXPECT_DOUBLE_EQ(module.PeakDailyRate(), 10.0);
-  EXPECT_NEAR(module.AverageDailyRate(), 12.0 / 5.1, 1e-9);
-  EXPECT_GT(module.PeakDailyRate(), module.AverageDailyRate());
+  EXPECT_DOUBLE_EQ(module.traffic().PeakDailyRate(), 10.0);
+  EXPECT_NEAR(module.traffic().AverageDailyRate(), 12.0 / 5.1, 1e-9);
+  EXPECT_GT(module.traffic().PeakDailyRate(),
+            module.traffic().AverageDailyRate());
 }
 
 // ------------------------------------------------------------ UpdateModule
@@ -640,7 +641,7 @@ TEST(IncrementalCrawlerTest, SteadySpeedNeverExceedsConfiguredRate) {
   IncrementalCrawler crawler(&web, config);
   ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
   ASSERT_TRUE(crawler.RunUntil(30.0).ok());
-  EXPECT_LE(crawler.crawl_module().PeakDailyRate(), 51.0);
+  EXPECT_LE(crawler.crawl_pool().AggregateTraffic().PeakDailyRate(), 51.0);
 }
 
 // --------------------------------------------------------- PeriodicCrawler
@@ -710,8 +711,9 @@ TEST(PeriodicCrawlerTest, BatchPeakExceedsSteadyPeakAtSameAverage) {
   ASSERT_TRUE(steady_crawler.Bootstrap(0.0).ok());
   ASSERT_TRUE(steady_crawler.RunUntil(60.0).ok());
 
-  EXPECT_GT(batch_crawler.crawl_module().PeakDailyRate(),
-            3.0 * steady_crawler.crawl_module().PeakDailyRate());
+  EXPECT_GT(batch_crawler.crawl_pool().AggregateTraffic().PeakDailyRate(),
+            3.0 *
+                steady_crawler.crawl_pool().AggregateTraffic().PeakDailyRate());
 }
 
 TEST(PeriodicCrawlerTest, FreshnessSampledOverTime) {

@@ -120,7 +120,8 @@ HeadToHead RunHeadToHead(uint64_t seed) {
     EXPECT_TRUE(inc.Bootstrap(0.0).ok());
     EXPECT_TRUE(inc.RunUntil(horizon).ok());
     result.incremental_freshness = inc.tracker().TimeAverage(60.0, horizon);
-    result.incremental_peak = inc.crawl_module().PeakDailyRate();
+    result.incremental_peak =
+        inc.crawl_pool().AggregateTraffic().PeakDailyRate();
   }
   {
     simweb::SimulatedWeb web(wc);
@@ -133,7 +134,7 @@ HeadToHead RunHeadToHead(uint64_t seed) {
     EXPECT_TRUE(per.Bootstrap(0.0).ok());
     EXPECT_TRUE(per.RunUntil(horizon).ok());
     result.periodic_freshness = per.tracker().TimeAverage(60.0, horizon);
-    result.periodic_peak = per.crawl_module().PeakDailyRate();
+    result.periodic_peak = per.crawl_pool().AggregateTraffic().PeakDailyRate();
   }
   return result;
 }

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "crawler/snapshot.h"
 #include "simweb/simulated_web.h"
 #include "simweb/web_config.h"
+#include "util/ledger.h"
 
 namespace webevo::crawler {
 namespace {
@@ -65,6 +67,10 @@ std::string CheckpointBytes(const Crawler& crawler) {
 struct RunResult {
   std::string checkpoint;
   uint64_t view_chain = 0;
+  // Not checkpointed, so compared on its own: the engine ledger's
+  // deterministic rows (batches, fetches, retry rounds, lease settles,
+  // views published).
+  ShardedCrawlEngine::Stats engine;
 };
 
 RunResult RunIncremental(const simweb::WebConfig& wc,
@@ -74,7 +80,8 @@ RunResult RunIncremental(const simweb::WebConfig& wc,
   IncrementalCrawler crawler(&web, config);
   EXPECT_TRUE(crawler.Bootstrap(0.0).ok());
   EXPECT_TRUE(crawler.RunUntil(until).ok());
-  return {CheckpointBytes(crawler), crawler.views().fingerprint_chain()};
+  return {CheckpointBytes(crawler), crawler.views().fingerprint_chain(),
+          crawler.engine().stats()};
 }
 
 RunResult RunPeriodic(const simweb::WebConfig& wc,
@@ -83,7 +90,7 @@ RunResult RunPeriodic(const simweb::WebConfig& wc,
   PeriodicCrawler crawler(&web, config);
   EXPECT_TRUE(crawler.Bootstrap(0.0).ok());
   EXPECT_TRUE(crawler.RunUntil(until).ok());
-  return {CheckpointBytes(crawler), 0};
+  return {CheckpointBytes(crawler), 0, crawler.engine().stats()};
 }
 
 // ------------------------------- pipelined == sequential, both crawlers
@@ -103,6 +110,9 @@ TEST(PipelineTest, IncrementalPipelinedMatchesSequential) {
           << "seed=" << seed << " shards=" << shards;
       EXPECT_EQ(got.view_chain, want.view_chain)
           << "seed=" << seed << " shards=" << shards;
+      EXPECT_EQ(ledger::Diff(got.engine, want.engine),
+                std::vector<std::string>{})
+          << "seed=" << seed << " shards=" << shards;
     }
   }
 }
@@ -115,6 +125,9 @@ TEST(PipelineTest, PeriodicPipelinedMatchesSequential) {
     for (int shards : {1, 3, 8}) {
       const RunResult got = RunPeriodic(wc, PerConfig(shards, true), 9.0);
       EXPECT_EQ(got.checkpoint, want.checkpoint)
+          << "seed=" << seed << " shards=" << shards;
+      EXPECT_EQ(ledger::Diff(got.engine, want.engine),
+                std::vector<std::string>{})
           << "seed=" << seed << " shards=" << shards;
     }
   }
@@ -144,6 +157,9 @@ TEST(PipelineTest, FaultScenariosStayByteIdenticalPipelined) {
           << scenario << " shards=" << shards;
       EXPECT_EQ(got.view_chain, want.view_chain)
           << scenario << " shards=" << shards;
+      EXPECT_EQ(ledger::Diff(got.engine, want.engine),
+                std::vector<std::string>{})
+          << scenario << " shards=" << shards;
     }
   }
 }
@@ -162,6 +178,7 @@ TEST(PipelineTest, InBatchRetryRoundsStayIdenticalPipelined) {
   config.crawl.per_site_delay_days = 0.05;
 
   std::string want;
+  ShardedCrawlEngine::Stats want_engine;
   {
     simweb::SimulatedWeb web(wc);
     IncrementalCrawler crawler(&web, config);
@@ -169,6 +186,7 @@ TEST(PipelineTest, InBatchRetryRoundsStayIdenticalPipelined) {
     ASSERT_TRUE(crawler.RunUntil(8.0).ok());
     ASSERT_GT(crawler.stats().in_batch_retries, 0u);
     want = CheckpointBytes(crawler);
+    want_engine = crawler.engine().stats();
   }
   for (int shards : {1, 4}) {
     IncrementalCrawlerConfig piped = config;
@@ -180,6 +198,9 @@ TEST(PipelineTest, InBatchRetryRoundsStayIdenticalPipelined) {
     ASSERT_TRUE(crawler.RunUntil(8.0).ok());
     EXPECT_GT(crawler.stats().in_batch_retries, 0u);
     EXPECT_EQ(CheckpointBytes(crawler), want) << "shards=" << shards;
+    EXPECT_EQ(ledger::Diff(crawler.engine().stats(), want_engine),
+              std::vector<std::string>{})
+        << "shards=" << shards;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "crawler/snapshot.h"
 #include "simweb/simulated_web.h"
 #include "simweb/web_config.h"
+#include "util/ledger.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -147,7 +149,8 @@ TEST(ShardedEngineTest, SameSiteFetchesStayPoliteWithinOneBatch) {
       EXPECT_EQ(outcomes[i + 1].status().code(),
                 StatusCode::kFailedPrecondition);
     }
-    EXPECT_EQ(engine.pool().politeness_rejections(), web.num_sites());
+    EXPECT_EQ(engine.pool().AggregateTraffic().politeness_rejections,
+              web.num_sites());
   }
 }
 
@@ -270,6 +273,7 @@ TEST(ShardedEngineTest, ShardedMeasureIsBitIdenticalToSerialMeasure) {
 struct IncrementalFingerprint {
   CollectionQuality quality;
   IncrementalCrawler::Stats stats;
+  ShardedCrawlEngine::Stats engine;
   std::size_t collection_size = 0;
   uint64_t web_fetches = 0;
   uint64_t web_not_found = 0;
@@ -294,6 +298,7 @@ IncrementalFingerprint RunIncremental(int parallelism, uint64_t seed) {
   IncrementalFingerprint fp;
   fp.quality = crawler.MeasureNow();
   fp.stats = crawler.stats();
+  fp.engine = crawler.engine().stats();
   fp.collection_size = crawler.collection().size();
   fp.web_fetches = web.fetch_count();
   fp.web_not_found = web.not_found_count();
@@ -310,23 +315,9 @@ void ExpectIdentical(const IncrementalFingerprint& a,
   EXPECT_EQ(a.quality.size, b.quality.size);
   EXPECT_EQ(a.quality.fresh, b.quality.fresh);
   EXPECT_EQ(a.quality.dead, b.quality.dead);
-  EXPECT_EQ(a.stats.crawls, b.stats.crawls);
-  EXPECT_EQ(a.stats.in_place_updates, b.stats.in_place_updates);
-  EXPECT_EQ(a.stats.pages_added, b.stats.pages_added);
-  EXPECT_EQ(a.stats.pages_evicted, b.stats.pages_evicted);
-  EXPECT_EQ(a.stats.replacements_executed, b.stats.replacements_executed);
-  EXPECT_EQ(a.stats.dead_pages_removed, b.stats.dead_pages_removed);
-  EXPECT_EQ(a.stats.changes_detected, b.stats.changes_detected);
-  EXPECT_EQ(a.stats.politeness_retries, b.stats.politeness_retries);
-  EXPECT_EQ(a.stats.in_batch_retries, b.stats.in_batch_retries);
-  EXPECT_EQ(a.stats.new_page_latency_days.count(),
-            b.stats.new_page_latency_days.count());
-  EXPECT_EQ(a.stats.new_page_latency_days.mean(),
-            b.stats.new_page_latency_days.mean());
-  EXPECT_EQ(a.stats.new_page_latency_days.min(),
-            b.stats.new_page_latency_days.min());
-  EXPECT_EQ(a.stats.new_page_latency_days.max(),
-            b.stats.new_page_latency_days.max());
+  // Every deterministic row of both ledgers.
+  EXPECT_EQ(ledger::Diff(a.stats, b.stats), std::vector<std::string>{});
+  EXPECT_EQ(ledger::Diff(a.engine, b.engine), std::vector<std::string>{});
   EXPECT_EQ(a.collection_size, b.collection_size);
   EXPECT_EQ(a.web_fetches, b.web_fetches);
   EXPECT_EQ(a.web_not_found, b.web_not_found);
@@ -504,19 +495,59 @@ TEST(ShardedEngineTest, PeriodicCrawlIsIdenticalAcrossShardCounts) {
     PeriodicCrawler crawler(&web, config);
     EXPECT_TRUE(crawler.Bootstrap(0.0).ok());
     EXPECT_TRUE(crawler.RunUntil(25.0).ok());
-    return std::tuple{crawler.MeasureNow().freshness,
-                      crawler.MeasureNow().size,
-                      crawler.stats().crawls,
-                      crawler.stats().pages_stored,
-                      crawler.stats().dead_fetches,
-                      crawler.cycles_completed(),
-                      web.fetch_count(),
-                      web.OracleTotalPagesCreated()};
+    return std::pair{std::tuple{crawler.MeasureNow().freshness,
+                                crawler.MeasureNow().size,
+                                crawler.cycles_completed(),
+                                web.fetch_count(),
+                                web.OracleTotalPagesCreated()},
+                     crawler.stats()};
   };
-  auto serial = run(1);
-  EXPECT_GT(std::get<2>(serial), 200u);
-  EXPECT_EQ(serial, run(4));
-  EXPECT_EQ(serial, run(8));
+  const auto serial = run(1);
+  EXPECT_GT(serial.second.crawls, 200u);
+  for (int shards : {4, 8}) {
+    const auto sharded = run(shards);
+    EXPECT_EQ(sharded.first, serial.first) << "shards=" << shards;
+    EXPECT_EQ(ledger::Diff(sharded.second, serial.second),
+              std::vector<std::string>{})
+        << "shards=" << shards;
+  }
+}
+
+// The load numbers Figure 10 contrasts come off the pool's aggregate
+// traffic ledger, so they do not depend on how many modules shared the
+// fetches — for either crawler.
+TEST(ShardedEngineTest, AggregateTrafficIsIdenticalAcrossShardCounts) {
+  auto incremental = [](int parallelism) {
+    simweb::SimulatedWeb web(SmallWeb(43));
+    IncrementalCrawlerConfig config;
+    config.collection_capacity = 150;
+    config.crawl_rate_pages_per_day = 60.0;
+    config.crawl_parallelism = parallelism;
+    IncrementalCrawler crawler(&web, config);
+    EXPECT_TRUE(crawler.Bootstrap(0.0).ok());
+    EXPECT_TRUE(crawler.RunUntil(20.0).ok());
+    return crawler.crawl_pool().AggregateTraffic();
+  };
+  auto periodic = [](int parallelism) {
+    simweb::SimulatedWeb web(SmallWeb(43));
+    PeriodicCrawlerConfig config;
+    config.collection_capacity = 120;
+    config.cycle_days = 10.0;
+    config.crawl_window_days = 3.0;
+    config.crawl_parallelism = parallelism;
+    PeriodicCrawler crawler(&web, config);
+    EXPECT_TRUE(crawler.Bootstrap(0.0).ok());
+    EXPECT_TRUE(crawler.RunUntil(20.0).ok());
+    return crawler.crawl_pool().AggregateTraffic();
+  };
+  const CrawlModulePool::Traffic runs[][2] = {
+      {incremental(1), incremental(4)}, {periodic(1), periodic(4)}};
+  for (const auto& [serial, sharded] : runs) {
+    EXPECT_GT(serial.fetch_count, 0u);
+    EXPECT_EQ(sharded.fetch_count, serial.fetch_count);
+    EXPECT_EQ(sharded.PeakDailyRate(), serial.PeakDailyRate());
+    EXPECT_EQ(sharded.AverageDailyRate(), serial.AverageDailyRate());
+  }
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "storage/delta_log.h"
 #include "storage/page_file.h"
 #include "storage/paged_record_store.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace webevo::storage {
@@ -219,6 +220,30 @@ TEST(DeltaLogTest, CorruptSealedSegmentIsAnError) {
   }
   auto log = ReadDeltaLog(path);
   EXPECT_FALSE(log.ok());
+}
+
+// A crafted log whose section lengths sum, modulo 2^64, to the payload
+// size: 2^63 and 2^63 + 8 bytes claimed over an 8-byte payload, every
+// checksum recomputed. It must be rejected, not sliced past its end.
+TEST(DeltaLogTest, SectionLengthsThatWrapAreAnError) {
+  const std::string path = TempPath("delta_wrap.log");
+  const std::string payload = "8 bytes!";
+  std::string head = std::string(kDeltaMagic) + " " +
+                     std::to_string(kDeltaFormatVersion) +
+                     " incremental 1 2 8\n";
+  head += "S a 9223372036854775808 " + std::to_string(Fnv1a64(payload)) +
+          "\n";
+  head += "S b 9223372036854775816 " + std::to_string(Fnv1a64("")) + "\n";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << head << "H " << Fnv1a64(head) << "\n"
+        << payload << "Z " << Fnv1a64(payload) << "\n";
+  }
+  auto log = ReadDeltaLog(path);
+  ASSERT_FALSE(log.ok());
+  EXPECT_EQ(log.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(log.status().message().find(path), std::string::npos)
+      << log.status().ToString();
 }
 
 TEST(DeltaLogTest, TruncateEmptiesTheLog) {

@@ -6,12 +6,14 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/hash.h"
 #include "util/histogram.h"
+#include "util/ledger.h"
 #include "util/random.h"
 #include "util/record_line.h"
 #include "util/stats.h"
@@ -689,6 +691,93 @@ static_assert(RecordField<int16_t> && RecordField<uint64_t> &&
 static_assert(!RecordField<char> && !RecordField<int8_t> &&
               !RecordField<uint8_t> && !RecordField<float> &&
               !RecordField<long double>);
+
+// ----------------------------------------------------------------- Ledger
+
+struct ToyStats {
+  uint64_t hits = 0;
+  RunningStat wait_days;
+  uint64_t misses = 0;
+  RunningStat lag_seconds;
+
+  template <typename Fn>
+  static constexpr void Visit(Fn&& fn) {
+    using ledger::Row;
+    fn(Row{"hits"}, &ToyStats::hits);
+    fn(Row{"wait_days", ledger::Class::kDeterministic, "wait_mean_days",
+           ledger::Shown::kMean},
+       &ToyStats::wait_days);
+    fn(Row{"misses", ledger::Class::kLayout}, &ToyStats::misses);
+    fn(Row{"lag_seconds", ledger::Class::kWallClock}, &ToyStats::lag_seconds);
+  }
+};
+
+// A struct whose table leaves out a field, and one that lists a field
+// twice: both fail the check each crawler table is static_asserted
+// with.
+struct MissingRow {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  template <typename Fn>
+  static constexpr void Visit(Fn&& fn) {
+    fn(ledger::Row{"a"}, &MissingRow::a);
+  }
+};
+struct TwiceListed {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  template <typename Fn>
+  static constexpr void Visit(Fn&& fn) {
+    fn(ledger::Row{"a"}, &TwiceListed::a);
+    fn(ledger::Row{"b"}, &TwiceListed::a);
+  }
+};
+static_assert(ledger::CoversEveryField<ToyStats>());
+static_assert(!ledger::CoversEveryField<MissingRow>());
+static_assert(!ledger::CoversEveryField<TwiceListed>());
+
+TEST(LedgerTest, SummaryShowsRowsInTableOrder) {
+  ToyStats s;
+  s.hits = 3;
+  s.misses = 7;
+  s.lag_seconds.Add(1.5);
+  ledger::SummaryRows empty = {
+      {"hits", "3"}, {"wait_mean_days", "0"}, {"misses", "7"}};
+  EXPECT_EQ(ledger::Summary(s), empty);
+  s.wait_days.Add(1.0);
+  s.wait_days.Add(2.0);
+  EXPECT_EQ(ledger::Summary(s)[1],
+            (std::pair<std::string, std::string>{"wait_mean_days", "1.5"}));
+}
+
+TEST(LedgerTest, AddCountersSumsCountersAndLeavesSeries) {
+  ToyStats total, shard;
+  total.hits = 1;
+  shard.hits = 2;
+  shard.misses = 5;
+  shard.wait_days.Add(4.0);
+  ledger::AddCounters(total, shard);
+  EXPECT_EQ(total.hits, 3u);
+  EXPECT_EQ(total.misses, 5u);
+  EXPECT_EQ(total.wait_days.count(), 0);
+}
+
+TEST(LedgerTest, DiffNamesTheRowsOfOneClass) {
+  ToyStats a, b;
+  EXPECT_EQ(ledger::Diff(a, b), std::vector<std::string>{});
+  b.misses = 1;
+  b.lag_seconds.Add(0.25);
+  EXPECT_EQ(ledger::Diff(a, b), std::vector<std::string>{});
+  EXPECT_EQ(ledger::Diff(a, b, ledger::Class::kLayout),
+            std::vector<std::string>{"misses"});
+  // A series differs on any part of its state, not just its mean.
+  a.wait_days.Add(1.0);
+  a.wait_days.Add(3.0);
+  b.wait_days.Add(2.0);
+  b.wait_days.Add(2.0);
+  EXPECT_EQ(a.wait_days.mean(), b.wait_days.mean());
+  EXPECT_EQ(ledger::Diff(a, b), std::vector<std::string>{"wait_days"});
+}
 
 }  // namespace
 }  // namespace webevo

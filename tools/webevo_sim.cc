@@ -383,19 +383,20 @@ int RunCompare(const FlagParser& flags) {
     std::printf("simulation failed\n");
     return 1;
   }
+  const crawler::CrawlModulePool::Traffic inc_load =
+      inc.crawl_pool().AggregateTraffic();
+  const crawler::CrawlModulePool::Traffic per_load =
+      per.crawl_pool().AggregateTraffic();
   TablePrinter table({"metric", "incremental", "periodic"});
   table.AddRow(
       {"freshness (2nd half)",
        TablePrinter::Fmt(inc.tracker().TimeAverage(days / 2, days)),
        TablePrinter::Fmt(per.tracker().TimeAverage(days / 2, days))});
-  table.AddRow({"peak load",
-                TablePrinter::Fmt(inc.crawl_module().PeakDailyRate(), 0),
-                TablePrinter::Fmt(per.crawl_module().PeakDailyRate(), 0)});
+  table.AddRow({"peak load", TablePrinter::Fmt(inc_load.PeakDailyRate(), 0),
+                TablePrinter::Fmt(per_load.PeakDailyRate(), 0)});
   table.AddRow({"avg load",
-                TablePrinter::Fmt(inc.crawl_module().AverageDailyRate(),
-                                  0),
-                TablePrinter::Fmt(per.crawl_module().AverageDailyRate(),
-                                  0)});
+                TablePrinter::Fmt(inc_load.AverageDailyRate(), 0),
+                TablePrinter::Fmt(per_load.AverageDailyRate(), 0)});
   std::printf("%s", table.ToString().c_str());
   MaybeWriteCsv(flags, inc.tracker(), "incremental");
   MaybeWriteCsv(flags, per.tracker(), "periodic");
