@@ -311,12 +311,12 @@ void BM_EncodeDeltaSegment(benchmark::State& state) {
   segment.batch = 1234;
   Rng rng(12);
   const std::pair<const char*, std::size_t> sections[] = {
-      {"meta", 600}, {"dcoll", 3'000'000}, {"dupdate", 3'000'000},
+      {"meta", 600}, {"collection", 3'000'000}, {"update", 3'000'000},
       {"dweb", 8'000'000}};
   for (const auto& [name, size] : sections) {
     std::string bytes(size, ' ');
     for (char& c : bytes) c = static_cast<char>('0' + rng.NextBounded(10));
-    segment.sections.push_back(storage::DeltaSection{name, std::move(bytes)});
+    segment.sections.push_back(storage::Section{name, std::move(bytes)});
   }
   std::size_t encoded = 0;
   for (auto _ : state) {

@@ -97,12 +97,9 @@ void AllUrls::Restore(const simweb::Url& url, const UrlInfo& info) {
   shards_[ShardOf(url.site)]->Put(url, UrlInfo(info));
 }
 
-void AllUrls::ReplaceEntriesFrom(const AllUrls& other) {
+void AllUrls::Clear() {
   for (auto& shard : shards_) shard->Clear();
-  other.ForEach([this](const simweb::Url& url, const UrlInfo& info) {
-    shards_[ShardOf(url.site)]->Put(url, UrlInfo(info));
-  });
-  fingerprints_ = other.fingerprints_;
+  fingerprints_.clear();
 }
 
 void AllUrls::Flush() {

@@ -111,13 +111,13 @@ class AllUrls {
       const;
   void ClearFingerprints() { fingerprints_.clear(); }
 
-  /// Overwrites (or creates) a record verbatim — incremental-checkpoint
-  /// replay.
+  /// Overwrites (or creates) a record verbatim — checkpoint restore.
   void Restore(const simweb::Url& url, const UrlInfo& info);
 
-  /// Replaces all contents with a copy of `other`'s, keeping *this's
-  /// backend — the checkpoint-load commit step.
-  void ReplaceEntriesFrom(const AllUrls& other);
+  /// Drops every record and the fingerprint registry, keeping the
+  /// backend (a paged store keeps its page files) — the checkpoint
+  /// load empties the live table before restoring into it.
+  void Clear();
 
   /// Barrier hook (paged backend compaction; no-op on memory).
   void Flush();

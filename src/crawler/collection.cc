@@ -126,13 +126,6 @@ Status Collection::AbsorbAll(Collection& other) {
   return Status::Ok();
 }
 
-void Collection::ReplaceEntriesFrom(const Collection& other) {
-  store_->Clear();
-  other.ForEach([this](const CollectionEntry& entry) {
-    store_->Put(entry.url, CollectionEntry(entry));
-  });
-}
-
 void ShadowedCollection::Swap() {
   current_.Clear();
   // The shadow becomes current; shadow space restarts empty.

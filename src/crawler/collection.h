@@ -121,11 +121,6 @@ class Collection {
   /// requires *this to have enough capacity for other's size.
   Status AbsorbAll(Collection& other);
 
-  /// Replaces this collection's contents with a copy of `other`'s,
-  /// keeping *this's backend — the checkpoint-load commit step, so a
-  /// paged collection stays paged across a resume.
-  void ReplaceEntriesFrom(const Collection& other);
-
   /// Dirty-key tracking for incremental checkpoints (delegates to the
   /// store; see storage::RecordStore).
   void EnableDirtyTracking() { store_->EnableDirtyTracking(); }

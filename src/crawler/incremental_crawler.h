@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -570,11 +571,13 @@ class IncrementalCrawler {
   /// the other serial mutation paths (refinement, spaced retries), in
   /// rules chosen so the marked set is a pure function of the
   /// simulation (identical at every shard count; see docs/STORAGE.md).
-  /// `base_written_` is deliberately *not* checkpointed: a restarted
-  /// process rebases (writes a fresh full image) on its first
-  /// checkpoint instead of appending to a chain it has not verified.
+  /// `base_` is the container id of the base image this process wrote,
+  /// which every segment it appends names. It is deliberately *not*
+  /// checkpointed: a restarted process rebases (writes a fresh full
+  /// image) on its first checkpoint instead of appending to a chain it
+  /// has not verified.
   bool delta_tracking_ = false;
-  bool base_written_ = false;
+  std::optional<uint64_t> base_;
   std::set<simweb::Url, simweb::UrlIdentityLess> frontier_dirty_;
 };
 

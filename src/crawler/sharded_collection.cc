@@ -132,14 +132,6 @@ void ShardedCollection::Clear() {
   size_ = 0;
 }
 
-void ShardedCollection::ReplaceEntriesFrom(const ShardedCollection& other) {
-  for (Collection& shard : shards_) shard.Clear();
-  other.ForEach([this](const CollectionEntry& e) {
-    shards_[ShardOf(e.url.site)].UpsertUnchecked(CollectionEntry(e));
-  });
-  ReconcileSize();
-}
-
 void ShardedCollection::Flush() {
   for (Collection& shard : shards_) shard.Flush();
 }

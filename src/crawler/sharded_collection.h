@@ -113,11 +113,6 @@ class ShardedCollection {
   Collection& shard(std::size_t i) { return shards_[i]; }
   const Collection& shard(std::size_t i) const { return shards_[i]; }
 
-  /// Replaces all contents with a copy of `other`'s, keeping *this's
-  /// backend — the checkpoint-load commit step, so a paged collection
-  /// stays paged across a resume.
-  void ReplaceEntriesFrom(const ShardedCollection& other);
-
   /// Barrier hook: per-shard store compaction (paged backend; no-op on
   /// memory). Invalidates outstanding entry pointers.
   void Flush();

@@ -9,7 +9,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,8 +42,8 @@ constexpr std::size_t kMaxEstimatorState = 1 << 20;
 
 constexpr simweb::UrlIdentityLess IdentityLess;
 
-// The record formatters the full and delta sections share. Each
-// formats one record into `line` and returns it.
+// The record formatters, one per record type. Each formats one record
+// into `line` and returns it.
 
 const RecordLine& EntryLine(const CollectionEntry& e, RecordLine& line) {
   line.Start("E", e.url.site, e.url.slot, e.url.incarnation, e.page,
@@ -67,12 +66,6 @@ const RecordLine& FrontierLine(const CollUrls::Entry& e, RecordLine& line) {
                     e.seq);
 }
 
-// A tombstone or URL-list record: `<tag> <site> <slot> <incarnation>`.
-const RecordLine& UrlLine(std::string_view tag, const simweb::Url& url,
-                          RecordLine& line) {
-  return line.Start(tag, url.site, url.slot, url.incarnation);
-}
-
 // Appends a flattened estimator state after its length (0 when the
 // page has no estimator of its own).
 void AddEstimatorState(const estimator::ChangeEstimator* est,
@@ -84,7 +77,7 @@ void AddEstimatorState(const estimator::ChangeEstimator* est,
 }
 
 // `PageState` is UpdateModule's private per-page record, deduced so
-// that this shared formatter needs no friendship.
+// that this formatter needs no friendship.
 template <typename PageState>
 const RecordLine& PageStateLine(const simweb::Url& url, const PageState& state,
                                 RecordLine& line) {
@@ -108,8 +101,8 @@ const RecordLine& RngLine(uint32_t site, const Rng& rng, RecordLine& line) {
   return line;
 }
 
-// The record parsers the full and delta readers share, one per record
-// type, each the inverse of the formatter above it.
+// The record parsers, one per record type, each the inverse of the
+// formatter above it.
 
 // E: a collection entry. Its link list is read as far as its fields
 // go, so a forged link count fails at the end of the line instead of
@@ -142,11 +135,6 @@ bool ReadUrlInfo(RecordReader& in, simweb::Url* url,
   return true;
 }
 
-// D, X and Q: a bare URL (a tombstone or a URL-list entry).
-bool ReadUrl(RecordReader& in, std::string_view tag, simweb::Url* url) {
-  return in.Record(tag, url->site, url->slot, url->incarnation);
-}
-
 // Closes a P or S record: the state AddEstimatorState wrote, its length
 // range-checked before it sizes the vector.
 bool ReadEstimatorState(RecordReader& in, std::vector<double>* state) {
@@ -174,97 +162,7 @@ std::unique_ptr<estimator::ChangeEstimator> RestoreEstimator(
   return est;
 }
 
-// The parsed records of a collection stream, staged until the stream
-// verifies: a dcoll delta, or a full section as the change onto an
-// empty collection.
-struct CollectionChange {
-  std::vector<CollectionEntry> upserts;
-  std::vector<simweb::Url> tombstones;
-};
-
-bool ReadCollectionChange(RecordReader& in, std::size_t nupserts,
-                          std::size_t ntombstones, CollectionChange* change) {
-  ReserveClaimed(change->upserts, nupserts);
-  for (std::size_t i = 0; i < nupserts; ++i) {
-    CollectionEntry e;
-    if (!ReadEntry(in, &e)) return false;
-    change->upserts.push_back(std::move(e));
-  }
-  ReserveClaimed(change->tombstones, ntombstones);
-  for (std::size_t i = 0; i < ntombstones; ++i) {
-    simweb::Url url;
-    if (!ReadUrl(in, "D", &url)) return false;
-    change->tombstones.push_back(url);
-  }
-  return true;
-}
-
-// The one apply path of collection records. Tombstones go first so
-// upserts never transiently breach capacity: a segment's end state
-// satisfies size <= capacity, and erase-then-insert approaches it
-// monotonically from below. Records that still overflow the capacity
-// are a malformed stream, not an exhausted resource.
-template <typename Store>
-Status ApplyCollectionChange(CollectionChange change, Store* collection) {
-  for (const simweb::Url& url : change.tombstones) {
-    (void)collection->Remove(url);  // absent is fine
-  }
-  for (CollectionEntry& e : change.upserts) {
-    Status st = collection->Upsert(std::move(e));
-    if (!st.ok()) {
-      return Status::InvalidArgument("collection records exceed its "
-                                     "capacity: " + st.message());
-    }
-  }
-  return Status::Ok();
-}
-
-// The parsed records of a frontier stream (a dfrontier delta, or a
-// full section onto an empty frontier) and its global counters.
-struct FrontierChange {
-  std::vector<CollUrls::Entry> upserts;
-  std::vector<simweb::Url> tombstones;
-  uint64_t next_seq = 0;
-  double front_when = 0.0;
-};
-
-bool ReadFrontierChange(RecordReader& in, std::size_t nupserts,
-                        std::size_t ntombstones, FrontierChange* change) {
-  ReserveClaimed(change->upserts, nupserts);
-  for (std::size_t i = 0; i < nupserts; ++i) {
-    // F: a queued URL with its exact (when, seq) key.
-    CollUrls::Entry e;
-    if (!in.Record("F", e.url.site, e.url.slot, e.url.incarnation, e.when,
-                   e.seq)) {
-      return false;
-    }
-    change->upserts.push_back(e);
-  }
-  ReserveClaimed(change->tombstones, ntombstones);
-  for (std::size_t i = 0; i < ntombstones; ++i) {
-    simweb::Url url;
-    if (!ReadUrl(in, "D", &url)) return false;
-    change->tombstones.push_back(url);
-  }
-  return true;
-}
-
-// The one apply path of frontier records. ScheduleLane replaces any
-// live entry of the URL and keeps its exact key, and replay is serial,
-// so a full load and a replayed delta reach the same pop order.
-void ApplyFrontierChange(const FrontierChange& change,
-                         ShardedFrontier* frontier) {
-  for (const simweb::Url& url : change.tombstones) {
-    (void)frontier->Remove(url);  // absent is fine
-  }
-  for (const CollUrls::Entry& e : change.upserts) {
-    frontier->ScheduleLane(frontier->ShardOf(e.url.site), e.url, e.when,
-                           e.seq);
-  }
-  frontier->RestoreCounters(change.next_seq, change.front_when);
-}
-
-// The estimator kind an update stream's header names must be the
+// The estimator kind an update section's header names must be the
 // module's.
 Status CheckEstimatorKind(const std::string& kind,
                           const UpdateModuleConfig& config) {
@@ -276,12 +174,18 @@ Status CheckEstimatorKind(const std::string& kind,
       "' does not match the module's configuration");
 }
 
-// Canonical writer shared by the Collection and ShardedCollection
-// overloads: entries are emitted in ascending URL identity so equal
-// logical collections produce equal bytes at every shard count.
-Status WriteCollectionSnapshot(
-    std::size_t capacity,
-    std::vector<const CollectionEntry*> entries, std::ostream& out) {
+// ---- The four big stores. Each has one section format with one
+// writer over the records its caller passes in — every record for a
+// full image, the dirty keys still present for a delta segment — which
+// writes them in canonical order, so equal records make equal bytes at
+// every shard count. Each has one reader, which checks a section and
+// stages its records as a flat list, and one apply path: onto an empty
+// store for an image, or onto the live one for a segment, after
+// removing the segment's `-removed` keys (absent keys are fine).
+
+Status WriteCollection(std::size_t capacity,
+                       std::vector<const CollectionEntry*> entries,
+                       std::ostream& out) {
   std::sort(entries.begin(), entries.end(),
             [](const CollectionEntry* a, const CollectionEntry* b) {
               return IdentityLess(a->url, b->url);
@@ -296,49 +200,339 @@ Status WriteCollectionSnapshot(
   return Status::Ok();
 }
 
-// Reads a full collection stream and applies it onto the collection
-// `make(capacity)` builds.
-template <typename Make>
-auto ReadCollection(std::istream& is, Make make)
-    -> StatusOr<decltype(make(std::size_t{0}))> {
+// The writer over every entry of a Collection or a ShardedCollection.
+template <typename Store>
+Status SaveEveryEntry(const Store& collection, std::ostream& out) {
+  std::vector<const CollectionEntry*> entries;
+  entries.reserve(collection.size());
+  collection.ForEach([&](const CollectionEntry& e) { entries.push_back(&e); });
+  return WriteCollection(collection.capacity(), std::move(entries), out);
+}
+
+struct CollectionRecords {
+  std::size_t capacity = 0;
+  std::vector<CollectionEntry> entries;
+};
+
+// A section holds at most its capacity's worth of entries, so an image
+// applied onto an empty store cannot overflow it.
+StatusOr<CollectionRecords> ReadCollection(std::istream& is) {
   RecordReader in(is, "collection snapshot");
-  std::size_t capacity = 0, count = 0;
-  CollectionChange change;
-  if (in.Header(kCollectionMagic, kFormatVersion, capacity, count)) {
-    ReadCollectionChange(in, count, 0, &change);
+  CollectionRecords records;
+  std::size_t count = 0;
+  if (in.Header(kCollectionMagic, kFormatVersion, records.capacity, count)) {
+    if (count > records.capacity) in.Fail("more entries than its capacity");
+    ReserveClaimed(records.entries, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      CollectionEntry e;
+      if (!ReadEntry(in, &e)) break;
+      records.entries.push_back(std::move(e));
+    }
   }
   Status st = in.Finish();
   if (!st.ok()) return st;
-  auto collection = make(capacity);
-  st = ApplyCollectionChange(std::move(change), &collection);
+  return records;
+}
+
+// Removed keys go first so the entries never transiently breach
+// capacity: a segment's end state satisfies size <= capacity, and
+// erase-then-insert approaches it monotonically from below. Entries
+// that still overflow the capacity are a malformed segment, not an
+// exhausted resource.
+template <typename Store>
+Status ApplyCollection(const std::vector<simweb::Url>& removed,
+                       std::vector<CollectionEntry> entries,
+                       Store* collection) {
+  for (const simweb::Url& url : removed) {
+    (void)collection->Remove(url);  // absent is fine
+  }
+  for (CollectionEntry& e : entries) {
+    Status st = collection->Upsert(std::move(e));
+    if (!st.ok()) {
+      return Status::InvalidArgument("collection records exceed its "
+                                     "capacity: " + st.message());
+    }
+  }
+  return Status::Ok();
+}
+
+// Reads a collection section and applies it onto the empty collection
+// `make(capacity)` builds.
+template <typename Make>
+auto LoadCollectionWith(std::istream& in, Make make)
+    -> StatusOr<decltype(make(std::size_t{0}))> {
+  auto records = ReadCollection(in);
+  if (!records.ok()) return records.status();
+  auto collection = make(records->capacity);
+  Status st = ApplyCollection({}, std::move(records->entries), &collection);
   if (!st.ok()) return st;
   return collection;
 }
 
+using UrlInfoRecord = std::pair<simweb::Url, AllUrls::UrlInfo>;
+
+Status WriteAllUrls(
+    std::vector<std::pair<simweb::Url, const AllUrls::UrlInfo*>> records,
+    std::ostream& out) {
+  std::sort(records.begin(), records.end(), [](const auto& a, const auto& b) {
+    return IdentityLess(a.first, b.first);
+  });
+  TrailerWriter writer(out);
+  RecordLine line;
+  writer.Line(line.Start(kAllUrlsMagic, kFormatVersion, records.size()));
+  for (const auto& [url, info] : records) {
+    writer.Line(UrlInfoLine(url, *info, line));
+  }
+  writer.Finish();
+  if (!out.good()) return Status::Internal("snapshot write failed");
+  return Status::Ok();
+}
+
+StatusOr<std::vector<UrlInfoRecord>> ReadAllUrls(std::istream& is) {
+  RecordReader in(is, "allurls snapshot");
+  std::vector<UrlInfoRecord> records;
+  std::size_t count = 0;
+  if (in.Header(kAllUrlsMagic, kFormatVersion, count)) {
+    ReserveClaimed(records, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      UrlInfoRecord r;
+      if (!ReadUrlInfo(in, &r.first, &r.second)) break;
+      records.push_back(r);
+    }
+  }
+  Status st = in.Finish();
+  if (!st.ok()) return st;
+  return records;
+}
+
+// AllUrls never erases a record (a dead URL keeps its record), so its
+// records only ever overwrite and it has no removed list.
+void ApplyAllUrls(const std::vector<UrlInfoRecord>& records,
+                  AllUrls* all_urls) {
+  for (const auto& [url, info] : records) all_urls->Restore(url, info);
+}
+
+// Entries are written by their globally unique seq, the order the
+// frontier pops ties in.
+Status WriteFrontier(std::vector<CollUrls::Entry> entries, uint64_t next_seq,
+                     double front_when, std::ostream& out) {
+  std::sort(entries.begin(), entries.end(),
+            [](const CollUrls::Entry& a, const CollUrls::Entry& b) {
+              return a.seq < b.seq;
+            });
+  TrailerWriter writer(out);
+  RecordLine line;
+  writer.Line(line.Start(kFrontierMagic, kFormatVersion, entries.size(),
+                         next_seq, front_when));
+  for (const CollUrls::Entry& e : entries) {
+    writer.Line(FrontierLine(e, line));
+  }
+  writer.Finish();
+  if (!out.good()) return Status::Internal("snapshot write failed");
+  return Status::Ok();
+}
+
+// A parsed frontier section: its queued URLs with their exact
+// (when, seq) keys, and the frontier's global counters.
+struct FrontierRecords {
+  std::vector<CollUrls::Entry> entries;
+  uint64_t next_seq = 0;
+  double front_when = 0.0;
+};
+
+StatusOr<FrontierRecords> ReadFrontier(std::istream& is) {
+  RecordReader in(is, "frontier snapshot");
+  FrontierRecords records;
+  std::size_t count = 0;
+  if (in.Header(kFrontierMagic, kFormatVersion, count, records.next_seq,
+                records.front_when)) {
+    ReserveClaimed(records.entries, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      CollUrls::Entry e;
+      if (!in.Record("F", e.url.site, e.url.slot, e.url.incarnation, e.when,
+                     e.seq)) {
+        break;
+      }
+      records.entries.push_back(e);
+    }
+  }
+  Status st = in.Finish();
+  if (!st.ok()) return st;
+  return records;
+}
+
+// ScheduleLane replaces any live entry of the URL and keeps its exact
+// key, and replay is serial, so an image and a replayed segment reach
+// the same pop order.
+void ApplyFrontier(const std::vector<simweb::Url>& removed,
+                   const FrontierRecords& records, ShardedFrontier* frontier) {
+  for (const simweb::Url& url : removed) {
+    (void)frontier->Remove(url);  // absent is fine
+  }
+  for (const CollUrls::Entry& e : records.entries) {
+    frontier->ScheduleLane(frontier->ShardOf(e.url.site), e.url, e.when, e.seq);
+  }
+  frontier->RestoreCounters(records.next_seq, records.front_when);
+}
+
 }  // namespace
 
-/// One parsed update-module stream, staged until the stream verifies
-/// and then applied: a dupdate delta, or a full section as the change
-/// from an empty module. Befriended by UpdateModule.
-struct UpdateModuleChange {
+/// The update module's section: its one writer, over every record (an
+/// image) or the dirty ones still present (a delta segment), and its
+/// parsed form with the one apply path. Befriended by UpdateModule.
+struct UpdateModuleSection {
+  /// The records to write, pointing into a module.
+  struct Selection {
+    std::vector<std::pair<simweb::Url, const UpdateModule::PageState*>> pages;
+    std::vector<std::pair<uint32_t, const estimator::ChangeEstimator*>> sites;
+    std::vector<std::pair<uint32_t, const Rng*>> rngs;
+  };
+
+  static Selection Every(const UpdateModule& module) {
+    Selection s;
+    for (const auto& shard : module.page_shards_) {
+      for (const auto& [url, state] : shard) {
+        s.pages.emplace_back(url, &state);
+      }
+    }
+    for (const auto& shard : module.site_shards_) {
+      for (const auto& [site, est] : shard) {
+        s.sites.emplace_back(site, est.get());
+      }
+    }
+    for (const auto& shard : module.rng_shards_) {
+      for (const auto& [site, rng] : shard) s.rngs.emplace_back(site, &rng);
+    }
+    return s;
+  }
+
+  /// The dirty records still present; the dirty pages now gone
+  /// (Forget) go to `removed`. Site aggregates and probe streams are
+  /// never erased.
+  static Selection Dirty(const UpdateModule& module,
+                         std::vector<simweb::Url>* removed) {
+    std::set<simweb::Url, simweb::UrlIdentityLess> dirty_pages;
+    std::set<uint32_t> dirty_sites, dirty_rngs;
+    module.AppendDirty(&dirty_pages, &dirty_sites, &dirty_rngs);
+    Selection s;
+    for (const simweb::Url& url : dirty_pages) {
+      const auto& shard = module.page_shards_[module.ShardOf(url.site)];
+      auto it = shard.find(url);
+      if (it == shard.end()) {
+        removed->push_back(url);
+      } else {
+        s.pages.emplace_back(url, &it->second);
+      }
+    }
+    for (uint32_t site : dirty_sites) {
+      const auto& shard = module.site_shards_[module.ShardOf(site)];
+      auto it = shard.find(site);
+      if (it != shard.end()) s.sites.emplace_back(site, it->second.get());
+    }
+    for (uint32_t site : dirty_rngs) {
+      const auto& shard = module.rng_shards_[module.ShardOf(site)];
+      auto it = shard.find(site);
+      if (it != shard.end()) s.rngs.emplace_back(site, &it->second);
+    }
+    return s;
+  }
+
+  /// Writes the header, the G record of scheduling globals (cheap
+  /// scalars, always absolute), then the selected P, S and R records:
+  /// pages by URL identity, site records by site.
+  static Status Write(const UpdateModule& module, Selection s,
+                      std::ostream& out) {
+    std::sort(s.pages.begin(), s.pages.end(), [](const auto& a, const auto& b) {
+      return IdentityLess(a.first, b.first);
+    });
+    auto by_site = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    std::sort(s.sites.begin(), s.sites.end(), by_site);
+    std::sort(s.rngs.begin(), s.rngs.end(), by_site);
+    TrailerWriter writer(out);
+    RecordLine line;
+    writer.Line(
+        line.Start(kUpdateModuleMagic, kUpdateFormatVersion,
+                   estimator::EstimatorKindName(module.config_.estimator_kind),
+                   s.pages.size(), s.sites.size(), s.rngs.size()));
+    writer.Line(line.Start("G", module.multiplier_, module.total_rate_,
+                           module.mean_importance_, module.rebalance_count_,
+                           module.frozen_page_count_));
+    for (const auto& [url, state] : s.pages) {
+      writer.Line(PageStateLine(url, *state, line));
+    }
+    for (const auto& [site, est] : s.sites) {
+      writer.Line(SiteEstimatorLine(site, *est, line));
+    }
+    for (const auto& [site, rng] : s.rngs) {
+      writer.Line(RngLine(site, *rng, line));
+    }
+    writer.Finish();
+    if (!out.good()) return Status::Internal("snapshot write failed");
+    return Status::Ok();
+  }
+
   double multiplier = 0.0, total_rate = 0.0, mean_importance = 0.0;
   int64_t rebalance_count = 0;
   std::size_t frozen_page_count = 0;
   std::vector<std::pair<simweb::Url, UpdateModule::PageState>> pages;
-  std::vector<simweb::Url> tombstones;
   std::vector<
       std::pair<uint32_t, std::unique_ptr<estimator::ChangeEstimator>>>
       sites;
   std::vector<std::pair<uint32_t, Rng>> rngs;
 
-  /// Reads the records after the stream's header: G, then the counted
-  /// P, X, S and R records.
-  bool Read(RecordReader& in, estimator::EstimatorKind kind,
-            std::size_t npages, std::size_t ntombstones, std::size_t nsites,
-            std::size_t nrngs) {
+  /// Parses a section, estimators rebuilt (which can fail) before
+  /// anything is applied. The estimator kind it names must be the
+  /// configuration's.
+  static StatusOr<UpdateModuleSection> Read(std::istream& is,
+                                            const UpdateModuleConfig& config) {
+    RecordReader in(is, "update snapshot");
+    UpdateModuleSection r;
+    std::string kind;
+    std::size_t npages = 0, nsites = 0, nrngs = 0;
+    if (!in.Header(kUpdateModuleMagic, kUpdateFormatVersion, kind, npages,
+                   nsites, nrngs)) {
+      return in.status();
+    }
+    Status st = CheckEstimatorKind(kind, config);
+    if (!st.ok()) return st;
+    r.ReadRecords(in, config.estimator_kind, npages, nsites, nrngs);
+    st = in.Finish();
+    if (!st.ok()) return st;
+    return r;
+  }
+
+  /// The one apply path: globals absolute, removed pages erased,
+  /// records upserted.
+  void ApplyTo(const std::vector<simweb::Url>& removed,
+               UpdateModule* module) && {
+    module->multiplier_ = multiplier;
+    module->total_rate_ = total_rate;
+    module->mean_importance_ = mean_importance;
+    module->rebalance_count_ = rebalance_count;
+    module->frozen_page_count_ = frozen_page_count;
+    for (const simweb::Url& url : removed) {
+      module->page_shards_[module->ShardOf(url.site)].erase(url);
+    }
+    for (auto& [url, state] : pages) {
+      module->page_shards_[module->ShardOf(url.site)][url] = std::move(state);
+    }
+    for (auto& [site, est] : sites) {
+      module->site_shards_[module->ShardOf(site)][site] = std::move(est);
+    }
+    for (const auto& [site, rng] : rngs) {
+      module->rng_shards_[module->ShardOf(site)].insert_or_assign(site, rng);
+    }
+  }
+
+ private:
+  // The records after the header: G, then the counted P, S and R.
+  void ReadRecords(RecordReader& in, estimator::EstimatorKind kind,
+                   std::size_t npages, std::size_t nsites, std::size_t nrngs) {
     if (!in.Record("G", multiplier, total_rate, mean_importance,
                    rebalance_count, frozen_page_count)) {
-      return false;
+      return;
     }
     ReserveClaimed(pages, npages);
     for (std::size_t i = 0; i < npages; ++i) {
@@ -349,31 +543,23 @@ struct UpdateModuleChange {
       if (!in.Begin("P", url.site, url.slot, url.incarnation,
                     state.last_visit, visited, state.importance, probing) ||
           !ReadEstimatorState(in, &est)) {
-        return false;
+        return;
       }
       state.visited = visited != 0;
       state.probing_abandonment = probing != 0;
       if (!est.empty()) {
         state.estimator = RestoreEstimator(in, kind, est);
-        if (state.estimator == nullptr) return false;
+        if (state.estimator == nullptr) return;
       }
       pages.emplace_back(url, std::move(state));
-    }
-    ReserveClaimed(tombstones, ntombstones);
-    for (std::size_t i = 0; i < ntombstones; ++i) {
-      simweb::Url url;
-      if (!ReadUrl(in, "X", &url)) return false;
-      tombstones.push_back(url);
     }
     ReserveClaimed(sites, nsites);
     for (std::size_t i = 0; i < nsites; ++i) {
       uint32_t site = 0;
       std::vector<double> est;
-      if (!in.Begin("S", site) || !ReadEstimatorState(in, &est)) {
-        return false;
-      }
+      if (!in.Begin("S", site) || !ReadEstimatorState(in, &est)) return;
       auto restored = RestoreEstimator(in, kind, est);
-      if (restored == nullptr) return false;
+      if (restored == nullptr) return;
       sites.emplace_back(site, std::move(restored));
     }
     ReserveClaimed(rngs, nrngs);
@@ -381,186 +567,71 @@ struct UpdateModuleChange {
       uint32_t site = 0;
       std::array<uint64_t, 4> lanes{};
       if (!in.Record("R", site, lanes[0], lanes[1], lanes[2], lanes[3])) {
-        return false;
+        return;
       }
       Rng rng(0);
       rng.SetState(lanes);
       rngs.emplace_back(site, rng);
     }
-    return true;
-  }
-
-  /// The one apply path of update-module records: globals absolute,
-  /// tombstones erased, records upserted.
-  void ApplyTo(UpdateModule* module) && {
-    module->multiplier_ = multiplier;
-    module->total_rate_ = total_rate;
-    module->mean_importance_ = mean_importance;
-    module->rebalance_count_ = rebalance_count;
-    module->frozen_page_count_ = frozen_page_count;
-    for (const simweb::Url& url : tombstones) {
-      module->page_shards_[module->ShardOf(url.site)].erase(url);
-    }
-    for (auto& [url, state] : pages) {
-      module->page_shards_[module->ShardOf(url.site)][url] =
-          std::move(state);
-    }
-    for (auto& [site, est] : sites) {
-      module->site_shards_[module->ShardOf(site)][site] = std::move(est);
-    }
-    for (const auto& [site, rng] : rngs) {
-      module->rng_shards_[module->ShardOf(site)].insert_or_assign(site, rng);
-    }
   }
 };
 
 Status SaveCollection(const Collection& collection, std::ostream& out) {
-  std::vector<const CollectionEntry*> entries;
-  entries.reserve(collection.size());
-  collection.ForEach(
-      [&](const CollectionEntry& e) { entries.push_back(&e); });
-  return WriteCollectionSnapshot(collection.capacity(),
-                                 std::move(entries), out);
+  return SaveEveryEntry(collection, out);
 }
 
 Status SaveCollection(const ShardedCollection& collection,
                       std::ostream& out) {
-  std::vector<const CollectionEntry*> entries;
-  entries.reserve(collection.size());
-  collection.ForEach(
-      [&](const CollectionEntry& e) { entries.push_back(&e); });
-  return WriteCollectionSnapshot(collection.capacity(),
-                                 std::move(entries), out);
+  return SaveEveryEntry(collection, out);
 }
 
 StatusOr<Collection> LoadCollection(std::istream& in) {
-  return ReadCollection(in, [](std::size_t capacity) {
+  return LoadCollectionWith(in, [](std::size_t capacity) {
     return Collection(capacity);
   });
 }
 
 StatusOr<ShardedCollection> LoadShardedCollection(std::istream& in,
                                                   int num_shards) {
-  return ReadCollection(in, [num_shards](std::size_t capacity) {
+  return LoadCollectionWith(in, [num_shards](std::size_t capacity) {
     return ShardedCollection(capacity, num_shards);
   });
 }
 
 Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
-  TrailerWriter writer(out);
-  RecordLine line;
-  writer.Line(line.Start(kAllUrlsMagic, kFormatVersion, all_urls.size()));
-  // Canonical record order regardless of internal shard layout.
   std::vector<std::pair<simweb::Url, const AllUrls::UrlInfo*>> records;
   records.reserve(all_urls.size());
   all_urls.ForEach([&](const simweb::Url& url,
                        const AllUrls::UrlInfo& info) {
     records.emplace_back(url, &info);
   });
-  std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) {
-              return IdentityLess(a.first, b.first);
-            });
-  for (const auto& [url, info] : records) {
-    writer.Line(UrlInfoLine(url, *info, line));
-  }
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
+  return WriteAllUrls(std::move(records), out);
 }
 
-StatusOr<AllUrls> LoadAllUrls(std::istream& is, int num_shards) {
-  RecordReader in(is, "allurls snapshot");
-  std::size_t count = 0;
-  if (!in.Header(kAllUrlsMagic, kFormatVersion, count)) return in.status();
+StatusOr<AllUrls> LoadAllUrls(std::istream& in, int num_shards) {
+  auto records = ReadAllUrls(in);
+  if (!records.ok()) return records.status();
   AllUrls all(num_shards);
-  // Records restore verbatim, as a delta's do, straight into the fresh
-  // object: AllUrls is the largest section, so it is not staged twice.
-  for (std::size_t i = 0; i < count; ++i) {
-    simweb::Url url;
-    AllUrls::UrlInfo info;
-    if (!ReadUrlInfo(in, &url, &info)) return in.status();
-    all.Restore(url, info);
-  }
-  Status st = in.Finish();
-  if (!st.ok()) return st;
+  ApplyAllUrls(*records, &all);
   return all;
 }
 
 Status SaveUpdateModule(const UpdateModule& module, std::ostream& out) {
-  // Gather the per-site records (estimator aggregates and probe RNG
-  // streams) across shards in ascending site order — canonical bytes
-  // at every shard count.
-  std::vector<std::pair<uint32_t, const estimator::ChangeEstimator*>>
-      site_records;
-  for (const auto& shard : module.site_shards_) {
-    for (const auto& [site, est] : shard) {
-      site_records.emplace_back(site, est.get());
-    }
-  }
-  std::sort(site_records.begin(), site_records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::pair<uint32_t, const Rng*>> rng_records;
-  for (const auto& shard : module.rng_shards_) {
-    for (const auto& [site, rng] : shard) {
-      rng_records.emplace_back(site, &rng);
-    }
-  }
-  std::sort(rng_records.begin(), rng_records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  TrailerWriter writer(out);
-  RecordLine line;
-  writer.Line(
-      line.Start(kUpdateModuleMagic, kUpdateFormatVersion,
-                 estimator::EstimatorKindName(module.config_.estimator_kind),
-                 module.tracked_pages(), site_records.size(),
-                 rng_records.size()));
-  writer.Line(line.Start("G", module.multiplier_, module.total_rate_,
-                         module.mean_importance_, module.rebalance_count_,
-                         module.frozen_page_count_));
-  // Page records sorted by identity, so equal modules produce equal
-  // bytes regardless of shard count and hash-map iteration order.
-  for (const auto& [url, state] : module.SortedPages()) {
-    writer.Line(PageStateLine(url, *state, line));
-  }
-  for (const auto& [site, est] : site_records) {
-    writer.Line(SiteEstimatorLine(site, *est, line));
-  }
-  for (const auto& [site, rng] : rng_records) {
-    writer.Line(RngLine(site, *rng, line));
-  }
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
+  return UpdateModuleSection::Write(module, UpdateModuleSection::Every(module),
+                                    out);
 }
 
-Status LoadUpdateModule(std::istream& is, UpdateModule* module) {
-  RecordReader in(is, "update snapshot");
-  std::string kind;
-  std::size_t npages = 0, nsites = 0, nrngs = 0;
-  if (!in.Header(kUpdateModuleMagic, kUpdateFormatVersion, kind, npages,
-                 nsites, nrngs)) {
-    return in.status();
-  }
-  Status st = CheckEstimatorKind(kind, module->config());
-  if (!st.ok()) return st;
-  UpdateModuleChange change;
-  change.Read(in, module->config().estimator_kind, npages, 0, nsites, nrngs);
-  st = in.Finish();
-  if (!st.ok()) return st;
-  // Apply onto a fresh module and swap it in, so a corrupt snapshot
-  // never leaves `module` half-loaded.
-  UpdateModule staged(module->config());
-  std::move(change).ApplyTo(&staged);
-  *module = std::move(staged);
+Status LoadUpdateModule(std::istream& in, UpdateModule* module) {
+  auto records = UpdateModuleSection::Read(in, module->config());
+  if (!records.ok()) return records.status();
+  *module = UpdateModule(module->config());
+  std::move(*records).ApplyTo({}, module);
   return Status::Ok();
 }
 
 Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out) {
   // Drain a copy shard by shard: PopEntry yields each live entry with
-  // its exact (when, seq) key; sorting by the globally unique seq gives
-  // canonical bytes at every shard count.
+  // its exact (when, seq) key.
   ShardedFrontier scratch = frontier;
   std::vector<CollUrls::Entry> entries;
   entries.reserve(frontier.size());
@@ -569,35 +640,15 @@ Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out) {
       entries.push_back(*entry);
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const CollUrls::Entry& a, const CollUrls::Entry& b) {
-              return a.seq < b.seq;
-            });
-
-  TrailerWriter writer(out);
-  RecordLine line;
-  writer.Line(line.Start(kFrontierMagic, kFormatVersion, entries.size(),
-                         frontier.next_seq_, frontier.front_when_));
-  for (const CollUrls::Entry& e : entries) {
-    writer.Line(FrontierLine(e, line));
-  }
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
+  return WriteFrontier(std::move(entries), frontier.next_seq_,
+                       frontier.front_when_, out);
 }
 
-StatusOr<ShardedFrontier> LoadFrontier(std::istream& is, int num_shards) {
-  RecordReader in(is, "frontier snapshot");
-  std::size_t count = 0;
-  FrontierChange change;
-  if (in.Header(kFrontierMagic, kFormatVersion, count, change.next_seq,
-                change.front_when)) {
-    ReadFrontierChange(in, count, 0, &change);
-  }
-  Status st = in.Finish();
-  if (!st.ok()) return st;
+StatusOr<ShardedFrontier> LoadFrontier(std::istream& in, int num_shards) {
+  auto records = ReadFrontier(in);
+  if (!records.ok()) return records.status();
   ShardedFrontier frontier(num_shards);
-  ApplyFrontierChange(change, &frontier);
+  ApplyFrontier({}, *records, &frontier);
   return frontier;
 }
 
@@ -659,23 +710,19 @@ constexpr const char* kDefenseMagic = "webevo-defense";
 // The optional pool-level traffic aggregate (absolute-day fetch
 // histogram + global counters); see CrawlModulePool::Traffic.
 constexpr const char* kTrafficMagic = "webevo-traffic";
-// Delta-section magics of the incremental checkpoint mode.
-constexpr const char* kCollDeltaMagic = "webevo-dcoll";
-constexpr const char* kAllUrlsDeltaMagic = "webevo-dallurls";
-constexpr const char* kUpdateDeltaMagic = "webevo-dupdate";
-constexpr const char* kFrontierDeltaMagic = "webevo-dfrontier";
 // Range guard on the section table, parsed before its checksum covers
 // an allocation decision.
 constexpr std::size_t kMaxSections = 16;
 constexpr const char* kIncrementalKind = "incremental";
 constexpr const char* kPeriodicKind = "periodic";
 
-// The writers' name for a container section.
-using Section = CheckpointSection;
+using storage::FindSection;
+using storage::Section;
 
-Status WriteContainer(const std::string& kind,
-                      const std::vector<Section>& sections,
-                      std::ostream& out) {
+// Writes a container and returns its id, the header's checksum.
+StatusOr<uint64_t> WriteContainer(const std::string& kind,
+                                  const std::vector<Section>& sections,
+                                  std::ostream& out) {
   TrailerWriter writer(out);
   RecordLine line;
   writer.Line(
@@ -689,21 +736,24 @@ Status WriteContainer(const std::string& kind,
               static_cast<std::streamsize>(s.bytes.size()));
   }
   if (!out.good()) return Status::Internal("checkpoint write failed");
-  return Status::Ok();
+  return writer.hash();
 }
 
-// The container must be of `kind` and carry every `required` section.
-Status CheckContainer(const CheckpointContainer& container, const char* kind,
-                      std::initializer_list<const char*> required) {
-  if (container.kind != kind) {
-    return Status::InvalidArgument("checkpoint kind '" + container.kind +
-                                   "' does not match this crawler ('" +
-                                   kind + "')");
-  }
-  for (const char* name : required) {
-    if (container.Find(name) == nullptr) {
-      return Status::InvalidArgument("checkpoint missing section '" +
-                                     std::string(name) + "'");
+// A container or a delta segment must be of this crawler's `kind`.
+Status CheckKind(const std::string& kind, const char* want) {
+  if (kind == want) return Status::Ok();
+  return Status::InvalidArgument("checkpoint kind '" + kind +
+                                 "' does not match this crawler ('" + want +
+                                 "')");
+}
+
+// InvalidArgument naming the first of `names` missing from `what`.
+Status RequireSections(const std::vector<Section>& sections,
+                       const std::string& what,
+                       std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    if (FindSection(sections, name) == nullptr) {
+      return Status::InvalidArgument(what + " missing section '" + name + "'");
     }
   }
   return Status::Ok();
@@ -717,6 +767,19 @@ Status ParseSection(const std::string& bytes, Read read, T* out) {
   if (!parsed.ok()) return parsed.status();
   *out = std::move(parsed).value();
   return Status::Ok();
+}
+
+// A collection section is parsed only for a collection of its
+// capacity, so applying it onto the emptied store cannot overflow.
+Status ParseCollection(const std::string& bytes, std::size_t capacity,
+                       CollectionRecords* records) {
+  Status st = ParseSection(bytes, ReadCollection, records);
+  if (st.ok() && records->capacity != capacity) {
+    return Status::InvalidArgument(
+        "checkpoint collection capacity does not match the configured "
+        "capacity");
+  }
+  return st;
 }
 
 // ParseSection's twin: the bytes `write` makes of `value`.
@@ -804,14 +867,17 @@ void RestoreTracker(const TrackerSeries& series,
   }
 }
 
-// A plain URL list (the BFS queue in queue order, the seen-set and the
-// pending-admission set in canonical order).
+// A plain URL list (the BFS queue in queue order; the seen-set, the
+// pending-admission set and a segment's removed keys in canonical
+// order).
 void WriteUrlList(const std::vector<simweb::Url>& urls,
                   std::ostream& out) {
   TrailerWriter writer(out);
   RecordLine line;
   writer.Line(line.Start(kUrlsMagic, kFormatVersion, urls.size()));
-  for (const simweb::Url& url : urls) writer.Line(UrlLine("Q", url, line));
+  for (const simweb::Url& url : urls) {
+    writer.Line(line.Start("Q", url.site, url.slot, url.incarnation));
+  }
   writer.Finish();
 }
 
@@ -823,7 +889,9 @@ StatusOr<std::vector<simweb::Url>> ReadUrlList(std::istream& is) {
   ReserveClaimed(urls, count);
   for (std::size_t i = 0; i < count; ++i) {
     simweb::Url url;
-    if (!ReadUrl(in, "Q", &url)) return in.status();
+    if (!in.Record("Q", url.site, url.slot, url.incarnation)) {
+      return in.status();
+    }
     urls.push_back(url);
   }
   Status st = in.Finish();
@@ -1070,13 +1138,6 @@ StatusOr<CrawlModulePool::Traffic> ReadTraffic(std::istream& is) {
 
 }  // namespace
 
-const std::string* CheckpointContainer::Find(std::string_view name) const {
-  for (const CheckpointSection& s : sections) {
-    if (s.name == name) return &s.bytes;
-  }
-  return nullptr;
-}
-
 StatusOr<CheckpointContainer> ReadCheckpointContainer(std::istream& is) {
   RecordReader in(is, "checkpoint");
   CheckpointContainer container;
@@ -1101,6 +1162,7 @@ StatusOr<CheckpointContainer> ReadCheckpointContainer(std::istream& is) {
   }
   Status st = in.Trailer();
   if (!st.ok()) return st;
+  container.id = in.hash();
   container.sections.reserve(table.size());
   for (TableEntry& entry : table) {
     // Read in bounded chunks rather than trusting the table-claimed
@@ -1127,18 +1189,18 @@ StatusOr<CheckpointContainer> ReadCheckpointContainer(std::istream& is) {
                                      "' corrupted");
     }
     container.sections.push_back(
-        CheckpointSection{std::move(entry.name), std::move(bytes)});
+        Section{std::move(entry.name), std::move(bytes)});
   }
   st = ExpectStreamEnd(is, "checkpoint");
   if (!st.ok()) return st;
   return container;
 }
 
-/// Shared plumbing of the full and incremental whole-crawler
-/// checkpoints — the private-state section builders, their parsers,
-/// and the delta-segment apply. Befriended by IncrementalCrawler so
-/// SaveCrawler / LoadCrawler / CheckpointIncremental share one
-/// implementation of each section instead of three.
+/// The incremental crawler's checkpoint sections — the private-state
+/// builders, their parsers, and the one restore path of a full image
+/// and a delta segment. Befriended by IncrementalCrawler so SaveCrawler,
+/// LoadCrawler, CheckpointIncremental and LoadCrawlerWithDeltasFromFile
+/// share one implementation of each section.
 struct CheckpointIo {
   /// Parsed "meta" section of an incremental-crawler checkpoint.
   struct IncMetaState {
@@ -1166,8 +1228,7 @@ struct CheckpointIo {
     return os.str();
   }
 
-  static StatusOr<IncMetaState> ParseIncMeta(const std::string& bytes) {
-    std::istringstream is(bytes);
+  static StatusOr<IncMetaState> ReadIncMeta(std::istream& is) {
     RecordReader in(is, "checkpoint meta");
     IncMetaState meta;
     in.Header(kIncMetaMagic, kIncMetaVersion);
@@ -1303,8 +1364,6 @@ struct CheckpointIo {
   static void ApplyDefense(const DefenseSnapshot& defense,
                            IncrementalCrawler* crawler) {
     // Re-shards by the same site % N ownership rule as the live layer.
-    // Must run after the AllUrls commit (ReplaceEntriesFrom), which
-    // installs the staged — registry-free — URL table.
     const auto shards =
         static_cast<uint32_t>(crawler->site_defense_shards_.size());
     for (auto& shard : crawler->site_defense_shards_) shard.clear();
@@ -1323,148 +1382,6 @@ struct CheckpointIo {
     for (const DefenseFingerprintRecord& r : defense.fingerprints) {
       crawler->all_urls_.ReassignFingerprint(r.checksum, r.url);
     }
-  }
-
-  // ---- Delta sections (incremental checkpoint segments). Records are
-  // listed in canonical URL-identity / ascending-site order over dirty
-  // sets that are pure functions of the simulation, so a segment is
-  // byte-identical at every shard count.
-
-  static std::string CollDelta(const IncrementalCrawler& crawler) {
-    storage::RecordStore<CollectionEntry>::DirtySet dirty;
-    crawler.collection_.AppendDirty(&dirty);
-    // Found records stay put while the others are looked up: both
-    // stores keep them in node-stable maps.
-    std::vector<const CollectionEntry*> upserts;
-    std::vector<simweb::Url> tombstones;
-    for (const simweb::Url& url : dirty) {
-      const CollectionEntry* entry = crawler.collection_.Find(url);
-      if (entry != nullptr) {
-        upserts.push_back(entry);
-      } else {
-        tombstones.push_back(url);
-      }
-    }
-    std::ostringstream os;
-    TrailerWriter writer(os);
-    RecordLine line;
-    writer.Line(line.Start(kCollDeltaMagic, kFormatVersion, upserts.size(),
-                           tombstones.size()));
-    for (const CollectionEntry* e : upserts) {
-      writer.Line(EntryLine(*e, line));
-    }
-    for (const simweb::Url& url : tombstones) {
-      writer.Line(UrlLine("D", url, line));
-    }
-    writer.Finish();
-    return os.str();
-  }
-
-  static Status ApplyCollDelta(const std::string& bytes,
-                               IncrementalCrawler* crawler) {
-    std::istringstream is(bytes);
-    RecordReader in(is, "collection delta");
-    std::size_t nupserts = 0, ntombstones = 0;
-    CollectionChange change;
-    if (in.Header(kCollDeltaMagic, kFormatVersion, nupserts, ntombstones)) {
-      ReadCollectionChange(in, nupserts, ntombstones, &change);
-    }
-    Status st = in.Finish();
-    if (!st.ok()) return st;
-    return ApplyCollectionChange(std::move(change), &crawler->collection_);
-  }
-
-  static std::string AllUrlsDelta(const IncrementalCrawler& crawler) {
-    AllUrls::DirtySet dirty;
-    crawler.all_urls_.AppendDirty(&dirty);
-    // AllUrls records are never erased (dead URLs keep their record as
-    // a logical tombstone), so the delta is upserts only.
-    std::vector<std::pair<simweb::Url, const AllUrls::UrlInfo*>> upserts;
-    for (const simweb::Url& url : dirty) {
-      const AllUrls::UrlInfo* info = crawler.all_urls_.Find(url);
-      if (info != nullptr) upserts.emplace_back(url, info);
-    }
-    std::ostringstream os;
-    TrailerWriter writer(os);
-    RecordLine line;
-    writer.Line(line.Start(kAllUrlsDeltaMagic, kFormatVersion, upserts.size()));
-    for (const auto& [url, info] : upserts) {
-      writer.Line(UrlInfoLine(url, *info, line));
-    }
-    writer.Finish();
-    return os.str();
-  }
-
-  static Status ApplyAllUrlsDelta(const std::string& bytes,
-                                  IncrementalCrawler* crawler) {
-    std::istringstream is(bytes);
-    RecordReader in(is, "allurls delta");
-    std::size_t count = 0;
-    if (!in.Header(kAllUrlsDeltaMagic, kFormatVersion, count)) {
-      return in.status();
-    }
-    std::vector<std::pair<simweb::Url, AllUrls::UrlInfo>> upserts;
-    ReserveClaimed(upserts, count);
-    for (std::size_t i = 0; i < count; ++i) {
-      simweb::Url url;
-      AllUrls::UrlInfo info;
-      if (!ReadUrlInfo(in, &url, &info)) return in.status();
-      upserts.emplace_back(url, info);
-    }
-    Status st = in.Finish();
-    if (!st.ok()) return st;
-    for (const auto& [url, info] : upserts) {
-      crawler->all_urls_.Restore(url, info);
-    }
-    return Status::Ok();
-  }
-
-  static std::string FrontierDelta(const IncrementalCrawler& crawler) {
-    // The frontier marking ledger: for each URL whose queue position
-    // may have moved since the last checkpoint, either its exact live
-    // (when, seq) key or a tombstone. Unlike the full frontier section
-    // (ordered by seq), delta records follow the ledger's canonical
-    // URL-identity order.
-    std::vector<CollUrls::Entry> upserts;
-    std::vector<simweb::Url> tombstones;
-    for (const simweb::Url& url : crawler.frontier_dirty_) {
-      auto entry = crawler.coll_urls_.LookupEntry(url);
-      if (entry.has_value()) {
-        upserts.push_back(*entry);
-      } else {
-        tombstones.push_back(url);
-      }
-    }
-    std::ostringstream os;
-    TrailerWriter writer(os);
-    RecordLine line;
-    writer.Line(line.Start(kFrontierDeltaMagic, kFormatVersion, upserts.size(),
-                           tombstones.size(), crawler.coll_urls_.next_seq(),
-                           crawler.coll_urls_.front_when()));
-    for (const CollUrls::Entry& e : upserts) {
-      writer.Line(FrontierLine(e, line));
-    }
-    for (const simweb::Url& url : tombstones) {
-      writer.Line(UrlLine("D", url, line));
-    }
-    writer.Finish();
-    return os.str();
-  }
-
-  static Status ApplyFrontierDelta(const std::string& bytes,
-                                   IncrementalCrawler* crawler) {
-    std::istringstream is(bytes);
-    RecordReader in(is, "frontier delta");
-    std::size_t nupserts = 0, ntombstones = 0;
-    FrontierChange change;
-    if (in.Header(kFrontierDeltaMagic, kFormatVersion, nupserts, ntombstones,
-                  change.next_seq, change.front_when)) {
-      ReadFrontierChange(in, nupserts, ntombstones, &change);
-    }
-    Status st = in.Finish();
-    if (!st.ok()) return st;
-    ApplyFrontierChange(change, &crawler->coll_urls_);
-    return Status::Ok();
   }
 
   /// The small sections a full checkpoint and every delta segment
@@ -1527,7 +1444,6 @@ struct CheckpointIo {
 
   /// Appends the whole sections to a full checkpoint's or a delta
   /// segment's section list.
-  template <typename Section>
   static void WriteWholeSections(const IncrementalCrawler& crawler,
                                  const CrawlerCheckpointOptions& options,
                                  std::vector<Section>* sections) {
@@ -1538,14 +1454,13 @@ struct CheckpointIo {
     }
   }
 
-  /// Parses every whole section `section(name)` (its bytes, or null)
-  /// finds into `w`; InvalidArgument naming the first required section
-  /// missing from `what`.
-  template <typename Find>
-  static Status ReadWholeSections(Find section, uint32_t num_sites,
-                                  const std::string& what, WholeSections* w) {
+  /// Parses every whole section of `sections` into `w`; InvalidArgument
+  /// naming the first required section missing from `what`.
+  static Status ReadWholeSections(const std::vector<Section>& sections,
+                                  uint32_t num_sites, const std::string& what,
+                                  WholeSections* w) {
     for (const WholeCodec& codec : kWholeCodecs) {
-      const std::string* bytes = section(codec.name);
+      const std::string* bytes = FindSection(sections, codec.name);
       if (bytes == nullptr && codec.required) {
         return Status::InvalidArgument(what + " missing section '" +
                                        codec.name + "'");
@@ -1557,8 +1472,8 @@ struct CheckpointIo {
     return Status::Ok();
   }
 
-  /// Must run after the AllUrls commit, which installs a registry-free
-  /// URL table (see ApplyDefense).
+  /// The defense section replaces AllUrls' fingerprint registry, so
+  /// this runs after an image's stores are emptied.
   static void ApplyWholeSections(const WholeSections& w,
                                  IncrementalCrawler* crawler) {
     crawler->engine_.pool().RestorePoliteness(w.polite);
@@ -1571,51 +1486,221 @@ struct CheckpointIo {
     }
   }
 
-  /// Replays one sealed delta segment onto `crawler`. The segment's
-  /// integrity was already verified by ReadDeltaLog (header and
-  /// payload checksums); a parse failure here still aborts mid-apply,
-  /// so callers treat any error as "restore from the base again".
-  static Status ApplySegment(const storage::DeltaSegment& segment,
-                             IncrementalCrawler* crawler) {
-    auto section = [&](const char* name) -> const std::string* {
-      const storage::DeltaSection* s = segment.FindSection(name);
-      return s == nullptr ? nullptr : &s->bytes;
+  /// A full image; returns its container id.
+  static StatusOr<uint64_t> SaveImage(const IncrementalCrawler& crawler,
+                                      std::ostream& out,
+                                      const CrawlerCheckpointOptions& options) {
+    if (!crawler.engine_.quiescent()) {
+      return Status::FailedPrecondition(
+          "checkpoint requires a quiesced engine (batch boundary)");
+    }
+    std::vector<Section> sections;
+    sections.push_back(Section{"meta", IncMeta(crawler)});
+    sections.push_back(Section{
+        "collection",
+        SectionBytes(SaveEveryEntry<ShardedCollection>, crawler.collection_)});
+    sections.push_back(
+        Section{"allurls", SectionBytes(SaveAllUrls, crawler.all_urls_)});
+    sections.push_back(Section{
+        "update", SectionBytes(SaveUpdateModule, crawler.update_module_)});
+    sections.push_back(
+        Section{"frontier", SectionBytes(SaveFrontier, crawler.coll_urls_)});
+    WriteWholeSections(crawler, options, &sections);
+    if (options.include_web) {
+      std::ostringstream os;
+      Status st = simweb::SaveWeb(*crawler.web_, os);
+      if (!st.ok()) return st;
+      sections.push_back(Section{"web", os.str()});
+    }
+    return WriteContainer(kIncrementalKind, sections, out);
+  }
+
+  /// A segment's four store sections: each store's section writer over
+  /// its dirty keys still present (the frontier's dirty keys are its
+  /// marking ledger), then the URL list of those now gone. Only the
+  /// dirty keys are looked up; no store is copied or walked whole.
+  static void WriteDirtyStores(const IncrementalCrawler& crawler,
+                               std::vector<Section>* sections) {
+    {
+      storage::RecordStore<CollectionEntry>::DirtySet dirty;
+      crawler.collection_.AppendDirty(&dirty);
+      // Found entries stay put while the others are looked up: both
+      // stores keep them in node-stable maps.
+      std::vector<const CollectionEntry*> entries;
+      std::vector<simweb::Url> removed;
+      for (const simweb::Url& url : dirty) {
+        const CollectionEntry* e = crawler.collection_.Find(url);
+        if (e != nullptr) {
+          entries.push_back(e);
+        } else {
+          removed.push_back(url);
+        }
+      }
+      std::ostringstream os;
+      WriteCollection(crawler.collection_.capacity(), std::move(entries), os);
+      sections->push_back(Section{"collection", os.str()});
+      sections->push_back(
+          Section{"collection-removed", SectionBytes(WriteUrlList, removed)});
+    }
+    {
+      AllUrls::DirtySet dirty;
+      crawler.all_urls_.AppendDirty(&dirty);
+      std::vector<std::pair<simweb::Url, const AllUrls::UrlInfo*>> records;
+      for (const simweb::Url& url : dirty) {
+        const AllUrls::UrlInfo* info = crawler.all_urls_.Find(url);
+        if (info != nullptr) records.emplace_back(url, info);
+      }
+      std::ostringstream os;
+      WriteAllUrls(std::move(records), os);
+      sections->push_back(Section{"allurls", os.str()});
+    }
+    {
+      std::vector<simweb::Url> removed;
+      std::ostringstream os;
+      UpdateModuleSection::Write(
+          crawler.update_module_,
+          UpdateModuleSection::Dirty(crawler.update_module_, &removed), os);
+      sections->push_back(Section{"update", os.str()});
+      sections->push_back(
+          Section{"update-removed", SectionBytes(WriteUrlList, removed)});
+    }
+    {
+      std::vector<CollUrls::Entry> entries;
+      std::vector<simweb::Url> removed;
+      for (const simweb::Url& url : crawler.frontier_dirty_) {
+        auto entry = crawler.coll_urls_.LookupEntry(url);
+        if (entry.has_value()) {
+          entries.push_back(*entry);
+        } else {
+          removed.push_back(url);
+        }
+      }
+      std::ostringstream os;
+      WriteFrontier(std::move(entries), crawler.coll_urls_.next_seq(),
+                    crawler.coll_urls_.front_when(), os);
+      sections->push_back(Section{"frontier", os.str()});
+      sections->push_back(
+          Section{"frontier-removed", SectionBytes(WriteUrlList, removed)});
+    }
+  }
+
+  /// Every crawler section of an image or a segment, parsed and
+  /// checked, staged as flat record lists (never as a second store)
+  /// until all have verified.
+  struct Records {
+    IncMetaState meta;
+    CollectionRecords collection;
+    std::vector<UrlInfoRecord> all_urls;
+    UpdateModuleSection update;
+    FrontierRecords frontier;
+    /// A segment's dirty keys that are gone; empty for an image.
+    std::vector<simweb::Url> collection_removed, update_removed,
+        frontier_removed;
+    WholeSections whole;
+  };
+
+  /// Parses and checks every crawler section: the collection's capacity
+  /// against the configuration (its reader checks the record count
+  /// against that capacity), the update section's estimator kind and
+  /// the politeness records' site range. A segment also carries the
+  /// `-removed` lists.
+  static Status Parse(const std::vector<Section>& sections, bool segment,
+                      const IncrementalCrawler& crawler, Records* r) {
+    const std::string what = segment ? "delta segment" : "checkpoint";
+    Status st = RequireSections(
+        sections, what,
+        {"meta", "collection", "allurls", "update", "frontier"});
+    if (st.ok()) {
+      st = ReadWholeSections(sections, crawler.web_->num_sites(), what,
+                             &r->whole);
+    }
+    auto bytes = [&](const char* name) -> const std::string& {
+      return *FindSection(sections, name);
     };
-    for (const char* name :
-         {"meta", "dcoll", "dallurls", "dupdate", "dfrontier"}) {
-      if (section(name) == nullptr) {
-        return Status::InvalidArgument(
-            "delta segment missing section '" + std::string(name) + "'");
+    auto read_update = [&crawler](std::istream& in) {
+      return UpdateModuleSection::Read(in, crawler.update_module_.config());
+    };
+    if (st.ok()) st = ParseSection(bytes("meta"), ReadIncMeta, &r->meta);
+    if (st.ok()) {
+      st = ParseCollection(bytes("collection"),
+                           crawler.config_.collection_capacity, &r->collection);
+    }
+    if (st.ok()) {
+      st = ParseSection(bytes("allurls"), ReadAllUrls, &r->all_urls);
+    }
+    if (st.ok()) st = ParseSection(bytes("update"), read_update, &r->update);
+    if (st.ok()) {
+      st = ParseSection(bytes("frontier"), ReadFrontier, &r->frontier);
+    }
+    const std::pair<const char*, std::vector<simweb::Url>*> removed[] = {
+        {"collection-removed", &r->collection_removed},
+        {"update-removed", &r->update_removed},
+        {"frontier-removed", &r->frontier_removed}};
+    for (const auto& [name, urls] : removed) {
+      if (!st.ok()) break;
+      if (const std::string* list = FindSection(sections, name)) {
+        st = ParseSection(*list, ReadUrlList, urls);
+      } else if (segment) {
+        st = RequireSections(sections, what, {name});
       }
     }
-    WholeSections whole;
-    Status st = ReadWholeSections(section, crawler->web_->num_sites(),
-                                  "delta segment", &whole);
+    return st;
+  }
+
+  /// Applies parsed records, removed keys first. An image applies onto
+  /// the stores Restore emptied and cannot fail; a segment fails on
+  /// collection records over its capacity.
+  static Status Apply(Records r, IncrementalCrawler* crawler) {
+    Status st = ApplyCollection(r.collection_removed,
+                                std::move(r.collection.entries),
+                                &crawler->collection_);
     if (!st.ok()) return st;
-    auto meta = ParseIncMeta(*section("meta"));
-    if (!meta.ok()) return meta.status();
-    st = ApplyCollDelta(*section("dcoll"), crawler);
-    if (!st.ok()) return st;
-    st = ApplyAllUrlsDelta(*section("dallurls"), crawler);
-    if (!st.ok()) return st;
-    {
-      std::istringstream in(*section("dupdate"));
-      st = ApplyUpdateModuleDelta(in, &crawler->update_module_);
-      if (!st.ok()) return st;
-    }
-    st = ApplyFrontierDelta(*section("dfrontier"), crawler);
-    if (!st.ok()) return st;
-    ApplyWholeSections(whole, crawler);
-    if (const std::string* web_bytes = section("dweb")) {
-      std::istringstream in(*web_bytes);
-      st = simweb::ApplyWebDelta(in, crawler->web_);
-      if (!st.ok()) return st;
-    }
-    ApplyIncMeta(*meta, crawler);
+    ApplyAllUrls(r.all_urls, &crawler->all_urls_);
+    std::move(r.update).ApplyTo(r.update_removed, &crawler->update_module_);
+    ApplyFrontier(r.frontier_removed, r.frontier, &crawler->coll_urls_);
+    ApplyWholeSections(r.whole, crawler);
+    ApplyIncMeta(r.meta, crawler);
     return Status::Ok();
   }
 
-  /// Drops every dirty mark — the post-checkpoint (and post-replay)
+  /// The one restore path of a full image and a delta segment: parse
+  /// and check every crawler section, restore the web (its restore
+  /// stages and checks its own section: the image's "web", or the
+  /// segment's "dweb" delta), then apply. Only then does an image empty
+  /// the live stores, in place so a paged backend keeps its page files:
+  /// a bad image leaves the crawler and its web untouched. A segment
+  /// that fails to apply leaves the crawler unspecified; its bytes were
+  /// checksummed twice (the log's seal and each section's trailer), so
+  /// that is a format bug, not routine corruption.
+  static Status Restore(const std::vector<Section>& sections, bool segment,
+                        IncrementalCrawler* crawler) {
+    Records r;
+    Status st = Parse(sections, segment, *crawler, &r);
+    if (!st.ok()) return st;
+    if (const std::string* web =
+            FindSection(sections, segment ? "dweb" : "web")) {
+      std::istringstream in(*web);
+      st = segment ? simweb::ApplyWebDelta(in, crawler->web_)
+                   : simweb::RestoreWeb(in, crawler->web_);
+      if (!st.ok()) return st;
+    }
+    if (!segment) {
+      crawler->collection_.Clear();
+      crawler->all_urls_.Clear();
+      crawler->update_module_ = UpdateModule(crawler->update_module_.config());
+      crawler->coll_urls_ = ShardedFrontier(crawler->coll_urls_.num_shards());
+    }
+    return Apply(std::move(r), crawler);
+  }
+
+  static Status LoadImage(const CheckpointContainer& container,
+                          IncrementalCrawler* crawler) {
+    Status st = CheckKind(container.kind, kIncrementalKind);
+    if (!st.ok()) return st;
+    return Restore(container.sections, /*segment=*/false, crawler);
+  }
+
+  /// Drops every dirty mark — the post-checkpoint (and post-restore)
   /// reset that starts the next delta's ledger from empty.
   static void ClearDirty(IncrementalCrawler* crawler) {
     crawler->collection_.ClearDirty();
@@ -1626,122 +1711,37 @@ struct CheckpointIo {
       crawler->web_->ClearDirtySites();
     }
   }
+
+  /// Ends a restore. The restored state is the new baseline: delta
+  /// tracking is re-armed (the update module was replaced) with no
+  /// marks, and the next checkpoint rebases. The pre-restore view
+  /// history is retired (readers' held references stay valid) and a
+  /// view of the restored state published, so Acquire never serves
+  /// stale rows.
+  static void FinishRestore(IncrementalCrawler* crawler) {
+    if (crawler->delta_tracking_) {
+      crawler->EnableDeltaTracking();
+      ClearDirty(crawler);
+      crawler->base_.reset();
+    }
+    crawler->engine_.views().Clear();
+    if (crawler->config_.publish_view_every_batches > 0) {
+      crawler->PublishViewNow();
+    }
+  }
 };
 
 Status SaveCrawler(const IncrementalCrawler& crawler, std::ostream& out,
                    const CrawlerCheckpointOptions& options) {
-  if (!crawler.engine_.quiescent()) {
-    return Status::FailedPrecondition(
-        "checkpoint requires a quiesced engine (batch boundary)");
-  }
-  std::vector<Section> sections;
-  sections.push_back(Section{"meta", CheckpointIo::IncMeta(crawler)});
-  {
-    std::ostringstream os;
-    Status st = SaveCollection(crawler.collection_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"collection", os.str()});
-  }
-  {
-    std::ostringstream os;
-    Status st = SaveAllUrls(crawler.all_urls_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"allurls", os.str()});
-  }
-  {
-    std::ostringstream os;
-    Status st = SaveUpdateModule(crawler.update_module_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"update", os.str()});
-  }
-  {
-    std::ostringstream os;
-    Status st = SaveFrontier(crawler.coll_urls_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"frontier", os.str()});
-  }
-  CheckpointIo::WriteWholeSections(crawler, options, &sections);
-  if (options.include_web) {
-    std::ostringstream os;
-    Status st = simweb::SaveWeb(*crawler.web_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"web", os.str()});
-  }
-  return WriteContainer(kIncrementalKind, sections, out);
+  return CheckpointIo::SaveImage(crawler, out, options).status();
 }
 
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
   auto container = ReadCheckpointContainer(in);
   if (!container.ok()) return container.status();
-  Status st =
-      CheckContainer(*container, kIncrementalKind,
-                     {"meta", "collection", "allurls", "update", "frontier"});
+  Status st = CheckpointIo::LoadImage(*container, crawler);
   if (!st.ok()) return st;
-  auto section = [&](const char* name) { return container->Find(name); };
-
-  // --- Parse every section into staging state; nothing in `crawler`
-  // (or its web) is touched until the whole checkpoint has verified.
-  CheckpointIo::WholeSections whole;
-  st = CheckpointIo::ReadWholeSections(section, crawler->web_->num_sites(),
-                                       "checkpoint", &whole);
-  if (!st.ok()) return st;
-  auto meta = CheckpointIo::ParseIncMeta(*section("meta"));
-  if (!meta.ok()) return meta.status();
-
-  const int shards = crawler->engine_.num_shards();
-  std::istringstream coll_in(*section("collection"));
-  auto collection = LoadShardedCollection(coll_in, shards);
-  if (!collection.ok()) return collection.status();
-  if (collection->capacity() != crawler->config_.collection_capacity) {
-    return Status::InvalidArgument(
-        "checkpoint collection capacity does not match the configured "
-        "capacity");
-  }
-  std::istringstream urls_in(*section("allurls"));
-  auto all_urls = LoadAllUrls(urls_in, shards);
-  if (!all_urls.ok()) return all_urls.status();
-  UpdateModule update(crawler->update_module_.config());
-  std::istringstream update_in(*section("update"));
-  st = LoadUpdateModule(update_in, &update);
-  if (!st.ok()) return st;
-  std::istringstream frontier_in(*section("frontier"));
-  auto frontier = LoadFrontier(frontier_in, shards);
-  if (!frontier.ok()) return frontier.status();
-
-  // The web restore stages and validates internally, so a bad web
-  // section fails here with the crawler still untouched.
-  if (const std::string* web = section("web")) {
-    std::istringstream web_in(*web);
-    st = simweb::RestoreWeb(web_in, crawler->web_);
-    if (!st.ok()) return st;
-  }
-
-  // --- Commit. Nothing below can fail. The collection and AllUrls
-  // copy *into* the crawler's live stores (ReplaceEntriesFrom) instead
-  // of move-assigning the staging objects, so a paged backend keeps
-  // its page files and cache.
-  crawler->collection_.ReplaceEntriesFrom(*collection);
-  crawler->all_urls_.ReplaceEntriesFrom(*all_urls);
-  crawler->update_module_ = std::move(update);
-  crawler->coll_urls_ = std::move(frontier).value();
-  CheckpointIo::ApplyWholeSections(whole, crawler);
-  CheckpointIo::ApplyIncMeta(*meta, crawler);
-  if (crawler->delta_tracking_) {
-    // The move-assignments above wiped the staging objects' (absent)
-    // tracking state into the live ones; re-arm it, then drop the
-    // marks the wholesale replace just made — the restored state *is*
-    // the new baseline, and the next checkpoint rebases anyway.
-    crawler->EnableDeltaTracking();
-    CheckpointIo::ClearDirty(crawler);
-    crawler->base_written_ = false;
-  }
-  // The published-view history describes the *pre-restore* state:
-  // retire it (readers' held references stay valid) and republish a
-  // view of the restored state so Acquire never serves stale rows.
-  crawler->engine_.views().Clear();
-  if (crawler->config_.publish_view_every_batches > 0) {
-    crawler->PublishViewNow();
-  }
+  CheckpointIo::FinishRestore(crawler);
   return Status::Ok();
 }
 
@@ -1767,20 +1767,15 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
     writer.Finish();
     sections.push_back(Section{"meta", os.str()});
   }
-  {
-    std::ostringstream os;
-    Status st = SaveCollection(crawler.config_.shadowing
-                                   ? crawler.store_.current()
-                                   : crawler.inplace_,
-                               os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"collection-current", os.str()});
-  }
+  sections.push_back(Section{
+      "collection-current",
+      SectionBytes(SaveEveryEntry<Collection>, crawler.config_.shadowing
+                                                   ? crawler.store_.current()
+                                                   : crawler.inplace_)});
   if (crawler.config_.shadowing) {
-    std::ostringstream os;
-    Status st = SaveCollection(crawler.store_.shadow(), os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"collection-shadow", os.str()});
+    sections.push_back(Section{
+        "collection-shadow",
+        SectionBytes(SaveEveryEntry<Collection>, crawler.store_.shadow())});
   }
   {
     const std::vector<simweb::Url> bfs(crawler.frontier_.begin(),
@@ -1826,17 +1821,26 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
     if (!st.ok()) return st;
     sections.push_back(Section{"web", os.str()});
   }
-  return WriteContainer(kPeriodicKind, sections, out);
+  return WriteContainer(kPeriodicKind, sections, out).status();
 }
 
 Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
   auto container = ReadCheckpointContainer(in);
   if (!container.ok()) return container.status();
-  Status st = CheckContainer(*container, kPeriodicKind,
-                             {"meta", "collection-current", "bfs", "seen",
-                              "polite", "tracker", "failure"});
+  Status st = CheckKind(container->kind, kPeriodicKind);
+  if (st.ok()) {
+    st = RequireSections(container->sections, "checkpoint",
+                         {"meta", "collection-current", "bfs", "seen",
+                          "polite", "tracker", "failure"});
+  }
+  if (st.ok() && crawler->config_.shadowing) {
+    st = RequireSections(container->sections, "checkpoint",
+                         {"collection-shadow"});
+  }
   if (!st.ok()) return st;
-  auto section = [&](const char* name) { return container->Find(name); };
+  auto section = [&](const char* name) {
+    return FindSection(container->sections, name);
+  };
 
   double now = 0.0, cycle_start = 0.0, next_sample = 0.0;
   uint64_t batches_completed = 0, stored_this_cycle = 0;
@@ -1859,22 +1863,13 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
         "checkpoint shadowing mode does not match the configuration");
   }
 
-  std::istringstream current_in(*section("collection-current"));
-  auto current = LoadCollection(current_in);
-  if (!current.ok()) return current.status();
-  if (current->capacity() != crawler->config_.collection_capacity) {
-    return Status::InvalidArgument(
-        "checkpoint collection capacity does not match the configured "
-        "capacity");
+  const std::size_t capacity = crawler->config_.collection_capacity;
+  CollectionRecords current, shadow;
+  st = ParseCollection(*section("collection-current"), capacity, &current);
+  if (st.ok() && crawler->config_.shadowing) {
+    st = ParseCollection(*section("collection-shadow"), capacity, &shadow);
   }
-  StatusOr<Collection> shadow = Collection(0);
-  if (crawler->config_.shadowing) {
-    st = CheckContainer(*container, kPeriodicKind, {"collection-shadow"});
-    if (!st.ok()) return st;
-    std::istringstream shadow_in(*section("collection-shadow"));
-    shadow = LoadCollection(shadow_in);
-    if (!shadow.ok()) return shadow.status();
-  }
+  if (!st.ok()) return st;
   std::vector<simweb::Url> bfs, seen;
   std::vector<std::pair<uint32_t, double>> polite;
   TrackerSeries tracker;
@@ -1899,16 +1894,20 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
     if (!st.ok()) return st;
   }
 
-  // --- Commit. Nothing below can fail. Contents copy *into* the live
-  // collections (ReplaceEntriesFrom) so a paged backend keeps its page
-  // files across the restore.
+  // --- Commit: the live collections are emptied in place, so a paged
+  // backend keeps its page files across the restore.
+  auto replace = [](CollectionRecords records, Collection* collection) {
+    collection->Clear();
+    return ApplyCollection({}, std::move(records.entries), collection);
+  };
   if (crawler->config_.shadowing) {
-    crawler->store_.current_mutable().ReplaceEntriesFrom(*current);
-    crawler->store_.shadow().ReplaceEntriesFrom(*shadow);
+    st = replace(std::move(current), &crawler->store_.current_mutable());
+    if (st.ok()) st = replace(std::move(shadow), &crawler->store_.shadow());
     crawler->store_.RestoreSwapCount(swap_count);
   } else {
-    crawler->inplace_.ReplaceEntriesFrom(*current);
+    st = replace(std::move(current), &crawler->inplace_);
   }
+  if (!st.ok()) return st;
   crawler->frontier_.assign(bfs.begin(), bfs.end());
   for (auto& shard : crawler->seen_shards_) shard.clear();
   for (const simweb::Url& url : seen) {
@@ -1978,94 +1977,6 @@ Status LoadCrawlerFromFile(const std::string& path,
   return LoadCrawler(in, crawler);
 }
 
-Status SaveUpdateModuleDelta(const UpdateModule& module,
-                             std::ostream& out) {
-  if (!module.dirty_tracking_) {
-    return Status::FailedPrecondition(
-        "update-module delta requires dirty tracking");
-  }
-  std::set<simweb::Url, simweb::UrlIdentityLess> dirty_pages;
-  std::set<uint32_t> dirty_sites, dirty_rngs;
-  module.AppendDirty(&dirty_pages, &dirty_sites, &dirty_rngs);
-
-  // Partition the dirty pages: still tracked -> full P record, gone
-  // (Forget) -> X tombstone. The std::sets are already in canonical
-  // order.
-  std::vector<std::pair<simweb::Url, const UpdateModule::PageState*>> pages;
-  std::vector<simweb::Url> tombstones;
-  for (const simweb::Url& url : dirty_pages) {
-    const auto& shard = module.page_shards_[module.ShardOf(url.site)];
-    auto it = shard.find(url);
-    if (it == shard.end()) {
-      tombstones.push_back(url);
-    } else {
-      pages.emplace_back(url, &it->second);
-    }
-  }
-  // Site aggregates and probe RNG streams are never erased, so their
-  // deltas are upserts only (a dirty key that vanished — impossible
-  // today — would simply be skipped).
-  std::vector<std::pair<uint32_t, const estimator::ChangeEstimator*>> sites;
-  for (uint32_t site : dirty_sites) {
-    const auto& shard = module.site_shards_[module.ShardOf(site)];
-    auto it = shard.find(site);
-    if (it != shard.end()) sites.emplace_back(site, it->second.get());
-  }
-  std::vector<std::pair<uint32_t, const Rng*>> rngs;
-  for (uint32_t site : dirty_rngs) {
-    const auto& shard = module.rng_shards_[module.ShardOf(site)];
-    auto it = shard.find(site);
-    if (it != shard.end()) rngs.emplace_back(site, &it->second);
-  }
-
-  TrailerWriter writer(out);
-  RecordLine line;
-  writer.Line(
-      line.Start(kUpdateDeltaMagic, kFormatVersion,
-                 estimator::EstimatorKindName(module.config_.estimator_kind),
-                 pages.size(), tombstones.size(), sites.size(), rngs.size()));
-  // The scheduling globals are cheap scalars; the delta carries them
-  // absolutely (they change on every rebalance).
-  writer.Line(line.Start("G", module.multiplier_, module.total_rate_,
-                         module.mean_importance_, module.rebalance_count_,
-                         module.frozen_page_count_));
-  for (const auto& [url, state] : pages) {
-    writer.Line(PageStateLine(url, *state, line));
-  }
-  for (const simweb::Url& url : tombstones) {
-    writer.Line(UrlLine("X", url, line));
-  }
-  for (const auto& [site, est] : sites) {
-    writer.Line(SiteEstimatorLine(site, *est, line));
-  }
-  for (const auto& [site, rng] : rngs) writer.Line(RngLine(site, *rng, line));
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
-}
-
-Status ApplyUpdateModuleDelta(std::istream& is, UpdateModule* module) {
-  RecordReader in(is, "update delta");
-  std::string kind;
-  std::size_t npages = 0, ntombstones = 0, nsites = 0, nrngs = 0;
-  if (!in.Header(kUpdateDeltaMagic, kFormatVersion, kind, npages,
-                 ntombstones, nsites, nrngs)) {
-    return in.status();
-  }
-  Status st = CheckEstimatorKind(kind, module->config());
-  if (!st.ok()) return st;
-  // Stage everything — including estimator reconstruction, which can
-  // fail — before the first mutation, so a malformed delta leaves the
-  // module untouched.
-  UpdateModuleChange change;
-  change.Read(in, module->config().estimator_kind, npages, ntombstones,
-              nsites, nrngs);
-  st = in.Finish();
-  if (!st.ok()) return st;
-  std::move(change).ApplyTo(module);
-  return Status::Ok();
-}
-
 Status CheckpointIncremental(IncrementalCrawler* crawler,
                              const std::string& path,
                              const CrawlerCheckpointOptions& options) {
@@ -2082,34 +1993,26 @@ Status CheckpointIncremental(IncrementalCrawler* crawler,
   // Rebase when there is no verified base to append to — first
   // checkpoint of this process — or when a wholesale clear happened
   // (a record delta cannot express "everything vanished").
-  if (!crawler->base_written_ ||
+  if (!crawler->base_.has_value() ||
       crawler->collection_.cleared_while_tracking()) {
-    Status st = SaveCrawlerToFile(*crawler, path, options);
+    std::ostringstream os;
+    auto id = CheckpointIo::SaveImage(*crawler, os, options);
+    if (!id.ok()) return id.status();
+    Status st = AtomicWriteFile(path, os.str());
     if (!st.ok()) return st;
     st = storage::TruncateDeltaLog(delta_path);
     if (!st.ok()) return st;
-    crawler->base_written_ = true;
+    crawler->base_ = *id;
     CheckpointIo::ClearDirty(crawler);
     return Status::Ok();
   }
 
   storage::DeltaSegment segment;
   segment.kind = kIncrementalKind;
+  segment.base = *crawler->base_;
   segment.batch = crawler->batches_completed_;
-  segment.sections.push_back(
-      storage::DeltaSection{"meta", CheckpointIo::IncMeta(*crawler)});
-  segment.sections.push_back(
-      storage::DeltaSection{"dcoll", CheckpointIo::CollDelta(*crawler)});
-  segment.sections.push_back(storage::DeltaSection{
-      "dallurls", CheckpointIo::AllUrlsDelta(*crawler)});
-  {
-    std::ostringstream os;
-    Status st = SaveUpdateModuleDelta(crawler->update_module_, os);
-    if (!st.ok()) return st;
-    segment.sections.push_back(storage::DeltaSection{"dupdate", os.str()});
-  }
-  segment.sections.push_back(storage::DeltaSection{
-      "dfrontier", CheckpointIo::FrontierDelta(*crawler)});
+  segment.sections.push_back(Section{"meta", CheckpointIo::IncMeta(*crawler)});
+  CheckpointIo::WriteDirtyStores(*crawler, &segment.sections);
   // The whole sections ride every segment: they are small, and the
   // defense section's fingerprint registry grows with *distinct
   // content*, a small multiple of the collection.
@@ -2118,7 +2021,7 @@ Status CheckpointIncremental(IncrementalCrawler* crawler,
     std::ostringstream os;
     Status st = simweb::SaveWebDelta(*crawler->web_, os);
     if (!st.ok()) return st;
-    segment.sections.push_back(storage::DeltaSection{"dweb", os.str()});
+    segment.sections.push_back(Section{"dweb", os.str()});
   }
 
   Status st = storage::AppendDeltaSegment(delta_path, segment);
@@ -2129,43 +2032,32 @@ Status CheckpointIncremental(IncrementalCrawler* crawler,
 
 Status LoadCrawlerWithDeltasFromFile(const std::string& path,
                                      IncrementalCrawler* crawler) {
-  Status st = LoadCrawlerFromFile(path, crawler);
-  if (!st.ok()) return st;
+  uint64_t base = 0;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (!in.is_open()) {
+      return Status::NotFound("cannot open " + path);
+    }
+    auto container = ReadCheckpointContainer(in);
+    if (!container.ok()) return container.status();
+    Status st = CheckpointIo::LoadImage(*container, crawler);
+    if (!st.ok()) return st;
+    base = container->id;
+  }
   auto log = storage::ReadDeltaLog(path + ".deltas");
   if (!log.ok()) return log.status();
-  bool applied = false;
-  for (const storage::DeltaSegment& segment : log->segments) {
-    if (segment.kind != kIncrementalKind) {
-      return Status::InvalidArgument(
-          "delta segment kind '" + segment.kind +
-          "' does not match the base checkpoint");
-    }
-    // Idempotent replay: a segment at or before the restored batch
-    // counter is already reflected in the base image (the rebase wrote
-    // the base *after* sealing it) — skip it.
-    if (segment.batch <= crawler->batches_completed_) continue;
-    st = CheckpointIo::ApplySegment(segment, crawler);
-    if (!st.ok()) {
-      // ApplySegment mutates as it goes; a failure mid-segment leaves
-      // the crawler unspecified. The inputs are double-checksummed
-      // (the log's seal and each section's trailer), so reaching this
-      // is a format bug, not routine corruption — surface it.
-      return st;
-    }
-    applied = true;
+  for (storage::DeltaSegment& segment : log->segments) {
+    Status st = CheckKind(segment.kind, kIncrementalKind);
+    if (!st.ok()) return st;
+    // A segment naming another image is stale: the log of an earlier
+    // run, or one a crash left between a rebase's rename and truncate.
+    if (segment.base != base) continue;
+    st = CheckpointIo::Restore(segment.sections, /*segment=*/true, crawler);
+    if (!st.ok()) return st;
+    // The restored crawler grows as the log's bytes are used up.
+    segment.sections = {};
   }
-  if (applied) {
-    if (crawler->delta_tracking_) {
-      CheckpointIo::ClearDirty(crawler);
-      crawler->base_written_ = false;
-    }
-    // Replays changed rows after LoadCrawler's republish: retire that
-    // view and publish the final state.
-    crawler->engine_.views().Clear();
-    if (crawler->config_.publish_view_every_batches > 0) {
-      crawler->PublishViewNow();
-    }
-  }
+  CheckpointIo::FinishRestore(crawler);
   return Status::Ok();
 }
 

@@ -1,10 +1,10 @@
 #ifndef WEBEVO_CRAWLER_SNAPSHOT_H_
 #define WEBEVO_CRAWLER_SNAPSHOT_H_
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "crawler/all_urls.h"
@@ -12,6 +12,7 @@
 #include "crawler/sharded_collection.h"
 #include "crawler/sharded_frontier.h"
 #include "crawler/update_module.h"
+#include "storage/delta_log.h"
 #include "util/status.h"
 
 namespace webevo::crawler {
@@ -58,11 +59,12 @@ class PeriodicCrawler;
 /// restored frontier pops in exactly the order the checkpointed one
 /// would have, revisit timing included.
 ///
-/// Every stream is read through RecordReader (util/text_snapshot.h).
-/// Each record type has one parser, shared by the full and the delta
-/// reader of its store, and any format error — a malformed, missing or
-/// surplus record, a bad trailer, records that overflow the declared
-/// capacity — is InvalidArgument.
+/// Each store has one format, written by one writer over the records
+/// its caller passes in (every record here; the dirty ones in a delta
+/// segment, see CheckpointIncremental) and read by one reader through
+/// RecordReader (util/text_snapshot.h). Any format error — a
+/// malformed, missing or surplus record, a bad trailer, more records
+/// than the declared capacity — is InvalidArgument.
 
 /// Writes `collection` to `out`.
 Status SaveCollection(const Collection& collection, std::ostream& out);
@@ -161,12 +163,14 @@ StatusOr<Collection> LoadCollectionFromFile(const std::string& path);
 /// restore folds it in as a carried-over baseline (the live modules
 /// restart their own ledgers at zero).
 ///
-/// Restores are staged: LoadCrawler validates the container and every
-/// section before touching `crawler`, so a corrupt checkpoint never
-/// leaves it half-loaded. The crawler must be constructed against the
-/// same configuration (its crawl_parallelism may differ) and, when the
-/// checkpoint carries a web section, a web built from the same
-/// WebConfig.
+/// Restores are staged: LoadCrawler parses and checks the container
+/// and every section into flat record lists before touching
+/// `crawler`, so a corrupt checkpoint never leaves it half-loaded;
+/// only then does it empty the live stores in place (a paged backend
+/// keeps its page files) and apply the records. The crawler must be
+/// constructed against the same configuration (its crawl_parallelism
+/// may differ) and, when the checkpoint carries a web section, a web
+/// built from the same WebConfig.
 struct CrawlerCheckpointOptions {
   /// Bundle the simulated web's evolution state. Required for
   /// bit-identical resume in a fresh process; skip only when the
@@ -195,19 +199,15 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler);
 /// The container format version in the header line.
 inline constexpr int kCrawlerFormatVersion = 1;
 
-/// One container section: its table name and its bytes.
-struct CheckpointSection {
-  std::string name;
-  std::string bytes;
-};
-
-/// A verified container: its kind and its sections in table order.
+/// A verified container: its kind, its id and its sections in table
+/// order (find one with storage::FindSection).
 struct CheckpointContainer {
   std::string kind;
-  std::vector<CheckpointSection> sections;
-
-  /// The named section's bytes, or null when absent.
-  const std::string* Find(std::string_view name) const;
+  /// The header's checksum. It covers every section's length and
+  /// FNV-64, so it names this image: each delta segment carries the id
+  /// of the base image it extends.
+  uint64_t id = 0;
+  std::vector<storage::Section> sections;
 };
 
 /// Reads and verifies a container without parsing any section: the
@@ -239,34 +239,37 @@ Status LoadCrawlerFromFile(const std::string& path,
 /// a full base image at `path` plus a write-ahead delta log of sealed
 /// per-batch segments at `path + ".deltas"` (storage/delta_log.h).
 ///
-/// The first CheckpointIncremental of a process writes the base with
-/// SaveCrawlerToFile and truncates the delta log (rebase); every later
-/// call appends one sealed segment whose cost is proportional to what
-/// actually changed since the previous checkpoint. A segment carries
-/// the cheap whole-state sections verbatim (meta, polite, pending,
-/// failure, defense, tracker and — with options.module_traffic —
-/// traffic) and *delta* sections for the big state:
-///   dcoll      E upserts + `D site slot inc` tombstones for the
-///              collection's dirty keys (store-level dirty tracking)
-///   dallurls   U upserts for AllUrls' dirty keys (never erased)
-///   dupdate    the UpdateModule's G globals, dirty P records /
-///              X page-tombstones, dirty S aggregates, dirty R streams
-///   dfrontier  F upserts with exact (when, seq) + D tombstones for
-///              the frontier marking ledger, plus the global counters
+/// The first CheckpointIncremental of a process writes the base, a
+/// full image, and truncates the delta log (rebase); every later call
+/// appends one sealed segment, named after the base's container id,
+/// whose cost is proportional to what actually changed since the
+/// previous checkpoint. A segment carries the image's own sections:
+///   meta, polite, tracker, pending, failure, defense [, traffic]
+///              whole, as in the image
+///   collection, allurls, update, frontier
+///              each store's image section written over its dirty
+///              keys that are still present (the frontier's dirty keys
+///              are its marking ledger); the update section keeps its
+///              G globals and the frontier section its counters
+///   collection-removed, update-removed, frontier-removed
+///              the dirty keys now gone, as a URL list (AllUrls never
+///              erases a record, so it has no such list)
 ///   dweb       the simulated web's dirty-site delta (web_snapshot.h),
 ///              when options.include_web
-/// Every delta section lists records in canonical URL-identity / site
-/// order over dirty sets that are pure functions of the simulation, so
-/// segments — like full checkpoints — are byte-identical at every
-/// shard count.
+/// Every record list is in canonical order over dirty sets that are
+/// pure functions of the simulation, so segments — like full
+/// checkpoints — are byte-identical at every shard count.
 ///
-/// LoadCrawlerWithDeltasFromFile restores the base, then replays every
-/// sealed segment whose batch counter exceeds the base's (apply is
-/// idempotent: globals are absolute, upserts replace, tombstones
-/// tolerate absence). A torn tail after the last seal — the
-/// crash-between-append-and-seal case — is ignored, exactly as
-/// ReadDeltaLog reports it. The restored crawler is byte-identical to
-/// one restored from a full checkpoint taken at the same batch.
+/// LoadCrawlerWithDeltasFromFile restores the base, then replays in
+/// order every sealed segment that names it, through LoadCrawler's own
+/// parse-then-apply path (records replace, removed keys tolerate
+/// absence); a segment naming another image — a log left by an
+/// earlier run, or by a crash between a rebase's rename and its
+/// truncate — is stale and skipped. A missing log reads as empty. A
+/// torn tail after the last seal — the crash-between-append-and-seal
+/// case — is ignored, exactly as ReadDeltaLog reports it. The restored
+/// crawler is byte-identical to one restored from a full checkpoint
+/// taken at the same batch.
 ///
 /// Only the incremental crawler has this mode: its workload is
 /// in-place-update dominated, so dirty sets are small between
@@ -278,15 +281,6 @@ Status CheckpointIncremental(IncrementalCrawler* crawler,
                              const CrawlerCheckpointOptions& options = {});
 Status LoadCrawlerWithDeltasFromFile(const std::string& path,
                                      IncrementalCrawler* crawler);
-
-/// Delta snapshot of the UpdateModule's learned state: the dirty
-/// page / site-aggregate / probe-stream records only, plus the cheap
-/// scheduling globals. Exposed for the property tests; Apply mutates
-/// `module` in place (globals absolute, records upserted, tombstones
-/// erased) only after the whole stream verifies.
-Status SaveUpdateModuleDelta(const UpdateModule& module,
-                             std::ostream& out);
-Status ApplyUpdateModuleDelta(std::istream& in, UpdateModule* module);
 
 }  // namespace webevo::crawler
 

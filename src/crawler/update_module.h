@@ -2,7 +2,6 @@
 #define WEBEVO_CRAWLER_UPDATE_MODULE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <set>
 #include <string>
@@ -196,20 +195,12 @@ class UpdateModule {
 
   /// Snapshot/restore of the module's *learned* state — estimator
   /// statistics, per-page visit history, rebalance outputs, and the
-  /// per-site probe RNG streams — implemented in crawler/snapshot.cc.
-  /// Persisting this is what lets a restarted incremental crawler keep
-  /// its change-rate knowledge instead of relearning it from scratch.
-  friend Status SaveUpdateModule(const UpdateModule& module,
-                                 std::ostream& out);
-
-  /// Incremental-checkpoint delta of the learned state: the records of
-  /// the dirty pages / site aggregates / probe streams only, plus the
-  /// (cheap) scheduling globals — also in crawler/snapshot.cc.
-  friend Status SaveUpdateModuleDelta(const UpdateModule& module,
-                                      std::ostream& out);
-
-  /// The one reader and apply path of both streams (snapshot.cc).
-  friend struct UpdateModuleChange;
+  /// per-site probe RNG streams. Persisting this is what lets a
+  /// restarted incremental crawler keep its change-rate knowledge
+  /// instead of relearning it from scratch. The section's one writer
+  /// (over every record, or the dirty ones of a delta segment), reader
+  /// and apply path are in crawler/snapshot.cc.
+  friend struct UpdateModuleSection;
 
   /// Dirty-key tracking for incremental checkpoints. Marks are
   /// per-shard (the apply pass's workers each touch only their own
@@ -269,8 +260,8 @@ class UpdateModule {
   double FrequencyFor(double rate, double importance) const;
 
   /// All (url, state) pairs in ascending URL identity order — the
-  /// canonical walk Rebalance and the snapshot writer share, so their
-  /// floating-point accumulations are shard-count independent.
+  /// canonical walk of Rebalance, so its floating-point accumulations
+  /// are shard-count independent.
   std::vector<std::pair<simweb::Url, const PageState*>> SortedPages()
       const;
 

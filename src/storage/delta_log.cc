@@ -47,17 +47,17 @@ std::atomic<uint64_t> g_append_count{0};
 
 }  // namespace
 
-const DeltaSection* DeltaSegment::FindSection(
-    const std::string& name) const {
-  for (const DeltaSection& s : sections) {
-    if (s.name == name) return &s;
+const std::string* FindSection(const std::vector<Section>& sections,
+                               std::string_view name) {
+  for (const Section& s : sections) {
+    if (s.name == name) return &s.bytes;
   }
   return nullptr;
 }
 
 std::string EncodeDeltaSegment(const DeltaSegment& segment) {
   std::size_t payload_bytes = 0;
-  for (const DeltaSection& s : segment.sections) {
+  for (const Section& s : segment.sections) {
     payload_bytes += s.bytes.size();
   }
   std::string head;
@@ -67,13 +67,14 @@ std::string EncodeDeltaSegment(const DeltaSegment& segment) {
     head += '\n';
   };
   head_line(line.Start(kDeltaMagic, kDeltaFormatVersion, segment.kind,
-                       segment.batch, segment.sections.size(), payload_bytes));
+                       segment.base, segment.batch, segment.sections.size(),
+                       payload_bytes));
   // One pass over the payload advances both FNV-1a streams, the
   // section's own (restarted per section) and the whole payload's, so
   // their multiply chains overlap instead of running one after the
   // other.
   uint64_t payload_hash = kFnv64OffsetBasis;
-  for (const DeltaSection& s : segment.sections) {
+  for (const Section& s : segment.sections) {
     uint64_t section_hash = kFnv64OffsetBasis;
     uint64_t running = payload_hash;
     for (unsigned char c : s.bytes) {
@@ -89,7 +90,7 @@ std::string EncodeDeltaSegment(const DeltaSegment& segment) {
   std::string bytes;
   bytes.reserve(head.size() + payload_bytes + line.view().size() + 1);
   bytes.append(head);
-  for (const DeltaSection& s : segment.sections) bytes.append(s.bytes);
+  for (const Section& s : segment.sections) bytes.append(s.bytes);
   bytes.append(line.view());
   bytes += '\n';
   return bytes;
@@ -145,9 +146,9 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path) {
     std::istringstream head(data.substr(pos, eol - pos));
     std::string magic, kind;
     int version = 0;
-    uint64_t batch = 0;
+    uint64_t base = 0, batch = 0;
     std::size_t nsections = 0, payload_bytes = 0;
-    if (!(head >> magic >> version >> kind >> batch >> nsections >>
+    if (!(head >> magic >> version >> kind >> base >> batch >> nsections >>
           payload_bytes) ||
         magic != kDeltaMagic) {
       if (last_candidate) break;
@@ -256,6 +257,7 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path) {
     // --- slice sections out of the payload
     DeltaSegment segment;
     segment.kind = kind;
+    segment.base = base;
     segment.batch = batch;
     std::size_t off = 0;
     for (const TableEntry& entry : table) {
@@ -265,7 +267,7 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path) {
         return Status::InvalidArgument("delta log: section '" + entry.name +
                                        "' overruns the payload in " + path);
       }
-      DeltaSection section;
+      Section section;
       section.name = entry.name;
       section.bytes = payload.substr(off, entry.len);
       if (Fnv1a64(section.bytes) != entry.hash) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -15,7 +16,7 @@ namespace webevo::storage {
 /// Segment wire format (all framing is line-oriented, like the
 /// checkpoint container):
 ///
-///     webevo-delta 1 <kind> <batch> <nsections> <payload_bytes>
+///     webevo-delta 2 <kind> <base> <batch> <nsections> <payload_bytes>
 ///     S <name> <len> <fnv64>          (x nsections)
 ///     H <fnv64-of-all-preceding-lines>
 ///     <payload bytes: the sections' bytes, concatenated>
@@ -29,21 +30,30 @@ namespace webevo::storage {
 /// crash-recovery case) and ignored. Corrupt *sealed-looking* data —
 /// a checksum mismatch with the full segment present — is an error,
 /// not a torn tail.
+///
+/// `<base>` names the base image the segment extends (the checkpoint
+/// container's id, crawler/snapshot.h): a resume replays only the
+/// segments that name the image it loaded.
 inline constexpr const char* kDeltaMagic = "webevo-delta";
-inline constexpr int kDeltaFormatVersion = 1;
+inline constexpr int kDeltaFormatVersion = 2;
 inline constexpr std::size_t kMaxDeltaSections = 32;
 
-struct DeltaSection {
+/// One named section, of a delta segment or of a checkpoint container.
+struct Section {
   std::string name;
   std::string bytes;
 };
 
+/// The bytes of the section named `name`, or null when absent.
+const std::string* FindSection(const std::vector<Section>& sections,
+                               std::string_view name);
+
 struct DeltaSegment {
   std::string kind;  ///< "incremental" | "periodic" (container kind)
+  /// The id of the base image this segment extends.
+  uint64_t base = 0;
   uint64_t batch = 0;
-  std::vector<DeltaSection> sections;
-
-  const DeltaSection* FindSection(const std::string& name) const;
+  std::vector<Section> sections;
 };
 
 struct DeltaLogContents {

@@ -41,6 +41,9 @@ class TrailerWriter {
 
   void Finish();
 
+  /// FNV-1a of the lines written so far: after Finish, the trailer's.
+  uint64_t hash() const { return hash_; }
+
  private:
   std::ostream& out_;
   uint64_t hash_ = 0xcbf29ce484222325ULL;
@@ -56,6 +59,10 @@ class TrailerReader {
   StatusOr<std::string> Next();
 
   bool done() const { return done_; }
+
+  /// FNV-1a of the payload lines read so far: once done, the verified
+  /// trailer's.
+  uint64_t hash() const { return hash_; }
 
  private:
   std::istream& in_;
@@ -149,6 +156,9 @@ class RecordReader {
   /// Every reader ends with this, so the end-of-payload rules cannot
   /// drift apart.
   Status Finish();
+
+  /// The trailer's value, once Trailer has verified it.
+  uint64_t hash() const { return lines_.hash(); }
 
  private:
   bool NextLine(std::string_view record);

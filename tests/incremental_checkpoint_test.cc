@@ -205,7 +205,7 @@ TEST(IncrementalCheckpointTest, TornTailIsIgnoredOnResume) {
   storage::DeltaSegment next;
   next.kind = "incremental";
   next.batch = 1u << 20;
-  next.sections.push_back(storage::DeltaSection{"meta", "torn bytes"});
+  next.sections.push_back(storage::Section{"meta", "torn bytes"});
   const std::string encoded = storage::EncodeDeltaSegment(next);
   {
     std::ofstream out(path + ".deltas",
@@ -253,6 +253,43 @@ TEST(IncrementalCheckpointTest, FirstCheckpointAfterRestoreRebases) {
   IncrementalCrawler reread(&web_c, IncConfig(2));
   ASSERT_TRUE(LoadCrawlerWithDeltasFromFile(path, &reread).ok());
   EXPECT_EQ(CheckpointBytes(reread), CheckpointBytes(saver));
+}
+
+// A full checkpoint written over an incremental one leaves the old
+// delta log beside it, and so does a crash between a rebase's rename
+// of the new base and its truncate of the log. The log's segments name
+// the old base, so a resume skips them: it restores the full
+// checkpoint alone and then tracks the run that wrote it.
+TEST(IncrementalCheckpointTest, StaleDeltaLogIsSkipped) {
+  const std::string path = TempPath("inc_stale.ckpt");
+  {
+    simweb::SimulatedWeb web(SmallWeb());
+    IncrementalCrawler earlier(&web, IncConfig(2));
+    ASSERT_TRUE(earlier.Bootstrap(0.0).ok());
+    for (double day : {2.0, 4.0, 6.0, 8.0}) {
+      ASSERT_TRUE(earlier.RunUntil(day).ok());
+      ASSERT_TRUE(CheckpointIncremental(&earlier, path).ok());
+    }
+  }
+  ASSERT_EQ(storage::ReadDeltaLog(path + ".deltas")->segments.size(),
+            std::size_t{3});
+
+  simweb::SimulatedWeb web_a(SmallWeb());
+  IncrementalCrawler straight(&web_a, IncConfig(2));
+  ASSERT_TRUE(straight.Bootstrap(0.0).ok());
+  ASSERT_TRUE(straight.RunUntil(3.0).ok());
+  ASSERT_TRUE(SaveCrawlerToFile(straight, path).ok());
+
+  simweb::SimulatedWeb web_b(SmallWeb());
+  IncrementalCrawler resumed(&web_b, IncConfig(2));
+  Status loaded = LoadCrawlerWithDeltasFromFile(path, &resumed);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_DOUBLE_EQ(resumed.now(), straight.now());
+  EXPECT_EQ(CheckpointBytes(resumed), CheckpointBytes(straight));
+
+  ASSERT_TRUE(resumed.RunUntil(8.0).ok());
+  ASSERT_TRUE(straight.RunUntil(8.0).ok());
+  EXPECT_EQ(CheckpointBytes(resumed), CheckpointBytes(straight));
 }
 
 // CheckpointIncremental is only meaningful with delta tracking armed
@@ -311,7 +348,7 @@ TEST(IncrementalCheckpointTest, TrafficAccountingSurvivesResume) {
 // %.17g), whichever writer formats it. One small paged-store crawl over
 // a faulty web with spider traps and domain migrations, the defense on
 // and the traffic section included writes every record tag of the full
-// image and of the delta sections; with site-level change statistics
+// image and of a delta segment; with site-level change statistics
 // the update module writes site records instead of page estimators.
 // Each crawl's full image, its delta log after three incremental
 // checkpoints (a base and two segments) and its view fingerprint chain
@@ -324,9 +361,9 @@ TEST(IncrementalCheckpointTest, GoldenImageDeltaLogAndViewBytes) {
     uint64_t view_chain;
   };
   constexpr Golden kGolden[] = {
-      {false, 0x45548d7c26d7810bULL, 0xed81371ce853c042ULL,
+      {false, 0x45548d7c26d7810bULL, 0x51046b021efa2142ULL,
        0x94b15280a9e8ca0dULL},
-      {true, 0xfa96d5fadfecf955ULL, 0x72ef14c627cf93d9ULL,
+      {true, 0xfa96d5fadfecf955ULL, 0x1dd2326e7e801089ULL,
        0x6a946c1108f46969ULL},
   };
   simweb::WebConfig wc = SmallWeb();

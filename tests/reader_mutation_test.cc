@@ -48,8 +48,12 @@ namespace {
 constexpr uint64_t kSeed = 20261017;
 constexpr int kMutantsPerInput = 100;
 // FNV-1a over every mutant's description and verdict (status code,
-// and the re-saved checkpoint's hash when the load succeeded).
-constexpr uint64_t kVerdictHash = 0x9b7f045664c31092ULL;
+// and the re-saved checkpoint's hash when the load succeeded): first
+// over the two full-image inputs, then on over the delta log too. The
+// image pin keeps a change of the delta format from hiding a change in
+// what the image readers accept.
+constexpr uint64_t kImageVerdictHash = 0xa32ec805fdd6da89ULL;
+constexpr uint64_t kVerdictHash = 0xbf1bd9722c5b8710ULL;
 
 simweb::WebConfig HostileWeb() {
   simweb::WebConfig config = simweb::WebConfig().Scaled(0.02);
@@ -394,6 +398,9 @@ TEST(ReaderMutationTest, EverySectionReaderRejectsOrRoundTrips) {
                                   &hash);
   // The periodic image carries a shadow collection.
   MutateImage<PeriodicCrawler>("periodic", wc, PerConfig(), 5.0, rng, &hash);
+  EXPECT_EQ(hash, kImageVerdictHash)
+      << "image verdict hash 0x" << std::hex << hash
+      << ": what some image reader accepts has changed";
 
   // A base with a two-segment delta log; the mutants change one
   // section of one segment.
@@ -415,7 +422,7 @@ TEST(ReaderMutationTest, EverySectionReaderRejectsOrRoundTrips) {
     std::vector<std::pair<std::size_t, std::size_t>> where;
     for (std::size_t g = 0; g < log->segments.size(); ++g) {
       for (std::size_t s = 0; s < log->segments[g].sections.size(); ++s) {
-        const storage::DeltaSection& d = log->segments[g].sections[s];
+        const storage::Section& d = log->segments[g].sections[s];
         sections.push_back(
             NamedSection{d.name + "@" + std::to_string(g), d.bytes});
         where.emplace_back(g, s);

@@ -141,12 +141,12 @@ TEST(PageFileDeathTest, ShortPageReadStopsNamingIt) {
 DeltaSegment MakeSegment(uint64_t batch) {
   DeltaSegment segment;
   segment.kind = "incremental";
+  segment.base = 0xba5e0000 + batch;
   segment.batch = batch;
-  segment.sections.push_back(
-      DeltaSection{"alpha", "line one\nline two\n"});
+  segment.sections.push_back(Section{"alpha", "line one\nline two\n"});
   // Sections are length-framed, so payload bytes may contain anything.
   segment.sections.push_back(
-      DeltaSection{"beta", std::string("\0\x01\x02\n\xff", 5)});
+      Section{"beta", std::string("\0\x01\x02\n\xff", 5)});
   return segment;
 }
 
@@ -164,11 +164,12 @@ TEST(DeltaLogTest, AppendReadRoundtrip) {
   EXPECT_EQ(log->segments[1].batch, uint64_t{7});
   for (const DeltaSegment& segment : log->segments) {
     EXPECT_EQ(segment.kind, "incremental");
+    EXPECT_EQ(segment.base, 0xba5e0000 + segment.batch);
     ASSERT_EQ(segment.sections.size(), std::size_t{2});
-    const DeltaSection* beta = segment.FindSection("beta");
+    const std::string* beta = FindSection(segment.sections, "beta");
     ASSERT_NE(beta, nullptr);
-    EXPECT_EQ(beta->bytes, std::string("\0\x01\x02\n\xff", 5));
-    EXPECT_EQ(segment.FindSection("missing"), nullptr);
+    EXPECT_EQ(*beta, std::string("\0\x01\x02\n\xff", 5));
+    EXPECT_EQ(FindSection(segment.sections, "missing"), nullptr);
   }
 }
 
@@ -230,7 +231,7 @@ TEST(DeltaLogTest, SectionLengthsThatWrapAreAnError) {
   const std::string payload = "8 bytes!";
   std::string head = std::string(kDeltaMagic) + " " +
                      std::to_string(kDeltaFormatVersion) +
-                     " incremental 1 2 8\n";
+                     " incremental 0 1 2 8\n";
   head += "S a 9223372036854775808 " + std::to_string(Fnv1a64(payload)) +
           "\n";
   head += "S b 9223372036854775816 " + std::to_string(Fnv1a64("")) + "\n";

@@ -45,9 +45,11 @@ from the section's own header line.
 When an incremental delta log exists next to the checkpoint (the
 <checkpoint>.deltas write-ahead log of CheckpointIncremental), the
 base/delta chain is printed too: one row per sealed segment with its
-kind, batch counter, section count and payload bytes. A torn
-(unsealed) tail — the crash-between-append-and-seal case that resume
-ignores — is reported, not an error.
+kind, batch counter, section count and payload bytes. A segment that
+names another base image (a log left by an earlier run, or by a crash
+mid-rebase) is marked stale: resume skips it. A torn (unsealed) tail —
+the crash-between-append-and-seal case that resume ignores — is
+reported, not an error.
 
 flags:
   --deltas=<path>     delta log to chain-inspect
@@ -67,17 +69,27 @@ struct SectionRow {
   std::string version;
 };
 
-// First two whitespace-separated tokens of the section's first line —
-// every webevo snapshot stream opens with `<magic> <version> ...`.
-void ParseSectionHeader(const std::string& bytes, SectionRow* row) {
-  std::istringstream is(bytes);
-  std::string line;
-  std::getline(is, line);
-  std::istringstream ls(line);
-  if (!(ls >> row->magic >> row->version)) {
-    row->magic = "?";
-    row->version = "?";
+// One row per section. The magic and version are the first two
+// tokens of the section's first line — every webevo snapshot stream
+// opens with `<magic> <version> ...`.
+std::vector<SectionRow> Rows(const std::vector<storage::Section>& sections) {
+  std::vector<SectionRow> rows;
+  for (const storage::Section& s : sections) {
+    SectionRow row;
+    row.name = s.name;
+    row.bytes = s.bytes.size();
+    row.fnv = Fnv1a64(s.bytes);
+    std::istringstream is(s.bytes);
+    std::string line;
+    std::getline(is, line);
+    std::istringstream ls(line);
+    if (!(ls >> row.magic >> row.version)) {
+      row.magic = "?";
+      row.version = "?";
+    }
+    rows.push_back(std::move(row));
   }
+  return rows;
 }
 
 void PrintSectionTable(const std::vector<SectionRow>& rows,
@@ -102,29 +114,20 @@ void PrintSectionTable(const std::vector<SectionRow>& rows,
 
 // Verifies the container with the library's own reader, which keeps
 // the sections as opaque bytes instead of restoring a crawler from
-// them, and prints its section table.
-Status InspectContainer(const std::string& path) {
+// them, prints its section table and returns its id.
+StatusOr<uint64_t> InspectContainer(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open " + path);
   auto container = crawler::ReadCheckpointContainer(in);
   if (!container.ok()) return container.status();
-  std::vector<SectionRow> rows;
-  for (const crawler::CheckpointSection& s : container->sections) {
-    SectionRow row;
-    row.name = s.name;
-    row.bytes = s.bytes.size();
-    row.fnv = Fnv1a64(s.bytes);
-    ParseSectionHeader(s.bytes, &row);
-    rows.push_back(std::move(row));
-  }
   std::printf("%s: kind=%s format=v%d sections=%zu  [verified]\n",
               path.c_str(), container->kind.c_str(),
-              crawler::kCrawlerFormatVersion, rows.size());
-  PrintSectionTable(rows, "  ");
-  return Status::Ok();
+              crawler::kCrawlerFormatVersion, container->sections.size());
+  PrintSectionTable(Rows(container->sections), "  ");
+  return container->id;
 }
 
-Status InspectDeltaChain(const std::string& base_path,
+Status InspectDeltaChain(const std::string& base_path, uint64_t base_id,
                          const std::string& deltas_path,
                          bool show_sections) {
   auto log = storage::ReadDeltaLog(deltas_path);
@@ -140,26 +143,16 @@ Status InspectDeltaChain(const std::string& base_path,
   std::size_t index = 0;
   for (const storage::DeltaSegment& segment : log->segments) {
     std::size_t payload = 0;
-    for (const storage::DeltaSection& s : segment.sections) {
+    for (const storage::Section& s : segment.sections) {
       payload += s.bytes.size();
     }
     std::printf(
-        "  segment %zu: kind=%s batch=%llu sections=%zu payload=%zuB\n",
+        "  segment %zu: kind=%s batch=%llu sections=%zu payload=%zuB%s\n",
         index++, segment.kind.c_str(),
         static_cast<unsigned long long>(segment.batch),
-        segment.sections.size(), payload);
-    if (show_sections) {
-      std::vector<SectionRow> rows;
-      for (const storage::DeltaSection& s : segment.sections) {
-        SectionRow row;
-        row.name = s.name;
-        row.bytes = s.bytes.size();
-        row.fnv = Fnv1a64(s.bytes);
-        ParseSectionHeader(s.bytes, &row);
-        rows.push_back(std::move(row));
-      }
-      PrintSectionTable(rows, "    ");
-    }
+        segment.sections.size(), payload,
+        segment.base == base_id ? "" : "  [stale: extends another base]");
+    if (show_sections) PrintSectionTable(Rows(segment.sections), "    ");
   }
   if (log->torn_tail_bytes > 0) {
     std::printf(
@@ -197,17 +190,17 @@ int main(int argc, char** argv) {
   }
   const std::string& path = args[1];
 
-  Status st = InspectContainer(path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+  auto id = InspectContainer(path);
+  if (!id.ok()) {
+    std::fprintf(stderr, "error: %s\n", id.status().ToString().c_str());
     return 1;
   }
 
   const std::string deltas =
       flags.GetString("deltas", path + ".deltas");
   if (flags.Has("deltas") || FileExists(deltas)) {
-    st = InspectDeltaChain(path, deltas,
-                           flags.GetBool("sections", false));
+    Status st = InspectDeltaChain(path, *id, deltas,
+                                  flags.GetBool("sections", false));
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
       return 1;

@@ -1,8 +1,9 @@
 // webevo_query — table-shaped queries over a crawler checkpoint's
 // published BatchView (the serving layer's MVCC read surface).
 //
-// The tool reconstructs the crawler from a SaveCrawler checkpoint
-// (LoadCrawler republishes a BatchView of the restored state), acquires
+// The tool reconstructs the crawler from a SaveCrawler checkpoint, plus
+// the delta log an incremental crawler's checkpoint may have (the
+// restore republishes a BatchView of the restored state), acquires
 // that view through the lock-free ViewRegistry reader path, and
 // evaluates the query against the view's immutable relations.
 //
@@ -53,7 +54,9 @@ relations (rows in canonical order; see docs/QUERY_API.md):
   summary    view identity + deterministic counters, as name/value rows
 
 query flags:
-  --from=<path>       SaveCrawler checkpoint to query (required)
+  --from=<path>       checkpoint to query (required); an incremental
+                      crawler's <path>.deltas log, when present, is
+                      replayed onto it, as --resume does
   --where=<preds>     comma-separated conjuncts, each <col><op><value>
                       with op one of =  !=  <  <=  >  >=
                       (numeric compare when both sides parse as numbers;
@@ -406,7 +409,7 @@ int Run(const FlagParser& flags) {
     config.publish_view_every_batches = 1;
     incremental =
         std::make_unique<crawler::IncrementalCrawler>(&web, config);
-    st = crawler::LoadCrawlerFromFile(from, incremental.get());
+    st = crawler::LoadCrawlerWithDeltasFromFile(from, incremental.get());
     if (st.ok()) view = incremental->views().AcquireRef();
   }
   if (!st.ok()) {
