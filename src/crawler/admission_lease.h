@@ -7,12 +7,11 @@
 
 namespace webevo::crawler {
 
-/// The capacity-lease admission protocol shared by both crawlers.
+/// The incremental crawler's capacity-lease admission protocol.
 ///
-/// A batch has one frozen admission budget (remaining collection
-/// capacity for the incremental crawler, remaining seen-set headroom
-/// for the periodic one). The serial coordinator grants every shard a
-/// lease over that budget; during the parallel apply pass each shard
+/// A batch has one frozen admission budget, the remaining collection
+/// capacity. The serial coordinator grants every shard a lease over
+/// that budget; during the parallel apply pass each shard
 /// performs its own greedy-fill admissions against the lease,
 /// recording each admission's global (slot, position) coordinates; the
 /// serial settle then reconciles the optimistic leases: the first

@@ -115,23 +115,4 @@ void Collection::LowestImportanceK(
   out->insert(out->end(), best.begin(), best.end());
 }
 
-Status Collection::AbsorbAll(Collection& other) {
-  if (capacity_ < other.size()) {
-    return Status::ResourceExhausted("absorb exceeds capacity");
-  }
-  other.ForEach([this](const CollectionEntry& entry) {
-    store_->Put(entry.url, CollectionEntry(entry));
-  });
-  other.Clear();
-  return Status::Ok();
-}
-
-void ShadowedCollection::Swap() {
-  current_.Clear();
-  // The shadow becomes current; shadow space restarts empty.
-  Status st = current_.AbsorbAll(shadow_);
-  (void)st;  // capacities are equal by construction
-  ++swap_count_;
-}
-
 }  // namespace webevo::crawler

@@ -117,10 +117,6 @@ class Collection {
   /// backend). Invalidates outstanding entry pointers.
   void Flush() { store_->Flush(); }
 
-  /// Moves all entries out of `other` into *this (used by shadow swap);
-  /// requires *this to have enough capacity for other's size.
-  Status AbsorbAll(Collection& other);
-
   /// Dirty-key tracking for incremental checkpoints (delegates to the
   /// store; see storage::RecordStore).
   void EnableDirtyTracking() { store_->EnableDirtyTracking(); }
@@ -137,41 +133,6 @@ class Collection {
  private:
   std::size_t capacity_;
   std::unique_ptr<storage::RecordStore<CollectionEntry>> store_;
-};
-
-/// A shadowed page store (Section 4, choice 2): the crawler writes into
-/// a private shadow space while users read a stable current collection;
-/// `Swap()` atomically publishes the shadow and empties it for the next
-/// crawl cycle — the instantaneous replacement the paper assumes.
-class ShadowedCollection {
- public:
-  explicit ShadowedCollection(std::size_t capacity)
-      : current_(capacity), shadow_(capacity) {}
-
-  ShadowedCollection(std::size_t capacity,
-                     const storage::StoreOptions& options)
-      : current_(capacity, options, "shadowed-current"),
-        shadow_(capacity, options, "shadowed-shadow") {}
-
-  Collection& shadow() { return shadow_; }
-  const Collection& shadow() const { return shadow_; }
-  const Collection& current() const { return current_; }
-  Collection& current_mutable() { return current_; }
-
-  /// Publishes the shadow as the current collection and clears the
-  /// shadow space.
-  void Swap();
-
-  /// Number of swaps performed (crawl cycles completed).
-  int64_t swap_count() const { return swap_count_; }
-
-  /// Checkpoint restore of the swap counter (accounting only).
-  void RestoreSwapCount(int64_t n) { swap_count_ = n; }
-
- private:
-  Collection current_;
-  Collection shadow_;
-  int64_t swap_count_ = 0;
 };
 
 }  // namespace webevo::crawler

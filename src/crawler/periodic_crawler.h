@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "crawler/collection.h"
 #include "crawler/crawl_module.h"
@@ -51,18 +51,9 @@ struct PeriodicCrawlerConfig {
 
   /// Number of ShardedCrawlEngine shards (parallel CrawlModules).
   /// Results are bit-identical for any value; > 1 spreads each batch's
-  /// fetches across that many worker threads.
+  /// fetches and each freshness sample's oracle walk across that many
+  /// worker threads. Everything else runs serially.
   int crawl_parallelism = 1;
-
-  /// Staged batch pipeline: when true, a freshness sample that is due
-  /// at a batch boundary defers its oracle walk into the batch's fetch
-  /// workers (each shard measures its own sites *before* its fetches,
-  /// so every page's observation order is the sequential one) and
-  /// settles into the tracker right after the fetch stage — the
-  /// measure overlaps the fetch wall-clock instead of extending it.
-  /// `false` runs the strictly sequential loop. Results are
-  /// bit-identical either way.
-  bool pipeline = true;
 
   /// Auto-checkpointing, as on the incremental crawler: when > 0,
   /// RunUntil writes a SaveCrawler checkpoint to `checkpoint_path`
@@ -99,21 +90,13 @@ struct PeriodicCrawlerConfig {
 ///
 /// The crawl loop runs in engine batches bounded by the next freshness
 /// sample and the window end: *plan* pops the BFS frontier one URL per
-/// crawl slot (a deque pop — O(1), nothing to shard; the owning shard
-/// is stamped on the slot here), *fetch* executes the batch across
-/// shards, *apply* runs the shared capacity-lease admission pass (each
-/// shard tests-and-marks the discoveries whose target site it owns
-/// against its own seen-set, in slot order, gated by a lease over the
-/// cycle's frozen frontier-memory budget; the serial settle revokes
-/// any optimistic overdraft in global stream order) and then stores
-/// pages and expands the frontier serially in slot order. The
-/// freshness *measure* at each sample fans out across the engine's
-/// worker pool — and with `config.pipeline` it fuses into the next
-/// batch's fetch workers (each shard walks its sites' oracles before
-/// its fetches), overlapping the measure with the fetch wall-clock.
-/// Cycle seeding (StartCycle) is likewise sharded: per-shard
-/// collect/sort/seen-filter in parallel, then a canonical merge that
-/// reproduces the single globally sorted append.
+/// crawl slot (a deque pop; the owning shard is stamped on the slot
+/// here), *fetch* executes the batch across the engine's shards, and
+/// *apply* runs serially in slot order: store or purge each page, then
+/// append its new links to the frontier while the cycle's seen set
+/// holds fewer than 4 x capacity URLs (the frontier-memory bound). A
+/// freshness sample, when due, is measured before the batch, its
+/// oracle walks spread over the engine's worker pool.
 /// Fetches that fail (dead URLs) refund their slots at the batch
 /// boundary — the serial crawler's "try the next URL immediately" — so
 /// a cycle still stores exactly `collection_capacity` pages whenever
@@ -137,7 +120,7 @@ class PeriodicCrawler {
 
   /// The collection users query (the current collection under
   /// shadowing; the single collection otherwise).
-  const Collection& current_collection() const;
+  const Collection& current_collection() const { return current_; }
 
   /// The crawl modules; AggregateTraffic() is the crawl's load.
   const CrawlModulePool& crawl_pool() const { return engine_.pool(); }
@@ -225,24 +208,26 @@ class PeriodicCrawler {
   void FinishCycle();
 
   /// Applies one fetch outcome at now_: store / purge, then expand the
-  /// frontier with the links the lease-admission pass marked fresh
-  /// (null means the batch discovered no links at all).
+  /// frontier with the outcome's new links, in link order.
   void ApplyOutcome(const simweb::Url& url,
-                    StatusOr<simweb::FetchResult> result,
-                    const std::vector<uint8_t>* fresh_links);
+                    StatusOr<simweb::FetchResult> result);
 
-  Collection& target_collection();
-
-  /// Total size of the sharded seen-set.
-  std::size_t SeenCount() const;
-
-  /// Marks `url` seen this cycle; true if it was new.
-  bool SeenInsert(const simweb::Url& url);
+  Collection& target_collection() {
+    return shadow_.has_value() ? *shadow_ : current_;
+  }
 
   simweb::SimulatedWeb* web_;  // not owned
   PeriodicCrawlerConfig config_;
-  ShadowedCollection store_;
-  Collection inplace_;  // used when shadowing is off
+  /// The collection users read. Under shadowing the crawl writes into
+  /// `shadow_`, and FinishCycle swaps the two (the instantaneous
+  /// replacement the paper assumes); otherwise it updates `current_`
+  /// in place and `shadow_` is empty.
+  Collection current_;
+  std::optional<Collection> shadow_;
+  /// Shadow swaps performed. The checkpoint's B record carries it and
+  /// its C record `stats_.swaps`; a restore takes each from its own
+  /// record, so the two are kept apart.
+  int64_t swap_count_ = 0;
   ShardedCrawlEngine engine_;
   freshness::FreshnessTracker tracker_;
   Stats stats_;
@@ -256,10 +241,9 @@ class PeriodicCrawler {
   double next_sample_ = 0.0;
   uint64_t batches_completed_ = 0;
   std::deque<simweb::Url> frontier_;
-  /// URLs seen this cycle, sharded by target site (site % N) so the
-  /// apply phase's link dedup can run one worker per shard.
-  std::vector<std::unordered_set<simweb::Url, simweb::UrlHash>>
-      seen_shards_;
+  /// URLs seen this cycle: the roots, the in-place seeds and every
+  /// link admitted to the frontier.
+  std::unordered_set<simweb::Url, simweb::UrlHash> seen_;
   /// Per-cycle failure re-queue counts (cleared by StartCycle);
   /// persisted in the checkpoint's "failure" section so a mid-cycle
   /// resume replays the same bounded retries.

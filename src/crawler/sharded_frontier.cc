@@ -8,38 +8,11 @@ namespace {
 
 // The one definition of the global pop order — earliest `when`, ties
 // broken by the global sequence number (the inverse of CollUrls::Later)
-// — shared by the Pop/Peek tournament and the PlanSlots merge so the
-// two can never drift apart and break the bit-identical contract.
+// — shared by the Pop/Peek scan and the PlanSlots merge so the two can
+// never drift apart and break the bit-identical contract.
 bool Earlier(const CollUrls::Entry& a, const CollUrls::Entry& b) {
   if (a.when != b.when) return a.when < b.when;
   return a.seq < b.seq;
-}
-
-constexpr uint32_t kNoShard = ~0u;
-
-// The one tournament-tree path replay, shared by the persistent
-// Pop/Peek tree (RepairAndWinner) and PlanSlots' ephemeral MergeTree:
-// re-derives the winners along leaf s's path to the root, given the
-// callers' notion of which shards are live and what their heads are.
-// `winner` has 2*leaves slots, node i's children are 2i and 2i+1, and
-// shard s sits at leaf leaves + s.
-template <typename LiveFn, typename HeadFn>
-void ReplayPath(std::vector<uint32_t>& winner, std::size_t leaves,
-                std::size_t s, const LiveFn& live, const HeadFn& head) {
-  std::size_t node = leaves + s;
-  winner[node] = live(s) ? static_cast<uint32_t>(s) : kNoShard;
-  for (node /= 2; node >= 1; node /= 2) {
-    uint32_t a = winner[2 * node];
-    uint32_t b = winner[2 * node + 1];
-    if (a == kNoShard) {
-      winner[node] = b;
-    } else if (b == kNoShard) {
-      winner[node] = a;
-    } else {
-      winner[node] = Earlier(head(a), head(b)) ? a : b;
-    }
-    if (node == 1) break;
-  }
 }
 
 // Tournament tree over the per-shard candidate lists extracted by
@@ -48,16 +21,15 @@ void ReplayPath(std::vector<uint32_t>& winner, std::size_t leaves,
 // consumed candidate instead of a linear scan over shard heads.
 class MergeTree {
  public:
+  static constexpr uint32_t kNone = ~0u;
+
   explicit MergeTree(
       const std::vector<std::vector<CollUrls::Entry>>& lists)
       : lists_(lists), next_(lists.size(), 0) {
-    leaves_ = 1;
     while (leaves_ < lists.size()) leaves_ *= 2;
-    winner_.assign(2 * leaves_, kNoShard);
+    winner_.assign(2 * leaves_, kNone);
     for (std::size_t s = 0; s < lists.size(); ++s) Replay(s);
   }
-
-  static constexpr uint32_t kNone = kNoShard;
 
   /// Index of the list holding the globally earliest head, or kNone.
   uint32_t winner() const { return winner_[1]; }
@@ -74,13 +46,23 @@ class MergeTree {
   }
 
  private:
+  // Re-derives the winners along list s's leaf-to-root path. Node i's
+  // children are 2i and 2i+1, and list s sits at leaf leaves_ + s.
   void Replay(std::size_t s) {
-    ReplayPath(
-        winner_, leaves_, s,
-        [this](std::size_t i) { return next_[i] < lists_[i].size(); },
-        [this](std::size_t i) -> const CollUrls::Entry& {
-          return head(i);
-        });
+    std::size_t node = leaves_ + s;
+    winner_[node] =
+        next_[s] < lists_[s].size() ? static_cast<uint32_t>(s) : kNone;
+    for (node /= 2; node >= 1; node /= 2) {
+      const uint32_t a = winner_[2 * node];
+      const uint32_t b = winner_[2 * node + 1];
+      if (a == kNone) {
+        winner_[node] = b;
+      } else if (b == kNone) {
+        winner_[node] = a;
+      } else {
+        winner_[node] = Earlier(head(a), head(b)) ? a : b;
+      }
+    }
   }
 
   const std::vector<std::vector<CollUrls::Entry>>& lists_;
@@ -92,14 +74,7 @@ class MergeTree {
 }  // namespace
 
 ShardedFrontier::ShardedFrontier(int num_shards)
-    : shards_(static_cast<std::size_t>(std::max(1, num_shards))) {
-  leaves_ = 1;
-  while (leaves_ < shards_.size()) leaves_ *= 2;
-  winner_.assign(2 * leaves_, kNoShard);
-  head_.resize(shards_.size());
-  head_live_.assign(shards_.size(), 0);
-  head_dirty_.assign(shards_.size(), 1);
-}
+    : shards_(static_cast<std::size_t>(std::max(1, num_shards))) {}
 
 void ShardedFrontier::Schedule(const simweb::Url& url, double when) {
   ScheduleLane(ShardOf(url.site), url, when, next_seq_++);
@@ -109,57 +84,35 @@ void ShardedFrontier::ScheduleFront(const simweb::Url& url) {
   // Identical arithmetic to CollUrls::ScheduleFront, with the offset
   // global to the frontier so front-inserts stay FIFO across shards.
   front_when_ += 1e-6;
-  const std::size_t s = ShardOf(url.site);
-  shards_[s].ScheduleAt(url, CollUrls::kFrontBase + front_when_,
-                        next_seq_++);
-  head_dirty_[s] = 1;
+  shards_[ShardOf(url.site)].ScheduleAt(
+      url, CollUrls::kFrontBase + front_when_, next_seq_++);
 }
 
 Status ShardedFrontier::Remove(const simweb::Url& url) {
-  const std::size_t s = ShardOf(url.site);
-  Status st = shards_[s].Remove(url);
-  if (st.ok()) head_dirty_[s] = 1;
-  return st;
+  return shards_[ShardOf(url.site)].Remove(url);
 }
 
 Status ShardedFrontier::RemoveIfSeq(const simweb::Url& url,
                                     uint64_t seq) {
-  const std::size_t s = ShardOf(url.site);
-  Status st = shards_[s].RemoveIfSeq(url, seq);
-  if (st.ok()) head_dirty_[s] = 1;
-  return st;
-}
-
-std::size_t ShardedFrontier::RepairAndWinner() {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!head_dirty_[s]) continue;
-    head_dirty_[s] = 0;
-    auto head = shards_[s].PeekEntry();
-    head_live_[s] = head.has_value() ? 1 : 0;
-    if (head.has_value()) head_[s] = *head;
-    ReplayPath(
-        winner_, leaves_, s,
-        [this](std::size_t i) { return head_live_[i] != 0; },
-        [this](std::size_t i) -> const CollUrls::Entry& {
-          return head_[i];
-        });
-  }
-  uint32_t w = winner_[1];
-  return w == kNoShard ? shards_.size() : static_cast<std::size_t>(w);
+  return shards_[ShardOf(url.site)].RemoveIfSeq(url, seq);
 }
 
 std::optional<ScheduledUrl> ShardedFrontier::Pop() {
-  const std::size_t w = RepairAndWinner();
-  if (w == shards_.size()) return std::nullopt;
-  auto popped = shards_[w].PopEntry();
-  head_dirty_[w] = 1;
-  return ScheduledUrl{popped->url, popped->when};
+  std::optional<ScheduledUrl> head = Peek();
+  if (head.has_value()) shards_[ShardOf(head->url.site)].PopEntry();
+  return head;
 }
 
 std::optional<ScheduledUrl> ShardedFrontier::Peek() {
-  const std::size_t w = RepairAndWinner();
-  if (w == shards_.size()) return std::nullopt;
-  return ScheduledUrl{head_[w].url, head_[w].when};
+  std::optional<CollUrls::Entry> best;
+  for (CollUrls& shard : shards_) {
+    std::optional<CollUrls::Entry> head = shard.PeekEntry();
+    if (head.has_value() && (!best.has_value() || Earlier(*head, *best))) {
+      best = head;
+    }
+  }
+  if (!best.has_value()) return std::nullopt;
+  return ScheduledUrl{best->url, best->when};
 }
 
 std::size_t ShardedFrontier::size() const {
@@ -185,9 +138,8 @@ ShardedFrontier::SlotPlan ShardedFrontier::PlanSlots(double start,
                  : std::numeric_limits<std::size_t>::max();
 
   // Stage 1: per-shard candidate extraction, shard-parallel. Each task
-  // touches only its own heap, its own output vector, and its own head
-  // dirty byte; the pops come out sorted by (when, seq) because each
-  // shard heap is one CollUrls.
+  // touches only its own heap and its own output vector; the pops come
+  // out sorted by (when, seq) because each shard heap is one CollUrls.
   const std::size_t num_shards = shards_.size();
   std::vector<std::vector<CollUrls::Entry>> extracted(num_shards);
   auto extract = [this, horizon, max_slots, &extracted](std::size_t s) {
@@ -197,7 +149,6 @@ ShardedFrontier::SlotPlan ShardedFrontier::PlanSlots(double start,
       if (!head.has_value() || head->when >= horizon) break;
       out.push_back(*shards_[s].PopEntry());
     }
-    if (!out.empty()) head_dirty_[s] = 1;
   };
   std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -239,7 +190,6 @@ ShardedFrontier::SlotPlan ShardedFrontier::PlanSlots(double start,
     for (std::size_t i = merge.cursor(s); i < extracted[s].size(); ++i) {
       const CollUrls::Entry& e = extracted[s][i];
       shards_[s].ScheduleAt(e.url, e.when, e.seq);
-      head_dirty_[s] = 1;
     }
   }
   return plan;

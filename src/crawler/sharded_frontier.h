@@ -27,17 +27,17 @@ Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out);
 /// front-of-queue key both come from counters global to the frontier,
 /// so the merge order over shard heads — earliest `when`, ties broken
 /// by global sequence number — is exactly the pop order the one-heap
-/// queue would produce. Pop/Peek merge the N shard heads through a
-/// tournament tree rebuilt lazily along dirtied leaf-to-root paths, so
-/// a pop costs O(log N + log(n/N)) rather than a linear scan of shard
-/// heads; Schedule/Remove route to the owning shard (O(log(n/N))).
+/// queue would produce. Schedule/Remove route to the owning shard
+/// (O(log(n/N))).
 ///
-/// The point of the split is PlanSlots: each shard extracts its own
-/// due-before-horizon candidates in parallel on the engine's
-/// ThreadPool — the heap work that used to serialise the plan phase —
-/// and a cheap serial merge then assigns crawl slots deterministically.
-/// Push-back rescheduling between batches (Schedule from the apply
-/// barrier) lands directly in the owning shard's heap.
+/// The point of the split is PlanSlots, the crawler's only reader: each
+/// shard extracts its own due-before-horizon candidates in parallel on
+/// the engine's ThreadPool — the heap work that used to serialise the
+/// plan phase — and a cheap serial merge then assigns crawl slots
+/// deterministically. Push-back rescheduling between batches (Schedule
+/// from the apply barrier) lands directly in the owning shard's heap.
+/// Pop/Peek scan the N shard heads; tests use them as the serial
+/// reference for PlanSlots.
 class ShardedFrontier {
  public:
   /// Creates `num_shards` shard heaps (>= 1; clamped, matching
@@ -66,7 +66,6 @@ class ShardedFrontier {
   void ScheduleLane(std::size_t s, const simweb::Url& url, double when,
                     uint64_t seq) {
     shards_[s].ScheduleAt(url, when, seq);
-    head_dirty_[s] = 1;
   }
 
   /// Lease-revocation removal: drops `url` only if its live entry
@@ -82,10 +81,7 @@ class ShardedFrontier {
   /// owns the site and only that worker touches it. Returns how many
   /// entries moved.
   std::size_t RescheduleSiteNotBefore(uint32_t site, double floor) {
-    const std::size_t s = ShardOf(site);
-    const std::size_t moved = shards_[s].RescheduleSiteNotBefore(site, floor);
-    if (moved > 0) head_dirty_[s] = 1;
-    return moved;
+    return shards_[ShardOf(site)].RescheduleSiteNotBefore(site, floor);
   }
 
   /// First unissued sequence number — the base of the next lane grant.
@@ -181,34 +177,13 @@ class ShardedFrontier {
                              std::ostream& out);
 
  private:
-  /// Refreshes dirty shard heads and replays their tournament paths;
-  /// returns the winning shard index, or shards_.size() when every
-  /// shard is empty.
-  std::size_t RepairAndWinner();
-
   std::vector<CollUrls> shards_;
   // Global counters shared by all shards: the FIFO tie-break sequence
   // and the front-of-queue key offset. Keeping them global is what
-  // makes the tournament merge order equal to the single-heap pop
-  // order.
+  // makes the merge order over shard heads equal to the single-heap
+  // pop order.
   uint64_t next_seq_ = 0;
   double front_when_ = 0.0;
-
-  // Tournament tree over the shard heads. leaves_ is the smallest
-  // power of two >= num_shards; node i has children 2i and 2i+1, shard
-  // s sits at leaf leaves_ + s, and winner_[1] holds the shard with
-  // the globally earliest head (kNoShard for an empty subtree). Heads
-  // are cached per shard; any operation that may move a shard's head
-  // only sets that shard's dirty byte — one byte per shard, so
-  // PlanSlots' parallel extraction can mark its own shard without
-  // touching shared state — and Pop/Peek replay the dirty leaf-to-root
-  // paths on the serial path, O(log N) per dirty shard.
-  static constexpr uint32_t kNoShard = ~0u;
-  std::size_t leaves_ = 1;
-  std::vector<uint32_t> winner_;
-  std::vector<CollUrls::Entry> head_;
-  std::vector<uint8_t> head_live_;
-  std::vector<uint8_t> head_dirty_;
 };
 
 }  // namespace webevo::crawler

@@ -1762,20 +1762,18 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
     writer.Line(
         line.Start("B", crawler.batches_completed_, crawler.cycle_active_,
                    crawler.cycles_completed_, crawler.stored_this_cycle_,
-                   crawler.store_.swap_count(), crawler.config_.shadowing));
+                   crawler.swap_count_, crawler.config_.shadowing));
     WriteLedger(crawler.stats_, writer, line);
     writer.Finish();
     sections.push_back(Section{"meta", os.str()});
   }
-  sections.push_back(Section{
-      "collection-current",
-      SectionBytes(SaveEveryEntry<Collection>, crawler.config_.shadowing
-                                                   ? crawler.store_.current()
-                                                   : crawler.inplace_)});
-  if (crawler.config_.shadowing) {
-    sections.push_back(Section{
-        "collection-shadow",
-        SectionBytes(SaveEveryEntry<Collection>, crawler.store_.shadow())});
+  sections.push_back(
+      Section{"collection-current",
+              SectionBytes(SaveEveryEntry<Collection>, crawler.current_)});
+  if (crawler.shadow_.has_value()) {
+    sections.push_back(
+        Section{"collection-shadow",
+                SectionBytes(SaveEveryEntry<Collection>, *crawler.shadow_)});
   }
   {
     const std::vector<simweb::Url> bfs(crawler.frontier_.begin(),
@@ -1783,10 +1781,8 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
     sections.push_back(Section{"bfs", SectionBytes(WriteUrlList, bfs)});
   }
   {
-    std::vector<simweb::Url> seen;
-    for (const auto& shard : crawler.seen_shards_) {
-      seen.insert(seen.end(), shard.begin(), shard.end());
-    }
+    std::vector<simweb::Url> seen(crawler.seen_.begin(),
+                                  crawler.seen_.end());
     std::sort(seen.begin(), seen.end(), IdentityLess);
     sections.push_back(Section{"seen", SectionBytes(WriteUrlList, seen)});
   }
@@ -1900,20 +1896,15 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
     collection->Clear();
     return ApplyCollection({}, std::move(records.entries), collection);
   };
-  if (crawler->config_.shadowing) {
-    st = replace(std::move(current), &crawler->store_.current_mutable());
-    if (st.ok()) st = replace(std::move(shadow), &crawler->store_.shadow());
-    crawler->store_.RestoreSwapCount(swap_count);
-  } else {
-    st = replace(std::move(current), &crawler->inplace_);
+  st = replace(std::move(current), &crawler->current_);
+  if (crawler->shadow_.has_value()) {
+    if (st.ok()) st = replace(std::move(shadow), &*crawler->shadow_);
+    crawler->swap_count_ = swap_count;
   }
   if (!st.ok()) return st;
   crawler->frontier_.assign(bfs.begin(), bfs.end());
-  for (auto& shard : crawler->seen_shards_) shard.clear();
-  for (const simweb::Url& url : seen) {
-    crawler->seen_shards_[url.site % crawler->seen_shards_.size()]
-        .insert(url);
-  }
+  crawler->seen_.clear();
+  crawler->seen_.insert(seen.begin(), seen.end());
   crawler->engine_.pool().RestorePoliteness(polite);
   if (traffic.has_value()) {
     crawler->engine_.pool().RestoreTraffic(*traffic);

@@ -376,5 +376,34 @@ TEST(CheckpointTest, PeriodicGoldenImageAndViewBytes) {
   }
 }
 
+// The capped breadth-first expansion: at capacity 40 each cycle's seen
+// set fills to its 4 x capacity bound (160 URLs: 20 roots and 140
+// links) partway through a batch, so which links join the frontier
+// depends on their (slot, link) order. The run is the CLI's
+// (webevo_sim crawl --crawler=periodic --scale=0.08 --capacity=40
+// --cycle=4 --window=2 --days=10), and its image is pinned at every
+// shard count.
+TEST(CheckpointTest, PeriodicCappedExpansionBytes) {
+  constexpr uint64_t kImage = 0x9b88a168e36fd628ULL;
+  simweb::WebConfig wc = simweb::WebConfig().Scaled(0.08);
+  wc.seed = 19990217;
+  wc.max_site_size = 250;
+  for (int shards : {1, 3, 8}) {
+    SCOPED_TRACE(shards);
+    PeriodicCrawlerConfig config;
+    config.collection_capacity = 40;
+    config.cycle_days = 4.0;
+    config.crawl_window_days = 2.0;
+    config.crawl_parallelism = shards;
+    simweb::SimulatedWeb web(wc);
+    PeriodicCrawler crawler(&web, config);
+    ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+    ASSERT_TRUE(crawler.RunUntil(10.0).ok());
+    std::ostringstream out;
+    ASSERT_TRUE(SaveCrawler(crawler, out).ok());
+    EXPECT_EQ(Fnv1a64(out.str()), kImage);
+  }
+}
+
 }  // namespace
 }  // namespace webevo::crawler

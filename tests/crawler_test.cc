@@ -76,28 +76,6 @@ TEST(CollectionTest, ForEachVisitsAll) {
   EXPECT_EQ(visits, 5);
 }
 
-TEST(ShadowedCollectionTest, SwapPublishesShadow) {
-  ShadowedCollection store(3);
-  ASSERT_TRUE(store.shadow().Upsert(MakeEntry(Url{0, 1, 0})).ok());
-  ASSERT_TRUE(store.shadow().Upsert(MakeEntry(Url{0, 2, 0})).ok());
-  EXPECT_EQ(store.current().size(), 0u);
-  store.Swap();
-  EXPECT_EQ(store.current().size(), 2u);
-  EXPECT_EQ(store.shadow().size(), 0u);
-  EXPECT_EQ(store.swap_count(), 1);
-}
-
-TEST(ShadowedCollectionTest, SwapReplacesOldCurrent) {
-  ShadowedCollection store(2);
-  ASSERT_TRUE(store.shadow().Upsert(MakeEntry(Url{0, 1, 0})).ok());
-  store.Swap();
-  ASSERT_TRUE(store.shadow().Upsert(MakeEntry(Url{0, 2, 0})).ok());
-  store.Swap();
-  EXPECT_EQ(store.current().size(), 1u);
-  EXPECT_TRUE(store.current().Contains(Url{0, 2, 0}));
-  EXPECT_FALSE(store.current().Contains(Url{0, 1, 0}));
-}
-
 // ----------------------------------------------------------------- AllUrls
 
 TEST(AllUrlsTest, AddAndInLinks) {
@@ -673,6 +651,24 @@ TEST(PeriodicCrawlerTest, ShadowingPublishesAtCrawlEnd) {
   EXPECT_EQ(crawler.current_collection().size(), 200u);
   EXPECT_EQ(crawler.cycles_completed(), 1);
   EXPECT_EQ(crawler.stats().swaps, 1u);
+}
+
+// Under the paged backend the collection users read must get the
+// backend's memory bound too: after the shadow swap its records sit
+// in pages, none waiting for a flush.
+TEST(PeriodicCrawlerTest, PagedShadowSwapKeepsCurrentCompacted) {
+  simweb::SimulatedWeb web(MidWeb(98));
+  PeriodicCrawlerConfig config = MidPeriodicConfig(200);
+  config.store.backend = storage::StoreOptions::Backend::kPaged;
+  config.store.dir = testing::TempDir();
+  PeriodicCrawler crawler(&web, config);
+  ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+  ASSERT_TRUE(crawler.RunUntil(8.0).ok());
+  ASSERT_EQ(crawler.cycles_completed(), 1);
+  const Collection& current = crawler.current_collection();
+  EXPECT_EQ(current.size(), 200u);
+  EXPECT_EQ(current.store_stats().dirty_records, 0u);
+  EXPECT_GE(current.store_stats().pages, 1u);
 }
 
 TEST(PeriodicCrawlerTest, InPlaceVisibleImmediately) {

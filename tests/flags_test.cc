@@ -252,5 +252,61 @@ TEST(CliFlagsTest, UnusableStoreDirExitsTwo) {
   std::remove(file.c_str());
 }
 
+TEST(CliFlagsTest, MalformedOrOutOfRangeNumbersExitTwo) {
+  // A numeric flag that does not parse in full, or lies outside its
+  // range, must not fall back to its default or wrap through an
+  // unsigned type and run a different crawl: both tools refuse it
+  // before crawling or loading anything, naming the flag and value.
+  const std::string checkpoint = ::testing::TempDir() + "/every.bin";
+  const std::string periodic = "crawl --crawler=periodic --scale=0.02 ";
+  struct Case {
+    std::string args;
+    const char* named;
+  };
+  for (const Case& c : {
+           Case{"crawl --scale=0.02 --days=abc", "--days value 'abc'"},
+           Case{periodic + "--days=1 --capacity=1O0",
+                "--capacity value '1O0'"},
+           Case{periodic + "--days=1 --capacity=-3",
+                "--capacity value '-3'"},
+           Case{"study --scale=0.02 --window=20 --days=2.5",
+                "--days value '2.5'"},
+           Case{periodic + "--days=1 --checkpoint=" + checkpoint +
+                    " --checkpoint-every=-1",
+                "--checkpoint-every value '-1'"},
+           Case{periodic + "--days=0", "--days value '0'"},
+           Case{periodic + "--days=1 --cycle=0", "--cycle value '0'"},
+           Case{periodic + "--days=1 --window=-2", "--window value '-2'"},
+           Case{"crawl --crawler=periodic --scale=0 --days=1",
+                "--scale value '0'"},
+       }) {
+    const CliRun run = RunCli(WEBEVO_SIM_BIN, c.args);
+    EXPECT_EQ(run.exit_code, 2) << c.args << "\n" << run.output;
+    EXPECT_NE(run.output.find(c.named), std::string::npos) << run.output;
+  }
+  std::remove(checkpoint.c_str());
+  for (const Case& c : {Case{"pages --from=x --limit=-1", "--limit value '-1'"},
+                        Case{"pages --from=x --capacity=1O0",
+                             "--capacity value '1O0'"}}) {
+    const CliRun run = RunCli(WEBEVO_QUERY_BIN, c.args);
+    EXPECT_EQ(run.exit_code, 2) << c.args << "\n" << run.output;
+    EXPECT_NE(run.output.find(c.named), std::string::npos) << run.output;
+  }
+}
+
+TEST(CliFlagsTest, ParallelismOutsideItsBoundExitsTwo) {
+  // Each shard starts a worker thread, so --parallelism has a fixed
+  // upper bound; 4294967297 used to become one shard through int. Each
+  // value exits before the engine starts any thread.
+  for (const std::string value : {"0", "257", "4294967297"}) {
+    const CliRun run = RunCli(
+        WEBEVO_SIM_BIN, "crawl --days=1 --scale=0.02 --parallelism=" + value);
+    EXPECT_EQ(run.exit_code, 2) << value << "\n" << run.output;
+    EXPECT_NE(run.output.find("--parallelism value '" + value + "'"),
+              std::string::npos)
+        << run.output;
+  }
+}
+
 }  // namespace
 }  // namespace webevo

@@ -1,6 +1,6 @@
-// Pipelined batch engine tests: the staged crawl loop (fetch+apply B
-// with measure B-1 fused into B's fetch) must be an invisible
-// optimisation.
+// Pipelined batch engine tests: the incremental crawler's staged loop
+// (fetch+apply B with measure B-1 fused into B's fetch) must be an
+// invisible optimisation.
 // Pipelined and non-pipelined runs — at every shard count, under fault
 // scenarios, through in-batch retry rounds, and across a mid-pipeline
 // auto-checkpoint resume — produce byte-identical checkpoints and
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "crawler/incremental_crawler.h"
-#include "crawler/periodic_crawler.h"
 #include "crawler/sharded_crawl_engine.h"
 #include "crawler/snapshot.h"
 #include "simweb/simulated_web.h"
@@ -44,18 +43,7 @@ IncrementalCrawlerConfig IncConfig(int parallelism, bool pipeline) {
   return config;
 }
 
-PeriodicCrawlerConfig PerConfig(int parallelism, bool pipeline) {
-  PeriodicCrawlerConfig config;
-  config.collection_capacity = 150;
-  config.cycle_days = 4.0;
-  config.crawl_window_days = 2.0;
-  config.crawl_parallelism = parallelism;
-  config.pipeline = pipeline;
-  return config;
-}
-
-template <typename Crawler>
-std::string CheckpointBytes(const Crawler& crawler) {
+std::string CheckpointBytes(const IncrementalCrawler& crawler) {
   CrawlerCheckpointOptions options;
   options.include_web = true;
   std::ostringstream out;
@@ -84,16 +72,7 @@ RunResult RunIncremental(const simweb::WebConfig& wc,
           crawler.engine().stats()};
 }
 
-RunResult RunPeriodic(const simweb::WebConfig& wc,
-                      const PeriodicCrawlerConfig& config, double until) {
-  simweb::SimulatedWeb web(wc);
-  PeriodicCrawler crawler(&web, config);
-  EXPECT_TRUE(crawler.Bootstrap(0.0).ok());
-  EXPECT_TRUE(crawler.RunUntil(until).ok());
-  return {CheckpointBytes(crawler), 0, crawler.engine().stats()};
-}
-
-// ------------------------------- pipelined == sequential, both crawlers
+// ------------------------------------------- pipelined == sequential
 
 // The headline invariant, randomized over web seeds: at N in {1, 3, 8}
 // the pipelined incremental crawler matches the N = 1 sequential run
@@ -109,22 +88,6 @@ TEST(PipelineTest, IncrementalPipelinedMatchesSequential) {
       EXPECT_EQ(got.checkpoint, want.checkpoint)
           << "seed=" << seed << " shards=" << shards;
       EXPECT_EQ(got.view_chain, want.view_chain)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(ledger::Diff(got.engine, want.engine),
-                std::vector<std::string>{})
-          << "seed=" << seed << " shards=" << shards;
-    }
-  }
-}
-
-TEST(PipelineTest, PeriodicPipelinedMatchesSequential) {
-  for (uint64_t seed : {404u, 505u}) {
-    const simweb::WebConfig wc = SmallWeb(seed);
-    const RunResult want = RunPeriodic(wc, PerConfig(1, false), 9.0);
-    ASSERT_FALSE(want.checkpoint.empty());
-    for (int shards : {1, 3, 8}) {
-      const RunResult got = RunPeriodic(wc, PerConfig(shards, true), 9.0);
-      EXPECT_EQ(got.checkpoint, want.checkpoint)
           << "seed=" << seed << " shards=" << shards;
       EXPECT_EQ(ledger::Diff(got.engine, want.engine),
                 std::vector<std::string>{})
@@ -271,33 +234,6 @@ TEST(PipelineTest, MidPipelineAutoCheckpointResumeRejoins) {
         << "load at N=" << load_shards;
   }
   std::remove(path.c_str());
-}
-
-// Periodic crawler: a mid-run save/resume under the pipelined loop
-// (deferred measure fused into the next cycle's window) rejoins too.
-TEST(PipelineTest, PeriodicPipelinedMidRunResumeRejoins) {
-  const simweb::WebConfig wc = SmallWeb(1414);
-  const PeriodicCrawlerConfig config = PerConfig(2, true);
-
-  simweb::SimulatedWeb web_a(wc);
-  PeriodicCrawler straight(&web_a, config);
-  ASSERT_TRUE(straight.Bootstrap(0.0).ok());
-  ASSERT_TRUE(straight.RunUntil(9.0).ok());
-  const std::string want = CheckpointBytes(straight);
-
-  simweb::SimulatedWeb web_b(wc);
-  PeriodicCrawler first_half(&web_b, config);
-  ASSERT_TRUE(first_half.Bootstrap(0.0).ok());
-  ASSERT_TRUE(first_half.RunUntil(5.0).ok());
-  const std::string mid = CheckpointBytes(first_half);
-
-  simweb::SimulatedWeb web_c(wc);
-  PeriodicCrawler resumed(&web_c, config);
-  std::istringstream mid_in(mid);
-  Status loaded = LoadCrawler(mid_in, &resumed);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  ASSERT_TRUE(resumed.RunUntil(9.0).ok());
-  EXPECT_EQ(CheckpointBytes(resumed), want);
 }
 
 }  // namespace

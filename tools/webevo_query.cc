@@ -63,16 +63,16 @@ query flags:
                       site equality scans stop early on sorted rows)
   --columns=<list>    comma-separated output columns (default: all)
   --format=table|csv|json                       (default table)
-  --limit=<n>         emit at most n rows       (default 0 = all)
+  --limit=<n>         emit at most n rows, >= 0 (default 0 = all)
 
 checkpoint shape flags (must match the run that wrote the checkpoint,
 exactly as for webevo_sim crawl --resume):
   --crawler=incremental|periodic                (default incremental)
   --seed=<n>          master seed               (default 19990217)
-  --scale=<f>         web size multiplier       (default 0.15)
-  --capacity=<n>      collection capacity       (default 2000)
-  --cycle=<days>      revisit cycle             (default 30)
-  --window=<days>     batch window              (default 7; periodic)
+  --scale=<f>         web size multiplier, > 0  (default 0.15)
+  --capacity=<n>      collection capacity, >= 1 (default 2000)
+  --cycle=<days>      revisit cycle, > 0        (default 30)
+  --window=<days>     batch window, > 0         (default 7; periodic)
   --no-shadowing      periodic crawler updates in place
   --policy=optimal|uniform|proportional         (incremental only)
   --estimator=EB|EP|ratio|naive|EL              (incremental only)
@@ -249,8 +249,8 @@ bool Matches(const std::vector<std::string>& row, const Predicate& pred) {
 }
 
 /// Applies predicates (with the sorted-site early exit), column
-/// projection and the row limit, in place.
-bool RunQuery(const FlagParser& flags, ResultSet* result,
+/// projection and the row limit (0 = none), in place.
+bool RunQuery(const FlagParser& flags, std::size_t limit, ResultSet* result,
               std::string* error) {
   std::vector<Predicate> predicates;
   const std::string where = flags.GetString("where", "");
@@ -268,8 +268,6 @@ bool RunQuery(const FlagParser& flags, ResultSet* result,
       site_eq = &pred;
     }
   }
-  const auto limit =
-      static_cast<std::size_t>(flags.GetInt("limit", 0));
   std::vector<std::vector<std::string>> kept;
   for (const auto& row : result->rows) {
     if (site_eq != nullptr) {
@@ -379,9 +377,12 @@ int Run(const FlagParser& flags) {
   crawler::UpdateModuleConfig update;
   tools::UpdateFromFlags(flags, &update);
   simweb::SimulatedWeb web(tools::WebFromFlags(flags));
-  const auto capacity =
-      static_cast<std::size_t>(flags.GetInt("capacity", 2000));
-  const double cycle = flags.GetDouble("cycle", 30.0);
+  const std::size_t capacity =
+      tools::NumberFromFlags<std::size_t>(flags, "capacity", 2000, 1);
+  const double cycle = tools::NumberFromFlags(flags, "cycle", 30.0, 0.0);
+  const double window = tools::NumberFromFlags(flags, "window", 7.0, 0.0);
+  const std::size_t limit =
+      tools::NumberFromFlags<std::size_t>(flags, "limit", 0, 0);
 
   // The crawlers outlive `view` (a ViewRef releases into its
   // registry, which the owning crawler's engine holds).
@@ -393,7 +394,7 @@ int Run(const FlagParser& flags) {
     crawler::PeriodicCrawlerConfig config;
     config.collection_capacity = capacity;
     config.cycle_days = cycle;
-    config.crawl_window_days = flags.GetDouble("window", 7.0);
+    config.crawl_window_days = window;
     config.shadowing = !flags.GetBool("no-shadowing", false);
     config.publish_view_every_batches = 1;
     periodic =
@@ -439,7 +440,7 @@ int Run(const FlagParser& flags) {
   }
 
   std::string error;
-  if (!RunQuery(flags, &result, &error)) {
+  if (!RunQuery(flags, limit, &result, &error)) {
     std::printf("%s\n", error.c_str());
     return 2;
   }

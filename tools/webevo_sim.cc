@@ -49,9 +49,10 @@ modes:
 
 common flags:
   --seed=<n>        master seed               (default 19990217)
-  --scale=<f>       web size multiplier       (default 0.15)
-  --days=<n>        simulated days            (default 120)
-  --capacity=<n>    collection capacity       (default 2000)
+  --scale=<f>       web size multiplier, > 0  (default 0.15)
+  --days=<f>        simulated days, > 0       (default 120; an
+                    integer for study)
+  --capacity=<n>    collection capacity, >= 1 (default 2000)
   --csv=<path>      also write the freshness series as CSV
   --faults=<name>   fault scenario: none|transient10|outage-storm|
                     site-death|flash-crowd    (default none)
@@ -62,21 +63,23 @@ common flags:
                     throttling, mirror dedup, migration-following
                     (default off; off is byte-identical to a build
                     without the defense layer)
-  --parallelism=<n> engine shards / worker threads (default 1;
-                    results are bit-identical at any value)
-  --pipeline=on|off staged batch pipeline: overlap batch B's fetches
-                    with batch B-1's deferred freshness measure
-                    (default on; results are bit-identical either way)
+  --parallelism=<n> engine shards / worker threads, 1 to 256
+                    (default 1; results are bit-identical at any
+                    value)
+  --pipeline=on|off incremental crawler's staged batch pipeline:
+                    overlap batch B's fetches with batch B-1's
+                    deferred freshness measure (default on; results
+                    are bit-identical either way)
 
 study flags:
-  --window=<n>      page window per site      (default 300)
+  --window=<n>      pages per site, >= 1      (default 300)
 
 crawl flags:
   --crawler=incremental|periodic              (default incremental)
   --policy=optimal|uniform|proportional       (incremental only)
   --estimator=EB|EP|ratio|naive|EL            (incremental only)
-  --cycle=<days>    revisit cycle             (default 30)
-  --window=<days>   batch window              (default 7; periodic only)
+  --cycle=<days>    revisit cycle, > 0        (default 30)
+  --window=<days>   batch window, > 0         (default 7; periodic only)
   --no-shadowing    periodic crawler updates in place
 
 checkpoint flags (crawl mode):
@@ -84,7 +87,7 @@ checkpoint flags (crawl mode):
                             checkpoint (crawler + web state) at the end
                             of the run
   --checkpoint-every=<K>    also auto-checkpoint every K engine batches
-                            (requires --checkpoint)
+                            (requires --checkpoint; default 0 = never)
   --resume=<path>           restore crawler + web from a checkpoint and
                             continue to --days; with the same seed and
                             flags the result is bit-identical to an
@@ -115,13 +118,11 @@ bool PipelineFromFlags(const FlagParser& flags) {
   return tools::OneOfFromFlags(flags, "pipeline", "on", {"on", "off"}) == "on";
 }
 
+// Each shard starts one worker thread.
+constexpr int kMaxParallelism = 256;
+
 int ParallelismFromFlags(const FlagParser& flags) {
-  const auto n = static_cast<int>(flags.GetInt("parallelism", 1));
-  if (n < 1) {
-    std::printf("--parallelism must be >= 1\n");
-    std::exit(2);
-  }
-  return n;
+  return tools::NumberFromFlags(flags, "parallelism", 1, 1, kMaxParallelism);
 }
 
 bool DefenseFromFlags(const FlagParser& flags) {
@@ -145,9 +146,9 @@ void MaybeWriteCsv(const FlagParser& flags,
 int RunStudy(const FlagParser& flags) {
   simweb::SimulatedWeb web(tools::WebFromFlags(flags));
   experiment::MonitoringConfig config;
-  config.num_days = static_cast<int>(flags.GetInt("days", 120));
+  config.num_days = tools::NumberFromFlags(flags, "days", 120, 1);
   config.window_size =
-      static_cast<std::size_t>(flags.GetInt("window", 300));
+      tools::NumberFromFlags<std::size_t>(flags, "window", 300, 1);
   experiment::MonitoringExperiment experiment(&web, config);
   std::printf("monitoring %u sites for %d days (window %zu)...\n",
               web.num_sites(), config.num_days, config.window_size);
@@ -182,14 +183,14 @@ int RunStudy(const FlagParser& flags) {
 int RunCrawl(const FlagParser& flags) {
   const std::string kind = tools::CrawlerFromFlags(flags);
   simweb::SimulatedWeb web(tools::WebFromFlags(flags));
-  const double days = flags.GetDouble("days", 120);
+  const double days = tools::NumberFromFlags(flags, "days", 120.0, 0.0);
   const auto capacity =
-      static_cast<std::size_t>(flags.GetInt("capacity", 2000));
-  const double cycle = flags.GetDouble("cycle", 30.0);
+      tools::NumberFromFlags<std::size_t>(flags, "capacity", 2000, 1);
+  const double cycle = tools::NumberFromFlags(flags, "cycle", 30.0, 0.0);
   const std::string checkpoint = flags.GetString("checkpoint", "");
   const std::string resume = flags.GetString("resume", "");
   const auto checkpoint_every =
-      static_cast<uint64_t>(flags.GetInt("checkpoint-every", 0));
+      tools::NumberFromFlags<uint64_t>(flags, "checkpoint-every", 0, 0);
   if (checkpoint_every > 0 && checkpoint.empty()) {
     std::printf("--checkpoint-every requires --checkpoint=<path>\n");
     return 2;
@@ -253,14 +254,13 @@ int RunCrawl(const FlagParser& flags) {
     crawler::PeriodicCrawlerConfig c;
     c.collection_capacity = capacity;
     c.cycle_days = cycle;
-    c.crawl_window_days = flags.GetDouble("window", 7.0);
+    c.crawl_window_days = tools::NumberFromFlags(flags, "window", 7.0, 0.0);
     c.shadowing = !flags.GetBool("no-shadowing", false);
     c.checkpoint_every_batches = checkpoint_every;
     c.checkpoint_path = checkpoint;
     c.checkpoint_module_traffic = checkpoint_traffic;
     c.store = store_options;
     c.crawl_parallelism = ParallelismFromFlags(flags);
-    c.pipeline = PipelineFromFlags(flags);
     return c;
   }());
 
@@ -352,10 +352,10 @@ int RunCrawl(const FlagParser& flags) {
 }
 
 int RunCompare(const FlagParser& flags) {
-  const double days = flags.GetDouble("days", 120);
+  const double days = tools::NumberFromFlags(flags, "days", 120.0, 0.0);
   const auto capacity =
-      static_cast<std::size_t>(flags.GetInt("capacity", 2000));
-  const double cycle = flags.GetDouble("cycle", 30.0);
+      tools::NumberFromFlags<std::size_t>(flags, "capacity", 2000, 1);
+  const double cycle = tools::NumberFromFlags(flags, "cycle", 30.0, 0.0);
 
   simweb::SimulatedWeb web_a(tools::WebFromFlags(flags));
   crawler::IncrementalCrawlerConfig inc_config;
@@ -373,9 +373,9 @@ int RunCompare(const FlagParser& flags) {
   crawler::PeriodicCrawlerConfig per_config;
   per_config.collection_capacity = capacity;
   per_config.cycle_days = cycle;
-  per_config.crawl_window_days = flags.GetDouble("window", 7.0);
+  per_config.crawl_window_days =
+      tools::NumberFromFlags(flags, "window", 7.0, 0.0);
   per_config.crawl_parallelism = ParallelismFromFlags(flags);
-  per_config.pipeline = PipelineFromFlags(flags);
   crawler::PeriodicCrawler per(&web_b, per_config);
 
   if (!inc.Bootstrap(0.0).ok() || !inc.RunUntil(days).ok() ||
