@@ -2035,19 +2035,23 @@ Status LoadCrawlerWithDeltasFromFile(const std::string& path,
     if (!st.ok()) return st;
     base = container->id;
   }
-  auto log = storage::ReadDeltaLog(path + ".deltas");
-  if (!log.ok()) return log.status();
-  for (storage::DeltaSegment& segment : log->segments) {
-    Status st = CheckKind(segment.kind, kIncrementalKind);
-    if (!st.ok()) return st;
-    // A segment naming another image is stale: the log of an earlier
-    // run, or one a crash left between a rebase's rename and truncate.
-    if (segment.base != base) continue;
-    st = CheckpointIo::Restore(segment.sections, /*segment=*/true, crawler);
-    if (!st.ok()) return st;
-    // The restored crawler grows as the log's bytes are used up.
-    segment.sections = {};
-  }
+  // One segment at a time: each is applied and freed before the next is
+  // read, so the replay holds the image and one segment.
+  uint64_t torn_tail_bytes = 0;  // ignored: the crash case
+  Status st = storage::ForEachDeltaSegment(
+      path + ".deltas",
+      [&](storage::DeltaSegment& segment) {
+        Status kind = CheckKind(segment.kind, kIncrementalKind);
+        if (!kind.ok()) return kind;
+        // A segment naming another image is stale: the log of an earlier
+        // run, or one a crash left between a rebase's rename and
+        // truncate.
+        if (segment.base != base) return Status::Ok();
+        return CheckpointIo::Restore(segment.sections, /*segment=*/true,
+                                     crawler);
+      },
+      &torn_tail_bytes);
+  if (!st.ok()) return st;
   CheckpointIo::FinishRestore(crawler);
   return Status::Ok();
 }

@@ -265,11 +265,19 @@ Status LoadCrawlerFromFile(const std::string& path,
 /// parse-then-apply path (records replace, removed keys tolerate
 /// absence); a segment naming another image — a log left by an
 /// earlier run, or by a crash between a rebase's rename and its
-/// truncate — is stale and skipped. A missing log reads as empty. A
-/// torn tail after the last seal — the crash-between-append-and-seal
-/// case — is ignored, exactly as ReadDeltaLog reports it. The restored
-/// crawler is byte-identical to one restored from a full checkpoint
-/// taken at the same batch.
+/// truncate — is stale and skipped. A missing log reads as empty; one
+/// that exists but cannot be read fails the load. A torn tail after
+/// the last seal — the crash-between-append-and-seal case — is
+/// ignored, exactly as storage::ForEachDeltaSegment reports it. The
+/// restored crawler is byte-identical to one restored from a full
+/// checkpoint taken at the same batch.
+///
+/// The replay streams the log through storage::ForEachDeltaSegment: each
+/// segment is applied and dropped before the next is read, so the load
+/// holds the image plus one segment, never the whole log. A corrupt
+/// sealed segment therefore fails the load (InvalidArgument) after the
+/// segments before it have been applied. As with a segment that fails
+/// to apply, the crawler is then unspecified and must not be used.
 ///
 /// Only the incremental crawler has this mode: its workload is
 /// in-place-update dominated, so dirty sets are small between

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 
 #include <cstdint>
@@ -306,6 +307,39 @@ TEST(CliFlagsTest, ParallelismOutsideItsBoundExitsTwo) {
               std::string::npos)
         << run.output;
   }
+}
+
+TEST(CliFlagsTest, UnreadableDeltaLogExitsOne) {
+  // A delta log that exists but cannot be read (here a directory) must
+  // fail the resume, the query and the inspector, naming the log,
+  // instead of stopping them with an uncaught exception.
+  const std::string base = ::testing::TempDir() + "/unreadable_log.bin";
+  const std::string deltas = base + ".deltas";
+  const std::string crawl = "crawl --crawler=incremental --scale=0.02 ";
+  std::remove(deltas.c_str());
+  const std::string incremental =
+      "--days=3 --checkpoint-every=1 --checkpoint-incremental --checkpoint=";
+  const CliRun write = RunCli(WEBEVO_SIM_BIN, crawl + incremental + base);
+  ASSERT_EQ(write.exit_code, 0) << write.output;
+  ASSERT_EQ(std::remove(deltas.c_str()), 0);
+  ASSERT_EQ(::mkdir(deltas.c_str(), 0755), 0);
+  const CliRun resume =
+      RunCli(WEBEVO_SIM_BIN, crawl + "--days=4 --resume=" + base);
+  EXPECT_EQ(resume.exit_code, 1) << resume.output;
+  EXPECT_NE(resume.output.find("failed: "), std::string::npos)
+      << resume.output;
+  const CliRun query =
+      RunCli(WEBEVO_QUERY_BIN, "pages --scale=0.02 --from=" + base);
+  EXPECT_EQ(query.exit_code, 1) << query.output;
+  const CliRun inspect = RunCli(WEBEVO_CHECKPOINT_BIN, "inspect " + base);
+  EXPECT_EQ(inspect.exit_code, 1) << inspect.output;
+  EXPECT_NE(inspect.output.find("error: "), std::string::npos)
+      << inspect.output;
+  for (const CliRun& run : {resume, query, inspect}) {
+    EXPECT_NE(run.output.find(deltas), std::string::npos) << run.output;
+  }
+  ::rmdir(deltas.c_str());
+  std::remove(base.c_str());
 }
 
 }  // namespace

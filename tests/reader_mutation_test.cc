@@ -24,6 +24,7 @@
 #include <ios>
 #include <functional>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -54,6 +55,10 @@ constexpr int kMutantsPerInput = 100;
 // what the image readers accept.
 constexpr uint64_t kImageVerdictHash = 0xa32ec805fdd6da89ULL;
 constexpr uint64_t kVerdictHash = 0xbf1bd9722c5b8710ULL;
+// The same over the delta log's own framing mutants: the reader's
+// verdict (status, message, segments read, torn tail) and the load's.
+constexpr int kFramingMutants = 60;
+constexpr uint64_t kFramingVerdictHash = 0xd820e5cb897e0ad7ULL;
 
 simweb::WebConfig HostileWeb() {
   simweb::WebConfig config = simweb::WebConfig().Scaled(0.02);
@@ -450,6 +455,300 @@ TEST(ReaderMutationTest, EverySectionReaderRejectsOrRoundTrips) {
   EXPECT_EQ(hash, kVerdictHash)
       << "verdict hash 0x" << std::hex << hash
       << ": what some reader accepts has changed";
+}
+
+// ------------------------------------------------------ delta framing
+
+// One delta segment's framing lines in file order (the header, the `S`
+// lines, `H` and `Z`), without their '\n', and its payload, which the
+// writer puts just before the `Z` seal.
+struct Framing {
+  std::vector<std::string> lines;
+  std::size_t payload_at = 0;  // the payload precedes lines[payload_at]
+  std::string payload;
+};
+
+Framing Unframe(const std::string& encoded) {
+  Framing f;
+  std::size_t pos = 0;
+  auto next_line = [&] {
+    const std::size_t eol = encoded.find('\n', pos);
+    f.lines.push_back(encoded.substr(pos, eol - pos));
+    pos = eol + 1;
+  };
+  next_line();
+  const std::vector<std::string> header = Split(f.lines[0], ' ');
+  const std::size_t nsections = std::stoull(header[5]);
+  for (std::size_t i = 0; i <= nsections; ++i) next_line();  // S..., H
+  f.payload = encoded.substr(pos, std::stoull(header[6]));
+  pos += f.payload.size();
+  f.payload_at = f.lines.size();
+  next_line();  // Z
+  return f;
+}
+
+std::string Reframe(const Framing& f) {
+  std::string out;
+  for (std::size_t i = 0; i < f.lines.size(); ++i) {
+    if (i == f.payload_at) out += f.payload;
+    out += f.lines[i] + '\n';
+  }
+  if (f.payload_at >= f.lines.size()) out += f.payload;
+  return out;
+}
+
+// Recomputes the checksums a writer would: each `H` line over the
+// framing lines before it, each `Z` line over the payload.
+void Reseal(Framing* f) {
+  std::string covered;
+  for (std::string& line : f->lines) {
+    if (line.rfind("H ", 0) == 0) {
+      line = "H " + std::to_string(Fnv1a64(covered));
+    } else if (line.rfind("Z ", 0) == 0) {
+      line = "Z " + std::to_string(Fnv1a64(f->payload));
+    }
+    covered += line + '\n';
+  }
+}
+
+// Moves a numeric token by one (down only from above zero), or flips
+// one bit of a text token, and returns what it did.
+std::string Bump(std::string* token, Rng& rng) {
+  if (IsInteger(*token)) {
+    const uint64_t v = std::stoull(*token);
+    const bool down = v > 0 && rng.NextBounded(2) == 0;
+    *token = std::to_string(down ? v - 1 : v + 1);
+    return down ? " -1" : " +1";
+  }
+  const std::size_t pos = rng.NextBounded(token->size());
+  const int bit = static_cast<int>(rng.NextBounded(8));
+  (*token)[pos] = static_cast<char>((*token)[pos] ^ (1 << bit));
+  return " byte " + std::to_string(pos) + " bit " + std::to_string(bit);
+}
+
+// Mutates one framing line of a segment and returns what it did.
+// `*reseal` is cleared for the `H` and `Z` checksum mutants, which a
+// re-seal would undo.
+std::string MutateFraming(Framing* f, Rng& rng, bool* reseal) {
+  std::vector<std::string>& l = f->lines;
+  const std::size_t h = f->payload_at - 1;  // the H line
+  auto bump_field = [&](std::size_t i, std::size_t t) {
+    std::vector<std::string> tokens = Split(l[i], ' ');
+    const std::string what = Bump(&tokens[t], rng);
+    l[i] = Join(tokens, ' ');
+    return " line " + std::to_string(i) + " field " + std::to_string(t) +
+           what;
+  };
+  switch (rng.NextBounded(6)) {
+    case 0:  // magic, version, kind, base, batch, nsections, payload_bytes
+      return "header" + bump_field(0, rng.NextBounded(7));
+    case 1:  // an S line's name, length or hash
+      return "section" + bump_field(1 + rng.NextBounded(h - 1),
+                                    1 + rng.NextBounded(3));
+    case 2:
+      *reseal = false;
+      return "H" + bump_field(h, 1);
+    case 3:
+      *reseal = false;
+      return "Z" + bump_field(f->payload_at, 1);
+    case 4: {
+      const std::size_t k = rng.NextBounded(l.size());
+      l.erase(l.begin() + static_cast<std::ptrdiff_t>(k));
+      if (k < f->payload_at) --f->payload_at;
+      return "drop line " + std::to_string(k);
+    }
+    default: {
+      const std::size_t k = rng.NextBounded(l.size());
+      l.insert(l.begin() + static_cast<std::ptrdiff_t>(k), l[k]);
+      if (k < f->payload_at) ++f->payload_at;
+      return "duplicate line " + std::to_string(k);
+    }
+  }
+}
+
+// What the delta log reader makes of the log at `path`: its status
+// code and message, and for a log it reads, the segment count, the torn
+// tail and a hash over every segment's kind, base, batch and sections.
+std::string ReadVerdict(const std::string& path, StatusCode* code) {
+  auto log = storage::ReadDeltaLog(path);
+  *code = log.status().code();
+  std::string message = log.status().message();
+  for (std::size_t at; (at = message.find(path)) != std::string::npos;) {
+    message.replace(at, path.size(), "<log>");
+  }
+  std::string verdict =
+      std::to_string(static_cast<int>(*code)) + " " + message;
+  if (!log.ok()) return verdict;
+  uint64_t hash = Fnv1a64("");
+  for (const storage::DeltaSegment& g : log->segments) {
+    hash = Fnv1a64Seeded(g.kind + " " + std::to_string(g.base) + " " +
+                             std::to_string(g.batch) + "\n",
+                         hash);
+    for (const storage::Section& s : g.sections) {
+      hash = Fnv1a64Seeded(s.name + "\n", hash);
+      hash = Fnv1a64Seeded(s.bytes, hash);
+    }
+  }
+  return verdict + " " + std::to_string(log->segments.size()) + " " +
+         std::to_string(log->torn_tail_bytes) + " " + std::to_string(hash);
+}
+
+// The delta log's own framing under mutation: a base with a
+// three-segment log whose header, `S`, `H` and `Z` lines are mutated,
+// raw and re-sealed, then cut at every framing-line boundary and in the
+// middle of every section, and rearranged whole. Every log must read
+// and load to InvalidArgument or to a crawler that round-trips, and the
+// hash over every verdict is pinned: it was captured against the
+// whole-file reader the streaming reader replaced, so it holds each
+// sealed-segment, torn-tail and corruption outcome and message fixed.
+TEST(ReaderMutationTest, DeltaLogFramingRejectsOrRoundTrips) {
+  const simweb::WebConfig wc = HostileWeb();
+  const std::string path = TempPath("framing.ckpt");
+  const std::string log_path = path + ".deltas";
+  {
+    simweb::SimulatedWeb web(wc);
+    IncrementalCrawler crawler(&web, IncConfig());
+    ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+    for (double day : {3.0, 4.0, 5.0, 6.0}) {
+      ASSERT_TRUE(crawler.RunUntil(day).ok());
+      ASSERT_TRUE(CheckpointIncremental(&crawler, path, Options()).ok());
+    }
+  }
+  auto log = storage::ReadDeltaLog(log_path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log->segments.size(), std::size_t{3});
+  std::vector<std::string> encoded;
+  std::vector<Framing> framings;
+  for (const storage::DeltaSegment& g : log->segments) {
+    encoded.push_back(storage::EncodeDeltaSegment(g));
+    framings.push_back(Unframe(encoded.back()));
+    ASSERT_EQ(Reframe(framings.back()), encoded.back());
+  }
+  auto cat = [](const std::vector<std::string>& segments) {
+    std::string bytes;
+    for (const std::string& segment : segments) bytes += segment;
+    return bytes;
+  };
+  // The log with segment g replaced by `segment`.
+  auto log_with = [&](std::size_t g, const std::string& segment) {
+    std::vector<std::string> segments = encoded;
+    segments[g] = segment;
+    return cat(segments);
+  };
+
+  uint64_t hash = Fnv1a64("");
+  auto judge = [&](const std::string& what, const std::string& bytes) {
+    WriteFile(log_path, bytes);
+    StatusCode read_code = StatusCode::kOk;
+    std::string read;
+    Verdict v;
+    try {
+      read = ReadVerdict(log_path, &read_code);
+      v = Judge<IncrementalCrawler>(
+          wc, IncConfig(), [&](IncrementalCrawler* crawler) {
+            return LoadCrawlerWithDeltasFromFile(path, crawler);
+          });
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": exception " << e.what();
+      return;
+    }
+    if (read_code != StatusCode::kOk) {
+      EXPECT_EQ(read_code, StatusCode::kInvalidArgument) << what;
+    }
+    if (v.code != StatusCode::kOk) {
+      EXPECT_EQ(v.code, StatusCode::kInvalidArgument) << what;
+    } else {
+      EXPECT_TRUE(v.round_trips) << what << ": re-save does not round-trip";
+    }
+    hash = Fnv1a64Seeded(what + " -> " + read + " | " +
+                             std::to_string(static_cast<int>(v.code)) +
+                             " " + std::to_string(v.resaved) + "\n",
+                         hash);
+  };
+
+  Rng rng(kSeed);
+  for (int m = 0; m < kFramingMutants; ++m) {
+    const std::size_t g = rng.NextBounded(framings.size());
+    Framing f = framings[g];
+    bool reseal = true;
+    const std::string what = "framing mutant " + std::to_string(m) +
+                             ": segment " + std::to_string(g) + ", " +
+                             MutateFraming(&f, rng, &reseal);
+    judge(what + " raw", log_with(g, Reframe(f)));
+    if (reseal) {
+      Reseal(&f);
+      judge(what + " re-sealed", log_with(g, Reframe(f)));
+    }
+  }
+
+  const std::string whole = cat(encoded);
+  std::set<std::size_t> cuts;
+  std::size_t at = 0;
+  for (std::size_t g = 0; g < framings.size(); ++g) {
+    const Framing& f = framings[g];
+    for (std::size_t i = 0; i < f.lines.size(); ++i) {
+      if (i == f.payload_at) {
+        for (const storage::Section& s : log->segments[g].sections) {
+          cuts.insert(at + s.bytes.size() / 2);
+          at += s.bytes.size();
+        }
+      }
+      cuts.insert(at);
+      at += f.lines[i].size() + 1;
+      cuts.insert(at);
+    }
+  }
+  ASSERT_EQ(at, whole.size());
+  cuts.erase(whole.size());
+  for (std::size_t cut : cuts) {
+    judge("cut at " + std::to_string(cut), whole.substr(0, cut));
+  }
+
+  for (std::size_t g = 0; g < encoded.size(); ++g) {
+    judge("segment " + std::to_string(g) + " duplicated",
+          log_with(g, encoded[g] + encoded[g]));
+  }
+  for (std::size_t g = 0; g + 1 < encoded.size(); ++g) {
+    std::vector<std::string> swapped = encoded;
+    std::swap(swapped[g], swapped[g + 1]);
+    judge("segments " + std::to_string(g) + " and " +
+              std::to_string(g + 1) + " swapped",
+          cat(swapped));
+  }
+  // The checks the draws rarely reach, on each segment: the last
+  // section claiming one byte past the payload, a payload byte no
+  // section claims, and a section count past the cap.
+  auto set_field = [](std::string* line, std::size_t t, uint64_t value) {
+    std::vector<std::string> tokens = Split(*line, ' ');
+    tokens[t] = std::to_string(value);
+    *line = Join(tokens, ' ');
+  };
+  for (std::size_t g = 0; g < framings.size(); ++g) {
+    const std::string at_g = " in segment " + std::to_string(g);
+    Framing f = framings[g];
+    std::string& last = f.lines[f.payload_at - 2];
+    set_field(&last, 2, std::stoull(Split(last, ' ')[2]) + 1);
+    Reseal(&f);
+    judge("last section overruns" + at_g, log_with(g, Reframe(f)));
+    f = framings[g];
+    f.payload += '\n';
+    set_field(&f.lines[0], 6, f.payload.size());
+    Reseal(&f);
+    judge("unclaimed payload byte" + at_g, log_with(g, Reframe(f)));
+    f = framings[g];
+    set_field(&f.lines[0], 5, storage::kMaxDeltaSections + 1);
+    judge("section count past the cap" + at_g, log_with(g, Reframe(f)));
+  }
+  storage::DeltaSegment other = log->segments[0];
+  ++other.base;
+  judge("a segment of another base prepended",
+        storage::EncodeDeltaSegment(other) + whole);
+
+  std::remove(path.c_str());
+  std::remove(log_path.c_str());
+  EXPECT_EQ(hash, kFramingVerdictHash)
+      << "framing verdict hash 0x" << std::hex << hash
+      << ": what the delta log reader accepts has changed";
 }
 
 // Replaces section `name` of `image` with `lines`, re-framed.

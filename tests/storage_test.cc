@@ -5,6 +5,7 @@
 // every shard count.
 
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cfloat>
@@ -247,6 +248,27 @@ TEST(DeltaLogTest, SectionLengthsThatWrapAreAnError) {
       << log.status().ToString();
 }
 
+// A log that exists but cannot be read is an error that names it,
+// never an empty log or an uncaught exception: a directory, and a
+// character device, which reports a size of 0 (as a directory does on
+// some filesystems) and reads as end of file.
+TEST(DeltaLogTest, UnreadableLogIsAnError) {
+  const std::string directory = TempPath("delta_is_a_directory.log");
+  const std::string device = TempPath("delta_is_a_device.log");
+  std::remove(directory.c_str());
+  std::remove(device.c_str());
+  ASSERT_EQ(::mkdir(directory.c_str(), 0755), 0);
+  ASSERT_EQ(::symlink("/dev/null", device.c_str()), 0);
+  for (const std::string& path : {directory, device}) {
+    auto log = ReadDeltaLog(path);
+    ASSERT_FALSE(log.ok()) << path;
+    EXPECT_NE(log.status().message().find(path), std::string::npos)
+        << log.status().ToString();
+  }
+  ::rmdir(directory.c_str());
+  std::remove(device.c_str());
+}
+
 TEST(DeltaLogTest, TruncateEmptiesTheLog) {
   const std::string path = TempPath("delta_trunc.log");
   ASSERT_TRUE(AppendDeltaSegment(path, MakeSegment(1)).ok());
@@ -449,6 +471,36 @@ TEST(StoragePropertyTest, CrawlerCheckpointsMatchAcrossBackends) {
       }
     }
   }
+}
+
+// A restore whose delta log cannot be read fails and names the log,
+// rather than load the base alone or stop the process.
+TEST(DeltaLogRestoreTest, UnreadableLogFailsTheRestore) {
+  simweb::WebConfig web_config = simweb::WebConfig().Scaled(0.02);
+  web_config.seed = 20260808;
+  IncrementalCrawlerConfig config;
+  config.collection_capacity = 150;
+  config.crawl_rate_pages_per_day = 90.0;
+  config.checkpoint_incremental = true;
+  const std::string path = ::testing::TempDir() + "/unreadable_log.ckpt";
+  const std::string deltas = path + ".deltas";
+  std::remove(deltas.c_str());
+  {
+    simweb::SimulatedWeb web(web_config);
+    IncrementalCrawler crawler(&web, config);
+    ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+    ASSERT_TRUE(crawler.RunUntil(2.0).ok());
+    ASSERT_TRUE(CheckpointIncremental(&crawler, path).ok());
+  }
+  ASSERT_EQ(std::remove(deltas.c_str()), 0);
+  ASSERT_EQ(::mkdir(deltas.c_str(), 0755), 0);
+  simweb::SimulatedWeb web(web_config);
+  IncrementalCrawler restored(&web, config);
+  Status st = LoadCrawlerWithDeltasFromFile(path, &restored);
+  ::rmdir(deltas.c_str());
+  std::remove(path.c_str());
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(deltas), std::string::npos) << st.ToString();
 }
 
 // The barrier's contract, read off the page counters of one paged

@@ -79,10 +79,7 @@ std::vector<SectionRow> Rows(const std::vector<storage::Section>& sections) {
     row.name = s.name;
     row.bytes = s.bytes.size();
     row.fnv = Fnv1a64(s.bytes);
-    std::istringstream is(s.bytes);
-    std::string line;
-    std::getline(is, line);
-    std::istringstream ls(line);
+    std::istringstream ls(s.bytes.substr(0, s.bytes.find('\n')));
     if (!(ls >> row.magic >> row.version)) {
       row.magic = "?";
       row.version = "?";
@@ -127,39 +124,62 @@ StatusOr<uint64_t> InspectContainer(const std::string& path) {
   return container->id;
 }
 
+// One sealed segment's row of the chain table.
+struct SegmentRow {
+  std::string kind;
+  uint64_t batch = 0;
+  std::size_t sections = 0;
+  std::size_t payload = 0;
+  bool stale = false;
+  std::vector<SectionRow> section_rows;  // with --sections
+};
+
 Status InspectDeltaChain(const std::string& base_path, uint64_t base_id,
                          const std::string& deltas_path,
                          bool show_sections) {
-  auto log = storage::ReadDeltaLog(deltas_path);
-  if (!log.ok()) return log.status();
-  if (log->segments.empty() && log->torn_tail_bytes == 0) {
+  // The log streams one segment at a time. The chain line counts the
+  // segments before their rows, so the rows, which are small, wait
+  // until the whole log has verified.
+  std::vector<SegmentRow> rows;
+  uint64_t torn_tail_bytes = 0;
+  Status st = storage::ForEachDeltaSegment(
+      deltas_path,
+      [&](storage::DeltaSegment& segment) {
+        SegmentRow& row = rows.emplace_back();
+        row.kind = segment.kind;
+        row.batch = segment.batch;
+        row.sections = segment.sections.size();
+        for (const storage::Section& s : segment.sections) {
+          row.payload += s.bytes.size();
+        }
+        row.stale = segment.base != base_id;
+        if (show_sections) row.section_rows = Rows(segment.sections);
+        return Status::Ok();
+      },
+      &torn_tail_bytes);
+  if (!st.ok()) return st;
+  if (rows.empty() && torn_tail_bytes == 0) {
     std::printf("\n%s: empty delta log\n", deltas_path.c_str());
     return Status::Ok();
   }
   std::printf("\nchain: base %s + %zu sealed segment%s (%s)\n",
-              base_path.c_str(), log->segments.size(),
-              log->segments.size() == 1 ? "" : "s",
+              base_path.c_str(), rows.size(), rows.size() == 1 ? "" : "s",
               deltas_path.c_str());
   std::size_t index = 0;
-  for (const storage::DeltaSegment& segment : log->segments) {
-    std::size_t payload = 0;
-    for (const storage::Section& s : segment.sections) {
-      payload += s.bytes.size();
-    }
+  for (const SegmentRow& row : rows) {
     std::printf(
         "  segment %zu: kind=%s batch=%llu sections=%zu payload=%zuB%s\n",
-        index++, segment.kind.c_str(),
-        static_cast<unsigned long long>(segment.batch),
-        segment.sections.size(), payload,
-        segment.base == base_id ? "" : "  [stale: extends another base]");
-    if (show_sections) PrintSectionTable(Rows(segment.sections), "    ");
+        index++, row.kind.c_str(),
+        static_cast<unsigned long long>(row.batch), row.sections,
+        row.payload, row.stale ? "  [stale: extends another base]" : "");
+    if (show_sections) PrintSectionTable(row.section_rows, "    ");
   }
-  if (log->torn_tail_bytes > 0) {
+  if (torn_tail_bytes > 0) {
     std::printf(
         "  torn tail: %llu unsealed byte%s after the last seal "
         "(ignored on resume)\n",
-        static_cast<unsigned long long>(log->torn_tail_bytes),
-        log->torn_tail_bytes == 1 ? "" : "s");
+        static_cast<unsigned long long>(torn_tail_bytes),
+        torn_tail_bytes == 1 ? "" : "s");
   }
   return Status::Ok();
 }
