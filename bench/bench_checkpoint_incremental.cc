@@ -7,10 +7,10 @@
 // full checkpoint taken at the same batch.
 //
 // Both sides are measured without the web section (include_web=false,
-// the same-process checkpoint mode): the freshness oracle's lazy
-// change-process sampling dirties nearly every *web* site between
-// samples regardless of crawl traffic, so the web delta tracks oracle
-// traffic, not checkpoint-relevant crawl work — see docs/STORAGE.md.
+// the same-process checkpoint mode): a segment carries the web's
+// whole image section, because the freshness oracle's lazy
+// change-process sampling moves nearly every *web* site between
+// samples regardless of crawl traffic — see docs/STORAGE.md.
 //
 // Usage:
 //   bench_checkpoint_incremental [--json <path>]

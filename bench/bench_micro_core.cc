@@ -3,7 +3,7 @@
 // checksum, PageRank iteration, estimator updates, the optimizer and
 // the housekeeping built on it (per-page pricing, the daily rebalance,
 // the weekly refinement), and the record writers behind serving and
-// checkpoints (view fingerprint, web delta, delta-segment encode,
+// checkpoints (view fingerprint, web section, delta-segment encode,
 // paged-store codec), and the paged store's barrier Flush and canonical
 // walk.
 // These back the paper's throughput argument: the UpdateModule's fast
@@ -282,37 +282,36 @@ void BM_BatchViewFingerprint(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchViewFingerprint)->Arg(20000)->Unit(benchmark::kMillisecond);
 
-void BM_SaveWebDelta(benchmark::State& state) {
-  // The serve-checkpoint workload's web, evolved 30 days, every site
-  // dirty: the largest web delta a checkpoint can write.
+void BM_SaveWeb(benchmark::State& state) {
+  // The serve-checkpoint workload's web, evolved 30 days: the web
+  // section every checkpoint and delta segment writes.
   simweb::WebConfig config;
   config.seed = 11;
   config.max_site_size = 250;
   simweb::SimulatedWeb web(config);
-  web.EnableDirtyTracking();
   benchmark::DoNotOptimize(web.OracleSiteLinks(30.0));
   std::size_t bytes = 0;
   for (auto _ : state) {
     std::ostringstream out;
-    benchmark::DoNotOptimize(simweb::SaveWebDelta(web, out).ok());
+    benchmark::DoNotOptimize(simweb::SaveWeb(web, out).ok());
     benchmark::ClobberMemory();
     bytes = out.str().size();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(bytes));
 }
-BENCHMARK(BM_SaveWebDelta)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SaveWeb)->Unit(benchmark::kMillisecond);
 
 void BM_EncodeDeltaSegment(benchmark::State& state) {
-  // About 14 MB, most of it in the web delta, as in a serve-checkpoint
-  // segment.
+  // About 14 MB, most of it in the web section, as in a
+  // serve-checkpoint segment.
   storage::DeltaSegment segment;
   segment.kind = "incremental";
   segment.batch = 1234;
   Rng rng(12);
   const std::pair<const char*, std::size_t> sections[] = {
       {"meta", 600}, {"collection", 3'000'000}, {"update", 3'000'000},
-      {"dweb", 8'000'000}};
+      {"web", 8'000'000}};
   for (const auto& [name, size] : sections) {
     std::string bytes(size, ' ');
     for (char& c : bytes) c = static_cast<char>('0' + rng.NextBounded(10));

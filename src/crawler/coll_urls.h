@@ -111,6 +111,13 @@ class CollUrls {
     return Entry{it->second.when, it->second.seq, url};
   }
 
+  /// Appends every live entry to `out`, in unspecified order.
+  void AppendEntries(std::vector<Entry>* out) const {
+    for (const auto& [url, ref] : live_) {
+      out->push_back(Entry{ref.when, ref.seq, url});
+    }
+  }
+
   /// Inserts every live URL of `site` into `out` — the quarantine walk
   /// of the incremental checkpoint's dirty marking (a site-wide
   /// reschedule touches entries no per-effect record names).

@@ -123,9 +123,6 @@ class Collection {
   const storage::RecordStore<CollectionEntry>::DirtySet& dirty() const {
     return store_->dirty();
   }
-  bool cleared_while_tracking() const {
-    return store_->cleared_while_tracking();
-  }
   void ClearDirty() { store_->ClearDirty(); }
 
   storage::StoreStats store_stats() const { return store_->stats(); }

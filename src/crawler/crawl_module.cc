@@ -8,17 +8,22 @@ namespace webevo::crawler {
 
 StatusOr<simweb::FetchResult> CrawlModule::Crawl(const simweb::Url& url,
                                                  double t) {
-  if (config_.enforce_politeness && config_.per_site_delay_days > 0.0 &&
-      url.site < last_access_.size() &&
-      t < last_access_[url.site] + config_.per_site_delay_days) {
-    ++traffic_.politeness_rejections;
-    return Status::FailedPrecondition("politeness delay not elapsed");
+  // A site the web lacks (a crafted checkpoint can name one) takes no
+  // politeness slot: the web answers NotFound, and the crawler
+  // tombstones the URL like any vanished page.
+  if (url.site < web_->num_sites()) {
+    if (config_.enforce_politeness && config_.per_site_delay_days > 0.0 &&
+        url.site < last_access_.size() &&
+        t < last_access_[url.site] + config_.per_site_delay_days) {
+      ++traffic_.politeness_rejections;
+      return Status::FailedPrecondition("politeness delay not elapsed");
+    }
+    if (url.site >= last_access_.size()) {
+      last_access_.resize(url.site + 1,
+                          -std::numeric_limits<double>::infinity());
+    }
+    last_access_[url.site] = t;
   }
-  if (url.site >= last_access_.size()) {
-    last_access_.resize(url.site + 1,
-                        -std::numeric_limits<double>::infinity());
-  }
-  last_access_[url.site] = t;
 
   traffic_.RecordFetch(t);
   double latency_days = 0.0;
@@ -27,7 +32,7 @@ StatusOr<simweb::FetchResult> CrawlModule::Crawl(const simweb::Url& url,
   if (latency_days > 0.0) {
     // A slow response or a timeout ties up the connection: the polite
     // window for this site starts when the stall ends, not when the
-    // request was issued.
+    // request was issued. Only a site the web has stalls.
     last_access_[url.site] = t + latency_days;
   }
   return result;

@@ -69,7 +69,6 @@ void IncrementalCrawler::EnableDeltaTracking() {
   collection_.EnableDirtyTracking();
   all_urls_.EnableDirtyTracking();
   update_module_.EnableDirtyTracking();
-  if (web_ != nullptr) web_->EnableDirtyTracking();
 }
 
 Status IncrementalCrawler::Bootstrap(double t) {

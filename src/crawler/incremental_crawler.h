@@ -32,8 +32,6 @@ namespace webevo::crawler {
 class IncrementalCrawler;
 struct CrawlerCheckpointOptions;
 struct CheckpointIo;
-Status SaveCrawler(const IncrementalCrawler& crawler, std::ostream& out,
-                   const CrawlerCheckpointOptions& options);
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler);
 Status CheckpointIncremental(IncrementalCrawler* crawler,
                              const std::string& path,
@@ -359,9 +357,6 @@ class IncrementalCrawler {
   /// Checkpoint/restore of the *whole* crawler — the four snapshot
   /// streams plus crawl clock, housekeeping timers, politeness state
   /// and counters, bundled into one container file (snapshot.cc).
-  friend Status SaveCrawler(const IncrementalCrawler& crawler,
-                            std::ostream& out,
-                            const CrawlerCheckpointOptions& options);
   friend Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler);
 
   /// Incremental checkpoint entry points (snapshot.cc): base image +

@@ -21,9 +21,7 @@
 namespace webevo::crawler {
 
 class PeriodicCrawler;
-struct CrawlerCheckpointOptions;
-Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
-                   const CrawlerCheckpointOptions& options);
+struct CheckpointIo;
 Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler);
 
 /// Configuration of the periodic crawler.
@@ -194,10 +192,9 @@ class PeriodicCrawler {
 
   /// Checkpoint/restore of the whole crawler — collections, BFS
   /// frontier and seen-set, crawl clock, cycle state, politeness —
-  /// bundled into one container file (snapshot.cc).
-  friend Status SaveCrawler(const PeriodicCrawler& crawler,
-                            std::ostream& out,
-                            const CrawlerCheckpointOptions& options);
+  /// bundled into one container file (snapshot.cc): CheckpointIo
+  /// builds the sections, LoadCrawler restores them.
+  friend struct CheckpointIo;
   friend Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler);
 
  private:

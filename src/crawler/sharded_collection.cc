@@ -147,13 +147,6 @@ void ShardedCollection::AppendDirty(
   }
 }
 
-bool ShardedCollection::cleared_while_tracking() const {
-  for (const Collection& shard : shards_) {
-    if (shard.cleared_while_tracking()) return true;
-  }
-  return false;
-}
-
 void ShardedCollection::ClearDirty() {
   for (Collection& shard : shards_) shard.ClearDirty();
 }

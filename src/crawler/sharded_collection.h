@@ -123,7 +123,6 @@ class ShardedCollection {
   void EnableDirtyTracking();
   void AppendDirty(storage::RecordStore<CollectionEntry>::DirtySet* out)
       const;
-  bool cleared_while_tracking() const;
   void ClearDirty();
 
  private:

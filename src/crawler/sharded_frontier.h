@@ -2,7 +2,6 @@
 #define WEBEVO_CRAWLER_SHARDED_FRONTIER_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <set>
 #include <vector>
@@ -13,9 +12,6 @@
 #include "util/thread_pool.h"
 
 namespace webevo::crawler {
-
-class ShardedFrontier;
-Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out);
 
 /// A CollUrls frontier split into N shard-local heaps (mithril-style
 /// per-shard UrlFrontier), one per CrawlModule shard, with sites
@@ -167,14 +163,6 @@ class ShardedFrontier {
   /// `threads` may be null (serial extraction); results are identical.
   SlotPlan PlanSlots(double start, double horizon, double step,
                      ThreadPool* threads);
-
-  /// Snapshot of the frontier's scheduled times (entries with their
-  /// global (when, seq) keys plus the global counters), in
-  /// crawler/snapshot.cc; the restore replays them through ScheduleLane
-  /// and RestoreCounters, so a restarted crawler pops in exactly the
-  /// order the checkpointed one would have.
-  friend Status SaveFrontier(const ShardedFrontier& frontier,
-                             std::ostream& out);
 
  private:
   std::vector<CollUrls> shards_;

@@ -313,12 +313,14 @@ void ApplyAllUrls(const std::vector<UrlInfoRecord>& records,
 }
 
 // Entries are written by their globally unique seq, the order the
-// frontier pops ties in.
+// frontier pops ties in; a loaded checkpoint may repeat a seq, so URL
+// identity breaks the tie and the order never depends on the walk.
 Status WriteFrontier(std::vector<CollUrls::Entry> entries, uint64_t next_seq,
                      double front_when, std::ostream& out) {
   std::sort(entries.begin(), entries.end(),
             [](const CollUrls::Entry& a, const CollUrls::Entry& b) {
-              return a.seq < b.seq;
+              if (a.seq != b.seq) return a.seq < b.seq;
+              return IdentityLess(a.url, b.url);
             });
   TrailerWriter writer(out);
   RecordLine line;
@@ -630,18 +632,13 @@ Status LoadUpdateModule(std::istream& in, UpdateModule* module) {
 }
 
 Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out) {
-  // Drain a copy shard by shard: PopEntry yields each live entry with
-  // its exact (when, seq) key.
-  ShardedFrontier scratch = frontier;
   std::vector<CollUrls::Entry> entries;
   entries.reserve(frontier.size());
-  for (CollUrls& shard : scratch.shards_) {
-    while (auto entry = shard.PopEntry()) {
-      entries.push_back(*entry);
-    }
+  for (int s = 0; s < frontier.num_shards(); ++s) {
+    frontier.shard(static_cast<std::size_t>(s)).AppendEntries(&entries);
   }
-  return WriteFrontier(std::move(entries), frontier.next_seq_,
-                       frontier.front_when_, out);
+  return WriteFrontier(std::move(entries), frontier.next_seq(),
+                       frontier.front_when(), out);
 }
 
 StatusOr<ShardedFrontier> LoadFrontier(std::istream& in, int num_shards) {
@@ -719,10 +716,12 @@ constexpr const char* kPeriodicKind = "periodic";
 using storage::FindSection;
 using storage::Section;
 
-// Writes a container and returns its id, the header's checksum.
-StatusOr<uint64_t> WriteContainer(const std::string& kind,
-                                  const std::vector<Section>& sections,
-                                  std::ostream& out) {
+// A container's header: its magic line and section table, framed by
+// its trailer. `*id` gets the container id, the header's checksum.
+std::string ContainerHeader(const std::string& kind,
+                            const std::vector<Section>& sections,
+                            uint64_t* id) {
+  std::ostringstream out;
   TrailerWriter writer(out);
   RecordLine line;
   writer.Line(
@@ -731,12 +730,37 @@ StatusOr<uint64_t> WriteContainer(const std::string& kind,
     writer.Line(line.Start("S", s.name, s.bytes.size(), Fnv1a64(s.bytes)));
   }
   writer.Finish();
+  *id = writer.hash();
+  return out.str();
+}
+
+// Writes a container and returns its id.
+StatusOr<uint64_t> WriteContainer(const std::string& kind,
+                                  const std::vector<Section>& sections,
+                                  std::ostream& out) {
+  uint64_t id = 0;
+  out << ContainerHeader(kind, sections, &id);
   for (const Section& s : sections) {
     out.write(s.bytes.data(),
               static_cast<std::streamsize>(s.bytes.size()));
   }
   if (!out.good()) return Status::Internal("checkpoint write failed");
-  return writer.hash();
+  return id;
+}
+
+// WriteContainer's crash-consistent file form: the header and each
+// section go straight to the file, so the save holds no second copy of
+// the container.
+StatusOr<uint64_t> WriteContainerFile(const std::string& path,
+                                      const std::string& kind,
+                                      const std::vector<Section>& sections) {
+  uint64_t id = 0;
+  const std::string header = ContainerHeader(kind, sections, &id);
+  std::vector<std::string_view> parts = {header};
+  for (const Section& s : sections) parts.push_back(s.bytes);
+  Status st = AtomicWriteFile(path, parts);
+  if (!st.ok()) return st;
+  return id;
 }
 
 // A container or a delta segment must be of this crawler's `kind`.
@@ -782,11 +806,22 @@ Status ParseCollection(const std::string& bytes, std::size_t capacity,
   return st;
 }
 
-// ParseSection's twin: the bytes `write` makes of `value`.
+// ParseSection's twin: the bytes `write` makes of `value`. A save holds
+// every section at once, so each is copied out at its exact size: a
+// buffer moved out of the stream keeps the stream's growth slack, up
+// to as much again.
 template <typename Write, typename T>
 std::string SectionBytes(Write write, const T& value) {
   std::ostringstream out;
   write(value, out);
+  return out.str();
+}
+
+// The web's section: SaveWeb's bytes.
+StatusOr<std::string> WebBytes(const simweb::SimulatedWeb& web) {
+  std::ostringstream out;
+  Status st = simweb::SaveWeb(web, out);
+  if (!st.ok()) return st;
   return out.str();
 }
 
@@ -1486,33 +1521,43 @@ struct CheckpointIo {
     }
   }
 
-  /// A full image; returns its container id.
-  static StatusOr<uint64_t> SaveImage(const IncrementalCrawler& crawler,
-                                      std::ostream& out,
-                                      const CrawlerCheckpointOptions& options) {
+  /// The sections of a full image or, with `segment`, of a delta
+  /// segment, in write order: meta, the four stores, the whole
+  /// sections, and last the web's image section (with
+  /// options.include_web). An image writes each store over every
+  /// record, a segment over its dirty keys (WriteDirtyStores). The
+  /// whole sections ride every segment: they are small, and the
+  /// defense section's fingerprint registry grows with *distinct
+  /// content*, a small multiple of the collection.
+  static StatusOr<std::vector<Section>> Sections(
+      const IncrementalCrawler& crawler, bool segment,
+      const CrawlerCheckpointOptions& options) {
     if (!crawler.engine_.quiescent()) {
       return Status::FailedPrecondition(
           "checkpoint requires a quiesced engine (batch boundary)");
     }
     std::vector<Section> sections;
     sections.push_back(Section{"meta", IncMeta(crawler)});
-    sections.push_back(Section{
-        "collection",
-        SectionBytes(SaveEveryEntry<ShardedCollection>, crawler.collection_)});
-    sections.push_back(
-        Section{"allurls", SectionBytes(SaveAllUrls, crawler.all_urls_)});
-    sections.push_back(Section{
-        "update", SectionBytes(SaveUpdateModule, crawler.update_module_)});
-    sections.push_back(
-        Section{"frontier", SectionBytes(SaveFrontier, crawler.coll_urls_)});
+    if (segment) {
+      WriteDirtyStores(crawler, &sections);
+    } else {
+      sections.push_back(Section{"collection",
+                                 SectionBytes(SaveEveryEntry<ShardedCollection>,
+                                              crawler.collection_)});
+      sections.push_back(
+          Section{"allurls", SectionBytes(SaveAllUrls, crawler.all_urls_)});
+      sections.push_back(Section{
+          "update", SectionBytes(SaveUpdateModule, crawler.update_module_)});
+      sections.push_back(
+          Section{"frontier", SectionBytes(SaveFrontier, crawler.coll_urls_)});
+    }
     WriteWholeSections(crawler, options, &sections);
     if (options.include_web) {
-      std::ostringstream os;
-      Status st = simweb::SaveWeb(*crawler.web_, os);
-      if (!st.ok()) return st;
-      sections.push_back(Section{"web", os.str()});
+      auto web = WebBytes(*crawler.web_);
+      if (!web.ok()) return web.status();
+      sections.push_back(Section{"web", std::move(web).value()});
     }
-    return WriteContainer(kIncrementalKind, sections, out);
+    return sections;
   }
 
   /// A segment's four store sections: each store's section writer over
@@ -1664,9 +1709,9 @@ struct CheckpointIo {
   }
 
   /// The one restore path of a full image and a delta segment: parse
-  /// and check every crawler section, restore the web (its restore
-  /// stages and checks its own section: the image's "web", or the
-  /// segment's "dweb" delta), then apply. Only then does an image empty
+  /// and check every crawler section, restore the web (RestoreWeb
+  /// stages and checks its section before it replaces the web's
+  /// state), then apply. Only then does an image empty
   /// the live stores, in place so a paged backend keeps its page files:
   /// a bad image leaves the crawler and its web untouched. A segment
   /// that fails to apply leaves the crawler unspecified; its bytes were
@@ -1677,11 +1722,9 @@ struct CheckpointIo {
     Records r;
     Status st = Parse(sections, segment, *crawler, &r);
     if (!st.ok()) return st;
-    if (const std::string* web =
-            FindSection(sections, segment ? "dweb" : "web")) {
+    if (const std::string* web = FindSection(sections, "web")) {
       std::istringstream in(*web);
-      st = segment ? simweb::ApplyWebDelta(in, crawler->web_)
-                   : simweb::RestoreWeb(in, crawler->web_);
+      st = simweb::RestoreWeb(in, crawler->web_);
       if (!st.ok()) return st;
     }
     if (!segment) {
@@ -1707,9 +1750,6 @@ struct CheckpointIo {
     crawler->all_urls_.ClearDirty();
     crawler->update_module_.ClearDirty();
     crawler->frontier_dirty_.clear();
-    if (crawler->web_ != nullptr && crawler->web_->dirty_tracking()) {
-      crawler->web_->ClearDirtySites();
-    }
   }
 
   /// Ends a restore. The restored state is the new baseline: delta
@@ -1729,11 +1769,90 @@ struct CheckpointIo {
       crawler->PublishViewNow();
     }
   }
+
+  /// A periodic checkpoint's sections in write order.
+  static StatusOr<std::vector<Section>> Sections(
+      const PeriodicCrawler& crawler,
+      const CrawlerCheckpointOptions& options) {
+    if (!crawler.engine_.quiescent()) {
+      return Status::FailedPrecondition(
+          "checkpoint requires a quiesced engine (batch boundary)");
+    }
+    std::vector<Section> sections;
+    {
+      std::ostringstream os;
+      TrailerWriter writer(os);
+      RecordLine line;
+      writer.Line(line.Start(kPerMetaMagic, kPerMetaVersion));
+      writer.Line(line.Start("T", crawler.now_, crawler.cycle_start_,
+                             crawler.next_sample_));
+      writer.Line(
+          line.Start("B", crawler.batches_completed_, crawler.cycle_active_,
+                     crawler.cycles_completed_, crawler.stored_this_cycle_,
+                     crawler.swap_count_, crawler.config_.shadowing));
+      WriteLedger(crawler.stats_, writer, line);
+      writer.Finish();
+      sections.push_back(Section{"meta", os.str()});
+    }
+    sections.push_back(
+        Section{"collection-current",
+                SectionBytes(SaveEveryEntry<Collection>, crawler.current_)});
+    if (crawler.shadow_.has_value()) {
+      sections.push_back(
+          Section{"collection-shadow",
+                  SectionBytes(SaveEveryEntry<Collection>, *crawler.shadow_)});
+    }
+    {
+      const std::vector<simweb::Url> bfs(crawler.frontier_.begin(),
+                                         crawler.frontier_.end());
+      sections.push_back(Section{"bfs", SectionBytes(WriteUrlList, bfs)});
+    }
+    {
+      std::vector<simweb::Url> seen(crawler.seen_.begin(),
+                                    crawler.seen_.end());
+      std::sort(seen.begin(), seen.end(), IdentityLess);
+      sections.push_back(Section{"seen", SectionBytes(WriteUrlList, seen)});
+    }
+    sections.push_back(Section{
+        "polite",
+        SectionBytes(WritePolite, crawler.engine_.pool().ExportPoliteness())});
+    sections.push_back(
+        Section{"tracker", SectionBytes(WriteTracker, crawler.tracker_)});
+    {
+      // The cycle's bounded-requeue ledger; sites are unused here (the
+      // periodic crawler has no backoff lanes) but the section format is
+      // shared with the incremental crawler.
+      FailureSnapshot snap;
+      snap.urls.reserve(crawler.requeue_counts_.size());
+      for (const auto& [url, count] : crawler.requeue_counts_) {
+        snap.urls.push_back(UrlFailureRecord{url, count});
+      }
+      std::sort(snap.urls.begin(), snap.urls.end(),
+                [](const UrlFailureRecord& a, const UrlFailureRecord& b) {
+                  return IdentityLess(a.url, b.url);
+                });
+      sections.push_back(Section{"failure", SectionBytes(WriteFailure, snap)});
+    }
+    if (options.module_traffic) {
+      sections.push_back(
+          Section{"traffic", SectionBytes(WriteTraffic,
+                                          crawler.engine_.pool()
+                                              .AggregateTraffic())});
+    }
+    if (options.include_web) {
+      auto web = WebBytes(*crawler.web_);
+      if (!web.ok()) return web.status();
+      sections.push_back(Section{"web", std::move(web).value()});
+    }
+    return sections;
+  }
 };
 
 Status SaveCrawler(const IncrementalCrawler& crawler, std::ostream& out,
                    const CrawlerCheckpointOptions& options) {
-  return CheckpointIo::SaveImage(crawler, out, options).status();
+  auto sections = CheckpointIo::Sections(crawler, /*segment=*/false, options);
+  if (!sections.ok()) return sections.status();
+  return WriteContainer(kIncrementalKind, *sections, out).status();
 }
 
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
@@ -1747,77 +1866,9 @@ Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
 
 Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
                    const CrawlerCheckpointOptions& options) {
-  if (!crawler.engine_.quiescent()) {
-    return Status::FailedPrecondition(
-        "checkpoint requires a quiesced engine (batch boundary)");
-  }
-  std::vector<Section> sections;
-  {
-    std::ostringstream os;
-    TrailerWriter writer(os);
-    RecordLine line;
-    writer.Line(line.Start(kPerMetaMagic, kPerMetaVersion));
-    writer.Line(line.Start("T", crawler.now_, crawler.cycle_start_,
-                           crawler.next_sample_));
-    writer.Line(
-        line.Start("B", crawler.batches_completed_, crawler.cycle_active_,
-                   crawler.cycles_completed_, crawler.stored_this_cycle_,
-                   crawler.swap_count_, crawler.config_.shadowing));
-    WriteLedger(crawler.stats_, writer, line);
-    writer.Finish();
-    sections.push_back(Section{"meta", os.str()});
-  }
-  sections.push_back(
-      Section{"collection-current",
-              SectionBytes(SaveEveryEntry<Collection>, crawler.current_)});
-  if (crawler.shadow_.has_value()) {
-    sections.push_back(
-        Section{"collection-shadow",
-                SectionBytes(SaveEveryEntry<Collection>, *crawler.shadow_)});
-  }
-  {
-    const std::vector<simweb::Url> bfs(crawler.frontier_.begin(),
-                                       crawler.frontier_.end());
-    sections.push_back(Section{"bfs", SectionBytes(WriteUrlList, bfs)});
-  }
-  {
-    std::vector<simweb::Url> seen(crawler.seen_.begin(),
-                                  crawler.seen_.end());
-    std::sort(seen.begin(), seen.end(), IdentityLess);
-    sections.push_back(Section{"seen", SectionBytes(WriteUrlList, seen)});
-  }
-  sections.push_back(Section{
-      "polite",
-      SectionBytes(WritePolite, crawler.engine_.pool().ExportPoliteness())});
-  sections.push_back(
-      Section{"tracker", SectionBytes(WriteTracker, crawler.tracker_)});
-  {
-    // The cycle's bounded-requeue ledger; sites are unused here (the
-    // periodic crawler has no backoff lanes) but the section format is
-    // shared with the incremental crawler.
-    FailureSnapshot snap;
-    snap.urls.reserve(crawler.requeue_counts_.size());
-    for (const auto& [url, count] : crawler.requeue_counts_) {
-      snap.urls.push_back(UrlFailureRecord{url, count});
-    }
-    std::sort(snap.urls.begin(), snap.urls.end(),
-              [](const UrlFailureRecord& a, const UrlFailureRecord& b) {
-                return IdentityLess(a.url, b.url);
-              });
-    sections.push_back(Section{"failure", SectionBytes(WriteFailure, snap)});
-  }
-  if (options.module_traffic) {
-    sections.push_back(Section{
-        "traffic",
-        SectionBytes(WriteTraffic, crawler.engine_.pool().AggregateTraffic())});
-  }
-  if (options.include_web) {
-    std::ostringstream os;
-    Status st = simweb::SaveWeb(*crawler.web_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"web", os.str()});
-  }
-  return WriteContainer(kPeriodicKind, sections, out).status();
+  auto sections = CheckpointIo::Sections(crawler, options);
+  if (!sections.ok()) return sections.status();
+  return WriteContainer(kPeriodicKind, *sections, out).status();
 }
 
 Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
@@ -1935,19 +1986,17 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
 Status SaveCrawlerToFile(const IncrementalCrawler& crawler,
                          const std::string& path,
                          const CrawlerCheckpointOptions& options) {
-  std::ostringstream os;
-  Status st = SaveCrawler(crawler, os, options);
-  if (!st.ok()) return st;
-  return AtomicWriteFile(path, os.str());
+  auto sections = CheckpointIo::Sections(crawler, /*segment=*/false, options);
+  if (!sections.ok()) return sections.status();
+  return WriteContainerFile(path, kIncrementalKind, *sections).status();
 }
 
 Status SaveCrawlerToFile(const PeriodicCrawler& crawler,
                          const std::string& path,
                          const CrawlerCheckpointOptions& options) {
-  std::ostringstream os;
-  Status st = SaveCrawler(crawler, os, options);
-  if (!st.ok()) return st;
-  return AtomicWriteFile(path, os.str());
+  auto sections = CheckpointIo::Sections(crawler, options);
+  if (!sections.ok()) return sections.status();
+  return WriteContainerFile(path, kPeriodicKind, *sections).status();
 }
 
 Status LoadCrawlerFromFile(const std::string& path,
@@ -1976,47 +2025,28 @@ Status CheckpointIncremental(IncrementalCrawler* crawler,
         "incremental checkpointing requires delta tracking (set "
         "config.checkpoint_incremental)");
   }
-  if (!crawler->engine_.quiescent()) {
-    return Status::FailedPrecondition(
-        "checkpoint requires a quiesced engine (batch boundary)");
-  }
+  // Rebase when there is no verified base to append to: the first
+  // checkpoint of this process, or the first after a restore.
+  const bool rebase = !crawler->base_.has_value();
+  auto sections = CheckpointIo::Sections(*crawler, /*segment=*/!rebase,
+                                         options);
+  if (!sections.ok()) return sections.status();
   const std::string delta_path = path + ".deltas";
-  // Rebase when there is no verified base to append to — first
-  // checkpoint of this process — or when a wholesale clear happened
-  // (a record delta cannot express "everything vanished").
-  if (!crawler->base_.has_value() ||
-      crawler->collection_.cleared_while_tracking()) {
-    std::ostringstream os;
-    auto id = CheckpointIo::SaveImage(*crawler, os, options);
+  if (rebase) {
+    auto id = WriteContainerFile(path, kIncrementalKind, *sections);
     if (!id.ok()) return id.status();
-    Status st = AtomicWriteFile(path, os.str());
-    if (!st.ok()) return st;
-    st = storage::TruncateDeltaLog(delta_path);
+    Status st = storage::TruncateDeltaLog(delta_path);
     if (!st.ok()) return st;
     crawler->base_ = *id;
-    CheckpointIo::ClearDirty(crawler);
-    return Status::Ok();
-  }
-
-  storage::DeltaSegment segment;
-  segment.kind = kIncrementalKind;
-  segment.base = *crawler->base_;
-  segment.batch = crawler->batches_completed_;
-  segment.sections.push_back(Section{"meta", CheckpointIo::IncMeta(*crawler)});
-  CheckpointIo::WriteDirtyStores(*crawler, &segment.sections);
-  // The whole sections ride every segment: they are small, and the
-  // defense section's fingerprint registry grows with *distinct
-  // content*, a small multiple of the collection.
-  CheckpointIo::WriteWholeSections(*crawler, options, &segment.sections);
-  if (options.include_web) {
-    std::ostringstream os;
-    Status st = simweb::SaveWebDelta(*crawler->web_, os);
+  } else {
+    storage::DeltaSegment segment;
+    segment.kind = kIncrementalKind;
+    segment.base = *crawler->base_;
+    segment.batch = crawler->batches_completed_;
+    segment.sections = std::move(sections).value();
+    Status st = storage::AppendDeltaSegment(delta_path, segment);
     if (!st.ok()) return st;
-    segment.sections.push_back(Section{"dweb", os.str()});
   }
-
-  Status st = storage::AppendDeltaSegment(delta_path, segment);
-  if (!st.ok()) return st;
   CheckpointIo::ClearDirty(crawler);
   return Status::Ok();
 }

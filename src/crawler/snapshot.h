@@ -218,9 +218,11 @@ struct CheckpointContainer {
 /// kind; the webevo_checkpoint inspector prints what it returns.
 StatusOr<CheckpointContainer> ReadCheckpointContainer(std::istream& in);
 
-/// Crash-consistent file wrappers: the container is staged to a temp
-/// file, fsync'd, and atomically renamed over `path` — a crash leaves
-/// either the previous checkpoint or the new one, never a torn file.
+/// Crash-consistent file wrappers: the container's header and sections
+/// are written straight to a temp file (no second copy of the image in
+/// memory), fsync'd, and atomically renamed over `path` — a crash
+/// leaves either the previous checkpoint or the new one, never a torn
+/// file.
 Status SaveCrawlerToFile(const IncrementalCrawler& crawler,
                          const std::string& path,
                          const CrawlerCheckpointOptions& options = {});
@@ -242,8 +244,8 @@ Status LoadCrawlerFromFile(const std::string& path,
 /// The first CheckpointIncremental of a process writes the base, a
 /// full image, and truncates the delta log (rebase); every later call
 /// appends one sealed segment, named after the base's container id,
-/// whose cost is proportional to what actually changed since the
-/// previous checkpoint. A segment carries the image's own sections:
+/// whose crawler sections cost what changed since the previous
+/// checkpoint. A segment carries the image's own sections:
 ///   meta, polite, tracker, pending, failure, defense [, traffic]
 ///              whole, as in the image
 ///   collection, allurls, update, frontier
@@ -254,8 +256,9 @@ Status LoadCrawlerFromFile(const std::string& path,
 ///   collection-removed, update-removed, frontier-removed
 ///              the dirty keys now gone, as a URL list (AllUrls never
 ///              erases a record, so it has no such list)
-///   dweb       the simulated web's dirty-site delta (web_snapshot.h),
-///              when options.include_web
+///   web        the simulated web's image section, whole, when
+///              options.include_web: observation moves nearly every
+///              site between two checkpoints (simweb/simulated_web.h)
 /// Every record list is in canonical order over dirty sets that are
 /// pure functions of the simulation, so segments — like full
 /// checkpoints — are byte-identical at every shard count.

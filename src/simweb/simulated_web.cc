@@ -366,28 +366,6 @@ double SimulatedWeb::TimeFloor() const {
                            : now_.load(std::memory_order_relaxed);
 }
 
-void SimulatedWeb::EnableDirtyTracking() {
-  if (site_dirty_ != nullptr) return;
-  site_dirty_ = std::make_unique<std::atomic<uint8_t>[]>(sites_.size());
-  for (std::size_t s = 0; s < sites_.size(); ++s) site_dirty_[s] = 0;
-}
-
-void SimulatedWeb::AppendDirtySites(std::set<uint32_t>* out) const {
-  if (site_dirty_ == nullptr) return;
-  for (uint32_t s = 0; s < sites_.size(); ++s) {
-    if (site_dirty_[s].load(std::memory_order_relaxed) != 0) {
-      out->insert(s);
-    }
-  }
-}
-
-void SimulatedWeb::ClearDirtySites() {
-  if (site_dirty_ == nullptr) return;
-  for (uint32_t s = 0; s < sites_.size(); ++s) {
-    site_dirty_[s].store(0, std::memory_order_relaxed);
-  }
-}
-
 void SimulatedWeb::BeginConcurrentBatch(double floor) {
   assert(!concurrent_batch_);
   concurrent_batch_ = true;
@@ -401,7 +379,6 @@ void SimulatedWeb::EndConcurrentBatch() {
 
 Url SimulatedWeb::ResolveOccupantUrl(uint32_t site, uint32_t slot,
                                      double t) {
-  MarkSiteDirty(site);  // coverage extension mutates the target site
   std::lock_guard<std::mutex> lock(site_mu_[site]);
   EnsureCoverageLocked(site, slot, t);
   return OccupantAtLocked(site, slot, t).url;
@@ -493,7 +470,6 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
   BumpNow(t);
   fetch_count_.fetch_add(1, std::memory_order_relaxed);
   site_fetches_[url.site].fetch_add(1, std::memory_order_relaxed);
-  MarkSiteDirty(url.site);
 
   FetchResult result;
   // What body the checksum digests: usually the fetched page itself,
@@ -743,7 +719,6 @@ StatusOr<uint64_t> SimulatedWeb::OracleVersion(const Url& url, double t) {
     // The page moved to the twin; the copy under this URL is gone.
     return Status::NotFound("page migrated away");
   }
-  MarkSiteDirty(url.site);  // AdvancePage below moves the change process
   BumpNow(t);
   std::lock_guard<std::mutex> lock(site_mu_[url.site]);
   auto& history = sites_[url.site].slots[url.slot].history;
@@ -808,7 +783,6 @@ StatusOr<double> SimulatedWeb::OracleLastChangeTime(const Url& url,
   if (t >= MigrationDayOf(url.site)) {
     return Status::NotFound("page migrated away");
   }
-  MarkSiteDirty(url.site);
   BumpNow(t);
   std::lock_guard<std::mutex> lock(site_mu_[url.site]);
   auto& history = sites_[url.site].slots[url.slot].history;
@@ -854,7 +828,6 @@ std::vector<SimulatedWeb::SiteLink> SimulatedWeb::OracleSiteLinks(double t) {
   std::vector<SiteLink> out;
   std::vector<uint64_t> row(sites_.size(), 0);
   for (uint32_t s = 0; s < sites_.size(); ++s) {
-    MarkSiteDirty(s);  // the coverage walk below may extend every site
     std::vector<uint32_t> touched;
     std::lock_guard<std::mutex> lock(site_mu_[s]);
     for (uint32_t j = 0; j < sites_[s].slots.size(); ++j) {

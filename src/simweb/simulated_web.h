@@ -7,7 +7,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -68,17 +67,11 @@ class SimulatedWeb;
 /// only at later times would diverge from one that lived through the
 /// earlier observations — a crawler checkpoint that promises
 /// bit-identical resume across processes must therefore carry the
-/// web's state alongside the crawler's.
+/// web's state alongside the crawler's. A full checkpoint and every
+/// incremental delta segment carry this one format whole: observation
+/// moves nearly every site between two checkpoints.
 Status SaveWeb(const SimulatedWeb& web, std::ostream& out);
 Status RestoreWeb(std::istream& in, SimulatedWeb* web);
-
-/// Incremental variant (web_snapshot.cc): SaveWebDelta writes the full
-/// state of only the *dirty* sites — those touched since ClearDirtySites
-/// — plus the absolute global counters; ApplyWebDelta replaces exactly
-/// those sites' state in an already-restored web. Requires
-/// EnableDirtyTracking.
-Status SaveWebDelta(const SimulatedWeb& web, std::ostream& out);
-Status ApplyWebDelta(std::istream& in, SimulatedWeb* web);
 
 class SimulatedWeb {
  public:
@@ -239,21 +232,8 @@ class SimulatedWeb {
   /// Full-state snapshot/restore (see the free-function comments).
   friend Status SaveWeb(const SimulatedWeb& web, std::ostream& out);
   friend Status RestoreWeb(std::istream& in, SimulatedWeb* web);
-  friend Status SaveWebDelta(const SimulatedWeb& web, std::ostream& out);
-  friend Status ApplyWebDelta(std::istream& in, SimulatedWeb* web);
-  /// The one reader and apply path of both (web_snapshot.cc).
+  /// RestoreWeb's staged records (web_snapshot.cc).
   friend struct WebSiteRecords;
-
-  /// Per-site dirty flags for incremental checkpoints: every mutating
-  /// entry point (Fetch, link resolution, the state-advancing oracles)
-  /// marks the sites whose lazily materialised state it may have
-  /// moved. Flags are atomic bytes so concurrent shard fetches mark
-  /// without coordination; the *set* of marked sites is a pure function
-  /// of the observation history, identical at every shard count.
-  void EnableDirtyTracking();
-  bool dirty_tracking() const { return site_dirty_ != nullptr; }
-  void AppendDirtySites(std::set<uint32_t>* out) const;
-  void ClearDirtySites();
 
  private:
   struct PageRecord {
@@ -373,14 +353,6 @@ class SimulatedWeb {
   /// Raises now() to at least `t` (atomic max).
   void BumpNow(double t);
 
-  /// Marks `site`'s state as moved since the last ClearDirtySites
-  /// (no-op unless tracking is enabled).
-  void MarkSiteDirty(uint32_t site) {
-    if (site_dirty_ != nullptr) {
-      site_dirty_[site].store(1, std::memory_order_relaxed);
-    }
-  }
-
   /// The earliest admissible fetch time right now.
   double TimeFloor() const;
 
@@ -401,8 +373,6 @@ class SimulatedWeb {
   std::atomic<uint64_t> not_found_count_{0};
   std::atomic<uint64_t> pages_created_{0};
   std::unique_ptr<std::atomic<uint64_t>[]> site_fetches_;
-  // Allocated (num_sites flags) by EnableDirtyTracking; null = off.
-  std::unique_ptr<std::atomic<uint8_t>[]> site_dirty_;
 };
 
 }  // namespace webevo::simweb

@@ -30,15 +30,17 @@
 // including the lazy Poisson increments that depend on the
 // *observation history*, not just on absolute time.
 //
-// A full snapshot and a delta share one reader and one apply path: the
-// full snapshot lists every site, a delta only the dirty ones.
+// This is the web's one format: a full checkpoint and every delta
+// segment carry it whole (crawler/snapshot.h). A page's state moves
+// whenever it is observed, and the freshness oracle observes every
+// collection page every half day by default, so between two
+// checkpoints nearly every site moves (docs/STORAGE.md has the
+// measured shares).
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
-#include <numeric>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -53,11 +55,6 @@ namespace {
 
 constexpr const char* kWebMagic = "webevo-web";
 constexpr int kWebFormatVersion = 3;
-// Site-delta stream: the full state of only the dirty sites, plus the
-// absolute global counters (see SaveWebDelta). Version 2 added the
-// <nadv> header field and Y records.
-constexpr const char* kWebDeltaMagic = "webevo-webdelta";
-constexpr int kWebDeltaFormatVersion = 2;
 
 // Infinity never parses back through operator>>, so the death time of
 // an immortal root is written as a token.
@@ -69,9 +66,9 @@ void AddDeath(double death, RecordLine& line) {
   }
 }
 
-// The record formatters SaveWeb and SaveWebDelta share. `FaultState`
-// and `SiteState` are SimulatedWeb's private per-site records, deduced
-// so that the formatters need no friendship.
+// The record formatters. `FaultState` and `SiteState` are
+// SimulatedWeb's private per-site records, deduced so that the
+// formatters need no friendship.
 
 template <typename FaultState>
 const RecordLine& FaultLine(uint32_t site, const FaultState& f,
@@ -126,37 +123,30 @@ std::istream& operator>>(std::istream& is, Death death) {
 
 }  // namespace
 
-/// The site records SaveWeb and SaveWebDelta share (A, X, Y and I), read
-/// for a list of sites: every site for a full snapshot, the dirty ones
-/// for a delta. They are staged until the stream verifies, then applied
-/// by the one apply path of both. Befriended by SimulatedWeb.
+/// A web snapshot's records (A, X, Y and I) and global counters,
+/// staged until the stream verifies, then applied. Befriended by
+/// SimulatedWeb.
 struct WebSiteRecords {
-  /// The global counters, absolute in both streams.
-  struct Counters {
-    double now = 0.0;
-    uint64_t fetch_count = 0, not_found = 0, pages_created = 0;
-  };
-
-  std::vector<uint32_t> sites;  // ascending
+  double now = 0.0;
+  uint64_t fetch_count = 0, not_found = 0, pages_created = 0;
   std::vector<std::pair<uint32_t, uint64_t>> fetches;
   std::vector<std::pair<uint32_t, SimulatedWeb::SiteFaultState>> faults;
   std::vector<std::pair<uint32_t, SimulatedWeb::SiteAdvState>> adv;
-  /// Incarnation histories by [index into sites][slot].
+  /// Incarnation histories by [site][slot].
   std::vector<std::vector<std::vector<SimulatedWeb::PageRecord>>> histories;
 
-  bool Listed(uint32_t site) const {
-    return std::binary_search(sites.begin(), sites.end(), site);
-  }
-
-  /// Reads the counted A, X, Y and I records of the listed sites.
+  /// Reads the counted A, X, Y and I records (pages_created of them).
   bool Read(RecordReader& in, const SimulatedWeb& web, std::size_t nfetches,
-            std::size_t nfaults, std::size_t nadv, uint64_t nrecords) {
+            std::size_t nfaults, std::size_t nadv) {
+    const uint32_t num_sites = web.num_sites();
     ReserveClaimed(fetches, nfetches);
     for (std::size_t i = 0; i < nfetches; ++i) {
       uint32_t site = 0;
       uint64_t count = 0;
       if (!in.Record("A", site, count)) return false;
-      if (!Listed(site)) return in.Fail("fetch record of an unlisted site");
+      if (site >= num_sites) {
+        return in.Fail("fetch record of a site outside this web");
+      }
       fetches.emplace_back(site, count);
     }
     ReserveClaimed(faults, nfaults);
@@ -171,7 +161,9 @@ struct WebSiteRecords {
                      f.flash_bucket, f.flash_count)) {
         return false;
       }
-      if (!Listed(site)) return in.Fail("fault record of an unlisted site");
+      if (site >= num_sites) {
+        return in.Fail("fault record of a site outside this web");
+      }
       if (web.site_faults_.empty()) {
         return in.Fail(
             "fault state, but this web's configuration has fault "
@@ -186,8 +178,8 @@ struct WebSiteRecords {
       uint32_t site = 0;
       SimulatedWeb::SiteAdvState a;
       if (!in.Record("Y", site, a.trap_minted, a.twin_emitted)) return false;
-      if (!Listed(site)) {
-        return in.Fail("adversarial record of an unlisted site");
+      if (site >= num_sites) {
+        return in.Fail("adversarial record of a site outside this web");
       }
       if (web.site_adv_.empty()) {
         return in.Fail(
@@ -196,14 +188,14 @@ struct WebSiteRecords {
       }
       adv.emplace_back(site, a);
     }
-    histories.resize(sites.size());
-    for (std::size_t d = 0; d < sites.size(); ++d) {
-      histories[d].resize(web.sites_[sites[d]].slots.size());
+    histories.resize(num_sites);
+    for (uint32_t s = 0; s < num_sites; ++s) {
+      histories[s].resize(web.sites_[s].slots.size());
     }
     // Records arrive in canonical order: (site, slot) never decreases,
     // and each slot's incarnations count up from 0.
-    std::pair<std::size_t, uint32_t> last{0, 0};
-    for (uint64_t i = 0; i < nrecords; ++i) {
+    std::pair<uint32_t, uint32_t> last{0, 0};
+    for (uint64_t i = 0; i < pages_created; ++i) {
       Url url;
       SimulatedWeb::PageRecord page;
       std::array<uint64_t, 4> lanes{};
@@ -223,14 +215,12 @@ struct WebSiteRecords {
         page.cross_links.emplace_back(target_site, target_slot);
       }
       if (!in.End()) return false;
-      const auto it = std::lower_bound(sites.begin(), sites.end(), url.site);
-      if (it == sites.end() || *it != url.site ||
+      if (url.site >= num_sites ||
           url.slot >= web.sites_[url.site].slots.size()) {
         return in.Fail("page record outside this web's slot layout");
       }
-      const std::pair<std::size_t, uint32_t> key{it - sites.begin(),
-                                                 url.slot};
-      auto& history = histories[key.first][key.second];
+      const std::pair<uint32_t, uint32_t> key{url.site, url.slot};
+      auto& history = histories[url.site][url.slot];
       if (key < last || url.incarnation != history.size()) {
         return in.Fail("page records out of canonical order");
       }
@@ -248,28 +238,23 @@ struct WebSiteRecords {
     return true;
   }
 
-  /// Replaces the listed sites' state and sets the global counters.
-  void ApplyTo(const Counters& counters, SimulatedWeb* web) && {
-    for (std::size_t d = 0; d < sites.size(); ++d) {
-      const uint32_t s = sites[d];
+  /// Replaces the web's whole evolution state.
+  void ApplyTo(SimulatedWeb* web) && {
+    for (uint32_t s = 0; s < web->num_sites(); ++s) {
       auto& slots = web->sites_[s].slots;
       for (uint32_t j = 0; j < slots.size(); ++j) {
-        slots[j].history = std::move(histories[d][j]);
+        slots[j].history = std::move(histories[s][j]);
       }
       web->site_fetches_[s].store(0, std::memory_order_relaxed);
-      if (!web->site_faults_.empty()) {
-        web->site_faults_[s] = SimulatedWeb::SiteFaultState{};
-      }
-      if (!web->site_adv_.empty()) {
-        web->site_adv_[s] = SimulatedWeb::SiteAdvState{};
-      }
     }
-    web->now_.store(counters.now, std::memory_order_relaxed);
-    web->fetch_count_.store(counters.fetch_count, std::memory_order_relaxed);
-    web->not_found_count_.store(counters.not_found,
-                                std::memory_order_relaxed);
-    web->pages_created_.store(counters.pages_created,
-                              std::memory_order_relaxed);
+    std::fill(web->site_faults_.begin(), web->site_faults_.end(),
+              SimulatedWeb::SiteFaultState{});
+    std::fill(web->site_adv_.begin(), web->site_adv_.end(),
+              SimulatedWeb::SiteAdvState{});
+    web->now_.store(now, std::memory_order_relaxed);
+    web->fetch_count_.store(fetch_count, std::memory_order_relaxed);
+    web->not_found_count_.store(not_found, std::memory_order_relaxed);
+    web->pages_created_.store(pages_created, std::memory_order_relaxed);
     for (const auto& [site, count] : fetches) {
       web->site_fetches_[site].store(count, std::memory_order_relaxed);
     }
@@ -338,12 +323,11 @@ Status RestoreWeb(std::istream& is, SimulatedWeb* web) {
   }
   RecordReader in(is, "web snapshot");
   uint32_t num_sites = 0;
-  uint64_t nrecords = 0;
   std::size_t nfetches = 0, nfaults = 0, nadv = 0;
-  WebSiteRecords::Counters counters;
-  if (!in.Header(kWebMagic, kWebFormatVersion, num_sites, nrecords, nfetches,
-                 counters.now, counters.fetch_count, counters.not_found,
-                 nfaults, nadv)) {
+  WebSiteRecords records;
+  if (!in.Header(kWebMagic, kWebFormatVersion, num_sites,
+                 records.pages_created, nfetches, records.now,
+                 records.fetch_count, records.not_found, nfaults, nadv)) {
     return in.status();
   }
   if (num_sites != web->num_sites()) {
@@ -351,122 +335,10 @@ Status RestoreWeb(std::istream& is, SimulatedWeb* web) {
         "web snapshot site count does not match this web's "
         "configuration");
   }
-  counters.pages_created = nrecords;
-  WebSiteRecords records;
-  records.sites.resize(num_sites);
-  std::iota(records.sites.begin(), records.sites.end(), 0u);
-  records.Read(in, *web, nfetches, nfaults, nadv, nrecords);
+  records.Read(in, *web, nfetches, nfaults, nadv);
   Status st = in.Finish();
   if (!st.ok()) return st;
-  std::move(records).ApplyTo(counters, web);
-  return Status::Ok();
-}
-
-// Delta format (trailer-framed like the full snapshot):
-//   webevo-webdelta 2 <num_sites> <ndirty> <nrecords> <nfetchsites>
-//                   <nfaults> <now> <fetch_count> <not_found_count>
-//                   <pages_created> <nadv>
-//   D <site>                           (ndirty, ascending: the sites
-//                                       whose full state follows)
-//   A <site> <site_fetch_count>        (dirty sites, nonzero only)
-//   X <site> ...                       (dirty sites, initialized only;
-//                                       same fields as the full format)
-//   Y <site> <trap_minted> <twin_emitted>
-//                                      (dirty sites, nonzero only)
-//   I <site> <slot> <incarnation> ...  (all records of the dirty
-//                                       sites, canonical order)
-//   webevo-checksum <fnv64>
-// Globals are absolute, never increments, so applying a segment is
-// idempotent and segments need no exact pairing with reads.
-Status SaveWebDelta(const SimulatedWeb& web, std::ostream& out) {
-  if (web.concurrent_batch_) {
-    return Status::FailedPrecondition(
-        "cannot snapshot a web inside a concurrent batch");
-  }
-  if (web.site_dirty_ == nullptr) {
-    return Status::FailedPrecondition(
-        "web delta requires EnableDirtyTracking");
-  }
-  std::set<uint32_t> dirty;
-  web.AppendDirtySites(&dirty);
-  uint64_t nrecords = 0;
-  std::vector<std::pair<uint32_t, uint64_t>> fetch_sites;
-  std::vector<uint32_t> fault_sites;
-  std::vector<uint32_t> adv_sites;
-  for (uint32_t s : dirty) {
-    for (const auto& slot : web.sites_[s].slots) {
-      nrecords += slot.history.size();
-    }
-    uint64_t count = web.site_fetches_[s].load(std::memory_order_relaxed);
-    if (count > 0) fetch_sites.emplace_back(s, count);
-    if (s < web.site_faults_.size() && web.site_faults_[s].init) {
-      fault_sites.push_back(s);
-    }
-    if (s < web.site_adv_.size() && (web.site_adv_[s].trap_minted > 0 ||
-                                     web.site_adv_[s].twin_emitted > 0)) {
-      adv_sites.push_back(s);
-    }
-  }
-
-  TrailerWriter writer(out);
-  RecordLine line;
-  writer.Line(
-      line.Start(kWebDeltaMagic, kWebDeltaFormatVersion, web.num_sites(),
-                 dirty.size(), nrecords, fetch_sites.size(), fault_sites.size(),
-                 web.now(), web.fetch_count(), web.not_found_count(),
-                 web.OracleTotalPagesCreated(), adv_sites.size()));
-  for (uint32_t s : dirty) writer.Line(line.Start("D", s));
-  for (const auto& [site, count] : fetch_sites) {
-    writer.Line(line.Start("A", site, count));
-  }
-  for (uint32_t s : fault_sites) {
-    writer.Line(FaultLine(s, web.site_faults_[s], line));
-  }
-  for (uint32_t s : adv_sites) {
-    const SimulatedWeb::SiteAdvState& a = web.site_adv_[s];
-    writer.Line(line.Start("Y", s, a.trap_minted, a.twin_emitted));
-  }
-  for (uint32_t s : dirty) WriteSitePages(s, web.sites_[s], writer, line);
-  writer.Finish();
-  if (!out.good()) return Status::Internal("web delta write failed");
-  return Status::Ok();
-}
-
-Status ApplyWebDelta(std::istream& is, SimulatedWeb* web) {
-  if (web->concurrent_batch_) {
-    return Status::FailedPrecondition(
-        "cannot restore a web inside a concurrent batch");
-  }
-  RecordReader in(is, "web delta");
-  uint32_t num_sites = 0;
-  uint64_t ndirty = 0, nrecords = 0;
-  std::size_t nfetches = 0, nfaults = 0, nadv = 0;
-  WebSiteRecords::Counters counters;
-  if (!in.Header(kWebDeltaMagic, kWebDeltaFormatVersion, num_sites, ndirty,
-                 nrecords, nfetches, nfaults, counters.now,
-                 counters.fetch_count, counters.not_found,
-                 counters.pages_created, nadv)) {
-    return in.status();
-  }
-  if (num_sites != web->num_sites()) {
-    return Status::InvalidArgument(
-        "web delta site count does not match this web's configuration");
-  }
-  WebSiteRecords records;
-  ReserveClaimed(records.sites, ndirty);
-  for (uint64_t i = 0; i < ndirty; ++i) {
-    uint32_t site = 0;
-    if (!in.Record("D", site)) return in.status();
-    if (site >= num_sites ||
-        (!records.sites.empty() && site <= records.sites.back())) {
-      return Status::InvalidArgument("web delta dirty sites out of order");
-    }
-    records.sites.push_back(site);
-  }
-  records.Read(in, *web, nfetches, nfaults, nadv, nrecords);
-  Status st = in.Finish();
-  if (!st.ok()) return st;
-  std::move(records).ApplyTo(counters, web);
+  std::move(records).ApplyTo(web);
   return Status::Ok();
 }
 

@@ -94,7 +94,6 @@ class PagedRecordStore final : public RecordStore<Record> {
     overlay_.clear();
     flush_list_.clear();
     file_.Clear();
-    this->MarkCleared();
   }
 
   /// Writes the flush list back to pages, then trims the clean overlay

@@ -69,7 +69,10 @@ struct StoreStats {
 /// (site, slot, incarnation)-ordered set, which the incremental
 /// checkpoint drains into per-batch delta records. The tracked *set*
 /// is a pure function of the logical mutations, so it is identical at
-/// every shard count.
+/// every shard count. Clear() marks nothing: a record delta cannot
+/// express a wholesale clear, so the one caller that clears a tracked
+/// store, a checkpoint restore, also drops the marks and makes the next
+/// checkpoint rebase.
 template <typename Record>
 class RecordStore {
  public:
@@ -113,29 +116,15 @@ class RecordStore {
   void EnableDirtyTracking() { tracking_ = true; }
   bool dirty_tracking() const { return tracking_; }
   const DirtySet& dirty() const { return dirty_; }
-  /// Whether Clear() ran while tracking (a record delta cannot express
-  /// "everything vanished"; the checkpoint falls back to a full
-  /// section).
-  bool cleared_while_tracking() const { return cleared_; }
-  void ClearDirty() {
-    dirty_.clear();
-    cleared_ = false;
-  }
+  void ClearDirty() { dirty_.clear(); }
 
  protected:
   void MarkDirty(const simweb::Url& url) {
     if (tracking_) dirty_.insert(url);
   }
-  void MarkCleared() {
-    if (tracking_) {
-      cleared_ = true;
-      dirty_.clear();
-    }
-  }
 
  private:
   bool tracking_ = false;
-  bool cleared_ = false;
   DirtySet dirty_;
 };
 
@@ -177,10 +166,7 @@ class MapRecordStore final : public RecordStore<Record> {
 
   std::size_t size() const override { return map_.size(); }
 
-  void Clear() override {
-    map_.clear();
-    this->MarkCleared();
-  }
+  void Clear() override { map_.clear(); }
 
   void ForEach(const ForEachFn& fn) const override {
     for (const auto& [url, record] : map_) fn(url, record);

@@ -1,19 +1,14 @@
 #include "util/text_snapshot.h"
 
-#include <cstdio>
-#include <sstream>
-
-#include "util/hash.h"
-
-#ifdef _WIN32
-#include <fstream>
-#else
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
-#endif
+#include <sstream>
+
+#include "util/hash.h"
 
 namespace webevo {
 
@@ -115,44 +110,26 @@ Status ExpectStreamEnd(std::istream& in, const char* what) {
   return Status::Ok();
 }
 
-#ifdef _WIN32
-
-// Portability fallback: plain write + rename (no directory fsync).
-Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::NotFound("cannot open " + tmp + " for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) return Status::Internal("write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("rename failed: " + path);
-  }
-  return Status::Ok();
-}
-
-#else
-
-Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
+Status AtomicWriteFile(const std::string& path,
+                       const std::vector<std::string_view>& parts) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::NotFound("cannot open " + tmp + " for writing: " +
                             std::strerror(errno));
   }
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::Internal("write failed: " + tmp + ": " +
-                              std::strerror(errno));
+  for (std::string_view bytes : parts) {
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+      ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        ::close(fd);
+        return Status::Internal("write failed: " + tmp + ": " +
+                                std::strerror(errno));
+      }
+      written += static_cast<std::size_t>(n);
     }
-    written += static_cast<std::size_t>(n);
   }
   // Data must be durable before the rename publishes it; otherwise a
   // crash could leave a fully renamed but empty checkpoint.
@@ -178,7 +155,5 @@ Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
   }
   return Status::Ok();
 }
-
-#endif  // _WIN32
 
 }  // namespace webevo

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/record_line.h"
 #include "util/status.h"
@@ -177,12 +178,13 @@ class RecordReader {
 /// bytes that follow mean the file was appended to or mis-framed.
 Status ExpectStreamEnd(std::istream& in, const char* what);
 
-/// Writes `bytes` to `path` crash-consistently: the content goes to a
-/// temporary file in the same directory, is fsync'd, and is renamed
-/// over `path` atomically (the directory entry is fsync'd too). A
-/// crash at any point leaves either the old file or the new one —
+/// Writes `parts`, in order, to `path` crash-consistently: the content
+/// goes to a temporary file in the same directory, is fsync'd, and is
+/// renamed over `path` atomically (the directory entry is fsync'd too).
+/// A crash at any point leaves either the old file or the new one —
 /// never a torn mix.
-Status AtomicWriteFile(const std::string& path, const std::string& bytes);
+Status AtomicWriteFile(const std::string& path,
+                       const std::vector<std::string_view>& parts);
 
 }  // namespace webevo
 

@@ -5,11 +5,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 
+#include "crawler/snapshot.h"
 #include "crawler/update_module.h"
 #include "estimator/change_estimator.h"
 #include "util/flags.h"
+#include "util/hash.h"
+#include "util/record_line.h"
+#include "util/text_snapshot.h"
 
 namespace webevo {
 namespace {
@@ -340,6 +346,76 @@ TEST(CliFlagsTest, UnreadableDeltaLogExitsOne) {
   }
   ::rmdir(deltas.c_str());
   std::remove(base.c_str());
+}
+
+// Rewrites the first record of `section` in the checkpoint at `from`
+// with `rewrite` and writes the result to `to`, re-framing the
+// section's trailer and the container's section table as the writer
+// does.
+void RewriteFirstRecord(
+    const std::string& from, const std::string& to, const std::string& section,
+    const std::function<std::string(const std::string&)>& rewrite) {
+  std::ifstream in(from, std::ios::binary);
+  auto container = crawler::ReadCheckpointContainer(in);
+  ASSERT_TRUE(container.ok()) << container.status().ToString();
+  for (storage::Section& s : container->sections) {
+    if (s.name != section) continue;
+    std::istringstream lines(s.bytes);
+    std::ostringstream framed;
+    TrailerWriter writer(framed);
+    std::string line;
+    for (int i = 0; std::getline(lines, line); ++i) {
+      if (line.rfind(kSnapshotTrailerMagic, 0) == 0) break;
+      writer.Line(i == 1 ? rewrite(line) : line);
+    }
+    writer.Finish();
+    s.bytes = framed.str();
+  }
+  std::ofstream out(to, std::ios::binary | std::ios::trunc);
+  TrailerWriter writer(out);
+  RecordLine line;
+  writer.Line(line.Start("webevo-crawler", 1, container->kind,
+                         container->sections.size()));
+  for (const storage::Section& s : container->sections) {
+    writer.Line(line.Start("S", s.name, s.bytes.size(), Fnv1a64(s.bytes)));
+  }
+  writer.Finish();
+  for (const storage::Section& s : container->sections) out << s.bytes;
+}
+
+TEST(CliFlagsTest, FrontierSiteOutsideTheWebResumes) {
+  // The readers check only politeness sites, so a checkpoint whose
+  // frontier names a site the web lacks (-1 reads as 2^32 - 1) loads;
+  // the resumed crawl must fetch it, get NotFound and go on.
+  const std::string dir = ::testing::TempDir();
+  const std::string saved = dir + "/outside_site_a.bin";
+  const std::string crawl =
+      "crawl --crawler=incremental --scale=0.08 --capacity=400 ";
+  const CliRun write =
+      RunCli(WEBEVO_SIM_BIN, crawl + "--days=3 --checkpoint=" + saved);
+  ASSERT_EQ(write.exit_code, 0) << write.output;
+  for (const char* site : {"-1", "4294967294"}) {
+    SCOPED_TRACE(site);
+    const std::string crafted = dir + "/outside_site_b.bin";
+    // F <site> <slot> <incarnation> <when> <seq>: the entry moves to
+    // (site, 0, 0) at the front of the queue and keeps its seq.
+    RewriteFirstRecord(saved, crafted, "frontier",
+                       [site](const std::string& record) {
+                         return std::string("F ") + site + " 0 0 -1e+18" +
+                                record.substr(record.rfind(' '));
+                       });
+    const CliRun inspect =
+        RunCli(WEBEVO_CHECKPOINT_BIN, "inspect " + crafted);
+    EXPECT_EQ(inspect.exit_code, 0) << inspect.output;
+    const CliRun resume =
+        RunCli(WEBEVO_SIM_BIN, crawl + "--days=6 --resume=" + crafted +
+                                   " --checkpoint=" + dir +
+                                   "/outside_site_c.bin");
+    EXPECT_EQ(resume.exit_code, 0) << resume.output;
+    std::remove(crafted.c_str());
+  }
+  std::remove(saved.c_str());
+  std::remove((dir + "/outside_site_c.bin").c_str());
 }
 
 }  // namespace

@@ -155,11 +155,10 @@ TEST(IncrementalCheckpointTest, DeltaLogIsCanonicalAcrossShardCounts) {
 // per-checkpoint delta segment is a small fraction of the full image
 // (the acceptance bound is < 20% on a < 10%-dirty workload; the
 // closely-spaced checkpoints here dirty far less than that). Measured
-// without the web section — the freshness oracle's lazy change-process
-// sampling legitimately advances (dirties) nearly every site between
-// samples, so the web delta tracks oracle traffic, not crawl traffic;
-// same-process checkpoints skip the web exactly as snapshot.h
-// documents.
+// without the web section, which every segment carries whole: the
+// freshness oracle's lazy change-process sampling moves nearly every
+// site between samples. Same-process checkpoints skip the web exactly
+// as snapshot.h documents.
 TEST(IncrementalCheckpointTest, DeltaSegmentsAreSmall) {
   const std::string path = TempPath("inc_small.ckpt");
   CrawlerCheckpointOptions options;
@@ -181,6 +180,52 @@ TEST(IncrementalCheckpointTest, DeltaSegmentsAreSmall) {
   EXPECT_LT(delta_bytes * 5, base_bytes)
       << "delta segment is " << delta_bytes << "B against a "
       << base_bytes << "B base — not O(dirty)";
+}
+
+// A segment carries the web's image section: after each incremental
+// checkpoint, the newest segment's "web" bytes are the "web" section a
+// full checkpoint writes at that moment, also for a segment that
+// follows no new batch. Without include_web neither the base nor any
+// segment carries the web.
+TEST(IncrementalCheckpointTest, SegmentWebSectionIsTheImages) {
+  for (bool include_web : {true, false}) {
+    SCOPED_TRACE(include_web ? "include_web" : "without the web");
+    const std::string path =
+        TempPath(include_web ? "inc_web_on.ckpt" : "inc_web_off.ckpt");
+    CrawlerCheckpointOptions options;
+    options.include_web = include_web;
+    simweb::SimulatedWeb web(SmallWeb());
+    IncrementalCrawler crawler(&web, IncConfig(2));
+    ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+    for (double day : {2.0, 4.0, 6.0, 6.0}) {
+      ASSERT_TRUE(crawler.RunUntil(day).ok());
+      ASSERT_TRUE(CheckpointIncremental(&crawler, path, options).ok());
+      auto log = storage::ReadDeltaLog(path + ".deltas");
+      ASSERT_TRUE(log.ok()) << log.status().ToString();
+      if (log->segments.empty()) continue;  // the base
+      const std::string* segment_web =
+          storage::FindSection(log->segments.back().sections, "web");
+      if (!include_web) {
+        EXPECT_EQ(segment_web, nullptr) << "day " << day;
+        continue;
+      }
+      std::istringstream image(CheckpointBytes(crawler));
+      auto container = ReadCheckpointContainer(image);
+      ASSERT_TRUE(container.ok()) << container.status().ToString();
+      const std::string* image_web =
+          storage::FindSection(container->sections, "web");
+      ASSERT_NE(image_web, nullptr);
+      ASSERT_NE(segment_web, nullptr) << "day " << day;
+      EXPECT_EQ(*segment_web, *image_web) << "day " << day;
+    }
+    EXPECT_EQ(storage::ReadDeltaLog(path + ".deltas")->segments.size(),
+              std::size_t{3});
+    std::ifstream base_in(path, std::ios::binary);
+    auto base = ReadCheckpointContainer(base_in);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    EXPECT_EQ(storage::FindSection(base->sections, "web") != nullptr,
+              include_web);
+  }
 }
 
 // Crash between WAL append and seal: a torn (unsealed) tail after the
@@ -361,9 +406,9 @@ TEST(IncrementalCheckpointTest, GoldenImageDeltaLogAndViewBytes) {
     uint64_t view_chain;
   };
   constexpr Golden kGolden[] = {
-      {false, 0x45548d7c26d7810bULL, 0x51046b021efa2142ULL,
+      {false, 0x45548d7c26d7810bULL, 0x937549cfc5e8edfeULL,
        0x94b15280a9e8ca0dULL},
-      {true, 0xfa96d5fadfecf955ULL, 0x1dd2326e7e801089ULL,
+      {true, 0xfa96d5fadfecf955ULL, 0xad162cb6223dee9bULL,
        0x6a946c1108f46969ULL},
   };
   simweb::WebConfig wc = SmallWeb();

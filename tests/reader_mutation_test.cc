@@ -54,11 +54,11 @@ constexpr int kMutantsPerInput = 100;
 // image pin keeps a change of the delta format from hiding a change in
 // what the image readers accept.
 constexpr uint64_t kImageVerdictHash = 0xa32ec805fdd6da89ULL;
-constexpr uint64_t kVerdictHash = 0xbf1bd9722c5b8710ULL;
+constexpr uint64_t kVerdictHash = 0x3c498f2bf7ee5a7dULL;
 // The same over the delta log's own framing mutants: the reader's
 // verdict (status, message, segments read, torn tail) and the load's.
 constexpr int kFramingMutants = 60;
-constexpr uint64_t kFramingVerdictHash = 0xd820e5cb897e0ad7ULL;
+constexpr uint64_t kFramingVerdictHash = 0x9b24367b13969262ULL;
 
 simweb::WebConfig HostileWeb() {
   simweb::WebConfig config = simweb::WebConfig().Scaled(0.02);
@@ -830,6 +830,54 @@ TEST(ReaderMutationTest, HugeInLinkCountLoadsAndRoundTrips) {
   Status st = LoadCrawler(in, &restored);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(Save(restored), mutant);
+}
+
+// The readers range-check only politeness sites, so a frontier record
+// may name a site this web lacks (operator>> wraps -1 to 2^32 - 1).
+// Such a checkpoint loads, and the resumed crawl fetches the URL like
+// any other: the web answers NotFound and the crawler tombstones it,
+// without sizing a per-site politeness table by its site.
+TEST(ReaderMutationTest, FrontierSiteOutsideTheWebIsTombstoned) {
+  const simweb::WebConfig wc = HostileWeb();
+  simweb::SimulatedWeb web(wc);
+  IncrementalCrawler crawler(&web, IncConfig());
+  ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+  ASSERT_TRUE(crawler.RunUntil(3.0).ok());
+  const std::string image = Save(crawler);
+  for (const std::string site : {"-1", "4294967294"}) {
+    SCOPED_TRACE(site);
+    // The frontier's first entry becomes (site, 0, 0) at the front of
+    // the queue, keeping its seq.
+    std::vector<std::string> frontier = SectionLines(image, "frontier");
+    ASSERT_GE(frontier.size(), std::size_t{2});
+    std::vector<std::string> entry = Split(frontier[1], ' ');
+    ASSERT_EQ(entry.size(), std::size_t{6});  // F site slot inc when seq
+    entry[1] = site;
+    entry[2] = "0";
+    entry[3] = "0";
+    entry[4] = "-1e+18";
+    frontier[1] = Join(entry, ' ');
+    // AllUrls learns the URL too, so its tombstone shows.
+    std::vector<std::string> all_urls = SectionLines(image, "allurls");
+    std::vector<std::string> header = Split(all_urls[0], ' ');
+    header.back() = std::to_string(std::stoull(header.back()) + 1);
+    all_urls[0] = Join(header, ' ');
+    all_urls.push_back("U " + site + " 0 0 0 0 0");
+    const std::string mutant = WithSection(
+        WithSection(image, "frontier", frontier), "allurls", all_urls);
+
+    simweb::SimulatedWeb resumed_web(wc);
+    IncrementalCrawler resumed(&resumed_web, IncConfig());
+    std::istringstream in(mutant);
+    Status st = LoadCrawler(in, &resumed);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    st = resumed.RunUntil(4.0);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    const simweb::Url url{static_cast<uint32_t>(std::stoll(site)), 0, 0};
+    const AllUrls::UrlInfo* info = resumed.all_urls().Find(url);
+    ASSERT_NE(info, nullptr);
+    EXPECT_TRUE(info->dead);
+  }
 }
 
 }  // namespace
