@@ -1,5 +1,10 @@
 #include "experiment/monitoring_experiment.h"
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <thread>
+
 namespace webevo::experiment {
 
 MonitoringExperiment::MonitoringExperiment(simweb::SimulatedWeb* web,
@@ -9,6 +14,10 @@ MonitoringExperiment::MonitoringExperiment(simweb::SimulatedWeb* web,
   for (uint32_t s = 0; s < web->num_sites(); ++s) {
     windows_.emplace_back(s, config.window_size);
   }
+  int threads = config.parallelism;
+  const auto cores = static_cast<int>(std::thread::hardware_concurrency());
+  if (cores > 0) threads = std::min(threads, cores);
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 Status MonitoringExperiment::RunDay(int day) {
@@ -20,10 +29,33 @@ Status MonitoringExperiment::RunDay(int day) {
   }
   double t = config_.start_time + static_cast<double>(day) +
              config_.visit_hour_fraction;
-  for (PageWindow& window : windows_) {
-    simweb::Domain domain = web_->site_domain(window.site());
-    WindowVisit visit = window.Visit(*web_, t);
-    for (const Observation& obs : visit.pages) {
+
+  // Every fetch of the day is at `t`, and a window fetches only its own
+  // site's pages, so the visits are independent: threads claim windows
+  // from one cursor, in any order.
+  std::vector<WindowVisit> visits(windows_.size());
+  std::atomic<std::size_t> next{0};
+  const std::function<void()> visit_windows = [&] {
+    for (std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
+         s < windows_.size();
+         s = next.fetch_add(1, std::memory_order_relaxed)) {
+      visits[s] = windows_[s].Visit(*web_, t);
+    }
+  };
+  web_->BeginConcurrentBatch(t);
+  if (pool_ == nullptr) {
+    visit_windows();
+  } else {
+    pool_->RunAndWait(std::vector<std::function<void()>>(
+        static_cast<std::size_t>(pool_->size()), visit_windows));
+  }
+  web_->EndConcurrentBatch();
+
+  // The serial record pass, in site order, fixes the table's insertion
+  // order.
+  for (std::size_t s = 0; s < windows_.size(); ++s) {
+    const simweb::Domain domain = web_->site_domain(windows_[s].site());
+    for (const Observation& obs : visits[s].pages) {
       table_.Record(domain, day, obs);
     }
   }

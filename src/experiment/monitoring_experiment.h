@@ -2,12 +2,14 @@
 #define WEBEVO_EXPERIMENT_MONITORING_EXPERIMENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "experiment/page_stats.h"
 #include "experiment/page_window.h"
 #include "simweb/simulated_web.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace webevo::experiment {
 
@@ -22,12 +24,21 @@ struct MonitoringConfig {
   /// 6AM); purely cosmetic for the statistics but keeps visit times off
   /// integer boundaries.
   double visit_hour_fraction = 0.0;
+  /// Threads that visit a day's site windows, capped at the host's
+  /// hardware concurrency; 1 visits them inline. Every result (table,
+  /// counters, web state) is identical at any value.
+  int parallelism = 4;
 };
 
 /// Re-runs the paper's Sections 2-3 measurement procedure against a
 /// simulated web: every day, visit every monitored site's page window
 /// and record sightings and checksum changes into a PageStatsTable,
 /// from which the Figure 2/4/5/6 analyses are derived.
+///
+/// A day visits its windows concurrently (each window fetches only its
+/// own site's pages, all at the day's time), then records the visits
+/// into the table serially in site order, so the table's contents and
+/// insertion order are the serial run's at any parallelism.
 class MonitoringExperiment {
  public:
   MonitoringExperiment(simweb::SimulatedWeb* web,
@@ -51,6 +62,8 @@ class MonitoringExperiment {
   std::vector<PageWindow> windows_;
   PageStatsTable table_;
   int days_completed_ = 0;
+  // The visiting threads; null when the windows are visited inline.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace webevo::experiment

@@ -1,51 +1,106 @@
 #include "experiment/page_window.h"
 
-#include <deque>
-#include <unordered_set>
+#include <algorithm>
 
 namespace webevo::experiment {
 
 WindowVisit PageWindow::Visit(simweb::SimulatedWeb& web, double t) {
+  return Visit(
+      web.site_size(site_),
+      [&web, t](const simweb::Url& url) { return web.Fetch(url, t); }, t);
+}
+
+WindowVisit PageWindow::Visit(uint32_t site_size, const FetchFn& fetch,
+                              double t) {
   WindowVisit visit;
   visit.time = t;
+  if (marks_.size() < site_size) marks_.resize(site_size);
+  ++stamp_;
+  extra_queued_.clear();
 
-  std::deque<simweb::Url> frontier;
-  std::unordered_set<simweb::Url, simweb::UrlHash> enqueued;
-  std::unordered_set<simweb::Url, simweb::UrlHash> in_window;
-  simweb::Url root = web.RootUrl(site_);
+  // The BFS queue: frontier[head] is the next URL to fetch.
+  std::vector<simweb::Url> frontier;
+  frontier.reserve(site_size);
+  visit.pages.reserve(std::min<std::size_t>(window_size_, site_size));
+  const simweb::Url root{site_, 0, 0};
+  Enqueue(root);
   frontier.push_back(root);
-  enqueued.insert(root);
 
-  while (!frontier.empty() && visit.pages.size() < window_size_) {
-    simweb::Url url = frontier.front();
-    frontier.pop_front();
+  for (std::size_t head = 0;
+       head < frontier.size() && visit.pages.size() < window_size_; ++head) {
+    const simweb::Url url = frontier[head];
     ++total_fetches_;
-    auto result = web.Fetch(url, t);
+    auto result = fetch(url);
     if (!result.ok()) continue;  // vanished between discovery and fetch
 
     Observation obs;
     obs.url = url;
     obs.page = result->page;
-    auto it = last_checksum_.find(url);
-    obs.first_sighting = it == last_checksum_.end();
-    obs.changed = !obs.first_sighting && !(it->second == result->checksum);
-    last_checksum_[url] = result->checksum;
-    in_window.insert(url);
+    Sight(url, result->checksum, &obs);
     visit.pages.push_back(obs);
 
     for (const simweb::Url& link : result->links) {
       // Windows are per-site: the paper crawled each selected site's own
       // pages; cross-site links were used only for site selection.
       if (link.site != site_) continue;
-      if (enqueued.insert(link).second) frontier.push_back(link);
+      if (Enqueue(link)) frontier.push_back(link);
     }
   }
 
   for (const simweb::Url& url : previous_window_) {
-    if (in_window.count(url) == 0) visit.left.push_back(url);
+    if (!SightedNow(url)) visit.left.push_back(url);
   }
-  previous_window_.assign(in_window.begin(), in_window.end());
+  previous_window_.clear();
+  for (const Observation& obs : visit.pages) {
+    previous_window_.push_back(obs.url);
+  }
   return visit;
+}
+
+bool PageWindow::Enqueue(const simweb::Url& url) {
+  if (url.slot < marks_.size()) {
+    SlotMark& mark = marks_[url.slot];
+    if (mark.queued != stamp_) {
+      mark.queued = stamp_;
+      mark.queued_incarnation = url.incarnation;
+      return true;
+    }
+    if (mark.queued_incarnation == url.incarnation) return false;
+  }
+  return extra_queued_.emplace(url, false).second;
+}
+
+void PageWindow::Sight(const simweb::Url& url, const Checksum128& sum,
+                       Observation* obs) {
+  if (url.slot < marks_.size() &&
+      marks_[url.slot].queued_incarnation == url.incarnation) {
+    SlotMark& mark = marks_[url.slot];
+    const bool known =
+        mark.sighted != 0 && mark.incarnation == url.incarnation;
+    obs->first_sighting = !known;
+    obs->changed = known && !(mark.checksum == sum);
+    mark.sighted = stamp_;
+    mark.incarnation = url.incarnation;
+    mark.checksum = sum;
+    return;
+  }
+  extra_queued_[url] = true;
+  auto [it, first] = extra_checksums_.try_emplace(url, sum);
+  obs->first_sighting = first;
+  obs->changed = !first && !(it->second == sum);
+  it->second = sum;
+}
+
+bool PageWindow::SightedNow(const simweb::Url& url) const {
+  if (url.slot < marks_.size()) {
+    const SlotMark& mark = marks_[url.slot];
+    if (mark.sighted == stamp_ && mark.incarnation == url.incarnation) {
+      return true;
+    }
+  }
+  if (extra_queued_.empty()) return false;
+  auto it = extra_queued_.find(url);
+  return it != extra_queued_.end() && it->second;
 }
 
 }  // namespace webevo::experiment

@@ -77,13 +77,8 @@ SimulatedWeb::SimulatedWeb(const WebConfig& config)
   }
   rng_.Shuffle(domains);
 
-  sites_.resize(domains.size());
-  if (config_.HasFaults()) site_faults_.resize(domains.size());
-  if (config_.HasAdvState()) site_adv_.resize(domains.size());
-  site_mu_ = std::make_unique<std::mutex[]>(domains.size());
-  site_fetches_ =
-      std::make_unique<std::atomic<uint64_t>[]>(domains.size());
-  for (std::size_t s = 0; s < domains.size(); ++s) site_fetches_[s] = 0;
+  // A site's record holds its mutex, so the records are built in place.
+  sites_ = std::vector<SiteState>(domains.size());
   const double log_lo = std::log(static_cast<double>(config_.min_site_size));
   const double log_hi = std::log(static_cast<double>(config_.max_site_size));
   std::vector<uint32_t> sizes(sites_.size());
@@ -177,7 +172,7 @@ uint32_t SimulatedWeb::TwinSourceOf(uint32_t site) const {
 
 void SimulatedWeb::MintTrapLinksLocked(uint32_t site,
                                        std::vector<Url>* links) {
-  SiteAdvState& adv = site_adv_[site];
+  SiteAdvState& adv = sites_[site].adv;
   const auto real = static_cast<uint64_t>(sites_[site].slots.size());
   const uint64_t span = kMaxSlotsPerSite - real;
   for (uint32_t k = 0; k < config_.adv_trap_links_per_fetch; ++k) {
@@ -189,7 +184,7 @@ void SimulatedWeb::MintTrapLinksLocked(uint32_t site,
 
 void SimulatedWeb::EmitTwinLinksLocked(uint32_t site, uint32_t source,
                                        std::vector<Url>* links) {
-  SiteAdvState& adv = site_adv_[site];
+  SiteAdvState& adv = sites_[site].adv;
   const auto real = static_cast<uint64_t>(sites_[site].slots.size());
   const auto source_size =
       static_cast<uint64_t>(sites_[source].slots.size());
@@ -286,7 +281,6 @@ SimulatedWeb::PageRecord& SimulatedWeb::CreatePageLocked(uint32_t site,
   }
 
   slot_state.history.push_back(std::move(page));
-  pages_created_.fetch_add(1, std::memory_order_relaxed);
   return slot_state.history.back();
 }
 
@@ -379,14 +373,14 @@ void SimulatedWeb::EndConcurrentBatch() {
 
 Url SimulatedWeb::ResolveOccupantUrl(uint32_t site, uint32_t slot,
                                      double t) {
-  std::lock_guard<std::mutex> lock(site_mu_[site]);
+  std::lock_guard<std::mutex> lock(sites_[site].mu);
   EnsureCoverageLocked(site, slot, t);
   return OccupantAtLocked(site, slot, t).url;
 }
 
 SimulatedWeb::FaultOutcome SimulatedWeb::EvalFaultLocked(
     uint32_t site, double t, double* latency_days) {
-  SiteFaultState& f = site_faults_[site];
+  SiteFaultState& f = sites_[site].fault;
   if (!f.init) {
     f.init = true;
     f.draw = Rng(HashCombine(config_.seed ^ kFaultDrawSalt, site));
@@ -442,15 +436,42 @@ SimulatedWeb::FaultOutcome SimulatedWeb::EvalFaultLocked(
   return FaultOutcome::kNone;
 }
 
+Status SimulatedWeb::StrayFetch(const Url& url) {
+  stray_fetches_.fetch_add(1, std::memory_order_relaxed);
+  stray_not_found_.fetch_add(1, std::memory_order_relaxed);
+  return Status::NotFound("no such site/slot: " + url.ToString());
+}
+
+uint64_t SimulatedWeb::fetch_count() const {
+  uint64_t total = stray_fetches_.load(std::memory_order_relaxed);
+  for (const SiteState& site : sites_) {
+    total += site.fetches.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+uint64_t SimulatedWeb::not_found_count() const {
+  uint64_t total = stray_not_found_.load(std::memory_order_relaxed);
+  for (const SiteState& site : sites_) {
+    total += site.not_found.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+uint64_t SimulatedWeb::OracleTotalPagesCreated() const {
+  uint64_t total = 0;
+  for (const SiteState& site : sites_) {
+    std::lock_guard<std::mutex> lock(site.mu);
+    for (const SlotState& slot : site.slots) total += slot.history.size();
+  }
+  return total;
+}
+
 StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
                                           double* latency_days) {
   if (latency_days != nullptr) *latency_days = 0.0;
   bool virtual_slot = false;
-  if (url.site >= sites_.size()) {
-    fetch_count_.fetch_add(1, std::memory_order_relaxed);
-    not_found_count_.fetch_add(1, std::memory_order_relaxed);
-    return Status::NotFound("no such site/slot: " + url.ToString());
-  }
+  if (url.site >= sites_.size()) return StrayFetch(url);
   if (url.slot >= sites_[url.site].slots.size()) {
     // Virtual slots (past a site's real size) exist only on spider
     // traps — which mint them without bound — and migration twins,
@@ -458,18 +479,13 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
     virtual_slot =
         url.incarnation == 0 &&
         (IsTrapSite(url.site) || TwinSourceOf(url.site) < num_sites());
-    if (!virtual_slot) {
-      fetch_count_.fetch_add(1, std::memory_order_relaxed);
-      not_found_count_.fetch_add(1, std::memory_order_relaxed);
-      return Status::NotFound("no such site/slot: " + url.ToString());
-    }
+    if (!virtual_slot) return StrayFetch(url);
   }
   if (t + kTimeSlack < TimeFloor()) {
     return Status::InvalidArgument("fetch time moved backwards");
   }
   BumpNow(t);
-  fetch_count_.fetch_add(1, std::memory_order_relaxed);
-  site_fetches_[url.site].fetch_add(1, std::memory_order_relaxed);
+  SiteState& site = sites_[url.site];
 
   FetchResult result;
   // What body the checksum digests: usually the fetched page itself,
@@ -487,8 +503,9 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
   // so link order is preserved.
   std::vector<std::pair<std::size_t, std::pair<uint32_t, uint32_t>>> remote;
   {
-    std::lock_guard<std::mutex> lock(site_mu_[url.site]);
-    if (!site_faults_.empty()) {
+    std::lock_guard<std::mutex> lock(site.mu);
+    BumpLocked(site.fetches);
+    if (config_.HasFaults()) {
       // Fault outcomes preempt the page entirely: a failed fetch counts
       // as traffic but never advances the page's change process, so a
       // crawler that retries later observes the same evolution it would
@@ -524,7 +541,7 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
         const uint64_t j = url.slot - sites_[url.site].slots.size();
         if (j >= sites_[source].slots.size() ||
             t < MigrationDayOf(source)) {
-          not_found_count_.fetch_add(1, std::memory_order_relaxed);
+          BumpLocked(site.not_found);
           return Status::NotFound("page gone: " + url.ToString());
         }
         result.last_modified = MigrationDayOf(source);
@@ -540,17 +557,17 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
       }
     } else {
       EnsureCoverageLocked(url.site, url.slot, t);
-      SlotState& slot_state = sites_[url.site].slots[url.slot];
+      SlotState& slot_state = site.slots[url.slot];
       if (url.incarnation >= slot_state.history.size()) {
         // Requested incarnation was never born by time t.
-        not_found_count_.fetch_add(1, std::memory_order_relaxed);
+        BumpLocked(site.not_found);
         return Status::NotFound("page gone: " + url.ToString());
       }
       PageRecord& page = slot_state.history[url.incarnation];
       if (page.death_time <= t || page.birth_time > t) {
         // The requested incarnation is dead (or unborn) — a real
         // crawler would see 404.
-        not_found_count_.fetch_add(1, std::memory_order_relaxed);
+        BumpLocked(site.not_found);
         return Status::NotFound("page gone: " + url.ToString());
       }
       AdvancePage(page, t);
@@ -578,8 +595,7 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
 
       // Navigation-tree children of this slot (own-site), then cross
       // links.
-      const auto site_size = static_cast<uint64_t>(
-          sites_[url.site].slots.size());
+      const auto site_size = static_cast<uint64_t>(site.slots.size());
       uint64_t first_child =
           static_cast<uint64_t>(url.slot) *
               static_cast<uint64_t>(config_.tree_branching) +
@@ -631,8 +647,7 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
     result.checksum = ChecksumOf(TrapBody(url.site));
   } else {
     ChecksumBuilder digest;
-    const auto append = [&digest](std::string_view p) { digest.Append(p); };
-    EmitPageBody(checksum_page, checksum_version, append);
+    EmitPageBody(checksum_page, checksum_version, digest);
     result.checksum = digest.Finish();
   }
   return result;
@@ -645,7 +660,7 @@ Url SimulatedWeb::RootUrl(uint32_t site) const {
 
 template <typename Sink>
 void SimulatedWeb::EmitPageBody(PageId page, uint64_t version,
-                                Sink&& sink) const {
+                                Sink& sink) const {
   // Deterministic pseudo-content: distinct per (page, version) so the
   // checksum changes exactly when the page changes.
   const uint64_t token = HashCombine(page, version);
@@ -658,7 +673,8 @@ void SimulatedWeb::EmitPageBody(PageId page, uint64_t version,
   put(kBodyTitle, page);
   put(kBodyRevision, version);
   put(kBodyToken, token);
-  sink(std::string_view(header, static_cast<std::size_t>(end - header)));
+  sink.Append(
+      std::string_view(header, static_cast<std::size_t>(end - header)));
 
   // Deterministic filler stream so per-fetch work scales with the
   // configured body size; each word is keyed on its byte offset in the
@@ -668,20 +684,25 @@ void SimulatedWeb::EmitPageBody(PageId page, uint64_t version,
   uint64_t x = HashCombine(token, 0x626f6479ull);
   while (offset < filler_end) {
     x = HashCombine(x, offset);
-    char word[sizeof(uint64_t)];
-    std::memcpy(word, &x, sizeof(word));
-    const std::size_t n = std::min(sizeof(word), filler_end - offset);
-    sink(std::string_view(word, n));
+    const std::size_t n = std::min(sizeof(x), filler_end - offset);
+    sink.AppendWord(x, n);
     offset += n;
   }
-  sink(kBodyEnd);
+  sink.Append(kBodyEnd);
 }
 
 std::string SimulatedWeb::PageBody(PageId page, uint64_t version) const {
-  std::string body;
-  const auto append = [&body](std::string_view piece) { body += piece; };
-  EmitPageBody(page, version, append);
-  return body;
+  struct StringSink {
+    std::string body;
+    void Append(std::string_view piece) { body += piece; }
+    void AppendWord(uint64_t word, std::size_t n) {
+      char bytes[sizeof(word)];
+      std::memcpy(bytes, &word, sizeof(word));
+      body.append(bytes, n);
+    }
+  } sink;
+  EmitPageBody(page, version, sink);
+  return std::move(sink.body);
 }
 
 StatusOr<PageId> SimulatedWeb::OracleLookup(const Url& url) const {
@@ -689,7 +710,7 @@ StatusOr<PageId> SimulatedWeb::OracleLookup(const Url& url) const {
       url.slot >= sites_[url.site].slots.size()) {
     return Status::NotFound("no such site/slot");
   }
-  std::lock_guard<std::mutex> lock(site_mu_[url.site]);
+  std::lock_guard<std::mutex> lock(sites_[url.site].mu);
   const auto& history = sites_[url.site].slots[url.slot].history;
   if (url.incarnation >= history.size()) {
     return Status::NotFound("incarnation never created");
@@ -720,7 +741,7 @@ StatusOr<uint64_t> SimulatedWeb::OracleVersion(const Url& url, double t) {
     return Status::NotFound("page migrated away");
   }
   BumpNow(t);
-  std::lock_guard<std::mutex> lock(site_mu_[url.site]);
+  std::lock_guard<std::mutex> lock(sites_[url.site].mu);
   auto& history = sites_[url.site].slots[url.slot].history;
   if (url.incarnation >= history.size()) {
     return Status::NotFound("incarnation never created");
@@ -745,7 +766,7 @@ bool SimulatedWeb::OracleAlive(const Url& url, double t) const {
     return false;
   }
   if (t >= MigrationDayOf(url.site)) return false;
-  std::lock_guard<std::mutex> lock(site_mu_[url.site]);
+  std::lock_guard<std::mutex> lock(sites_[url.site].mu);
   const auto& history = sites_[url.site].slots[url.slot].history;
   if (url.incarnation >= history.size()) return false;
   const PageRecord& page = history[url.incarnation];
@@ -784,7 +805,7 @@ StatusOr<double> SimulatedWeb::OracleLastChangeTime(const Url& url,
     return Status::NotFound("page migrated away");
   }
   BumpNow(t);
-  std::lock_guard<std::mutex> lock(site_mu_[url.site]);
+  std::lock_guard<std::mutex> lock(sites_[url.site].mu);
   auto& history = sites_[url.site].slots[url.slot].history;
   if (url.incarnation >= history.size()) {
     return Status::NotFound("incarnation never created");
@@ -798,17 +819,17 @@ StatusOr<double> SimulatedWeb::OracleLastChangeTime(const Url& url,
 }
 
 double SimulatedWeb::OracleChangeRate(PageId page) const {
-  std::lock_guard<std::mutex> lock(site_mu_[PageIdSite(page)]);
+  std::lock_guard<std::mutex> lock(sites_[PageIdSite(page)].mu);
   return RecordOf(page).change_rate;
 }
 
 double SimulatedWeb::OracleBirthTime(PageId page) const {
-  std::lock_guard<std::mutex> lock(site_mu_[PageIdSite(page)]);
+  std::lock_guard<std::mutex> lock(sites_[PageIdSite(page)].mu);
   return RecordOf(page).birth_time;
 }
 
 double SimulatedWeb::OracleDeathTime(PageId page) const {
-  std::lock_guard<std::mutex> lock(site_mu_[PageIdSite(page)]);
+  std::lock_guard<std::mutex> lock(sites_[PageIdSite(page)].mu);
   return RecordOf(page).death_time;
 }
 
@@ -829,7 +850,7 @@ std::vector<SimulatedWeb::SiteLink> SimulatedWeb::OracleSiteLinks(double t) {
   std::vector<uint64_t> row(sites_.size(), 0);
   for (uint32_t s = 0; s < sites_.size(); ++s) {
     std::vector<uint32_t> touched;
-    std::lock_guard<std::mutex> lock(site_mu_[s]);
+    std::lock_guard<std::mutex> lock(sites_[s].mu);
     for (uint32_t j = 0; j < sites_[s].slots.size(); ++j) {
       EnsureCoverageLocked(s, j, t);
       const PageRecord& page = OccupantAtLocked(s, j, t);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -40,9 +39,10 @@ namespace webevo::simweb {
 /// Determinism and concurrency: every page owns a private RNG stream
 /// seeded from (web seed, site, slot, incarnation), and PageIds are a
 /// pure function of the URL, so a page's evolution is independent of
-/// the order in which *other* pages are observed. Shared structures are
-/// guarded by one mutex per site plus atomic counters, which makes the
-/// fetch and oracle paths safe for concurrent crawl shards — and, with
+/// the order in which *other* pages are observed. Each site's state sits
+/// in one cache-line-aligned record guarded by that site's mutex, which
+/// makes the fetch and oracle paths safe for concurrent crawl shards, and
+/// shards fetching different sites never write a shared line. With
 /// per-page streams, bit-identical across shard counts as long as each
 /// individual page is observed at the same times. The only ordering
 /// requirement is per page: one page's observation times must be
@@ -142,14 +142,12 @@ class SimulatedWeb {
   /// Total page slots across all sites (= live pages at any instant).
   uint64_t TotalSlots() const { return total_slots_; }
 
-  uint64_t fetch_count() const {
-    return fetch_count_.load(std::memory_order_relaxed);
-  }
-  uint64_t not_found_count() const {
-    return not_found_count_.load(std::memory_order_relaxed);
-  }
+  /// Traffic counters. Each fetch counts on its site's record only, so
+  /// the totals are sums over the sites.
+  uint64_t fetch_count() const;
+  uint64_t not_found_count() const;
   uint64_t site_fetch_count(uint32_t site) const {
-    return site_fetches_[site].load(std::memory_order_relaxed);
+    return sites_[site].fetches.load(std::memory_order_relaxed);
   }
 
   /// --- Oracle API (evaluation only; does not count as traffic) -------
@@ -183,10 +181,9 @@ class SimulatedWeb {
   Domain OraclePageDomain(PageId page) const;
   Url OraclePageUrl(PageId page) const;
 
-  /// Total pages ever created (live + dead).
-  uint64_t OracleTotalPagesCreated() const {
-    return pages_created_.load(std::memory_order_relaxed);
-  }
+  /// Total pages ever created (live + dead): the slot histories' total
+  /// length.
+  uint64_t OracleTotalPagesCreated() const;
 
   /// --- Adversarial classification (pure in (config, site)) -----------
   /// Which sites are traps / mirrors / migrators is a pure hash draw of
@@ -260,11 +257,6 @@ class SimulatedWeb {
     std::vector<PageRecord> history;
   };
 
-  struct SiteState {
-    Domain domain = Domain::kCom;
-    std::vector<SlotState> slots;
-  };
-
   /// Per-site fault-injection state, materialized lazily on a site's
   /// first fetch (so it exists for exactly the sites that were crawled,
   /// at every shard count). Guarded by the site's mutex.
@@ -303,6 +295,35 @@ class SimulatedWeb {
     uint64_t twin_emitted = 0;
   };
 
+  /// Everything a fetch of one site writes, in one record that starts
+  /// a cache line and shares none with another site's: threads fetching
+  /// different sites never contend for a line. (Slot histories are heap
+  /// blocks of their own.)
+  struct alignas(64) SiteState {
+    /// Guards the slot histories, `fault` and `adv`; only its holder
+    /// writes the counters.
+    mutable std::mutex mu;
+    Domain domain = Domain::kCom;
+    std::vector<SlotState> slots;  // count fixed at construction
+    std::atomic<uint64_t> fetches{0};
+    std::atomic<uint64_t> not_found{0};
+    SiteFaultState fault;  // advanced only when config_.HasFaults()
+    SiteAdvState adv;      // advanced only when config_.HasAdvState()
+  };
+
+  /// Adds one to a counter of the site whose mutex the caller holds: the
+  /// lock already orders its writers, so a plain load and store replace
+  /// a locked read-modify-write, and readers outside the lock still see
+  /// whole values.
+  static void BumpLocked(std::atomic<uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  }
+
+  /// Counts a fetch of a URL naming no site or slot of this web (no
+  /// site's record sees it) and returns its NotFound.
+  Status StrayFetch(const Url& url);
+
   /// Appends `adv_trap_links_per_fetch` freshly minted trap URLs for a
   /// successful fetch on trap site `site`. Caller holds the site mutex.
   void MintTrapLinksLocked(uint32_t site, std::vector<Url>* links);
@@ -317,11 +338,13 @@ class SimulatedWeb {
   Rng PageStream(PageId id) const;
 
   /// The one definition of a page body: passes the bytes of
-  /// PageBody(page, version) to `sink(std::string_view)` in order, as
-  /// the header, then each 8-byte filler word (the last one cut at
-  /// page_body_bytes), then the trailer.
+  /// PageBody(page, version) to `sink` in order, the header and trailer
+  /// through `sink.Append(std::string_view)` and each 8-byte filler word
+  /// between them through `sink.AppendWord(word, n)`, which takes the
+  /// first `n` bytes of the word's object representation (8, except for
+  /// the last word, cut at page_body_bytes). ChecksumBuilder is a sink.
   template <typename Sink>
-  void EmitPageBody(PageId page, uint64_t version, Sink&& sink) const;
+  void EmitPageBody(PageId page, uint64_t version, Sink& sink) const;
 
   /// Appends a new page to (site, slot)'s history, born at `birth`.
   /// `stationary` backdates the birth by a uniform fraction of the
@@ -362,17 +385,12 @@ class SimulatedWeb {
   bool concurrent_batch_ = false;
   double batch_floor_ = 0.0;
   std::vector<SiteState> sites_;
-  // Sized to num_sites when config_.HasFaults(); empty otherwise.
-  std::vector<SiteFaultState> site_faults_;
-  // Sized to num_sites when config_.HasAdvState(); empty otherwise.
-  std::vector<SiteAdvState> site_adv_;
-  // One mutex per site, guarding that site's slot histories.
-  std::unique_ptr<std::mutex[]> site_mu_;
   uint64_t total_slots_ = 0;
-  std::atomic<uint64_t> fetch_count_{0};
-  std::atomic<uint64_t> not_found_count_{0};
-  std::atomic<uint64_t> pages_created_{0};
-  std::unique_ptr<std::atomic<uint64_t>[]> site_fetches_;
+  // Fetches and NotFound answers no site's record counts: stray URLs,
+  // and whatever a restored snapshot's totals hold beyond its per-site
+  // fetch counts (it keeps no per-site NotFound counts).
+  std::atomic<uint64_t> stray_fetches_{0};
+  std::atomic<uint64_t> stray_not_found_{0};
 };
 
 }  // namespace webevo::simweb

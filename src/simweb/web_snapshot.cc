@@ -128,14 +128,14 @@ std::istream& operator>>(std::istream& is, Death death) {
 /// SimulatedWeb.
 struct WebSiteRecords {
   double now = 0.0;
-  uint64_t fetch_count = 0, not_found = 0, pages_created = 0;
+  uint64_t fetch_count = 0, not_found = 0, nrecords = 0;
   std::vector<std::pair<uint32_t, uint64_t>> fetches;
   std::vector<std::pair<uint32_t, SimulatedWeb::SiteFaultState>> faults;
   std::vector<std::pair<uint32_t, SimulatedWeb::SiteAdvState>> adv;
   /// Incarnation histories by [site][slot].
   std::vector<std::vector<std::vector<SimulatedWeb::PageRecord>>> histories;
 
-  /// Reads the counted A, X, Y and I records (pages_created of them).
+  /// Reads the counted A, X, Y and I records (nrecords of them).
   bool Read(RecordReader& in, const SimulatedWeb& web, std::size_t nfetches,
             std::size_t nfaults, std::size_t nadv) {
     const uint32_t num_sites = web.num_sites();
@@ -164,7 +164,7 @@ struct WebSiteRecords {
       if (site >= num_sites) {
         return in.Fail("fault record of a site outside this web");
       }
-      if (web.site_faults_.empty()) {
+      if (!web.config_.HasFaults()) {
         return in.Fail(
             "fault state, but this web's configuration has fault "
             "injection disabled");
@@ -181,7 +181,7 @@ struct WebSiteRecords {
       if (site >= num_sites) {
         return in.Fail("adversarial record of a site outside this web");
       }
-      if (web.site_adv_.empty()) {
+      if (!web.config_.HasAdvState()) {
         return in.Fail(
             "adversarial state, but this web's configuration has the "
             "adversarial lane disabled");
@@ -195,7 +195,7 @@ struct WebSiteRecords {
     // Records arrive in canonical order: (site, slot) never decreases,
     // and each slot's incarnations count up from 0.
     std::pair<uint32_t, uint32_t> last{0, 0};
-    for (uint64_t i = 0; i < pages_created; ++i) {
+    for (uint64_t i = 0; i < nrecords; ++i) {
       Url url;
       SimulatedWeb::PageRecord page;
       std::array<uint64_t, 4> lanes{};
@@ -241,25 +241,32 @@ struct WebSiteRecords {
   /// Replaces the web's whole evolution state.
   void ApplyTo(SimulatedWeb* web) && {
     for (uint32_t s = 0; s < web->num_sites(); ++s) {
-      auto& slots = web->sites_[s].slots;
-      for (uint32_t j = 0; j < slots.size(); ++j) {
-        slots[j].history = std::move(histories[s][j]);
+      SimulatedWeb::SiteState& site = web->sites_[s];
+      for (uint32_t j = 0; j < site.slots.size(); ++j) {
+        site.slots[j].history = std::move(histories[s][j]);
       }
-      web->site_fetches_[s].store(0, std::memory_order_relaxed);
+      site.fetches.store(0, std::memory_order_relaxed);
+      site.not_found.store(0, std::memory_order_relaxed);
+      site.fault = SimulatedWeb::SiteFaultState{};
+      site.adv = SimulatedWeb::SiteAdvState{};
     }
-    std::fill(web->site_faults_.begin(), web->site_faults_.end(),
-              SimulatedWeb::SiteFaultState{});
-    std::fill(web->site_adv_.begin(), web->site_adv_.end(),
-              SimulatedWeb::SiteAdvState{});
     web->now_.store(now, std::memory_order_relaxed);
-    web->fetch_count_.store(fetch_count, std::memory_order_relaxed);
-    web->not_found_count_.store(not_found, std::memory_order_relaxed);
-    web->pages_created_.store(pages_created, std::memory_order_relaxed);
     for (const auto& [site, count] : fetches) {
-      web->site_fetches_[site].store(count, std::memory_order_relaxed);
+      web->sites_[site].fetches.store(count, std::memory_order_relaxed);
     }
-    for (const auto& [site, f] : faults) web->site_faults_[site] = f;
-    for (const auto& [site, a] : adv) web->site_adv_[site] = a;
+    for (const auto& [site, f] : faults) web->sites_[site].fault = f;
+    for (const auto& [site, a] : adv) web->sites_[site].adv = a;
+    // The totals are the sites' counts plus the stray counters, so those
+    // take what the per-site counts leave of the saved totals (wrapping,
+    // as the totals do): fetch_count() and not_found_count() then read
+    // back exactly the saved values.
+    uint64_t site_fetches = 0;
+    for (const SimulatedWeb::SiteState& site : web->sites_) {
+      site_fetches += site.fetches.load(std::memory_order_relaxed);
+    }
+    web->stray_fetches_.store(fetch_count - site_fetches,
+                              std::memory_order_relaxed);
+    web->stray_not_found_.store(not_found, std::memory_order_relaxed);
   }
 };
 
@@ -276,18 +283,14 @@ Status SaveWeb(const SimulatedWeb& web, std::ostream& out) {
     for (const auto& slot : site.slots) nrecords += slot.history.size();
   }
   std::vector<std::pair<uint32_t, uint64_t>> fetch_sites;
-  for (uint32_t s = 0; s < web.num_sites(); ++s) {
-    uint64_t count = web.site_fetches_[s].load(std::memory_order_relaxed);
-    if (count > 0) fetch_sites.emplace_back(s, count);
-  }
   std::vector<uint32_t> fault_sites;
-  for (uint32_t s = 0; s < web.site_faults_.size(); ++s) {
-    if (web.site_faults_[s].init) fault_sites.push_back(s);
-  }
   std::vector<uint32_t> adv_sites;
-  for (uint32_t s = 0; s < web.site_adv_.size(); ++s) {
-    if (web.site_adv_[s].trap_minted > 0 ||
-        web.site_adv_[s].twin_emitted > 0) {
+  for (uint32_t s = 0; s < web.num_sites(); ++s) {
+    const SimulatedWeb::SiteState& site = web.sites_[s];
+    const uint64_t count = site.fetches.load(std::memory_order_relaxed);
+    if (count > 0) fetch_sites.emplace_back(s, count);
+    if (site.fault.init) fault_sites.push_back(s);
+    if (site.adv.trap_minted > 0 || site.adv.twin_emitted > 0) {
       adv_sites.push_back(s);
     }
   }
@@ -302,10 +305,10 @@ Status SaveWeb(const SimulatedWeb& web, std::ostream& out) {
     writer.Line(line.Start("A", site, count));
   }
   for (uint32_t s : fault_sites) {
-    writer.Line(FaultLine(s, web.site_faults_[s], line));
+    writer.Line(FaultLine(s, web.sites_[s].fault, line));
   }
   for (uint32_t s : adv_sites) {
-    const SimulatedWeb::SiteAdvState& a = web.site_adv_[s];
+    const SimulatedWeb::SiteAdvState& a = web.sites_[s].adv;
     writer.Line(line.Start("Y", s, a.trap_minted, a.twin_emitted));
   }
   for (uint32_t s = 0; s < web.num_sites(); ++s) {
@@ -326,7 +329,7 @@ Status RestoreWeb(std::istream& is, SimulatedWeb* web) {
   std::size_t nfetches = 0, nfaults = 0, nadv = 0;
   WebSiteRecords records;
   if (!in.Header(kWebMagic, kWebFormatVersion, num_sites,
-                 records.pages_created, nfetches, records.now,
+                 records.nrecords, nfetches, records.now,
                  records.fetch_count, records.not_found, nfaults, nadv)) {
     return in.status();
   }

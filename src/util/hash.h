@@ -1,7 +1,9 @@
 #ifndef WEBEVO_UTIL_HASH_H_
 #define WEBEVO_UTIL_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace webevo {
@@ -44,6 +46,27 @@ class ChecksumBuilder {
     uint64_t lo = lo_;
     uint64_t hi = hi_;
     for (unsigned char c : data) {
+      lo = (lo ^ c) * kFnv64Prime;
+      hi = (hi ^ c) * kFnv64Prime;
+    }
+    lo_ = lo;
+    hi_ = hi;
+  }
+
+  /// Appends the first `n` (1 to 8) bytes of `word`'s object
+  /// representation, exactly as Append of those bytes would. A whole
+  /// word folds in one unrolled step, with no per-byte loop.
+  void AppendWord(uint64_t word, std::size_t n) {
+    unsigned char bytes[sizeof(word)];
+    std::memcpy(bytes, &word, sizeof(word));
+    if (n != sizeof(word)) {
+      Append(std::string_view(reinterpret_cast<const char*>(bytes), n));
+      return;
+    }
+    uint64_t lo = lo_;
+    uint64_t hi = hi_;
+#pragma GCC unroll 8
+    for (unsigned char c : bytes) {
       lo = (lo ^ c) * kFnv64Prime;
       hi = (hi ^ c) * kFnv64Prime;
     }

@@ -1,13 +1,23 @@
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <map>
+#include <sstream>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "experiment/analyzers.h"
+#include "experiment/csv_export.h"
 #include "experiment/monitoring_experiment.h"
 #include "experiment/page_stats.h"
 #include "experiment/page_window.h"
 #include "experiment/site_selector.h"
 #include "simweb/simulated_web.h"
+#include "util/hash.h"
 
 namespace webevo::experiment {
 namespace {
@@ -22,6 +32,117 @@ simweb::WebConfig SmallStudyWeb(uint64_t seed = 55) {
   c.min_site_size = 30;
   c.max_site_size = 80;
   return c;
+}
+
+/// A small study web under a fault and an adversarial scenario.
+simweb::WebConfig ScenarioStudyWeb(const std::string& faults,
+                                   const std::string& adversarial) {
+  simweb::WebConfig c = SmallStudyWeb(60);
+  EXPECT_TRUE(simweb::ApplyFaultScenario(faults, &c).ok());
+  EXPECT_TRUE(simweb::ApplyAdversarialScenario(adversarial, &c).ok());
+  return c;
+}
+
+/// The page window as specified before its slot marks: hash sets per
+/// visit and a URL-keyed checksum map. PageWindow must report exactly
+/// what this does (`left` in any order).
+class ReferenceWindow {
+ public:
+  ReferenceWindow(uint32_t site, std::size_t window_size)
+      : site_(site), window_size_(window_size) {}
+
+  WindowVisit Visit(const PageWindow::FetchFn& fetch, double t) {
+    WindowVisit visit;
+    visit.time = t;
+    std::deque<Url> frontier;
+    std::unordered_set<Url, simweb::UrlHash> enqueued;
+    std::unordered_set<Url, simweb::UrlHash> in_window;
+    frontier.push_back(Url{site_, 0, 0});
+    enqueued.insert(frontier.back());
+    while (!frontier.empty() && visit.pages.size() < window_size_) {
+      const Url url = frontier.front();
+      frontier.pop_front();
+      ++fetches_;
+      auto result = fetch(url);
+      if (!result.ok()) continue;
+      Observation obs;
+      obs.url = url;
+      obs.page = result->page;
+      auto it = last_checksum_.find(url);
+      obs.first_sighting = it == last_checksum_.end();
+      obs.changed = !obs.first_sighting && !(it->second == result->checksum);
+      last_checksum_[url] = result->checksum;
+      in_window.insert(url);
+      visit.pages.push_back(obs);
+      for (const Url& link : result->links) {
+        if (link.site != site_) continue;
+        if (enqueued.insert(link).second) frontier.push_back(link);
+      }
+    }
+    for (const Url& url : previous_window_) {
+      if (in_window.count(url) == 0) visit.left.push_back(url);
+    }
+    previous_window_.assign(in_window.begin(), in_window.end());
+    return visit;
+  }
+
+  uint64_t total_fetches() const { return fetches_; }
+
+ private:
+  uint32_t site_;
+  std::size_t window_size_;
+  std::unordered_map<Url, Checksum128, simweb::UrlHash> last_checksum_;
+  std::vector<Url> previous_window_;
+  uint64_t fetches_ = 0;
+};
+
+std::vector<Url> Sorted(std::vector<Url> urls) {
+  std::sort(urls.begin(), urls.end(), simweb::UrlIdentityLess{});
+  return urls;
+}
+
+void ExpectSameVisit(const WindowVisit& got, const WindowVisit& want) {
+  ASSERT_EQ(got.pages.size(), want.pages.size());
+  for (std::size_t i = 0; i < got.pages.size(); ++i) {
+    const Observation& g = got.pages[i];
+    const Observation& w = want.pages[i];
+    EXPECT_EQ(g.url, w.url) << i;
+    EXPECT_EQ(g.page, w.page) << g.url.ToString();
+    EXPECT_EQ(g.changed, w.changed) << g.url.ToString();
+    EXPECT_EQ(g.first_sighting, w.first_sighting) << g.url.ToString();
+  }
+  EXPECT_EQ(Sorted(got.left), Sorted(want.left));
+}
+
+/// Visits every site of two identically built webs daily for `days`,
+/// one through PageWindow and one through the reference, and requires
+/// the same reports. Returns how many observations were past their
+/// site's size.
+int ExpectWindowsMatchReference(const simweb::WebConfig& config, int days,
+                                std::size_t window_size) {
+  simweb::SimulatedWeb web(config);
+  simweb::SimulatedWeb reference_web(config);
+  std::vector<PageWindow> windows;
+  std::vector<ReferenceWindow> references;
+  for (uint32_t s = 0; s < web.num_sites(); ++s) {
+    windows.emplace_back(s, window_size);
+    references.emplace_back(s, window_size);
+  }
+  int past_size = 0;
+  for (int day = 0; day < days; ++day) {
+    const double t = day;
+    for (uint32_t s = 0; s < web.num_sites(); ++s) {
+      const WindowVisit got = windows[s].Visit(web, t);
+      const WindowVisit want = references[s].Visit(
+          [&](const Url& url) { return reference_web.Fetch(url, t); }, t);
+      ExpectSameVisit(got, want);
+      EXPECT_EQ(windows[s].total_fetches(), references[s].total_fetches());
+      for (const Observation& obs : got.pages) {
+        past_size += obs.url.slot >= web.site_size(s);
+      }
+    }
+  }
+  return past_size;
 }
 
 // --------------------------------------------------------------- PageWindow
@@ -97,6 +218,107 @@ TEST(PageWindowTest, DepartedPagesReported) {
   EXPECT_GT(fresh_urls, 0);  // replacements entered the window
 }
 
+TEST(PageWindowTest, MatchesHashSetReference) {
+  // Short lifespans bump incarnations between visits, and a window
+  // smaller than most sites leaves queued slots unfetched.
+  simweb::WebConfig churn = SmallStudyWeb(61);
+  churn.uniform_lifespan_days = 3.0;
+  EXPECT_EQ(ExpectWindowsMatchReference(churn, 12, 25), 0);
+  EXPECT_EQ(ExpectWindowsMatchReference(SmallStudyWeb(62), 12, 1000), 0);
+}
+
+TEST(PageWindowTest, TrapAndTwinSlotsPastSiteSize) {
+  // Spider-trap URLs and a migration twin's resurrected pages sit past
+  // their site's real slots, where the window keeps them by URL.
+  EXPECT_GT(ExpectWindowsMatchReference(
+                ScenarioStudyWeb("transient10", "spider-trap"), 10, 60),
+            0);
+  EXPECT_GT(ExpectWindowsMatchReference(
+                ScenarioStudyWeb("none", "domain-migration"), 16, 60),
+            0);
+}
+
+TEST(PageWindowTest, IncarnationBumpBetweenVisitsIsFirstSighting) {
+  simweb::WebConfig c = SmallStudyWeb(63);
+  c.uniform_lifespan_days = 2.0;
+  simweb::SimulatedWeb web(c);
+  PageWindow window(0, 1000);
+  std::map<uint32_t, uint32_t> incarnation_of_slot;
+  for (const Observation& obs : window.Visit(web, 0.0).pages) {
+    incarnation_of_slot[obs.url.slot] = obs.url.incarnation;
+  }
+  int bumps = 0;
+  for (const Observation& obs : window.Visit(web, 5.0).pages) {
+    auto it = incarnation_of_slot.find(obs.url.slot);
+    ASSERT_NE(it, incarnation_of_slot.end()) << obs.url.ToString();
+    if (it->second == obs.url.incarnation) {
+      EXPECT_FALSE(obs.first_sighting) << obs.url.ToString();
+      continue;
+    }
+    // The slot's page was replaced: a new URL, whatever its checksum.
+    EXPECT_GT(obs.url.incarnation, it->second);
+    EXPECT_TRUE(obs.first_sighting) << obs.url.ToString();
+    EXPECT_FALSE(obs.changed) << obs.url.ToString();
+    ++bumps;
+  }
+  EXPECT_GT(bumps, 0);
+}
+
+TEST(PageWindowTest, RootReplacedWithinOneVisit) {
+  // No SimulatedWeb serves two incarnations of one slot at one time
+  // (the root never dies), so a scripted source does: the root page
+  // (slot 0, incarnation 0, where every visit starts) links to its own
+  // replacement (slot 0, incarnation 1), and only the replacement links
+  // on to slot 2.
+  std::map<std::pair<uint32_t, uint32_t>, uint64_t> version;
+  bool replacement_linked = true;
+  const auto fetch = [&](const Url& url) -> StatusOr<simweb::FetchResult> {
+    simweb::FetchResult result;
+    result.url = url;
+    result.page = simweb::PageIdOf(url);
+    result.checksum =
+        ChecksumOf(url.ToString() + "@" +
+                   std::to_string(version[{url.slot, url.incarnation}]));
+    if (url == Url{0, 0, 0}) {
+      result.links = {Url{0, 1, 0}};
+      if (replacement_linked) result.links.push_back(Url{0, 0, 1});
+    } else if (url == Url{0, 0, 1}) {
+      result.links = {Url{0, 2, 0}, Url{0, 0, 0}};
+    } else if (url == Url{0, 2, 0}) {
+      result.links = {Url{0, 0, 1}};
+    }
+    return result;
+  };
+  PageWindow window(0, 10);
+  ReferenceWindow reference(0, 10);
+  const auto visit = [&](double t) {
+    WindowVisit got = window.Visit(4, fetch, t);
+    ExpectSameVisit(got, reference.Visit(fetch, t));
+    EXPECT_EQ(window.total_fetches(), reference.total_fetches());
+    return got;
+  };
+
+  WindowVisit first = visit(0.0);
+  ASSERT_EQ(first.pages.size(), 4u);
+  EXPECT_EQ(first.pages[2].url, (Url{0, 0, 1}));
+  for (const Observation& obs : first.pages) EXPECT_TRUE(obs.first_sighting);
+  EXPECT_EQ(window.total_fetches(), 4u);  // each URL fetched once
+
+  version[{0, 1}] = 1;  // only the replacement root changes
+  WindowVisit second = visit(1.0);
+  ASSERT_EQ(second.pages.size(), 4u);
+  for (const Observation& obs : second.pages) {
+    EXPECT_FALSE(obs.first_sighting) << obs.url.ToString();
+    EXPECT_EQ(obs.changed, obs.url == (Url{0, 0, 1})) << obs.url.ToString();
+  }
+  EXPECT_TRUE(second.left.empty());
+
+  replacement_linked = false;  // the replacement and its subtree leave
+  WindowVisit third = visit(2.0);
+  EXPECT_EQ(third.pages.size(), 2u);
+  EXPECT_EQ(Sorted(third.left), (std::vector<Url>{{0, 0, 1}, {0, 2, 0}}));
+}
+
 // ---------------------------------------------------------------- PageStats
 
 TEST(PageStatsTest, RecordAccumulates) {
@@ -165,6 +387,98 @@ TEST(MonitoringExperimentTest, DaysMustRunInOrder) {
   EXPECT_TRUE(experiment.RunDay(0).ok());
   EXPECT_FALSE(experiment.RunDay(0).ok());
   EXPECT_TRUE(experiment.RunDay(1).ok());
+}
+
+/// Every PageStats field of every URL, one line each in canonical URL
+/// order.
+std::string TableText(const PageStatsTable& table) {
+  std::vector<const std::pair<const Url, PageStats>*> rows;
+  for (const auto& row : table.stats()) rows.push_back(&row);
+  std::sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
+    return simweb::UrlIdentityLess{}(a->first, b->first);
+  });
+  std::ostringstream out;
+  for (const auto* row : rows) {
+    const PageStats& ps = row->second;
+    out << row->first.ToString() << ' ' << static_cast<int>(ps.domain) << ' '
+        << ps.page << ' ' << ps.first_day << ' ' << ps.last_day << ' '
+        << ps.first_gap_day << ' ' << ps.sightings << ' ' << ps.changes
+        << ' ' << ps.first_change_day;
+    for (int day : ps.change_days) out << ' ' << day;
+    out << '\n';
+  }
+  return out.str();
+}
+
+/// What a campaign leaves behind that must not depend on parallelism.
+struct StudyOutputs {
+  std::string table;
+  std::string csv;  // the table in its own (insertion-dependent) order
+  uint64_t total_fetches = 0;
+  uint64_t fetch_count = 0;
+  std::string web_bytes;
+};
+
+StudyOutputs RunStudyAt(const simweb::WebConfig& web_config,
+                        int parallelism) {
+  simweb::SimulatedWeb web(web_config);
+  MonitoringConfig config;
+  config.num_days = 30;
+  config.window_size = 40;
+  config.parallelism = parallelism;
+  MonitoringExperiment experiment(&web, config);
+  EXPECT_TRUE(experiment.Run().ok());
+  StudyOutputs out;
+  out.table = TableText(experiment.table());
+  std::ostringstream csv;
+  EXPECT_TRUE(WritePageStatsCsv(experiment.table(), csv).ok());
+  out.csv = csv.str();
+  out.total_fetches = experiment.total_fetches();
+  out.fetch_count = web.fetch_count();
+  std::ostringstream bytes;
+  EXPECT_TRUE(simweb::SaveWeb(web, bytes).ok());
+  out.web_bytes = bytes.str();
+  return out;
+}
+
+TEST(MonitoringExperimentTest, IdenticalAtAnyParallelism) {
+  struct Case {
+    const char* faults;
+    const char* adversarial;
+  };
+  for (const Case& c : {Case{"none", "none"},
+                        Case{"transient10", "spider-trap"},
+                        Case{"none", "domain-migration"}}) {
+    SCOPED_TRACE(std::string(c.faults) + "+" + c.adversarial);
+    const simweb::WebConfig web = ScenarioStudyWeb(c.faults, c.adversarial);
+    const StudyOutputs serial = RunStudyAt(web, 1);
+    EXPECT_FALSE(serial.table.empty());
+    EXPECT_EQ(serial.total_fetches, serial.fetch_count);
+    for (int parallelism : {4, 8}) {
+      const StudyOutputs parallel = RunStudyAt(web, parallelism);
+      EXPECT_EQ(parallel.table, serial.table) << parallelism;
+      EXPECT_TRUE(parallel.csv == serial.csv) << parallelism;
+      EXPECT_EQ(parallel.total_fetches, serial.total_fetches) << parallelism;
+      EXPECT_EQ(parallel.fetch_count, serial.fetch_count) << parallelism;
+      EXPECT_TRUE(parallel.web_bytes == serial.web_bytes) << parallelism;
+    }
+  }
+}
+
+TEST(MonitoringExperimentTest, AdversarialTableGolden) {
+  // Captured before the windows' slot marks and the parallel day: the
+  // table, window traffic and web traffic of a faulty spider-trap web
+  // and of a migrating one.
+  const StudyOutputs trap =
+      RunStudyAt(ScenarioStudyWeb("transient10", "spider-trap"), 4);
+  EXPECT_EQ(Fnv1a64(trap.table), 0xc6a742f0c5278f5cull);
+  EXPECT_EQ(trap.total_fetches, 12128u);
+  EXPECT_EQ(trap.fetch_count, 12128u);
+  const StudyOutputs migration =
+      RunStudyAt(ScenarioStudyWeb("none", "domain-migration"), 4);
+  EXPECT_EQ(Fnv1a64(migration.table), 0x159f4428818cc157ull);
+  EXPECT_EQ(migration.total_fetches, 10064u);
+  EXPECT_EQ(migration.fetch_count, 10064u);
 }
 
 // ---------------------------------------------------------------- analyses

@@ -302,16 +302,20 @@ TEST(CliFlagsTest, MalformedOrOutOfRangeNumbersExitTwo) {
 }
 
 TEST(CliFlagsTest, ParallelismOutsideItsBoundExitsTwo) {
-  // Each shard starts a worker thread, so --parallelism has a fixed
-  // upper bound; 4294967297 used to become one shard through int. Each
-  // value exits before the engine starts any thread.
-  for (const std::string value : {"0", "257", "4294967297"}) {
-    const CliRun run = RunCli(
-        WEBEVO_SIM_BIN, "crawl --days=1 --scale=0.02 --parallelism=" + value);
-    EXPECT_EQ(run.exit_code, 2) << value << "\n" << run.output;
-    EXPECT_NE(run.output.find("--parallelism value '" + value + "'"),
-              std::string::npos)
-        << run.output;
+  // Each shard (or study visitor) starts a worker thread, so
+  // --parallelism has a fixed upper bound; 4294967297 used to become one
+  // shard through int. Each value exits before any thread starts.
+  for (const std::string mode : {"crawl", "study"}) {
+    for (const std::string value : {"0", "257", "4294967297"}) {
+      const CliRun run =
+          RunCli(WEBEVO_SIM_BIN,
+                 mode + " --days=1 --scale=0.02 --parallelism=" + value);
+      EXPECT_EQ(run.exit_code, 2) << mode << " " << value << "\n"
+                                  << run.output;
+      EXPECT_NE(run.output.find("--parallelism value '" + value + "'"),
+                std::string::npos)
+          << run.output;
+    }
   }
 }
 

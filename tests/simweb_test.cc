@@ -2,7 +2,9 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -439,6 +441,103 @@ TEST(SimulatedWebTest, FetchStatisticsAccumulate) {
   EXPECT_EQ(web.fetch_count(), 3u);
   EXPECT_EQ(web.not_found_count(), 1u);
   EXPECT_EQ(web.site_fetch_count(0), 3u);
+}
+
+// Fetches sites 0-7 for three passes at t = 1, 2, 3: each site's real
+// slots 0-9 at incarnation 0 (some dead by then), one slot past its size
+// (a trap URL on a trap site, a stray URL elsewhere), plus one URL of a
+// site past the web. With `threads` > 1, thread i fetches sites i and
+// i + 4, so adjacent sites run on different threads.
+void FetchSitesZeroToSeven(SimulatedWeb& web, int threads) {
+  const auto fetch_sites = [&web](int lane, int lanes) {
+    for (int pass = 1; pass <= 3; ++pass) {
+      const double t = pass;
+      for (uint32_t site = 0; site < 8; ++site) {
+        if (static_cast<int>(site) % lanes != lane) continue;
+        for (uint32_t slot = 0; slot < 10; ++slot) {
+          (void)web.Fetch(Url{site, slot, 0}, t);
+        }
+        (void)web.Fetch(Url{site, web.site_size(site) + pass, 0}, t);
+        (void)web.Fetch(Url{web.num_sites() + site, 0, 0}, t);
+      }
+    }
+  };
+  web.BeginConcurrentBatch(1.0);
+  if (threads == 1) {
+    fetch_sites(0, 1);
+  } else {
+    std::vector<std::thread> workers;
+    for (int lane = 0; lane < threads; ++lane) {
+      workers.emplace_back(fetch_sites, lane, threads);
+    }
+    for (std::thread& worker : workers) worker.join();
+  }
+  web.EndConcurrentBatch();
+}
+
+std::string SavedWeb(const SimulatedWeb& web) {
+  std::ostringstream out;
+  EXPECT_TRUE(SaveWeb(web, out).ok());
+  return out.str();
+}
+
+TEST(SimulatedWebTest, ThreadsOnAdjacentSitesCountLikeSerial) {
+  WebConfig config = SmallConfig(31);
+  ASSERT_TRUE(ApplyFaultScenario("transient10", &config).ok());
+  ASSERT_TRUE(ApplyAdversarialScenario("spider-trap", &config).ok());
+  SimulatedWeb serial(config);
+  ASSERT_GE(serial.num_sites(), 8u);
+  FetchSitesZeroToSeven(serial, 1);
+  SimulatedWeb parallel(config);
+  FetchSitesZeroToSeven(parallel, 4);
+
+  EXPECT_EQ(serial.fetch_count(), 8u * 3u * 12u);
+  EXPECT_GT(serial.not_found_count(), 8u * 3u);  // the strays, at least
+  EXPECT_EQ(parallel.fetch_count(), serial.fetch_count());
+  EXPECT_EQ(parallel.not_found_count(), serial.not_found_count());
+  EXPECT_EQ(parallel.OracleTotalPagesCreated(),
+            serial.OracleTotalPagesCreated());
+  for (uint32_t site = 0; site < serial.num_sites(); ++site) {
+    EXPECT_EQ(parallel.site_fetch_count(site), serial.site_fetch_count(site))
+        << site;
+  }
+  EXPECT_TRUE(SavedWeb(parallel) == SavedWeb(serial));
+}
+
+TEST(WebSnapshotTest, RestoredTrafficCountersReadTheSavedTotals) {
+  // The totals are sums of per-site counters plus a stray counter; a
+  // restore must leave them at the saved values, not add the restored
+  // per-site counts to them, and a restore into a web that has fetched
+  // already must drop its own counts.
+  const WebConfig config = SmallConfig(32);
+  SimulatedWeb web(config);
+  FetchSitesZeroToSeven(web, 1);
+  const std::string saved = SavedWeb(web);
+  ASSERT_GT(web.fetch_count(), web.site_fetch_count(0));
+
+  SimulatedWeb restored(config);
+  (void)restored.Fetch(restored.RootUrl(3), 0.5);
+  (void)restored.Fetch(Url{restored.num_sites(), 0, 0}, 0.5);
+  std::istringstream in(saved);
+  ASSERT_TRUE(RestoreWeb(in, &restored).ok());
+  EXPECT_EQ(restored.fetch_count(), web.fetch_count());
+  EXPECT_EQ(restored.not_found_count(), web.not_found_count());
+  EXPECT_EQ(restored.OracleTotalPagesCreated(), web.OracleTotalPagesCreated());
+  for (uint32_t site = 0; site < web.num_sites(); ++site) {
+    EXPECT_EQ(restored.site_fetch_count(site), web.site_fetch_count(site));
+  }
+  EXPECT_EQ(SavedWeb(restored), saved);
+
+  // Both go on counting alike, restore after restore.
+  for (SimulatedWeb* w : {&web, &restored}) {
+    (void)w->Fetch(w->RootUrl(1), 4.0);
+    (void)w->Fetch(Url{1, 0, 7}, 4.0);
+  }
+  EXPECT_EQ(SavedWeb(restored), SavedWeb(web));
+  std::istringstream again(SavedWeb(web));
+  ASSERT_TRUE(RestoreWeb(again, &restored).ok());
+  EXPECT_EQ(restored.fetch_count(), web.fetch_count());
+  EXPECT_EQ(restored.not_found_count(), web.not_found_count());
 }
 
 TEST(SimulatedWebTest, SiteLinksAreCrossSiteOnly) {

@@ -315,6 +315,27 @@ TEST(HashTest, ChecksumBuilderMatchesChecksumOfForAnySplit) {
   EXPECT_EQ(ChecksumBuilder().Finish(), ChecksumOf(""));
 }
 
+TEST(HashTest, ChecksumWordAppendEqualsByteAppend) {
+  // AppendWord(word, n) folds the first n bytes of the word's object
+  // representation, as Append of those bytes does, for every cut.
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint64_t word = rng.Next();
+    char bytes[sizeof(word)];
+    std::memcpy(bytes, &word, sizeof(word));
+    const std::string prefix(static_cast<std::size_t>(trial % 5), 'p');
+    for (std::size_t n = 1; n <= sizeof(word); ++n) {
+      ChecksumBuilder by_word;
+      ChecksumBuilder by_bytes;
+      by_word.Append(prefix);
+      by_bytes.Append(prefix);
+      by_word.AppendWord(word, n);
+      by_bytes.Append(std::string_view(bytes, n));
+      EXPECT_EQ(by_word.Finish(), by_bytes.Finish()) << word << " " << n;
+    }
+  }
+}
+
 TEST(HashTest, ChecksumEqualityAndInequality) {
   Checksum128 a = ChecksumOf("page content v1");
   Checksum128 b = ChecksumOf("page content v1");

@@ -63,9 +63,10 @@ common flags:
                     throttling, mirror dedup, migration-following
                     (default off; off is byte-identical to a build
                     without the defense layer)
-  --parallelism=<n> engine shards / worker threads, 1 to 256
-                    (default 1; results are bit-identical at any
-                    value)
+  --parallelism=<n> worker threads, 1 to 256: engine shards for
+                    crawl and compare (default 1), site-window
+                    visitors for study (default 4, at most one per
+                    core); results are bit-identical at any value
   --pipeline=on|off incremental crawler's staged batch pipeline:
                     overlap batch B's fetches with batch B-1's
                     deferred freshness measure (default on; results
@@ -121,8 +122,9 @@ bool PipelineFromFlags(const FlagParser& flags) {
 // Each shard starts one worker thread.
 constexpr int kMaxParallelism = 256;
 
-int ParallelismFromFlags(const FlagParser& flags) {
-  return tools::NumberFromFlags(flags, "parallelism", 1, 1, kMaxParallelism);
+int ParallelismFromFlags(const FlagParser& flags, int fallback = 1) {
+  return tools::NumberFromFlags(flags, "parallelism", fallback, 1,
+                                kMaxParallelism);
 }
 
 bool DefenseFromFlags(const FlagParser& flags) {
@@ -149,6 +151,7 @@ int RunStudy(const FlagParser& flags) {
   config.num_days = tools::NumberFromFlags(flags, "days", 120, 1);
   config.window_size =
       tools::NumberFromFlags<std::size_t>(flags, "window", 300, 1);
+  config.parallelism = ParallelismFromFlags(flags, config.parallelism);
   experiment::MonitoringExperiment experiment(&web, config);
   std::printf("monitoring %u sites for %d days (window %zu)...\n",
               web.num_sites(), config.num_days, config.window_size);
