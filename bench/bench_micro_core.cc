@@ -2,10 +2,10 @@
 // kernels: CollUrls scheduling, page fetch + lazy Poisson advance,
 // checksum, PageRank iteration, estimator updates, the optimizer and
 // the housekeeping built on it (per-page pricing, the daily rebalance,
-// the weekly refinement), and the record writers behind serving and
-// checkpoints (view fingerprint, web section, delta-segment encode,
-// paged-store codec), and the paged store's barrier Flush and canonical
-// walk.
+// the weekly refinement), the study's page-stats record step, the
+// record writers behind serving and checkpoints (view fingerprint, web
+// section, delta-segment encode, paged-store codec), and the paged
+// store's barrier Flush and canonical walk.
 // These back the paper's throughput argument: the UpdateModule's fast
 // path must sustain tens of pages per second independent of collection
 // size (Section 5.3's "40 pages/second" discussion).
@@ -27,6 +27,7 @@
 #include "crawler/update_module.h"
 #include "estimator/bayesian_estimator.h"
 #include "estimator/ratio_estimator.h"
+#include "experiment/page_stats.h"
 #include "freshness/revisit_optimizer.h"
 #include "graph/link_graph.h"
 #include "graph/pagerank.h"
@@ -355,6 +356,50 @@ void BM_PagedCodec(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PagedCodec);
+
+void BM_PageStatsRecord(benchmark::State& state) {
+  // One day of the perf study's 270-site campaign recorded into a table
+  // that already holds its ~50k rows: every slot's latest page, a fifth
+  // of them changed, in site order as MonitoringExperiment::RunDay
+  // records them. Every other slot also holds a replaced incarnation.
+  static const simweb::SimulatedWeb web([] {
+    simweb::WebConfig config;
+    config.max_site_size = 250;
+    return config;
+  }());
+  std::vector<uint32_t> sizes;
+  for (uint32_t s = 0; s < web.num_sites(); ++s) {
+    sizes.push_back(web.site_size(s));
+  }
+  experiment::PageStatsTable table(sizes);
+  std::vector<std::pair<simweb::Domain, experiment::Observation>> day;
+  for (uint32_t s = 0; s < web.num_sites(); ++s) {
+    const simweb::Domain domain = web.site_domain(s);
+    for (uint32_t slot = 0; slot < sizes[s]; ++slot) {
+      experiment::Observation obs;
+      obs.url = simweb::Url{s, slot, 0};
+      table.Record(domain, 0, obs);
+      if (slot % 2 == 1) {
+        obs.url.incarnation = 1;
+        table.Record(domain, 1, obs);
+      }
+      obs.changed = slot % 5 == 0;
+      day.emplace_back(domain, obs);
+    }
+  }
+  const std::size_t rows = table.num_pages();
+  int d = 2;
+  for (auto _ : state) {
+    for (const auto& [domain, obs] : day) table.Record(domain, d, obs);
+    benchmark::DoNotOptimize(table.last_recorded_day());
+    benchmark::ClobberMemory();
+    ++d;
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(day.size()));
+}
+BENCHMARK(BM_PageStatsRecord)->Unit(benchmark::kMillisecond);
 
 using PagedCollection =
     storage::PagedRecordStore<crawler::CollectionEntry,

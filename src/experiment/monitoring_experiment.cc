@@ -7,9 +7,19 @@
 
 namespace webevo::experiment {
 
+namespace {
+
+std::vector<uint32_t> SiteSizes(const simweb::SimulatedWeb& web) {
+  std::vector<uint32_t> sizes(web.num_sites());
+  for (uint32_t s = 0; s < web.num_sites(); ++s) sizes[s] = web.site_size(s);
+  return sizes;
+}
+
+}  // namespace
+
 MonitoringExperiment::MonitoringExperiment(simweb::SimulatedWeb* web,
                                            const MonitoringConfig& config)
-    : web_(web), config_(config) {
+    : web_(web), config_(config), table_(SiteSizes(*web)) {
   windows_.reserve(web->num_sites());
   for (uint32_t s = 0; s < web->num_sites(); ++s) {
     windows_.emplace_back(s, config.window_size);
@@ -51,8 +61,9 @@ Status MonitoringExperiment::RunDay(int day) {
   }
   web_->EndConcurrentBatch();
 
-  // The serial record pass, in site order, fixes the table's insertion
-  // order.
+  // One thread records every visit. Each site's rows would come out in
+  // the same order if the visiting threads recorded their own sites, but
+  // their malloc arenas would then hold the rows and raise peak memory.
   for (std::size_t s = 0; s < windows_.size(); ++s) {
     const simweb::Domain domain = web_->site_domain(windows_[s].site());
     for (const Observation& obs : visits[s].pages) {

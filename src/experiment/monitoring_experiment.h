@@ -36,9 +36,10 @@ struct MonitoringConfig {
 /// from which the Figure 2/4/5/6 analyses are derived.
 ///
 /// A day visits its windows concurrently (each window fetches only its
-/// own site's pages, all at the day's time), then records the visits
-/// into the table serially in site order, so the table's contents and
-/// insertion order are the serial run's at any parallelism.
+/// own site's pages and links, all at the day's time), then records the
+/// visits into the table on one thread. The table keeps each site's
+/// rows in first-sighting order, so its contents and row order are the
+/// serial run's at any parallelism.
 class MonitoringExperiment {
  public:
   MonitoringExperiment(simweb::SimulatedWeb* web,

@@ -7,7 +7,11 @@ namespace webevo::experiment {
 WindowVisit PageWindow::Visit(simweb::SimulatedWeb& web, double t) {
   return Visit(
       web.site_size(site_),
-      [&web, t](const simweb::Url& url) { return web.Fetch(url, t); }, t);
+      [&web, t](const simweb::Url& url) {
+        return web.Fetch(url, t, /*latency_days=*/nullptr,
+                         simweb::SimulatedWeb::LinkScope::kOwnSite);
+      },
+      t);
 }
 
 WindowVisit PageWindow::Visit(uint32_t site_size, const FetchFn& fetch,

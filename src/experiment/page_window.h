@@ -61,13 +61,15 @@ class alignas(64) PageWindow {
       : site_(site), window_size_(window_size) {}
 
   /// Performs one BFS visit at time `t`. Fetches count as crawl traffic
-  /// on `web`.
+  /// on `web`. They ask for the site's own links only, so a visit takes
+  /// no other site's lock.
   WindowVisit Visit(simweb::SimulatedWeb& web, double t);
 
   /// The same visit over any page source: the BFS starts at slot 0's
   /// incarnation 0 (SimulatedWeb::RootUrl), fetches through `fetch`,
-  /// and sizes the slot marks for `site_size` slots. Visit(web, t) is
-  /// this with the web's site size and Fetch at `t`.
+  /// follows only the links into the window's site, and sizes the slot
+  /// marks for `site_size` slots. Visit(web, t) is this with the web's
+  /// site size and an own-site Fetch at `t`.
   WindowVisit Visit(uint32_t site_size, const FetchFn& fetch, double t);
 
   uint32_t site() const { return site_; }

@@ -468,7 +468,8 @@ uint64_t SimulatedWeb::OracleTotalPagesCreated() const {
 }
 
 StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
-                                          double* latency_days) {
+                                          double* latency_days,
+                                          LinkScope scope) {
   if (latency_days != nullptr) *latency_days = 0.0;
   bool virtual_slot = false;
   if (url.site >= sites_.size()) return StrayFetch(url);
@@ -619,7 +620,7 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
           EnsureCoverageLocked(url.site, target_slot, t);
           result.links.push_back(
               OccupantAtLocked(url.site, target_slot, t).url);
-        } else {
+        } else if (scope == LinkScope::kAll) {
           remote.emplace_back(result.links.size(),
                               std::make_pair(target_site, target_slot));
           result.links.push_back(Url{});  // placeholder, filled below

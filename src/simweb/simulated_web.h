@@ -103,6 +103,12 @@ class SimulatedWeb {
 
   /// --- Crawler-visible API -------------------------------------------
 
+  /// Which of a page's links a fetch resolves and returns.
+  enum class LinkScope {
+    kAll,      ///< every link, in the page's link order
+    kOwnSite,  ///< only links into the fetched URL's own site
+  };
+
   /// Fetches `url` at time `t`. Returns NotFound if the URL's page is
   /// dead or not yet born, InvalidArgument if `t` moves backwards
   /// (before the current time outside a batch; before the batch floor
@@ -118,8 +124,15 @@ class SimulatedWeb {
   /// process. When `latency_days` is non-null it receives the stall the
   /// caller paid (timeout and slow outcomes; 0 otherwise), which a
   /// polite crawler adds to the site's politeness window.
+  ///
+  /// With `scope` kOwnSite the result's links are the full fetch's
+  /// links into `url`'s site, in the same order, and everything else is
+  /// what the full fetch returns. Such a fetch never resolves a
+  /// cross-site target, so it takes no other site's lock and creates
+  /// no page on another site.
   StatusOr<FetchResult> Fetch(const Url& url, double t,
-                              double* latency_days = nullptr);
+                              double* latency_days = nullptr,
+                              LinkScope scope = LinkScope::kAll);
 
   const WebConfig& config() const { return config_; }
 

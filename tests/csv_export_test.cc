@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +41,34 @@ TEST(CsvExportTest, InfiniteIntervalSpelledOut) {
   std::ostringstream out;
   ASSERT_TRUE(WritePageStatsCsv(table, out).ok());
   EXPECT_NE(out.str().find(",inf,"), std::string::npos);
+}
+
+TEST(CsvExportTest, PageRowsComeBySiteThenFirstSighting) {
+  // Two sites of four slots: a replaced page (p3_v1) follows the page it
+  // replaced, a URL past the site size (p9) keeps its place, and a
+  // second sighting moves nothing.
+  PageStatsTable table({4, 4});
+  Observation obs;
+  int day = 0;
+  for (const simweb::Url& url :
+       {simweb::Url{1, 2, 0}, simweb::Url{0, 3, 0}, simweb::Url{1, 9, 0},
+        simweb::Url{0, 3, 1}, simweb::Url{1, 0, 0}, simweb::Url{0, 1, 0},
+        simweb::Url{1, 2, 0}}) {
+    obs.url = url;
+    table.Record(simweb::Domain::kCom, day++, obs);
+  }
+  std::ostringstream out;
+  ASSERT_TRUE(WritePageStatsCsv(table, out).ok());
+  std::istringstream lines(out.str());
+  std::string line;
+  std::getline(lines, line);  // the header
+  std::vector<std::string> urls;
+  while (std::getline(lines, line)) {
+    urls.push_back(line.substr(0, line.find(',')));
+  }
+  EXPECT_EQ(urls, (std::vector<std::string>{"site0/p3_v0", "site0/p3_v1",
+                                            "site0/p1_v0", "site1/p2_v0",
+                                            "site1/p9_v0", "site1/p0_v0"}));
 }
 
 TEST(CsvExportTest, SurvivalSeries) {

@@ -18,6 +18,7 @@
 #include "experiment/site_selector.h"
 #include "simweb/simulated_web.h"
 #include "util/hash.h"
+#include "util/random.h"
 
 namespace webevo::experiment {
 namespace {
@@ -321,6 +322,14 @@ TEST(PageWindowTest, RootReplacedWithinOneVisit) {
 
 // ---------------------------------------------------------------- PageStats
 
+/// The row of `url` in `table`, or null.
+const PageStats* FindRow(const PageStatsTable& table, const Url& url) {
+  for (const auto& [row_url, ps] : table.stats()) {
+    if (row_url == url) return &ps;
+  }
+  return nullptr;
+}
+
 TEST(PageStatsTest, RecordAccumulates) {
   PageStatsTable table;
   Observation obs;
@@ -330,15 +339,17 @@ TEST(PageStatsTest, RecordAccumulates) {
   obs.changed = true;
   table.Record(Domain::kEdu, 5, obs);
   table.Record(Domain::kEdu, 9, obs);
-  const PageStats& ps = table.stats().at(Url{0, 1, 0});
-  EXPECT_EQ(ps.domain, Domain::kEdu);
-  EXPECT_EQ(ps.first_day, 0);
-  EXPECT_EQ(ps.last_day, 9);
-  EXPECT_EQ(ps.sightings, 3);
-  EXPECT_EQ(ps.changes, 2);
-  EXPECT_EQ(ps.first_change_day, 5);
-  EXPECT_EQ(ps.change_days.size(), 2u);
+  const PageStats* ps = FindRow(table, Url{0, 1, 0});
+  ASSERT_NE(ps, nullptr);
+  EXPECT_EQ(ps->domain, Domain::kEdu);
+  EXPECT_EQ(ps->first_day, 0);
+  EXPECT_EQ(ps->last_day, 9);
+  EXPECT_EQ(ps->sightings, 3);
+  EXPECT_EQ(ps->changes, 2);
+  EXPECT_EQ(ps->first_change_day, 5);
+  EXPECT_EQ(ps->change_days.size(), 2u);
   EXPECT_EQ(table.last_recorded_day(), 9);
+  EXPECT_EQ(FindRow(table, Url{0, 1, 1}), nullptr);
 }
 
 TEST(PageStatsTest, GapDetection) {
@@ -348,7 +359,8 @@ TEST(PageStatsTest, GapDetection) {
   table.Record(Domain::kCom, 0, obs);
   table.Record(Domain::kCom, 1, obs);
   table.Record(Domain::kCom, 7, obs);  // absent days 2-6
-  EXPECT_EQ(table.stats().at(Url{0, 1, 0}).first_gap_day, 2);
+  ASSERT_NE(FindRow(table, Url{0, 1, 0}), nullptr);
+  EXPECT_EQ(FindRow(table, Url{0, 1, 0})->first_gap_day, 2);
 }
 
 TEST(PageStatsTest, EstimatedInterval) {
@@ -360,6 +372,115 @@ TEST(PageStatsTest, EstimatedInterval) {
   ps.changes = 0;
   EXPECT_TRUE(std::isinf(ps.EstimatedChangeIntervalDays()));
   EXPECT_EQ(ps.VisibleLifespanDays(), 51);
+}
+
+/// Every PageStats field of one row, on one line.
+std::string RowText(const Url& url, const PageStats& ps) {
+  std::ostringstream out;
+  out << url.ToString() << ' ' << static_cast<int>(ps.domain) << ' '
+      << ps.page << ' ' << ps.first_day << ' ' << ps.last_day << ' '
+      << ps.first_gap_day << ' ' << ps.sightings << ' ' << ps.changes << ' '
+      << ps.first_change_day;
+  for (int day : ps.change_days) out << ' ' << day;
+  return out.str();
+}
+
+/// The page-stats table as specified before its slot-indexed rows: one
+/// URL-keyed hash map, plus the order of first sightings. PageStatsTable
+/// must hold exactly its rows, by site, then in that order.
+class ReferenceTable {
+ public:
+  void Record(Domain domain, int day, const Observation& obs) {
+    auto [it, first] = stats_.try_emplace(obs.url);
+    if (first) first_sightings_.push_back(obs.url);
+    PageStats& ps = it->second;
+    if (ps.sightings == 0) {
+      ps.domain = domain;
+      ps.page = obs.page;
+      ps.first_day = day;
+    } else if (ps.first_gap_day < 0 && day > ps.last_day + 1) {
+      ps.first_gap_day = ps.last_day + 1;
+    }
+    ps.last_day = day;
+    ++ps.sightings;
+    if (obs.changed) {
+      ++ps.changes;
+      if (ps.first_change_day < 0) ps.first_change_day = day;
+      ps.change_days.push_back(day);
+    }
+  }
+
+  /// Every row as RowText, by site, then in first-sighting order.
+  std::vector<std::string> Rows() const {
+    std::vector<Url> urls = first_sightings_;
+    std::stable_sort(
+        urls.begin(), urls.end(),
+        [](const Url& a, const Url& b) { return a.site < b.site; });
+    std::vector<std::string> rows;
+    for (const Url& url : urls) rows.push_back(RowText(url, stats_.at(url)));
+    return rows;
+  }
+
+ private:
+  std::unordered_map<Url, PageStats, simweb::UrlHash> stats_;
+  std::vector<Url> first_sightings_;
+};
+
+void ExpectSameRows(const PageStatsTable& table,
+                    const ReferenceTable& reference) {
+  std::vector<std::string> rows;
+  for (const auto& [url, ps] : table.stats()) rows.push_back(RowText(url, ps));
+  EXPECT_EQ(rows, reference.Rows());
+  EXPECT_EQ(table.num_pages(), rows.size());
+}
+
+TEST(PageStatsTest, MatchesUrlKeyedReference) {
+  // Random sightings over four sites, sized 5, 0 and 3 slots, and one
+  // past the sizes given: a slot's page is replaced (its incarnation
+  // bumps), an older incarnation is sighted again, and slots past the
+  // site size appear, on days with gaps between them. The same stream
+  // goes to a table that knows the sizes and to one that knows none.
+  const std::vector<uint32_t> sizes = {5, 0, 3};
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    PageStatsTable sized(sizes);
+    PageStatsTable unsized;
+    ReferenceTable reference;
+    std::map<std::pair<uint32_t, uint32_t>, uint32_t> latest;
+    int replaced = 0, older = 0, past_size = 0;
+    for (int day = 0; day < 60; ++day) {
+      if (rng.Bernoulli(0.2)) continue;  // nothing sighted that day
+      for (int k = 0; k < 12; ++k) {
+        const auto site = static_cast<uint32_t>(rng.NextBounded(4));
+        const uint32_t size = site < sizes.size() ? sizes[site] : 0;
+        const auto slot = static_cast<uint32_t>(rng.NextBounded(size + 3));
+        uint32_t& incarnation = latest[{site, slot}];
+        uint32_t sighted = incarnation;
+        if (rng.Bernoulli(0.1)) {
+          sighted = ++incarnation;
+          ++replaced;
+        } else if (incarnation > 0 && rng.Bernoulli(0.15)) {
+          sighted = static_cast<uint32_t>(rng.NextBounded(incarnation));
+          ++older;
+        }
+        past_size += slot >= size;
+        Observation obs;
+        obs.url = Url{site, slot, sighted};
+        obs.page = simweb::PageIdOf(obs.url);
+        obs.changed = rng.Bernoulli(0.3);
+        const auto domain = static_cast<Domain>(site % simweb::kNumDomains);
+        sized.Record(domain, day, obs);
+        unsized.Record(domain, day, obs);
+        reference.Record(domain, day, obs);
+      }
+    }
+    EXPECT_GT(replaced, 0);
+    EXPECT_GT(older, 0);
+    EXPECT_GT(past_size, 0);
+    ExpectSameRows(sized, reference);
+    ExpectSameRows(unsized, reference);
+  }
 }
 
 // -------------------------------------------------- MonitoringExperiment
@@ -392,28 +513,20 @@ TEST(MonitoringExperimentTest, DaysMustRunInOrder) {
 /// Every PageStats field of every URL, one line each in canonical URL
 /// order.
 std::string TableText(const PageStatsTable& table) {
-  std::vector<const std::pair<const Url, PageStats>*> rows;
-  for (const auto& row : table.stats()) rows.push_back(&row);
+  std::vector<const PageRow*> rows;
+  for (const PageRow& row : table.stats()) rows.push_back(&row);
   std::sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
-    return simweb::UrlIdentityLess{}(a->first, b->first);
+    return simweb::UrlIdentityLess{}(a->url, b->url);
   });
-  std::ostringstream out;
-  for (const auto* row : rows) {
-    const PageStats& ps = row->second;
-    out << row->first.ToString() << ' ' << static_cast<int>(ps.domain) << ' '
-        << ps.page << ' ' << ps.first_day << ' ' << ps.last_day << ' '
-        << ps.first_gap_day << ' ' << ps.sightings << ' ' << ps.changes
-        << ' ' << ps.first_change_day;
-    for (int day : ps.change_days) out << ' ' << day;
-    out << '\n';
-  }
-  return out.str();
+  std::string out;
+  for (const PageRow* row : rows) out += RowText(row->url, row->stats) + '\n';
+  return out;
 }
 
 /// What a campaign leaves behind that must not depend on parallelism.
 struct StudyOutputs {
   std::string table;
-  std::string csv;  // the table in its own (insertion-dependent) order
+  std::string csv;  // the table in its own row order
   uint64_t total_fetches = 0;
   uint64_t fetch_count = 0;
   std::string web_bytes;

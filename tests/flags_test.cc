@@ -319,6 +319,20 @@ TEST(CliFlagsTest, ParallelismOutsideItsBoundExitsTwo) {
   }
 }
 
+TEST(CliFlagsTest, UnwritableCsvExitsOne) {
+  // A --csv path in a missing directory cannot be written: every mode
+  // must fail naming it, not report success.
+  const std::string csv = ::testing::TempDir() + "/no-such-csv-dir/out.csv";
+  for (const std::string args : {"study --days=2 --scale=0.02 --window=20",
+                                 "crawl --days=2 --scale=0.02",
+                                 "compare --days=2 --scale=0.02"}) {
+    const CliRun run = RunCli(WEBEVO_SIM_BIN, args + " --csv=" + csv);
+    EXPECT_EQ(run.exit_code, 1) << args << "\n" << run.output;
+    EXPECT_NE(run.output.find("FAILED"), std::string::npos) << run.output;
+    EXPECT_NE(run.output.find(csv), std::string::npos) << run.output;
+  }
+}
+
 TEST(CliFlagsTest, UnreadableDeltaLogExitsOne) {
   // A delta log that exists but cannot be read (here a directory) must
   // fail the resume, the query and the inspector, naming the log,

@@ -314,6 +314,82 @@ TEST(SimulatedWebTest, LinksStayWithinValidSlots) {
   }
 }
 
+TEST(SimulatedWebTest, OwnSiteFetchIsTheFullFetchFiltered) {
+  // Two copies of one web fetch the same URLs at the same times, one for
+  // every link and one for the fetched site's links only. Each day
+  // fetches the roots, then every link the full fetches return
+  // (cross-site targets, trap and twin pages) and the previous day's
+  // URLs, some of them dead by then.
+  struct Case {
+    const char* faults;
+    const char* adversarial;
+  };
+  for (const Case& c : {Case{"none", "none"},
+                        Case{"transient10", "spider-trap"},
+                        Case{"none", "domain-migration"}}) {
+    SCOPED_TRACE(std::string(c.faults) + "+" + c.adversarial);
+    WebConfig config = SmallConfig(9);
+    ASSERT_TRUE(ApplyFaultScenario(c.faults, &config).ok());
+    ASSERT_TRUE(ApplyAdversarialScenario(c.adversarial, &config).ok());
+    SimulatedWeb full(config);
+    SimulatedWeb own(config);
+    std::vector<Url> yesterday;
+    int cross = 0, failed = 0, past_size = 0;
+    for (int day = 0; day < 20; ++day) {
+      const double t = day + 0.25;
+      std::vector<Url> queue;
+      std::unordered_set<Url, UrlHash> queued;
+      const auto push = [&](const Url& url) {
+        if (queued.insert(url).second) queue.push_back(url);
+      };
+      for (uint32_t s = 0; s < full.num_sites(); ++s) push(full.RootUrl(s));
+      for (const Url& url : yesterday) push(url);
+      std::size_t fetched = 0;
+      for (; fetched < queue.size() && fetched < 400; ++fetched) {
+        const Url url = queue[fetched];
+        const auto want = full.Fetch(url, t);
+        const auto got =
+            own.Fetch(url, t, nullptr, SimulatedWeb::LinkScope::kOwnSite);
+        ASSERT_EQ(got.status(), want.status()) << url.ToString();
+        if (!want.ok()) {
+          ++failed;
+          continue;
+        }
+        past_size += url.slot >= full.site_size(url.site);
+        EXPECT_EQ(got->url, want->url);
+        EXPECT_EQ(got->page, want->page) << url.ToString();
+        EXPECT_EQ(got->version, want->version) << url.ToString();
+        EXPECT_EQ(got->checksum, want->checksum) << url.ToString();
+        EXPECT_EQ(got->fetched_at, want->fetched_at) << url.ToString();
+        EXPECT_EQ(got->last_modified, want->last_modified) << url.ToString();
+        std::vector<Url> own_links;
+        for (const Url& link : want->links) {
+          if (link.site == url.site) {
+            own_links.push_back(link);
+          } else {
+            ++cross;
+          }
+          push(link);
+        }
+        EXPECT_EQ(got->links, own_links) << url.ToString();
+      }
+      queue.resize(fetched);
+      yesterday = std::move(queue);
+    }
+    EXPECT_GT(cross, 0);
+    EXPECT_GT(failed, 0);
+    if (std::string(c.adversarial) != "none") {
+      EXPECT_GT(past_size, 0);
+    }
+    EXPECT_EQ(own.fetch_count(), full.fetch_count());
+    EXPECT_EQ(own.not_found_count(), full.not_found_count());
+    for (uint32_t site = 0; site < full.num_sites(); ++site) {
+      EXPECT_EQ(own.site_fetch_count(site), full.site_fetch_count(site))
+          << site;
+    }
+  }
+}
+
 TEST(SimulatedWebTest, TreeChildrenLinked) {
   WebConfig c = SmallConfig();
   c.cross_links_per_page = 0;

@@ -131,18 +131,26 @@ bool DefenseFromFlags(const FlagParser& flags) {
   return tools::OneOfFromFlags(flags, "defense", "off", {"on", "off"}) == "on";
 }
 
-void MaybeWriteCsv(const FlagParser& flags,
+/// Appends the freshness series to --csv, when set. False, after saying
+/// so, when the file cannot be written.
+bool MaybeWriteCsv(const FlagParser& flags,
                    const freshness::FreshnessTracker& tracker,
                    const std::string& label) {
   std::string path = flags.GetString("csv", "");
-  if (path.empty()) return;
+  if (path.empty()) return true;
   std::ofstream out(path, std::ios::app);
   for (std::size_t i = 0; i < tracker.size(); ++i) {
     out << label << ',' << tracker.times()[i] << ','
         << tracker.values()[i] << '\n';
   }
+  out.close();
+  if (!out) {
+    std::printf("FAILED appending samples to %s\n", path.c_str());
+    return false;
+  }
   std::printf("appended %zu samples to %s\n", tracker.size(),
               path.c_str());
+  return true;
 }
 
 int RunStudy(const FlagParser& flags) {
@@ -177,8 +185,11 @@ int RunStudy(const FlagParser& flags) {
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     Status csv = experiment::WritePageStatsCsv(experiment.table(), out);
-    std::printf("%s page stats to %s\n",
-                csv.ok() ? "wrote" : "FAILED writing", csv_path.c_str());
+    out.close();
+    const bool wrote = csv.ok() && out;
+    std::printf("%s page stats to %s\n", wrote ? "wrote" : "FAILED writing",
+                csv_path.c_str());
+    if (!wrote) return 1;
   }
   return 0;
 }
@@ -350,8 +361,7 @@ int RunCrawl(const FlagParser& flags) {
   table.AddRow({"fetches", TablePrinter::Fmt(static_cast<int64_t>(
                                traffic.fetch_count))});
   std::printf("%s", table.ToString().c_str());
-  MaybeWriteCsv(flags, *tracker, kind);
-  return 0;
+  return MaybeWriteCsv(flags, *tracker, kind) ? 0 : 1;
 }
 
 int RunCompare(const FlagParser& flags) {
@@ -401,9 +411,9 @@ int RunCompare(const FlagParser& flags) {
                 TablePrinter::Fmt(inc_load.AverageDailyRate(), 0),
                 TablePrinter::Fmt(per_load.AverageDailyRate(), 0)});
   std::printf("%s", table.ToString().c_str());
-  MaybeWriteCsv(flags, inc.tracker(), "incremental");
-  MaybeWriteCsv(flags, per.tracker(), "periodic");
-  return 0;
+  const bool wrote = MaybeWriteCsv(flags, inc.tracker(), "incremental") &&
+                     MaybeWriteCsv(flags, per.tracker(), "periodic");
+  return wrote ? 0 : 1;
 }
 
 }  // namespace
