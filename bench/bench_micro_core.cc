@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot data structures and
-// kernels: CollUrls scheduling, page fetch + lazy Poisson advance,
+// kernels: CollUrls scheduling, the sharded frontier's batch plan,
+// page fetch + lazy Poisson advance,
 // checksum, PageRank iteration, estimator updates, the optimizer and
 // the housekeeping built on it (per-page pricing, the daily rebalance,
 // the weekly refinement), the study's page-stats record step, the
@@ -23,6 +24,7 @@
 #include "crawler/coll_urls.h"
 #include "crawler/collection.h"
 #include "crawler/ranking_module.h"
+#include "crawler/sharded_frontier.h"
 #include "crawler/store_codecs.h"
 #include "crawler/update_module.h"
 #include "estimator/bayesian_estimator.h"
@@ -69,6 +71,42 @@ void BM_CollUrlsScheduleAndPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CollUrlsScheduleAndPop)->Arg(1000)->Arg(100000);
+
+void BM_PlanSlots(benchmark::State& state) {
+  // One quarter-day batch at 10k pages/day (2,500 slots) planned from a
+  // 20k-entry frontier split over range(0) shards. The planned URLs
+  // come back one 2-day revisit cycle later, outside the timed region,
+  // so every batch plans from a frontier of the same size.
+  constexpr double kStep = 1.0 / 10000.0;
+  constexpr double kBatch = 0.25;
+  constexpr double kCycle = 2.0;
+  crawler::ShardedFrontier frontier(static_cast<int>(state.range(0)));
+  Rng rng(7);
+  for (uint32_t i = 0; i < 20000; ++i) {
+    const auto site = static_cast<uint32_t>(rng.NextBounded(500));
+    frontier.Schedule(simweb::Url{site, i, 0}, rng.NextDouble() * kCycle);
+  }
+  double t = 0.0;
+  int64_t slots = 0;
+  for (auto _ : state) {
+    crawler::ShardedFrontier::SlotPlan plan =
+        frontier.PlanSlots(t, t + kBatch, kStep);
+    benchmark::DoNotOptimize(plan.slots.data());
+    state.PauseTiming();
+    slots += static_cast<int64_t>(plan.slots.size());
+    for (const crawler::ScheduledUrl& slot : plan.slots) {
+      frontier.Schedule(slot.url, slot.when + kCycle);
+    }
+    t = plan.end_time;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(slots);
+}
+BENCHMARK(BM_PlanSlots)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SimWebFetch(benchmark::State& state) {
   simweb::WebConfig config;

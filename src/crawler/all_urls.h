@@ -104,7 +104,6 @@ class AllUrls {
   /// Re-homes `fp` onto `url` unconditionally (migration-following and
   /// checkpoint replay).
   void ReassignFingerprint(const Checksum128& fp, const simweb::Url& url);
-  std::size_t fingerprint_count() const { return fingerprints_.size(); }
   /// All (fingerprint, owner) pairs sorted by (hi, lo) — the canonical
   /// checkpoint order.
   std::vector<std::pair<Checksum128, simweb::Url>> SortedFingerprints()

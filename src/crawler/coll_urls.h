@@ -36,8 +36,8 @@ struct ScheduledUrl {
 /// The sequence number doubles as the FIFO tie-break among equal
 /// scheduled times. ShardedFrontier splits one logical queue across
 /// per-shard CollUrls instances by assigning sequence numbers from a
-/// single global counter via ScheduleAt, which is what makes its k-way
-/// merge over shard heads reproduce this class's pop order exactly.
+/// single global counter via ScheduleAt, which is what makes the
+/// earliest of its shard heads this class's next pop exactly.
 class CollUrls {
  public:
   /// One live queue position: the scheduled time plus the sequence
@@ -64,8 +64,8 @@ class CollUrls {
 
   /// Schedule with an externally assigned sequence number — the
   /// ShardedFrontier's primitive for keeping one global FIFO order
-  /// across shard-local heaps, and for restoring entries extracted but
-  /// not consumed by a planning pass. Callers must never mix external
+  /// across shard-local heaps, and the checkpoint restore's for
+  /// re-inserting saved entries. Callers must never mix external
   /// sequence numbers with this instance's own counter.
   void ScheduleAt(const simweb::Url& url, double when, uint64_t seq);
 
@@ -93,8 +93,8 @@ class CollUrls {
   /// Earliest entry without removing it; nullopt if empty.
   std::optional<ScheduledUrl> Peek();
 
-  /// Pop/Peek variants exposing the tie-break sequence number, for the
-  /// ShardedFrontier's deterministic k-way merge.
+  /// Pop/Peek variants exposing the tie-break sequence number, which
+  /// the ShardedFrontier compares across its shard heads.
   std::optional<Entry> PopEntry();
   std::optional<Entry> PeekEntry();
 

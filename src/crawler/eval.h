@@ -100,7 +100,6 @@ class StagedMeasure {
   /// unprepared state.
   CollectionQuality Finish();
 
-  bool prepared() const { return prepared_; }
   int num_shards() const { return static_cast<int>(shards_); }
 
  private:

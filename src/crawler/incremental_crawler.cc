@@ -164,7 +164,7 @@ void IncrementalCrawler::ApplyBatch(
   const auto shards = static_cast<std::size_t>(collection_.num_shards());
   std::vector<std::vector<std::size_t>> by_shard(shards);
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    by_shard[plan[i].shard].push_back(i);
+    by_shard[collection_.ShardOf(plan[i].url.site)].push_back(i);
   }
   std::vector<ShardApplyResult> deltas(shards);
   auto outcome_pass = [&](std::size_t s) {
@@ -397,8 +397,7 @@ void IncrementalCrawler::ApplyBatch(
               // The polite window reopens inside this batch: retire
               // the retry now (RunUntil's retry rounds) instead of
               // deferring a whole batch.
-              out.retries.push_back(
-                  PendingRetry{e.url, static_cast<uint32_t>(t), slot});
+              out.retries.push_back(PendingRetry{e.url, slot});
             } else {
               coll_urls_.ScheduleLane(t, e.url, e.when, lane_base[slot]);
             }
@@ -550,7 +549,7 @@ void IncrementalCrawler::ApplyBatch(
           : 0;
   if (overdraft > 0) {
     std::vector<simweb::Url> victims =
-        collection_.CollectOverdraftVictims(&engine_.threads());
+        collection_.CollectOverdraftVictims();
     for (const simweb::Url& victim : victims) {
       Status unqueue = coll_urls_.Remove(victim);
       (void)unqueue;
@@ -923,20 +922,17 @@ Status IncrementalCrawler::RunUntil(double until) {
 
     // Plan one engine batch of crawl slots, bounded by the next
     // housekeeping event so refinement/rebalance/sampling always see a
-    // fully applied collection. The frontier extracts candidates
-    // shard-parallel on the engine's worker pool and merges them
-    // deterministically into slot order.
+    // fully applied collection. The frontier pops its earliest shard
+    // head once per slot, on this thread.
     const double horizon =
         std::min({next_sample_, next_refine_, next_rebalance_, until});
     auto plan_begin = std::chrono::steady_clock::now();
     ShardedFrontier::SlotPlan slot_plan =
-        coll_urls_.PlanSlots(now_, horizon, step, &engine_.threads());
+        coll_urls_.PlanSlots(now_, horizon, step);
     std::vector<PlannedFetch> plan;
     plan.reserve(slot_plan.slots.size());
-    for (std::size_t i = 0; i < slot_plan.slots.size(); ++i) {
-      plan.push_back(PlannedFetch{slot_plan.slots[i].url,
-                                  slot_plan.slots[i].when,
-                                  slot_plan.owner[i]});
+    for (const ScheduledUrl& slot : slot_plan.slots) {
+      plan.push_back(PlannedFetch{slot.url, slot.when});
     }
     // Only batches the engine also counts, so per-batch phase ratios
     // divide like for like (idle planning passes are ~free anyway).
@@ -1001,7 +997,7 @@ Status IncrementalCrawler::RunUntil(double until) {
           continue;
         }
         ++k;
-        round.push_back(PlannedFetch{r.url, at, r.shard});
+        round.push_back(PlannedFetch{r.url, at});
       }
       if (round.empty()) break;
       ++retry_rounds;

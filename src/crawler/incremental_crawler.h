@@ -164,10 +164,10 @@ struct IncrementalCrawlerConfig {
 ///
 /// The crawl loop runs in engine batches bounded by the next
 /// housekeeping event (refine / rebalance / freshness sample):
-///   1. *plan*: pop due URLs off the ShardedFrontier, one per crawl
-///      slot (one slot every 1/crawl_rate days) — shard-local heaps
-///      extract candidates in parallel, a deterministic tournament
-///      merge assigns the slots;
+///   1. *plan* (serial): pop due URLs off the ShardedFrontier, one per
+///      crawl slot (one slot every 1/crawl_rate days), always the
+///      earliest of the shard heads by (when, global seq) — the one
+///      CollUrls queue's pop order;
 ///   2. *fetch*: the ShardedCrawlEngine executes the batch, shards in
 ///      parallel;
 ///   3. *apply*, under the capacity-lease protocol:
@@ -421,11 +421,9 @@ class IncrementalCrawler {
   };
 
   /// A politeness rejection eligible for refetching; `slot` orders the
-  /// cross-shard merge, `shard` stamps the owner for the retry round's
-  /// plan.
+  /// cross-shard merge.
   struct PendingRetry {
     simweb::Url url;
-    uint32_t shard = 0;
     uint32_t slot = 0;
   };
 

@@ -190,14 +190,10 @@ Status PeriodicCrawler::RunUntil(double until) {
             config_.collection_capacity - stored_this_cycle_);
         const double batch_start = now_;
         auto plan_begin = std::chrono::steady_clock::now();
-        const auto shards = static_cast<uint32_t>(engine_.num_shards());
         std::vector<PlannedFetch> plan;
         double t = now_;
         while (t < horizon && plan.size() < budget && !frontier_.empty()) {
-          // Stamp the owning shard once at plan time; the fetch pass
-          // reuses it instead of recomputing site % N.
-          plan.push_back(PlannedFetch{frontier_.front(), t,
-                                      frontier_.front().site % shards});
+          plan.push_back(PlannedFetch{frontier_.front(), t});
           frontier_.pop_front();
           t += step;
         }

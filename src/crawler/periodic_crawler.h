@@ -88,8 +88,8 @@ struct PeriodicCrawlerConfig {
 ///
 /// The crawl loop runs in engine batches bounded by the next freshness
 /// sample and the window end: *plan* pops the BFS frontier one URL per
-/// crawl slot (a deque pop; the owning shard is stamped on the slot
-/// here), *fetch* executes the batch across the engine's shards, and
+/// crawl slot (a deque pop), *fetch* executes the batch across the
+/// engine's shards, each fetch on the shard that owns its site, and
 /// *apply* runs serially in slot order: store or purge each page, then
 /// append its new links to the frontier while the cycle's seen set
 /// holds fewer than 4 x capacity URLs (the frontier-memory bound). A

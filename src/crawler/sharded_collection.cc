@@ -73,27 +73,19 @@ void ShardedCollection::ForEachCanonical(
   for (const CollectionEntry* e : entries) fn(*e);
 }
 
-std::vector<simweb::Url> ShardedCollection::CollectOverdraftVictims(
-    ThreadPool* threads) {
+std::vector<simweb::Url> ShardedCollection::CollectOverdraftVictims() {
   if (size_ <= capacity_) return {};
   const std::size_t needed = size_ - capacity_;
   // Each shard nominates its own `needed` best victims — enough that
   // the global best `needed` are always among the nominations.
   std::vector<std::vector<const CollectionEntry*>> nominated(
       shards_.size());
-  std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].size() > 0) busy.push_back(s);
+    if (shards_[s].size() > 0) {
+      shards_[s].LowestImportanceK(needed, &nominated[s]);
+    }
   }
-  auto nominate = [&](std::size_t s) {
-    shards_[s].LowestImportanceK(needed, &nominated[s]);
-  };
-  if (threads != nullptr) {
-    threads->RunForIndices(busy, nominate);
-  } else {
-    for (std::size_t s : busy) nominate(s);
-  }
-  // Serial canonical merge over the per-shard nomination heads.
+  // Canonical merge over the per-shard nomination heads.
   std::vector<std::size_t> next(shards_.size(), 0);
   std::vector<simweb::Url> victims;
   victims.reserve(needed);

@@ -9,7 +9,6 @@
 #include "crawler/collection.h"
 #include "simweb/url.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace webevo::crawler {
 
@@ -57,13 +56,13 @@ class ShardedCollection {
 
   /// The canonical eviction settle for a batch's overdraft: selects
   /// the size() - capacity() globally best eviction victims — each
-  /// shard nominates its own candidates (in parallel over `threads`
-  /// when provided), the nominations merge in BetterEvictionVictim
-  /// order (importance, then URL identity), a pure function of the
-  /// stored entries at every shard count. Requires ReconcileSize()
-  /// first; returns the victims best-first *without* removing them
-  /// (the caller also owns frontier/update-module cleanup per victim).
-  std::vector<simweb::Url> CollectOverdraftVictims(ThreadPool* threads);
+  /// shard nominates its own candidates, the nominations merge in
+  /// BetterEvictionVictim order (importance, then URL identity), a
+  /// pure function of the stored entries at every shard count.
+  /// Requires ReconcileSize() first; returns the victims best-first
+  /// *without* removing them (the caller also owns frontier/update-
+  /// module cleanup per victim).
+  std::vector<simweb::Url> CollectOverdraftVictims();
 
   /// Removes an entry; NotFound if absent.
   Status Remove(const simweb::Url& url);

@@ -46,11 +46,7 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
   const auto shards = static_cast<std::size_t>(num_shards());
   std::vector<std::vector<std::size_t>> by_shard(shards);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    // Plan-time shard stamps when the planner provided them (both
-    // crawlers do); the modulo only for hand-built batches.
-    const uint32_t s = batch[i].shard;
-    by_shard[s < shards ? s : pool_.ShardOf(batch[i].url.site)]
-        .push_back(i);
+    by_shard[pool_.ShardOf(batch[i].url.site)].push_back(i);
   }
 
   // Slot times may interleave across shards, so the web must accept

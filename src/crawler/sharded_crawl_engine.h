@@ -20,18 +20,11 @@ namespace webevo::crawler {
 
 /// One crawl slot planned by a crawler: fetch `url` at simulation time
 /// `at`. Crawlers accumulate a batch of slots (typically one
-/// rebalance/sample interval's worth) and hand it to the engine.
-///
-/// `shard` is the owning engine shard (url.site % num_shards), stamped
-/// once at plan time so the fetch/apply/noting passes reuse it instead
-/// of recomputing the modulo per touch. Callers that do not plan
-/// through a sharded frontier may leave it kUnassignedShard and the
-/// engine computes it.
+/// rebalance/sample interval's worth) and hand it to the engine, which
+/// runs it on the shard that owns the site (url.site % num_shards).
 struct PlannedFetch {
-  static constexpr uint32_t kUnassignedShard = ~0u;
   simweb::Url url;
   double at = 0.0;
-  uint32_t shard = kUnassignedShard;
 };
 
 /// Wall-clock seconds elapsed since `begin` — the timing source for
@@ -45,8 +38,7 @@ double SecondsSince(std::chrono::steady_clock::time_point begin);
 /// SimulatedWeb's thread-safe fetch path.
 ///
 /// Crawl loops follow a plan / fetch / apply cycle:
-///   1. *plan* (parallel extract + serial merge): pop due URLs and
-///      assign slot times;
+///   1. *plan* (serial): pop due URLs and assign slot times;
 ///   2. *fetch* (parallel): ExecuteBatch performs the fetches, each
 ///      shard processing its own sites in plan order;
 ///   3. *apply* (parallel shard pass + serial barrier): each shard
@@ -114,7 +106,7 @@ class ShardedCrawlEngine {
   int num_shards() const { return pool_.parallelism(); }
 
   /// The engine's worker pool, idle between batches; crawlers borrow it
-  /// for the shard-parallel plan and measure phases.
+  /// for the shard-parallel apply and measure passes.
   ThreadPool& threads() { return threads_; }
 
   /// The serving layer's publication point: the ring of the K most

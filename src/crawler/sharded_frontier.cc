@@ -1,75 +1,41 @@
 #include "crawler/sharded_frontier.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace webevo::crawler {
 namespace {
 
 // The one definition of the global pop order — earliest `when`, ties
 // broken by the global sequence number (the inverse of CollUrls::Later)
-// — shared by the Pop/Peek scan and the PlanSlots merge so the two can
-// never drift apart and break the bit-identical contract.
+// — shared by Pop/Peek and PlanSlots so the two can never drift apart
+// and break the bit-identical contract.
 bool Earlier(const CollUrls::Entry& a, const CollUrls::Entry& b) {
   if (a.when != b.when) return a.when < b.when;
   return a.seq < b.seq;
 }
 
-// Tournament tree over the per-shard candidate lists extracted by
-// PlanSlots: winner() is the list with the earliest head, advance()
-// consumes that head and replays its leaf-to-root path — O(log N) per
-// consumed candidate instead of a linear scan over shard heads.
-class MergeTree {
- public:
-  static constexpr uint32_t kNone = ~0u;
+// Every shard's head entry, nullopt for an empty shard.
+std::vector<std::optional<CollUrls::Entry>> Heads(
+    std::vector<CollUrls>& shards) {
+  std::vector<std::optional<CollUrls::Entry>> heads;
+  heads.reserve(shards.size());
+  for (CollUrls& shard : shards) heads.push_back(shard.PeekEntry());
+  return heads;
+}
 
-  explicit MergeTree(
-      const std::vector<std::vector<CollUrls::Entry>>& lists)
-      : lists_(lists), next_(lists.size(), 0) {
-    while (leaves_ < lists.size()) leaves_ *= 2;
-    winner_.assign(2 * leaves_, kNone);
-    for (std::size_t s = 0; s < lists.size(); ++s) Replay(s);
-  }
-
-  /// Index of the list holding the globally earliest head, or kNone.
-  uint32_t winner() const { return winner_[1]; }
-
-  const CollUrls::Entry& head(std::size_t s) const {
-    return lists_[s][next_[s]];
-  }
-
-  std::size_t cursor(std::size_t s) const { return next_[s]; }
-
-  void advance(std::size_t s) {
-    ++next_[s];
-    Replay(s);
-  }
-
- private:
-  // Re-derives the winners along list s's leaf-to-root path. Node i's
-  // children are 2i and 2i+1, and list s sits at leaf leaves_ + s.
-  void Replay(std::size_t s) {
-    std::size_t node = leaves_ + s;
-    winner_[node] =
-        next_[s] < lists_[s].size() ? static_cast<uint32_t>(s) : kNone;
-    for (node /= 2; node >= 1; node /= 2) {
-      const uint32_t a = winner_[2 * node];
-      const uint32_t b = winner_[2 * node + 1];
-      if (a == kNone) {
-        winner_[node] = b;
-      } else if (b == kNone) {
-        winner_[node] = a;
-      } else {
-        winner_[node] = Earlier(head(a), head(b)) ? a : b;
-      }
+// Index of the earliest of the shard heads, or heads.size() when every
+// shard is empty.
+std::size_t EarliestHead(
+    const std::vector<std::optional<CollUrls::Entry>>& heads) {
+  std::size_t best = heads.size();
+  for (std::size_t s = 0; s < heads.size(); ++s) {
+    if (heads[s].has_value() &&
+        (best == heads.size() || Earlier(*heads[s], *heads[best]))) {
+      best = s;
     }
   }
-
-  const std::vector<std::vector<CollUrls::Entry>>& lists_;
-  std::vector<std::size_t> next_;
-  std::size_t leaves_ = 1;
-  std::vector<uint32_t> winner_;
-};
+  return best;
+}
 
 }  // namespace
 
@@ -104,15 +70,10 @@ std::optional<ScheduledUrl> ShardedFrontier::Pop() {
 }
 
 std::optional<ScheduledUrl> ShardedFrontier::Peek() {
-  std::optional<CollUrls::Entry> best;
-  for (CollUrls& shard : shards_) {
-    std::optional<CollUrls::Entry> head = shard.PeekEntry();
-    if (head.has_value() && (!best.has_value() || Earlier(*head, *best))) {
-      best = head;
-    }
-  }
-  if (!best.has_value()) return std::nullopt;
-  return ScheduledUrl{best->url, best->when};
+  const std::vector<std::optional<CollUrls::Entry>> heads = Heads(shards_);
+  const std::size_t best = EarliestHead(heads);
+  if (best == heads.size()) return std::nullopt;
+  return ScheduledUrl{heads[best]->url, heads[best]->when};
 }
 
 std::size_t ShardedFrontier::size() const {
@@ -123,75 +84,33 @@ std::size_t ShardedFrontier::size() const {
 
 ShardedFrontier::SlotPlan ShardedFrontier::PlanSlots(double start,
                                                      double horizon,
-                                                     double step,
-                                                     ThreadPool* threads) {
+                                                     double step) {
   SlotPlan plan;
   plan.end_time = start;
   if (!(step > 0.0) || start >= horizon) return plan;
 
-  // Each consumed candidate advances the slot clock by `step`, so a
-  // batch can never hold more than this many fetches — the per-shard
-  // extraction bound.
-  const double cap = (horizon - start) / step + 2.0;
-  const std::size_t max_slots =
-      cap < 1e18 ? static_cast<std::size_t>(cap)
-                 : std::numeric_limits<std::size_t>::max();
-
-  // Stage 1: per-shard candidate extraction, shard-parallel. Each task
-  // touches only its own heap and its own output vector; the pops come
-  // out sorted by (when, seq) because each shard heap is one CollUrls.
-  const std::size_t num_shards = shards_.size();
-  std::vector<std::vector<CollUrls::Entry>> extracted(num_shards);
-  auto extract = [this, horizon, max_slots, &extracted](std::size_t s) {
-    std::vector<CollUrls::Entry>& out = extracted[s];
-    while (out.size() < max_slots) {
-      auto head = shards_[s].PeekEntry();
-      if (!head.has_value() || head->when >= horizon) break;
-      out.push_back(*shards_[s].PopEntry());
-    }
-  };
-  std::vector<std::size_t> busy;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (!shards_[s].empty()) busy.push_back(s);
-  }
-  if (threads != nullptr) {
-    threads->RunForIndices(busy, extract);
-  } else {
-    for (std::size_t s : busy) extract(s);
-  }
-
-  // Stage 2: deterministic tournament merge driving the slot clock —
-  // the serial CollUrls plan loop, with the global (when, seq) order
-  // reassembled from the shard heads in O(log N) per slot.
+  // The serial CollUrls plan loop over the global (when, seq) order:
+  // the earliest shard head either idles the clock forward or takes
+  // the slot, and only the shard it came from re-reads its head.
+  std::vector<std::optional<CollUrls::Entry>> heads = Heads(shards_);
   double t = start;
-  MergeTree merge(extracted);
   while (t < horizon) {
-    const uint32_t best = merge.winner();
-    if (best == MergeTree::kNone) {
-      t = horizon;  // nothing scheduled before the horizon: idle to it
+    const std::size_t best = EarliestHead(heads);
+    if (best == heads.size() || heads[best]->when >= horizon) {
+      t = horizon;  // nothing due before the horizon: idle to it
       break;
     }
-    const CollUrls::Entry& head = merge.head(best);
+    const CollUrls::Entry& head = *heads[best];
     if (head.when > t) {
-      t = head.when;  // idle to the next due URL (spare capacity)
+      t = head.when;  // idle to the next due URL
       continue;
     }
     plan.slots.push_back(ScheduledUrl{head.url, t});
-    plan.owner.push_back(best);
-    merge.advance(best);
+    shards_[best].PopEntry();
+    heads[best] = shards_[best].PeekEntry();
     t += step;  // constant crawl speed: one fetch per slot
   }
   plan.end_time = t;
-
-  // Stage 3: restore extracted-but-unplanned candidates with their
-  // original keys, so the frontier state equals "only the planned URLs
-  // were popped".
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (std::size_t i = merge.cursor(s); i < extracted[s].size(); ++i) {
-      const CollUrls::Entry& e = extracted[s][i];
-      shards_[s].ScheduleAt(e.url, e.when, e.seq);
-    }
-  }
   return plan;
 }
 

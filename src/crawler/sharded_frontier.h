@@ -9,7 +9,6 @@
 #include "crawler/coll_urls.h"
 #include "simweb/url.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace webevo::crawler {
 
@@ -21,19 +20,16 @@ namespace webevo::crawler {
 /// Behavioural contract: *bit-identical to a single CollUrls* at every
 /// shard count. Sequence numbers (the FIFO tie-break) and the
 /// front-of-queue key both come from counters global to the frontier,
-/// so the merge order over shard heads — earliest `when`, ties broken
-/// by global sequence number — is exactly the pop order the one-heap
-/// queue would produce. Schedule/Remove route to the owning shard
-/// (O(log(n/N))).
+/// so the earliest shard head — earliest `when`, ties broken by global
+/// sequence number — is always the head the one-heap queue would pop.
+/// Schedule/Remove route to the owning shard (O(log(n/N))).
 ///
-/// The point of the split is PlanSlots, the crawler's only reader: each
-/// shard extracts its own due-before-horizon candidates in parallel on
-/// the engine's ThreadPool — the heap work that used to serialise the
-/// plan phase — and a cheap serial merge then assigns crawl slots
-/// deterministically. Push-back rescheduling between batches (Schedule
-/// from the apply barrier) lands directly in the owning shard's heap.
-/// Pop/Peek scan the N shard heads; tests use them as the serial
-/// reference for PlanSlots.
+/// The point of the split is the apply pass: its shard workers
+/// schedule, revoke and re-floor their own sites' URLs concurrently
+/// (ScheduleLane, RescheduleSiteNotBefore), each touching only the
+/// heap of the shard it owns. Reading the frontier is serial: PlanSlots
+/// plans a batch on the calling thread, and Pop/Peek (the tests' scan)
+/// take the same earliest head.
 class ShardedFrontier {
  public:
   /// Creates `num_shards` shard heaps (>= 1; clamped, matching
@@ -134,11 +130,6 @@ class ShardedFrontier {
   struct SlotPlan {
     /// Planned fetches in slot order; `when` is the assigned slot time.
     std::vector<ScheduledUrl> slots;
-    /// owner[i] is the shard that owns slots[i].url.site — stamped
-    /// once here at plan time (the merge knows the winning shard), so
-    /// the fetch/apply passes reuse it instead of recomputing
-    /// site % num_shards per touch.
-    std::vector<uint32_t> owner;
     /// The crawl clock after the batch: `horizon` unless planning
     /// stopped early (never happens at a constant rate — idle periods
     /// also advance to the horizon).
@@ -148,28 +139,16 @@ class ShardedFrontier {
   /// Plans one engine batch: starting the slot clock at `start`, pops
   /// due URLs one per crawl slot (one slot every `step` days), idling
   /// forward when the next URL is due later, until the clock reaches
-  /// `horizon`. Reproduces the serial CollUrls plan loop bit for bit:
-  ///
-  ///   1. *extract* (parallel over `threads` when > 1 shard has work):
-  ///      each shard pops its own due-before-horizon candidates, at
-  ///      most the batch's slot capacity, into a sorted per-shard list;
-  ///   2. *merge* (serial, cheap): a deterministic tournament-tree
-  ///      merge over the per-shard lists — earliest `when`, ties by
-  ///      global sequence number — drives the slot clock and assigns
-  ///      slot times;
-  ///   3. *restore*: candidates the clock never reached go back to
-  ///      their shard heaps with their original (when, seq) keys.
-  ///
-  /// `threads` may be null (serial extraction); results are identical.
-  SlotPlan PlanSlots(double start, double horizon, double step,
-                     ThreadPool* threads);
+  /// `horizon` — the serial CollUrls plan loop, bit for bit. It holds
+  /// each shard's head and takes the earliest; after a pop only that
+  /// shard's head is re-read.
+  SlotPlan PlanSlots(double start, double horizon, double step);
 
  private:
   std::vector<CollUrls> shards_;
   // Global counters shared by all shards: the FIFO tie-break sequence
   // and the front-of-queue key offset. Keeping them global is what
-  // makes the merge order over shard heads equal to the single-heap
-  // pop order.
+  // makes the earliest shard head the single-heap queue's head.
   uint64_t next_seq_ = 0;
   double front_when_ = 0.0;
 };

@@ -209,7 +209,6 @@ class UpdateModule {
   /// value change, failed fetches mark nothing — so the merged sets
   /// are pure functions of the simulation, identical at every N.
   void EnableDirtyTracking();
-  bool dirty_tracking() const { return dirty_tracking_; }
   void AppendDirty(std::set<simweb::Url, simweb::UrlIdentityLess>* pages,
                    std::set<uint32_t>* sites,
                    std::set<uint32_t>* rngs) const;

@@ -10,14 +10,11 @@ WindowVisit PageWindow::Visit(simweb::SimulatedWeb& web, double t) {
       [&web, t](const simweb::Url& url) {
         return web.Fetch(url, t, /*latency_days=*/nullptr,
                          simweb::SimulatedWeb::LinkScope::kOwnSite);
-      },
-      t);
+      });
 }
 
-WindowVisit PageWindow::Visit(uint32_t site_size, const FetchFn& fetch,
-                              double t) {
+WindowVisit PageWindow::Visit(uint32_t site_size, const FetchFn& fetch) {
   WindowVisit visit;
-  visit.time = t;
   if (marks_.size() < site_size) marks_.resize(site_size);
   ++stamp_;
   extra_queued_.clear();
@@ -50,14 +47,6 @@ WindowVisit PageWindow::Visit(uint32_t site_size, const FetchFn& fetch,
       if (Enqueue(link)) frontier.push_back(link);
     }
   }
-
-  for (const simweb::Url& url : previous_window_) {
-    if (!SightedNow(url)) visit.left.push_back(url);
-  }
-  previous_window_.clear();
-  for (const Observation& obs : visit.pages) {
-    previous_window_.push_back(obs.url);
-  }
   return visit;
 }
 
@@ -71,7 +60,7 @@ bool PageWindow::Enqueue(const simweb::Url& url) {
     }
     if (mark.queued_incarnation == url.incarnation) return false;
   }
-  return extra_queued_.emplace(url, false).second;
+  return extra_queued_.insert(url).second;
 }
 
 void PageWindow::Sight(const simweb::Url& url, const Checksum128& sum,
@@ -79,32 +68,18 @@ void PageWindow::Sight(const simweb::Url& url, const Checksum128& sum,
   if (url.slot < marks_.size() &&
       marks_[url.slot].queued_incarnation == url.incarnation) {
     SlotMark& mark = marks_[url.slot];
-    const bool known =
-        mark.sighted != 0 && mark.incarnation == url.incarnation;
+    const bool known = mark.sighted && mark.incarnation == url.incarnation;
     obs->first_sighting = !known;
     obs->changed = known && !(mark.checksum == sum);
-    mark.sighted = stamp_;
+    mark.sighted = true;
     mark.incarnation = url.incarnation;
     mark.checksum = sum;
     return;
   }
-  extra_queued_[url] = true;
   auto [it, first] = extra_checksums_.try_emplace(url, sum);
   obs->first_sighting = first;
   obs->changed = !first && !(it->second == sum);
   it->second = sum;
-}
-
-bool PageWindow::SightedNow(const simweb::Url& url) const {
-  if (url.slot < marks_.size()) {
-    const SlotMark& mark = marks_[url.slot];
-    if (mark.sighted == stamp_ && mark.incarnation == url.incarnation) {
-      return true;
-    }
-  }
-  if (extra_queued_.empty()) return false;
-  auto it = extra_queued_.find(url);
-  return it != extra_queued_.end() && it->second;
 }
 
 }  // namespace webevo::experiment

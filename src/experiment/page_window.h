@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "simweb/page.h"
@@ -24,9 +25,7 @@ struct Observation {
 
 /// The result of visiting one site's window on one day.
 struct WindowVisit {
-  double time = 0.0;
-  std::vector<Observation> pages;   ///< today's window, in BFS order
-  std::vector<simweb::Url> left;    ///< URLs in yesterday's window, gone today
+  std::vector<Observation> pages;  ///< today's window, in BFS order
 };
 
 /// The paper's *page window* monitoring scheme (Section 2.1): each day,
@@ -70,7 +69,7 @@ class alignas(64) PageWindow {
   /// follows only the links into the window's site, and sizes the slot
   /// marks for `site_size` slots. Visit(web, t) is this with the web's
   /// site size and an own-site Fetch at `t`.
-  WindowVisit Visit(uint32_t site_size, const FetchFn& fetch, double t);
+  WindowVisit Visit(uint32_t site_size, const FetchFn& fetch);
 
   uint32_t site() const { return site_; }
   std::size_t window_size() const { return window_size_; }
@@ -81,7 +80,7 @@ class alignas(64) PageWindow {
   struct SlotMark {
     uint32_t queued = 0;  ///< stamp of the last visit that queued the slot
     uint32_t queued_incarnation = 0;  ///< the incarnation it queued
-    uint32_t sighted = 0;  ///< stamp of `incarnation`'s last sighting; 0: none
+    bool sighted = false;  ///< whether `incarnation` has been sighted
     uint32_t incarnation = 0;  ///< the slot's latest sighted incarnation
     Checksum128 checksum;      ///< that page's checksum at the sighting
   };
@@ -94,20 +93,15 @@ class alignas(64) PageWindow {
   void Sight(const simweb::Url& url, const Checksum128& sum,
              Observation* obs);
 
-  /// Whether this visit sighted `url`.
-  bool SightedNow(const simweb::Url& url) const;
-
   uint32_t site_;
   std::size_t window_size_;
   uint32_t stamp_ = 0;  // visits so far; this visit's marks carry it
   std::vector<SlotMark> marks_;  // by slot, sized on the first visit
   // The fallbacks: every URL without a slot mark of its own, with its
-  // last checksum, and this visit's such URLs, with whether it sighted
-  // them.
+  // last checksum, and this visit's queued such URLs.
   std::unordered_map<simweb::Url, Checksum128, simweb::UrlHash>
       extra_checksums_;
-  std::unordered_map<simweb::Url, bool, simweb::UrlHash> extra_queued_;
-  std::vector<simweb::Url> previous_window_;
+  std::unordered_set<simweb::Url, simweb::UrlHash> extra_queued_;
   uint64_t total_fetches_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #ifndef WEBEVO_FRESHNESS_ANALYTIC_H_
 #define WEBEVO_FRESHNESS_ANALYTIC_H_
 
-#include <cmath>
 #include <vector>
 
 #include "util/status.h"
@@ -52,11 +51,6 @@ double BatchShadowingFreshness(double lambda, double period,
 /// Time-averaged age (days a stale copy has been stale) of an in-place
 /// collection: T/2 - 1/lambda + (1 - e^{-lambda T}) / (lambda^2 T).
 double InPlaceAge(double lambda, double period);
-
-/// Freshness of a single page copy `age` days after it was synced.
-inline double PageFreshnessAtAge(double lambda, double age) {
-  return lambda <= 0.0 ? 1.0 : std::exp(-lambda * age);
-}
 
 /// --- Instantaneous freshness curves (Figures 7 and 8) ---------------
 

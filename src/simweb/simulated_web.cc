@@ -834,16 +834,6 @@ double SimulatedWeb::OracleDeathTime(PageId page) const {
   return RecordOf(page).death_time;
 }
 
-Domain SimulatedWeb::OraclePageDomain(PageId page) const {
-  assert(PageIdSite(page) < sites_.size());
-  return sites_[PageIdSite(page)].domain;
-}
-
-Url SimulatedWeb::OraclePageUrl(PageId page) const {
-  // Identity is the id itself; no lookup needed.
-  return Url{PageIdSite(page), PageIdSlot(page), PageIdIncarnation(page)};
-}
-
 std::vector<SimulatedWeb::SiteLink> SimulatedWeb::OracleSiteLinks(double t) {
   BumpNow(t);
   // Dense accumulation per source site keeps this O(slots + edges).

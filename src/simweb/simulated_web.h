@@ -191,8 +191,6 @@ class SimulatedWeb {
   /// The page's birth time and death time (death may be +infinity).
   double OracleBirthTime(PageId page) const;
   double OracleDeathTime(PageId page) const;
-  Domain OraclePageDomain(PageId page) const;
-  Url OraclePageUrl(PageId page) const;
 
   /// Total pages ever created (live + dead): the slot histories' total
   /// length.

@@ -114,7 +114,6 @@ class RecordStore {
   virtual StoreStats stats() const { return {}; }
 
   void EnableDirtyTracking() { tracking_ = true; }
-  bool dirty_tracking() const { return tracking_; }
   const DirtySet& dirty() const { return dirty_; }
   void ClearDirty() { dirty_.clear(); }
 

@@ -111,10 +111,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
 
-double Rng::LogNormal(double mu, double sigma) {
-  return std::exp(Normal(mu, sigma));
-}
-
 uint64_t Rng::Zipf(uint64_t n, double s) {
   assert(n >= 1);
   if (n == 1) return 1;

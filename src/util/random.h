@@ -55,9 +55,6 @@ class Rng {
   /// Normal variate with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Log-normal variate: exp(Normal(mu, sigma)).
-  double LogNormal(double mu, double sigma);
-
   /// Zipf-distributed rank in [1, n] with exponent `s` (s >= 0).
   /// P(k) proportional to 1/k^s. Uses rejection-inversion (Hormann),
   /// O(1) per draw for any n.

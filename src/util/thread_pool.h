@@ -44,8 +44,8 @@ class ThreadPool {
   /// Runs `task(i)` for every index in `indices` and waits. With two or
   /// more indices the tasks go through the pool, one per index; with
   /// fewer they run inline — same code path, same results, no thread
-  /// handoff. This is the shard fan-out the crawl phases (plan extract,
-  /// fetch, apply shard pass, link noting, measure) all share.
+  /// handoff. The incremental crawler's two apply passes (outcome and
+  /// admission) fan out over their busy shards through it.
   void RunForIndices(const std::vector<std::size_t>& indices,
                      const std::function<void(std::size_t)>& task);
 

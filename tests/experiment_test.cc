@@ -44,20 +44,18 @@ simweb::WebConfig ScenarioStudyWeb(const std::string& faults,
   return c;
 }
 
-/// The page window as specified before its slot marks: hash sets per
+/// The page window as specified before its slot marks: a hash set per
 /// visit and a URL-keyed checksum map. PageWindow must report exactly
-/// what this does (`left` in any order).
+/// what this does.
 class ReferenceWindow {
  public:
   ReferenceWindow(uint32_t site, std::size_t window_size)
       : site_(site), window_size_(window_size) {}
 
-  WindowVisit Visit(const PageWindow::FetchFn& fetch, double t) {
+  WindowVisit Visit(const PageWindow::FetchFn& fetch) {
     WindowVisit visit;
-    visit.time = t;
     std::deque<Url> frontier;
     std::unordered_set<Url, simweb::UrlHash> enqueued;
-    std::unordered_set<Url, simweb::UrlHash> in_window;
     frontier.push_back(Url{site_, 0, 0});
     enqueued.insert(frontier.back());
     while (!frontier.empty() && visit.pages.size() < window_size_) {
@@ -73,17 +71,12 @@ class ReferenceWindow {
       obs.first_sighting = it == last_checksum_.end();
       obs.changed = !obs.first_sighting && !(it->second == result->checksum);
       last_checksum_[url] = result->checksum;
-      in_window.insert(url);
       visit.pages.push_back(obs);
       for (const Url& link : result->links) {
         if (link.site != site_) continue;
         if (enqueued.insert(link).second) frontier.push_back(link);
       }
     }
-    for (const Url& url : previous_window_) {
-      if (in_window.count(url) == 0) visit.left.push_back(url);
-    }
-    previous_window_.assign(in_window.begin(), in_window.end());
     return visit;
   }
 
@@ -93,14 +86,8 @@ class ReferenceWindow {
   uint32_t site_;
   std::size_t window_size_;
   std::unordered_map<Url, Checksum128, simweb::UrlHash> last_checksum_;
-  std::vector<Url> previous_window_;
   uint64_t fetches_ = 0;
 };
-
-std::vector<Url> Sorted(std::vector<Url> urls) {
-  std::sort(urls.begin(), urls.end(), simweb::UrlIdentityLess{});
-  return urls;
-}
 
 void ExpectSameVisit(const WindowVisit& got, const WindowVisit& want) {
   ASSERT_EQ(got.pages.size(), want.pages.size());
@@ -112,7 +99,6 @@ void ExpectSameVisit(const WindowVisit& got, const WindowVisit& want) {
     EXPECT_EQ(g.changed, w.changed) << g.url.ToString();
     EXPECT_EQ(g.first_sighting, w.first_sighting) << g.url.ToString();
   }
-  EXPECT_EQ(Sorted(got.left), Sorted(want.left));
 }
 
 /// Visits every site of two identically built webs daily for `days`,
@@ -135,7 +121,7 @@ int ExpectWindowsMatchReference(const simweb::WebConfig& config, int days,
     for (uint32_t s = 0; s < web.num_sites(); ++s) {
       const WindowVisit got = windows[s].Visit(web, t);
       const WindowVisit want = references[s].Visit(
-          [&](const Url& url) { return reference_web.Fetch(url, t); }, t);
+          [&](const Url& url) { return reference_web.Fetch(url, t); });
       ExpectSameVisit(got, want);
       EXPECT_EQ(windows[s].total_fetches(), references[s].total_fetches());
       for (const Observation& obs : got.pages) {
@@ -159,7 +145,6 @@ TEST(PageWindowTest, FirstVisitMarksEverythingNew) {
     EXPECT_FALSE(obs.changed);
     EXPECT_EQ(obs.url.site, 0u);
   }
-  EXPECT_TRUE(visit.left.empty());
 }
 
 TEST(PageWindowTest, WindowCapRespected) {
@@ -204,14 +189,13 @@ TEST(PageWindowTest, FastPagesFlaggedChanged) {
   EXPECT_EQ(changed, static_cast<int>(second.pages.size()));
 }
 
-TEST(PageWindowTest, DepartedPagesReported) {
+TEST(PageWindowTest, ReplacementPagesEnterTheWindow) {
   simweb::WebConfig c = SmallStudyWeb(56);
   c.uniform_lifespan_days = 3.0;  // rapid turnover
   simweb::SimulatedWeb web(c);
   PageWindow window(0, 30);
   window.Visit(web, 0.0);
   WindowVisit later = window.Visit(web, 10.0);
-  EXPECT_FALSE(later.left.empty());
   int fresh_urls = 0;
   for (const Observation& obs : later.pages) {
     fresh_urls += obs.first_sighting;
@@ -292,32 +276,32 @@ TEST(PageWindowTest, RootReplacedWithinOneVisit) {
   };
   PageWindow window(0, 10);
   ReferenceWindow reference(0, 10);
-  const auto visit = [&](double t) {
-    WindowVisit got = window.Visit(4, fetch, t);
-    ExpectSameVisit(got, reference.Visit(fetch, t));
+  const auto visit = [&] {
+    WindowVisit got = window.Visit(4, fetch);
+    ExpectSameVisit(got, reference.Visit(fetch));
     EXPECT_EQ(window.total_fetches(), reference.total_fetches());
     return got;
   };
 
-  WindowVisit first = visit(0.0);
+  WindowVisit first = visit();
   ASSERT_EQ(first.pages.size(), 4u);
   EXPECT_EQ(first.pages[2].url, (Url{0, 0, 1}));
   for (const Observation& obs : first.pages) EXPECT_TRUE(obs.first_sighting);
   EXPECT_EQ(window.total_fetches(), 4u);  // each URL fetched once
 
   version[{0, 1}] = 1;  // only the replacement root changes
-  WindowVisit second = visit(1.0);
+  WindowVisit second = visit();
   ASSERT_EQ(second.pages.size(), 4u);
   for (const Observation& obs : second.pages) {
     EXPECT_FALSE(obs.first_sighting) << obs.url.ToString();
     EXPECT_EQ(obs.changed, obs.url == (Url{0, 0, 1})) << obs.url.ToString();
   }
-  EXPECT_TRUE(second.left.empty());
 
   replacement_linked = false;  // the replacement and its subtree leave
-  WindowVisit third = visit(2.0);
-  EXPECT_EQ(third.pages.size(), 2u);
-  EXPECT_EQ(Sorted(third.left), (std::vector<Url>{{0, 0, 1}, {0, 2, 0}}));
+  WindowVisit third = visit();
+  ASSERT_EQ(third.pages.size(), 2u);
+  EXPECT_EQ(third.pages[0].url, (Url{0, 0, 0}));
+  EXPECT_EQ(third.pages[1].url, (Url{0, 1, 0}));
 }
 
 // ---------------------------------------------------------------- PageStats

@@ -111,9 +111,9 @@ TEST(CollUrlsModelTest, RandomOpsMatchReference) {
 // is *bit-identical* to one global CollUrls — same pop order, same pop
 // times (including the synthetic front-of-queue keys), same sizes —
 // because sequence numbers and the front offset are global and the
-// tournament-tree merge over shard heads uses the same (when, seq)
-// order as the single heap. N = 64 exceeds the 13-site universe, so
-// empty shards and a deep tree are exercised too. The op mix includes
+// earliest of the shard heads is taken by the same (when, seq) order as
+// the single heap's. N = 64 exceeds the 13-site universe, so empty
+// shards are exercised too. The op mix includes
 // the calls the lease settle and the failure path make: seq-guarded
 // removal (live and stale seqs), the quarantine re-floor, and the
 // entry / per-site lookups behind incremental checkpoints.
@@ -230,51 +230,65 @@ TEST(ShardedFrontierModelTest, RandomOpsMatchPlainCollUrls) {
   }
 }
 
-// PlanSlots must reproduce the serial peek/pop slot loop exactly: same
+// PlanSlots must reproduce the one-heap queue's slot loop exactly: same
 // slots, same assigned times, same final clock, and the same frontier
-// state afterwards (extracted-but-unplanned entries restored intact).
+// state afterwards. The reference is a plain CollUrls fed the same
+// operations, not a copy of the sharded frontier, whose Pop/Peek share
+// PlanSlots' head comparison. `when` comes from a coarse grid, so equal
+// times across shards are common and the global seq must decide them.
 TEST(ShardedFrontierModelTest, PlanSlotsMatchesTheSerialSlotLoop) {
   Rng rng(99173);
   for (int shards : {1, 3, 4, 8, 64}) {
+    int cross_shard_ties = 0;
     for (int round = 0; round < 40; ++round) {
       crawler::ShardedFrontier frontier(shards);
-      const int urls = 1 + static_cast<int>(rng.NextBounded(60));
-      for (int i = 0; i < urls; ++i) {
+      crawler::CollUrls reference;
+      std::vector<simweb::Url> urls;
+      const int ops = 1 + static_cast<int>(rng.NextBounded(60));
+      for (int i = 0; i < ops; ++i) {
         simweb::Url url{static_cast<uint32_t>(rng.NextBounded(11)),
                         static_cast<uint32_t>(i), 0};
+        if (!urls.empty() && rng.NextBounded(4) == 0) {
+          url = urls[rng.NextBounded(urls.size())];  // a reschedule
+        } else {
+          urls.push_back(url);
+        }
         if (rng.NextBounded(8) == 0) {
           frontier.ScheduleFront(url);
+          reference.ScheduleFront(url);
         } else {
-          frontier.Schedule(url, rng.NextDouble() * 10.0);
+          const double when = std::floor(rng.NextDouble() * 20.0) / 2.0;
+          frontier.Schedule(url, when);
+          reference.Schedule(url, when);
         }
       }
-      crawler::ShardedFrontier reference = frontier;  // deep copy
 
       const double start = rng.NextDouble() * 2.0;
       const double horizon = start + rng.NextDouble() * 6.0;
       const double step = 0.05 + rng.NextDouble() * 0.3;
-      ThreadPool threads(4);
-      auto plan = frontier.PlanSlots(start, horizon, step, &threads);
+      auto plan = frontier.PlanSlots(start, horizon, step);
 
-      // Serial reference: the pre-ShardedFrontier plan loop.
+      // The serial slot loop over the one-heap queue.
       std::vector<crawler::ScheduledUrl> want;
+      std::optional<crawler::CollUrls::Entry> last;
       double t = start;
       while (t < horizon) {
-        auto head = reference.Peek();
-        if (!head.has_value()) {
+        auto head = reference.PeekEntry();
+        if (!head.has_value() || head->when >= horizon) {
           t = horizon;
           break;
         }
         if (head->when > t) {
-          if (head->when >= horizon) {
-            t = horizon;
-            break;
-          }
           t = head->when;
           continue;
         }
-        auto popped = reference.Pop();
-        want.push_back(crawler::ScheduledUrl{popped->url, t});
+        reference.PopEntry();
+        if (last.has_value() && last->when == head->when &&
+            last->url.site % shards != head->url.site % shards) {
+          ++cross_shard_ties;
+        }
+        last = head;
+        want.push_back(crawler::ScheduledUrl{head->url, t});
         t += step;
       }
 
@@ -282,7 +296,8 @@ TEST(ShardedFrontierModelTest, PlanSlotsMatchesTheSerialSlotLoop) {
       ASSERT_EQ(plan.slots.size(), want.size())
           << "shards=" << shards << " round=" << round;
       for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(plan.slots[i].url, want[i].url);
+        EXPECT_EQ(plan.slots[i].url, want[i].url)
+            << "shards=" << shards << " round=" << round << " slot=" << i;
         EXPECT_EQ(plan.slots[i].when, want[i].when);
       }
       // Post-plan frontier state: both must drain identically.
@@ -295,6 +310,10 @@ TEST(ShardedFrontierModelTest, PlanSlotsMatchesTheSerialSlotLoop) {
         EXPECT_EQ(a->url, b->url);
         EXPECT_EQ(a->when, b->when);
       }
+    }
+    // The seq tie-break across shards was exercised.
+    if (shards > 1) {
+      EXPECT_GT(cross_shard_ties, 0) << "shards=" << shards;
     }
   }
 }

@@ -194,6 +194,43 @@ int RunStudy(const FlagParser& flags) {
   return 0;
 }
 
+/// The crawl mode's report, the same for both crawlers: `st` (the
+/// run's outcome) or the freshness chart, the second half's average
+/// freshness and the pool's aggregate load.
+int ReportCrawl(const FlagParser& flags, const Status& st,
+                const std::string& kind, double days,
+                const freshness::FreshnessTracker& tracker,
+                const crawler::CrawlModulePool& pool) {
+  if (!st.ok()) {
+    std::printf("failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  if (!flags.GetString("resume", "").empty()) {
+    std::printf("note: load stats below cover the resumed segment only; "
+                "the freshness series is restored in full\n");
+  }
+
+  std::printf("freshness over %0.f days (%s crawler):\n%s\n", days,
+              kind.c_str(),
+              AsciiChart(tracker.times(), tracker.values(), 0.0, 1.0)
+                  .c_str());
+  TablePrinter table({"metric", "value"});
+  table.AddRow({"time-avg freshness (2nd half)",
+                TablePrinter::Fmt(tracker.TimeAverage(days / 2, days))});
+  // Pool-level aggregate, not module 0's ledger: correct at any
+  // parallelism, and — after a --checkpoint-traffic resume — covering
+  // the whole crawl, not just the post-resume tail.
+  const crawler::CrawlModulePool::Traffic traffic = pool.AggregateTraffic();
+  table.AddRow({"peak load (pages/day)",
+                TablePrinter::Fmt(traffic.PeakDailyRate(), 0)});
+  table.AddRow({"avg load (pages/day)",
+                TablePrinter::Fmt(traffic.AverageDailyRate(), 0)});
+  table.AddRow({"fetches", TablePrinter::Fmt(static_cast<int64_t>(
+                               traffic.fetch_count))});
+  std::printf("%s", table.ToString().c_str());
+  return MaybeWriteCsv(flags, tracker, kind) ? 0 : 1;
+}
+
 int RunCrawl(const FlagParser& flags) {
   const std::string kind = tools::CrawlerFromFlags(flags);
   simweb::SimulatedWeb web(tools::WebFromFlags(flags));
@@ -246,40 +283,36 @@ int RunCrawl(const FlagParser& flags) {
   crawler::CrawlerCheckpointOptions save_options;
   save_options.module_traffic = checkpoint_traffic;
 
-  const freshness::FreshnessTracker* tracker = nullptr;
-  const crawler::CrawlModulePool* pool = nullptr;
-  crawler::IncrementalCrawler incremental(
-      &web, [&] {
-        crawler::IncrementalCrawlerConfig c;
-        c.collection_capacity = capacity;
-        c.crawl_rate_pages_per_day = static_cast<double>(capacity) / cycle;
-        c.checkpoint_every_batches = checkpoint_every;
-        c.checkpoint_path = checkpoint;
-        c.checkpoint_incremental = checkpoint_incremental;
-        c.checkpoint_module_traffic = checkpoint_traffic;
-        c.store = store_options;
-        c.crawl_parallelism = ParallelismFromFlags(flags);
-        c.pipeline = PipelineFromFlags(flags);
-        c.defense_enabled = defense;
-        tools::UpdateFromFlags(flags, &c.update);
-        return c;
-      }());
-  crawler::PeriodicCrawler periodic(&web, [&] {
-    crawler::PeriodicCrawlerConfig c;
-    c.collection_capacity = capacity;
-    c.cycle_days = cycle;
-    c.crawl_window_days = tools::NumberFromFlags(flags, "window", 7.0, 0.0);
-    c.shadowing = !flags.GetBool("no-shadowing", false);
-    c.checkpoint_every_batches = checkpoint_every;
-    c.checkpoint_path = checkpoint;
-    c.checkpoint_module_traffic = checkpoint_traffic;
-    c.store = store_options;
-    c.crawl_parallelism = ParallelismFromFlags(flags);
-    return c;
-  }());
+  // Both configurations read their flags, so a malformed flag exits 2
+  // whichever crawler runs; only the selected crawler is built (each
+  // owns an engine thread pool and, paged, its own page files).
+  crawler::IncrementalCrawlerConfig inc_config;
+  inc_config.collection_capacity = capacity;
+  inc_config.crawl_rate_pages_per_day = static_cast<double>(capacity) / cycle;
+  inc_config.checkpoint_every_batches = checkpoint_every;
+  inc_config.checkpoint_path = checkpoint;
+  inc_config.checkpoint_incremental = checkpoint_incremental;
+  inc_config.checkpoint_module_traffic = checkpoint_traffic;
+  inc_config.store = store_options;
+  inc_config.crawl_parallelism = ParallelismFromFlags(flags);
+  inc_config.pipeline = PipelineFromFlags(flags);
+  inc_config.defense_enabled = defense;
+  tools::UpdateFromFlags(flags, &inc_config.update);
+  crawler::PeriodicCrawlerConfig per_config;
+  per_config.collection_capacity = capacity;
+  per_config.cycle_days = cycle;
+  per_config.crawl_window_days =
+      tools::NumberFromFlags(flags, "window", 7.0, 0.0);
+  per_config.shadowing = !flags.GetBool("no-shadowing", false);
+  per_config.checkpoint_every_batches = checkpoint_every;
+  per_config.checkpoint_path = checkpoint;
+  per_config.checkpoint_module_traffic = checkpoint_traffic;
+  per_config.store = store_options;
+  per_config.crawl_parallelism = inc_config.crawl_parallelism;
 
-  Status st;
   if (kind == "periodic") {
+    crawler::PeriodicCrawler periodic(&web, per_config);
+    Status st;
     if (!resume.empty()) {
       st = crawler::LoadCrawlerFromFile(resume, &periodic);
       if (st.ok()) {
@@ -297,71 +330,42 @@ int RunCrawl(const FlagParser& flags) {
                     checkpoint.c_str());
       }
     }
-    tracker = &periodic.tracker();
-    pool = &periodic.crawl_pool();
-  } else {
-    if (!resume.empty()) {
-      // An adjacent .deltas log means the checkpoint was written by
-      // --checkpoint-incremental: restore the base, replay the chain.
-      const bool with_deltas =
-          static_cast<bool>(std::ifstream(resume + ".deltas"));
-      st = with_deltas
-               ? crawler::LoadCrawlerWithDeltasFromFile(resume,
-                                                        &incremental)
-               : crawler::LoadCrawlerFromFile(resume, &incremental);
-      if (st.ok()) {
-        std::printf("resumed incremental crawler from %s%s at day %.2f\n",
-                    resume.c_str(), with_deltas ? " (+deltas)" : "",
-                    incremental.now());
-      }
-    } else {
-      st = incremental.Bootstrap(0.0);
-    }
-    if (st.ok()) st = incremental.RunUntil(days);
-    if (st.ok() && !checkpoint.empty()) {
-      st = checkpoint_incremental
-               ? crawler::CheckpointIncremental(&incremental, checkpoint,
-                                                save_options)
-               : crawler::SaveCrawlerToFile(incremental, checkpoint,
-                                            save_options);
-      if (st.ok()) {
-        std::printf("checkpointed incremental crawler to %s%s\n",
-                    checkpoint.c_str(),
-                    checkpoint_incremental ? " (incremental)" : "");
-      }
-    }
-    tracker = &incremental.tracker();
-    pool = &incremental.crawl_pool();
+    return ReportCrawl(flags, st, kind, days, periodic.tracker(),
+                       periodic.crawl_pool());
   }
-  if (!st.ok()) {
-    std::printf("failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  crawler::IncrementalCrawler incremental(&web, inc_config);
+  Status st;
   if (!resume.empty()) {
-    std::printf("note: load stats below cover the resumed segment only; "
-                "the freshness series is restored in full\n");
+    // An adjacent .deltas log means the checkpoint was written by
+    // --checkpoint-incremental: restore the base, replay the chain.
+    const bool with_deltas =
+        static_cast<bool>(std::ifstream(resume + ".deltas"));
+    st = with_deltas
+             ? crawler::LoadCrawlerWithDeltasFromFile(resume, &incremental)
+             : crawler::LoadCrawlerFromFile(resume, &incremental);
+    if (st.ok()) {
+      std::printf("resumed incremental crawler from %s%s at day %.2f\n",
+                  resume.c_str(), with_deltas ? " (+deltas)" : "",
+                  incremental.now());
+    }
+  } else {
+    st = incremental.Bootstrap(0.0);
   }
-
-  std::printf("freshness over %0.f days (%s crawler):\n%s\n", days,
-              kind.c_str(),
-              AsciiChart(tracker->times(), tracker->values(), 0.0, 1.0)
-                  .c_str());
-  TablePrinter table({"metric", "value"});
-  table.AddRow({"time-avg freshness (2nd half)",
-                TablePrinter::Fmt(tracker->TimeAverage(days / 2, days))});
-  // Pool-level aggregate, not module 0's ledger: correct at any
-  // parallelism, and — after a --checkpoint-traffic resume — covering
-  // the whole crawl, not just the post-resume tail.
-  const crawler::CrawlModulePool::Traffic traffic =
-      pool->AggregateTraffic();
-  table.AddRow({"peak load (pages/day)",
-                TablePrinter::Fmt(traffic.PeakDailyRate(), 0)});
-  table.AddRow({"avg load (pages/day)",
-                TablePrinter::Fmt(traffic.AverageDailyRate(), 0)});
-  table.AddRow({"fetches", TablePrinter::Fmt(static_cast<int64_t>(
-                               traffic.fetch_count))});
-  std::printf("%s", table.ToString().c_str());
-  return MaybeWriteCsv(flags, *tracker, kind) ? 0 : 1;
+  if (st.ok()) st = incremental.RunUntil(days);
+  if (st.ok() && !checkpoint.empty()) {
+    st = checkpoint_incremental
+             ? crawler::CheckpointIncremental(&incremental, checkpoint,
+                                              save_options)
+             : crawler::SaveCrawlerToFile(incremental, checkpoint,
+                                          save_options);
+    if (st.ok()) {
+      std::printf("checkpointed incremental crawler to %s%s\n",
+                  checkpoint.c_str(),
+                  checkpoint_incremental ? " (incremental)" : "");
+    }
+  }
+  return ReportCrawl(flags, st, kind, days, incremental.tracker(),
+                     incremental.crawl_pool());
 }
 
 int RunCompare(const FlagParser& flags) {
