@@ -3,10 +3,11 @@
 // page fetch + lazy Poisson advance,
 // checksum, PageRank iteration, estimator updates, the optimizer and
 // the housekeeping built on it (per-page pricing, the daily rebalance,
-// the weekly refinement), the study's page-stats record step, the
-// record writers behind serving and checkpoints (view fingerprint, web
-// section, delta-segment encode, paged-store codec), and the paged
-// store's barrier Flush and canonical walk.
+// the weekly refinement), the capacity settle's victim selection, the
+// study's page-stats record step, the record writers behind serving and
+// checkpoints (view fingerprint, web section, delta-segment encode,
+// paged-store codec), and the paged store's barrier Flush and canonical
+// walk.
 // These back the paper's throughput argument: the UpdateModule's fast
 // path must sustain tens of pages per second independent of collection
 // size (Section 5.3's "40 pages/second" discussion).
@@ -292,6 +293,35 @@ void BM_RankingRefine(benchmark::State& state) {
 }
 BENCHMARK(BM_RankingRefine)->Unit(benchmark::kMillisecond);
 
+void BM_OverdraftVictims(benchmark::State& state) {
+  // The capacity settle after an overdrawn batch: the 500 best eviction
+  // victims of a 20,500-entry collection of capacity 20,000, split over
+  // range(0) stores. One entry in ten is unranked (importance 0, as a
+  // page inserted since the last refinement is), so most victims are
+  // importance ties broken by URL identity.
+  constexpr uint32_t kCapacity = 20000, kOverdraft = 500;
+  crawler::Collection collection(kCapacity,
+                                 static_cast<int>(state.range(0)));
+  Rng rng(21);
+  for (uint32_t i = 0; i < kCapacity + kOverdraft; ++i) {
+    crawler::CollectionEntry e;
+    e.url = simweb::Url{i % 500, i / 500, 0};
+    e.importance = rng.NextBounded(10) == 0 ? 0.0 : rng.NextDouble();
+    collection.InsertUnchecked(std::move(e));
+  }
+  std::size_t victims = 0;
+  for (auto _ : state) {
+    std::vector<simweb::Url> v = collection.OverdraftVictims();
+    victims = v.size();
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.counters["victims"] = static_cast<double>(victims);
+}
+BENCHMARK(BM_OverdraftVictims)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_BatchViewFingerprint(benchmark::State& state) {
   const auto n = static_cast<uint32_t>(state.range(0));
   serving::BatchView view;
@@ -485,7 +515,7 @@ void BM_PagedStoreFlush(benchmark::State& state) {
   const auto percent = static_cast<uint32_t>(state.range(0));
   const uint32_t stride = 100 / percent;
   PagedCollection& store = SharedPagedCollection();
-  const std::size_t compactions0 = store.stats().page_compactions;
+  const std::size_t compactions0 = store.store_stats().page_compactions;
   static uint32_t batch = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -504,7 +534,7 @@ void BM_PagedStoreFlush(benchmark::State& state) {
     store.Flush();
   }
   state.counters["compactions_per_flush"] = benchmark::Counter(
-      static_cast<double>(store.stats().page_compactions - compactions0) /
+      static_cast<double>(store.store_stats().page_compactions - compactions0) /
       static_cast<double>(state.iterations()));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           (kPagedRecords / stride));
@@ -522,7 +552,7 @@ void BM_PagedStoreWalk(benchmark::State& state) {
   PagedCollection& store = SharedPagedCollection();
   double sum = 0.0;
   for (auto _ : state) {
-    store.ForEachCanonical(
+    store.ForEach(
         [&sum](const simweb::Url&, const crawler::CollectionEntry& e) {
           sum += e.importance;
         });

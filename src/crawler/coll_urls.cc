@@ -46,24 +46,25 @@ std::size_t CollUrls::RescheduleSiteNotBefore(uint32_t site,
   return moved.size();
 }
 
-void CollUrls::SkipStale() {
+CollUrls::LiveMap::iterator CollUrls::SkipStale() {
   while (!heap_.empty()) {
     const Entry& top = heap_.top();
     auto it = live_.find(top.url);
     if (it != live_.end() && it->second.seq == top.seq &&
         it->second.when == top.when) {
-      return;
+      return it;
     }
     heap_.pop();
   }
+  return live_.end();
 }
 
 std::optional<CollUrls::Entry> CollUrls::PopEntry() {
-  SkipStale();
+  const auto live = SkipStale();
   if (heap_.empty()) return std::nullopt;
   Entry top = heap_.top();
   heap_.pop();
-  live_.erase(top.url);
+  live_.erase(live);
   return top;
 }
 

@@ -141,9 +141,6 @@ class CollUrls {
     }
   };
 
-  /// Discards superseded heap heads.
-  void SkipStale();
-
   /// The (seq, when) key of a url's single live heap entry. Staleness
   /// is tokened on *both* fields: RescheduleSiteNotBefore moves an
   /// entry to a later time while keeping its seq, so seq alone would
@@ -152,9 +149,15 @@ class CollUrls {
     uint64_t seq = 0;
     double when = 0.0;
   };
+  using LiveMap = std::unordered_map<simweb::Url, LiveRef, simweb::UrlHash>;
+
+  /// Discards superseded heap heads; returns the live_ entry of the
+  /// head it verified (live_.end() when the heap is empty), so a pop
+  /// erases through it instead of probing again.
+  LiveMap::iterator SkipStale();
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_map<simweb::Url, LiveRef, simweb::UrlHash> live_;
+  LiveMap live_;
   uint64_t next_seq_ = 0;
   double front_when_ = 0.0;  // increasing offset above kFrontBase
 };

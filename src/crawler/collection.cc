@@ -8,66 +8,70 @@
 
 namespace webevo::crawler {
 
-Collection::Collection(std::size_t capacity,
+Collection::Collection(std::size_t capacity, int num_shards,
                        const storage::StoreOptions& options,
                        const std::string& name)
     : capacity_(capacity) {
-  if (options.backend == storage::StoreOptions::Backend::kPaged) {
-    store_ = std::make_unique<
-        storage::PagedRecordStore<CollectionEntry, CollectionEntryCodec>>(
-        options, name);
-  } else {
-    store_ = std::make_unique<storage::MapRecordStore<CollectionEntry>>();
+  const std::size_t n = static_cast<std::size_t>(std::max(1, num_shards));
+  shards_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (options.backend == storage::StoreOptions::Backend::kPaged) {
+      shards_.push_back(
+          std::make_unique<storage::PagedRecordStore<CollectionEntry,
+                                                     CollectionEntryCodec>>(
+              options, name + "-shard" + std::to_string(i)));
+    } else {
+      shards_.push_back(
+          std::make_unique<storage::MapRecordStore<CollectionEntry>>());
+    }
   }
 }
 
 Status Collection::Upsert(CollectionEntry entry) {
-  const simweb::Url url = entry.url;
-  if (!store_->Contains(url)) {
-    if (full()) {
-      return Status::ResourceExhausted("collection at capacity");
-    }
+  if (!Contains(entry.url) && full()) {
+    return Status::ResourceExhausted("collection at capacity");
   }
-  store_->Put(url, std::move(entry));
+  InsertUnchecked(std::move(entry));
   return Status::Ok();
 }
 
-void Collection::UpsertUnchecked(CollectionEntry entry) {
+void Collection::InsertUnchecked(CollectionEntry entry) {
   const simweb::Url url = entry.url;
-  store_->Put(url, std::move(entry));
+  shards_[ShardOf(url.site)]->Put(url, std::move(entry));
 }
 
 Status Collection::Remove(const simweb::Url& url) {
-  if (!store_->Erase(url)) {
+  if (!shards_[ShardOf(url.site)]->Erase(url)) {
     return Status::NotFound("url not in collection");
   }
   return Status::Ok();
 }
 
-const CollectionEntry* Collection::Find(const simweb::Url& url) const {
-  return store_->Find(url);
-}
-
-CollectionEntry* Collection::FindMutable(const simweb::Url& url) {
-  return store_->FindMutable(url);
+std::size_t Collection::size() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) total += shard->size();
+  return total;
 }
 
 void Collection::ForEach(
     const std::function<void(const CollectionEntry&)>& fn) const {
-  store_->ForEach(
-      [&fn](const simweb::Url& url, const CollectionEntry& entry) {
-        (void)url;
-        fn(entry);
-      });
+  for (const auto& shard : shards_) {
+    shard->ForEach([&fn](const simweb::Url&, const CollectionEntry& entry) {
+      fn(entry);
+    });
+  }
 }
 
 void Collection::ForEachCanonical(
     const std::function<void(const CollectionEntry&)>& fn) const {
-  store_->ForEachCanonical(
-      [&fn](const simweb::Url& url, const CollectionEntry& entry) {
-        (void)url;
-        fn(entry);
-      });
+  std::vector<const CollectionEntry*> entries;
+  entries.reserve(size());
+  ForEach([&](const CollectionEntry& e) { entries.push_back(&e); });
+  std::sort(entries.begin(), entries.end(),
+            [](const CollectionEntry* a, const CollectionEntry* b) {
+              return simweb::UrlIdentityLess{}(a->url, b->url);
+            });
+  for (const CollectionEntry* e : entries) fn(*e);
 }
 
 bool BetterEvictionVictim(const CollectionEntry& a,
@@ -86,33 +90,55 @@ const CollectionEntry* Collection::LowestImportance() const {
   return lowest;
 }
 
-void Collection::LowestImportanceK(
-    std::size_t k, std::vector<const CollectionEntry*>* out) const {
-  if (k == 0) return;
-  // Bounded selection: keep the k best victims seen so far as a heap
-  // whose top is the *worst* of them, so each entry costs O(log k).
+std::vector<simweb::Url> Collection::OverdraftVictims() const {
+  const std::size_t stored = size();
+  if (stored <= capacity_) return {};
+  const std::size_t needed = stored - capacity_;
+  // Bounded selection: keep the `needed` best victims seen so far as a
+  // heap whose top is the *worst* of them, so each entry costs
+  // O(log needed).
   auto worse = [](const CollectionEntry* a, const CollectionEntry* b) {
     return BetterEvictionVictim(*a, *b);  // heap top = worst victim
   };
   std::vector<const CollectionEntry*> best;
-  best.reserve(k + 1);
+  best.reserve(needed + 1);
   ForEach([&](const CollectionEntry& entry) {
-    if (best.size() < k) {
+    if (best.size() < needed) {
       best.push_back(&entry);
       std::push_heap(best.begin(), best.end(), worse);
-      return;
-    }
-    if (BetterEvictionVictim(entry, *best.front())) {
+    } else if (BetterEvictionVictim(entry, *best.front())) {
       std::pop_heap(best.begin(), best.end(), worse);
       best.back() = &entry;
       std::push_heap(best.begin(), best.end(), worse);
     }
   });
-  std::sort(best.begin(), best.end(),
-            [](const CollectionEntry* a, const CollectionEntry* b) {
-              return BetterEvictionVictim(*a, *b);
-            });
-  out->insert(out->end(), best.begin(), best.end());
+  std::sort(best.begin(), best.end(), worse);  // best victim first
+  std::vector<simweb::Url> victims;
+  victims.reserve(best.size());
+  for (const CollectionEntry* e : best) victims.push_back(e->url);
+  return victims;
+}
+
+void Collection::Clear() {
+  for (auto& shard : shards_) shard->Clear();
+}
+
+void Collection::Flush() {
+  for (auto& shard : shards_) shard->Flush();
+}
+
+void Collection::EnableDirtyTracking() {
+  for (auto& shard : shards_) shard->EnableDirtyTracking();
+}
+
+void Collection::AppendDirty(Store::DirtySet* out) const {
+  for (const auto& shard : shards_) {
+    out->insert(shard->dirty().begin(), shard->dirty().end());
+  }
+}
+
+void Collection::ClearDirty() {
+  for (auto& shard : shards_) shard->ClearDirty();
 }
 
 }  // namespace webevo::crawler

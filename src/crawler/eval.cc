@@ -33,14 +33,13 @@ void MeasureSite(simweb::SimulatedWeb& web,
   }
 }
 
-// Works for Collection and ShardedCollection alike: only size() and an
-// (order-insensitive) ForEach are needed, since entries are re-bucketed
-// by site before any order-dependent accumulation happens. One code
-// path for the serial, pool-parallel, and pipelined (StagedMeasure
-// driven externally) measurements, so they can never drift apart.
-template <typename CollectionT>
+// Only size() and an (order-insensitive) ForEach are needed, since
+// entries are re-bucketed by site before any order-dependent
+// accumulation happens. One code path for the serial, pool-parallel,
+// and pipelined (StagedMeasure driven externally) measurements, so
+// they can never drift apart.
 CollectionQuality MeasureImpl(simweb::SimulatedWeb& web,
-                              const CollectionT& collection, double t,
+                              const Collection& collection, double t,
                               ThreadPool* threads, int num_shards) {
   StagedMeasure staged;
   staged.Prepare(web, collection, t, num_shards);
@@ -58,10 +57,9 @@ CollectionQuality MeasureImpl(simweb::SimulatedWeb& web,
 
 }  // namespace
 
-template <typename CollectionT>
-void StagedMeasure::PrepareImpl(simweb::SimulatedWeb& web,
-                                const CollectionT& collection, double t,
-                                int num_shards) {
+void StagedMeasure::Prepare(simweb::SimulatedWeb& web,
+                            const Collection& collection, double t,
+                            int num_shards) {
   web_ = &web;
   t_ = t;
   shards_ = static_cast<std::size_t>(std::max(1, num_shards));
@@ -80,18 +78,6 @@ void StagedMeasure::PrepareImpl(simweb::SimulatedWeb& web,
       ++foreign_;
     }
   });
-}
-
-void StagedMeasure::Prepare(simweb::SimulatedWeb& web,
-                            const Collection& collection, double t,
-                            int num_shards) {
-  PrepareImpl(web, collection, t, num_shards);
-}
-
-void StagedMeasure::Prepare(simweb::SimulatedWeb& web,
-                            const ShardedCollection& collection, double t,
-                            int num_shards) {
-  PrepareImpl(web, collection, t, num_shards);
 }
 
 void StagedMeasure::RunShard(std::size_t shard) {
@@ -141,22 +127,10 @@ CollectionQuality MeasureCollection(simweb::SimulatedWeb& web,
   return MeasureImpl(web, collection, t, nullptr, 1);
 }
 
-CollectionQuality MeasureCollection(simweb::SimulatedWeb& web,
-                                    const ShardedCollection& collection,
-                                    double t) {
-  return MeasureImpl(web, collection, t, nullptr, 1);
-}
-
 CollectionQuality MeasureCollectionSharded(simweb::SimulatedWeb& web,
                                            const Collection& collection,
                                            double t, ThreadPool& threads,
                                            int num_shards) {
-  return MeasureImpl(web, collection, t, &threads, num_shards);
-}
-
-CollectionQuality MeasureCollectionSharded(
-    simweb::SimulatedWeb& web, const ShardedCollection& collection,
-    double t, ThreadPool& threads, int num_shards) {
   return MeasureImpl(web, collection, t, &threads, num_shards);
 }
 

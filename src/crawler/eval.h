@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "crawler/collection.h"
-#include "crawler/sharded_collection.h"
 #include "simweb/simulated_web.h"
 #include "util/thread_pool.h"
 
@@ -33,14 +32,11 @@ struct CollectionQuality {
 /// Accumulation is *canonical*: entries are grouped by site, ordered by
 /// (slot, incarnation) within each site, and per-site partial sums are
 /// reduced in ascending site order. The canonical order makes the
-/// floating-point sums independent of hash-map iteration order and of
+/// floating-point sums independent of store iteration order and of
 /// how the work is split, so the serial and sharded measurements below
 /// are bit-identical to each other at every shard count.
 CollectionQuality MeasureCollection(simweb::SimulatedWeb& web,
                                     const Collection& collection, double t);
-CollectionQuality MeasureCollection(simweb::SimulatedWeb& web,
-                                    const ShardedCollection& collection,
-                                    double t);
 
 /// MeasureCollection with the per-site oracle walks fanned out over
 /// `threads`, sites partitioned site % num_shards (the engine's shard
@@ -51,9 +47,6 @@ CollectionQuality MeasureCollectionSharded(simweb::SimulatedWeb& web,
                                            const Collection& collection,
                                            double t, ThreadPool& threads,
                                            int num_shards);
-CollectionQuality MeasureCollectionSharded(
-    simweb::SimulatedWeb& web, const ShardedCollection& collection,
-    double t, ThreadPool& threads, int num_shards);
 
 /// The measurement above split into pipeline stages, so the pipelined
 /// crawl loop can fuse the per-shard oracle walks into the engine's
@@ -87,9 +80,6 @@ class StagedMeasure {
 
   void Prepare(simweb::SimulatedWeb& web, const Collection& collection,
                double t, int num_shards);
-  void Prepare(simweb::SimulatedWeb& web,
-               const ShardedCollection& collection, double t,
-               int num_shards);
 
   /// Walks shard `shard`'s sites. Touches only partials_[site] slots of
   /// its own sites and per-page web state of its own sites, so distinct
@@ -103,10 +93,6 @@ class StagedMeasure {
   int num_shards() const { return static_cast<int>(shards_); }
 
  private:
-  template <typename CollectionT>
-  void PrepareImpl(simweb::SimulatedWeb& web, const CollectionT& collection,
-                   double t, int num_shards);
-
   simweb::SimulatedWeb* web_ = nullptr;
   double t_ = 0.0;
   std::size_t shards_ = 1;

@@ -39,7 +39,7 @@ IncrementalCrawler::IncrementalCrawler(
     : web_(web),
       config_(config),
       collection_(config.collection_capacity, config.crawl_parallelism,
-                  config.store),
+                  config.store, "collection"),
       all_urls_(config.crawl_parallelism, config.store, "allurls"),
       coll_urls_(config.crawl_parallelism),
       engine_(web, config.crawl, config.crawl_parallelism),
@@ -218,7 +218,7 @@ void IncrementalCrawler::ApplyBatch(
             // URL through the dead-page path (purge + tombstone), but
             // the ledger keeps it distinct from genuine 404 removals.
             url_fails.erase(url);
-            if (collection_.shard(s).Remove(url).ok()) {
+            if (collection_.Remove(url).ok()) {
               update_module_.Forget(url);
               effect.purged = true;
             }
@@ -267,7 +267,7 @@ void IncrementalCrawler::ApplyBatch(
             site_it->second.consecutive = 0;
           }
           url_failure_shards_[s].erase(url);
-          if (collection_.shard(s).Remove(url).ok()) {
+          if (collection_.Remove(url).ok()) {
             update_module_.Forget(url);
             ++out.stats.dead_pages_removed;
             effect.purged = true;
@@ -291,7 +291,7 @@ void IncrementalCrawler::ApplyBatch(
         url_failure_shards_[s].erase(url);
       }
 
-      CollectionEntry* existing = collection_.shard(s).FindMutable(url);
+      CollectionEntry* existing = collection_.FindMutable(url);
       bool changed = false;
       const bool first_visit = existing == nullptr;
       if (existing != nullptr) {
@@ -371,7 +371,6 @@ void IncrementalCrawler::ApplyBatch(
     auto begin = std::chrono::steady_clock::now();
     ShardAdmitResult& out = admits[t];
     auto& pending = pending_shards_[t];
-    Collection& coll = collection_.shard(t);
     const std::vector<std::size_t>& slots = by_shard[t];
     const std::vector<LinkItem>& links = links_of[t];
     std::size_t admitted_count = 0;
@@ -390,7 +389,7 @@ void IncrementalCrawler::ApplyBatch(
         pending.erase(e.url);
         switch (e.kind) {
           case ApplyEffect::Kind::kRetry: {
-            if (!coll.Contains(e.url)) pending.insert(e.url);
+            if (!collection_.Contains(e.url)) pending.insert(e.url);
             const double polite =
                 engine_.pool().NextAllowedTime(e.url.site);
             if (polite < batch_end) {
@@ -412,7 +411,7 @@ void IncrementalCrawler::ApplyBatch(
             // breaker then floors *every* frontier entry of the site
             // at the quarantine horizon; this shard owns the site, so
             // the walk is race-free and stream-deterministic.
-            if (!coll.Contains(e.url)) pending.insert(e.url);
+            if (!collection_.Contains(e.url)) pending.insert(e.url);
             coll_urls_.ScheduleLane(t, e.url, e.when, lane_base[slot]);
             if (e.quarantine) {
               coll_urls_.RescheduleSiteNotBefore(e.url.site,
@@ -432,7 +431,7 @@ void IncrementalCrawler::ApplyBatch(
             entry.checksum = e.checksum;
             entry.crawled_at = e.at;
             entry.links = e.links;
-            collection_.InsertOverdraft(t, std::move(entry));
+            collection_.InsertUnchecked(std::move(entry));
             e.inserted = true;
             if (const AllUrls::UrlInfo* info = all_urls_.Find(e.url)) {
               e.first_seen_valid = true;
@@ -471,7 +470,8 @@ void IncrementalCrawler::ApplyBatch(
           continue;
         }
       }
-      if (coll.Contains(*item.url) || coll_urls_.Contains(*item.url)) {
+      if (collection_.Contains(*item.url) ||
+          coll_urls_.Contains(*item.url)) {
         continue;
       }
       coll_urls_.ScheduleLane(t, *item.url, item.at, item.seq);
@@ -492,12 +492,10 @@ void IncrementalCrawler::ApplyBatch(
   }
   engine_.threads().RunForIndices(admit_busy, admission_pass);
 
-  // ---- Settle: the shrunken serial barrier. Re-sync the cached
-  // global size, reconcile the leases, evict the capacity overdraft
-  // canonically, advance the seq counter past the lane grant, and
-  // replay the insert ledger in slot order.
+  // ---- Settle: the shrunken serial barrier. Reconcile the leases,
+  // evict the capacity overdraft canonically, advance the seq counter
+  // past the lane grant, and replay the insert ledger in slot order.
   auto barrier_begin = std::chrono::steady_clock::now();
-  collection_.ReconcileSize();
 
   // Lease settlement: the first `admit_budget` admissions in global
   // (slot, pos) order stand; the optimistic overdraft is revoked.
@@ -541,24 +539,17 @@ void IncrementalCrawler::ApplyBatch(
   stats_.lease_admissions += kept_admissions;
 
   // Capacity settle: the insert overdraft evicts the globally worst
-  // entries, per-shard nominations merged in canonical
-  // BetterEvictionVictim order (Algorithm 5.1 steps [7]-[8], batched).
-  const std::size_t overdraft =
-      collection_.size() > collection_.capacity()
-          ? collection_.size() - collection_.capacity()
-          : 0;
-  if (overdraft > 0) {
-    std::vector<simweb::Url> victims =
-        collection_.CollectOverdraftVictims();
-    for (const simweb::Url& victim : victims) {
-      Status unqueue = coll_urls_.Remove(victim);
-      (void)unqueue;
-      update_module_.Forget(victim);
-      Status removed = collection_.Remove(victim);
-      (void)removed;
-      MarkFrontierDirty(victim);
-      ++stats_.pages_evicted;
-    }
+  // entries in canonical BetterEvictionVictim order (Algorithm 5.1
+  // steps [7]-[8], batched).
+  const std::vector<simweb::Url> victims = collection_.OverdraftVictims();
+  for (const simweb::Url& victim : victims) {
+    Status unqueue = coll_urls_.Remove(victim);
+    (void)unqueue;
+    update_module_.Forget(victim);
+    Status removed = collection_.Remove(victim);
+    (void)removed;
+    MarkFrontierDirty(victim);
+    ++stats_.pages_evicted;
   }
 
   // ---- Defense settle (serial): the adversarial-web layer. Walk the
@@ -848,7 +839,7 @@ void IncrementalCrawler::ApplyBatch(
   engine_.RecordLeaseSettle(static_cast<double>(admit_budget),
                             static_cast<double>(kept_admissions),
                             static_cast<double>(revoked.size()),
-                            static_cast<double>(overdraft));
+                            static_cast<double>(victims.size()));
   engine_.RecordApplyBarrierSeconds(barrier_seconds);
   engine_.RecordApplySeconds(SecondsSince(apply_begin));
 }

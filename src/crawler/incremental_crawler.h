@@ -12,10 +12,10 @@
 
 #include "crawler/admission_lease.h"
 #include "crawler/all_urls.h"
+#include "crawler/collection.h"
 #include "crawler/crawl_module.h"
 #include "crawler/eval.h"
 #include "crawler/ranking_module.h"
-#include "crawler/sharded_collection.h"
 #include "crawler/sharded_crawl_engine.h"
 #include "crawler/sharded_frontier.h"
 #include "crawler/update_module.h"
@@ -182,7 +182,10 @@ struct IncrementalCrawlerConfig {
 ///          updates, checksum comparisons, dead-page purges and
 ///          AllUrls tombstones, UpdateModule visit records (whose
 ///          budget globals are frozen between barriers) — and queues
-///          the admission-stream effects;
+///          the admission-stream effects. The Collection, AllUrls and
+///          UpdateModule route each call to the store that owns the
+///          URL's site, so a worker touches only its own sites' state
+///          and never reads the collection's size;
 ///        - *admission pass* (parallel, owner shard): each shard walks
 ///          the global-slot-ordered merge of its own slots' effects
 ///          and the link discoveries targeting its sites, performing
@@ -194,11 +197,11 @@ struct IncrementalCrawlerConfig {
 ///        - *settle* (serial, the shrunken barrier): unused leases
 ///          settle as counters, overdrawn leases revoke admissions
 ///          past the frozen budget in global stream order, capacity
-///          overdraft evicts the globally worst entries (per-shard
-///          nominations merged in canonical BetterEvictionVictim
-///          order), the seq-lane grant advances the global counter,
-///          and the new-page latency ledger replays inserts in slot
-///          order;
+///          overdraft evicts the globally worst entries (one bounded
+///          selection over every entry, in canonical
+///          BetterEvictionVictim order), the seq-lane grant advances
+///          the global counter, and the new-page latency ledger
+///          replays inserts in slot order;
 ///   4. politeness rejections whose polite window reopens before the
 ///      batch window closes are refetched *within the batch* (reusing
 ///      their wasted slots, one retry per site per round); the rest
@@ -225,7 +228,7 @@ class IncrementalCrawler {
   Status RunUntil(double until);
 
   double now() const { return now_; }
-  const ShardedCollection& collection() const { return collection_; }
+  const Collection& collection() const { return collection_; }
   const AllUrls& all_urls() const { return all_urls_; }
   const ShardedFrontier& coll_urls() const { return coll_urls_; }
   /// The crawl modules; AggregateTraffic() is the crawl's load.
@@ -519,7 +522,7 @@ class IncrementalCrawler {
 
   simweb::SimulatedWeb* web_;  // not owned
   IncrementalCrawlerConfig config_;
-  ShardedCollection collection_;
+  Collection collection_;
   AllUrls all_urls_;
   ShardedFrontier coll_urls_;
   ShardedCrawlEngine engine_;

@@ -26,11 +26,12 @@ PeriodicCrawler::PeriodicCrawler(simweb::SimulatedWeb* web,
                                  const PeriodicCrawlerConfig& config)
     : web_(web),
       config_(config),
-      current_(config.collection_capacity, config.store, "periodic-current"),
+      current_(config.collection_capacity, /*num_shards=*/1, config.store,
+               "periodic-current"),
       engine_(web, config.crawl, config.crawl_parallelism) {
   if (config.shadowing) {
-    shadow_.emplace(config.collection_capacity, config.store,
-                    "periodic-shadow");
+    shadow_.emplace(config.collection_capacity, /*num_shards=*/1,
+                    config.store, "periodic-shadow");
   }
 }
 

@@ -218,7 +218,8 @@ class PeriodicCrawler {
   /// The collection users read. Under shadowing the crawl writes into
   /// `shadow_`, and FinishCycle swaps the two (the instantaneous
   /// replacement the paper assumes); otherwise it updates `current_`
-  /// in place and `shadow_` is empty.
+  /// in place and `shadow_` is empty. Each holds one store: the
+  /// periodic crawler applies its outcomes serially.
   Collection current_;
   std::optional<Collection> shadow_;
   /// Shadow swaps performed. The checkpoint's B record carries it and

@@ -13,16 +13,30 @@ namespace {
 
 constexpr simweb::UrlIdentityLess IdentityLess;
 
-// Shared by the Collection and ShardedCollection overloads; only
-// ForEach / Contains / FindMutable / size / capacity are needed. All
-// iteration-order-sensitive steps (graph node numbering, edge insertion,
-// score ties) run in canonical URL order, so the refinement outcome is
-// a pure function of the stored state — identical for a sharded
-// collection at every shard count.
-template <typename CollectionT>
-RefinementResult RefineImpl(const RankingModuleConfig& config,
-                            const AllUrls& all_urls,
-                            CollectionT& collection) {
+}  // namespace
+
+const char* ImportanceMetricName(ImportanceMetric metric) {
+  switch (metric) {
+    case ImportanceMetric::kPageRank:
+      return "pagerank";
+    case ImportanceMetric::kHitsAuthority:
+      return "hits";
+    case ImportanceMetric::kInLinks:
+      return "inlinks";
+  }
+  return "?";
+}
+
+RankingModule::RankingModule(const RankingModuleConfig& config)
+    : config_(config) {}
+
+// All iteration-order-sensitive steps (graph node numbering, edge
+// insertion, score ties) run in canonical URL order, so the refinement
+// outcome is a pure function of the stored state — identical at every
+// shard count.
+RefinementResult RankingModule::Refine(const AllUrls& all_urls,
+                                       Collection& collection) {
+  ++refinement_count_;
   RefinementResult result;
 
   // Node universe: collection pages first, then live uncollected
@@ -72,10 +86,10 @@ RefinementResult RefineImpl(const RankingModuleConfig& config,
 
   // Score all nodes.
   std::vector<double> score;
-  switch (config.metric) {
+  switch (config_.metric) {
     case ImportanceMetric::kPageRank: {
       graph::PageRankOptions options;
-      options.damping = config.damping;
+      options.damping = config_.damping;
       auto pr = graph::ComputePageRank(graph, options);
       if (!pr.ok()) return result;  // empty graph: nothing to refine
       score = std::move(pr->rank);
@@ -127,46 +141,17 @@ RefinementResult RefineImpl(const RankingModuleConfig& config,
               return score[a] < score[b];
             });
   std::size_t pairs = std::min({candidates.size() - admitted,
-                                victims.size(), config.max_replacements});
+                                victims.size(), config_.max_replacements});
   for (std::size_t i = 0; i < pairs; ++i) {
     const graph::NodeId crawl = candidates[admitted + i];
     const graph::NodeId discard = victims[i];
-    if (score[crawl] <= score[discard] * config.replacement_hysteresis) {
+    if (score[crawl] <= score[discard] * config_.replacement_hysteresis) {
       break;
     }
     result.replacements.push_back(Replacement{
         urls[discard], urls[crawl], score[discard], score[crawl]});
   }
   return result;
-}
-
-}  // namespace
-
-const char* ImportanceMetricName(ImportanceMetric metric) {
-  switch (metric) {
-    case ImportanceMetric::kPageRank:
-      return "pagerank";
-    case ImportanceMetric::kHitsAuthority:
-      return "hits";
-    case ImportanceMetric::kInLinks:
-      return "inlinks";
-  }
-  return "?";
-}
-
-RankingModule::RankingModule(const RankingModuleConfig& config)
-    : config_(config) {}
-
-RefinementResult RankingModule::Refine(const AllUrls& all_urls,
-                                       Collection& collection) {
-  ++refinement_count_;
-  return RefineImpl(config_, all_urls, collection);
-}
-
-RefinementResult RankingModule::Refine(const AllUrls& all_urls,
-                                       ShardedCollection& collection) {
-  ++refinement_count_;
-  return RefineImpl(config_, all_urls, collection);
 }
 
 }  // namespace webevo::crawler

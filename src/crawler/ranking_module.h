@@ -6,7 +6,6 @@
 
 #include "crawler/all_urls.h"
 #include "crawler/collection.h"
-#include "crawler/sharded_collection.h"
 #include "simweb/url.h"
 #include "util/status.h"
 
@@ -75,10 +74,8 @@ class RankingModule {
   /// executes the replacements (discard + schedule crawl). Members and
   /// candidates are walked in canonical (site, slot, incarnation)
   /// order, so graph node numbering — and with it every score and tie
-  /// resolution — is independent of hash-map layout and shard count.
+  /// resolution — is independent of store layout and shard count.
   RefinementResult Refine(const AllUrls& all_urls, Collection& collection);
-  RefinementResult Refine(const AllUrls& all_urls,
-                          ShardedCollection& collection);
 
   const RankingModuleConfig& config() const { return config_; }
   int64_t refinement_count() const { return refinement_count_; }

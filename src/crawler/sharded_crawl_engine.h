@@ -41,12 +41,12 @@ double SecondsSince(std::chrono::steady_clock::time_point begin);
 ///   1. *plan* (serial): pop due URLs and assign slot times;
 ///   2. *fetch* (parallel): ExecuteBatch performs the fetches, each
 ///      shard processing its own sites in plan order;
-///   3. *apply* (parallel shard pass + serial barrier): each shard
-///      applies its own outcomes to the state it owns (sharded
-///      collection and update module) in plan order, then cross-shard
-///      effects — inserts against the global capacity, evictions,
-///      link admissions, frontier schedules — reduce serially at the
-///      batch barrier in slot order.
+///   3. *apply* (parallel shard passes + serial barrier): each shard
+///      applies its own outcomes and link admissions to the state its
+///      sites own (their stores inside the Collection, AllUrls and
+///      UpdateModule, their frontier heap) in plan order, then what
+///      crosses shards — the global capacity's lease and evictions —
+///      settles serially at the batch barrier in slot order.
 ///
 /// Determinism: N = 1 and N = 8 shards produce bit-identical
 /// simulations because (a) each site's fetches stay in plan order

@@ -15,7 +15,8 @@ namespace webevo::crawler {
 /// A CollUrls frontier split into N shard-local heaps (mithril-style
 /// per-shard UrlFrontier), one per CrawlModule shard, with sites
 /// partitioned site % N — the same ownership mapping the
-/// ShardedCrawlEngine fetches under.
+/// ShardedCrawlEngine fetches under and the Collection and AllUrls keep
+/// their per-shard stores under.
 ///
 /// Behavioural contract: *bit-identical to a single CollUrls* at every
 /// shard count. Sequence numbers (the FIFO tie-break) and the
@@ -141,7 +142,9 @@ class ShardedFrontier {
   /// forward when the next URL is due later, until the clock reaches
   /// `horizon` — the serial CollUrls plan loop, bit for bit. It holds
   /// each shard's head and takes the earliest; after a pop only that
-  /// shard's head is re-read.
+  /// shard's head is re-read, so a planned slot costs two hash probes
+  /// of that shard: the pop re-verifies its head and erases through
+  /// the iterator it found, and the next head is verified once.
   SlotPlan PlanSlots(double start, double horizon, double step);
 
  private:

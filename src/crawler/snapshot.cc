@@ -200,15 +200,6 @@ Status WriteCollection(std::size_t capacity,
   return Status::Ok();
 }
 
-// The writer over every entry of a Collection or a ShardedCollection.
-template <typename Store>
-Status SaveEveryEntry(const Store& collection, std::ostream& out) {
-  std::vector<const CollectionEntry*> entries;
-  entries.reserve(collection.size());
-  collection.ForEach([&](const CollectionEntry& e) { entries.push_back(&e); });
-  return WriteCollection(collection.capacity(), std::move(entries), out);
-}
-
 struct CollectionRecords {
   std::size_t capacity = 0;
   std::vector<CollectionEntry> entries;
@@ -239,10 +230,9 @@ StatusOr<CollectionRecords> ReadCollection(std::istream& is) {
 // erase-then-insert approaches it monotonically from below. Entries
 // that still overflow the capacity are a malformed segment, not an
 // exhausted resource.
-template <typename Store>
 Status ApplyCollection(const std::vector<simweb::Url>& removed,
                        std::vector<CollectionEntry> entries,
-                       Store* collection) {
+                       Collection* collection) {
   for (const simweb::Url& url : removed) {
     (void)collection->Remove(url);  // absent is fine
   }
@@ -254,19 +244,6 @@ Status ApplyCollection(const std::vector<simweb::Url>& removed,
     }
   }
   return Status::Ok();
-}
-
-// Reads a collection section and applies it onto the empty collection
-// `make(capacity)` builds.
-template <typename Make>
-auto LoadCollectionWith(std::istream& in, Make make)
-    -> StatusOr<decltype(make(std::size_t{0}))> {
-  auto records = ReadCollection(in);
-  if (!records.ok()) return records.status();
-  auto collection = make(records->capacity);
-  Status st = ApplyCollection({}, std::move(records->entries), &collection);
-  if (!st.ok()) return st;
-  return collection;
 }
 
 using UrlInfoRecord = std::pair<simweb::Url, AllUrls::UrlInfo>;
@@ -579,25 +556,19 @@ struct UpdateModuleSection {
 };
 
 Status SaveCollection(const Collection& collection, std::ostream& out) {
-  return SaveEveryEntry(collection, out);
+  std::vector<const CollectionEntry*> entries;
+  entries.reserve(collection.size());
+  collection.ForEach([&](const CollectionEntry& e) { entries.push_back(&e); });
+  return WriteCollection(collection.capacity(), std::move(entries), out);
 }
 
-Status SaveCollection(const ShardedCollection& collection,
-                      std::ostream& out) {
-  return SaveEveryEntry(collection, out);
-}
-
-StatusOr<Collection> LoadCollection(std::istream& in) {
-  return LoadCollectionWith(in, [](std::size_t capacity) {
-    return Collection(capacity);
-  });
-}
-
-StatusOr<ShardedCollection> LoadShardedCollection(std::istream& in,
-                                                  int num_shards) {
-  return LoadCollectionWith(in, [num_shards](std::size_t capacity) {
-    return ShardedCollection(capacity, num_shards);
-  });
+StatusOr<Collection> LoadCollection(std::istream& in, int num_shards) {
+  auto records = ReadCollection(in);
+  if (!records.ok()) return records.status();
+  Collection collection(records->capacity, num_shards);
+  Status st = ApplyCollection({}, std::move(records->entries), &collection);
+  if (!st.ok()) return st;
+  return collection;
 }
 
 Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
@@ -650,15 +621,6 @@ StatusOr<ShardedFrontier> LoadFrontier(std::istream& in, int num_shards) {
 }
 
 Status SaveCollectionToFile(const Collection& collection,
-                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::NotFound("cannot open " + path + " for writing");
-  }
-  return SaveCollection(collection, out);
-}
-
-Status SaveCollectionToFile(const ShardedCollection& collection,
                             const std::string& path) {
   std::ofstream out(path);
   if (!out.is_open()) {
@@ -1541,9 +1503,8 @@ struct CheckpointIo {
     if (segment) {
       WriteDirtyStores(crawler, &sections);
     } else {
-      sections.push_back(Section{"collection",
-                                 SectionBytes(SaveEveryEntry<ShardedCollection>,
-                                              crawler.collection_)});
+      sections.push_back(Section{
+          "collection", SectionBytes(SaveCollection, crawler.collection_)});
       sections.push_back(
           Section{"allurls", SectionBytes(SaveAllUrls, crawler.all_urls_)});
       sections.push_back(Section{
@@ -1796,11 +1757,11 @@ struct CheckpointIo {
     }
     sections.push_back(
         Section{"collection-current",
-                SectionBytes(SaveEveryEntry<Collection>, crawler.current_)});
+                SectionBytes(SaveCollection, crawler.current_)});
     if (crawler.shadow_.has_value()) {
       sections.push_back(
           Section{"collection-shadow",
-                  SectionBytes(SaveEveryEntry<Collection>, *crawler.shadow_)});
+                  SectionBytes(SaveCollection, *crawler.shadow_)});
     }
     {
       const std::vector<simweb::Url> bfs(crawler.frontier_.begin(),

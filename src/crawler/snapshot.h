@@ -9,7 +9,6 @@
 
 #include "crawler/all_urls.h"
 #include "crawler/collection.h"
-#include "crawler/sharded_collection.h"
 #include "crawler/sharded_frontier.h"
 #include "crawler/update_module.h"
 #include "storage/delta_log.h"
@@ -68,18 +67,12 @@ class PeriodicCrawler;
 
 /// Writes `collection` to `out`.
 Status SaveCollection(const Collection& collection, std::ostream& out);
-Status SaveCollection(const ShardedCollection& collection,
-                      std::ostream& out);
 
-/// Reads a collection snapshot. Fails with InvalidArgument on format
-/// or integrity errors; the returned collection carries the capacity
-/// stored in the snapshot.
-StatusOr<Collection> LoadCollection(std::istream& in);
-
-/// Reads a collection snapshot into a ShardedCollection with
-/// `num_shards` shards (the snapshot itself is shard-count agnostic).
-StatusOr<ShardedCollection> LoadShardedCollection(std::istream& in,
-                                                  int num_shards);
+/// Reads a collection snapshot into `num_shards` stores (the snapshot
+/// itself is shard-count agnostic). Fails with InvalidArgument on
+/// format or integrity errors; the returned collection carries the
+/// capacity stored in the snapshot.
+StatusOr<Collection> LoadCollection(std::istream& in, int num_shards = 1);
 
 /// Writes `all_urls` to `out`.
 Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out);
@@ -109,8 +102,6 @@ StatusOr<ShardedFrontier> LoadFrontier(std::istream& in, int num_shards);
 
 /// Convenience file wrappers.
 Status SaveCollectionToFile(const Collection& collection,
-                            const std::string& path);
-Status SaveCollectionToFile(const ShardedCollection& collection,
                             const std::string& path);
 StatusOr<Collection> LoadCollectionFromFile(const std::string& path);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "crawler/incremental_crawler.h"
 #include "crawler/periodic_crawler.h"
@@ -20,22 +19,24 @@ std::string FmtReal(double v) {
 }
 
 /// Streams the canonical page walk into the pages / sites / estimates
-/// relations. `entries` must already be in ascending URL identity
-/// order; `rate_of` maps a URL to its change-rate estimate (null for
-/// crawlers without one).
+/// relations, and the collection's size and capacity into the view.
+/// ForEachCanonical walks ascending URL identity at every shard count.
+/// `rate_of` maps a URL to its change-rate estimate (0 for crawlers
+/// without one).
 template <typename RateFn>
-void FillRelations(const std::vector<const crawler::CollectionEntry*>&
-                       entries,
+void FillRelations(const crawler::Collection& collection,
                    const RateFn& rate_of, BatchView* view) {
-  view->pages.reserve(entries.size());
-  for (const crawler::CollectionEntry* e : entries) {
+  view->collection_size = collection.size();
+  view->collection_capacity = collection.capacity();
+  view->pages.reserve(view->collection_size);
+  collection.ForEachCanonical([&](const crawler::CollectionEntry& e) {
     PageRow row;
-    row.url = e->url;
-    row.version = e->version;
-    row.crawled_at = e->crawled_at;
-    row.importance = e->importance;
-    row.est_rate = rate_of(e->url);
-    row.out_links = static_cast<uint32_t>(e->links.size());
+    row.url = e.url;
+    row.version = e.version;
+    row.crawled_at = e.crawled_at;
+    row.importance = e.importance;
+    row.est_rate = rate_of(e.url);
+    row.out_links = static_cast<uint32_t>(e.links.size());
     if (row.est_rate > 0.0) {
       view->estimates.push_back(
           EstimateRow{row.url, row.est_rate, 1.0 / row.est_rate});
@@ -52,7 +53,7 @@ void FillRelations(const std::vector<const crawler::CollectionEntry*>&
     site.last_crawled_at =
         std::max(site.last_crawled_at, row.crawled_at);
     view->pages.push_back(row);
-  }
+  });
   for (SiteRow& site : view->sites) {
     const double n = static_cast<double>(site.pages);
     site.mean_importance /= n;
@@ -86,20 +87,10 @@ std::unique_ptr<const BatchView> BuildBatchView(
   view->crawler = "incremental";
   view->batch = crawler.batches_completed();
   view->published_at = crawler.now();
-  view->collection_size = crawler.collection().size();
-  view->collection_capacity = crawler.collection().capacity();
   view->frontier_depth = crawler.coll_urls().size();
-
-  // ForEachCanonical walks ascending URL identity at every shard
-  // count; collect pointers once so the relation fill is a single
-  // streaming pass.
-  std::vector<const crawler::CollectionEntry*> entries;
-  entries.reserve(crawler.collection().size());
-  crawler.collection().ForEachCanonical(
-      [&](const crawler::CollectionEntry& e) { entries.push_back(&e); });
   const crawler::UpdateModule& update = crawler.update_module();
   FillRelations(
-      entries,
+      crawler.collection(),
       [&](const simweb::Url& url) { return update.EstimatedRate(url); },
       view.get());
   FillFreshness(crawler.tracker(), view.get());
@@ -115,24 +106,10 @@ std::unique_ptr<const BatchView> BuildBatchView(
   view->crawler = "periodic";
   view->batch = crawler.batches_completed();
   view->published_at = crawler.now();
-  const crawler::Collection& collection = crawler.current_collection();
-  view->collection_size = collection.size();
-  view->collection_capacity = collection.capacity();
   view->frontier_depth = crawler.frontier_depth();
-
-  // The flat Collection iterates in hash-map order; sort into the
-  // canonical URL identity order the view contract requires.
-  std::vector<const crawler::CollectionEntry*> entries;
-  entries.reserve(collection.size());
-  collection.ForEach(
-      [&](const crawler::CollectionEntry& e) { entries.push_back(&e); });
-  std::sort(entries.begin(), entries.end(),
-            [](const crawler::CollectionEntry* a,
-               const crawler::CollectionEntry* b) {
-              return simweb::UrlIdentityLess()(a->url, b->url);
-            });
   FillRelations(
-      entries, [](const simweb::Url&) { return 0.0; }, view.get());
+      crawler.current_collection(), [](const simweb::Url&) { return 0.0; },
+      view.get());
   FillFreshness(crawler.tracker(), view.get());
 
   view->summary = crawler.SummaryRows();

@@ -132,15 +132,14 @@ class PagedRecordStore final : public RecordStore<Record> {
     TrimOverlay();
   }
 
-  /// Canonical order is one order ForEach may visit in, and the
-  /// cheapest here: the index is already sorted.
-  void ForEach(const ForEachFn& fn) const override { ForEachCanonical(fn); }
-
-  void ForEachCanonical(const ForEachFn& fn) const override {
+  /// Walks the index, so the visit is in canonical (site, slot,
+  /// incarnation) order: one order ForEach may visit in, and the
+  /// cheapest here.
+  void ForEach(const ForEachFn& fn) const override {
     for (const auto& [url, ie] : index_) fn(url, Resident(url, ie).record);
   }
 
-  StoreStats stats() const override {
+  StoreStats store_stats() const override {
     StoreStats s;
     const PageFile::Stats fs = file_.stats();
     s.pages = fs.pages;

@@ -1,14 +1,12 @@
 #ifndef WEBEVO_STORAGE_RECORD_STORE_H_
 #define WEBEVO_STORAGE_RECORD_STORE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "simweb/url.h"
 
@@ -108,10 +106,7 @@ class RecordStore {
   /// Visits every record in unspecified order.
   virtual void ForEach(const ForEachFn& fn) const = 0;
 
-  /// Visits every record in ascending (site, slot, incarnation) order.
-  virtual void ForEachCanonical(const ForEachFn& fn) const = 0;
-
-  virtual StoreStats stats() const { return {}; }
+  virtual StoreStats store_stats() const { return {}; }
 
   void EnableDirtyTracking() { tracking_ = true; }
   const DirtySet& dirty() const { return dirty_; }
@@ -169,17 +164,6 @@ class MapRecordStore final : public RecordStore<Record> {
 
   void ForEach(const ForEachFn& fn) const override {
     for (const auto& [url, record] : map_) fn(url, record);
-  }
-
-  void ForEachCanonical(const ForEachFn& fn) const override {
-    std::vector<const std::pair<const simweb::Url, Record>*> items;
-    items.reserve(map_.size());
-    for (const auto& item : map_) items.push_back(&item);
-    std::sort(items.begin(), items.end(),
-              [](const auto* a, const auto* b) {
-                return simweb::UrlIdentityLess{}(a->first, b->first);
-              });
-    for (const auto* item : items) fn(item->first, item->second);
   }
 
  private:

@@ -667,8 +667,8 @@ TEST(PeriodicCrawlerTest, PagedShadowSwapKeepsCurrentCompacted) {
   ASSERT_EQ(crawler.cycles_completed(), 1);
   const Collection& current = crawler.current_collection();
   EXPECT_EQ(current.size(), 200u);
-  EXPECT_EQ(current.store_stats().dirty_records, 0u);
-  EXPECT_GE(current.store_stats().pages, 1u);
+  EXPECT_EQ(current.shard(0).store_stats().dirty_records, 0u);
+  EXPECT_GE(current.shard(0).store_stats().pages, 1u);
 }
 
 TEST(PeriodicCrawlerTest, InPlaceVisibleImmediately) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -13,7 +14,6 @@
 
 #include "crawler/coll_urls.h"
 #include "crawler/collection.h"
-#include "crawler/sharded_collection.h"
 #include "crawler/sharded_frontier.h"
 #include "freshness/analytic.h"
 #include "freshness/revisit_optimizer.h"
@@ -318,21 +318,36 @@ TEST(ShardedFrontierModelTest, PlanSlotsMatchesTheSerialSlotLoop) {
   }
 }
 
-// --------------- ShardedCollection vs a single Collection --------------
+// ------------------ Collection: N stores vs one store ------------------
 
-// The sharded page store must be indistinguishable from one Collection
-// at every shard count: same capacity enforcement, same lookups, same
-// sizes, and — because both break importance ties by URL identity —
-// the same eviction victim, bit for bit.
-TEST(ShardedCollectionModelTest, RandomOpsMatchPlainCollection) {
-  for (int shards : {1, 3, 8}) {
+// The canonical (url, version, importance) rows of a collection.
+std::vector<std::tuple<uint32_t, uint32_t, uint32_t, uint64_t, double>>
+CanonicalRows(const crawler::Collection& c) {
+  std::vector<std::tuple<uint32_t, uint32_t, uint32_t, uint64_t, double>>
+      rows;
+  c.ForEachCanonical([&](const crawler::CollectionEntry& e) {
+    rows.emplace_back(e.url.site, e.url.slot, e.url.incarnation, e.version,
+                      e.importance);
+  });
+  return rows;
+}
+
+// A collection of N stores must be indistinguishable from one of a
+// single store: same capacity enforcement, same lookups, same sizes,
+// and — because BetterEvictionVictim is a total order (importance
+// ties are broken by URL identity) — the same eviction victims, in the
+// same order.
+TEST(CollectionModelTest, ShardedMatchesOneStore) {
+  for (int shards : {3, 8}) {
     Rng rng(77130);  // same op stream for every shard count
     crawler::Collection plain(40);
-    crawler::ShardedCollection sharded(40, shards);
+    crawler::Collection sharded(40, shards);
+    ASSERT_EQ(sharded.num_shards(), shards);
+    std::size_t tied_victims = 0;  // adjacent victims of equal importance
     for (int op = 0; op < 20000; ++op) {
       simweb::Url url{static_cast<uint32_t>(rng.NextBounded(11)),
                       static_cast<uint32_t>(rng.NextBounded(7)), 0};
-      switch (rng.NextBounded(5)) {
+      switch (rng.NextBounded(7)) {
         case 0:
         case 1: {  // upsert (importance ties are common by design)
           crawler::CollectionEntry e;
@@ -370,39 +385,120 @@ TEST(ShardedCollectionModelTest, RandomOpsMatchPlainCollection) {
           }
           break;
         }
+        case 5: {  // overdraft insert past the capacity
+          crawler::CollectionEntry e;
+          e.url = url;
+          e.version = rng.Next();
+          e.importance = std::floor(rng.NextDouble() * 4.0);
+          plain.InsertUnchecked(e);
+          sharded.InsertUnchecked(e);
+          break;
+        }
+        case 6: {  // overdraft settle: equal victims, best first
+          const std::vector<simweb::Url> a = plain.OverdraftVictims();
+          const std::vector<simweb::Url> b = sharded.OverdraftVictims();
+          ASSERT_EQ(a, b) << "shards=" << shards << " op=" << op;
+          ASSERT_EQ(a.size(), plain.size() > plain.capacity()
+                                  ? plain.size() - plain.capacity()
+                                  : 0);
+          for (std::size_t i = 1; i < a.size(); ++i) {
+            const crawler::CollectionEntry& prev = *plain.Find(a[i - 1]);
+            const crawler::CollectionEntry& next = *plain.Find(a[i]);
+            ASSERT_TRUE(crawler::BetterEvictionVictim(prev, next));
+            if (prev.importance == next.importance) ++tied_victims;
+          }
+          for (const simweb::Url& victim : a) {
+            ASSERT_TRUE(plain.Remove(victim).ok());
+            ASSERT_TRUE(sharded.Remove(victim).ok());
+          }
+          break;
+        }
       }
       ASSERT_EQ(plain.size(), sharded.size());
       ASSERT_EQ(plain.full(), sharded.full());
       ASSERT_EQ(plain.Contains(url), sharded.Contains(url));
     }
-    // Direct shard mutations (the apply shard pass's purge path) are
-    // reconciled into the cached global count on the serial path.
-    for (int s = 0; s < shards; ++s) {
-      auto& shard = sharded.shard(static_cast<std::size_t>(s));
-      std::vector<simweb::Url> urls;
-      shard.ForEach([&](const crawler::CollectionEntry& e) {
-        if (urls.empty()) urls.push_back(e.url);
-      });
-      for (const simweb::Url& url : urls) {
-        ASSERT_TRUE(shard.Remove(url).ok());
-        ASSERT_TRUE(plain.Remove(url).ok());
-      }
-    }
-    sharded.ReconcileSize();
-    ASSERT_EQ(plain.size(), sharded.size());
+    // The victim lists ordered importance ties by URL identity.
+    EXPECT_GT(tied_victims, 100u) << "shards=" << shards;
 
-    // The canonical walk must visit every entry exactly once, sorted.
-    std::vector<simweb::Url> walked;
-    sharded.ForEachCanonical([&](const crawler::CollectionEntry& e) {
-      walked.push_back(e.url);
-    });
-    EXPECT_EQ(walked.size(), plain.size());
-    for (std::size_t i = 1; i < walked.size(); ++i) {
-      EXPECT_TRUE(std::tuple(walked[i - 1].site, walked[i - 1].slot,
-                             walked[i - 1].incarnation) <
-                  std::tuple(walked[i].site, walked[i].slot,
-                             walked[i].incarnation));
+    // The canonical walk visits every entry exactly once, sorted, and
+    // equals the one store's walk.
+    const auto walked = CanonicalRows(sharded);
+    EXPECT_EQ(walked.size(), sharded.size());
+    EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
+    EXPECT_EQ(walked, CanonicalRows(plain));
+  }
+}
+
+// The apply passes' contract: N threads, each driving Remove,
+// FindMutable, InsertUnchecked and Contains for its own sites
+// (site % N == t) from its own seeded stream, leave the collection
+// exactly as a one-thread replay of the same streams into a one-store
+// collection does.
+TEST(CollectionModelTest, OwnSiteThreadsMatchOneThreadReplay) {
+  constexpr std::size_t kCapacity = 40;
+  for (int n : {2, 4, 8}) {
+    // Thread t's stream; returns how many of its Contains calls hit.
+    auto drive = [n](crawler::Collection* c, int t) {
+      Rng rng(91000 + static_cast<uint64_t>(t));
+      std::size_t hits = 0;
+      for (int op = 0; op < 3000; ++op) {
+        const auto site = static_cast<uint32_t>(
+            t + n * static_cast<int>(rng.NextBounded(5)));
+        const simweb::Url url{site,
+                              static_cast<uint32_t>(rng.NextBounded(16)), 0};
+        const double importance = std::floor(rng.NextDouble() * 4.0);
+        switch (rng.NextBounded(4)) {
+          case 0: {
+            crawler::CollectionEntry e;
+            e.url = url;
+            e.version = static_cast<uint64_t>(op);
+            e.importance = importance;
+            c->InsertUnchecked(std::move(e));
+            break;
+          }
+          case 1:
+            (void)c->Remove(url);
+            break;
+          case 2:
+            if (crawler::CollectionEntry* e = c->FindMutable(url)) {
+              e->importance = importance;
+            }
+            break;
+          case 3:
+            if (c->Contains(url)) ++hits;
+            break;
+        }
+      }
+      return hits;
+    };
+    crawler::Collection concurrent(kCapacity, n);
+    std::vector<std::size_t> hits(static_cast<std::size_t>(n), 0);
+    {
+      std::vector<std::thread> threads;
+      for (int t = 0; t < n; ++t) {
+        threads.emplace_back([&, t] {
+          hits[static_cast<std::size_t>(t)] = drive(&concurrent, t);
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
     }
+    crawler::Collection replay(kCapacity);
+    for (int t = 0; t < n; ++t) {
+      EXPECT_EQ(hits[static_cast<std::size_t>(t)], drive(&replay, t))
+          << "n=" << n << " t=" << t;
+    }
+
+    ASSERT_EQ(concurrent.size(), replay.size()) << "n=" << n;
+    ASSERT_GT(replay.size(), kCapacity) << "n=" << n;
+    EXPECT_EQ(CanonicalRows(concurrent), CanonicalRows(replay)) << "n=" << n;
+    const crawler::CollectionEntry* a = concurrent.LowestImportance();
+    const crawler::CollectionEntry* b = replay.LowestImportance();
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(a->url, b->url) << "n=" << n;
+    EXPECT_EQ(concurrent.OverdraftVictims(), replay.OverdraftVictims())
+        << "n=" << n;
   }
 }
 

@@ -304,13 +304,13 @@ TEST(SnapshotTest, FrontierDetectsCorruptionAndTruncation) {
   EXPECT_FALSE(LoadFrontier(wrong, 4).ok());
 }
 
-// --------------------------------------------- sharded collection load
+// ------------------------------------ collection load into N stores
 
-TEST(SnapshotTest, ShardedCollectionRoundTrip) {
+TEST(SnapshotTest, CollectionLoadsIntoFourStores) {
   Collection original = MakeCollection();
   std::stringstream buffer;
   ASSERT_TRUE(SaveCollection(original, buffer).ok());
-  auto loaded = LoadShardedCollection(buffer, 4);
+  auto loaded = LoadCollection(buffer, 4);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->capacity(), original.capacity());
   EXPECT_EQ(loaded->size(), original.size());
@@ -319,7 +319,7 @@ TEST(SnapshotTest, ShardedCollectionRoundTrip) {
     ASSERT_NE(got, nullptr) << e.url.ToString();
     EXPECT_EQ(got->checksum, e.checksum);
   });
-  // Same logical state saved through either class produces the same
+  // Same logical state saved from one store or four produces the same
   // bytes: records are canonically ordered, never shard-ordered.
   std::stringstream again;
   ASSERT_TRUE(SaveCollection(*loaded, again).ok());

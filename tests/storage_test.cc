@@ -21,8 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "crawler/all_urls.h"
+#include "crawler/collection.h"
 #include "crawler/incremental_crawler.h"
-#include "crawler/sharded_collection.h"
 #include "crawler/snapshot.h"
 #include "crawler/store_codecs.h"
 #include "simweb/simulated_web.h"
@@ -321,7 +321,7 @@ CollectionEntry MakeEntry(Rng& rng, const simweb::Url& url) {
   return entry;
 }
 
-std::string CollectionSnapshotBytes(const ShardedCollection& collection) {
+std::string CollectionSnapshotBytes(const Collection& collection) {
   std::ostringstream os;
   Status st = SaveCollection(collection, os);
   EXPECT_TRUE(st.ok()) << st.ToString();
@@ -329,15 +329,15 @@ std::string CollectionSnapshotBytes(const ShardedCollection& collection) {
 }
 
 // The core property: one randomized Upsert/Remove/FindMutable/Flush
-// stream, replayed into a memory-backed and a paged ShardedCollection
+// stream, replayed into a memory-backed and a paged Collection
 // at N in {1, 3, 8}, must leave all six stores with byte-identical
 // canonical snapshots.
 TEST(StoragePropertyTest, MapAndPagedCollectionsStayBitIdentical) {
   constexpr std::size_t kCapacity = 300;
   std::string want;
   for (int shards : {1, 3, 8}) {
-    ShardedCollection mem(kCapacity, shards);
-    ShardedCollection paged(kCapacity, shards, PagedOptions());
+    Collection mem(kCapacity, shards);
+    Collection paged(kCapacity, shards, PagedOptions(), "collection");
     Rng rng(42);  // same stream for every backend and shard count
     std::vector<simweb::Url> known;
     for (int step = 0; step < 3000; ++step) {
@@ -520,16 +520,16 @@ TEST(PagedStoreFlushTest, FlushWithNothingDirtyTouchesNoPage) {
   PagedCollectionStore store(PagedOptions(), "flush-clean");
   Rng rng(3);
   FillStore(store, 300, rng);
-  ASSERT_GT(store.stats().pages, PagedOptions().cache_pages);
+  ASSERT_GT(store.store_stats().pages, PagedOptions().cache_pages);
   // Clean reads fault pages in and fill the overlay, but dirty nothing.
   for (int i = 0; i < 300; i += 7) {
     ASSERT_NE(store.Find(MakeUrl(i / 50, i % 50)), nullptr);
   }
-  store.ForEachCanonical([](const simweb::Url&, const CollectionEntry&) {});
-  const storage::StoreStats before = store.stats();
+  store.ForEach([](const simweb::Url&, const CollectionEntry&) {});
+  const storage::StoreStats before = store.store_stats();
   EXPECT_EQ(before.dirty_records, 0u);
   for (int i = 0; i < 3; ++i) store.Flush();
-  const storage::StoreStats after = store.stats();
+  const storage::StoreStats after = store.store_stats();
   EXPECT_EQ(after.page_reads, before.page_reads);
   EXPECT_EQ(after.page_evictions, before.page_evictions);
   EXPECT_EQ(after.page_compactions, before.page_compactions);
@@ -549,9 +549,9 @@ TEST(PagedStoreFlushTest, FlushCompactsEachPageAtMostOnce) {
       ASSERT_NE(e, nullptr);
       e->links.push_back(MakeUrl(k, j));
     }
-    const std::size_t before = store.stats().page_compactions;
+    const std::size_t before = store.store_stats().page_compactions;
     store.Flush();
-    const storage::StoreStats after = store.stats();
+    const storage::StoreStats after = store.store_stats();
     EXPECT_EQ(after.dirty_records, 0u);
     EXPECT_LE(after.page_compactions - before, after.pages) << "k=" << k;
     if (k >= 120) {
@@ -573,9 +573,9 @@ TEST(PagedStoreFlushTest, OversizeRecordStaysPinnedAcrossFlushes) {
   for (int round = 0; round < 3; ++round) {
     store.Flush();
     // Walk the rest so the clean overlay churns past its cap.
-    store.ForEachCanonical([](const simweb::Url&, const CollectionEntry&) {});
+    store.ForEach([](const simweb::Url&, const CollectionEntry&) {});
     store.Flush();
-    EXPECT_EQ(store.stats().dirty_records, 1u) << "round " << round;
+    EXPECT_EQ(store.store_stats().dirty_records, 1u) << "round " << round;
     const CollectionEntry* got = store.Find(big_url);
     ASSERT_NE(got, nullptr);
     EXPECT_TRUE(got->links == want.links);
@@ -585,8 +585,8 @@ TEST(PagedStoreFlushTest, OversizeRecordStaysPinnedAcrossFlushes) {
   // its page once the overlay has let it go.
   store.FindMutable(big_url)->links.resize(3);
   store.Flush();
-  EXPECT_EQ(store.stats().dirty_records, 0u);
-  store.ForEachCanonical([](const simweb::Url&, const CollectionEntry&) {});
+  EXPECT_EQ(store.store_stats().dirty_records, 0u);
+  store.ForEach([](const simweb::Url&, const CollectionEntry&) {});
   store.Flush();
   const CollectionEntry* got = store.Find(big_url);
   ASSERT_NE(got, nullptr);
