@@ -56,22 +56,36 @@ void BM_ChecksumPage(benchmark::State& state) {
 BENCHMARK(BM_ChecksumPage)->Arg(256)->Arg(4096)->Arg(65536);
 
 void BM_CollUrlsScheduleAndPop(benchmark::State& state) {
+  // range(0) live entries, each popped and pushed back behind the rest.
+  // With range(1) > 0, every range(1)-th pop also reschedules a random
+  // live entry, leaving one superseded heap entry for a later pop to
+  // skip: {20000, 8} is crawl-hostile's frontier (about 20k live
+  // entries; 305k pops and 36k stale entries skipped per run).
   const auto n = static_cast<uint32_t>(state.range(0));
+  const int64_t stale_every = state.range(1);
   crawler::CollUrls queue;
   Rng rng(1);
   for (uint32_t i = 0; i < n; ++i) {
     queue.Schedule(simweb::Url{0, i, 0}, rng.NextDouble() * 30.0);
   }
   double t = 31.0;
+  int64_t pops = 0;
   for (auto _ : state) {
     auto item = queue.Pop();
     benchmark::DoNotOptimize(item);
     queue.Schedule(item->url, t);
+    if (stale_every > 0 && ++pops % stale_every == 0) {
+      const auto slot = static_cast<uint32_t>(rng.NextBounded(n));
+      queue.Schedule(simweb::Url{0, slot, 0}, t + rng.NextDouble());
+    }
     t += 1e-4;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_CollUrlsScheduleAndPop)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_CollUrlsScheduleAndPop)
+    ->Args({1000, 0})
+    ->Args({100000, 0})
+    ->Args({20000, 8});
 
 void BM_PlanSlots(benchmark::State& state) {
   // One quarter-day batch at 10k pages/day (2,500 slots) planned from a
@@ -205,7 +219,7 @@ void BM_OptimizerSolve(benchmark::State& state) {
         freshness::RevisitOptimizer::Optimize(groups, 500.0));
   }
 }
-BENCHMARK(BM_OptimizerSolve)->Arg(16)->Arg(256);
+BENCHMARK(BM_OptimizerSolve)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_FrequencyAtMultiplier(benchmark::State& state) {
   // The per-fetch pricing call: rates spread over the Bayesian

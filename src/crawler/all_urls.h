@@ -76,6 +76,11 @@ class AllUrls {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   std::size_t ShardOf(uint32_t site) const { return site % shards_.size(); }
 
+  /// One shard's store, for walks that visit the shards in parallel.
+  const storage::RecordStore<UrlInfo>& shard(std::size_t i) const {
+    return *shards_[i];
+  }
+
   /// Iterates (url, info) pairs shard-major, in unspecified order
   /// within each shard. Callers whose output depends on the visit
   /// order must sort what they collect (the order varies with N).

@@ -100,7 +100,7 @@ std::size_t IncrementalCrawler::PendingTotal() const {
 
 void IncrementalCrawler::RunRefinement() {
   RefinementResult refinement =
-      ranking_module_.Refine(all_urls_, collection_);
+      ranking_module_.Refine(all_urls_, collection_, &engine_.threads());
   std::size_t pending = PendingTotal();
   for (const simweb::Url& url : refinement.admissions) {
     // The RankingModule only knows collection occupancy; respect the
@@ -892,7 +892,7 @@ Status IncrementalCrawler::RunUntil(double until) {
     }
     if (now_ >= next_rebalance_) {
       auto rebalance_begin = std::chrono::steady_clock::now();
-      update_module_.Rebalance();
+      update_module_.Rebalance(&engine_.threads());
       engine_.RecordRebalanceSeconds(SecondsSince(rebalance_begin));
       while (next_rebalance_ <= now_) {
         next_rebalance_ += config_.rebalance_interval_days;

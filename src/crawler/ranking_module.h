@@ -9,6 +9,10 @@
 #include "simweb/url.h"
 #include "util/status.h"
 
+namespace webevo {
+class ThreadPool;
+}  // namespace webevo
+
 namespace webevo::crawler {
 
 /// Importance metric used for the refinement decision (Section 5.2
@@ -72,10 +76,14 @@ class RankingModule {
   /// Scores everything and returns replacement decisions. Updates the
   /// `importance` field of collection entries in place. The caller
   /// executes the replacements (discard + schedule crawl). Members and
-  /// candidates are walked in canonical (site, slot, incarnation)
+  /// candidates are numbered in canonical (site, slot, incarnation)
   /// order, so graph node numbering — and with it every score and tie
-  /// resolution — is independent of store layout and shard count.
-  RefinementResult Refine(const AllUrls& all_urls, Collection& collection);
+  /// resolution — is independent of store layout and shard count. With
+  /// `threads`, each AllUrls shard is walked and sorted on the pool (one
+  /// task per shard; the pool must be idle, as the crawl engine's is
+  /// between batches); the result is the same bits either way.
+  RefinementResult Refine(const AllUrls& all_urls, Collection& collection,
+                          ThreadPool* threads = nullptr);
 
   const RankingModuleConfig& config() const { return config_; }
   int64_t refinement_count() const { return refinement_count_; }

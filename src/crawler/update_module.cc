@@ -8,6 +8,8 @@
 
 #include "estimator/last_modified_estimator.h"
 #include "freshness/revisit_optimizer.h"
+#include "util/sorted_runs.h"
+#include "util/thread_pool.h"
 
 namespace webevo::crawler {
 namespace {
@@ -332,42 +334,55 @@ void UpdateModule::ClearDirty() {
   for (auto& shard : dirty_rng_shards_) shard.clear();
 }
 
-std::vector<std::pair<simweb::Url, const UpdateModule::PageState*>>
-UpdateModule::SortedPages() const {
-  std::vector<std::pair<simweb::Url, const PageState*>> pages;
-  pages.reserve(tracked_pages());
-  for (const PageMap& shard : page_shards_) {
-    for (const auto& [url, state] : shard) {
-      pages.emplace_back(url, &state);
-    }
-  }
-  std::sort(pages.begin(), pages.end(), [](const auto& a, const auto& b) {
-    return simweb::UrlIdentityLess{}(a.first, b.first);
-  });
-  return pages;
-}
-
-void UpdateModule::Rebalance() {
+void UpdateModule::Rebalance(ThreadPool* threads) {
   ++rebalance_count_;
   RefreshSchedulingPageCount();
+  // One flat record per page, bucketed by scheduling rate on a log grid
+  // so the optimiser sees a bounded number of groups regardless of
+  // collection size. Each shard fills and sorts its own slice of the
+  // array (on its worker when given a pool: the slices are allocated
+  // here, and a worker reads only its own shard's state), and the
+  // slices merge into canonical URL-identity order, so the
+  // floating-point sums below add in the same order at every shard
+  // count.
+  struct PageRecord {
+    simweb::UrlKey key;
+    double rate;
+    double importance;
+    int bucket;
+  };
+  const std::size_t num_shards = page_shards_.size();
+  std::vector<std::size_t> bounds(num_shards + 1, 0);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    bounds[s + 1] = bounds[s] + page_shards_[s].size();
+  }
+  std::vector<PageRecord> pages(bounds.back());
+  auto by_key = [](const PageRecord& a, const PageRecord& b) {
+    return a.key < b.key;
+  };
+  auto fill_shard = [&](std::size_t s) {
+    PageRecord* out = pages.data() + bounds[s];
+    for (const auto& [url, state] : page_shards_[s]) {
+      const double rate = SchedulingRate(EstimatorFor(url, state));
+      const int bucket =
+          rate > 0.0 ? static_cast<int>(std::lround(8.0 * std::log2(rate)))
+                     : std::numeric_limits<int>::min();
+      *out++ = PageRecord{simweb::KeyOf(url), rate, state.importance, bucket};
+    }
+    std::sort(pages.begin() + bounds[s], pages.begin() + bounds[s + 1],
+              by_key);
+  };
+  RunForEachIndex(threads, num_shards, fill_shard);
+  MergeSortedRuns(pages, std::move(bounds), by_key);
+
   total_rate_ = 0.0;
   double importance_sum = 0.0;
-  // Canonical URL-identity walk: the floating-point accumulations below
-  // sum in the same order at every shard count. Bucket pages by
-  // scheduling rate on a log grid so the optimiser sees a bounded
-  // number of groups regardless of collection size.
   std::map<int, freshness::RateGroup> buckets;
-  const auto pages = SortedPages();
-  for (const auto& [url, state] : pages) {
-    const estimator::ChangeEstimator* est = EstimatorFor(url, *state);
-    double rate = SchedulingRate(est);
-    total_rate_ += rate;
-    importance_sum += state->importance;
-    int key = rate > 0.0
-                  ? static_cast<int>(std::lround(8.0 * std::log2(rate)))
-                  : std::numeric_limits<int>::min();
-    auto [it, inserted] = buckets.try_emplace(key);
-    if (inserted) it->second.rate = rate;
+  for (const PageRecord& page : pages) {
+    total_rate_ += page.rate;
+    importance_sum += page.importance;
+    auto [it, inserted] = buckets.try_emplace(page.bucket);
+    if (inserted) it->second.rate = page.rate;
     it->second.weight += 1.0;
   }
   mean_importance_ =

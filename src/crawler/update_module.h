@@ -14,6 +14,10 @@
 #include "util/random.h"
 #include "util/status.h"
 
+namespace webevo {
+class ThreadPool;
+}  // namespace webevo
+
 namespace webevo::crawler {
 
 /// How revisit frequency is assigned to pages (Section 4, choice 3).
@@ -177,8 +181,11 @@ class UpdateModule {
   /// Recomputes the global quantities behind the per-page decision:
   /// the optimal policy's Lagrange multiplier, the proportional
   /// policy's normaliser, and the mean importance. Call on the order of
-  /// once per simulated day.
-  void Rebalance();
+  /// once per simulated day. With `threads`, each shard's pages are
+  /// read and sorted on the pool (one task per shard; the pool must be
+  /// idle, as the crawl engine's is between batches); the result is the
+  /// same bits either way.
+  void Rebalance(ThreadPool* threads = nullptr);
 
   /// Re-freezes the tracked-page count used by the budget-spreading
   /// fallbacks (uniform policy, pre-rebalance optimal/proportional).
@@ -217,6 +224,10 @@ class UpdateModule {
   /// Last solved Lagrange multiplier (0 before the first optimal
   /// rebalance); exposed for observability and tests.
   double multiplier() const { return multiplier_; }
+  /// The proportional policy's normaliser (the sum of scheduling rates)
+  /// and the mean importance, as the last rebalance left them.
+  double total_rate() const { return total_rate_; }
+  double mean_importance() const { return mean_importance_; }
 
   int num_shards() const { return static_cast<int>(page_shards_.size()); }
   std::size_t ShardOf(uint32_t site) const {
@@ -257,12 +268,6 @@ class UpdateModule {
 
   /// Maps a rate (and importance) to a visit frequency per the policy.
   double FrequencyFor(double rate, double importance) const;
-
-  /// All (url, state) pairs in ascending URL identity order — the
-  /// canonical walk of Rebalance, so its floating-point accumulations
-  /// are shard-count independent.
-  std::vector<std::pair<simweb::Url, const PageState*>> SortedPages()
-      const;
 
   UpdateModuleConfig config_;
   std::vector<PageMap> page_shards_;

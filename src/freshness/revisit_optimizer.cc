@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace webevo::freshness {
 namespace {
@@ -38,12 +40,86 @@ double Bisect(double lo, double hi, Below below) {
 // Inverse of G on (0, 1) by bisection. g is strictly increasing, so
 // this is well defined; [1e-12, 745] narrows to adjacent doubles within
 // the step cap (745 keeps e^{-x} above the denormal range).
+constexpr double kLo = 1e-12, kHi = 745.0;
+
 double InverseG(double y) {
-  const double lo = 1e-12, hi = 745.0;
-  if (y <= G(lo)) return lo;
-  if (y >= G(hi)) return hi;
-  return Bisect(lo, hi, [y](double x) { return G(x) < y; });
+  if (y <= G(kLo)) return kLo;
+  if (y >= G(kHi)) return kHi;
+  return Bisect(kLo, kHi, [y](double x) { return G(x) < y; });
 }
+
+// InverseG for one rate group across the multiplier search, which asks
+// for nearby y again and again. The bisection for y is kept as a path
+// of halvings. Every path starts from the same interval and each step's
+// midpoint depends only on the decisions before it, so Start(y) keeps
+// the steps of the current path that y decides the same way, with G
+// already known at their midpoints, and Advance bisects on from there.
+// A finished path ends where InverseG's bisection ends, so its value is
+// InverseG(y), bit for bit; an unfinished one brackets that value.
+class InverseGPath {
+ public:
+  void Start(double y) {
+    y_ = y;
+    fixed_ = y <= g_lo_ || y >= g_hi_;
+    if (fixed_) return;
+    std::size_t kept = 0;
+    while (kept < steps_.size() &&
+           (steps_[kept].g < y) == steps_[kept].below) {
+      ++kept;
+    }
+    if (kept < steps_.size()) {
+      lo_ = steps_[kept].lo;
+      hi_ = steps_[kept].hi;
+      done_ = false;
+      steps_.resize(kept);
+    }
+  }
+
+  // Makes up to `halvings` more steps (each one exp), fewer once done.
+  void Advance(int halvings) {
+    for (; !fixed_ && !done_ && halvings > 0; --halvings) {
+      const double mid = 0.5 * (lo_ + hi_);
+      const double g = G(mid);
+      const bool below = g < y_;
+      steps_.push_back(Step{lo_, hi_, g, below});
+      // Bisect's step and its 200-step cap.
+      double& end = below ? lo_ : hi_;
+      done_ = end == mid || steps_.size() == 200;
+      if (end != mid) end = mid;
+    }
+  }
+
+  bool done() const { return fixed_ || done_; }
+
+  // An interval holding InverseG(y); a single point once done.
+  std::pair<double, double> Bracket() const {
+    if (fixed_) {
+      const double x = y_ <= g_lo_ ? kLo : kHi;
+      return {x, x};
+    }
+    if (done_) return {0.5 * (lo_ + hi_), 0.5 * (lo_ + hi_)};
+    return {lo_, hi_};
+  }
+
+ private:
+  // One halving: the interval it split, G at its midpoint, its decision.
+  struct Step {
+    double lo;
+    double hi;
+    double g;
+    bool below;
+  };
+
+  const double g_lo_ = G(kLo);
+  const double g_hi_ = G(kHi);
+  std::vector<Step> steps_;
+  double y_ = 0.0;
+  bool fixed_ = false;
+  // The interval after the last step, and whether the path has ended.
+  double lo_ = kLo;
+  double hi_ = kHi;
+  bool done_ = false;
+};
 
 Status ValidateInput(const std::vector<RateGroup>& groups, double budget) {
   if (groups.empty()) return Status::InvalidArgument("no rate groups");
@@ -57,18 +133,54 @@ Status ValidateInput(const std::vector<RateGroup>& groups, double budget) {
 
 // Optimal frequency of a single page with rate `lambda` at multiplier
 // `mu`: 0 if the page is not worth visiting, else lambda / g^{-1}(mu *
-// lambda).
-double FrequencyAt(double lambda, double mu) {
+// lambda), the inverse taken by `inverse_g`.
+template <typename InverseGFn>
+double FrequencyAt(double lambda, double mu, InverseGFn&& inverse_g) {
   if (lambda <= 0.0) return 0.0;  // never changes: a visit buys nothing
   double y = mu * lambda;
   if (y >= 1.0) return 0.0;  // marginal value below mu everywhere
-  return lambda / InverseG(y);
+  return lambda / inverse_g(y);
 }
 
-double TotalVisits(const std::vector<RateGroup>& groups, double mu) {
-  double total = 0.0;
-  for (const auto& g : groups) total += g.weight * FrequencyAt(g.rate, mu);
-  return total;
+double FrequencyAt(double lambda, double mu) {
+  return FrequencyAt(lambda, mu, InverseG);
+}
+
+// How the total visits at multiplier `mu`, the sum over groups of
+// weight * FrequencyAt(rate, mu), compare with `budget`: -1, 0 or 1.
+// Division, products and sums all round monotonically, so the sums over
+// the ends of each group's bracket bound the exact total; the paths
+// advance a few halvings at a time until the bounds settle the
+// comparison, which takes full precision only near the solution.
+int CompareTotalVisits(const std::vector<RateGroup>& groups, double mu,
+                       double budget, std::vector<InverseGPath>& paths) {
+  constexpr int kHalvingsPerRound = 2;
+  // The groups whose frequency takes an inverse (FrequencyAt's cases).
+  std::vector<std::size_t> solving;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (groups[i].rate > 0.0 && mu * groups[i].rate < 1.0) {
+      paths[i].Start(mu * groups[i].rate);
+      solving.push_back(i);
+    }
+  }
+  while (true) {
+    double low = 0.0, high = 0.0;
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      const auto [x_lo, x_hi] = paths[i].Bracket();
+      low += groups[i].weight *
+             FrequencyAt(groups[i].rate, mu, [&](double) { return x_hi; });
+      high += groups[i].weight *
+              FrequencyAt(groups[i].rate, mu, [&](double) { return x_lo; });
+    }
+    if (low > budget) return 1;
+    if (high < budget) return -1;
+    bool done = true;
+    for (std::size_t i : solving) {
+      paths[i].Advance(kHalvingsPerRound);
+      done &= paths[i].done();
+    }
+    if (done && low == high) return 0;
+  }
 }
 
 }  // namespace
@@ -122,13 +234,14 @@ StatusOr<Allocation> RevisitOptimizer::Optimize(
   for (const auto& g : groups) {
     if (g.rate > 0.0) hi = std::max(hi, 1.0 / g.rate);
   }
+  std::vector<InverseGPath> paths(groups.size());
   double lo = hi;
-  while (TotalVisits(groups, lo) < budget) {
+  while (CompareTotalVisits(groups, lo, budget, paths) < 0) {
     lo /= 2.0;
     if (lo < 1e-300) break;
   }
   const double mu = Bisect(lo, hi, [&](double m) {
-    return TotalVisits(groups, m) > budget;
+    return CompareTotalVisits(groups, m, budget, paths) > 0;
   });
   for (size_t i = 0; i < groups.size(); ++i) {
     alloc.frequency[i] = FrequencyAt(groups[i].rate, mu);

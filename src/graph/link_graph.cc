@@ -30,13 +30,20 @@ void LinkGraph::Finalize() {
     in_offsets_[n + 1] += in_offsets_[n];
   }
   out_targets_.resize(edges_.size());
-  in_sources_.resize(edges_.size());
   std::vector<uint64_t> out_pos(out_offsets_.begin(),
                                 out_offsets_.end() - 1);
+  for (const Edge& e : edges_) out_targets_[out_pos[e.from]++] = e.to;
+  // In-lists follow the out-lists, not the insertion order: sources
+  // ascending, each source's parallel edges as its out-list holds them.
+  // That is the order in which a push over the out-lists adds into each
+  // target, so a pull over these lists sums the same terms in the same
+  // order.
+  in_sources_.resize(edges_.size());
   std::vector<uint64_t> in_pos(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (const Edge& e : edges_) {
-    out_targets_[out_pos[e.from]++] = e.to;
-    in_sources_[in_pos[e.to]++] = e.from;
+  for (NodeId from = 0; from < num_nodes_; ++from) {
+    for (uint64_t e = out_offsets_[from]; e < out_offsets_[from + 1]; ++e) {
+      in_sources_[in_pos[out_targets_[e]]++] = from;
+    }
   }
   finalized_ = true;
 }

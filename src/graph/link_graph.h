@@ -40,7 +40,10 @@ class LinkGraph {
   uint32_t OutDegree(NodeId n) const;
   uint32_t InDegree(NodeId n) const;
 
-  /// Successor / predecessor lists. Requires Finalize().
+  /// Successor / predecessor lists. Requires Finalize(). Successors
+  /// keep the order their edges were added in; predecessors are in
+  /// ascending source order whatever the insertion order, one entry per
+  /// parallel edge.
   std::span<const NodeId> OutNeighbors(NodeId n) const;
   std::span<const NodeId> InNeighbors(NodeId n) const;
 

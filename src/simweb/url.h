@@ -51,6 +51,22 @@ struct UrlIdentityLess {
   }
 };
 
+/// An exact integer key over all 96 bits of a URL, ordered as
+/// UrlIdentityLess orders URLs: site, then slot, then incarnation.
+/// Sorting, merging and searching flat arrays of keys replaces hash
+/// maps and field-by-field comparisons on the housekeeping paths.
+using UrlKey = unsigned __int128;
+
+inline UrlKey KeyOf(const Url& url) {
+  return static_cast<UrlKey>(url.site) << 64 |
+         static_cast<UrlKey>(url.slot) << 32 | url.incarnation;
+}
+
+inline Url UrlOf(UrlKey key) {
+  return Url{static_cast<uint32_t>(key >> 64),
+             static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key)};
+}
+
 }  // namespace webevo::simweb
 
 #endif  // WEBEVO_SIMWEB_URL_H_

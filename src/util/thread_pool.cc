@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 namespace webevo {
@@ -66,6 +67,17 @@ void ThreadPool::RunForIndices(
     tasks.push_back([&task, i] { task(i); });
   }
   RunAndWait(std::move(tasks));
+}
+
+void RunForEachIndex(ThreadPool* threads, std::size_t count,
+                     const std::function<void(std::size_t)>& task) {
+  if (threads == nullptr) {
+    for (std::size_t i = 0; i < count; ++i) task(i);
+    return;
+  }
+  std::vector<std::size_t> indices(count);
+  std::iota(indices.begin(), indices.end(), 0);
+  threads->RunForIndices(indices, task);
 }
 
 void ThreadPool::WorkerLoop() {

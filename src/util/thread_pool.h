@@ -59,6 +59,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs `task(i)` for every i in [0, count) and waits: through
+/// `threads`' RunForIndices when given, else inline in index order. The
+/// crawler's housekeeping walks its shards this way, so a module called
+/// without the engine's pool computes the same bits serially.
+void RunForEachIndex(ThreadPool* threads, std::size_t count,
+                     const std::function<void(std::size_t)>& task);
+
 }  // namespace webevo
 
 #endif  // WEBEVO_UTIL_THREAD_POOL_H_

@@ -1,7 +1,9 @@
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -16,6 +18,7 @@
 #include "util/ledger.h"
 #include "util/random.h"
 #include "util/record_line.h"
+#include "util/sorted_runs.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -564,6 +567,28 @@ TEST(PearsonTest, PerfectCorrelation) {
   std::vector<double> down = {8, 6, 4, 2};
   EXPECT_NEAR(PearsonCorrelation(x, up), 1.0, 1e-12);
   EXPECT_NEAR(PearsonCorrelation(x, down), -1.0, 1e-12);
+}
+
+// ------------------------------------------------------------ SortedRuns
+
+TEST(SortedRunsTest, MergesAnyNumberOfRunsIntoOneSortedRange) {
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto runs = static_cast<std::size_t>(rng.UniformInt(1, 9));
+    std::vector<int> items;
+    std::vector<std::size_t> bounds{0};
+    for (std::size_t r = 0; r < runs; ++r) {
+      std::vector<int> run(rng.NextBounded(40));  // some runs are empty
+      for (int& x : run) x = static_cast<int>(rng.NextBounded(50));
+      std::sort(run.begin(), run.end());
+      items.insert(items.end(), run.begin(), run.end());
+      bounds.push_back(items.size());
+    }
+    std::vector<int> want = items;
+    std::sort(want.begin(), want.end());
+    MergeSortedRuns(items, bounds, std::less<>());
+    EXPECT_EQ(items, want) << "trial " << trial;
+  }
 }
 
 // ----------------------------------------------------------------- Table
