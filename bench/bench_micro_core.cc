@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot data structures and
 // kernels: CollUrls scheduling, the sharded frontier's batch plan,
-// page fetch + lazy Poisson advance,
+// page fetch + lazy Poisson advance, the batched body digest,
 // checksum, PageRank iteration, estimator updates, the optimizer and
 // the housekeeping built on it (per-page pricing, the daily rebalance,
 // the weekly refinement), the capacity settle's victim selection, the
@@ -144,6 +144,38 @@ void BM_SimWebFetch(benchmark::State& state) {
 // 0 bytes times the fetch path alone; 16 KiB is the body size of the
 // steady crawl workload, where digesting the body binds.
 BENCHMARK(BM_SimWebFetch)->Arg(0)->Arg(16384);
+
+void BM_DigestBodies(benchmark::State& state) {
+  // range(0) resolved 16 KiB bodies digested in one call, as an engine
+  // shard digests its batch: whole groups of 32 run in SIMD lanes where
+  // the CPU has them, the rest one by one. `per_body` is the time per
+  // body, to set beside BM_SimWebFetch/16384's whole fetch.
+  simweb::WebConfig config;
+  config.seed = 3;
+  config.sites_per_domain = {8, 5, 3, 3};
+  config.page_body_bytes = 16384;
+  simweb::SimulatedWeb web(config);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<simweb::FetchResult> results;
+  for (uint32_t i = 0; results.size() < n; ++i) {
+    const uint32_t site = i % web.num_sites();
+    const uint32_t slot = (i / web.num_sites()) % web.site_size(site);
+    auto resolved = web.Resolve(web.OracleCurrentUrl(site, slot, 0.5), 0.5);
+    if (resolved.ok()) results.push_back(std::move(*resolved));
+  }
+  std::vector<simweb::FetchResult*> bodies;
+  for (simweb::FetchResult& r : results) bodies.push_back(&r);
+  for (auto _ : state) {
+    web.DigestBodies(bodies);
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
+  }
+  const auto digested = static_cast<double>(state.iterations() * n);
+  state.SetItemsProcessed(static_cast<int64_t>(digested));
+  state.counters["per_body"] = benchmark::Counter(
+      digested, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DigestBodies)->Arg(1)->Arg(8)->Arg(32)->Arg(256);
 
 void BM_UpdateModuleOnCrawled(benchmark::State& state) {
   crawler::UpdateModuleConfig config;

@@ -27,7 +27,7 @@ StatusOr<simweb::FetchResult> CrawlModule::Crawl(const simweb::Url& url,
 
   traffic_.RecordFetch(t);
   double latency_days = 0.0;
-  auto result = web_->Fetch(url, t, &latency_days);
+  auto result = web_->Resolve(url, t, &latency_days);
   if (!result.ok()) ++traffic_.failure_count;
   if (latency_days > 0.0) {
     // A slow response or a timeout ties up the connection: the polite

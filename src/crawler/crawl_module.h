@@ -39,12 +39,16 @@ class CrawlModule {
   CrawlModule(simweb::SimulatedWeb* web, const CrawlModuleConfig& config)
       : web_(web), config_(config) {}
 
-  /// Fetches `url` at time `t`. Propagates the web's classified
-  /// outcome: NotFound for dead pages, Unavailable for transient
-  /// failures (errors, outages, overload, dead sites), DeadlineExceeded
-  /// for timeouts; FailedPrecondition when politeness is enforced and
-  /// violated. Timeout and slow-response latency widens the site's
-  /// polite window (the connection was held for that long).
+  /// Fetches `url` at time `t`, resolved but not digested
+  /// (SimulatedWeb::Resolve): a successful result names its body and
+  /// carries no checksum until SimulatedWeb::DigestBodies fills it, as
+  /// the ShardedCrawlEngine does for each shard's batch. Propagates the
+  /// web's classified outcome: NotFound for dead pages, Unavailable for
+  /// transient failures (errors, outages, overload, dead sites),
+  /// DeadlineExceeded for timeouts; FailedPrecondition when politeness
+  /// is enforced and violated. Timeout and slow-response latency
+  /// widens the site's polite window (the connection was held for that
+  /// long).
   StatusOr<simweb::FetchResult> Crawl(const simweb::Url& url, double t);
 
   /// Earliest time a request to `site` is polite.

@@ -27,7 +27,8 @@ class CrawlModulePool {
   CrawlModulePool(simweb::SimulatedWeb* web,
                   const CrawlModuleConfig& config, int parallelism);
 
-  /// Routes the fetch to the module owning url.site.
+  /// Routes the fetch to the module owning url.site; the result is
+  /// resolved, not digested (CrawlModule::Crawl).
   StatusOr<simweb::FetchResult> Crawl(const simweb::Url& url, double t);
 
   /// Earliest polite time for `site` (per the owning module).

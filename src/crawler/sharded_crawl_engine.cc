@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <optional>
 #include <utility>
 
 namespace webevo::crawler {
@@ -34,12 +33,10 @@ bool ShardedCrawlEngine::PublishView(
 std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
     const std::vector<PlannedFetch>& batch,
     std::vector<double>* retry_at, const StageHook& before_fetch) {
-  std::vector<StatusOr<simweb::FetchResult>> out;
-  out.reserve(batch.size());
   if (retry_at != nullptr) retry_at->assign(batch.size(), 0.0);
   // Hooks fuse into fetch workers, so they need a batch to ride on;
   // callers run their stages inline when the plan came up empty.
-  if (batch.empty()) return out;
+  if (batch.empty()) return {};
   auto batch_begin = std::chrono::steady_clock::now();
   in_batch_ = true;
 
@@ -56,14 +53,16 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
     floor = std::min(floor, planned.at);
   }
 
-  // StatusOr has no empty state; stage outcomes in optionals that each
-  // belong to exactly one shard's worker.
-  std::vector<std::optional<StatusOr<simweb::FetchResult>>> staged(
-      batch.size());
+  // Each outcome is written in place by the worker of its site's shard,
+  // so the placeholder (StatusOr has no empty state) never survives.
+  std::vector<StatusOr<simweb::FetchResult>> out(
+      batch.size(), Status::Unavailable("not fetched"));
 
   web_->BeginConcurrentBatch(floor);
   std::vector<RunningStat> shard_latency(shards);
   std::vector<double> measure_overlap(shards, 0.0);
+  // Each fetch's resolve seconds, written by its shard's worker only.
+  std::vector<double> resolve_seconds(batch.size(), 0.0);
   auto run_shard = [&](std::size_t shard,
                        const std::vector<std::size_t>& indices,
                        RunningStat& latency) {
@@ -75,9 +74,12 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
       before_fetch(shard);
       measure_overlap[shard] = SecondsSince(hook_begin);
     }
+    std::vector<simweb::FetchResult*> bodies;
+    bodies.reserve(indices.size());
     for (std::size_t i : indices) {
       auto begin = std::chrono::steady_clock::now();
-      staged[i].emplace(pool_.Crawl(batch[i].url, batch[i].at));
+      out[i] = pool_.Crawl(batch[i].url, batch[i].at);
+      if (out[i].ok()) bodies.push_back(&*out[i]);
       if (retry_at != nullptr) {
         // Captured right after the attempt, inside the site's owning
         // shard: the same value at every shard count, because only
@@ -85,7 +87,20 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
         // politeness state.
         (*retry_at)[i] = pool_.NextAllowedTime(batch[i].url.site);
       }
-      latency.Add(SecondsSince(begin));
+      resolve_seconds[i] = SecondsSince(begin);
+    }
+    // The resolves took the site locks in plan order; the digests are
+    // pure, so the shard digests all its bodies in one call, in lanes.
+    // A fetch's latency is its resolve plus its share of that call.
+    auto digest_begin = std::chrono::steady_clock::now();
+    web_->DigestBodies(bodies);
+    const double digest_seconds = SecondsSince(digest_begin);
+    for (std::size_t i : indices) {
+      double seconds = resolve_seconds[i];
+      if (out[i].ok()) {
+        seconds += digest_seconds / static_cast<double>(bodies.size());
+      }
+      latency.Add(seconds);
     }
   };
   // Shards with planned fetches — or every shard when the stage hook
@@ -137,9 +152,6 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
     }
   }
 
-  for (auto& staged_outcome : staged) {
-    out.push_back(std::move(*staged_outcome));
-  }
   in_batch_ = false;
   return out;
 }

@@ -40,7 +40,8 @@ double SecondsSince(std::chrono::steady_clock::time_point begin);
 /// Crawl loops follow a plan / fetch / apply cycle:
 ///   1. *plan* (serial): pop due URLs and assign slot times;
 ///   2. *fetch* (parallel): ExecuteBatch performs the fetches, each
-///      shard processing its own sites in plan order;
+///      shard resolving its own sites' fetches in plan order and then
+///      digesting all their page bodies in one call;
 ///   3. *apply* (parallel shard passes + serial barrier): each shard
 ///      applies its own outcomes and link admissions to the state its
 ///      sites own (their stores inside the Collection, AllUrls and
@@ -133,7 +134,9 @@ class ShardedCrawlEngine {
     RunningStat batch_fetches;
     RunningStat busiest_shard_fetches;
     /// Seconds per fetch, accumulated by each shard and merged at the
-    /// batch barrier in shard index order.
+    /// batch barrier in shard index order. One sample per fetch: its
+    /// resolve plus, when it succeeded, an even share of its shard's
+    /// digest call, so the samples sum to the shard's whole fetch work.
     RunningStat fetch_latency_seconds;
     /// Seconds per plan / fetch / apply / measure phase — the Amdahl
     /// ledger behind bench_sharded_scaling's per-phase breakdown. Fetch

@@ -73,6 +73,16 @@ struct FetchResult {
   /// (a real crawler can't); it is used by tests and oracle-based
   /// evaluation. Change detection uses `checksum`.
   uint64_t version = 0;
+  /// The body `checksum` digests, named when the fetch resolves
+  /// (SimulatedWeb::Resolve): PageBody(body_page, body_version), or
+  /// with `trap_body` the shared body every minted trap URL of
+  /// url.site serves. Usually the fetched page itself, but mirror
+  /// members and resurrected pages alias to their canonical original.
+  PageId body_page = kInvalidPage;
+  uint64_t body_version = 0;
+  bool trap_body = false;
+  /// The digest of that body. A resolved fetch leaves it zero until
+  /// SimulatedWeb::DigestBodies fills it; Fetch returns it filled.
   Checksum128 checksum;
   double fetched_at = 0.0;
   /// Time of the page's most recent change (its birth time if it has

@@ -1,6 +1,7 @@
 #include "simweb/simulated_web.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <charconv>
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <limits>
 #include <string_view>
 
+#include "simweb/filler_lanes.h"
 #include "util/hash.h"
 
 namespace webevo::simweb {
@@ -32,15 +34,6 @@ constexpr uint64_t kSiteDeathSalt = 0x27D4EB2F165667C5ull;
 constexpr uint64_t kTrapSalt = 0x94D049BB133111EBull;
 constexpr uint64_t kMigrationSalt = 0xBF58476D1CE4E5B9ull;
 
-// The shared low-value body every minted trap URL of `site` serves:
-// distinct from any real page body, identical within the site, so a
-// trap yields exactly one content fingerprint no matter how many URLs
-// it mints.
-std::string TrapBody(uint32_t site) {
-  return "<html><body>webevo-trap-site " + std::to_string(site) +
-         "</body></html>";
-}
-
 // The text of a real page body's header around its three numbers, and
 // the trailer after its filler.
 constexpr std::string_view kBodyTitle = "<html><head><title>page ";
@@ -55,8 +48,86 @@ constexpr std::size_t kMaxU64Digits =
 constexpr std::size_t kBodyTextBytes =
     kBodyTitle.size() + kBodyRevision.size() + kBodyToken.size();
 constexpr std::size_t kBodyHeaderMax = kBodyTextBytes + 3 * kMaxU64Digits;
+// Keys the filler chain's seed word apart from the token ("body").
+constexpr uint64_t kFillerSalt = 0x626f6479ull;
+
+// A real page body's header, formatted: the text before the filler and
+// the seed of the filler chain. EmitPageBody and DigestBodies both
+// start a body from it, so only the filler loop has a lane form.
+class BodyHeader {
+ public:
+  BodyHeader(PageId page, uint64_t version)
+      // Deterministic pseudo-content: distinct per (page, version) so
+      // the checksum changes exactly when the page changes.
+      : token_(HashCombine(page, version)) {
+    char* end = text_;
+    const auto put = [&end](std::string_view text, uint64_t number) {
+      end = std::copy(text.begin(), text.end(), end);
+      end = std::to_chars(end, end + kMaxU64Digits, number).ptr;
+    };
+    put(kBodyTitle, page);
+    put(kBodyRevision, version);
+    put(kBodyToken, token_);
+    size_ = static_cast<std::size_t>(end - text_);
+  }
+
+  std::string_view text() const { return {text_, size_}; }
+  uint64_t filler_seed() const { return HashCombine(token_, kFillerSalt); }
+
+ private:
+  char text_[kBodyHeaderMax];
+  std::size_t size_ = 0;
+  uint64_t token_ = 0;
+};
+
+// Passes the filler bytes [offset, filler_end) to `sink`, continuing the
+// chain from its last word `word`: each 8-byte word is keyed on its byte
+// offset in the body, and the last one is cut at `filler_end`.
+template <typename Sink>
+void EmitFiller(uint64_t word, std::size_t offset, std::size_t filler_end,
+                Sink& sink) {
+  while (offset < filler_end) {
+    word = HashCombine(word, offset);
+    const std::size_t n = std::min(sizeof(word), filler_end - offset);
+    sink.AppendWord(word, n);
+    offset += n;
+  }
+}
+
+// Digests one whole lane group of page bodies, each `body_bytes` of
+// filler long: the headers digest one by one, the whole filler words
+// advance together in `kernel`, and each body's last, partial word and
+// trailer finish it alone.
+void DigestLaneGroup(std::span<FetchResult* const> group,
+                     std::size_t body_bytes, FillerLaneKernel kernel) {
+  assert(group.size() == FillerLanes::kLanes);
+  FillerLanes lanes;
+  for (std::size_t i = 0; i < FillerLanes::kLanes; ++i) {
+    const BodyHeader header(group[i]->body_page, group[i]->body_version);
+    ChecksumBuilder digest;
+    digest.Append(header.text());
+    const Checksum128 state = digest.Finish();
+    lanes.lo[i] = state.lo;
+    lanes.hi[i] = state.hi;
+    lanes.word[i] = header.filler_seed();
+    lanes.offset[i] = header.text().size();
+  }
+  kernel(lanes, body_bytes / sizeof(uint64_t));
+  for (std::size_t i = 0; i < FillerLanes::kLanes; ++i) {
+    ChecksumBuilder digest(Checksum128{lanes.lo[i], lanes.hi[i]});
+    EmitFiller(lanes.word[i], lanes.offset[i],
+               lanes.offset[i] + body_bytes % sizeof(uint64_t), digest);
+    digest.Append(kBodyEnd);
+    group[i]->checksum = digest.Finish();
+  }
+}
 
 }  // namespace
+
+std::string SimulatedWeb::TrapBody(uint32_t site) {
+  return "<html><body>webevo-trap-site " + std::to_string(site) +
+         "</body></html>";
+}
 
 SimulatedWeb::SimulatedWeb(const WebConfig& config)
     : config_(config), rng_(config.seed) {
@@ -470,6 +541,14 @@ uint64_t SimulatedWeb::OracleTotalPagesCreated() const {
 StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
                                           double* latency_days,
                                           LinkScope scope) {
+  StatusOr<FetchResult> result = Resolve(url, t, latency_days, scope);
+  if (result.ok()) result->checksum = DigestBody(*result);
+  return result;
+}
+
+StatusOr<FetchResult> SimulatedWeb::Resolve(const Url& url, double t,
+                                            double* latency_days,
+                                            LinkScope scope) {
   if (latency_days != nullptr) *latency_days = 0.0;
   bool virtual_slot = false;
   if (url.site >= sites_.size()) return StrayFetch(url);
@@ -489,13 +568,6 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
   SiteState& site = sites_[url.site];
 
   FetchResult result;
-  // What body the checksum digests: usually the fetched page itself,
-  // but mirror members and resurrected pages alias to their canonical
-  // original, and trap URLs share one low-value body per site. Computed
-  // outside the lock (pure).
-  PageId checksum_page = 0;
-  uint64_t checksum_version = 0;
-  bool trap_body = false;
   // Cross-site link targets resolve after our own site's lock is
   // dropped: lock acquisition stays one-at-a-time (no nesting), so
   // shards can never deadlock on each other. Own-site targets — all
@@ -546,14 +618,13 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
           return Status::NotFound("page gone: " + url.ToString());
         }
         result.last_modified = MigrationDayOf(source);
-        checksum_page = MakePageId(source, static_cast<uint32_t>(j), 0);
-        checksum_version = 0;
+        result.body_page = MakePageId(source, static_cast<uint32_t>(j), 0);
         EmitTwinLinksLocked(url.site, source, &result.links);
       } else {
         // A minted trap URL: fetches successfully, serves the site's
         // shared low-value body, and mints more.
         result.last_modified = 0.0;
-        trap_body = true;
+        result.trap_body = true;
         MintTrapLinksLocked(url.site, &result.links);
       }
     } else {
@@ -586,12 +657,12 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
       // resurrections match). Both site classes are static, so the
       // alias never lies about a change.
       if (IsMirroredSite(url.site)) {
-        checksum_page = MakePageId(MirrorLeaderOf(url.site), url.slot, 0);
+        result.body_page = MakePageId(MirrorLeaderOf(url.site), url.slot, 0);
       } else if (MigrationDayOf(url.site) < kInfinity) {
-        checksum_page = MakePageId(url.site, url.slot, 0);
+        result.body_page = MakePageId(url.site, url.slot, 0);
       } else {
-        checksum_page = result.page;
-        checksum_version = result.version;
+        result.body_page = result.page;
+        result.body_version = result.version;
       }
 
       // Navigation-tree children of this slot (own-site), then cross
@@ -642,16 +713,43 @@ StatusOr<FetchResult> SimulatedWeb::Fetch(const Url& url, double t,
   for (const auto& [index, target] : remote) {
     result.links[index] = ResolveOccupantUrl(target.first, target.second, t);
   }
-  // The digest is pure; compute it outside the lock. The body streams
-  // straight into it and is never built as a string.
-  if (trap_body) {
-    result.checksum = ChecksumOf(TrapBody(url.site));
-  } else {
-    ChecksumBuilder digest;
-    EmitPageBody(checksum_page, checksum_version, digest);
-    result.checksum = digest.Finish();
-  }
   return result;
+}
+
+Checksum128 SimulatedWeb::DigestBody(const FetchResult& result) const {
+  if (result.trap_body) return ChecksumOf(TrapBody(result.url.site));
+  // The body streams straight into the digest, never built as a string.
+  ChecksumBuilder digest;
+  EmitPageBody(result.body_page, result.body_version, digest);
+  return digest.Finish();
+}
+
+void SimulatedWeb::DigestBodies(std::span<FetchResult* const> results) const {
+  const FillerLaneKernel kernel = SelectedFillerLaneKernel();
+  const std::size_t body_bytes = config_.page_body_bytes;
+  if (kernel == nullptr || body_bytes < sizeof(uint64_t)) {
+    // No lanes on this CPU, or no whole filler word to share them.
+    for (FetchResult* result : results) result->checksum = DigestBody(*result);
+    return;
+  }
+  // Page bodies digest in whole lane groups, in order; trap bodies and
+  // a last group too small to fill the lanes take the one-body path.
+  std::array<FetchResult*, FillerLanes::kLanes> group;
+  std::size_t filled = 0;
+  for (FetchResult* result : results) {
+    if (result->trap_body) {
+      result->checksum = DigestBody(*result);
+      continue;
+    }
+    group[filled++] = result;
+    if (filled == group.size()) {
+      DigestLaneGroup(group, body_bytes, kernel);
+      filled = 0;
+    }
+  }
+  for (std::size_t i = 0; i < filled; ++i) {
+    group[i]->checksum = DigestBody(*group[i]);
+  }
 }
 
 Url SimulatedWeb::RootUrl(uint32_t site) const {
@@ -662,33 +760,13 @@ Url SimulatedWeb::RootUrl(uint32_t site) const {
 template <typename Sink>
 void SimulatedWeb::EmitPageBody(PageId page, uint64_t version,
                                 Sink& sink) const {
-  // Deterministic pseudo-content: distinct per (page, version) so the
-  // checksum changes exactly when the page changes.
-  const uint64_t token = HashCombine(page, version);
-  char header[kBodyHeaderMax];
-  char* end = header;
-  const auto put = [&end](std::string_view text, uint64_t number) {
-    end = std::copy(text.begin(), text.end(), end);
-    end = std::to_chars(end, end + kMaxU64Digits, number).ptr;
-  };
-  put(kBodyTitle, page);
-  put(kBodyRevision, version);
-  put(kBodyToken, token);
-  sink.Append(
-      std::string_view(header, static_cast<std::size_t>(end - header)));
-
+  const BodyHeader header(page, version);
+  sink.Append(header.text());
   // Deterministic filler stream so per-fetch work scales with the
-  // configured body size; each word is keyed on its byte offset in the
-  // body.
-  std::size_t offset = static_cast<std::size_t>(end - header);
-  const std::size_t filler_end = offset + config_.page_body_bytes;
-  uint64_t x = HashCombine(token, 0x626f6479ull);
-  while (offset < filler_end) {
-    x = HashCombine(x, offset);
-    const std::size_t n = std::min(sizeof(x), filler_end - offset);
-    sink.AppendWord(x, n);
-    offset += n;
-  }
+  // configured body size.
+  const std::size_t offset = header.text().size();
+  EmitFiller(header.filler_seed(), offset, offset + config_.page_body_bytes,
+             sink);
   sink.Append(kBodyEnd);
 }
 

@@ -6,6 +6,7 @@
 #include <iosfwd>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -130,9 +131,28 @@ class SimulatedWeb {
   /// what the full fetch returns. Such a fetch never resolves a
   /// cross-site target, so it takes no other site's lock and creates
   /// no page on another site.
+  ///
+  /// Fetch is Resolve, then the digest of the one body it names.
   StatusOr<FetchResult> Fetch(const Url& url, double t,
                               double* latency_days = nullptr,
                               LinkScope scope = LinkScope::kAll);
+
+  /// A fetch without its digest: every effect and every field of Fetch
+  /// except the checksum, which stays zero for DigestBodies. The result
+  /// names the body to digest (FetchResult::body_page, body_version,
+  /// trap_body).
+  StatusOr<FetchResult> Resolve(const Url& url, double t,
+                                double* latency_days = nullptr,
+                                LinkScope scope = LinkScope::kAll);
+
+  /// Fills each result's checksum with the digest of the body it names,
+  /// bit for bit the one Fetch computes. Pure: reads only the results
+  /// and the config, so any thread may digest results resolved on any.
+  /// Page bodies digest FillerLanes::kLanes at a time in SIMD lanes
+  /// where the CPU has them (simweb/filler_lanes.h); trap bodies, a
+  /// last group too small to fill the lanes, and bodies with no whole
+  /// filler word take the one-body path that Fetch uses.
+  void DigestBodies(std::span<FetchResult* const> results) const;
 
   const WebConfig& config() const { return config_; }
 
@@ -143,9 +163,15 @@ class SimulatedWeb {
   /// Synthetic page body for a given page and version. Pure function of
   /// (page, version, config), so bodies are reproducible across runs
   /// and shard counts. The checksum in FetchResult is the digest of
-  /// exactly these bytes, but Fetch streams them into the digest
-  /// without building this string.
+  /// exactly these bytes, but the digest streams them without building
+  /// this string.
   std::string PageBody(PageId page, uint64_t version) const;
+
+  /// The shared low-value body every minted trap URL of `site` serves:
+  /// distinct from any real page body, identical within the site, so a
+  /// trap yields exactly one content fingerprint no matter how many
+  /// URLs it mints.
+  static std::string TrapBody(uint32_t site);
 
   uint32_t num_sites() const { return static_cast<uint32_t>(sites_.size()); }
   Domain site_domain(uint32_t site) const { return sites_[site].domain; }
@@ -347,6 +373,9 @@ class SimulatedWeb {
 
   /// Fresh deterministic RNG stream for one page identity.
   Rng PageStream(PageId id) const;
+
+  /// The one-body digest of the body `result` names.
+  Checksum128 DigestBody(const FetchResult& result) const;
 
   /// The one definition of a page body: passes the bytes of
   /// PageBody(page, version) to `sink` in order, the header and trailer

@@ -16,10 +16,8 @@ uint64_t Fnv1a64(std::string_view data) {
 }
 
 uint64_t HashCombine(uint64_t seed, uint64_t value) {
-  // 64-bit variant of boost::hash_combine with a splitmix-style mixer.
-  uint64_t z = value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  return seed ^ (z ^ (z >> 31));
+  HashCombineInto(seed, value);
+  return seed;
 }
 
 Checksum128 ChecksumOf(std::string_view data) {

@@ -22,6 +22,21 @@ uint64_t Fnv1a64Seeded(std::string_view data, uint64_t seed);
 /// Mixes a new 64-bit value into an accumulated hash (Boost-style).
 uint64_t HashCombine(uint64_t seed, uint64_t value);
 
+/// HashCombine's arithmetic on any unsigned 64-bit lane type: a scalar,
+/// or a GCC vector of them, each lane of which then computes exactly
+/// HashCombine(seed, value) into `seed`. Operands pass by reference,
+/// so no vector crosses a call by value (that ABI varies with the ISA
+/// a caller is compiled for), and the function always inlines into the
+/// caller's ISA.
+template <typename Lanes>
+[[gnu::always_inline]] inline void HashCombineInto(Lanes& seed,
+                                                   const Lanes& value) {
+  // 64-bit variant of boost::hash_combine with a splitmix-style mixer.
+  Lanes z = value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  seed ^= z ^ (z >> 31);
+}
+
 /// 128-bit content checksum, the crawler's stand-in for the page digest
 /// the paper's UpdateModule records "from the last crawl" to detect
 /// changes. Two independently seeded FNV-1a streams make accidental
@@ -42,6 +57,12 @@ struct Checksum128 {
 /// overlap instead of running one after the other.
 class ChecksumBuilder {
  public:
+  ChecksumBuilder() = default;
+  /// Resumes a digest from an earlier Finish(): appending here goes on
+  /// as if every byte had been appended to one builder.
+  explicit ChecksumBuilder(Checksum128 state)
+      : lo_(state.lo), hi_(state.hi) {}
+
   void Append(std::string_view data) {
     uint64_t lo = lo_;
     uint64_t hi = hi_;

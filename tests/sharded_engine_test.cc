@@ -188,6 +188,62 @@ TEST(ShardedEngineTest, OutcomesComeBackInPlanOrder) {
   EXPECT_GE(engine.stats().fetch_latency_seconds.min(), 0.0);
 }
 
+TEST(ShardedEngineTest, BatchChecksumsEqualPerUrlFetch) {
+  // Each shard digests its bodies together, in lanes, after its
+  // resolves; at 16 KiB bodies every checksum must still be the one
+  // Fetch gives URL by URL on a twin web. Spider traps put trap bodies
+  // among the page bodies, and two batches days apart see changed
+  // versions. Every shard owns far more than one lane group of URLs.
+  for (int shards : {1, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    simweb::WebConfig config = SmallWeb(71);
+    config.page_body_bytes = 16384;
+    config.adv_trap_site_prob = 0.3;
+    config.adv_trap_links_per_fetch = 2;
+    simweb::SimulatedWeb web(config);
+    simweb::SimulatedWeb twin(config);
+    ShardedCrawlEngine engine(&web, {}, shards);
+    std::vector<simweb::Url> urls;
+    for (uint32_t s = 0; s < web.num_sites(); ++s) {
+      for (uint32_t slot = 0; slot < web.site_size(s); ++slot) {
+        urls.push_back(simweb::Url{s, slot, 0});
+      }
+    }
+    std::size_t digested = 0;
+    std::size_t traps = 0;
+    for (double t : {0.5, 9.5}) {
+      std::vector<PlannedFetch> batch;
+      for (const simweb::Url& url : urls) batch.push_back({url, t});
+      auto outcomes = engine.ExecuteBatch(batch);
+      ASSERT_EQ(outcomes.size(), batch.size());
+      std::vector<simweb::Url> next;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        auto want = twin.Fetch(batch[i].url, t);
+        ASSERT_EQ(outcomes[i].status(), want.status());
+        if (!want.ok()) continue;
+        EXPECT_EQ(outcomes[i]->checksum, want->checksum)
+            << batch[i].url.ToString();
+        EXPECT_EQ(outcomes[i]->version, want->version);
+        ++digested;
+        next.push_back(batch[i].url);
+        for (const simweb::Url& link : want->links) {
+          // Minted trap URLs join the next batch.
+          if (link.slot >= web.site_size(link.site)) {
+            next.push_back(link);
+            ++traps;
+          }
+        }
+      }
+      urls = std::move(next);
+    }
+    EXPECT_GT(traps, 0u);
+    EXPECT_GT(digested, 32u * static_cast<std::size_t>(shards));
+    // One latency sample per fetch, digests included.
+    EXPECT_EQ(engine.stats().fetch_latency_seconds.count(),
+              static_cast<int64_t>(engine.stats().fetches));
+  }
+}
+
 // ------------------------------------------------------- per-shard retry lane
 
 TEST(ShardedEngineTest, RetryTimeIsCapturedAtTheAttemptNotBatchEnd) {

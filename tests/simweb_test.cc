@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -10,6 +11,7 @@
 
 #include "simweb/domain.h"
 #include "simweb/domain_profile.h"
+#include "simweb/filler_lanes.h"
 #include "simweb/simulated_web.h"
 #include "simweb/url.h"
 #include "simweb/web_config.h"
@@ -302,6 +304,145 @@ TEST(SimulatedWebTest, MirrorChecksumIsLeaderBodyDigest) {
   // A mirror serves its leader's version-0 bytes for the same slot.
   const std::string leader_body = web.PageBody(MakePageId(leader, 0, 0), 0);
   EXPECT_EQ(result->checksum, ChecksumOf(leader_body));
+}
+
+TEST(SimulatedWebTest, FillerLaneKernelsMatchTheScalarFiller) {
+  // Every lane kernel this CPU runs (the AVX-512 and the AVX2 build
+  // both, where both run), against the scalar filler step on each lane:
+  // word = HashCombine(word, offset), its 8 bytes into the digest. The
+  // one test that sees a broken build the process did not select.
+  Rng rng(17);
+  FillerLanes start;
+  for (std::size_t i = 0; i < FillerLanes::kLanes; ++i) {
+    start.lo[i] = rng.Next();
+    start.hi[i] = rng.Next();
+    start.word[i] = rng.Next();
+    start.offset[i] = rng.NextBounded(1000);
+  }
+  const std::vector<FillerLaneKernel> kernels = SupportedFillerLaneKernels();
+  if (kernels.empty()) GTEST_SKIP() << "no lane kernel on this CPU";
+  EXPECT_EQ(kernels.front(), SelectedFillerLaneKernel());
+  for (std::size_t words : {0, 1, 2, 7, 2048}) {
+    FillerLanes want = start;
+    for (std::size_t i = 0; i < FillerLanes::kLanes; ++i) {
+      ChecksumBuilder digest(Checksum128{want.lo[i], want.hi[i]});
+      for (std::size_t w = 0; w < words; ++w) {
+        want.word[i] = HashCombine(want.word[i], want.offset[i]);
+        digest.AppendWord(want.word[i], 8);
+        want.offset[i] += 8;
+      }
+      want.lo[i] = digest.Finish().lo;
+      want.hi[i] = digest.Finish().hi;
+    }
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "kernel " << k << ", " << words
+                                      << " words");
+      FillerLanes got = start;
+      kernels[k](got, words);
+      for (std::size_t i = 0; i < FillerLanes::kLanes; ++i) {
+        EXPECT_EQ(got.lo[i], want.lo[i]) << "lane " << i;
+        EXPECT_EQ(got.hi[i], want.hi[i]) << "lane " << i;
+        EXPECT_EQ(got.word[i], want.word[i]) << "lane " << i;
+        EXPECT_EQ(got.offset[i], want.offset[i]) << "lane " << i;
+      }
+    }
+  }
+}
+
+TEST(SimulatedWebTest, DigestBodiesMatchesOneBodyDigest) {
+  // A pool of resolved fetches on a web with spider traps, a mirror farm
+  // and domain migrations, over several days (changed versions, twin
+  // resurrections, minted trap URLs), plus bodies of random pages at
+  // random versions. Every slice of the pool digested together must
+  // give each body's one-body digest, and the resolved fetches the
+  // checksum Fetch gives on a twin web. Fails if a lane drops a byte,
+  // if a lane group drops the last partial word, or if trap bodies
+  // join the lanes as page bodies.
+  for (uint32_t bytes : {0u, 1u, 7u, 8u, 9u, 4096u, 16384u, 16387u}) {
+    SCOPED_TRACE(testing::Message() << bytes << "-byte bodies");
+    WebConfig config = SmallConfig(11);
+    config.page_body_bytes = bytes;
+    config.adv_trap_site_prob = 0.3;
+    config.adv_trap_links_per_fetch = 2;
+    config.adv_mirror_group_size = 3;
+    config.adv_mirror_groups = 1;
+    config.adv_migration_prob = 0.5;
+    config.adv_migration_mean_day = 2.0;
+    SimulatedWeb web(config);
+    SimulatedWeb twin(config);
+    std::vector<FetchResult> pool;
+    std::vector<Checksum128> fetched;
+    std::vector<Url> frontier;
+    for (uint32_t s = 0; s < web.num_sites(); ++s) {
+      frontier.push_back(web.RootUrl(s));
+    }
+    for (int day = 0; day < 6 && pool.size() < 400; ++day) {
+      std::vector<Url> next;
+      for (const Url& url : frontier) {
+        auto resolved = web.Resolve(url, day + 0.5);
+        auto want = twin.Fetch(url, day + 0.5);
+        ASSERT_EQ(resolved.status(), want.status()) << url.ToString();
+        if (!resolved.ok()) continue;
+        EXPECT_EQ(resolved->checksum, Checksum128{});
+        pool.push_back(*resolved);
+        fetched.push_back(want->checksum);
+        next.push_back(url);
+        for (const Url& link : resolved->links) next.push_back(link);
+      }
+      if (next.size() > 150) next.resize(150);
+      frontier = std::move(next);
+    }
+    std::size_t traps = 0, aliases = 0, changed = 0;
+    for (const FetchResult& r : pool) {
+      traps += r.trap_body;
+      aliases += !r.trap_body && r.body_page != r.page;
+      changed += r.body_version > 0;
+    }
+    EXPECT_GT(traps, 0u);
+    EXPECT_GT(aliases, 0u);
+    EXPECT_GT(changed, 0u);
+    // The resolved fetches in resolve order, digested in one call, give
+    // what Fetch gave on the twin.
+    std::vector<FetchResult> resolved = pool;
+    std::vector<FetchResult*> all;
+    for (FetchResult& r : resolved) all.push_back(&r);
+    web.DigestBodies(all);
+    for (std::size_t i = 0; i < resolved.size(); ++i) {
+      ASSERT_EQ(resolved[i].checksum, fetched[i])
+          << resolved[i].url.ToString();
+    }
+    Rng rng(bytes + 1);
+    for (int k = 0; k < 60; ++k) {
+      FetchResult r;
+      r.body_page = rng.Next();
+      r.body_version = k % 3 == 0 ? ~uint64_t{0} : rng.NextBounded(1000);
+      pool.push_back(r);
+    }
+    rng.Shuffle(pool);  // traps and random bodies land inside lane groups
+    std::vector<Checksum128> want(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      want[i] = pool[i].trap_body
+                    ? ChecksumOf(SimulatedWeb::TrapBody(pool[i].url.site))
+                    : ChecksumOf(web.PageBody(pool[i].body_page,
+                                              pool[i].body_version));
+    }
+    for (std::size_t group : {1, 7, 8, 15, 16, 31, 32, 33, 100}) {
+      SCOPED_TRACE(testing::Message() << "groups of " << group);
+      std::vector<FetchResult> digested = pool;
+      std::vector<FetchResult*> slice;
+      for (std::size_t begin = 0; begin < digested.size(); begin += group) {
+        slice.clear();
+        for (std::size_t i = begin;
+             i < std::min(begin + group, digested.size()); ++i) {
+          slice.push_back(&digested[i]);
+        }
+        web.DigestBodies(slice);
+      }
+      for (std::size_t i = 0; i < digested.size(); ++i) {
+        ASSERT_EQ(digested[i].checksum, want[i]) << "body " << i;
+      }
+    }
+  }
 }
 
 TEST(SimulatedWebTest, LinksStayWithinValidSlots) {
